@@ -1,0 +1,212 @@
+//! Golden digests of the pipeline's byte surfaces.
+//!
+//! Every determinism suite in this repository compares run A to run B of
+//! the *same* build, so a refactor that changes the bytes consistently
+//! passes all of them. This test pins FNV-1a digests of the store bytes,
+//! the three telemetry JSONL surfaces and the rendered report/CSV for
+//! three tiny-world scenarios that between them reach every engine path:
+//! fault hook, checkpoint resume, adaptive controller, plan, shard and
+//! blocklist filters. To accept an intentional change:
+//!
+//! ```sh
+//! UPDATE_GOLDEN=1 cargo test --test pipeline_golden
+//! ```
+
+use originscan::core::adversarial::{PolitenessProfile, TRIAL_SPAN_MULT};
+use originscan::core::experiment::{
+    supervise_scan, Experiment, ExperimentConfig, OriginRun, RunStatus, SupervisorPolicy,
+};
+use originscan::core::summary::full_report;
+use originscan::netmodel::{
+    AggressionProfile, DefenderNet, FaultPlan, OriginId, Protocol, SimNet, WorldConfig,
+};
+use originscan::plan::{PlanEntry, TargetPlan};
+use originscan::scanner::engine::ScanConfig;
+use originscan::scanner::output::{to_csv_all, to_scan_set};
+use originscan::scanner::rate::rate_for_duration;
+use originscan::scanner::Blocklist;
+use originscan::serve::query::fnv1a64;
+use originscan::store::{ScanSetStore, StoreKey};
+use originscan::telemetry::metrics::names;
+use originscan::telemetry::{Scope, Telemetry, TelemetrySnapshot};
+use std::fmt::Write as _;
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/pipeline_digests.txt"
+);
+
+/// Compressed trials so per-AS probe rates trip the tiny world's
+/// defenders (same figure as `tests/adversarial_determinism.rs`).
+const ADAPTIVE_DUR_S: f64 = 6.0 * 3600.0;
+const DUR_S: f64 = 21.0 * 3600.0;
+
+fn digest_lines(out: &mut String, scenario: &str, surfaces: &[(&str, &[u8])]) {
+    for (surface, bytes) in surfaces {
+        let _ = writeln!(
+            out,
+            "{scenario}.{surface} {:016x} {}",
+            fnv1a64(bytes),
+            bytes.len()
+        );
+    }
+}
+
+fn telemetry_lines(out: &mut String, scenario: &str, t: &TelemetrySnapshot) {
+    digest_lines(
+        out,
+        scenario,
+        &[
+            ("events_jsonl", t.events_jsonl().as_bytes()),
+            ("metrics_jsonl", t.metrics_jsonl().as_bytes()),
+            ("spans_jsonl", t.spans_jsonl().as_bytes()),
+        ],
+    );
+}
+
+/// Store bytes and CSV of one supervised single-origin scan.
+fn single_scan_lines(out: &mut String, scenario: &str, cfg: &ScanConfig, run: &OriginRun) {
+    let records = &run.output.as_ref().expect("scan produced output").records;
+    let mut store = ScanSetStore::new();
+    store.insert(
+        StoreKey::new(cfg.protocol.name(), cfg.trial, cfg.origin),
+        to_scan_set(records),
+    );
+    digest_lines(
+        out,
+        scenario,
+        &[
+            ("store", &store.to_bytes().unwrap()),
+            ("csv", to_csv_all(records).as_bytes()),
+        ],
+    );
+}
+
+/// The faulted experiment of `tests/telemetry_determinism.rs`: outage,
+/// crash + checkpoint resume, stall and reply tampering at once.
+fn faulted_experiment(out: &mut String) {
+    let plan = FaultPlan::new(11)
+        .outage(1, 0, 0.4, 0.6)
+        .crash(2, 0, 0.5, 1)
+        .stall(0, 1, 0.3, 45.0)
+        .corrupt_replies(1, 0, 0.02)
+        .duplicate_replies(1, 0, 0.02);
+    let cfg = ExperimentConfig {
+        origins: vec![OriginId::Us1, OriginId::Germany, OriginId::Japan],
+        protocols: vec![Protocol::Http, Protocol::Ssh],
+        trials: 2,
+        faults: Some(plan),
+        ..Default::default()
+    };
+    let world = WorldConfig::tiny(29).build();
+    let r = Experiment::new(&world, cfg).run().unwrap();
+    let t = r.telemetry();
+    assert!(t.counter(Scope::new("HTTP", 0, 2), names::FAULT_KILLS) > 0);
+    assert!(t.counter(Scope::new("SSH", 1, 0), names::FAULT_STALLS) > 0);
+    digest_lines(
+        out,
+        "faulted_experiment",
+        &[("store", &r.scan_set_store().to_bytes().unwrap())],
+    );
+    telemetry_lines(out, "faulted_experiment", t);
+    digest_lines(
+        out,
+        "faulted_experiment",
+        &[("full_report", full_report(&r).as_bytes())],
+    );
+}
+
+/// An adaptive scan against an aggressive defender swarm, killed once
+/// while backed off (the main pass ends early here: most of the space is
+/// deferred to the unsupervised tail pass) and resumed from its last
+/// periodic checkpoint.
+fn adaptive_kill_resume(out: &mut String) {
+    let world = WorldConfig::tiny(41).build();
+    let net = SimNet::new(&world, &[OriginId::Us1], ADAPTIVE_DUR_S);
+    let hub = Telemetry::new();
+    let defender = DefenderNet::new(
+        &net,
+        &world,
+        AggressionProfile::aggressive(),
+        ADAPTIVE_DUR_S * TRIAL_SPAN_MULT,
+    )
+    .with_telemetry(&hub);
+    let p = PolitenessProfile::adaptive();
+    let space = world.space();
+    let mut cfg = ScanConfig::new(space, Protocol::Http, 99);
+    cfg.rate_pps = rate_for_duration(space * 2, ADAPTIVE_DUR_S);
+    cfg.adapt = p.adapt.clone();
+    cfg.source_ips = (0..p.source_ips)
+        .map(|i| 0x0a00_0100 + u32::from(i))
+        .collect();
+    let plan = FaultPlan::new(0).crash(0, 0, 0.25, 1);
+    let hook = plan.hook(ADAPTIVE_DUR_S);
+    let run = supervise_scan(
+        &defender,
+        &cfg,
+        Some(&hook),
+        &SupervisorPolicy::default(),
+        Some(&hub),
+    );
+    assert_eq!(run.status, RunStatus::Resumed { retries: 1 });
+    let scope = Scope::new("HTTP", 0, 0);
+    defender.flush_trial_metrics(scope);
+    let t = hub.snapshot();
+    // The controller really engaged, so the checkpoint carried live
+    // pacer/controller state across the kill.
+    assert!(t.counter(scope, names::ADAPT_BACKOFFS) > 0);
+    assert!(t.counter(scope, names::ADAPT_DEFERRED_ADDRESSES) > 0);
+    single_scan_lines(out, "adaptive_kill_resume", &cfg, &run);
+    telemetry_lines(out, "adaptive_kill_resume", &t);
+}
+
+/// A planned + sharded + blocklisted scan under the default supervisor
+/// (checkpoints and telemetry on, no faults).
+fn planned_sharded_blocklisted(out: &mut String) {
+    let world = WorldConfig::tiny(7).build();
+    let net = SimNet::new(&world, &[OriginId::Us1, OriginId::Japan], DUR_S);
+    let space = world.space();
+    let mut cfg = ScanConfig::new(space, Protocol::Http, 2020);
+    cfg.origin = 1;
+    cfg.trial = 1;
+    cfg.concurrent_origins = 2;
+    cfg.rate_pps = rate_for_duration(space * 2, DUR_S);
+    cfg.shard = (1, 3);
+    cfg.blocklist = Blocklist::parse("0.0.16.0/20\n0.0.200.0/24").unwrap();
+    // Two of every three /24s, with a score that varies per entry.
+    let entries = (0..(space >> 8) as u32)
+        .filter(|s24| s24 % 3 != 0)
+        .map(|s24| PlanEntry {
+            s24,
+            score: 1 + s24 % 7,
+        })
+        .collect();
+    cfg.plan = Some(TargetPlan::from_entries(space, 2020, "observed", entries).unwrap());
+    let hub = Telemetry::new();
+    let run = supervise_scan(&net, &cfg, None, &SupervisorPolicy::default(), Some(&hub));
+    assert_eq!(run.status, RunStatus::Completed);
+    let s = run.output.as_ref().unwrap().summary;
+    assert!(s.plan_skipped > 0 && s.blocked > 0 && s.l7_successes > 0);
+    single_scan_lines(out, "planned_sharded_blocklisted", &cfg, &run);
+    telemetry_lines(out, "planned_sharded_blocklisted", &hub.snapshot());
+}
+
+#[test]
+fn pipeline_bytes_match_golden_digests() {
+    let mut actual = String::new();
+    faulted_experiment(&mut actual);
+    adaptive_kill_resume(&mut actual);
+    planned_sharded_blocklisted(&mut actual);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("missing tests/golden/pipeline_digests.txt — run with UPDATE_GOLDEN=1 to generate");
+    assert_eq!(
+        actual, expected,
+        "pipeline bytes drifted from the golden digests; if the change to \
+         store/telemetry/report bytes is intentional, rerun with \
+         UPDATE_GOLDEN=1 and review the diff"
+    );
+}
