@@ -38,7 +38,7 @@ use originscan_scanner::engine::{
 use originscan_scanner::error::ScanError;
 use originscan_scanner::target::Network;
 use originscan_telemetry::metrics::names;
-use originscan_telemetry::{EventKind, Scope, Telemetry, Tracer};
+use originscan_telemetry::{EventKind, Scope, ScopedTelemetry, Telemetry};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -170,17 +170,6 @@ pub struct OriginRun {
     pub output: Option<ScanOutput>,
 }
 
-impl OriginRun {
-    fn failed(cause: FailCause, attempts: u32, sim_backoff_s: f64) -> Self {
-        Self {
-            status: RunStatus::Failed { cause },
-            attempts,
-            sim_backoff_s,
-            output: None,
-        }
-    }
-}
-
 /// Why an experiment could not produce results at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentError {
@@ -308,145 +297,109 @@ pub fn supervise_scan(
     policy: &SupervisorPolicy,
     telemetry: Option<&Telemetry>,
 ) -> OriginRun {
-    let scope = Scope::new(cfg.protocol.name(), cfg.trial, cfg.origin);
-    let emit = |time_s: f64, kind: EventKind| {
-        if let Some(hub) = telemetry {
-            hub.emit(scope, time_s, kind);
-        }
-    };
-    let count = |name: &'static str, delta: u64| {
-        if let Some(hub) = telemetry {
-            hub.add(scope, name, delta);
-        }
-    };
-    let store = CheckpointStore::new();
-    // The supervisor's own trace: a "supervise" root with one "attempt"
-    // span per try and a "backoff" span per retry wait, all on the
-    // accumulated-backoff clock (scan-internal time lives in the
+    // The supervisor's own view of the hub: lifecycle events, attempt
+    // and retry counters, and a trace — a "supervise" root with one
+    // "attempt" span per try and a "backoff" span per retry wait, all on
+    // the accumulated-backoff clock (scan-internal time lives in the
     // engine's own trace, recorded separately under the same scope).
-    let tracer = telemetry.map(|_| Tracer::sim());
-    let sup_guard = tracer.as_ref().map(|t| t.span("supervise"));
+    let tele = ScopedTelemetry::new(
+        telemetry,
+        Scope::new(cfg.protocol.name(), cfg.trial, cfg.origin),
+    );
+    let _supervise_span = tele.span("supervise");
+    let store = CheckpointStore::new(policy.checkpoint_every);
     let mut attempts: u32 = 0;
     let mut sim_backoff_s = 0.0f64;
     loop {
         let attempt_start_s = sim_backoff_s;
+        // The store still holds whatever the previous attempt last
+        // saved, so the engine resumes from there.
         let session = ScanSession {
             hook,
-            checkpoint_every: policy.checkpoint_every,
             store: Some(&store),
-            resume: store.take(),
             attempt: attempts,
             telemetry,
         };
         let result = catch_unwind(AssertUnwindSafe(|| run_scan_session(net, cfg, session)));
         attempts += 1;
-        count(names::SUP_ATTEMPTS, 1);
-        let (cause, fail_time_s) = match result {
+        tele.add(names::SUP_ATTEMPTS, 1);
+        let (cause, cause_str, fail_time_s) = match result {
             Ok(Ok(output)) => {
-                let status = if attempts > 1 {
-                    RunStatus::Resumed {
-                        retries: attempts - 1,
-                    }
-                } else {
-                    RunStatus::Completed
-                };
-                if sim_backoff_s > 0.0 {
-                    if let Some(hub) = telemetry {
-                        hub.set_gauge(scope, names::SUP_BACKOFF_SECONDS, sim_backoff_s);
-                    }
-                }
-                if let Some(tr) = &tracer {
-                    let end = attempt_start_s + output.summary.duration_s;
-                    tr.record_span("attempt", attempt_start_s, end);
-                    tr.set_time(end);
-                }
-                drop(sup_guard);
-                if let (Some(hub), Some(tr)) = (telemetry, tracer) {
-                    hub.record_trace(scope, tr.finish());
-                }
-                return OriginRun {
-                    status,
-                    attempts,
-                    sim_backoff_s,
-                    output: Some(output),
-                };
+                let end_s = attempt_start_s + output.summary.duration_s;
+                tele.record_span("attempt", attempt_start_s, end_s);
+                return finish_run(&tele, end_s, attempts, sim_backoff_s, Ok(output));
             }
             // Validation failures are permanent: retrying cannot help.
             Ok(Err(ScanError::Config(_))) => {
-                emit(
-                    sim_backoff_s,
-                    EventKind::AttemptFailed {
-                        attempt: attempts - 1,
-                        cause: "invalid-config",
-                    },
-                );
-                emit(
-                    sim_backoff_s,
-                    EventKind::OriginFailed {
-                        cause: "invalid-config",
-                    },
-                );
-                if let Some(tr) = &tracer {
-                    tr.record_span("attempt", attempt_start_s, attempt_start_s);
-                }
-                drop(sup_guard);
-                if let (Some(hub), Some(tr)) = (telemetry, tracer) {
-                    hub.record_trace(scope, tr.finish());
-                }
-                return OriginRun::failed(FailCause::InvalidConfig, attempts, sim_backoff_s);
+                let cause = "invalid-config";
+                let attempt = attempts - 1;
+                tele.emit(sim_backoff_s, EventKind::AttemptFailed { attempt, cause });
+                tele.emit(sim_backoff_s, EventKind::OriginFailed { cause });
+                tele.record_span("attempt", attempt_start_s, attempt_start_s);
+                let failed = Err(FailCause::InvalidConfig);
+                return finish_run(&tele, attempt_start_s, attempts, sim_backoff_s, failed);
             }
-            Ok(Err(ScanError::Killed { time_s, .. })) => (FailCause::Killed, time_s),
-            Ok(Err(_)) => (FailCause::Killed, sim_backoff_s),
-            Err(_) => (FailCause::Panicked, sim_backoff_s),
+            Ok(Err(ScanError::Killed { time_s, .. })) => (FailCause::Killed, "killed", time_s),
+            Ok(Err(_)) => (FailCause::Killed, "killed", sim_backoff_s),
+            Err(_) => (FailCause::Panicked, "panicked", sim_backoff_s),
         };
-        let cause_str = match cause {
-            FailCause::Killed => "killed",
-            _ => "panicked",
-        };
-        emit(
+        tele.emit(
             fail_time_s,
             EventKind::AttemptFailed {
                 attempt: attempts - 1,
                 cause: cause_str,
             },
         );
-        if let Some(tr) = &tracer {
-            // Kills carry a scan-clock death time; panics do not. Clamp
-            // to the attempt's start on the backoff clock either way.
-            tr.record_span("attempt", attempt_start_s, attempt_start_s.max(fail_time_s));
-        }
+        // Kills carry a scan-clock death time; panics do not. Clamp to
+        // the attempt's start on the backoff clock either way.
+        let attempt_end_s = attempt_start_s.max(fail_time_s);
+        tele.record_span("attempt", attempt_start_s, attempt_end_s);
         if attempts > policy.max_retries {
-            emit(fail_time_s, EventKind::OriginFailed { cause: cause_str });
-            if sim_backoff_s > 0.0 {
-                if let Some(hub) = telemetry {
-                    hub.set_gauge(scope, names::SUP_BACKOFF_SECONDS, sim_backoff_s);
-                }
-            }
-            if let Some(tr) = &tracer {
-                tr.set_time(attempt_start_s.max(fail_time_s));
-            }
-            drop(sup_guard);
-            if let (Some(hub), Some(tr)) = (telemetry, tracer) {
-                hub.record_trace(scope, tr.finish());
-            }
-            return OriginRun::failed(cause, attempts, sim_backoff_s);
+            tele.emit(fail_time_s, EventKind::OriginFailed { cause: cause_str });
+            return finish_run(&tele, attempt_end_s, attempts, sim_backoff_s, Err(cause));
         }
         // Capped exponential backoff, in simulated time only.
         let exp = (attempts - 1).min(30) as i32;
         let step = (policy.backoff_base_s * 2f64.powi(exp)).min(policy.backoff_cap_s);
         sim_backoff_s += step;
-        if let Some(tr) = &tracer {
-            tr.record_span("backoff", sim_backoff_s - step, sim_backoff_s);
-            tr.set_time(sim_backoff_s);
-        }
-        count(names::SUP_RETRIES, 1);
-        emit(
+        tele.record_span("backoff", sim_backoff_s - step, sim_backoff_s);
+        tele.set_time(sim_backoff_s);
+        tele.add(names::SUP_RETRIES, 1);
+        tele.emit(
             sim_backoff_s,
             EventKind::RetryBackoff {
                 attempt: attempts,
                 backoff_s: step,
             },
         );
+    }
+}
+
+/// The one way out of [`supervise_scan`]: publish the backoff gauge,
+/// close the supervisor's trace at `end_s`, and package the outcome.
+fn finish_run(
+    tele: &ScopedTelemetry<'_>,
+    end_s: f64,
+    attempts: u32,
+    sim_backoff_s: f64,
+    outcome: Result<ScanOutput, FailCause>,
+) -> OriginRun {
+    if sim_backoff_s > 0.0 {
+        tele.set_gauge(names::SUP_BACKOFF_SECONDS, sim_backoff_s);
+    }
+    tele.finish(end_s);
+    let status = match &outcome {
+        Ok(_) if attempts > 1 => RunStatus::Resumed {
+            retries: attempts - 1,
+        },
+        Ok(_) => RunStatus::Completed,
+        Err(cause) => RunStatus::Failed { cause: *cause },
+    };
+    OriginRun {
+        status,
+        attempts,
+        sim_backoff_s,
+        output: outcome.ok(),
     }
 }
 
@@ -559,8 +512,14 @@ impl<'w> Experiment<'w> {
             .map(|(i, slot)| {
                 // `supervise_scan` cannot unwind, so the slot is always
                 // filled; the fallback is pure defensiveness.
-                let mut run =
-                    slot.unwrap_or_else(|| OriginRun::failed(FailCause::Panicked, 0, 0.0));
+                let mut run = slot.unwrap_or(OriginRun {
+                    status: RunStatus::Failed {
+                        cause: FailCause::Panicked,
+                    },
+                    attempts: 0,
+                    sim_backoff_s: 0.0,
+                    output: None,
+                });
                 // Network-level faults degrade results without killing
                 // the process; classify them from the plan.
                 if run.output.is_some() {
@@ -797,22 +756,26 @@ mod tests {
 
     #[test]
     fn invalid_config_fails_without_retries() {
-        let mut cfg = ScanConfig::new(64, Protocol::Http, 1);
-        cfg.probes = 0;
-        let run = supervise_scan(
-            &AlwaysPanics,
-            &cfg,
-            None,
-            &SupervisorPolicy::default(),
-            None,
-        );
-        assert_eq!(
-            run.status,
-            RunStatus::Failed {
-                cause: FailCause::InvalidConfig
-            }
-        );
-        assert_eq!(run.attempts, 1, "validation errors are not retried");
+        let mut no_probes = ScanConfig::new(64, Protocol::Http, 1);
+        no_probes.probes = 0;
+        let mut nan_delay = ScanConfig::new(64, Protocol::Http, 1);
+        nan_delay.probe_delay_s = f64::NAN;
+        for cfg in [no_probes, nan_delay] {
+            let run = supervise_scan(
+                &AlwaysPanics,
+                &cfg,
+                None,
+                &SupervisorPolicy::default(),
+                None,
+            );
+            assert_eq!(
+                run.status,
+                RunStatus::Failed {
+                    cause: FailCause::InvalidConfig
+                }
+            );
+            assert_eq!(run.attempts, 1, "validation errors are not retried");
+        }
     }
 
     #[test]

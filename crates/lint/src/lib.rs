@@ -163,13 +163,6 @@ pub const RULES: &[Rule] = &[
                figure/table stays regenerable and accounted for",
     },
     Rule {
-        id: "reg-protocol-all",
-        summary: "bans `Protocol::ALL` in library code (hardcodes the 3-protocol TCP \
-                  roster, bypassing the probe-module registry)",
-        hint: "iterate `probe::modules()` for every registered module, or use \
-               `probe::PAPER_PROTOCOLS` where the paper's TCP trio is really meant",
-    },
-    Rule {
         id: "lint-bad-allow",
         summary: "lint:allow escapes must name a known rule and carry a reason= annotation",
         hint: "write `// lint:allow(rule-id) reason= justification`; the reason is the \

@@ -116,9 +116,6 @@ pub(crate) fn check_file_tokens(path: &str, toks: &[Tok], allows: &mut Allows) -
         // output goes through the telemetry sinks, not bare stdio.
         obs_print(path, &code, &mut found);
         obs_dbg(path, &code, &mut found);
-        // Registry-bypass rules cover every library crate too: the
-        // probe-module registry is the one source of protocol truth.
-        reg_protocol_all(path, &code, &mut found);
         for v in found {
             if !allows.suppresses(v.rule, v.line) {
                 out.push(v);
@@ -614,25 +611,6 @@ fn panic_macro(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
                 t.line,
                 "panic-macro",
                 format!("`{name}!` aborts the scan instead of surfacing a typed error"),
-            ));
-        }
-    }
-}
-
-fn reg_protocol_all(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("Protocol")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("ALL"))
-        {
-            out.push(violation(
-                path,
-                t.line,
-                "reg-protocol-all",
-                "`Protocol::ALL` hardcodes the paper's TCP trio instead of consulting \
-                 the probe-module registry"
-                    .to_string(),
             ));
         }
     }

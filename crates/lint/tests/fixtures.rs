@@ -84,11 +84,6 @@ fn bad_cases() -> Vec<BadCase> {
         ),
         ("obs_dbg_bad.rs", LIB_PATH, vec![("obs-dbg", 3)]),
         (
-            "reg_protocol_all_bad.rs",
-            LIB_PATH,
-            vec![("reg-protocol-all", 4)],
-        ),
-        (
             "lint_bad_allow_bad.rs",
             WIRE_PATH,
             vec![("lint-bad-allow", 2), ("lint-bad-allow", 5)],
@@ -119,7 +114,6 @@ fn clean_cases() -> Vec<(&'static str, &'static str)> {
         ("panic_lossy_cast_clean.rs", WIRE_PATH),
         ("obs_print_clean.rs", LIB_PATH),
         ("obs_dbg_clean.rs", LIB_PATH),
-        ("reg_protocol_all_clean.rs", LIB_PATH),
         ("lint_bad_allow_clean.rs", WIRE_PATH),
         ("exempt_clean.rs", WIRE_PATH),
         ("serve_wall_clock_clean.rs", SERVE_PATH),

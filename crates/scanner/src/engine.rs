@@ -16,28 +16,34 @@
 //!
 //! * a [`FaultHook`] is consulted before every address and may stall the
 //!   probe pipeline or kill the scan (simulating the origin dying);
-//! * periodic [`ScanCheckpoint`]s — permutation position, pacer cursor,
-//!   stall clock, and all partial records — are written to a
-//!   [`CheckpointStore`] that outlives the scan (and any panic inside
-//!   it), so a supervisor can resume mid-permutation;
+//! * periodic [`ScanCheckpoint`]s — permutation position, the pacer
+//!   itself, stall clock, controller state, and all partial records — are
+//!   written to a [`CheckpointStore`] that outlives the scan (and any
+//!   panic inside it), so a supervisor can resume mid-permutation;
 //! * resuming from a checkpoint reproduces *exactly* the state an
 //!   uninterrupted scan would have had at that point: the permutation
-//!   fast-forwards in O(log n) and the pacer's clock is a closed-form
-//!   function of probes sent, so re-run timestamps are bit-identical.
+//!   fast-forwards in O(log n) and the restored pacer is a copy of the
+//!   one that was running, so re-run timestamps are bit-identical.
+//!
+//! [`run_scan_session`] itself is a send loop in the ZMap mould — next
+//! target → probe module → record — over a `ScanCtx` (what stays fixed)
+//! and a `Progress` (what moves); checkpointing, the fault hook, skip
+//! filters and controller reactions are small functions over that pair,
+//! run once per *permutation step*, skipped addresses included.
 
 use crate::blocklist::Blocklist;
-use crate::cyclic::Cycle;
+use crate::cyclic::{Cycle, ShardIter};
 use crate::error::{ConfigError, ScanError};
 use crate::probe::{module_for, ProbeModule, ProbeShot, ProbeVerdict};
-use crate::rate::{Pacer, PacerSnapshot};
-use crate::resilience::{AdaptivePolicy, Controller, ControllerState, Reaction};
+use crate::rate::Pacer;
+use crate::resilience::{AdaptivePolicy, Controller, ControllerState};
 use crate::target::{L7Ctx, Network, ProbeCtx, Protocol};
 use crate::zgrab::{self, L7Outcome};
 use originscan_plan::TargetPlan;
 use originscan_telemetry::metrics::{self, names};
-use originscan_telemetry::{EventKind, MetricBatch, Scope, Telemetry, Tracer};
+use originscan_telemetry::{EventKind, MetricBatch, Scope, ScopedTelemetry, Telemetry};
 use originscan_wire::validation::Validator;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration for one scan (one origin, one protocol, one trial).
 #[derive(Debug, Clone)]
@@ -161,6 +167,9 @@ impl ScanConfig {
         }
         if self.batch == 0 {
             return Err(ConfigError::ZeroBatch);
+        }
+        if !self.probe_delay_s.is_finite() || self.probe_delay_s < 0.0 {
+            return Err(ConfigError::BadProbeDelay);
         }
         if let Some(adapt) = &self.adapt {
             if adapt.window_addrs == 0
@@ -297,74 +306,75 @@ pub trait FaultHook: Sync {
     fn before_address(&self, ctx: &FaultCtx) -> FaultAction;
 }
 
-/// Adaptive-scan state captured alongside a [`ScanCheckpoint`]. The
-/// pacer of an adaptive scan is no longer a closed-form function of its
-/// probe count (mid-scan rate changes re-anchor it), so resuming needs a
-/// full snapshot of both the pacer and the controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptCheckpoint {
-    /// Complete pacer state at the checkpoint.
-    pub pacer: PacerSnapshot,
-    /// Complete controller state at the checkpoint.
-    pub ctrl: ControllerState,
-}
-
 /// Resumable scan state: everything needed to continue a scan from the
 /// middle of its permutation with bit-identical results.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanCheckpoint {
     /// Permutation group steps consumed when the checkpoint was taken.
     pub steps: u64,
     /// Accumulated pipeline-stall seconds at the checkpoint.
     pub stall_s: f64,
+    /// The pacer as it stood at the checkpoint (exact across rate changes).
+    pub pacer: Pacer,
+    /// Adaptive controller state (None for classic open-loop scans).
+    pub ctrl: Option<ControllerState>,
     /// Partial output: all records and counters up to the checkpoint.
     pub output: ScanOutput,
-    /// Adaptive-scan state (None for classic open-loop scans).
-    pub adapt: Option<AdaptCheckpoint>,
 }
 
-/// A single-slot, thread-safe checkpoint mailbox.
+/// A single-slot, thread-safe checkpoint mailbox with a save cadence.
 ///
 /// The store lives *outside* the scan (typically on the supervisor's
 /// stack) so it survives a scan thread that panics or is killed by an
-/// injected fault; the supervisor then [`CheckpointStore::take`]s the
-/// last periodic checkpoint and resumes.
-#[derive(Debug, Default)]
+/// injected fault; the next [`run_scan_session`] handed the same store
+/// takes the checkpoint out and resumes from it. Saves are append-only:
+/// the store keeps the record prefix it holds and copies only the
+/// records produced since, so checkpointing is linear in the records.
+#[derive(Debug)]
 pub struct CheckpointStore {
+    every: u64,
     slot: Mutex<Option<ScanCheckpoint>>,
 }
 
 impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty store saving every `every` permutation steps (0: never,
+    /// so a failed scan restarts from scratch).
+    pub fn new(every: u64) -> Self {
+        Self {
+            every,
+            slot: Mutex::new(None),
+        }
     }
 
-    /// Replace the stored checkpoint with `cp`.
-    pub fn save(&self, cp: ScanCheckpoint) {
-        match self.slot.lock() {
-            Ok(mut slot) => *slot = Some(cp),
-            // A poisoned lock means a previous writer panicked mid-save;
-            // the slot still holds a coherent (clone-assigned) value, so
-            // recover and overwrite it.
-            Err(poisoned) => *poisoned.into_inner() = Some(cp),
-        }
+    fn slot(&self) -> MutexGuard<'_, Option<ScanCheckpoint>> {
+        // Poisoned = a previous holder panicked; the slot only ever holds
+        // `None` or a complete checkpoint, so it is still coherent.
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Advance the stored checkpoint to `p`. The records already held are
+    /// a prefix of `p`'s (earlier saves of the same scan), so only the
+    /// tail is copied.
+    fn save(&self, p: &Progress) {
+        let ctrl = p.ctrl.as_ref().map(|c| c.state().clone());
+        let mut slot = self.slot();
+        let mut records = slot.take().map(|cp| cp.output.records).unwrap_or_default();
+        records.extend_from_slice(p.out.records.get(records.len()..).unwrap_or_default());
+        *slot = Some(ScanCheckpoint {
+            steps: p.iter.steps_taken(),
+            stall_s: p.stall_s,
+            pacer: p.pacer.clone(),
+            ctrl,
+            output: ScanOutput {
+                records,
+                summary: p.out.summary,
+            },
+        });
     }
 
     /// Remove and return the stored checkpoint, if any.
     pub fn take(&self) -> Option<ScanCheckpoint> {
-        match self.slot.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-    }
-
-    /// Is a checkpoint currently stored?
-    pub fn is_saved(&self) -> bool {
-        match self.slot.lock() {
-            Ok(slot) => slot.is_some(),
-            Err(poisoned) => poisoned.into_inner().is_some(),
-        }
+        self.slot().take()
     }
 }
 
@@ -373,12 +383,9 @@ impl CheckpointStore {
 pub struct ScanSession<'a> {
     /// Fault hook consulted before each address (None: no faults).
     pub hook: Option<&'a dyn FaultHook>,
-    /// Save a checkpoint every this many addresses (0 disables).
-    pub checkpoint_every: u64,
-    /// Where periodic checkpoints are written.
+    /// Where periodic checkpoints go, at the store's cadence. A store that
+    /// already holds one makes this session a resume from it.
     pub store: Option<&'a CheckpointStore>,
-    /// Resume from this checkpoint instead of starting fresh.
-    pub resume: Option<ScanCheckpoint>,
     /// Supervisor attempt number forwarded to the fault hook.
     pub attempt: u32,
     /// Telemetry hub recording this scan's events and metrics (None:
@@ -394,9 +401,7 @@ impl std::fmt::Debug for ScanSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScanSession")
             .field("hook", &self.hook.is_some())
-            .field("checkpoint_every", &self.checkpoint_every)
             .field("store", &self.store.is_some())
-            .field("resume", &self.resume.is_some())
             .field("attempt", &self.attempt)
             .field("telemetry", &self.telemetry.is_some())
             .finish()
@@ -410,25 +415,340 @@ pub fn run_scan(net: &dyn Network, cfg: &ScanConfig) -> Result<ScanOutput, ScanE
     run_scan_session(net, cfg, ScanSession::default())
 }
 
-/// A no-op-when-disabled telemetry handle bound to this scan's scope.
-struct Tele<'a> {
-    hub: Option<&'a Telemetry>,
-    scope: Scope,
+/// Everything about one scan that stays fixed while it runs.
+struct ScanCtx<'a> {
+    net: &'a dyn Network,
+    cfg: &'a ScanConfig,
+    session: ScanSession<'a>,
+    module: &'static dyn ProbeModule,
+    validator: Validator,
+    /// Events, metrics and the span trace, whose clock is the send clock.
+    tele: ScopedTelemetry<'a>,
 }
 
-impl Tele<'_> {
-    fn emit(&self, time_s: f64, kind: EventKind) {
-        if let Some(hub) = self.hub {
-            hub.emit(self.scope, time_s, kind);
+impl ScanCtx<'_> {
+    /// Source address `idx` of the pool, wrapping (`validate` rejected
+    /// an empty pool).
+    fn source_ip(&self, idx: usize) -> u32 {
+        let pool = &self.cfg.source_ips;
+        pool.get(idx % pool.len().max(1)).copied().unwrap_or(0)
+    }
+}
+
+/// Everything that moves. A checkpoint copies all but the two counters,
+/// which are per-attempt bookkeeping.
+struct Progress {
+    /// Position in the address permutation.
+    iter: ShardIter,
+    pacer: Pacer,
+    stall_s: f64,
+    out: ScanOutput,
+    /// The adaptive controller (None: classic open-loop scan).
+    ctrl: Option<Controller>,
+    /// Permutation steps since the last checkpoint (or since resume).
+    since_checkpoint: u64,
+    /// Checkpoints written by this attempt.
+    checkpoint_writes: u64,
+}
+
+impl Progress {
+    /// Send-clock time of the next probe, including accumulated stalls.
+    fn now(&self) -> f64 {
+        self.pacer.peek_send_time() + self.stall_s
+    }
+}
+
+/// Start from the top of the permutation, or — when the session's store
+/// holds a checkpoint — take it and fast-forward to it.
+fn restore_or_start(ctx: &ScanCtx<'_>) -> Result<Progress, ScanError> {
+    let (cfg, attempt) = (ctx.cfg, ctx.session.attempt);
+    let mut p = Progress {
+        iter: Cycle::new(cfg.space, cfg.seed).iter_shard(cfg.shard.0, cfg.shard.1),
+        pacer: Pacer::new(cfg.rate_pps, cfg.batch),
+        stall_s: 0.0,
+        out: ScanOutput::default(),
+        ctrl: None,
+        since_checkpoint: 0,
+        checkpoint_writes: 0,
+    };
+    let mut ctrl_state = ControllerState::default();
+    let mut event = EventKind::ScanStarted { attempt };
+    if let Some(cp) = ctx.session.store.and_then(CheckpointStore::take) {
+        let steps = cp.steps;
+        if !p.iter.fast_forward(steps) {
+            return Err(ScanError::BadCheckpoint { steps });
+        }
+        (p.pacer, p.stall_s, p.out) = (cp.pacer, cp.stall_s, cp.output);
+        ctrl_state = cp.ctrl.unwrap_or_default();
+        event = EventKind::ScanResumed { attempt, steps };
+    }
+    let n_sources = u32::try_from(cfg.source_ips.len()).unwrap_or(u32::MAX);
+    p.ctrl = cfg
+        .adapt
+        .clone()
+        .map(|policy| Controller::from_state(policy, n_sources, ctrl_state));
+    ctx.tele.emit(p.now(), event);
+    Ok(p)
+}
+
+/// Periodic checkpoint, taken *before* the iterator advances so the saved
+/// state excludes any in-flight address.
+fn checkpoint_if_due(ctx: &ScanCtx<'_>, p: &mut Progress) {
+    let Some(store) = ctx.session.store else {
+        return;
+    };
+    if store.every == 0 || p.since_checkpoint < store.every {
+        return;
+    }
+    store.save(p);
+    p.since_checkpoint = 0;
+    p.checkpoint_writes += 1;
+    ctx.tele.emit(
+        p.now(),
+        EventKind::CheckpointSaved {
+            steps: p.iter.steps_taken(),
+            addresses_probed: p.out.summary.addresses_probed,
+        },
+    );
+}
+
+/// Ask the fault hook what happens before the next address: nothing, a
+/// stall absorbed into the send clock, or this attempt's death.
+fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
+    let Some(hook) = ctx.session.hook else {
+        return Ok(());
+    };
+    let (time_s, addresses_probed) = (p.now(), p.out.summary.addresses_probed);
+    let fault_ctx = FaultCtx {
+        origin: ctx.cfg.origin,
+        trial: ctx.cfg.trial,
+        attempt: ctx.session.attempt,
+        steps: p.iter.steps_taken(),
+        addresses_probed,
+        time_s,
+        stall_s: p.stall_s,
+    };
+    match hook.before_address(&fault_ctx) {
+        FaultAction::Continue => Ok(()),
+        FaultAction::Stall { delay_s } => {
+            p.stall_s += delay_s;
+            ctx.tele.emit(time_s, EventKind::PipelineStall { delay_s });
+            ctx.tele.record_span("stall", time_s, time_s + delay_s);
+            ctx.tele.flush_with(|| {
+                let mut b = MetricBatch::new();
+                b.add(names::FAULT_STALLS, 1);
+                b.observe(names::FAULT_STALL_SECONDS, metrics::STALL_BOUNDS, delay_s);
+                b
+            });
+            Ok(())
+        }
+        FaultAction::Kill => {
+            ctx.tele
+                .emit(time_s, EventKind::ScanKilled { addresses_probed });
+            ctx.tele.add(names::FAULT_KILLS, 1);
+            // A killed attempt still leaves its (truncated) trace behind:
+            // the interesting case for a flame view of where time went.
+            ctx.tele.finish(time_s);
+            Err(ScanError::Killed {
+                time_s,
+                addresses_probed,
+            })
         }
     }
 }
 
-/// Build the per-scan metric batch from the finished output. Called once
-/// at completion (the summary is cumulative across resumes, so this is
-/// also correct for scans that crossed a checkpoint).
-fn scan_metrics(out: &ScanOutput, stall_s: f64, checkpoint_writes: u64) -> MetricBatch {
-    let s = &out.summary;
+/// Is `addr` passed over at this step? Counts plan and blocklist skips;
+/// an adaptive scan also parks quarantined addresses for the tail pass.
+fn skip(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> bool {
+    if ctx.cfg.plan.as_ref().is_some_and(|plan| !plan.allows(addr)) {
+        p.out.summary.plan_skipped += 1;
+        return true;
+    }
+    if ctx.cfg.blocklist.contains(addr) {
+        p.out.summary.blocked += 1;
+        return true;
+    }
+    match p.ctrl.as_mut() {
+        Some(c) => c.should_defer(addr, p.pacer.peek_send_time() + p.stall_s),
+        None => false,
+    }
+}
+
+/// Outcome of probing one address, as observed by the adaptive
+/// controller.
+struct AddrOutcome {
+    /// At least one probe got a validated SYN-ACK.
+    responsive: bool,
+    /// A validated RST arrived.
+    rst: bool,
+    /// Send time of the address's last probe (the controller's clock).
+    last_t: f64,
+}
+
+/// Probe one address end to end: pace and send every probe through the
+/// scan's [`ProbeModule`], fold the verdicts into a record, and run the
+/// ZGrab follow-up for stateful modules. Main and tail pass both use it.
+fn probe(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> Result<AddrOutcome, ScanError> {
+    let cfg = ctx.cfg;
+    p.out.summary.addresses_probed += 1;
+    // ZMap spreads flows over source IPs/ports by address hash; an
+    // adaptive scan pins the source to the controller's active one.
+    let mix = (addr ^ (addr >> 16)).wrapping_mul(0x9E37_79B9);
+    let src_ip = ctx.source_ip(match &p.ctrl {
+        Some(c) => c.source_index() as usize,
+        None => mix as usize,
+    });
+    let sport = cfg
+        .sport_base
+        .wrapping_add(((mix >> 8) % u32::from(cfg.sport_range.max(1))) as u16);
+
+    let mut synack_mask = 0u8;
+    let mut got_rst = false;
+    let mut response_time = 0.0f64;
+    let mut last_t = 0.0f64;
+    let mut detail = None;
+    let shot = ProbeShot {
+        validator: &ctx.validator,
+        sport,
+        dport: ctx.module.port(),
+        wire_check: cfg.wire_check,
+    };
+    for probe_idx in 0..cfg.probes {
+        let t = p.pacer.next_send_time() + p.stall_s + f64::from(probe_idx) * cfg.probe_delay_s;
+        last_t = t;
+        p.out.summary.probes_sent += 1;
+        let probe_ctx = ProbeCtx {
+            origin: cfg.origin,
+            src_ip,
+            dst: addr,
+            protocol: cfg.protocol,
+            time_s: t,
+            probe_idx,
+            trial: cfg.trial,
+        };
+        match ctx.module.deliver(ctx.net, &shot, &probe_ctx)? {
+            ProbeVerdict::Positive(d) => {
+                if synack_mask == 0 && !got_rst {
+                    response_time = t;
+                }
+                synack_mask |= 1 << probe_idx;
+                if detail.is_none() {
+                    detail = d;
+                }
+            }
+            ProbeVerdict::Negative => {
+                if synack_mask == 0 && !got_rst {
+                    response_time = t;
+                }
+                got_rst = true;
+            }
+            ProbeVerdict::Invalid => {
+                p.out.summary.validation_failures += 1;
+                ctx.tele.record_span("validate", t, t);
+            }
+            ProbeVerdict::Silent => {}
+        }
+    }
+
+    let (mut l7, mut l7_attempts) = (L7Outcome::Timeout, 0);
+    if synack_mask != 0 {
+        p.out.summary.synacks += u64::from(u32::from(synack_mask).count_ones());
+        (l7, l7_attempts) = match detail {
+            // Stateless module: the validated probe reply is already the
+            // terminal application result; no follow-up connection.
+            Some(d) => (L7Outcome::Success(d), 0),
+            None => {
+                // ZGrab follows up immediately on L4-responsive hosts.
+                let l7ctx = L7Ctx {
+                    origin: cfg.origin,
+                    src_ip,
+                    dst: addr,
+                    protocol: cfg.protocol,
+                    time_s: response_time,
+                    trial: cfg.trial,
+                    attempt: 0,
+                    concurrent_origins: cfg.concurrent_origins,
+                };
+                let grab = zgrab::grab(ctx.net, l7ctx, cfg.l7_retries);
+                (grab.outcome, grab.attempts)
+            }
+        };
+        if l7.is_success() {
+            p.out.summary.l7_successes += 1;
+        }
+    }
+    // RST-only hosts are recorded too, with the placeholder L7 outcome.
+    if synack_mask != 0 || got_rst {
+        p.out.records.push(HostScanRecord {
+            addr,
+            synack_mask,
+            got_rst,
+            response_time_s: response_time,
+            l7,
+            l7_attempts,
+        });
+    }
+    Ok(AddrOutcome {
+        responsive: synack_mask != 0,
+        rst: got_rst,
+        last_t,
+    })
+}
+
+/// Feed an outcome to the adaptive controller (if any) and apply its
+/// reaction: re-rate the pacer at the batch boundary, emit the timeline.
+fn react(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32, o: &AddrOutcome) {
+    let Some(c) = p.ctrl.as_mut() else { return };
+    let reaction = c.observe(addr, o.responsive, o.rst, o.last_t);
+    if !reaction.is_some() {
+        return;
+    }
+    let (tele, time_s) = (&ctx.tele, o.last_t);
+    tele.record_span("adapt", time_s, time_s);
+    let rate_pps = ctx.cfg.rate_pps;
+    if let Some((level, rate_mult)) = reaction.backoff {
+        p.pacer
+            .set_rate((rate_pps * rate_mult).max(f64::MIN_POSITIVE));
+        tele.emit(time_s, EventKind::BackoffEngaged { level, rate_mult });
+    }
+    if let Some((level, rate_mult)) = reaction.recovered {
+        p.pacer
+            .set_rate((rate_pps * rate_mult).max(f64::MIN_POSITIVE));
+        tele.emit(time_s, EventKind::BackoffReleased { level, rate_mult });
+    }
+    if let Some(source_idx) = reaction.rotated {
+        tele.emit(time_s, EventKind::SourceRotated { source_idx });
+    }
+    if let Some((prefix, release_s)) = reaction.suspect {
+        tele.emit(time_s, EventKind::PrefixDeferred { prefix, release_s });
+    }
+}
+
+/// Adaptive tail pass: re-probe quarantined addresses now that their
+/// block windows have had the rest of the scan to lapse. Bounded by the
+/// policy's deferral cap; runs unsupervised (no fault hook or
+/// checkpoints) at the current backed-off rate.
+fn tail_pass(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
+    let deferred = p
+        .ctrl
+        .as_mut()
+        .map_or_else(Vec::new, Controller::take_deferred);
+    if deferred.is_empty() {
+        return Ok(());
+    }
+    let _tail_span = ctx.tele.span("tail");
+    for addr in deferred {
+        probe(ctx, p, addr)?;
+    }
+    ctx.tele.set_time(p.now());
+    Ok(())
+}
+
+/// The per-scan metric batch, built once at completion (the summary is
+/// cumulative across resumes). Plan and adaptation counters appear only
+/// for scans that use them, so plain scans' telemetry never shows them.
+fn completion_metrics(ctx: &ScanCtx<'_>, p: &Progress) -> MetricBatch {
+    let (out, s) = (&p.out, &p.out.summary);
     let mut b = MetricBatch::new();
     b.add(names::PROBES_SENT, s.probes_sent);
     b.add(names::ADDRESSES_PROBED, s.addresses_probed);
@@ -436,10 +756,10 @@ fn scan_metrics(out: &ScanOutput, stall_s: f64, checkpoint_writes: u64) -> Metri
     b.add(names::SYNACKS, s.synacks);
     b.add(names::VALIDATION_FAILURES, s.validation_failures);
     b.add(names::RESPONSIVE_HOSTS, out.records.len() as u64);
-    b.add(names::CHECKPOINT_WRITES, checkpoint_writes);
+    b.add(names::CHECKPOINT_WRITES, p.checkpoint_writes);
     b.set_gauge(names::DURATION_SECONDS, s.duration_s);
-    if stall_s > 0.0 {
-        b.set_gauge(names::STALL_SECONDS, stall_s);
+    if p.stall_s > 0.0 {
+        b.set_gauge(names::STALL_SECONDS, p.stall_s);
     }
     let (mut ok, mut closed, mut timeout, mut proto_err) = (0u64, 0u64, 0u64, 0u64);
     for r in &out.records {
@@ -470,485 +790,87 @@ fn scan_metrics(out: &ScanOutput, stall_s: f64, checkpoint_writes: u64) -> Metri
     b.add(names::L7_CONN_CLOSED, closed);
     b.add(names::L7_TIMEOUT, timeout);
     b.add(names::L7_PROTOCOL_ERROR, proto_err);
+    if let Some(plan) = &ctx.cfg.plan {
+        b.add(names::PLAN_SKIPS, s.plan_skipped);
+        b.set_gauge(names::PLAN_PLANNED_S24S, plan.planned_s24s() as f64);
+        b.set_gauge(
+            names::PLAN_PLANNED_ADDRESSES,
+            plan.planned_addresses() as f64,
+        );
+    }
+    if let Some(c) = &p.ctrl {
+        let st = c.state();
+        b.add(names::ADAPT_BACKOFFS, st.backoffs);
+        b.add(names::ADAPT_RECOVERIES, st.recoveries);
+        b.add(names::ADAPT_ROTATIONS, st.rotations);
+        b.add(names::ADAPT_DEFERRED_ADDRESSES, st.deferred_total);
+        b.set_gauge(names::ADAPT_RATE_MULT, c.rate_mult());
+    }
     b
-}
-
-/// Outcome of probing one address, as observed by the adaptive
-/// controller.
-struct AddrOutcome {
-    /// At least one probe got a validated SYN-ACK.
-    responsive: bool,
-    /// A validated RST arrived.
-    rst: bool,
-    /// Send time of the address's last probe (the controller's clock).
-    last_t: f64,
-}
-
-/// Probe one address end to end: pace and send every probe through the
-/// scan's [`ProbeModule`], fold the module's verdicts into the record,
-/// run the ZGrab follow-up for stateful modules, and append to `out`.
-/// Extracted from the main loop so the adaptive tail pass probes
-/// deferred addresses through the exact same path.
-#[allow(clippy::too_many_arguments)]
-fn probe_address(
-    net: &dyn Network,
-    cfg: &ScanConfig,
-    module: &dyn ProbeModule,
-    validator: &Validator,
-    pacer: &mut Pacer,
-    stall_s: f64,
-    addr: u32,
-    src_override: Option<u32>,
-    out: &mut ScanOutput,
-    tracer: Option<&Tracer>,
-) -> Result<AddrOutcome, ScanError> {
-    out.summary.addresses_probed += 1;
-    let dport = module.port();
-    // ZMap spreads flows over source IPs/ports by address hash; an
-    // adaptive scan pins the source to the controller's active one.
-    let mix = (addr ^ (addr >> 16)).wrapping_mul(0x9E37_79B9);
-    let src_ip = match src_override {
-        Some(ip) => ip,
-        None => cfg.source_ips[(mix as usize) % cfg.source_ips.len()],
-    };
-    let sport = cfg
-        .sport_base
-        .wrapping_add(((mix >> 8) % u32::from(cfg.sport_range.max(1))) as u16);
-
-    let mut synack_mask = 0u8;
-    let mut got_rst = false;
-    let mut response_time = 0.0f64;
-    let mut last_t = 0.0f64;
-    let mut detail = None;
-    let shot = ProbeShot {
-        validator,
-        sport,
-        dport,
-        wire_check: cfg.wire_check,
-    };
-    for probe_idx in 0..cfg.probes {
-        let t = pacer.next_send_time() + stall_s + f64::from(probe_idx) * cfg.probe_delay_s;
-        last_t = t;
-        out.summary.probes_sent += 1;
-        let ctx = ProbeCtx {
-            origin: cfg.origin,
-            src_ip,
-            dst: addr,
-            protocol: cfg.protocol,
-            time_s: t,
-            probe_idx,
-            trial: cfg.trial,
-        };
-        match module.deliver(net, &shot, &ctx)? {
-            ProbeVerdict::Positive(d) => {
-                if synack_mask == 0 && !got_rst {
-                    response_time = t;
-                }
-                synack_mask |= 1 << probe_idx;
-                if detail.is_none() {
-                    detail = d;
-                }
-            }
-            ProbeVerdict::Negative => {
-                if synack_mask == 0 && !got_rst {
-                    response_time = t;
-                }
-                got_rst = true;
-            }
-            ProbeVerdict::Invalid => {
-                out.summary.validation_failures += 1;
-                if let Some(tr) = tracer {
-                    tr.instant_at("validate", t);
-                }
-            }
-            ProbeVerdict::Silent => {}
-        }
-    }
-
-    if synack_mask != 0 {
-        out.summary.synacks += u64::from(u32::from(synack_mask).count_ones());
-        let (l7, l7_attempts) = match detail {
-            // Stateless module: the validated probe reply is already the
-            // terminal application result; no follow-up connection.
-            Some(d) => (L7Outcome::Success(d), 0),
-            None => {
-                // ZGrab follows up immediately on L4-responsive hosts.
-                let l7ctx = L7Ctx {
-                    origin: cfg.origin,
-                    src_ip,
-                    dst: addr,
-                    protocol: cfg.protocol,
-                    time_s: response_time,
-                    trial: cfg.trial,
-                    attempt: 0,
-                    concurrent_origins: cfg.concurrent_origins,
-                };
-                let grab = zgrab::grab(net, l7ctx, cfg.l7_retries);
-                (grab.outcome, grab.attempts)
-            }
-        };
-        if l7.is_success() {
-            out.summary.l7_successes += 1;
-        }
-        out.records.push(HostScanRecord {
-            addr,
-            synack_mask,
-            got_rst,
-            response_time_s: response_time,
-            l7,
-            l7_attempts,
-        });
-    } else if got_rst {
-        out.records.push(HostScanRecord {
-            addr,
-            synack_mask: 0,
-            got_rst: true,
-            response_time_s: response_time,
-            l7: L7Outcome::Timeout,
-            l7_attempts: 0,
-        });
-    }
-    Ok(AddrOutcome {
-        responsive: synack_mask != 0,
-        rst: got_rst,
-        last_t,
-    })
-}
-
-/// Apply a controller [`Reaction`] to the running scan: re-rate the pacer
-/// at the batch boundary and emit the adaptation timeline events.
-fn apply_reaction(
-    reaction: &Reaction,
-    cfg: &ScanConfig,
-    pacer: &mut Pacer,
-    tele: &Tele<'_>,
-    tracer: Option<&Tracer>,
-    time_s: f64,
-) {
-    if reaction.backoff.is_some()
-        || reaction.recovered.is_some()
-        || reaction.rotated.is_some()
-        || reaction.suspect.is_some()
-    {
-        if let Some(tr) = tracer {
-            tr.instant_at("adapt", time_s);
-        }
-    }
-    if let Some((level, rate_mult)) = reaction.backoff {
-        pacer.set_rate((cfg.rate_pps * rate_mult).max(f64::MIN_POSITIVE));
-        tele.emit(time_s, EventKind::BackoffEngaged { level, rate_mult });
-    }
-    if let Some((level, rate_mult)) = reaction.recovered {
-        pacer.set_rate((cfg.rate_pps * rate_mult).max(f64::MIN_POSITIVE));
-        tele.emit(time_s, EventKind::BackoffReleased { level, rate_mult });
-    }
-    if let Some(source_idx) = reaction.rotated {
-        tele.emit(time_s, EventKind::SourceRotated { source_idx });
-    }
-    if let Some((prefix, release_s)) = reaction.suspect {
-        tele.emit(time_s, EventKind::PrefixDeferred { prefix, release_s });
-    }
 }
 
 /// Execute one scan against `net` under supervision: consult the fault
 /// hook before every address, periodically checkpoint resumable state,
-/// and optionally resume from a prior checkpoint.
+/// and resume from the session store's checkpoint when it holds one.
 pub fn run_scan_session(
     net: &dyn Network,
     cfg: &ScanConfig,
     session: ScanSession<'_>,
 ) -> Result<ScanOutput, ScanError> {
     cfg.validate()?;
-    // The probe module is resolved once per scan; everything below is
-    // scenario-agnostic and threads the module through to delivery.
     let module = module_for(cfg.protocol);
-    let tele = Tele {
-        hub: session.telemetry,
-        scope: Scope::new(module.name(), cfg.trial, cfg.origin),
+    let scope = Scope::new(module.name(), cfg.trial, cfg.origin);
+    let ctx = ScanCtx {
+        net,
+        cfg,
+        module,
+        validator: Validator::from_seed(cfg.seed),
+        tele: ScopedTelemetry::new(session.telemetry, scope),
+        session,
     };
-    let cycle = Cycle::new(cfg.space, cfg.seed);
-    let validator = Validator::from_seed(cfg.seed);
-    let mut pacer = Pacer::new(cfg.rate_pps, cfg.batch);
-    let n_sources = u32::try_from(cfg.source_ips.len()).unwrap_or(u32::MAX);
-    let mut ctrl = cfg
-        .adapt
-        .clone()
-        .map(|policy| Controller::new(policy, n_sources));
+    let tele = &ctx.tele;
+    let mut p = restore_or_start(&ctx)?;
 
-    let mut iter = cycle.iter_shard(cfg.shard.0, cfg.shard.1);
-    let mut out = ScanOutput::default();
-    let mut stall_s = 0.0f64;
-    if let Some(cp) = session.resume {
-        if !iter.fast_forward(cp.steps) {
-            return Err(ScanError::BadCheckpoint { steps: cp.steps });
-        }
-        match (cp.adapt, ctrl.as_mut()) {
-            (Some(acp), Some(c)) => {
-                // An adaptive pacer is not a closed-form function of its
-                // probe count; restore both snapshots wholesale.
-                pacer = Pacer::restore(&acp.pacer);
-                *c = Controller::from_state(c.policy().clone(), n_sources, acp.ctrl);
-            }
-            _ => pacer.advance_to(cp.output.summary.probes_sent),
-        }
-        stall_s = cp.stall_s;
-        out = cp.output;
-        tele.emit(
-            pacer.peek_send_time() + stall_s,
-            EventKind::ScanResumed {
-                attempt: session.attempt,
-                steps: iter.steps_taken(),
-            },
-        );
-    } else {
-        tele.emit(
-            0.0,
-            EventKind::ScanStarted {
-                attempt: session.attempt,
-            },
-        );
+    let start_s = p.now();
+    tele.set_time(start_s);
+    let _scan_span = tele.span("scan");
+    // Markers before the first send: permutation/validator setup (and any
+    // fast-forward), the wire module, and whether a plan is in force.
+    tele.record_span("permute", start_s, start_s);
+    tele.record_span(module.wire_name(), start_s, start_s);
+    if cfg.plan.is_some() {
+        tele.record_span("plan", start_s, start_s);
     }
-
-    // Span tracing rides the same opt-in as event telemetry: a sim-clock
-    // tracer whose time tracks the pacer, recorded into the hub under
-    // the scan's scope when the attempt ends (completion or kill).
-    let tracer = session.telemetry.map(|_| Tracer::sim());
-    if let Some(tr) = &tracer {
-        tr.set_time(pacer.peek_send_time() + stall_s);
-    }
-    let scan_guard = tracer.as_ref().map(|t| t.span("scan"));
-    if let Some(tr) = &tracer {
-        // Permutation + validator setup (and any checkpoint
-        // fast-forward) happened between scan start and the first send.
-        tr.instant("permute");
-        // Mark which wire module drives this scan so traces from
-        // different scenarios are tellable apart at a glance.
-        tr.instant(module.wire_name());
-        // Planned scans get a marker too, so a reduced-footprint trace
-        // is distinguishable from a full sweep.
-        if cfg.plan.is_some() {
-            tr.instant("plan");
-        }
-    }
-    let probe_guard = tracer.as_ref().map(|t| t.span("probe"));
-
-    let mut since_checkpoint = 0u64;
-    let mut checkpoint_writes = 0u64;
+    let probe_span = tele.span("probe");
     loop {
-        if let Some(tr) = &tracer {
-            tr.set_time(pacer.peek_send_time() + stall_s);
-        }
-        // Periodic checkpoint, taken *before* the iterator advances so the
-        // saved state excludes any in-flight address.
-        if session.checkpoint_every > 0 && since_checkpoint >= session.checkpoint_every {
-            if let Some(store) = session.store {
-                store.save(ScanCheckpoint {
-                    steps: iter.steps_taken(),
-                    stall_s,
-                    output: out.clone(),
-                    adapt: ctrl.as_ref().map(|c| AdaptCheckpoint {
-                        pacer: pacer.snapshot(),
-                        ctrl: c.state().clone(),
-                    }),
-                });
-                checkpoint_writes += 1;
-                tele.emit(
-                    pacer.peek_send_time() + stall_s,
-                    EventKind::CheckpointSaved {
-                        steps: iter.steps_taken(),
-                        addresses_probed: out.summary.addresses_probed,
-                    },
-                );
-            }
-            since_checkpoint = 0;
-        }
-        if let Some(hook) = session.hook {
-            let ctx = FaultCtx {
-                origin: cfg.origin,
-                trial: cfg.trial,
-                attempt: session.attempt,
-                steps: iter.steps_taken(),
-                addresses_probed: out.summary.addresses_probed,
-                time_s: pacer.peek_send_time() + stall_s,
-                stall_s,
-            };
-            match hook.before_address(&ctx) {
-                FaultAction::Continue => {}
-                FaultAction::Stall { delay_s } => {
-                    stall_s += delay_s;
-                    tele.emit(ctx.time_s, EventKind::PipelineStall { delay_s });
-                    if let Some(tr) = &tracer {
-                        tr.record_span("stall", ctx.time_s, ctx.time_s + delay_s);
-                    }
-                    if let Some(hub) = tele.hub {
-                        let mut b = MetricBatch::new();
-                        b.add(names::FAULT_STALLS, 1);
-                        b.observe(names::FAULT_STALL_SECONDS, metrics::STALL_BOUNDS, delay_s);
-                        hub.flush(tele.scope, b);
-                    }
-                }
-                FaultAction::Kill => {
-                    tele.emit(
-                        ctx.time_s,
-                        EventKind::ScanKilled {
-                            addresses_probed: ctx.addresses_probed,
-                        },
-                    );
-                    if let Some(hub) = tele.hub {
-                        hub.add(tele.scope, names::FAULT_KILLS, 1);
-                    }
-                    // A killed attempt still leaves its (truncated)
-                    // trace behind — that is the interesting case for a
-                    // flame view of where the attempt's time went.
-                    if let Some(tr) = &tracer {
-                        tr.set_time(ctx.time_s);
-                    }
-                    drop(probe_guard);
-                    drop(scan_guard);
-                    if let (Some(hub), Some(tr)) = (tele.hub, tracer) {
-                        hub.record_trace(tele.scope, tr.finish());
-                    }
-                    return Err(ScanError::Killed {
-                        time_s: ctx.time_s,
-                        addresses_probed: ctx.addresses_probed,
-                    });
-                }
-            }
-        }
-        let Some(addr64) = iter.next() else { break };
-        since_checkpoint += 1;
+        tele.set_time(p.now());
+        checkpoint_if_due(&ctx, &mut p);
+        consult_hook(&ctx, &mut p)?;
+        let Some(addr64) = p.iter.next() else { break };
+        p.since_checkpoint += 1;
         let addr = addr64 as u32;
-        if let Some(plan) = &cfg.plan {
-            if !plan.allows(addr) {
-                out.summary.plan_skipped += 1;
-                continue;
-            }
-        }
-        if cfg.blocklist.contains(addr) {
-            out.summary.blocked += 1;
+        if skip(&ctx, &mut p, addr) {
             continue;
         }
-        match ctrl.as_mut() {
-            None => {
-                probe_address(
-                    net,
-                    cfg,
-                    module,
-                    &validator,
-                    &mut pacer,
-                    stall_s,
-                    addr,
-                    None,
-                    &mut out,
-                    tracer.as_ref(),
-                )?;
-            }
-            Some(c) => {
-                if c.should_defer(addr, pacer.peek_send_time() + stall_s) {
-                    // Parked for the tail pass; probed (and counted) there.
-                    continue;
-                }
-                let src = cfg.source_ips[c.source_index() as usize % cfg.source_ips.len()];
-                let o = probe_address(
-                    net,
-                    cfg,
-                    module,
-                    &validator,
-                    &mut pacer,
-                    stall_s,
-                    addr,
-                    Some(src),
-                    &mut out,
-                    tracer.as_ref(),
-                )?;
-                let reaction = c.observe(addr, o.responsive, o.rst, o.last_t);
-                apply_reaction(&reaction, cfg, &mut pacer, &tele, tracer.as_ref(), o.last_t);
-            }
-        }
+        let outcome = probe(&ctx, &mut p, addr)?;
+        react(&ctx, &mut p, addr, &outcome);
     }
-    if let Some(tr) = &tracer {
-        tr.set_time(pacer.peek_send_time() + stall_s);
-    }
-    drop(probe_guard);
-    if let Some(c) = ctrl.as_mut() {
-        // Tail pass: re-probe quarantined addresses now that their block
-        // windows have had the rest of the scan to lapse. Bounded by the
-        // policy's deferral cap; runs unsupervised (no fault hook or
-        // checkpoints) at the current backed-off rate through the same
-        // probe path as the main pass.
-        let deferred = c.take_deferred();
-        let tail_guard = if deferred.is_empty() {
-            None
-        } else {
-            tracer.as_ref().map(|t| t.span("tail"))
-        };
-        for addr in deferred {
-            let src = cfg.source_ips[c.source_index() as usize % cfg.source_ips.len()];
-            probe_address(
-                net,
-                cfg,
-                module,
-                &validator,
-                &mut pacer,
-                stall_s,
-                addr,
-                Some(src),
-                &mut out,
-                tracer.as_ref(),
-            )?;
-        }
-        if let Some(tr) = &tracer {
-            tr.set_time(pacer.peek_send_time() + stall_s);
-        }
-        drop(tail_guard);
-    }
-    out.summary.duration_s = match &ctrl {
-        // duration_elapsed() equals duration_for(probes_sent) bit-for-bit
-        // while the rate never changes; adaptive scans need the
-        // segment-aware form.
-        Some(_) => pacer.duration_elapsed() + stall_s,
-        None => pacer.duration_for(out.summary.probes_sent) + stall_s,
-    };
+    tele.set_time(p.now());
+    drop(probe_span);
+    tail_pass(&ctx, &mut p)?;
+
+    let duration_s = p.pacer.duration_elapsed() + p.stall_s;
+    p.out.summary.duration_s = duration_s;
     tele.emit(
-        out.summary.duration_s,
+        duration_s,
         EventKind::ScanCompleted {
-            addresses_probed: out.summary.addresses_probed,
-            duration_s: out.summary.duration_s,
+            addresses_probed: p.out.summary.addresses_probed,
+            duration_s,
         },
     );
-    if let Some(hub) = tele.hub {
-        hub.flush(tele.scope, scan_metrics(&out, stall_s, checkpoint_writes));
-        // Plan counters flush only for planned scans, so plan-free runs
-        // keep their pre-planner telemetry byte-identical.
-        if let Some(plan) = &cfg.plan {
-            let mut b = MetricBatch::new();
-            b.add(names::PLAN_SKIPS, out.summary.plan_skipped);
-            b.set_gauge(names::PLAN_PLANNED_S24S, plan.planned_s24s() as f64);
-            b.set_gauge(
-                names::PLAN_PLANNED_ADDRESSES,
-                plan.planned_addresses() as f64,
-            );
-            hub.flush(tele.scope, b);
-        }
-        if let Some(c) = &ctrl {
-            let st = c.state();
-            let mut b = MetricBatch::new();
-            b.add(names::ADAPT_BACKOFFS, st.backoffs);
-            b.add(names::ADAPT_RECOVERIES, st.recoveries);
-            b.add(names::ADAPT_ROTATIONS, st.rotations);
-            b.add(names::ADAPT_DEFERRED_ADDRESSES, st.deferred_total);
-            b.set_gauge(names::ADAPT_RATE_MULT, c.rate_mult());
-            hub.flush(tele.scope, b);
-        }
-    }
-    if let Some(tr) = &tracer {
-        tr.set_time(out.summary.duration_s);
-    }
-    drop(scan_guard);
-    if let (Some(hub), Some(tr)) = (tele.hub, tracer) {
-        hub.record_trace(tele.scope, tr.finish());
-    }
-    Ok(out)
+    tele.flush_with(|| completion_metrics(&ctx, &p));
+    tele.finish(duration_s);
+    Ok(p.out)
 }
 
 #[cfg(test)]
@@ -1255,23 +1177,35 @@ mod tests {
         check(&|c| c.rate_pps = 0.0, ConfigError::NonPositiveRate);
         check(&|c| c.rate_pps = f64::NAN, ConfigError::NonPositiveRate);
         check(&|c| c.batch = 0, ConfigError::ZeroBatch);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            check(&|c| c.probe_delay_s = bad, ConfigError::BadProbeDelay);
+        }
         assert_eq!(base.validate(), Ok(()));
     }
 
-    /// Kills the scan the first `fail_attempts` times it reaches
-    /// `kill_at` probed addresses.
-    struct KillAt {
-        kill_at: u64,
-        fail_attempts: u32,
-    }
+    /// Kills the scan whenever the predicate holds.
+    struct KillWhen<F>(F);
 
-    impl FaultHook for KillAt {
+    impl<F: Fn(&FaultCtx) -> bool + Sync> FaultHook for KillWhen<F> {
         fn before_address(&self, ctx: &FaultCtx) -> FaultAction {
-            if ctx.attempt < self.fail_attempts && ctx.addresses_probed >= self.kill_at {
+            if (self.0)(ctx) {
                 FaultAction::Kill
             } else {
                 FaultAction::Continue
             }
+        }
+    }
+
+    fn supervised<'a>(
+        hook: &'a dyn FaultHook,
+        store: &'a CheckpointStore,
+        attempt: u32,
+    ) -> ScanSession<'a> {
+        ScanSession {
+            hook: Some(hook),
+            store: Some(store),
+            attempt,
+            telemetry: None,
         }
     }
 
@@ -1281,20 +1215,9 @@ mod tests {
             live_mod: 10,
             closed_mod: 3,
         };
-        let store = CheckpointStore::new();
-        let hook = KillAt {
-            kill_at: 500,
-            fail_attempts: 1,
-        };
-        let session = ScanSession {
-            hook: Some(&hook),
-            checkpoint_every: 128,
-            store: Some(&store),
-            resume: None,
-            attempt: 0,
-            telemetry: None,
-        };
-        let err = run_scan_session(&net, &cfg(1000), session).unwrap_err();
+        let store = CheckpointStore::new(128);
+        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 500);
+        let err = run_scan_session(&net, &cfg(1000), supervised(&hook, &store, 0)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1309,6 +1232,66 @@ mod tests {
         // The periodic checkpoint predates the kill point.
         assert!(cp.output.summary.addresses_probed <= 500);
         assert!(cp.output.summary.addresses_probed >= 500 - 128);
+        assert_eq!(cp.ctrl, None, "open-loop scans carry no controller state");
+    }
+
+    /// Run `cfg` with attempt `i` killed once `kills[i]` permutation steps
+    /// are consumed, every attempt sharing one store, and assert that the
+    /// attempt after the last kill returns exactly the uninterrupted
+    /// output.
+    fn assert_resumes_bit_identically(
+        net: &dyn Network,
+        cfg: &ScanConfig,
+        every: u64,
+        kills: &[u64],
+    ) {
+        let uninterrupted = run_scan(net, cfg).unwrap();
+        let store = CheckpointStore::new(every);
+        let hook =
+            KillWhen(|c: &FaultCtx| kills.get(c.attempt as usize).is_some_and(|&k| c.steps >= k));
+        for attempt in 0..kills.len() as u32 {
+            let died = run_scan_session(net, cfg, supervised(&hook, &store, attempt));
+            assert!(
+                matches!(died, Err(ScanError::Killed { .. })),
+                "attempt {attempt} of {kills:?}: {died:?}"
+            );
+        }
+        let resumed =
+            run_scan_session(net, cfg, supervised(&hook, &store, kills.len() as u32)).unwrap();
+        assert_eq!(resumed, uninterrupted, "every {every}, kills {kills:?}");
+    }
+
+    /// Permutation steps `cfg`'s shard consumes end to end.
+    fn total_steps(cfg: &ScanConfig) -> u64 {
+        let cycle = Cycle::new(cfg.space, cfg.seed);
+        let mut iter = cycle.iter_shard(cfg.shard.0, cfg.shard.1);
+        while iter.next().is_some() {}
+        iter.steps_taken()
+    }
+
+    /// An adaptive scan the toy network keeps on its toes: half the
+    /// space RSTs, so the controller backs off, rotates sources and
+    /// parks /24s for the tail pass.
+    fn adaptive_cfg(space: u64) -> ScanConfig {
+        let mut c = cfg(space);
+        c.source_ips = vec![0x0a00_0001, 0x0a00_0002, 0x0a00_0003];
+        c.adapt = Some(AdaptivePolicy {
+            window_addrs: 32,
+            recovery_windows: 2,
+            ..AdaptivePolicy::default()
+        });
+        c
+    }
+
+    fn planned_sharded_blocklisted_cfg() -> ScanConfig {
+        let mut c = cfg(2048);
+        c.shard = (1, 2);
+        c.blocklist = Blocklist::parse("0.0.1.0/25").unwrap();
+        let entries = [1, 3, 4, 6]
+            .map(|s24| originscan_plan::PlanEntry { s24, score: 1 })
+            .to_vec();
+        c.plan = Some(TargetPlan::from_entries(2048, 99, "observed", entries).unwrap());
+        c
     }
 
     #[test]
@@ -1317,87 +1300,62 @@ mod tests {
             live_mod: 7,
             closed_mod: 5,
         };
-        let uninterrupted = run_scan(&net, &cfg(3000)).unwrap();
-
-        // Run with faults: killed at address 1100 on attempt 0, then
-        // resumed from the last periodic checkpoint.
-        let store = CheckpointStore::new();
-        let hook = KillAt {
-            kill_at: 1100,
-            fail_attempts: 1,
-        };
-        let first = run_scan_session(
-            &net,
-            &cfg(3000),
-            ScanSession {
-                hook: Some(&hook),
-                checkpoint_every: 256,
-                store: Some(&store),
-                resume: None,
-                attempt: 0,
-                telemetry: None,
-            },
-        );
-        assert!(matches!(first, Err(ScanError::Killed { .. })));
-        let cp = store.take().expect("checkpoint saved before the kill");
-        let resumed = run_scan_session(
-            &net,
-            &cfg(3000),
-            ScanSession {
-                hook: Some(&hook),
-                checkpoint_every: 256,
-                store: Some(&store),
-                resume: Some(cp),
-                attempt: 1,
-                telemetry: None,
-            },
-        )
-        .unwrap();
-        assert_eq!(resumed, uninterrupted);
+        // Killed once mid-scan, resumed from the last periodic checkpoint.
+        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100]);
+        // Killed again well after the first resume: the second resume
+        // starts from a checkpoint the resumed attempt appended to.
+        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 2000]);
+        // Killed again before the resumed attempt saved anything: the
+        // store is empty by then, so the third attempt starts over.
+        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 1100]);
+        // Killed before the first checkpoint, and with checkpoints off.
+        assert_resumes_bit_identically(&net, &cfg(600), 100, &[50]);
+        assert_resumes_bit_identically(&net, &cfg(600), 0, &[300]);
     }
 
     #[test]
-    fn resume_without_checkpoint_only_loses_nothing_on_restart() {
-        // A scan killed before any checkpoint restarts from scratch and
-        // still converges to the uninterrupted result.
+    fn resume_at_every_checkpoint_boundary_is_bit_identical() {
+        let busy = ToyNet {
+            live_mod: 7,
+            closed_mod: 2,
+        };
+        let every = 64;
+        for cfg in [
+            cfg(1024),
+            adaptive_cfg(1024),
+            planned_sharded_blocklisted_cfg(),
+        ] {
+            for boundary in 1..=total_steps(&cfg) / every {
+                assert_resumes_bit_identically(&busy, &cfg, every, &[boundary * every]);
+            }
+        }
+
+        // The adaptive scan above really adapted, so its checkpoints
+        // carried a re-rated pacer and live controller state.
+        let hub = Telemetry::new();
+        let session = ScanSession {
+            telemetry: Some(&hub),
+            ..Default::default()
+        };
+        run_scan_session(&busy, &adaptive_cfg(1024), session).unwrap();
+        let snap = hub.snapshot();
+        let scope = Scope::new("HTTP", 0, 0);
+        assert!(snap.counter(scope, names::ADAPT_BACKOFFS) > 0);
+        assert!(snap.counter(scope, names::ADAPT_ROTATIONS) > 0);
+        assert!(snap.counter(scope, names::ADAPT_DEFERRED_ADDRESSES) > 0);
+    }
+
+    #[test]
+    fn killed_before_first_checkpoint_leaves_the_store_empty() {
         let net = ToyNet {
             live_mod: 4,
             closed_mod: 9,
         };
-        let uninterrupted = run_scan(&net, &cfg(600)).unwrap();
-        let store = CheckpointStore::new();
-        let hook = KillAt {
-            kill_at: 50,
-            fail_attempts: 1,
-        };
-        let first = run_scan_session(
-            &net,
-            &cfg(600),
-            ScanSession {
-                hook: Some(&hook),
-                checkpoint_every: 100,
-                store: Some(&store),
-                resume: None,
-                attempt: 0,
-                telemetry: None,
-            },
-        );
+        let store = CheckpointStore::new(100);
+        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 50);
+        let first = run_scan_session(&net, &cfg(600), supervised(&hook, &store, 0));
         assert!(matches!(first, Err(ScanError::Killed { .. })));
-        assert!(!store.is_saved(), "killed before the first checkpoint");
-        let retried = run_scan_session(
-            &net,
-            &cfg(600),
-            ScanSession {
-                hook: Some(&hook),
-                checkpoint_every: 100,
-                store: Some(&store),
-                resume: store.take(),
-                attempt: 1,
-                telemetry: None,
-            },
-        )
-        .unwrap();
-        assert_eq!(retried, uninterrupted);
+        assert!(store.take().is_none(), "killed before the first checkpoint");
     }
 
     #[test]
@@ -1406,20 +1364,25 @@ mod tests {
             live_mod: 2,
             closed_mod: 3,
         };
-        let cp = ScanCheckpoint {
-            steps: u64::MAX,
+        // A checkpoint from deep inside a much larger scan's permutation.
+        let store = CheckpointStore::new(64);
+        let mut elsewhere = Progress {
+            iter: Cycle::new(1 << 16, 99).iter_shard(0, 1),
+            pacer: Pacer::new(1.0, 1),
+            stall_s: 0.0,
+            out: ScanOutput::default(),
+            ctrl: None,
+            since_checkpoint: 0,
+            checkpoint_writes: 0,
+        };
+        assert!(elsewhere.iter.fast_forward(5000));
+        store.save(&elsewhere);
+        let session = ScanSession {
+            store: Some(&store),
             ..Default::default()
         };
-        let err = run_scan_session(
-            &net,
-            &cfg(100),
-            ScanSession {
-                resume: Some(cp),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, ScanError::BadCheckpoint { steps: u64::MAX });
+        let err = run_scan_session(&net, &cfg(100), session).unwrap_err();
+        assert_eq!(err, ScanError::BadCheckpoint { steps: 5000 });
     }
 
     /// Stalls the pipeline once, by `delay_s`, at `at` probed addresses.
@@ -1448,13 +1411,12 @@ mod tests {
             live_mod: 10,
             closed_mod: 3,
         };
-        let store = CheckpointStore::new();
+        let store = CheckpointStore::new(400);
         let hub = Telemetry::new();
         let out = run_scan_session(
             &net,
             &cfg(1000),
             ScanSession {
-                checkpoint_every: 400,
                 store: Some(&store),
                 telemetry: Some(&hub),
                 ..Default::default()
@@ -1507,10 +1469,7 @@ mod tests {
             closed_mod: 3,
         };
         let hub = Telemetry::new();
-        let hook = KillAt {
-            kill_at: 100,
-            fail_attempts: 1,
-        };
+        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 100);
         let err = run_scan_session(
             &net,
             &cfg(1000),

@@ -33,6 +33,9 @@ pub enum ConfigError {
     NonPositiveRate,
     /// `batch` is zero: the pacer could never release a probe.
     ZeroBatch,
+    /// `probe_delay_s` is negative, infinite, or NaN: every probe after
+    /// an address's first would carry a meaningless timestamp.
+    BadProbeDelay,
     /// The adaptive policy is malformed (zero window, or a backoff factor
     /// outside `(0, 1)`).
     BadAdaptivePolicy,
@@ -66,6 +69,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NonPositiveRate => write!(f, "send rate must be positive"),
             ConfigError::ZeroBatch => write!(f, "probe batch size must be at least 1"),
+            ConfigError::BadProbeDelay => write!(f, "probe delay must be finite and non-negative"),
             ConfigError::BadAdaptivePolicy => write!(
                 f,
                 "adaptive policy needs a positive window and a backoff factor in (0, 1)"

@@ -10,8 +10,10 @@
 ///
 /// Probes are released in batches (ZMap sends batches of ~16 packets); the
 /// bucket refills at `rate` tokens per second with a burst capacity of one
-/// batch.
-#[derive(Debug, Clone)]
+/// batch. The whole pacing state is these few plain fields, so a clone is
+/// a complete checkpoint: it emits exactly the timestamps the original
+/// would have, across any number of rate changes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pacer {
     rate: f64,
     batch: u32,
@@ -22,25 +24,10 @@ pub struct Pacer {
     /// (for `b ≥ anchor_batches`) starts at
     /// `anchor_time + (b − anchor_batches) · batch / rate`, so a mid-scan
     /// [`Pacer::set_rate`] re-anchors the schedule instead of silently
-    /// rewriting history. Both stay zero until the first rate change,
-    /// keeping the original pure-function-of-call-count behaviour (and
-    /// [`Pacer::advance_to`]) bit-identical.
+    /// rewriting history. Both stay zero until the first rate change, so
+    /// a never-re-rated pacer is a pure function of its call count.
     anchor_time: f64,
     /// Batch index at which the current rate took effect.
-    anchor_batches: u64,
-}
-
-/// A full copy of a [`Pacer`]'s state, for checkpointing scans whose rate
-/// changed mid-flight (where [`Pacer::advance_to`]'s closed form no
-/// longer applies).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacerSnapshot {
-    rate: f64,
-    batch: u32,
-    sent_in_batch: u32,
-    batch_start_time: f64,
-    batches_sent: u64,
-    anchor_time: f64,
     anchor_batches: u64,
 }
 
@@ -94,18 +81,9 @@ impl Pacer {
         self.rate
     }
 
-    /// Total scan duration for `n` probes at this rate. Only meaningful
-    /// while the rate has never changed; adaptive scans use
-    /// [`Pacer::duration_elapsed`] instead.
-    pub fn duration_for(&self, n: u64) -> f64 {
-        n as f64 / self.rate
-    }
-
     /// Send-clock seconds consumed by every probe released so far, valid
     /// across any number of rate changes. For a pacer whose rate never
-    /// changed this equals `duration_for(probes_sent)` exactly (same
-    /// floating-point operations), so switching callers to this method is
-    /// byte-compatible.
+    /// changed this is exactly `probes / rate`.
     pub fn duration_elapsed(&self) -> f64 {
         if self.batches_sent < self.anchor_batches {
             // A rate change closed the in-flight batch and nothing has
@@ -136,55 +114,6 @@ impl Pacer {
         self.rate = rate;
         // Force the next call to roll over into the anchored batch.
         self.sent_in_batch = self.batch;
-    }
-
-    /// Capture the complete pacing state for a checkpoint.
-    pub fn snapshot(&self) -> PacerSnapshot {
-        PacerSnapshot {
-            rate: self.rate,
-            batch: self.batch,
-            sent_in_batch: self.sent_in_batch,
-            batch_start_time: self.batch_start_time,
-            batches_sent: self.batches_sent,
-            anchor_time: self.anchor_time,
-            anchor_batches: self.anchor_batches,
-        }
-    }
-
-    /// Rebuild a pacer from a [`PacerSnapshot`]; the restored pacer emits
-    /// exactly the timestamps the captured one would have.
-    pub fn restore(snap: &PacerSnapshot) -> Self {
-        Self {
-            rate: snap.rate,
-            batch: snap.batch,
-            sent_in_batch: snap.sent_in_batch,
-            batch_start_time: snap.batch_start_time,
-            batches_sent: snap.batches_sent,
-            anchor_time: snap.anchor_time,
-            anchor_batches: snap.anchor_batches,
-        }
-    }
-
-    /// Jump to the state a fresh pacer reaches after `n` calls to
-    /// [`Pacer::next_send_time`]. A never-re-rated pacer is a pure
-    /// function of its call count — batch `b` starts at `b · batch / rate`
-    /// — so a checkpointed scan can resume with probe `n+1` stamped
-    /// exactly as an uninterrupted run would stamp it. Scans that re-rate
-    /// mid-flight resume from a [`PacerSnapshot`] instead; this resets any
-    /// anchor accordingly.
-    pub fn advance_to(&mut self, n: u64) {
-        self.anchor_time = 0.0;
-        self.anchor_batches = 0;
-        if n == 0 {
-            self.sent_in_batch = 0;
-            self.batch_start_time = 0.0;
-            self.batches_sent = 0;
-            return;
-        }
-        let batch = u64::from(self.batch);
-        self.batches_sent = (n - 1) / batch;
-        self.sent_in_batch = ((n - 1) % batch) as u32 + 1;
-        self.batch_start_time = self.batches_sent as f64 * self.batch as f64 / self.rate;
     }
 }
 
@@ -242,55 +171,37 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_matches_stepping() {
-        for n in [0u64, 1, 3, 4, 5, 16, 17, 100] {
-            let mut stepped = Pacer::new(250.0, 4);
-            for _ in 0..n {
-                stepped.next_send_time();
+    fn cloned_pacer_continues_identically() {
+        // A clone is the checkpoint: taken before or after a rate change,
+        // mid-batch or on a boundary, it must stamp every later probe
+        // (and later rate changes) exactly as the original does.
+        for n in [0u64, 1, 3, 4, 5, 16, 17, 100, 65_537] {
+            let mut p = Pacer::new(640.0, 8);
+            for i in 0..n {
+                if i == 40 {
+                    p.set_rate(80.0);
+                }
+                p.next_send_time();
             }
-            let mut jumped = Pacer::new(250.0, 4);
-            jumped.advance_to(n);
-            // The next 20 timestamps must be identical.
-            for i in 0..20 {
-                assert_eq!(
-                    stepped.next_send_time(),
-                    jumped.next_send_time(),
-                    "probe {n}+{i}"
-                );
+            let mut resumed = p.clone();
+            assert_eq!(resumed, p);
+            for i in 0..50 {
+                if i == 20 {
+                    p.set_rate(320.0);
+                    resumed.set_rate(320.0);
+                }
+                assert_eq!(p.peek_send_time(), resumed.peek_send_time());
+                assert_eq!(p.next_send_time(), resumed.next_send_time(), "{n}+{i}");
             }
+            assert_eq!(p.duration_elapsed(), resumed.duration_elapsed());
         }
     }
 
     #[test]
-    fn duration_and_rate_helpers() {
-        let p = Pacer::new(100_000.0, 16);
-        assert!((p.duration_for(4_294_967_296) - 42949.67296).abs() < 1e-3);
+    fn rate_for_duration_spreads_probes_over_the_window() {
         // ~21h to cover 2^24 addresses twice (2 probes).
         let r = rate_for_duration(2 << 24, 75_600.0);
         assert!((r - (2 << 24) as f64 / 75_600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn advance_past_planned_end_still_matches_stepping() {
-        // The resumable runner advances to whatever count the checkpoint
-        // recorded; nothing guarantees that count is within the "planned"
-        // probe budget, so far-past-the-end jumps must stay exact.
-        for n in [1_000u64, 65_537, 1 << 20] {
-            let mut stepped = Pacer::new(999.0, 16);
-            for _ in 0..n {
-                stepped.next_send_time();
-            }
-            let mut jumped = Pacer::new(999.0, 16);
-            jumped.advance_to(n);
-            for i in 0..40 {
-                assert_eq!(
-                    stepped.next_send_time(),
-                    jumped.next_send_time(),
-                    "probe {n}+{i}"
-                );
-            }
-            assert_eq!(stepped.duration_elapsed(), jumped.duration_elapsed());
-        }
     }
 
     #[test]
@@ -311,19 +222,17 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(p.next_send_time(), 0.0);
         }
-        assert_eq!(p.duration_elapsed(), p.duration_for(10));
-        let mut jumped = Pacer::new(50.0, 1024);
-        jumped.advance_to(10);
-        assert_eq!(jumped.peek_send_time(), 0.0);
+        assert_eq!(p.duration_elapsed(), 10.0 / 50.0);
+        assert_eq!(p.peek_send_time(), 0.0);
     }
 
     #[test]
-    fn duration_elapsed_matches_duration_for_without_rate_changes() {
+    fn duration_elapsed_is_probes_over_rate_without_rate_changes() {
         let mut p = Pacer::new(777.0, 5);
         assert_eq!(p.duration_elapsed(), 0.0);
         for n in 1..=200u64 {
             p.next_send_time();
-            assert_eq!(p.duration_elapsed(), p.duration_for(n), "probe {n}");
+            assert_eq!(p.duration_elapsed(), n as f64 / 777.0, "probe {n}");
         }
     }
 
@@ -384,26 +293,5 @@ mod tests {
         }
         // Plus one full batch at the new rate.
         assert!((p.duration_elapsed() - 0.44).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_exactly() {
-        let mut p = Pacer::new(640.0, 8);
-        for i in 0..100 {
-            if i == 40 {
-                p.set_rate(80.0);
-            }
-            p.next_send_time();
-        }
-        let snap = p.snapshot();
-        let mut resumed = Pacer::restore(&snap);
-        for i in 0..50 {
-            if i == 20 {
-                p.set_rate(320.0);
-                resumed.set_rate(320.0);
-            }
-            assert_eq!(p.next_send_time(), resumed.next_send_time(), "probe {i}");
-        }
-        assert_eq!(p.duration_elapsed(), resumed.duration_elapsed());
     }
 }

@@ -173,11 +173,6 @@ impl Controller {
         &self.state
     }
 
-    /// The policy this controller runs.
-    pub fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
     /// Index into the source-IP pool the engine should send from now.
     pub fn source_index(&self) -> u32 {
         self.state.active_source
@@ -299,7 +294,7 @@ mod tests {
 
     /// Feed `n` windows of identical outcomes.
     fn feed(c: &mut Controller, windows: u32, responsive: bool, rst: bool) -> Vec<Reaction> {
-        let per = c.policy().window_addrs;
+        let per = c.policy.window_addrs;
         let mut out = Vec::new();
         for i in 0..windows * per {
             out.push(c.observe(i, responsive, rst, f64::from(i)));

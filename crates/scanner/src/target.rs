@@ -26,27 +26,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// The destination port probed for this protocol.
-    #[deprecated(note = "ports are probe-module metadata now; use \
-                `probe::module_for(protocol).port()` so analyses do not \
-                hardcode wire assumptions")]
-    pub fn port(self) -> u16 {
-        match self {
-            Protocol::Http => 80,
-            Protocol::Https => 443,
-            Protocol::Ssh => 22,
-            Protocol::Icmp => 0,
-            Protocol::Dns => 53,
-        }
-    }
-
-    /// All protocols the study scans, in the paper's order.
-    #[deprecated(note = "hardcodes the paper's 3-protocol TCP roster; iterate \
-                `probe::modules()` for every registered module, or use \
-                `probe::PAPER_PROTOCOLS` where the paper's TCP trio is \
-                really meant")]
-    pub const ALL: [Protocol; 3] = [Protocol::Http, Protocol::Https, Protocol::Ssh];
-
     /// Short display name as used in the paper's tables (and as the
     /// store/telemetry protocol key).
     pub fn name(self) -> &'static str {
@@ -201,12 +180,6 @@ mod tests {
         assert_eq!(crate::probe::module_for(Protocol::Http).port(), 80);
         assert_eq!(crate::probe::module_for(Protocol::Https).port(), 443);
         assert_eq!(crate::probe::module_for(Protocol::Ssh).port(), 22);
-        // The deprecated inherent port table must keep agreeing with the
-        // registry for as long as it exists.
-        #[allow(deprecated, clippy::disallowed_methods)]
-        for m in crate::probe::modules() {
-            assert_eq!(m.protocol().port(), m.port());
-        }
     }
 
     #[test]
@@ -216,10 +189,6 @@ mod tests {
             .map(|p| p.name())
             .collect();
         assert_eq!(names, vec!["HTTP", "HTTPS", "SSH"]);
-        #[allow(deprecated)]
-        {
-            assert_eq!(Protocol::ALL, crate::probe::PAPER_PROTOCOLS);
-        }
         assert_eq!(Protocol::Https.to_string(), "HTTPS");
         assert_eq!(Protocol::Icmp.to_string(), "ICMP");
         assert_eq!(Protocol::Dns.to_string(), "DNS");

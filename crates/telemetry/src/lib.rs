@@ -50,11 +50,13 @@ pub mod profile;
 pub mod progress;
 pub mod prom;
 pub mod schema;
+pub mod scoped;
 pub mod span;
 
 pub use event::{Event, EventKind, Scope};
 pub use metrics::{Histogram, HistogramEntry, MetricEntry};
 pub use profile::Profile;
+pub use scoped::ScopedTelemetry;
 pub use span::{SpanGuard, SpanRecord, TimeSource, Trace, Tracer};
 
 use json::JsonObj;

@@ -204,11 +204,6 @@ impl Tracer {
         self.record_span(name, t, t);
     }
 
-    /// Record a zero-width marker span at an explicit time.
-    pub fn instant_at(&self, name: &'static str, t: f64) {
-        self.record_span(name, t, t);
-    }
-
     /// Spans recorded so far (dropped ones excluded).
     pub fn span_count(&self) -> usize {
         self.inner.borrow().spans.len()
@@ -217,9 +212,15 @@ impl Tracer {
     /// Close any still-open spans at the current clock reading and
     /// return the finished trace.
     pub fn finish(self) -> Trace {
+        self.drain()
+    }
+
+    /// [`Tracer::finish`] behind `&self`: the tracer is left empty, and
+    /// guards still alive close nothing when they drop.
+    pub(crate) fn drain(&self) -> Trace {
         let now = self.now_s();
         let clock = self.clock_name();
-        let inner = self.inner.into_inner();
+        let inner = std::mem::take(&mut *self.inner.borrow_mut());
         let spans = inner
             .spans
             .into_iter()

@@ -6,6 +6,7 @@
 //! the parsed command onto library calls.
 
 use crate::netmodel::{OriginId, Protocol, WorldConfig};
+use crate::scanner::ConfigError;
 
 /// What the user asked for.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,8 +226,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 run.probe_delay_s = value()?
                     .parse()
                     .map_err(|_| "bad --probe-delay".to_string())?;
-                if run.probe_delay_s < 0.0 {
-                    return Err("--probe-delay must be non-negative".into());
+                // `nan < 0.0` is false, so test finiteness explicitly.
+                if !run.probe_delay_s.is_finite() || run.probe_delay_s < 0.0 {
+                    return Err(format!("--probe-delay: {}", ConfigError::BadProbeDelay));
                 }
             }
             "--plan" => {
@@ -363,6 +365,8 @@ mod tests {
             ("report --trials 0", "--trials"),
             ("report --probes 99", "--probes"),
             ("report --probe-delay -1", "--probe-delay"),
+            ("scan --probe-delay nan", "finite and non-negative"),
+            ("scan --probe-delay inf", "finite and non-negative"),
             ("launch", "unknown subcommand"),
             ("report --bogus 1", "unknown flag"),
         ] {

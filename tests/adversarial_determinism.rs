@@ -181,7 +181,7 @@ fn adaptive_scan_resumes_bit_identically_from_checkpoints() {
     );
 
     // Crash mid-scan; the supervisor resumes from a periodic checkpoint
-    // (AdaptCheckpoint: pacer snapshot + controller state).
+    // (the re-rated pacer plus the controller's state).
     let victim = out.records[out.records.len() / 2].addr;
     let panicky = PanicOnce {
         inner: RstBand { inner: &net },
