@@ -18,8 +18,10 @@
 //! `GET /trace` and checks span attribution: ≥90% of warm request wall
 //! time must land in named child spans (read/execute/write and the
 //! kernels below them), so the instrumentation cannot silently rot. The
-//! bench asserts the warm best-k pass is ≥5× faster than the cold one
-//! and a floor on warm throughput, then writes `BENCH_serve.json` (the
+//! bench asserts the warm best-k pass is ≥5× faster than the cold one,
+//! a floor on warm throughput, and that warm connections are reused
+//! (each client thread holds one persistent connection, so a server
+//! that stops keeping them shows), then writes `BENCH_serve.json` (the
 //! bench-diff gate input) and `BENCH_serve.profile.jsonl` (the merged
 //! flame tree of the warm traces).
 
@@ -35,7 +37,7 @@ use originscan_telemetry::progress::{emit_progress, FieldValue};
 use originscan_telemetry::span::SpanRecord;
 use originscan_telemetry::Telemetry;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,6 +48,9 @@ const SPACE: u32 = 1 << 22;
 const DENSITY: f64 = 0.05;
 const ORIGINS: u16 = 6;
 const CLIENT_THREADS: usize = 4;
+/// Rounds of the mix in the warm phase: on kept connections a round is
+/// a fraction of a millisecond, so fewer would time thread start-up.
+const WARM_ROUNDS: usize = 64;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -106,34 +111,87 @@ fn query_mix() -> Vec<String> {
     queries
 }
 
-fn http_query(addr: SocketAddr, query: &str) -> u16 {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(
-        format!(
-            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{query}",
-            query.len()
-        )
-        .as_bytes(),
-    )
-    .expect("send");
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read");
-    out.split(' ')
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+/// One client's persistent connection. Requests never ask to close and
+/// answers are framed by `Content-Length`, so the socket is reused for
+/// as long as the server keeps it; a `Connection: close` answer makes
+/// the next request reconnect.
+struct Conn {
+    addr: SocketAddr,
+    reader: Option<BufReader<TcpStream>>,
+    requests: u64,
+    connections: u64,
 }
 
-/// GET `path` and return the response body.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes())
-        .expect("send");
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read");
-    match out.split_once("\r\n\r\n") {
-        Some((_, body)) => body.to_string(),
-        None => panic!("malformed response for {path}"),
+impl Conn {
+    fn new(addr: SocketAddr) -> Conn {
+        Conn {
+            addr,
+            reader: None,
+            requests: 0,
+            connections: 0,
+        }
+    }
+
+    /// Send one request; returns the status and the body.
+    fn exchange(&mut self, request: &str) -> (u16, String) {
+        let addr = self.addr;
+        let reader = self.reader.get_or_insert_with(|| {
+            self.connections += 1;
+            let s = TcpStream::connect(addr).expect("connect");
+            s.set_nodelay(true).expect("nodelay");
+            BufReader::new(s)
+        });
+        self.requests += 1;
+        reader
+            .get_mut()
+            .write_all(request.as_bytes())
+            .expect("send");
+        let (mut status, mut length, mut close) = (0u16, 0usize, false);
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(
+                reader.read_line(&mut line).expect("read head") > 0,
+                "closed mid-answer"
+            );
+            let l = line.trim_end();
+            if l.is_empty() {
+                break;
+            }
+            if status == 0 {
+                status = l
+                    .split(' ')
+                    .nth(1)
+                    .and_then(|v| v.parse().ok())
+                    .expect("status line");
+            } else if let Some((name, value)) = l.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().expect("Content-Length");
+                } else if name.eq_ignore_ascii_case("connection") {
+                    close = value.trim().eq_ignore_ascii_case("close");
+                }
+            }
+        }
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("read body");
+        if close {
+            self.reader = None;
+        }
+        (status, String::from_utf8(body).expect("UTF-8 body"))
+    }
+
+    fn query(&mut self, query: &str) -> u16 {
+        let len = query.len();
+        self.exchange(&format!(
+            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n{query}"
+        ))
+        .0
+    }
+
+    /// GET `path` and return the response body.
+    fn get(&mut self, path: &str) -> String {
+        self.exchange(&format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
+            .1
     }
 }
 
@@ -218,10 +276,12 @@ struct PhaseReport {
     p50_us: f64,
     p99_us: f64,
     req_per_s: f64,
+    /// Requests per connection opened, over all clients.
+    conn_reuse: f64,
 }
 
-/// Run the query mix through `CLIENT_THREADS` concurrent clients,
-/// collecting per-request latencies.
+/// Run the query mix through `CLIENT_THREADS` concurrent clients, one
+/// persistent connection each, collecting per-request latencies.
 fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
     let queries = Arc::new(query_mix());
     let started = Instant::now();
@@ -229,6 +289,7 @@ fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
     for t in 0..CLIENT_THREADS {
         let queries = Arc::clone(&queries);
         handles.push(std::thread::spawn(move || {
+            let mut conn = Conn::new(addr);
             let mut latencies_us = Vec::new();
             for round in 0..rounds {
                 // Interleave clients across the mix so threads do not
@@ -236,18 +297,21 @@ fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
                 for i in 0..queries.len() {
                     let q = &queries[(i + t + round) % queries.len()];
                     let sent = Instant::now();
-                    let status = http_query(addr, q);
+                    let status = conn.query(q);
                     assert_eq!(status, 200, "query failed under load: {q}");
                     latencies_us.push(sent.elapsed().as_secs_f64() * 1e6);
                 }
             }
-            latencies_us
+            (latencies_us, conn.requests, conn.connections)
         }));
     }
-    let mut latencies: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("client thread"))
-        .collect();
+    let (mut latencies, mut requests, mut connections) = (Vec::new(), 0, 0);
+    for h in handles {
+        let (l, r, c) = h.join().expect("client thread");
+        latencies.extend(l);
+        requests += r;
+        connections += c;
+    }
     let wall_s = started.elapsed().as_secs_f64();
     latencies.sort_by(|a, b| a.total_cmp(b));
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
@@ -256,6 +320,7 @@ fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
         p50_us: pct(0.50),
         p99_us: pct(0.99),
         req_per_s: latencies.len() as f64 / wall_s,
+        conn_reuse: requests as f64 / connections as f64,
     };
     emit_progress(
         "serve_load",
@@ -266,6 +331,7 @@ fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
             ("p50_us", FieldValue::from(report.p50_us)),
             ("p99_us", FieldValue::from(report.p99_us)),
             ("req_per_s", FieldValue::from(report.req_per_s)),
+            ("conn_reuse", FieldValue::from(report.conn_reuse)),
         ],
     );
     report
@@ -274,7 +340,7 @@ fn run_phase(label: &str, addr: SocketAddr, rounds: usize) -> PhaseReport {
 /// Time one best-k pass (the heaviest plan) on its own.
 fn best_k_pass(addr: SocketAddr) -> f64 {
     let t = Instant::now();
-    assert_eq!(http_query(addr, "best-k proto=HTTP trial=0 k=3"), 200);
+    assert_eq!(Conn::new(addr).query("best-k proto=HTTP trial=0 k=3"), 200);
     t.elapsed().as_secs_f64()
 }
 
@@ -312,12 +378,14 @@ fn main() {
 
     engine.clear_caches();
     let cold = run_phase("cold", addr, 1);
-    let warm = run_phase("warm", addr, 4);
+    let warm = run_phase("warm", addr, WARM_ROUNDS);
 
     // The warm phase alone fills the 256-entry trace ring several times
     // over, so everything pulled here is a warm request trace.
-    let analysis = analyze_traces(&http_get(addr, "/trace?n=256"));
-    let server_p99_us = stats_worst_p99_us(&http_get(addr, "/stats"));
+    let mut conn = Conn::new(addr);
+    let analysis = analyze_traces(&conn.get("/trace?n=256"));
+    let server_p99_us = stats_worst_p99_us(&conn.get("/stats"));
+    drop(conn);
     emit_progress(
         "serve_load",
         &[
@@ -363,13 +431,25 @@ fn main() {
         bestk_speedup >= 5.0,
         "warm best-k must be >=5x faster than cold (got {bestk_speedup:.1}x)"
     );
-    // Throughput floor, far under typical loopback numbers, so CI noise
-    // cannot trip it while a serialization bug (e.g. every request
-    // re-materializing bitmaps) still would.
+    // Throughput floor, far under typical loopback numbers on kept
+    // connections, so CI noise cannot trip it while a serialization bug
+    // (e.g. every request re-materializing bitmaps) still would.
     assert!(
-        warm.req_per_s >= 200.0,
+        warm.req_per_s >= 2000.0,
         "warm throughput too low: {:.0} req/s",
         warm.req_per_s
+    );
+    // Every client keeps its one connection unless the server hands a
+    // worker to somebody else; a server that closes after each answer
+    // reads 1.0 here whatever the machine.
+    println!(
+        "connection reuse: {:.0} requests per connection (warm)",
+        warm.conn_reuse
+    );
+    assert!(
+        warm.conn_reuse >= 8.0,
+        "warm connections are not being kept: {:.1} requests per connection",
+        warm.conn_reuse
     );
     assert!(
         warm.p50_us <= cold.p99_us,
@@ -395,11 +475,13 @@ fn main() {
     rec.param("origins", ORIGINS);
     rec.param("client_threads", CLIENT_THREADS);
     rec.param("queries_per_round", query_mix().len());
+    rec.param("warm_rounds", WARM_ROUNDS);
     // Wall-clock metrics get wide tolerances (CI machines vary hugely);
     // the gate exists to catch order-of-magnitude regressions. The
     // attribution ratio is machine-independent, so it gates tightly.
     rec.metric("cold_req_per_s", cold.req_per_s, Dir::Higher, Some(0.6));
     rec.metric("warm_req_per_s", warm.req_per_s, Dir::Higher, Some(0.6));
+    rec.metric("warm_conn_reuse", warm.conn_reuse, Dir::Higher, Some(0.9));
     rec.metric("warm_p50_us", warm.p50_us, Dir::Lower, Some(1.5));
     rec.metric("warm_p99_us", warm.p99_us, Dir::Lower, Some(1.5));
     rec.metric("cold_p99_us", cold.p99_us, Dir::Lower, Some(1.5));

@@ -8,17 +8,39 @@
 //! connection is abandoned, never *what* a query answers.
 //!
 //! Shape: an accept thread pushes connections into a bounded queue; a
-//! fixed pool of workers pops and serves them, one request per
-//! connection (`Connection: close`). When the queue is full the accept
-//! thread answers `503` with `Retry-After` inline and drops the
-//! connection — backpressure costs one write, not a worker. Shutdown is
-//! graceful: the listener closes first (new connections are refused by
-//! the OS), then workers drain every queued connection before joining.
+//! fixed pool of workers pops them and serves each one request after
+//! another (HTTP/1.1 persistent connections; bytes read past one
+//! request, such as a pipelined second one, start the next). When the
+//! queue is full the accept thread answers `503` with `Retry-After`
+//! inline and drops the connection — backpressure costs one write, not
+//! a worker. Shutdown is graceful: the listener closes first (new
+//! connections are refused by the OS), then workers drain every queued
+//! connection before joining.
+//!
+//! Every response is one `write`. The connection is then kept, unless:
+//!
+//! * the request said `Connection: close`, or was HTTP/1.0 without
+//!   `Connection: keep-alive`;
+//! * the request could not be framed (`400` for a malformed head, `413`,
+//!   a socket error mid-read) — what follows on the socket is unknown;
+//! * the server is shutting down;
+//! * more connections wait in the accept queue than there are parked
+//!   workers to take them — the worker takes the oldest over, so a
+//!   kept-alive client cannot starve a queued one.
+//!
+//! A closing answer carries `Connection: close` and is followed by a
+//! half-close and a bounded drain. A kept connection that stays silent
+//! is closed after `read_timeout`, or within a poll interval of either
+//! of the last two rules coming true; a connection still waiting for
+//! its *first* request is in flight and keeps its full `read_timeout`
+//! through a shutdown.
 //!
 //! Every worker-served request runs under a wall-clock span tree
 //! (`request` → `read` / `execute` / `write`, with the engine adding
 //! `parse`, `plan`, `cache`, `resolve`, `load`, and `kernel.*`
 //! children), retained in a bounded [`TraceRing`] behind `GET /trace`.
+//! The tree starts when the request's first byte is in hand, so the
+//! time a kept connection idles is in nobody's `read` span.
 //! `GET /metrics` renders the telemetry hub plus engine counters in
 //! Prometheus text format, and `GET /stats` adds per-query-type
 //! latency histograms on top of the engine counters.
@@ -30,6 +52,7 @@ use originscan_telemetry::metrics::{names, Histogram, SERVE_LATENCY_BOUNDS};
 use originscan_telemetry::span::Tracer;
 use originscan_telemetry::{prom, Scope, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -89,16 +112,63 @@ const ROUTES: &[(&str, &str)] = &[
 /// How many traces `GET /trace` returns when `?n=` is absent.
 const TRACE_DEFAULT_N: usize = 16;
 
+/// The longest a worker blocks in one socket read before it looks up:
+/// worker sockets time out in slices of this, and [`read_polled`]
+/// stitches the slices back into `read_timeout`. It is also the silence
+/// that ends a worker's drain after a closing answer.
+const POLL: Duration = Duration::from_millis(50);
+
+/// Accepted connections waiting for a worker, and how many workers are
+/// parked waiting for one — under one lock, so comparing them is exact.
+#[derive(Default)]
+struct Queue {
+    waiting: VecDeque<TcpStream>,
+    parked: usize,
+}
+
+impl Queue {
+    /// More connections wait than parked workers will take.
+    fn overflowing(&self) -> bool {
+        self.waiting.len() > self.parked
+    }
+}
+
 struct Shared {
     engine: Arc<QueryEngine>,
     hub: Option<Arc<Telemetry>>,
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<Queue>,
     available: Condvar,
     shutdown: AtomicBool,
     ring: TraceRing,
     /// Per-query-kind latency histograms (microseconds), for `/stats`.
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
     cfg: ServerConfig,
+}
+
+impl Shared {
+    /// The connection a worker should turn to instead of keeping its
+    /// own: the oldest one waiting that no parked worker will take.
+    /// Taking it here, not after the old connection is closed, is what
+    /// stops a second worker giving up its client for the same one.
+    fn take_over(&self) -> Option<TcpStream> {
+        let mut queue = lock(&self.queue);
+        if queue.overflowing() {
+            queue.waiting.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Whether a kept connection with nothing to say should be dropped.
+    fn worker_wanted(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || lock(&self.queue).overflowing()
+    }
+
+    fn count(&self, name: &'static str) {
+        if let Some(hub) = &self.hub {
+            hub.add(serve_scope(), name, 1);
+        }
+    }
 }
 
 impl std::fmt::Debug for Shared {
@@ -130,7 +200,7 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             hub,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             ring: TraceRing::default(),
@@ -160,8 +230,10 @@ impl Server {
     }
 
     /// Stop accepting, drain queued connections, join every thread.
-    /// In-flight requests complete; connections arriving after the
-    /// listener closes are refused by the OS.
+    /// In-flight requests complete (a connection whose first request
+    /// has yet to arrive counts as in flight; one idling between
+    /// requests is closed); connections arriving after the listener
+    /// closes are refused by the OS.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept thread is parked in `accept()`; a throwaway
@@ -193,19 +265,17 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // The wake-up connection (or a raced client) — refuse it.
             return;
         }
-        if let Some(hub) = &shared.hub {
-            hub.add(serve_scope(), names::SERVE_HTTP_REQUESTS, 1);
-        }
+        let _ = stream.set_nodelay(true);
         let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.cfg.queue_depth {
+        if queue.waiting.len() >= shared.cfg.queue_depth {
             drop(queue);
-            if let Some(hub) = &shared.hub {
-                hub.add(serve_scope(), names::SERVE_HTTP_REJECTED, 1);
-            }
-            reject_busy(stream, shared);
+            // The inline 503 is the one request this connection gets.
+            shared.count(names::SERVE_HTTP_REQUESTS);
+            shared.count(names::SERVE_HTTP_REJECTED);
+            reject_busy(&stream, shared);
             continue;
         }
-        queue.push_back(stream);
+        queue.waiting.push_back(stream);
         drop(queue);
         shared.available.notify_one();
     }
@@ -216,20 +286,24 @@ fn worker_loop(shared: &Shared) {
         let stream = {
             let mut queue = lock(&shared.queue);
             loop {
-                if let Some(s) = queue.pop_front() {
+                if let Some(s) = queue.waiting.pop_front() {
                     break Some(s);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
+                queue.parked += 1;
                 queue = match shared.available.wait(queue) {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 };
+                queue.parked -= 1;
             }
         };
-        let Some(stream) = stream else { return };
-        serve_connection(stream, shared);
+        let Some(mut stream) = stream else { return };
+        while let Some(next) = serve_connection(&stream, shared) {
+            stream = next;
+        }
     }
 }
 
@@ -259,9 +333,10 @@ impl Response {
     }
 }
 
-/// One answer on the way out; socket errors are connection-fatal and
-/// silent (the client is gone — there is nobody to tell).
-fn respond(mut stream: TcpStream, resp: &Response) {
+/// One answer on the way out, head and body in a single write; socket
+/// errors are connection-fatal and silent (the client is gone — there
+/// is nobody to tell).
+fn respond(mut stream: &TcpStream, resp: &Response, keep: bool) -> io::Result<()> {
     let reason = match resp.status {
         200 => "OK",
         400 => "Bad Request",
@@ -272,22 +347,28 @@ fn respond(mut stream: TcpStream, resp: &Response) {
         503 => "Service Unavailable",
         _ => "Unknown",
     };
-    let head = format!(
-        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n{}\r\n",
+    let mut out = String::with_capacity(160 + resp.extra_headers.len() + resp.body.len());
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n{}\r\n",
         resp.status,
         resp.content_type,
         resp.body.len(),
+        if keep { "keep-alive" } else { "close" },
         resp.extra_headers
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(resp.body.as_bytes());
-    let _ = stream.flush();
-    // Half-close, then drain whatever the client is still sending (e.g.
-    // the rest of an oversized body). Closing with unread bytes queued
-    // makes the kernel reset the connection, destroying the response
-    // before the client reads it. The drain is bounded by the socket
-    // read timeout and a byte cap, so a hostile client cannot pin a
-    // worker.
+    out.push_str(&resp.body);
+    stream.write_all(out.as_bytes())
+}
+
+/// Close after an answer that said `Connection: close`: half-close,
+/// then drain whatever the client is still sending (e.g. the rest of an
+/// oversized body). Closing with unread bytes queued makes the kernel
+/// reset the connection, destroying the response before the client
+/// reads it. The drain ends when the client closes, falls silent for
+/// the socket's read timeout, or has sent a capped number of bytes, so
+/// neither a hostile nor a slow client can pin the thread.
+fn close_after_answer(mut stream: &TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 1024];
     let mut drained = 0usize;
@@ -299,9 +380,9 @@ fn respond(mut stream: TcpStream, resp: &Response) {
     }
 }
 
-fn reject_busy(stream: TcpStream, shared: &Shared) {
-    // Short read timeout: the post-response drain in `respond` runs on
-    // the accept thread here, and a slow client must not stall accepts.
+fn reject_busy(stream: &TcpStream, shared: &Shared) {
+    // Short read timeout: the post-response drain runs on the accept
+    // thread here, and a slow client must not stall accepts.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let mut o = JsonObj::new();
@@ -309,45 +390,104 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
     o.field_str("detail", "request queue full; retry shortly");
     let mut resp = Response::json(503, o.finish());
     resp.extra_headers = format!("Retry-After: {}\r\n", shared.cfg.retry_after_s);
-    respond(stream, &resp);
+    let _ = respond(stream, &resp, false);
+    close_after_answer(stream);
 }
 
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let tracer = WallTime::tracer();
-    let root = tracer.span("request");
-    let request = {
-        let _g = tracer.span("read");
-        read_request(&stream, shared.cfg.max_request_bytes)
-    };
-    let (kind, resp) = match request {
-        Ok(r) => route(shared, &r, &tracer),
-        Err(RequestError::TooLarge) => {
-            let mut o = JsonObj::new();
-            o.field_str("error", "too-large");
-            o.field_str("detail", "request exceeds the configured size limit");
-            ("error", Response::json(413, o.finish()))
+/// One `read`, bounded by `read_timeout` but taken in [`POLL`] slices
+/// (the socket's own timeout). A read that `yields` — the wait between
+/// two requests of a kept connection — gives up as soon as the worker is
+/// wanted.
+fn read_polled(
+    mut stream: &TcpStream,
+    buf: &mut [u8],
+    shared: &Shared,
+    yields: bool,
+) -> io::Result<usize> {
+    use io::ErrorKind::{TimedOut, WouldBlock};
+    let mut waited = Duration::ZERO;
+    loop {
+        match stream.read(buf) {
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                waited += POLL;
+                if waited >= shared.cfg.read_timeout || (yields && shared.worker_wanted()) {
+                    return Err(TimedOut.into());
+                }
+            }
+            done => return done,
         }
-        Err(RequestError::Malformed(detail)) => {
-            let mut o = JsonObj::new();
-            o.field_str("error", "malformed-request");
-            o.field_str("detail", detail);
-            ("error", Response::json(400, o.finish()))
-        }
-        // Socket-level failure mid-read: nothing to answer, and no
-        // response to trace either.
-        Err(RequestError::Io) => {
-            drop(root);
-            return;
-        }
-    };
-    {
-        let _g = tracer.span("write");
-        respond(stream, &resp);
     }
-    drop(root);
-    shared.ring.push(kind, resp.status, tracer.finish());
+}
+
+/// Append one read's worth of bytes to `carry`; `Ok(0)` is end of stream.
+fn fill(
+    stream: &TcpStream,
+    carry: &mut Vec<u8>,
+    shared: &Shared,
+    yields: bool,
+) -> io::Result<usize> {
+    let mut chunk = [0u8; 1024];
+    let n = read_polled(stream, &mut chunk, shared, yields)?;
+    carry.extend_from_slice(chunk.get(..n).unwrap_or(&chunk));
+    Ok(n)
+}
+
+/// Serve one connection, request after request, until a rule in the
+/// module doc says to close it. Returns the connection the worker took
+/// over from the queue, when that is why it stopped.
+fn serve_connection(stream: &TcpStream, shared: &Shared) -> Option<TcpStream> {
+    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout.min(POLL)));
+    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    // Bytes read but not yet consumed: it never holds more than one
+    // `max_request_bytes` request plus one read, whatever is served.
+    let mut carry: Vec<u8> = Vec::with_capacity(1024);
+    let mut kept = false;
+    loop {
+        // Waiting for a request to begin is not part of serving it: the
+        // trace starts once its first byte is here.
+        if carry.is_empty() && !matches!(fill(stream, &mut carry, shared, kept), Ok(1..)) {
+            return None;
+        }
+        let tracer = WallTime::tracer();
+        let root = tracer.span("request");
+        let request = {
+            let _g = tracer.span("read");
+            read_request(stream, &mut carry, shared)
+        };
+        let (close, (kind, resp)) = match request {
+            Ok(r) => (r.close, route(shared, &r, &tracer)),
+            Err(RequestError::TooLarge) => {
+                let mut o = JsonObj::new();
+                o.field_str("error", "too-large");
+                o.field_str("detail", "request exceeds the configured size limit");
+                (true, ("error", Response::json(413, o.finish())))
+            }
+            Err(RequestError::Malformed(detail)) => {
+                let mut o = JsonObj::new();
+                o.field_str("error", "malformed-request");
+                o.field_str("detail", detail);
+                (true, ("error", Response::json(400, o.finish())))
+            }
+            // Socket-level failure mid-read: nothing to answer, and no
+            // response to trace either.
+            Err(RequestError::Io) => return None,
+        };
+        let (next, written) = {
+            let _g = tracer.span("write");
+            shared.count(names::SERVE_HTTP_REQUESTS);
+            let next = shared.take_over();
+            kept = !close && next.is_none() && !shared.shutdown.load(Ordering::SeqCst);
+            (next, respond(stream, &resp, kept))
+        };
+        drop(root);
+        shared.ring.push(kind, resp.status, tracer.finish());
+        if !kept || written.is_err() {
+            if written.is_ok() {
+                close_after_answer(stream);
+            }
+            return next;
+        }
+    }
 }
 
 /// Dispatch one parsed request. Returns the trace kind (the query kind
@@ -410,13 +550,13 @@ fn route(shared: &Shared, req: &Request, tracer: &Tracer) -> (&'static str, Resp
 }
 
 fn answer_query(shared: &Shared, text: &str, tracer: &Tracer) -> (&'static str, Response) {
+    // The span runs to the end of the function: the latency bookkeeping
+    // and the body copy are what executing a query costs here too.
+    let _g = tracer.span("execute");
     // Latency derives from the request tracer's wall source — the one
     // audited clock read in `WallTime::start` covers this too.
     let started = tracer.now_s();
-    let (result, kind) = {
-        let _g = tracer.span("execute");
-        shared.engine.execute_text_traced(text.trim(), Some(tracer))
-    };
+    let (result, kind) = shared.engine.execute_text_traced(text.trim(), Some(tracer));
     let us = (tracer.now_s() - started) * 1e6;
     if let Some(hub) = &shared.hub {
         hub.observe(
@@ -502,6 +642,8 @@ struct Request {
     path: String,
     raw_query: String,
     body: String,
+    /// The client wants the connection closed after this answer.
+    close: bool,
 }
 
 impl Request {
@@ -524,27 +666,34 @@ enum RequestError {
     Io,
 }
 
-/// Read one HTTP/1.1 request (head + optional `Content-Length` body),
-/// bounded by `max_bytes`.
-fn read_request(stream: &TcpStream, max_bytes: usize) -> Result<Request, RequestError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let mut reader = stream;
+/// Take one HTTP/1.1 request (head + optional `Content-Length` body),
+/// bounded by `max_request_bytes`, off the front of `carry`, reading
+/// more from the socket as needed. Bytes past the request stay in
+/// `carry` for the next call.
+fn read_request(
+    stream: &TcpStream,
+    carry: &mut Vec<u8>,
+    shared: &Shared,
+) -> Result<Request, RequestError> {
+    let max_bytes = shared.cfg.max_request_bytes;
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(carry, searched) {
             break pos;
         }
-        if buf.len() > max_bytes {
+        if carry.len() > max_bytes {
             return Err(RequestError::TooLarge);
         }
-        let n = reader.read(&mut chunk).map_err(|_| RequestError::Io)?;
-        if n == 0 {
+        // The terminator may straddle this read and the next.
+        searched = carry.len().saturating_sub(3);
+        if fill(stream, carry, shared, false).map_err(|_| RequestError::Io)? == 0 {
             return Err(RequestError::Malformed("connection closed mid-request"));
         }
-        buf.extend_from_slice(&chunk[..n]);
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| RequestError::Malformed("request head is not UTF-8"))?;
+    let head = carry
+        .get(..head_end)
+        .and_then(|h| std::str::from_utf8(h).ok())
+        .ok_or(RequestError::Malformed("request head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines
         .next()
@@ -569,6 +718,9 @@ fn read_request(stream: &TcpStream, max_bytes: usize) -> Result<Request, Request
         None => (target.to_string(), String::new()),
     };
     let mut content_length = 0usize;
+    // HTTP/1.1 connections persist unless told otherwise; 1.0 ones
+    // close unless told otherwise.
+    let mut close = version == "HTTP/1.0";
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -576,33 +728,46 @@ fn read_request(stream: &TcpStream, max_bytes: usize) -> Result<Request, Request
                     .trim()
                     .parse()
                     .map_err(|_| RequestError::Malformed("bad Content-Length"))?;
+            } else if name.eq_ignore_ascii_case("connection") {
+                for token in value.split(',').map(str::trim) {
+                    if token.eq_ignore_ascii_case("close") {
+                        close = true;
+                    } else if token.eq_ignore_ascii_case("keep-alive") {
+                        close = false;
+                    }
+                }
             }
         }
     }
     let body_start = head_end + 4;
-    if body_start.saturating_add(content_length) > max_bytes {
+    let body_end = body_start.saturating_add(content_length);
+    if body_end > max_bytes {
         return Err(RequestError::TooLarge);
     }
-    while buf.len() < body_start + content_length {
-        let n = reader.read(&mut chunk).map_err(|_| RequestError::Io)?;
-        if n == 0 {
+    while carry.len() < body_end {
+        if fill(stream, carry, shared, false).map_err(|_| RequestError::Io)? == 0 {
             return Err(RequestError::Malformed("connection closed mid-body"));
         }
-        buf.extend_from_slice(&chunk[..n]);
     }
-    let body = std::str::from_utf8(&buf[body_start..body_start + content_length])
-        .map_err(|_| RequestError::Malformed("request body is not UTF-8"))?
+    let body = carry
+        .get(body_start..body_end)
+        .and_then(|b| std::str::from_utf8(b).ok())
+        .ok_or(RequestError::Malformed("request body is not UTF-8"))?
         .to_string();
+    carry.drain(..body_end);
     Ok(Request {
         method,
         path,
         raw_query,
         body,
+        close,
     })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Offset of the first `\r\n\r\n` at or after `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let pos = buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + pos)
 }
 
 /// Minimal percent-decoding: `%XX` and `+`-as-space, enough for query
@@ -661,8 +826,14 @@ mod tests {
 
     #[test]
     fn head_end_detection() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
-        assert_eq!(find_head_end(b"partial"), None);
+        let buf = b"GET / HTTP/1.1\r\n\r\nbody";
+        assert_eq!(find_head_end(buf, 0), Some(14));
+        // Resuming three bytes back still sees a terminator that
+        // straddled the previous read; resuming past it does not.
+        assert_eq!(find_head_end(buf, 14), Some(14));
+        assert_eq!(find_head_end(buf, 15), None);
+        assert_eq!(find_head_end(b"partial", 0), None);
+        assert_eq!(find_head_end(b"short", 9), None);
     }
 
     #[test]
@@ -672,6 +843,7 @@ mod tests {
             path: "/trace".to_string(),
             raw_query: "n=3&q=coverage+proto%3DHTTP".to_string(),
             body: String::new(),
+            close: false,
         };
         assert_eq!(req.query_param("n").as_deref(), Some("3"));
         assert_eq!(req.query_param("q").as_deref(), Some("coverage proto=HTTP"));

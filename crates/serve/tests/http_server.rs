@@ -1,14 +1,18 @@
 //! End-to-end tests of the HTTP front end over real loopback sockets:
-//! routing, error statuses, request-size limits, backpressure, and
-//! graceful shutdown semantics (in-flight requests complete while new
-//! connections are refused).
+//! routing, error statuses, request-size limits, backpressure, graceful
+//! shutdown semantics (in-flight requests complete while new
+//! connections are refused), and persistent connections (reuse,
+//! pipelining, the close rules, worker fairness, idle timeout).
+
+// The timeout tests time the server from outside; nothing here feeds an analysis.
+#![allow(clippy::disallowed_methods)]
 
 use originscan_serve::{QueryEngine, Server, ServerConfig};
 use originscan_store::{ScanSet, ScanSetStore, StoreKey, StoreReader};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_engine(tag: &str) -> Arc<QueryEngine> {
     let dir = std::env::temp_dir().join(format!("originscan-http-{tag}-{}", std::process::id()));
@@ -58,6 +62,73 @@ fn post_query(addr: SocketAddr, query: &str) -> String {
             query.len()
         ),
     )
+}
+
+/// A client that keeps its socket and frames answers by
+/// `Content-Length`, so it never depends on the server closing.
+struct KeptClient {
+    reader: BufReader<TcpStream>,
+}
+
+const HEALTHZ: &str = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+
+impl KeptClient {
+    fn connect(addr: SocketAddr) -> KeptClient {
+        let s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        KeptClient {
+            reader: BufReader::new(s),
+        }
+    }
+
+    fn send(&mut self, request: &str) {
+        self.reader
+            .get_mut()
+            .write_all(request.as_bytes())
+            .expect("send");
+    }
+
+    /// The next answer, head and body together like `roundtrip` returns
+    /// them; `None` once the server has closed the connection.
+    fn recv(&mut self) -> Option<String> {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            match self.reader.read_line(&mut head) {
+                Ok(0) | Err(_) => return None,
+                Ok(_) => {}
+            }
+        }
+        let len: usize = header_of(&head, "Content-Length")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("answer without Content-Length: {head}"));
+        let mut body = vec![0u8; len];
+        self.reader.read_exact(&mut body).expect("framed body");
+        Some(head + std::str::from_utf8(&body).expect("UTF-8 body"))
+    }
+
+    fn exchange(&mut self, request: &str) -> String {
+        self.send(request);
+        self.recv().expect("an answer on the kept connection")
+    }
+}
+
+fn post(query: &str, extra_headers: &str) -> String {
+    format!(
+        "POST /query HTTP/1.1\r\nHost: x\r\n{extra_headers}Content-Length: {}\r\n\r\n{query}",
+        query.len()
+    )
+}
+
+fn header_of<'a>(response: &'a str, name: &str) -> Option<&'a str> {
+    let head = response.split("\r\n\r\n").next().unwrap_or("");
+    head.lines().find_map(|l| {
+        let (k, v) = l.split_once(':')?;
+        k.eq_ignore_ascii_case(name).then(|| v.trim())
+    })
+}
+
+fn says_close(response: &str) -> bool {
+    header_of(response, "Connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
 }
 
 fn status_of(response: &str) -> u16 {
@@ -258,4 +329,237 @@ fn graceful_shutdown_completes_in_flight_and_refuses_new() {
         refused.is_err(),
         "new connections must be refused after shutdown"
     );
+}
+
+const COVERAGE: &str = "coverage proto=HTTP trial=0 origins=0,1";
+
+#[test]
+fn one_socket_serves_many_requests() {
+    let server = Server::start(test_engine("keep"), None, ServerConfig::default()).expect("start");
+    let addr = server.local_addr();
+    let one_shot = post_query(addr, COVERAGE);
+
+    let mut c = KeptClient::connect(addr);
+    for i in 0..24 {
+        // Application-level errors (a bad query, an unknown path) are
+        // framed answers like any other: the connection stays.
+        let (request, status) = match i % 4 {
+            0 => (post(COVERAGE, ""), 200),
+            1 => (HEALTHZ.to_string(), 200),
+            2 => (post("nonsense", ""), 400),
+            _ => ("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n".to_string(), 404),
+        };
+        let r = c.exchange(&request);
+        assert_eq!(status_of(&r), status, "request {i}: {r}");
+        assert!(!says_close(&r), "request {i} must keep the socket: {r}");
+        if i % 4 == 0 {
+            assert_eq!(body_of(&r), body_of(&one_shot), "request {i}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server =
+        Server::start(test_engine("pipeline"), None, ServerConfig::default()).expect("start");
+    let mut c = KeptClient::connect(server.local_addr());
+
+    // Two requests in one write: the second one's bytes are read along
+    // with the first and must start the next request, not be lost.
+    c.send(&(post(COVERAGE, "") + HEALTHZ));
+    let first = c.recv().expect("first answer");
+    assert!(body_of(&first).contains("\"coverage\":"), "{first}");
+    let second = c.recv().expect("second answer");
+    assert!(body_of(&second).contains("\"status\":\"ok\""), "{second}");
+
+    // A body split from its head, then a pipelined request that asks to
+    // close: answered in order, then end of stream.
+    let query = post(COVERAGE, "Connection: close\r\n");
+    let (head, tail) = query.split_at(query.len() - 5);
+    c.send(&(HEALTHZ.to_string() + head));
+    std::thread::sleep(Duration::from_millis(50));
+    c.send(tail);
+    assert!(body_of(&c.recv().expect("third")).contains("\"status\":\"ok\""));
+    let last = c.recv().expect("fourth");
+    assert!(body_of(&last).contains("\"coverage\":"), "{last}");
+    assert!(says_close(&last), "{last}");
+    assert!(c.recv().is_none(), "closed after the answer that said so");
+    server.shutdown();
+}
+
+#[test]
+fn close_rules() {
+    let cfg = ServerConfig {
+        max_request_bytes: 512,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_engine("close-rules"), None, cfg).expect("start");
+    let addr = server.local_addr();
+    let too_large = post(&"x".repeat(4096), "");
+
+    for (request, status, closes) in [
+        // The client's wish, either way round.
+        (post(COVERAGE, "Connection: close\r\n"), 200, true),
+        (
+            post(COVERAGE, "Connection: Keep-Alive, Close\r\n"),
+            200,
+            true,
+        ),
+        ("GET /healthz HTTP/1.0\r\n\r\n".to_string(), 200, true),
+        (
+            "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_string(),
+            200,
+            false,
+        ),
+        // A request that could not be framed always closes.
+        ("NOT-HTTP\r\n\r\n".to_string(), 400, true),
+        (too_large, 413, true),
+        // A query the engine rejects was framed fine.
+        (post("nonsense", ""), 400, false),
+    ] {
+        // Each on a connection that has already served one request, so
+        // the rule is what closes it, not a first-request special case.
+        let mut c = KeptClient::connect(addr);
+        assert_eq!(status_of(&c.exchange(HEALTHZ)), 200);
+        let r = c.exchange(&request);
+        assert_eq!(status_of(&r), status, "{request}: {r}");
+        assert_eq!(says_close(&r), closes, "{request}: {r}");
+        if closes {
+            assert!(c.recv().is_none(), "{request}: must be closed");
+        } else {
+            assert_eq!(status_of(&c.exchange(HEALTHZ)), 200, "{request}: kept");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_kept_connection_cannot_starve_a_queued_one() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let read_timeout = cfg.read_timeout;
+    let server = Server::start(test_engine("fair"), None, cfg).expect("start");
+    let addr = server.local_addr();
+    let started = Instant::now();
+
+    // The first client owns the only worker and is mid-request (so the
+    // worker is reading, not idling) when the second connects.
+    let mut first = KeptClient::connect(addr);
+    assert!(!says_close(&first.exchange(HEALTHZ)));
+    let (head, tail) = HEALTHZ.split_at(HEALTHZ.len() - 2);
+    first.send(head);
+    std::thread::sleep(Duration::from_millis(100));
+    let mut second = KeptClient::connect(addr);
+    second.send(HEALTHZ);
+    std::thread::sleep(Duration::from_millis(100));
+
+    // The first client's answer hands the worker over ...
+    first.send(tail);
+    let r = first.recv().expect("first client's answer");
+    assert_eq!(status_of(&r), 200, "{r}");
+    assert!(says_close(&r), "a waiting connection ends the keep: {r}");
+    assert!(first.recv().is_none());
+    // (The old socket stays open on this side: the server's wait for the
+    // client to finish closing must not hold the worker either.)
+    // ... the second is served and now holds the worker, idle ...
+    let r = second.recv().expect("second client's answer");
+    assert_eq!(status_of(&r), 200, "{r}");
+    assert!(!says_close(&r), "nobody is waiting any more: {r}");
+
+    // ... and gives it up without sending anything when the first
+    // client comes back.
+    let mut first = KeptClient::connect(addr);
+    assert_eq!(status_of(&first.exchange(HEALTHZ)), 200);
+    assert!(
+        started.elapsed() < read_timeout / 2,
+        "nobody may wait out read_timeout: {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_kept_connection_is_closed_after_read_timeout() {
+    let cfg = ServerConfig {
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_engine("idle"), None, cfg).expect("start");
+    let mut c = KeptClient::connect(server.local_addr());
+    assert!(!says_close(&c.exchange(HEALTHZ)));
+    let idle_since = Instant::now();
+    assert!(c.recv().is_none(), "the server closes, it does not answer");
+    let waited = idle_since.elapsed();
+    assert!(
+        waited >= Duration::from_millis(250) && waited < Duration::from_secs(3),
+        "closed after {waited:?}, read_timeout is 300 ms"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_idle_kept_connections() {
+    let cfg = ServerConfig::default();
+    let read_timeout = cfg.read_timeout;
+    let server = Server::start(test_engine("idle-shutdown"), None, cfg).expect("start");
+    let mut c = KeptClient::connect(server.local_addr());
+    assert!(!says_close(&c.exchange(HEALTHZ)));
+
+    let t = Instant::now();
+    server.shutdown();
+    assert!(
+        t.elapsed() < read_timeout / 4,
+        "shutdown took {:?} with an idle kept connection open",
+        t.elapsed()
+    );
+    assert!(c.recv().is_none());
+}
+
+#[test]
+fn every_request_of_a_connection_gets_its_own_trace() {
+    let server =
+        Server::start(test_engine("traces"), None, ServerConfig::default()).expect("start");
+    let addr = server.local_addr();
+    let pause = Duration::from_millis(200);
+    let k = 4;
+
+    let mut c = KeptClient::connect(addr);
+    for _ in 0..k {
+        std::thread::sleep(pause);
+        assert_eq!(status_of(&c.exchange(HEALTHZ)), 200);
+    }
+    // Its own trace is pushed after the answer is written; this GET
+    // goes over the same connection, hence after all of them.
+    let r = c.exchange("GET /trace?n=100 HTTP/1.1\r\nHost: x\r\n\r\n");
+    let traces: Vec<&str> = body_of(&r)
+        .split("{\"trace\":")
+        .filter(|t| t.contains("\"kind\":\"healthz\""))
+        .collect();
+    assert_eq!(traces.len(), k, "{r}");
+
+    // Seconds between `"start":` and `"end":` of the span called `name`.
+    let span_s = |trace: &str, name: &str| -> f64 {
+        let tail = trace
+            .split_once(&format!("\"name\":\"{name}\",\"start\":"))
+            .unwrap_or_else(|| panic!("no {name} span in {trace}"))
+            .1;
+        let (start, tail) = tail.split_once(",\"end\":").expect("end");
+        let end = tail.split_once('}').expect("span object").0;
+        end.parse::<f64>().expect("end") - start.parse::<f64>().expect("start")
+    };
+    for t in traces {
+        // The time the connection idled before each request is in no
+        // span: a trace begins when its request's first byte is here.
+        for name in ["request", "read", "write"] {
+            let s = span_s(t, name);
+            assert!(
+                (0.0..pause.as_secs_f64() / 2.0).contains(&s),
+                "{name} span of {s} s: {t}"
+            );
+        }
+    }
+    server.shutdown();
 }
