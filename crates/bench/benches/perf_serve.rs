@@ -8,7 +8,7 @@
 //! experiment time. Two phases over an identical query mix:
 //!
 //! * **cold** — fresh engine, every query a plan miss: bitmaps load
-//!   from disk and set kernels run.
+//!   from disk, one signature pass runs, the rest are table sums.
 //! * **warm** — same queries again: plan-memo hits, no store or kernel
 //!   work, so the remaining cost is parsing + HTTP.
 //!
@@ -371,7 +371,7 @@ fn main() {
     .expect("start server");
     let addr = server.local_addr();
 
-    // Cold best-k: plan miss, six bitmap loads, 20 subset unions.
+    // Cold best-k: plan miss, six bitmap loads, one signature pass.
     let cold_bestk_s = best_k_pass(addr);
     // Warm best-k: plan-memo hit.
     let warm_bestk_s = best_k_pass(addr);
@@ -425,7 +425,7 @@ fn main() {
     );
 
     // The caches must buy real factors, not noise. The best-k plan goes
-    // from bitmap loads + 20 subset unions to one memo lookup; 5x is a
+    // from bitmap loads + a signature pass to one memo lookup; 5x is a
     // loose floor (typical is orders of magnitude).
     assert!(
         bestk_speedup >= 5.0,

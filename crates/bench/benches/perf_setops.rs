@@ -17,12 +17,17 @@
 
 use originscan_bench::record::{BenchRecord, Dir};
 use originscan_bench::{header, paper_says, timed};
+use originscan_core::multiorigin::best_k_of;
+use originscan_stats::combos::k_subsets;
 use originscan_store::ScanSet;
 use originscan_telemetry::progress::{emit_progress, FieldValue};
 use std::collections::BTreeSet;
 
 /// Full simulated address space: 2²⁴.
 const SPACE: u32 = 1 << 24;
+
+/// Origins in the signature-table row: the paper's roster size.
+const SIGNATURE_ORIGINS: u64 = 7;
 
 /// Per-origin L7-success density, matching the world model's ~5% hitrate.
 const DENSITY: f64 = 0.05;
@@ -177,6 +182,58 @@ fn main() {
     let (tk, kv) = time(|| probe.iter().filter(|&&x| a.contains(x)).count() as u64);
     let member_speedup = row("1M membership probes", tn, tk, nv, kv);
 
+    // One (proto, trial) of analyst questions — best-k k=3, each
+    // origin's coverage, all pairwise diffs — from per-question kernels
+    // (one bitmap walk per number, the engine before the signature
+    // table) vs one `signature_counts` pass and sums over its rows. Both
+    // sides fold every answer into one checksum, asserted equal.
+    let seven: Vec<ScanSet> = timed("build 7 origin bitmaps", || {
+        (0..SIGNATURE_ORIGINS)
+            .map(|o| ScanSet::from_sorted(&origin_set(o)))
+            .collect()
+    });
+    let refs: Vec<&ScanSet> = seven.iter().collect();
+    let n = refs.len();
+    let (tn, nv) = time(|| {
+        let mut best = (Vec::new(), 0u64);
+        for combo in k_subsets(n, 3) {
+            let members: Vec<&ScanSet> = combo.iter().map(|&i| refs[i]).collect();
+            let covered = ScanSet::union_cardinality_many(&members);
+            if covered > best.1 {
+                best = (combo, covered);
+            }
+        }
+        let mut sum = best.0.iter().sum::<usize>() as u64 + best.1;
+        for s in &refs {
+            sum += ScanSet::union_cardinality_many(&[s]) + ScanSet::union_cardinality_many(&refs);
+        }
+        for (i, x) in refs.iter().enumerate() {
+            for y in &refs[i + 1..] {
+                sum += x.andnot_cardinality(y) + 2 * y.andnot_cardinality(x);
+                sum += 3 * x.intersection_cardinality(y);
+            }
+        }
+        sum
+    });
+    let (tk, kv) = time(|| {
+        let table = ScanSet::signature_counts(&refs).expect("7 sets fit a mask");
+        let (combo, covered) = best_k_of(&table, n, 3).expect("3 of 7");
+        let mut sum = combo.iter().sum::<usize>() as u64 + covered;
+        for i in 0..n {
+            sum += table.sum(|m| m >> i & 1 == 1) + table.sum(|_| true);
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                let (x, y) = (1u64 << i, 1u64 << j);
+                sum += table.sum(|m| m & x != 0 && m & y == 0);
+                sum += 2 * table.sum(|m| m & y != 0 && m & x == 0);
+                sum += 3 * table.sum(|m| m & x != 0 && m & y != 0);
+            }
+        }
+        sum
+    });
+    let signature_speedup = row("7-origin question set", tn, tk, nv, kv);
+
     // Speedup ratios divide out most machine variance, so they gate
     // tighter than raw wall-clock numbers; the compressed size is fully
     // deterministic and gates at 1%.
@@ -184,6 +241,7 @@ fn main() {
     rec.param("space", SPACE);
     rec.param("density", DENSITY);
     rec.param("origins", 3);
+    rec.param("signature_origins", SIGNATURE_ORIGINS);
     rec.metric("union3_speedup", union_speedup, Dir::Higher, Some(0.7));
     rec.metric(
         "intersect3_speedup",
@@ -200,6 +258,12 @@ fn main() {
         Some(0.7),
     );
     rec.metric("member_speedup", member_speedup, Dir::Higher, Some(0.7));
+    rec.metric(
+        "signature7_speedup",
+        signature_speedup,
+        Dir::Higher,
+        Some(0.7),
+    );
     rec.metric("compressed_bytes", bytes as f64, Dir::Lower, Some(0.01));
     let rec_path = rec.write().expect("write BENCH_setops.json");
     println!("record: {}", rec_path.display());

@@ -11,7 +11,7 @@ use crate::results::ExperimentResults;
 use originscan_netmodel::{OriginId, Protocol};
 use originscan_stats::combos::k_subsets;
 use originscan_stats::descriptive::FiveNumber;
-use originscan_store::ScanSet;
+use originscan_store::{ScanSet, SignatureCounts};
 
 /// Probe policy for coverage computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,26 +137,33 @@ pub fn named_combo_coverage(
 
 /// The k-subset of `sets` with the largest union cardinality — the §7
 /// "which k origins buy the most coverage" question asked of bitmaps
-/// directly, so callers that hold materialized scan sets (the serve
-/// query engine) need no [`TrialMatrix`].
+/// directly, so callers that hold materialized scan sets need no
+/// [`TrialMatrix`]. One [`ScanSet::signature_counts`] pass over the
+/// sets, then [`best_k_of`] the table.
+///
+/// `None` when `k` is zero, exceeds `sets.len()`, or there are more
+/// than 64 sets.
+pub fn best_k_union(sets: &[&ScanSet], k: usize) -> Option<(Vec<usize>, u64)> {
+    best_k_of(&ScanSet::signature_counts(sets)?, sets.len(), k)
+}
+
+/// [`best_k_union`] over the signature table of `n` sets (the serve
+/// engine caches the table per `(proto, trial)`): every k-subset's union
+/// is a sum over the table's rows, no bitmap is walked.
 ///
 /// Returns the winning member indices (ascending) and the union
-/// cardinality, or `None` when `k` is zero or exceeds `sets.len()`.
-/// Ties break toward the lexicographically smallest index subset, which
-/// `k_subsets` emits first — so the answer is deterministic.
-pub fn best_k_union(sets: &[&ScanSet], k: usize) -> Option<(Vec<usize>, u64)> {
-    if k == 0 || k > sets.len() {
+/// cardinality. Ties break toward the lexicographically smallest index
+/// subset, which `k_subsets` emits first — so the answer is
+/// deterministic.
+pub fn best_k_of(table: &SignatureCounts, n: usize, k: usize) -> Option<(Vec<usize>, u64)> {
+    if k == 0 || k > n || n > 64 {
         return None;
     }
     let mut best: Option<(Vec<usize>, u64)> = None;
-    for combo in k_subsets(sets.len(), k) {
-        let members: Vec<&ScanSet> = combo.iter().map(|&i| sets[i]).collect();
-        let covered = ScanSet::union_cardinality_many(&members);
-        let better = match &best {
-            Some((_, c)) => covered > *c,
-            None => true,
-        };
-        if better {
+    for combo in k_subsets(n, k) {
+        let members = combo.iter().fold(0u64, |m, &i| m | 1u64 << i);
+        let covered = table.sum(|m| m & members != 0);
+        if best.as_ref().is_none_or(|(_, c)| covered > *c) {
             best = Some((combo, covered));
         }
     }

@@ -8,7 +8,7 @@ use std::path::Path;
 /// The baseline entry count as of the last burn-down. Lower it as
 /// entries are retired; never raise it without burning something else
 /// down first (new findings belong in code fixes, not the baseline).
-const BASELINE_CEILING: usize = 122;
+const BASELINE_CEILING: usize = 115;
 
 fn baseline_entries() -> Vec<String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))

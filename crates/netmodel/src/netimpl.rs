@@ -161,14 +161,14 @@ enum HostState {
 impl Network for SimNet<'_> {
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         let o = self.origin(ctx.origin);
-        match self.host_state(o, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s) {
+        let state = self.host_state(o, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
+        match state {
             HostState::Absent | HostState::SilentlyFiltered | HostState::TransientlyDown => {
                 SynReply::Silent
             }
             HostState::ClosedPort => SynReply::Rst(TcpHeader::rst_reply(probe)),
             HostState::L7Filtered | HostState::Reachable { .. } => {
-                let drop_p = match self.host_state(o, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s)
-                {
+                let drop_p = match state {
                     HostState::Reachable { drop_p, .. } => drop_p,
                     _ => 0.0,
                 };

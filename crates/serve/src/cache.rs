@@ -1,9 +1,11 @@
 //! A sharded, deterministic LRU cache.
 //!
-//! The engine keeps two of these: materialized bitmaps (store key →
-//! [`originscan_store::ScanSet`]) and memoized responses (canonical plan
-//! → JSON body). Both are keyed by strings and sharded by FNV-1a hash so
-//! concurrent workers contend on `shards` locks instead of one.
+//! The engine keeps three of these: materialized bitmaps (store key →
+//! [`originscan_store::ScanSet`]), membership-signature tables
+//! (`proto/trial` → [`originscan_store::SignatureCounts`]) and memoized
+//! responses (canonical plan → JSON body). All are keyed by strings and
+//! sharded by FNV-1a hash so concurrent workers contend on `shards`
+//! locks instead of one.
 //!
 //! Recency is a per-shard logical tick — a counter bumped on every
 //! access — not a wall clock, so eviction order is a pure function of

@@ -1,16 +1,21 @@
 //! The query engine: typed queries executed lazily against one or more
-//! scan-set stores, behind two sharded LRU caches.
+//! scan-set stores, behind three sharded LRU caches.
 //!
 //! A [`QueryEngine`] owns a pool of [`StoreReader`]s (one per store
-//! file) and a key → reader index. Point lookups (`rank`, `member`)
-//! stay chunk-granular — they go through [`originscan_store::LazyScanSet`]
-//! accessors and
-//! decode at most one chunk — while set-operation queries materialize
-//! whole bitmaps into the `sets` cache as [`Arc<ScanSet>`], so repeated
-//! unions over the same origins pay the store read once. On top of
-//! that, every finished response body is memoized in the `plans` cache
-//! under the query's canonical form, so an identical query (however it
-//! was spelled) is answered without touching a single bitmap.
+//! file, shared without a lock) and a key → reader index. Point lookups
+//! (`rank`, `member`) stay chunk-granular — they go through
+//! [`originscan_store::LazyScanSet`] accessors and decode at most one
+//! chunk. Every multi-origin count (`coverage`, `union`, `diff`,
+//! `exclusive`, `best-k`) is a function of which origins saw each host,
+//! so the first such query on a `(proto, trial)` loads all of its
+//! origins into the `sets` cache, runs one
+//! [`ScanSet::signature_counts`] pass over them and keeps the table in
+//! `signatures`; every later one is a sum over that table's rows.
+//! `recall` needs addresses, not counts, and unions the materialized
+//! sets. On top of that, every finished response body is memoized in
+//! the `plans` cache under the query's canonical form, so an identical
+//! query (however it was spelled) is answered without touching a single
+//! bitmap.
 //!
 //! Responses are deterministic by construction: a pure function of the
 //! store contents and the canonical query, byte-identical across
@@ -19,16 +24,16 @@
 use crate::cache::{CacheStats, ShardedLru};
 use crate::error::QueryError;
 use crate::query::Query;
-use originscan_core::multiorigin::best_k_union;
+use originscan_core::multiorigin::best_k_of;
 use originscan_plan::TargetPlan;
-use originscan_store::{ScanSet, StoreError, StoreKey, StoreReader};
+use originscan_store::{ScanSet, SignatureCounts, StoreKey, StoreReader};
 use originscan_telemetry::json::JsonObj;
 use originscan_telemetry::metrics::{names, SERVE_LATENCY_BOUNDS};
 use originscan_telemetry::{Scope, Telemetry, Tracer};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// How many shards and entries each engine cache gets. Sixteen shards
 /// comfortably cover the server's worker pool; 64 entries per shard
@@ -47,7 +52,7 @@ pub struct EngineStats {
     pub plans: CacheStats,
     /// Materialized-bitmap cache counters.
     pub sets: CacheStats,
-    /// Bitmap kernel invocations (unions, diffs, best-k, point lookups).
+    /// Bitmap kernel invocations (signature passes, unions, point lookups).
     pub kernel_ops: u64,
     /// Compressed-payload machine words charged to those kernels (the
     /// [`ScanSet::word_count`] cost model — deterministic work units,
@@ -59,7 +64,7 @@ pub struct EngineStats {
 /// clones to every worker thread.
 #[derive(Debug)]
 pub struct QueryEngine {
-    readers: Vec<Mutex<StoreReader>>,
+    readers: Vec<StoreReader>,
     /// Which reader holds each stored key. Later stores shadow earlier
     /// ones on key collision, deterministically (open order decides).
     index: BTreeMap<StoreKey, usize>,
@@ -68,6 +73,9 @@ pub struct QueryEngine {
     /// responses can never go stale.
     target_plans: BTreeMap<String, Arc<TargetPlan>>,
     sets: ShardedLru<Arc<ScanSet>>,
+    /// Membership-signature table per `proto/trialN`: bit `i` of a mask
+    /// is the `i`-th origin stored for it, ascending.
+    signatures: ShardedLru<Arc<SignatureCounts>>,
     plans: ShardedLru<Arc<str>>,
     queries: AtomicU64,
     errors: AtomicU64,
@@ -94,10 +102,11 @@ impl QueryEngine {
             }
         }
         QueryEngine {
-            readers: readers.into_iter().map(Mutex::new).collect(),
+            readers,
             index,
             target_plans: BTreeMap::new(),
             sets: ShardedLru::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
+            signatures: ShardedLru::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             plans: ShardedLru::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -241,9 +250,10 @@ impl QueryEngine {
         o
     }
 
-    /// Drop every cached bitmap and memoized response.
+    /// Drop every cached bitmap, signature table and memoized response.
     pub fn clear_caches(&self) {
         self.sets.clear();
+        self.signatures.clear();
         self.plans.clear();
     }
 
@@ -263,34 +273,24 @@ impl QueryEngine {
     // Query evaluation
     // -----------------------------------------------------------------
 
-    fn lock_reader(&self, idx: usize) -> Result<MutexGuard<'_, StoreReader>, QueryError> {
-        let m = self.readers.get(idx).ok_or(QueryError::Store(
-            // Unreachable by construction (index values come from
-            // enumerate over `readers`), but typed instead of panicking.
-            StoreError::Corrupt {
-                section: "engine index",
-                detail: "reader index out of range",
-            },
-        ))?;
-        match m.lock() {
-            Ok(g) => Ok(g),
-            // A worker that panicked mid-read cannot have corrupted the
-            // reader (its caches only ever gain verified chunks).
-            Err(poisoned) => Ok(poisoned.into_inner()),
-        }
-    }
-
-    fn reader_for(&self, key: &StoreKey) -> Result<usize, QueryError> {
+    fn reader_for(&self, key: &StoreKey) -> Result<&StoreReader, QueryError> {
         self.index
             .get(key)
-            .copied()
+            .and_then(|&idx| self.readers.get(idx))
             .ok_or_else(|| QueryError::KeyNotFound {
                 key: key.to_string(),
             })
     }
 
-    /// All origins stored for `(proto, trial)`, ascending.
-    fn origins_for(&self, proto: &str, trial: u8) -> Result<Vec<u16>, QueryError> {
+    /// All origins stored for `(proto, trial)`, ascending: bit `i` of a
+    /// signature mask is `origins[i]`.
+    fn origins_for(
+        &self,
+        proto: &str,
+        trial: u8,
+        tracer: Option<&Tracer>,
+    ) -> Result<Vec<u16>, QueryError> {
+        let _g = tracer.map(|t| t.span("resolve"));
         let lo = StoreKey::new(proto, trial, 0);
         let hi = StoreKey::new(proto, trial, u16::MAX);
         let origins: Vec<u16> = self.index.range(lo..=hi).map(|(k, _)| k.origin).collect();
@@ -303,19 +303,67 @@ impl QueryEngine {
         Ok(origins)
     }
 
+    /// The signature mask of `origins` among `all` stored ones. The
+    /// first origin not stored answers `key-not-found`, before any table
+    /// is built.
+    fn mask_of(proto: &str, trial: u8, all: &[u16], origins: &[u16]) -> Result<u64, QueryError> {
+        origins.iter().try_fold(0u64, |mask, &o| {
+            let i = all.binary_search(&o).map_err(|_| QueryError::KeyNotFound {
+                key: StoreKey::new(proto, trial, o).to_string(),
+            })?;
+            let bit = u32::try_from(i).ok().and_then(|i| 1u64.checked_shl(i));
+            bit.map(|b| mask | b)
+                .ok_or_else(|| Self::too_many(proto, trial, all))
+        })
+    }
+
+    fn too_many(proto: &str, trial: u8, all: &[u16]) -> QueryError {
+        QueryError::TooManyOrigins {
+            proto: proto.to_string(),
+            trial,
+            stored: all.len(),
+        }
+    }
+
+    /// The signature table over `all` origins of `(proto, trial)`,
+    /// through the `signatures` cache: one pass over all of its bitmaps
+    /// on first touch. Workers racing on a cold key each build the same
+    /// table.
+    fn signature_for(
+        &self,
+        proto: &str,
+        trial: u8,
+        all: &[u16],
+        tracer: Option<&Tracer>,
+    ) -> Result<Arc<SignatureCounts>, QueryError> {
+        let cache_key = format!("{proto}/trial{trial}");
+        if let Some(table) = self.signatures.get(&cache_key) {
+            return Ok(table);
+        }
+        let sets = self.sets_for(proto, trial, all, tracer)?;
+        let refs: Vec<&ScanSet> = sets.iter().map(Arc::as_ref).collect();
+        let table = self
+            .kernel(tracer, "kernel.union", Self::words(&refs), || {
+                ScanSet::signature_counts(&refs)
+            })
+            .ok_or_else(|| Self::too_many(proto, trial, all))?;
+        let table = Arc::new(table);
+        self.signatures.insert(cache_key, Arc::clone(&table));
+        Ok(table)
+    }
+
     /// The materialized bitmap for one key, through the `sets` cache.
     fn set_for(&self, key: &StoreKey, tracer: Option<&Tracer>) -> Result<Arc<ScanSet>, QueryError> {
         let cache_key = key.to_string();
         if let Some(set) = self.sets.get(&cache_key) {
             return Ok(set);
         }
-        let idx = {
+        let reader = {
             let _g = tracer.map(|t| t.span("resolve"));
             self.reader_for(key)?
         };
         let set = {
             let _g = tracer.map(|t| t.span("load"));
-            let reader = self.lock_reader(idx)?;
             reader.load(key).map_err(QueryError::from)?
         };
         let set = Arc::new(set);
@@ -365,20 +413,11 @@ impl QueryEngine {
                 trial,
                 origins,
             } => {
-                let all = {
-                    let _g = tracer.map(|t| t.span("resolve"));
-                    self.origins_for(proto, *trial)?
-                };
-                let selected = self.sets_for(proto, *trial, origins, tracer)?;
-                let universe = self.sets_for(proto, *trial, &all, tracer)?;
-                let sel_refs: Vec<&ScanSet> = selected.iter().map(Arc::as_ref).collect();
-                let uni_refs: Vec<&ScanSet> = universe.iter().map(Arc::as_ref).collect();
-                let covered = self.kernel(tracer, "kernel.union", Self::words(&sel_refs), || {
-                    ScanSet::union_cardinality_many(&sel_refs)
-                });
-                let total = self.kernel(tracer, "kernel.union", Self::words(&uni_refs), || {
-                    ScanSet::union_cardinality_many(&uni_refs)
-                });
+                let all = self.origins_for(proto, *trial, tracer)?;
+                let selected = Self::mask_of(proto, *trial, &all, origins)?;
+                let table = self.signature_for(proto, *trial, &all, tracer)?;
+                let covered = table.sum(|m| m & selected != 0);
+                let total = table.sum(|_| true);
                 o.field_str("proto", proto);
                 o.field_u64("trial", u64::from(*trial));
                 o.field_u64_array(
@@ -387,104 +426,66 @@ impl QueryEngine {
                 );
                 o.field_u64("covered", covered);
                 o.field_u64("universe", total);
-                let frac = if total == 0 {
-                    1.0
-                } else {
-                    covered as f64 / total as f64
-                };
-                o.field_f64("coverage", frac);
+                o.field_f64("coverage", fraction(covered, total));
             }
             Query::Union {
                 proto,
                 trial,
                 origins,
             } => {
-                let sets = self.sets_for(proto, *trial, origins, tracer)?;
-                let refs: Vec<&ScanSet> = sets.iter().map(Arc::as_ref).collect();
+                // Nothing stored is `key-not-found` for `union` and
+                // `diff`, not `no-origins`: an empty roster misses the
+                // first origin asked for.
+                let all = self.origins_for(proto, *trial, tracer).unwrap_or_default();
+                let selected = Self::mask_of(proto, *trial, &all, origins)?;
+                let table = self.signature_for(proto, *trial, &all, tracer)?;
                 o.field_str("proto", proto);
                 o.field_u64("trial", u64::from(*trial));
                 o.field_u64_array(
                     "origins",
                     &origins.iter().map(|&x| u64::from(x)).collect::<Vec<_>>(),
                 );
-                let count = self.kernel(tracer, "kernel.union", Self::words(&refs), || {
-                    ScanSet::union_cardinality_many(&refs)
-                });
-                o.field_u64("count", count);
+                o.field_u64("count", table.sum(|m| m & selected != 0));
             }
             Query::Diff { proto, trial, a, b } => {
-                let sa = self.set_for(&StoreKey::new(proto, *trial, *a), tracer)?;
-                let sb = self.set_for(&StoreKey::new(proto, *trial, *b), tracer)?;
+                let all = self.origins_for(proto, *trial, tracer).unwrap_or_default();
+                let in_a = Self::mask_of(proto, *trial, &all, &[*a])?;
+                let in_b = Self::mask_of(proto, *trial, &all, &[*b])?;
+                let table = self.signature_for(proto, *trial, &all, tracer)?;
                 o.field_str("proto", proto);
                 o.field_u64("trial", u64::from(*trial));
                 o.field_u64("a", u64::from(*a));
                 o.field_u64("b", u64::from(*b));
-                let pair_words = sa.word_count() + sb.word_count();
-                let only_a = self.kernel(tracer, "kernel.diff", pair_words, || {
-                    sa.andnot_cardinality(&sb)
-                });
-                let only_b = self.kernel(tracer, "kernel.diff", pair_words, || {
-                    sb.andnot_cardinality(&sa)
-                });
-                let common = self.kernel(tracer, "kernel.intersect", pair_words, || {
-                    sa.intersection_cardinality(&sb)
-                });
-                o.field_u64("only_a", only_a);
-                o.field_u64("only_b", only_b);
-                o.field_u64("common", common);
+                o.field_u64("only_a", table.sum(|m| m & in_a != 0 && m & in_b == 0));
+                o.field_u64("only_b", table.sum(|m| m & in_b != 0 && m & in_a == 0));
+                o.field_u64("common", table.sum(|m| m & in_a != 0 && m & in_b != 0));
             }
             Query::Exclusive {
                 proto,
                 trial,
                 origin,
             } => {
-                let all = {
-                    let _g = tracer.map(|t| t.span("resolve"));
-                    self.origins_for(proto, *trial)?
-                };
-                let own = self.set_for(&StoreKey::new(proto, *trial, *origin), tracer)?;
-                let others: Vec<u16> = all.iter().copied().filter(|&x| x != *origin).collect();
-                let other_sets = self.sets_for(proto, *trial, &others, tracer)?;
-                let refs: Vec<&ScanSet> = other_sets.iter().map(Arc::as_ref).collect();
-                let rest = self.kernel(tracer, "kernel.union", Self::words(&refs), || {
-                    ScanSet::union_many(&refs)
-                });
+                let all = self.origins_for(proto, *trial, tracer)?;
+                let own = Self::mask_of(proto, *trial, &all, &[*origin])?;
+                let table = self.signature_for(proto, *trial, &all, tracer)?;
                 o.field_str("proto", proto);
                 o.field_u64("trial", u64::from(*trial));
                 o.field_u64("origin", u64::from(*origin));
-                let excl = self.kernel(
-                    tracer,
-                    "kernel.diff",
-                    own.word_count() + rest.word_count(),
-                    || own.andnot_cardinality(&rest),
-                );
-                o.field_u64("exclusive", excl);
-                o.field_u64("total", own.cardinality());
+                o.field_u64("exclusive", table.sum(|m| m == own));
+                o.field_u64("total", table.sum(|m| m & own != 0));
             }
             Query::BestK { proto, trial, k } => {
-                let all = {
-                    let _g = tracer.map(|t| t.span("resolve"));
-                    self.origins_for(proto, *trial)?
+                let all = self.origins_for(proto, *trial, tracer)?;
+                let bad_k = || QueryError::BadK {
+                    k: *k,
+                    available: all.len(),
                 };
                 if *k > all.len() {
-                    return Err(QueryError::BadK {
-                        k: *k,
-                        available: all.len(),
-                    });
+                    return Err(bad_k());
                 }
-                let sets = self.sets_for(proto, *trial, &all, tracer)?;
-                let refs: Vec<&ScanSet> = sets.iter().map(Arc::as_ref).collect();
-                let (combo, covered) = self
-                    .kernel(tracer, "kernel.bestk", Self::words(&refs), || {
-                        best_k_union(&refs, *k)
-                    })
-                    .ok_or(QueryError::BadK {
-                        k: *k,
-                        available: all.len(),
-                    })?;
-                let total = self.kernel(tracer, "kernel.union", Self::words(&refs), || {
-                    ScanSet::union_cardinality_many(&refs)
-                });
+                let table = self.signature_for(proto, *trial, &all, tracer)?;
+                let (combo, covered) = best_k_of(&table, all.len(), *k).ok_or_else(bad_k)?;
+                let total = table.sum(|_| true);
                 let best: Vec<u64> = combo
                     .iter()
                     .filter_map(|&i| all.get(i).map(|&x| u64::from(x)))
@@ -495,12 +496,7 @@ impl QueryEngine {
                 o.field_u64_array("best", &best);
                 o.field_u64("covered", covered);
                 o.field_u64("universe", total);
-                let frac = if total == 0 {
-                    1.0
-                } else {
-                    covered as f64 / total as f64
-                };
-                o.field_f64("coverage", frac);
+                o.field_f64("coverage", fraction(covered, total));
             }
             Query::Rank {
                 proto,
@@ -509,11 +505,10 @@ impl QueryEngine {
                 addr,
             } => {
                 let key = StoreKey::new(proto, *trial, *origin);
-                let idx = {
+                let reader = {
                     let _g = tracer.map(|t| t.span("resolve"));
                     self.reader_for(&key)?
                 };
-                let reader = self.lock_reader(idx)?;
                 let lazy = {
                     let _g = tracer.map(|t| t.span("load"));
                     reader.lazy(&key).map_err(QueryError::from)?
@@ -535,11 +530,10 @@ impl QueryEngine {
                 addr,
             } => {
                 let key = StoreKey::new(proto, *trial, *origin);
-                let idx = {
+                let reader = {
                     let _g = tracer.map(|t| t.span("resolve"));
                     self.reader_for(&key)?
                 };
-                let reader = self.lock_reader(idx)?;
                 let lazy = {
                     let _g = tracer.map(|t| t.span("load"));
                     reader.lazy(&key).map_err(QueryError::from)?
@@ -584,17 +578,21 @@ impl QueryEngine {
                 o.field_u64("planned_s24s", target.planned_s24s() as u64);
                 o.field_u64("covered", covered);
                 o.field_u64("universe", universe);
-                let frac = if universe == 0 {
-                    1.0
-                } else {
-                    covered as f64 / universe as f64
-                };
-                o.field_f64("recall", frac);
+                o.field_f64("recall", fraction(covered, universe));
             }
         }
         let hash = crate::query::fnv1a64(canonical.as_bytes());
         o.field_str("plan", &format!("{hash:016x}"));
         Ok(o.finish())
+    }
+}
+
+/// `part / whole`, with nothing to cover counting as fully covered.
+fn fraction(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        1.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -794,6 +792,224 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), "unknown-plan");
         assert_eq!(err.http_status(), 404);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Seven correlated origins per `(proto, trial)`: a shared host list
+    /// (sparse chunks, a dense chunk, a run) minus per-origin misses.
+    fn roster_store(dir: &Path) -> StoreReader {
+        let mut entries = Vec::new();
+        for (proto, trial) in [("HTTP", 0u8), ("HTTP", 1), ("SSH", 0)] {
+            let salt = u32::from(trial) + proto.len() as u32;
+            let hosts = (0..6000u32)
+                .map(|v| v * 37 + salt)
+                .chain((3 << 16)..(3 << 16) + 9000)
+                .chain((0..5000).map(|v| (5 << 16) + v * 2));
+            for origin in 0..7u16 {
+                let seen = |a: &u32| (a / 3 + u32::from(origin) * 5 + salt) % 17 < 16;
+                let mut addrs: Vec<u32> = hosts.clone().filter(seen).collect();
+                // A chunk only this origin holds.
+                addrs.push((20 + u32::from(origin)) << 16);
+                entries.push((proto, trial, origin, addrs));
+            }
+        }
+        build_store(dir, "roster.oscs", &entries)
+    }
+
+    /// The answer the engine gave before the signature table: one bitmap
+    /// kernel per number, over sets loaded straight from the reader.
+    fn kernel_body(reader: &StoreReader, q: &Query) -> String {
+        let load = |proto: &str, trial: u8, origins: &[u16]| -> Vec<ScanSet> {
+            origins
+                .iter()
+                .map(|&o| reader.load(&StoreKey::new(proto, trial, o)).unwrap())
+                .collect()
+        };
+        let all_of = |proto: &str, trial: u8| -> Vec<u16> {
+            reader
+                .keys()
+                .filter(|k| k.protocol == proto && k.trial == trial)
+                .map(|k| k.origin)
+                .collect()
+        };
+        let union =
+            |sets: &[ScanSet]| ScanSet::union_cardinality_many(&sets.iter().collect::<Vec<_>>());
+        let ids = |origins: &[u16]| origins.iter().map(|&x| u64::from(x)).collect::<Vec<_>>();
+        let mut o = JsonObj::new();
+        o.field_str("query", q.kind());
+        o.field_str("proto", q.proto());
+        match q {
+            Query::Coverage {
+                proto,
+                trial,
+                origins,
+            } => {
+                let covered = union(&load(proto, *trial, origins));
+                let total = union(&load(proto, *trial, &all_of(proto, *trial)));
+                o.field_u64("trial", u64::from(*trial));
+                o.field_u64_array("origins", &ids(origins));
+                o.field_u64("covered", covered);
+                o.field_u64("universe", total);
+                o.field_f64("coverage", covered as f64 / total as f64);
+            }
+            Query::Union {
+                proto,
+                trial,
+                origins,
+            } => {
+                o.field_u64("trial", u64::from(*trial));
+                o.field_u64_array("origins", &ids(origins));
+                o.field_u64("count", union(&load(proto, *trial, origins)));
+            }
+            Query::Diff { proto, trial, a, b } => {
+                let sets = load(proto, *trial, &[*a, *b]);
+                o.field_u64("trial", u64::from(*trial));
+                o.field_u64("a", u64::from(*a));
+                o.field_u64("b", u64::from(*b));
+                o.field_u64("only_a", sets[0].andnot_cardinality(&sets[1]));
+                o.field_u64("only_b", sets[1].andnot_cardinality(&sets[0]));
+                o.field_u64("common", sets[0].intersection_cardinality(&sets[1]));
+            }
+            Query::Exclusive {
+                proto,
+                trial,
+                origin,
+            } => {
+                let others: Vec<u16> = all_of(proto, *trial)
+                    .into_iter()
+                    .filter(|x| x != origin)
+                    .collect();
+                let own = &load(proto, *trial, &[*origin])[0];
+                let rest = load(proto, *trial, &others)
+                    .iter()
+                    .fold(ScanSet::new(), |acc, s| acc.or(s));
+                o.field_u64("trial", u64::from(*trial));
+                o.field_u64("origin", u64::from(*origin));
+                o.field_u64("exclusive", own.andnot_cardinality(&rest));
+                o.field_u64("total", own.cardinality());
+            }
+            Query::BestK { proto, trial, k } => {
+                let all = all_of(proto, *trial);
+                let sets = load(proto, *trial, &all);
+                let mut best: Option<(Vec<usize>, u64)> = None;
+                for combo in originscan_stats::combos::k_subsets(all.len(), *k) {
+                    let members: Vec<ScanSet> = combo.iter().map(|&i| sets[i].clone()).collect();
+                    let covered = union(&members);
+                    if best.as_ref().is_none_or(|(_, c)| covered > *c) {
+                        best = Some((combo, covered));
+                    }
+                }
+                let (combo, covered) = best.unwrap();
+                let total = union(&sets);
+                o.field_u64("trial", u64::from(*trial));
+                o.field_u64("k", *k as u64);
+                o.field_u64_array(
+                    "best",
+                    &combo.iter().map(|&i| u64::from(all[i])).collect::<Vec<_>>(),
+                );
+                o.field_u64("covered", covered);
+                o.field_u64("universe", total);
+                o.field_f64("coverage", covered as f64 / total as f64);
+            }
+            other => panic!("not a table query: {other:?}"),
+        }
+        let hash = crate::query::fnv1a64(q.canonical().as_bytes());
+        o.field_str("plan", &format!("{hash:016x}"));
+        o.finish()
+    }
+
+    /// Every table-answered kind over the roster, several shapes each.
+    fn table_mix() -> Vec<String> {
+        let mut mix = Vec::new();
+        for (proto, trial) in [("HTTP", 0), ("HTTP", 1), ("SSH", 0)] {
+            let at = format!("proto={proto} trial={trial}");
+            for o in 0..7 {
+                mix.push(format!("coverage {at} origins={o}"));
+                mix.push(format!("exclusive {at} origin={o}"));
+                mix.push(format!("union {at} origins={o},{}", (o + 3) % 7));
+                mix.push(format!("best-k {at} k={}", o + 1));
+                for b in (0..7).filter(|&b| b != o) {
+                    mix.push(format!("diff {at} a={o} b={b}"));
+                }
+            }
+            mix.push(format!("coverage {at} origins=1,4,6"));
+            mix.push(format!("union {at} origins=0,1,2,3,4,5,6"));
+        }
+        mix
+    }
+
+    #[test]
+    fn table_answers_equal_per_query_kernels() {
+        let dir = tmpdir("table");
+        let reader = roster_store(&dir);
+        let e = QueryEngine::from_readers(vec![roster_store(&dir)]);
+        for text in table_mix() {
+            let q = Query::parse(&text).unwrap();
+            assert_eq!(&*e.execute(&q).unwrap(), kernel_body(&reader, &q), "{text}");
+        }
+        // One signature pass per (proto, trial), however many questions.
+        assert_eq!(e.stats().kernel_ops, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threads_racing_on_a_cold_table_agree() {
+        let dir = tmpdir("race");
+        let e = QueryEngine::from_readers(vec![roster_store(&dir)]);
+        let mix = table_mix();
+        let expected: Vec<Arc<str>> = mix.iter().map(|q| e.execute_text(q).unwrap()).collect();
+        const THREADS: usize = 4;
+        for round in 0..8 {
+            e.clear_caches();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (e, mix, expected, start) = (&e, &mix, &expected, &start);
+                    scope.spawn(move || {
+                        // Everyone's first query hits the same cold
+                        // (proto, trial); later ones spread out.
+                        start.wait();
+                        for i in (0..mix.len()).map(|i| (i * (t + 1) + round) % mix.len()) {
+                            assert_eq!(e.execute_text(&mix[i]).unwrap(), expected[i], "{}", mix[i]);
+                        }
+                    });
+                }
+            });
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn more_than_64_origins_is_a_typed_error() {
+        let dir = tmpdir("wide");
+        let entries: Vec<(&str, u8, u16, Vec<u32>)> = (0..65u16)
+            .map(|o| ("HTTP", 0, o * 2, vec![u32::from(o), 1000]))
+            .collect();
+        let e = QueryEngine::from_readers(vec![build_store(&dir, "wide.oscs", &entries)]);
+        for q in [
+            "coverage proto=HTTP trial=0 origins=0",
+            "union proto=HTTP trial=0 origins=0,2",
+            "union proto=HTTP trial=0 origins=128",
+            "diff proto=HTTP trial=0 a=0 b=2",
+            "exclusive proto=HTTP trial=0 origin=4",
+            "best-k proto=HTTP trial=0 k=2",
+        ] {
+            let err = e.execute_text(q).unwrap_err();
+            assert_eq!(err.kind(), "too-many-origins", "{q}");
+            assert_eq!(err.http_status(), 500);
+            assert!(err.to_string().contains("65 origins"), "{err}");
+        }
+        // Key presence is still checked first, and single-set queries
+        // never build a table.
+        let err = e
+            .execute_text("union proto=HTTP trial=0 origins=0,1")
+            .unwrap_err();
+        assert_eq!(err.kind(), "key-not-found");
+        assert!(err.to_string().contains("HTTP/trial0/origin1"), "{err}");
+        let body = e
+            .execute_text("member proto=HTTP trial=0 origin=128 addr=1000")
+            .unwrap();
+        assert!(body.contains("\"member\":\"true\""), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

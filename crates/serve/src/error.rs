@@ -62,6 +62,17 @@ pub enum QueryError {
         /// Origins available for the `(protocol, trial)`.
         available: usize,
     },
+    /// More origins are stored under one `(protocol, trial)` than a
+    /// membership mask has bits, so its set-operation queries cannot be
+    /// answered.
+    TooManyOrigins {
+        /// Protocol label.
+        proto: String,
+        /// Trial index.
+        trial: u8,
+        /// Origins stored for the `(protocol, trial)`.
+        stored: usize,
+    },
     /// `recall` named a target plan the engine has not registered.
     UnknownPlan {
         /// The unrecognized plan name.
@@ -84,6 +95,7 @@ impl QueryError {
             QueryError::KeyNotFound { .. } => "key-not-found",
             QueryError::NoOrigins { .. } => "no-origins",
             QueryError::BadK { .. } => "bad-k",
+            QueryError::TooManyOrigins { .. } => "too-many-origins",
             QueryError::UnknownPlan { .. } => "unknown-plan",
             QueryError::Store(_) => "store",
         }
@@ -91,7 +103,7 @@ impl QueryError {
 
     /// The HTTP status the server answers with: 400 for malformed
     /// queries, 404 for keys the store does not hold, 500 for store
-    /// failures.
+    /// failures and stores the engine cannot serve.
     pub fn http_status(&self) -> u16 {
         match self {
             QueryError::Parse { .. }
@@ -103,7 +115,7 @@ impl QueryError {
             QueryError::KeyNotFound { .. }
             | QueryError::NoOrigins { .. }
             | QueryError::UnknownPlan { .. } => 404,
-            QueryError::Store(_) => 500,
+            QueryError::TooManyOrigins { .. } | QueryError::Store(_) => 500,
         }
     }
 }
@@ -125,6 +137,14 @@ impl fmt::Display for QueryError {
             QueryError::BadK { k, available } => {
                 write!(f, "best-k of {k} exceeds the {available} stored origins")
             }
+            QueryError::TooManyOrigins {
+                proto,
+                trial,
+                stored,
+            } => write!(
+                f,
+                "{stored} origins stored for {proto}/trial{trial}; set queries serve at most 64"
+            ),
             QueryError::UnknownPlan { name } => {
                 write!(f, "unknown plan `{name}`: no target plan registered")
             }
@@ -210,6 +230,15 @@ mod tests {
                 404,
             ),
             (QueryError::BadK { k: 9, available: 4 }, "bad-k", 400),
+            (
+                QueryError::TooManyOrigins {
+                    proto: "HTTP".into(),
+                    trial: 0,
+                    stored: 65,
+                },
+                "too-many-origins",
+                500,
+            ),
             (
                 QueryError::UnknownPlan {
                     name: "observed".into(),

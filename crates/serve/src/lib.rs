@@ -11,9 +11,11 @@
 //!   language ([`query::Query`]: `coverage`, `union`, `diff`,
 //!   `exclusive`, `best-k`, `rank`, `member`) parsed into a canonical
 //!   plan and executed lazily against one or more
-//!   [`originscan_store::StoreReader`] shards, with a sharded LRU cache
-//!   ([`cache::ShardedLru`]) of materialized bitmaps and memoized
-//!   responses keyed by the canonical plan hash. Point lookups (`rank`,
+//!   [`originscan_store::StoreReader`] shards, with sharded LRU caches
+//!   ([`cache::ShardedLru`]) of materialized bitmaps, one
+//!   membership-signature table per `(proto, trial)` that answers every
+//!   multi-origin count, and memoized responses keyed by the canonical
+//!   plan hash. Point lookups (`rank`,
 //!   `member`) touch only the chunk directory plus the one chunk that
 //!   holds the address.
 //! * **Server** ([`http::Server`]) — a hand-rolled HTTP/1.1 front end on

@@ -135,7 +135,7 @@ impl Container {
     pub fn cardinality(&self) -> u32 {
         match self {
             Container::Array(a) => len_u32(a.len()),
-            Container::Bitmap(w) => w.iter().map(|x| x.count_ones()).sum(),
+            Container::Bitmap(w) => popcount(w),
             Container::Run(r) => r
                 .iter()
                 .map(|&(s, e)| u32::from(e) - u32::from(s) + 1)
@@ -275,6 +275,19 @@ impl Container {
                 other => Container::Bitmap(other.to_words()),
             }
         }
+    }
+
+    /// The canonical container of the members set in `words` (the
+    /// many-way union kernel's way out of its scratch block, which it
+    /// keeps).
+    pub fn from_words(words: &[u64; WORDS]) -> Container {
+        let card = popcount(words);
+        let flat = if card as usize <= ARRAY_MAX {
+            Container::Array(values_of(words, card))
+        } else {
+            Container::Bitmap(Box::new(*words))
+        };
+        flat.optimized()
     }
 
     /// Materialize as a flat bitmap word array.
@@ -444,19 +457,29 @@ impl Default for Container {
 /// cutoff (callers chain [`Container::optimized`] for run demotion).
 fn container_from_words(words: Box<[u64; WORDS]>, card: u32) -> Container {
     if card as usize <= ARRAY_MAX {
-        let mut values = Vec::with_capacity(card as usize);
-        for (wi, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                values.push(((wi as u32) << 6 | bit) as u16);
-                bits &= bits - 1;
-            }
-        }
-        Container::Array(values)
+        Container::Array(values_of(&words, card))
     } else {
         Container::Bitmap(words)
     }
+}
+
+/// Members set in `words`.
+pub(crate) fn popcount(words: &[u64; WORDS]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
+}
+
+/// The `card` members set in `words`, ascending.
+fn values_of(words: &[u64; WORDS], card: u32) -> Vec<u16> {
+    let mut values = Vec::with_capacity(card as usize);
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            values.push(((wi as u32) << 6 | bit) as u16);
+            bits &= bits - 1;
+        }
+    }
+    values
 }
 
 /// The word-level kernel shared by every non-array pairing.

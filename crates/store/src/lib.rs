@@ -36,5 +36,5 @@ pub mod store;
 
 pub use container::{Container, ContainerKind, SetOp, ARRAY_MAX, WORDS};
 pub use format::{StoreError, VERSION as FORMAT_VERSION};
-pub use scanset::ScanSet;
+pub use scanset::{ScanSet, SignatureCounts};
 pub use store::{LazyScanSet, ReadStats, ScanSetStore, StoreBuildStats, StoreKey, StoreReader};

@@ -11,7 +11,8 @@
 //! containers, so a set's serialized form is a pure function of its
 //! members — the determinism contract the on-disk format relies on.
 
-use crate::container::{Container, ContainerIter, SetOp, WORDS};
+use crate::container::{popcount, Container, ContainerIter, SetOp, WORDS};
+use std::collections::BTreeMap;
 
 /// A compressed set of `u32` addresses.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -233,51 +234,108 @@ impl ScanSet {
     /// OR-accumulated into one scratch word block. This is the kernel
     /// behind the §6/§7 multi-origin combination sweeps.
     pub fn union_cardinality_many(sets: &[&ScanSet]) -> u64 {
-        let mut cursors: Vec<usize> = vec![0; sets.len()];
         let mut total = 0u64;
         let mut scratch = Box::new([0u64; WORDS]);
-        loop {
-            // The smallest chunk key not yet consumed across all sets.
-            let mut key: Option<u16> = None;
-            for (si, s) in sets.iter().enumerate() {
-                if let Some(&(k, _)) = s.chunks.get(cursors[si]) {
-                    key = Some(key.map_or(k, |cur: u16| cur.min(k)));
-                }
+        for_each_chunk(sets, |_, holders| match holders {
+            [(_, one)] => total += u64::from(one.cardinality()),
+            _ => {
+                union_into(holders, &mut scratch);
+                total += u64::from(popcount(&scratch));
             }
-            let Some(key) = key else { break };
-            let mut holders: Vec<&Container> = Vec::new();
-            for (si, s) in sets.iter().enumerate() {
-                if let Some(&(k, ref c)) = s.chunks.get(cursors[si]) {
-                    if k == key {
-                        holders.push(c);
-                        cursors[si] += 1;
-                    }
-                }
-            }
-            match holders[..] {
-                [one] => total += u64::from(one.cardinality()),
-                _ => {
-                    scratch.fill(0);
-                    for c in &holders {
-                        c.or_into(&mut scratch);
-                    }
-                    total += scratch
-                        .iter()
-                        .map(|w| u64::from(w.count_ones()))
-                        .sum::<u64>();
-                }
-            }
-        }
+        });
         total
     }
 
-    /// Union of many sets.
+    /// Union of many sets in one chunk-at-a-time pass (the walk of
+    /// [`ScanSet::union_cardinality_many`]); every chunk comes out
+    /// canonical, so the result equals the pairwise `or` fold.
     pub fn union_many(sets: &[&ScanSet]) -> ScanSet {
-        let mut acc = ScanSet::new();
-        for s in sets {
-            acc = acc.or(s);
+        let mut chunks: Vec<(u16, Container)> = Vec::new();
+        let mut scratch = Box::new([0u64; WORDS]);
+        for_each_chunk(sets, |key, holders| {
+            let out = match holders {
+                [(_, one)] => (*one).clone().optimized(),
+                _ => {
+                    union_into(holders, &mut scratch);
+                    Container::from_words(&scratch)
+                }
+            };
+            if !out.is_empty() {
+                chunks.push((key, out));
+            }
+        });
+        ScanSet { chunks }
+    }
+
+    /// The membership-signature table of up to 64 sets: every address in
+    /// any set gets the mask of the sets holding it (bit `i` ⇔ in
+    /// `sets[i]`), and the table counts addresses per mask. One
+    /// chunk-at-a-time pass answers every union / intersection /
+    /// difference cardinality over the sets afterwards (see
+    /// [`SignatureCounts::sum`]). `None` for more than 64 sets.
+    ///
+    /// Per 64-bit word, `popcount(AND of the chunk's holders)` goes
+    /// straight to the all-holders mask; only the bits of `OR & !AND` —
+    /// addresses the holders disagree on — are walked one by one.
+    pub fn signature_counts(sets: &[&ScanSet]) -> Option<SignatureCounts> {
+        if sets.len() > 64 {
+            return None;
         }
-        acc
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+        // One expanded word block per holder of the current chunk,
+        // reused across chunks.
+        let mut blocks: Vec<Box<[u64; WORDS]>> = Vec::new();
+        let mut and = Box::new([0u64; WORDS]);
+        let mut or = Box::new([0u64; WORDS]);
+        // Masks of the current chunk's disagreed addresses: sorted and
+        // counted by run at the end of the chunk, which is several
+        // times cheaper than a map bump per address.
+        let mut disagreed: Vec<u64> = Vec::new();
+        for_each_chunk(sets, |_, holders| {
+            let all = holders.iter().fold(0u64, |m, &(si, _)| m | 1u64 << si);
+            if let [(_, one)] = holders {
+                *counts.entry(all).or_default() += u64::from(one.cardinality());
+                return;
+            }
+            while blocks.len() < holders.len() {
+                blocks.push(Box::new([0u64; WORDS]));
+            }
+            and.fill(u64::MAX);
+            or.fill(0);
+            for (block, (_, c)) in blocks.iter_mut().zip(holders) {
+                block.fill(0);
+                c.or_into(block);
+                for ((a, o), &w) in and.iter_mut().zip(or.iter_mut()).zip(block.iter()) {
+                    *a &= w;
+                    *o |= w;
+                }
+            }
+            *counts.entry(all).or_default() += u64::from(popcount(&and));
+            for (wi, (&a, &o)) in and.iter().zip(or.iter()).enumerate() {
+                let mut rest = o & !a;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros();
+                    let holds = |block: &[u64; WORDS]| block.get(wi).map_or(0, |w| w >> bit & 1);
+                    disagreed.push(
+                        blocks
+                            .iter()
+                            .zip(holders)
+                            .fold(0u64, |m, (block, &(si, _))| m | holds(block) << si),
+                    );
+                    rest &= rest - 1;
+                }
+            }
+            disagreed.sort_unstable();
+            for run in disagreed.chunk_by(|a, b| a == b) {
+                if let Some(&mask) = run.first() {
+                    *counts.entry(mask).or_default() += run.len() as u64;
+                }
+            }
+            disagreed.clear();
+        });
+        Some(SignatureCounts {
+            rows: counts.into_iter().filter(|&(_, n)| n > 0).collect(),
+        })
     }
 
     fn binary_op(&self, other: &ScanSet, op: SetOp) -> ScanSet {
@@ -349,6 +407,66 @@ impl ScanSet {
 impl FromIterator<u32> for ScanSet {
     fn from_iter<T: IntoIterator<Item = u32>>(iter: T) -> ScanSet {
         ScanSet::from_unsorted(iter.into_iter().collect())
+    }
+}
+
+/// Walk the union of the sets' chunk keys in ascending order, handing
+/// `f` each key with its holders: `(index into sets, container)` of
+/// every set that has the chunk, ascending by index. The one k-way walk
+/// behind [`ScanSet::union_cardinality_many`], [`ScanSet::union_many`]
+/// and [`ScanSet::signature_counts`].
+fn for_each_chunk<'a>(sets: &[&'a ScanSet], mut f: impl FnMut(u16, &[(usize, &'a Container)])) {
+    let mut cursors: Vec<_> = sets.iter().map(|s| s.chunks.iter().peekable()).collect();
+    let mut holders: Vec<(usize, &Container)> = Vec::with_capacity(sets.len());
+    // The smallest chunk key not yet consumed across all sets.
+    while let Some(key) = cursors
+        .iter_mut()
+        .filter_map(|cur| cur.peek().map(|&&(k, _)| k))
+        .min()
+    {
+        holders.clear();
+        for (si, cur) in cursors.iter_mut().enumerate() {
+            if let Some((_, c)) = cur.next_if(|&&(k, _)| k == key) {
+                holders.push((si, c));
+            }
+        }
+        f(key, &holders);
+    }
+}
+
+/// Overwrite `scratch` with the union of a chunk's holders.
+fn union_into(holders: &[(usize, &Container)], scratch: &mut [u64; WORDS]) {
+    scratch.fill(0);
+    for (_, c) in holders {
+        c.or_into(scratch);
+    }
+}
+
+/// How many addresses carry each membership mask over a list of sets
+/// (bit `i` ⇔ member of set `i`): the result of
+/// [`ScanSet::signature_counts`]. Rows are strictly ascending by mask,
+/// never the zero mask, never a zero count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignatureCounts {
+    rows: Vec<(u64, u64)>,
+}
+
+impl SignatureCounts {
+    /// The `(mask, count)` rows, ascending by mask.
+    pub fn rows(&self) -> &[(u64, u64)] {
+        &self.rows
+    }
+
+    /// Addresses whose mask satisfies `pred`. Every cardinality over the
+    /// sets is such a sum: `|∪ S| = sum(m & S != 0)`, `|a ∖ b| = sum(m
+    /// has a, not b)`, exclusive to `o` `= sum(m == {o})`, the universe
+    /// `= sum(true)`.
+    pub fn sum(&self, pred: impl Fn(u64) -> bool) -> u64 {
+        self.rows
+            .iter()
+            .filter(|&&(m, _)| pred(m))
+            .map(|&(_, n)| n)
+            .sum()
     }
 }
 
@@ -530,6 +648,90 @@ mod tests {
         assert_eq!(union.cardinality(), naive.len() as u64);
         assert_eq!(union.to_vec(), naive.into_iter().collect::<Vec<u32>>());
         assert_eq!(ScanSet::union_cardinality_many(&[]), 0);
+        let fold = refs.iter().fold(ScanSet::new(), |acc, s| acc.or(s));
+        assert_eq!(union, fold);
+        assert_eq!(ScanSet::union_many(&[]), ScanSet::new());
+    }
+
+    /// Sets mixing array, bitmap and run chunks, one-sided chunks and a
+    /// chunk only the last set holds.
+    fn mixed_sets() -> Vec<ScanSet> {
+        let mut sets: Vec<ScanSet> = (0..4)
+            .map(|i| ScanSet::from_unsorted(sample(40 + i, 3000 + 900 * i as usize, 3 << 16)))
+            .collect();
+        // A dense bitmap chunk (every other address) and a long run.
+        sets.push(ScanSet::from_sorted(
+            &(0..40_000).map(|v| v * 2).collect::<Vec<u32>>(),
+        ));
+        sets.push(ScanSet::from_sorted(
+            &(70_000..130_000).collect::<Vec<u32>>(),
+        ));
+        sets.push(ScanSet::from_sorted(&[5, 9 << 16, (9 << 16) + 1]));
+        sets
+    }
+
+    #[test]
+    fn signature_counts_match_per_address_oracle() {
+        let sets = mixed_sets();
+        let refs: Vec<&ScanSet> = sets.iter().collect();
+        let mut oracle: std::collections::BTreeMap<u32, u64> = Default::default();
+        for (i, s) in sets.iter().enumerate() {
+            for a in s.iter() {
+                *oracle.entry(a).or_default() |= 1 << i;
+            }
+        }
+        let mut expect: std::collections::BTreeMap<u64, u64> = Default::default();
+        for &m in oracle.values() {
+            *expect.entry(m).or_default() += 1;
+        }
+        let table = ScanSet::signature_counts(&refs).unwrap();
+        assert_eq!(
+            table.rows(),
+            expect.into_iter().collect::<Vec<_>>(),
+            "ascending (mask, count) rows, no zero counts"
+        );
+        assert_eq!(table.sum(|_| true), ScanSet::union_cardinality_many(&refs));
+        for (i, a) in sets.iter().enumerate() {
+            let ma = 1u64 << i;
+            assert_eq!(table.sum(|m| m & ma != 0), a.cardinality());
+            for (j, b) in sets.iter().enumerate() {
+                let mb = 1u64 << j;
+                assert_eq!(
+                    table.sum(|m| m & ma != 0 && m & mb != 0),
+                    a.intersection_cardinality(b)
+                );
+                assert_eq!(
+                    table.sum(|m| m & ma != 0 && m & mb == 0),
+                    a.andnot_cardinality(b)
+                );
+                assert_eq!(
+                    table.sum(|m| m & (ma | mb) != 0),
+                    ScanSet::union_cardinality_many(&[a, b])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signature_counts_edges() {
+        assert_eq!(ScanSet::signature_counts(&[]).unwrap().rows(), []);
+        let e = ScanSet::new();
+        let s = ScanSet::from_sorted(&[1, 2, 3]);
+        let t = ScanSet::signature_counts(&[&e, &s, &s]).unwrap();
+        assert_eq!(t.rows(), [(0b110, 3)]);
+        // Holders of one chunk that agree on nothing: no zero-count row.
+        let one = ScanSet::from_sorted(&[1]);
+        let two = ScanSet::from_sorted(&[2]);
+        let t = ScanSet::signature_counts(&[&one, &two]).unwrap();
+        assert_eq!(t.rows(), [(0b01, 1), (0b10, 1)]);
+        // Bit 63 is usable; a 65th set is not.
+        let many = vec![&s; 64];
+        assert_eq!(
+            ScanSet::signature_counts(&many).unwrap().rows(),
+            [(u64::MAX, 3)]
+        );
+        let too_many = vec![&s; 65];
+        assert!(ScanSet::signature_counts(&too_many).is_none());
     }
 
     #[test]

@@ -17,10 +17,11 @@ use crate::scanset::ScanSet;
 use crate::Container;
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{MetricBatch, Scope, Telemetry};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity of one stored scan set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -310,22 +311,25 @@ pub struct ReadStats {
     pub bytes_read: u64,
 }
 
-/// A lazy, checksum-verifying reader over a store file.
+/// A lazy, checksum-verifying reader over a store file. `Sync`: every
+/// read is positional (no shared file cursor) and the counters are
+/// relaxed atomics (statistics only), so threads share one reader
+/// without a lock.
 #[derive(Debug)]
 pub struct StoreReader {
-    file: RefCell<std::fs::File>,
+    file: std::fs::File,
     toc: Vec<TocRecord>,
-    entries_opened: Cell<u64>,
-    chunks_loaded: Cell<u64>,
-    bytes_read: Cell<u64>,
+    entries_opened: AtomicU64,
+    chunks_loaded: AtomicU64,
+    bytes_read: AtomicU64,
 }
 
 impl StoreReader {
     /// Open a store file: reads and verifies the header and TOC only.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        let mut file = std::fs::File::open(path)?;
+        let file = std::fs::File::open(path)?;
         let mut header = vec![0u8; HEADER_LEN];
-        read_exact_at(&mut file, 0, &mut header, "file header")?;
+        read_exact_at(&file, 0, &mut header, "file header")?;
         let mut cur = Cursor::new(&header, "file header");
         let magic = cur.bytes(4)?;
         if magic != MAGIC {
@@ -341,14 +345,14 @@ impl StoreReader {
         let _entry_count = cur.u32()?;
         let toc_len = cur.u32()? as usize;
         let mut full = vec![0u8; HEADER_LEN + toc_len];
-        read_exact_at(&mut file, 0, &mut full, "toc")?;
+        read_exact_at(&file, 0, &mut full, "toc")?;
         let toc = parse_header_toc(&full)?;
         let reader = StoreReader {
-            file: RefCell::new(file),
+            file,
             toc,
-            entries_opened: Cell::new(0),
-            chunks_loaded: Cell::new(0),
-            bytes_read: Cell::new((HEADER_LEN * 2 + toc_len) as u64),
+            entries_opened: AtomicU64::new(0),
+            chunks_loaded: AtomicU64::new(0),
+            bytes_read: AtomicU64::new((HEADER_LEN * 2 + toc_len) as u64),
         };
         Ok(reader)
     }
@@ -376,9 +380,9 @@ impl StoreReader {
     /// Cumulative read statistics.
     pub fn stats(&self) -> ReadStats {
         ReadStats {
-            entries_opened: self.entries_opened.get(),
-            chunks_loaded: self.chunks_loaded.get(),
-            bytes_read: self.bytes_read.get(),
+            entries_opened: self.entries_opened.load(Ordering::Relaxed),
+            chunks_loaded: self.chunks_loaded.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
         }
     }
 
@@ -409,8 +413,8 @@ impl StoreReader {
         section: &'static str,
     ) -> Result<Vec<u8>, StoreError> {
         let mut buf = vec![0u8; len];
-        read_exact_at(&mut self.file.borrow_mut(), offset, &mut buf, section)?;
-        self.bytes_read.set(self.bytes_read.get() + len as u64);
+        read_exact_at(&self.file, offset, &mut buf, section)?;
+        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
         Ok(buf)
     }
 
@@ -419,10 +423,10 @@ impl StoreReader {
     pub fn load(&self, key: &StoreKey) -> Result<ScanSet, StoreError> {
         let rec = self.record(key)?;
         let blob = self.read_at(rec.offset, rec.len as usize, "entry")?;
-        self.entries_opened.set(self.entries_opened.get() + 1);
+        self.entries_opened.fetch_add(1, Ordering::Relaxed);
         let set = decode_set(&blob)?;
         self.chunks_loaded
-            .set(self.chunks_loaded.get() + set.chunk_count() as u64);
+            .fetch_add(set.chunk_count() as u64, Ordering::Relaxed);
         Ok(set)
     }
 
@@ -450,7 +454,7 @@ impl StoreReader {
             })?;
         let head_and_dir = self.read_at(rec.offset, SET_HEADER_LEN + dir_len, "chunk directory")?;
         let dir = decode_set_directory(&head_and_dir)?;
-        self.entries_opened.set(self.entries_opened.get() + 1);
+        self.entries_opened.fetch_add(1, Ordering::Relaxed);
         Ok(LazyScanSet {
             reader: self,
             payload_base: rec.offset + (SET_HEADER_LEN + dir_len) as u64,
@@ -461,16 +465,16 @@ impl StoreReader {
     }
 }
 
+/// Positional `read_exact`: no shared cursor, so it needs only `&File`.
 fn read_exact_at(
-    file: &mut std::fs::File,
+    file: &std::fs::File,
     offset: u64,
     buf: &mut [u8],
     section: &'static str,
 ) -> Result<(), StoreError> {
-    file.seek(SeekFrom::Start(offset))?;
     let mut filled = 0usize;
     while filled < buf.len() {
-        let n = file.read(&mut buf[filled..])?;
+        let n = file.read_at(&mut buf[filled..], offset + filled as u64)?;
         if n == 0 {
             return Err(StoreError::Truncated {
                 section,
@@ -547,9 +551,7 @@ impl LazyScanSet<'_> {
             "chunk payload",
         )?;
         let container = decode_chunk(&d, &bytes)?;
-        self.reader
-            .chunks_loaded
-            .set(self.reader.chunks_loaded.get() + 1);
+        self.reader.chunks_loaded.fetch_add(1, Ordering::Relaxed);
         self.cache.borrow_mut().insert(d.key, container);
         Ok(())
     }
@@ -693,6 +695,42 @@ mod tests {
         let stats = reader.stats();
         assert_eq!(stats.entries_opened, 4);
         assert!(stats.chunks_loaded > 0 && stats.bytes_read > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn one_reader_serves_threads_without_a_lock() {
+        let store = sample_store();
+        let path = temp_path("shared");
+        store.write_to(&path).unwrap();
+        let reader = StoreReader::open(&path).unwrap();
+        let solo = {
+            let fresh = StoreReader::open(&path).unwrap();
+            for key in store.keys() {
+                fresh.load(key).unwrap();
+            }
+            fresh.stats()
+        };
+        let opened = reader.stats();
+        const THREADS: u64 = 4;
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for (key, set) in store.iter() {
+                        assert_eq!(&reader.load(key).unwrap(), set);
+                    }
+                });
+            }
+        });
+        // Positional reads never see another thread's offset, and the
+        // counters lose no update: the totals are THREADS solo passes.
+        let after = reader.stats();
+        assert_eq!(
+            after.bytes_read - opened.bytes_read,
+            THREADS * (solo.bytes_read - opened.bytes_read)
+        );
+        assert_eq!(after.entries_opened, THREADS * solo.entries_opened);
+        assert_eq!(after.chunks_loaded, THREADS * solo.chunks_loaded);
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,7 +9,7 @@
 use originscan_store::{ScanSet, ScanSetStore, StoreKey, ARRAY_MAX};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Map a drawn `(mode, raw)` pair to an address. The three modes keep
 /// the members concentrated so that containers of every kind (sparse
@@ -60,6 +60,74 @@ proptest! {
                         oa.difference(&ob).count());
         prop_assert_eq!(ScanSet::union_cardinality_many(&[&sa, &sb]) as usize,
                         oa.union(&ob).count());
+    }
+
+    /// One signature pass over 1–8 sets (array, bitmap and run chunks;
+    /// per-set chunk shifts give one-sided and disjoint chunks) equals a
+    /// per-address oracle, and every cardinality derived from the table
+    /// equals the kernel that used to compute it.
+    #[test]
+    fn signature_counts_match_oracle_and_kernels(
+        raws in pvec(raw_strategy(), 1..9),
+        shifts in pvec(0u32..3, 8),
+    ) {
+        let sets: Vec<ScanSet> = raws
+            .into_iter()
+            .zip(&shifts)
+            .map(|(raw, &shift)| {
+                let mut addrs: Vec<u32> =
+                    raw.into_iter().map(|r| to_addr(r) + (shift << 16)).collect();
+                // Chunk 8 meets as a bitmap (every other address), a long
+                // run, or not at all, depending on the set's shift.
+                match shift {
+                    1 => addrs.extend((0..32_768).map(|v| (8 << 16) + 2 * v)),
+                    2 => addrs.extend((8 << 16) + 100..(8 << 16) + 40_000),
+                    _ => {}
+                }
+                ScanSet::from_unsorted(addrs)
+            })
+            .collect();
+        let refs: Vec<&ScanSet> = sets.iter().collect();
+        let mut masks: BTreeMap<u32, u64> = BTreeMap::new();
+        for (i, s) in sets.iter().enumerate() {
+            for a in s.to_vec() {
+                *masks.entry(a).or_default() |= 1 << i;
+            }
+        }
+        let mut expect: BTreeMap<u64, u64> = BTreeMap::new();
+        for &m in masks.values() {
+            *expect.entry(m).or_default() += 1;
+        }
+        let table = ScanSet::signature_counts(&refs).unwrap();
+        prop_assert_eq!(table.rows().to_vec(), expect.into_iter().collect::<Vec<_>>());
+        prop_assert!(table.rows().windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert!(table.rows().iter().all(|&(m, n)| m != 0 && n != 0));
+        prop_assert_eq!(table.sum(|_| true), ScanSet::union_cardinality_many(&refs));
+
+        for subset in 1u64..1 << sets.len() {
+            let members: Vec<&ScanSet> = (0..sets.len())
+                .filter(|i| subset >> i & 1 == 1)
+                .map(|i| refs[i])
+                .collect();
+            prop_assert_eq!(table.sum(|m| m & subset != 0),
+                            ScanSet::union_cardinality_many(&members));
+        }
+        for (i, a) in sets.iter().enumerate() {
+            for (j, b) in sets.iter().enumerate() {
+                let (ma, mb) = (1u64 << i, 1u64 << j);
+                prop_assert_eq!(table.sum(|m| m & ma != 0 && m & mb != 0),
+                                a.intersection_cardinality(b));
+                prop_assert_eq!(table.sum(|m| m & ma != 0 && m & mb == 0),
+                                a.andnot_cardinality(b));
+            }
+        }
+
+        // The one-pass union is the pairwise fold, chunk for chunk.
+        let union = ScanSet::union_many(&refs);
+        let fold = refs.iter().fold(ScanSet::new(), |acc, s| acc.or(s));
+        prop_assert_eq!(&union, &fold);
+        prop_assert!(union.chunks().zip(fold.chunks())
+            .all(|((ka, ca), (kb, cb))| ka == kb && ca.kind() == cb.kind()));
     }
 
     /// Rank/select agree with the oracle's sorted order.
