@@ -19,6 +19,7 @@
 
 use crate::format::PlanError;
 use crate::plan::{PlanEntry, TargetPlan};
+use originscan_store::frame::FrameError;
 use originscan_store::{ScanSet, StoreReader};
 use std::collections::BTreeMap;
 
@@ -110,7 +111,7 @@ impl PlanBuilder {
             });
         }
         if space > 1 << 32 {
-            return Err(PlanError::TooLarge { section: "space" });
+            return Err(FrameError::TooLarge { section: "space" }.into());
         }
         Ok(PlanBuilder {
             space,
@@ -226,7 +227,7 @@ impl PlanBuilder {
         // Candidates: (s24, as_index, density, churn), announced only.
         let mut candidates: Vec<(u32, u32, u32, u32)> = Vec::new();
         for (i, &(density, churn)) in counts.iter().enumerate() {
-            let s24 = u32::try_from(i).map_err(|_| PlanError::TooLarge { section: "space" })?;
+            let s24 = u32::try_from(i).map_err(|_| FrameError::TooLarge { section: "space" })?;
             let Some(as_index) = self.as_of(s24) else {
                 continue;
             };

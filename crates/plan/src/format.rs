@@ -1,5 +1,6 @@
 //! The versioned on-disk target-plan format: little-endian, checksummed,
-//! deterministic — a sibling of the store's (`originscan-store`) format.
+//! deterministic — framed by the same `originscan_store::frame` layer as
+//! the scan-set store's format.
 //!
 //! A plan file is laid out as:
 //!
@@ -12,12 +13,13 @@
 //!
 //! Entries are sorted by `s24` strictly ascending (the /24 index, i.e.
 //! `addr >> 8`), so a plan's bytes are a pure function of its contents
-//! and same-seed builds serialize byte-identically. Every checksum is
-//! CRC-32 (IEEE, reflected — the store's [`crc32`]). All corruption
-//! surfaces as a typed [`PlanError`], never a panic.
+//! and same-seed builds serialize byte-identically. The checksum is
+//! CRC-32 (IEEE, reflected — the frame layer's [`crc32`]). All
+//! corruption surfaces as a typed [`FrameError`] (inside
+//! [`PlanError::Frame`]), never a panic.
 
 use crate::plan::{PlanEntry, TargetPlan};
-pub use originscan_store::format::crc32;
+use originscan_store::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 use originscan_store::StoreError;
 
 /// File magic: "Origin Scan PLan".
@@ -38,47 +40,10 @@ pub const HEADER_PREFIX_LEN: usize = 24;
 pub enum PlanError {
     /// An underlying filesystem error.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion {
-        /// The version actually found.
-        found: u16,
-    },
-    /// A section is shorter than its declared length.
-    Truncated {
-        /// Which section came up short.
-        section: &'static str,
-        /// Bytes the section required.
-        needed: u64,
-        /// Bytes actually available.
-        available: u64,
-    },
-    /// A section's checksum does not match its contents.
-    ChecksumMismatch {
-        /// Which section failed verification.
-        section: &'static str,
-        /// The checksum stored in the file.
-        stored: u32,
-        /// The checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A structurally invalid section (unsorted entries, a /24 outside
-    /// the declared space, non-UTF-8 strategy, ...).
-    Corrupt {
-        /// Which section is malformed.
-        section: &'static str,
-        /// What invariant it violates.
-        detail: &'static str,
-    },
-    /// A value exceeds what the format can represent.
-    TooLarge {
-        /// Which field overflowed.
-        section: &'static str,
-    },
+    /// The bytes are not a valid plan (bad magic, unsupported version,
+    /// truncation, checksum mismatch, unsorted entries, a /24 outside
+    /// the declared space, ...), or a value the format cannot represent.
+    Frame(FrameError),
     /// A builder input violates the planner's preconditions.
     InvalidInput {
         /// What was wrong with the input.
@@ -92,34 +57,7 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::Io(e) => write!(f, "plan I/O error: {e}"),
-            PlanError::BadMagic { found } => {
-                write!(f, "bad plan magic {found:02x?} (expected {MAGIC:02x?})")
-            }
-            PlanError::UnsupportedVersion { found } => {
-                write!(f, "unsupported plan version {found} (reader supports {VERSION})")
-            }
-            PlanError::Truncated {
-                section,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated plan: section `{section}` needs {needed} bytes, {available} available"
-            ),
-            PlanError::ChecksumMismatch {
-                section,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "checksum mismatch in plan section `{section}`: stored {stored:08x}, computed {computed:08x}"
-            ),
-            PlanError::Corrupt { section, detail } => {
-                write!(f, "corrupt plan section `{section}`: {detail}")
-            }
-            PlanError::TooLarge { section } => {
-                write!(f, "value too large for plan format in `{section}`")
-            }
+            PlanError::Frame(e) => write!(f, "plan format error: {e}"),
             PlanError::InvalidInput { what } => write!(f, "invalid planner input: {what}"),
             PlanError::Store(e) => write!(f, "plan observation store error: {e}"),
         }
@@ -130,8 +68,9 @@ impl std::error::Error for PlanError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PlanError::Io(e) => Some(e),
+            PlanError::Frame(e) => Some(e),
+            PlanError::InvalidInput { .. } => None,
             PlanError::Store(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -142,95 +81,42 @@ impl From<std::io::Error> for PlanError {
     }
 }
 
+impl From<FrameError> for PlanError {
+    fn from(e: FrameError) -> Self {
+        PlanError::Frame(e)
+    }
+}
+
 impl From<StoreError> for PlanError {
     fn from(e: StoreError) -> Self {
         PlanError::Store(e)
     }
 }
 
-/// A bounds-checked little-endian cursor over a byte slice.
-#[derive(Debug, Clone, Copy)]
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8], section: &'static str) -> Cursor<'a> {
-        Cursor {
-            data,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PlanError> {
-        let end = self.pos.checked_add(n).ok_or(PlanError::TooLarge {
-            section: self.section,
-        })?;
-        match self.data.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(PlanError::Truncated {
-                section: self.section,
-                needed: end as u64,
-                available: self.data.len() as u64,
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, PlanError> {
-        let b = self.take(1)?;
-        Ok(b.first().copied().unwrap_or_default())
-    }
-
-    fn u16(&mut self) -> Result<u16, PlanError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes(b.try_into().unwrap_or_default()))
-    }
-
-    fn u32(&mut self) -> Result<u32, PlanError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap_or_default()))
-    }
-
-    fn u64(&mut self) -> Result<u64, PlanError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap_or_default()))
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        self.data.get(self.pos..).unwrap_or(&[])
-    }
-}
-
 /// Serialize a plan to its canonical byte form.
 pub fn encode_plan(plan: &TargetPlan) -> Result<Vec<u8>, PlanError> {
     let strategy = plan.strategy().as_bytes();
-    let strategy_len = u8::try_from(strategy.len()).map_err(|_| PlanError::TooLarge {
+    let strategy_len = u8::try_from(strategy.len()).map_err(|_| FrameError::TooLarge {
         section: "strategy",
     })?;
-    let entry_count = u32::try_from(plan.entries().len()).map_err(|_| PlanError::TooLarge {
+    let entry_count = u32::try_from(plan.entries().len()).map_err(|_| FrameError::TooLarge {
         section: "entry_count",
     })?;
     let mut entries = Vec::with_capacity(plan.entries().len() * ENTRY_LEN);
     for e in plan.entries() {
-        entries.extend_from_slice(&e.s24.to_le_bytes());
-        entries.extend_from_slice(&e.score.to_le_bytes());
+        put_u32(&mut entries, e.s24);
+        put_u32(&mut entries, e.score);
     }
     let mut out = Vec::with_capacity(HEADER_PREFIX_LEN + 1 + strategy.len() + 8 + entries.len());
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    out.extend_from_slice(&plan.space().to_le_bytes());
-    out.extend_from_slice(&plan.seed().to_le_bytes());
+    put_u16(&mut out, VERSION);
+    put_u16(&mut out, 0); // flags, reserved
+    put_u64(&mut out, plan.space());
+    put_u64(&mut out, plan.seed());
     out.push(strategy_len);
     out.extend_from_slice(strategy);
-    out.extend_from_slice(&entry_count.to_le_bytes());
-    out.extend_from_slice(&crc32(&entries).to_le_bytes());
+    put_u32(&mut out, entry_count);
+    put_u32(&mut out, crc32(&entries));
     out.extend_from_slice(&entries);
     Ok(out)
 }
@@ -238,32 +124,12 @@ pub fn encode_plan(plan: &TargetPlan) -> Result<Vec<u8>, PlanError> {
 /// Decode and fully validate a plan from its byte form.
 pub fn decode_plan(bytes: &[u8]) -> Result<TargetPlan, PlanError> {
     let mut cur = Cursor::new(bytes, "plan header");
-    let magic = cur.take(4)?;
-    if magic != MAGIC {
-        let found = magic.try_into().unwrap_or_default();
-        return Err(PlanError::BadMagic { found });
-    }
-    // Exact match, not `>`: no version below the current one ever
-    // existed, so anything else is corruption or a future format.
-    let version = cur.u16()?;
-    if version != VERSION {
-        return Err(PlanError::UnsupportedVersion { found: version });
-    }
-    // Version 1 defines no flags; a set bit is either corruption or a
-    // future feature this reader cannot honor — reject, don't ignore.
-    let flags = cur.u16()?;
-    if flags != 0 {
-        return Err(PlanError::Corrupt {
-            section: "plan header",
-            detail: "unknown flag bits set (version 1 defines none)",
-        });
-    }
+    cur.header(MAGIC, VERSION)?;
     let space = cur.u64()?;
     let seed = cur.u64()?;
-    let strategy_len = cur.u8()? as usize;
-    let strategy_bytes = cur.take(strategy_len)?;
-    let strategy = std::str::from_utf8(strategy_bytes)
-        .map_err(|_| PlanError::Corrupt {
+    let strategy_len = usize::from(cur.u8()?);
+    let strategy = std::str::from_utf8(cur.take(strategy_len)?)
+        .map_err(|_| FrameError::Corrupt {
             section: "plan header",
             detail: "strategy is not valid UTF-8",
         })?
@@ -272,40 +138,20 @@ pub fn decode_plan(bytes: &[u8]) -> Result<TargetPlan, PlanError> {
     let entries_crc = cur.u32()?;
     let entries_len = entry_count
         .checked_mul(ENTRY_LEN)
-        .ok_or(PlanError::TooLarge {
+        .ok_or(FrameError::TooLarge {
             section: "entry_count",
         })?;
     let mut cur = Cursor::new(cur.rest(), "plan entries");
-    let entry_bytes = cur.take(entries_len)?;
-    if !cur.rest().is_empty() {
-        return Err(PlanError::Corrupt {
-            section: "plan entries",
-            detail: "trailing bytes after the last entry",
-        });
-    }
-    let computed = crc32(entry_bytes);
-    if computed != entries_crc {
-        return Err(PlanError::ChecksumMismatch {
-            section: "plan entries",
-            stored: entries_crc,
-            computed,
-        });
-    }
+    let mut rec = cur.checked(entries_len, entries_crc)?;
+    cur.finish()?;
+    // `entries_len` bytes were present, so `entry_count` is no larger
+    // than the input allows.
     let mut entries = Vec::with_capacity(entry_count);
-    for rec in entry_bytes.chunks_exact(ENTRY_LEN) {
-        let s24 = u32::from_le_bytes(
-            rec.get(..4)
-                .unwrap_or_default()
-                .try_into()
-                .unwrap_or_default(),
-        );
-        let score = u32::from_le_bytes(
-            rec.get(4..)
-                .unwrap_or_default()
-                .try_into()
-                .unwrap_or_default(),
-        );
-        entries.push(PlanEntry { s24, score });
+    for _ in 0..entry_count {
+        entries.push(PlanEntry {
+            s24: rec.u32()?,
+            score: rec.u32()?,
+        });
     }
     TargetPlan::from_entries(space, seed, &strategy, entries)
 }
@@ -398,12 +244,22 @@ mod tests {
         assert_eq!(back, plan);
     }
 
+    /// `decode_plan` reduced to its frame error, for the match sites below.
+    fn frame_err(bytes: &[u8]) -> FrameError {
+        match decode_plan(bytes) {
+            Err(PlanError::Frame(e)) => e,
+            other => panic!("expected a frame error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn bad_magic_is_typed() {
         let mut bytes = encode_plan(&sample()).unwrap();
         bytes[0] = b'X';
-        match decode_plan(&bytes) {
-            Err(PlanError::BadMagic { found }) => assert_eq!(found[0], b'X'),
+        match frame_err(&bytes) {
+            FrameError::BadMagic { found, expected } => {
+                assert_eq!((found[0], expected), (b'X', MAGIC))
+            }
             other => panic!("expected BadMagic, got {other:?}"),
         }
     }
@@ -413,8 +269,21 @@ mod tests {
         let mut bytes = encode_plan(&sample()).unwrap();
         bytes[4] = 0xFF;
         assert!(matches!(
-            decode_plan(&bytes),
-            Err(PlanError::UnsupportedVersion { .. })
+            frame_err(&bytes),
+            FrameError::UnsupportedVersion { .. }
+        ));
+    }
+
+    #[test]
+    fn set_flag_bits_are_corrupt() {
+        let mut bytes = encode_plan(&sample()).unwrap();
+        bytes[7] = 0x80;
+        assert!(matches!(
+            frame_err(&bytes),
+            FrameError::Corrupt {
+                section: "plan header",
+                ..
+            }
         ));
     }
 
@@ -422,10 +291,10 @@ mod tests {
     fn truncation_at_every_boundary_is_typed() {
         let bytes = encode_plan(&sample()).unwrap();
         for cut in [0, 3, 4, 6, 8, 16, 24, 25, 30, bytes.len() - 1] {
-            match decode_plan(&bytes[..cut]) {
-                Err(PlanError::Truncated { .. } | PlanError::BadMagic { .. }) => {}
-                other => panic!("cut at {cut}: expected typed error, got {other:?}"),
-            }
+            assert!(
+                matches!(frame_err(&bytes[..cut]), FrameError::Truncated { .. }),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -434,8 +303,8 @@ mod tests {
         let mut bytes = encode_plan(&sample()).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        match decode_plan(&bytes) {
-            Err(PlanError::ChecksumMismatch { section, .. }) => {
+        match frame_err(&bytes) {
+            FrameError::ChecksumMismatch { section, .. } => {
                 assert_eq!(section, "plan entries")
             }
             other => panic!("expected ChecksumMismatch, got {other:?}"),
@@ -446,10 +315,7 @@ mod tests {
     fn trailing_bytes_are_corrupt() {
         let mut bytes = encode_plan(&sample()).unwrap();
         bytes.push(0);
-        assert!(matches!(
-            decode_plan(&bytes),
-            Err(PlanError::Corrupt { .. })
-        ));
+        assert!(matches!(frame_err(&bytes), FrameError::Corrupt { .. }));
     }
 
     #[test]
@@ -464,8 +330,8 @@ mod tests {
         let crc = crc32(&bytes[body..]);
         let crc_at = body - 4;
         bytes[crc_at..body].copy_from_slice(&crc.to_le_bytes());
-        match decode_plan(&bytes) {
-            Err(PlanError::Corrupt { detail, .. }) => {
+        match frame_err(&bytes) {
+            FrameError::Corrupt { detail, .. } => {
                 assert!(detail.contains("ascending"), "{detail}")
             }
             other => panic!("expected Corrupt, got {other:?}"),

@@ -28,9 +28,11 @@
 //! A plan is a pure function of its inputs: integer-only scoring, total
 //! tie-break ordering (score desc, /24 asc), and a canonical sorted
 //! serialization make same-seed builds byte-identical. The on-disk
-//! format ([`mod@format`]) mirrors the store's: magic + version + CRC-32
-//! checksummed sections, decoded through bounds-checked cursors, with
-//! every corruption surfacing as a typed [`PlanError`] — never a panic.
+//! format ([`mod@format`]) is framed like the store's — magic, version,
+//! flags, a CRC-32 checksummed entry section — and decodes through the
+//! same cursor: `originscan_store::frame` holds it, the header/CRC
+//! checks and `FrameError`, so every corruption surfaces as a typed
+//! [`PlanError`] — never a panic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -7,6 +7,7 @@
 //! consumers rank prefixes); membership alone decides probing.
 
 use crate::format::{decode_plan, encode_plan, PlanError};
+use originscan_store::frame::FrameError;
 use std::path::Path;
 
 /// One planned /24 with its priority score.
@@ -49,31 +50,34 @@ impl TargetPlan {
             });
         }
         if space > 1 << 32 {
-            return Err(PlanError::TooLarge { section: "space" });
+            return Err(FrameError::TooLarge { section: "space" }.into());
         }
         if strategy.len() > 255 {
-            return Err(PlanError::TooLarge {
+            return Err(FrameError::TooLarge {
                 section: "strategy",
-            });
+            }
+            .into());
         }
         let s24_count = space.div_ceil(256);
         if entries
             .windows(2)
             .any(|w| w.first().map(|e| e.s24) >= w.get(1).map(|e| e.s24))
         {
-            return Err(PlanError::Corrupt {
+            return Err(FrameError::Corrupt {
                 section: "plan entries",
                 detail: "entries not strictly ascending by s24",
-            });
+            }
+            .into());
         }
         if entries.iter().any(|e| u64::from(e.s24) >= s24_count) {
-            return Err(PlanError::Corrupt {
+            return Err(FrameError::Corrupt {
                 section: "plan entries",
                 detail: "entry s24 outside the declared space",
-            });
+            }
+            .into());
         }
         let word_count = usize::try_from(s24_count.div_ceil(64))
-            .map_err(|_| PlanError::TooLarge { section: "space" })?;
+            .map_err(|_| FrameError::TooLarge { section: "space" })?;
         let mut words = vec![0u64; word_count];
         for e in &entries {
             let idx = (e.s24 / 64) as usize;
@@ -225,12 +229,12 @@ mod tests {
         ];
         assert!(matches!(
             TargetPlan::from_entries(65_536, 1, "x", dup),
-            Err(PlanError::Corrupt { .. })
+            Err(PlanError::Frame(FrameError::Corrupt { .. }))
         ));
         let out = vec![PlanEntry { s24: 256, score: 0 }];
         assert!(matches!(
             TargetPlan::from_entries(65_536, 1, "x", out),
-            Err(PlanError::Corrupt { .. })
+            Err(PlanError::Frame(FrameError::Corrupt { .. }))
         ));
         assert!(matches!(
             TargetPlan::from_entries(0, 1, "x", Vec::new()),
@@ -239,7 +243,7 @@ mod tests {
         let long = "s".repeat(256);
         assert!(matches!(
             TargetPlan::from_entries(65_536, 1, &long, Vec::new()),
-            Err(PlanError::TooLarge { .. })
+            Err(PlanError::Frame(FrameError::TooLarge { .. }))
         ));
     }
 

@@ -1,11 +1,12 @@
-//! Property tests for target-plan composition with blocklists and shards.
+//! Property tests for target-plan composition with blocklists and shards,
+//! and for the plan decoder's no-panic guarantee on arbitrary bytes.
 // Gated: runs only with `--features proptest` (vendored shim; see
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 // Tests assert membership/counts only; hash iteration order never escapes.
 #![allow(clippy::disallowed_types)]
 
-use originscan_plan::{PlanEntry, TargetPlan};
+use originscan_plan::{PlanEntry, PlanError, TargetPlan, PLAN_FORMAT_VERSION, PLAN_MAGIC};
 use originscan_scanner::blocklist::{Blocklist, Cidr};
 use originscan_scanner::engine::{run_scan, ScanConfig};
 use originscan_scanner::target::{L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply};
@@ -123,5 +124,37 @@ proptest! {
         // /0 blocks the whole v4 space, so plan ⊂ blocklist trivially.
         cfg.blocklist = Blocklist::from_cidrs([Cidr::new(0, 0)]);
         prop_assert!(scan_addrs(&cfg).is_empty());
+    }
+
+    /// No input makes the plan decoder panic or abort: arbitrary bytes
+    /// (bare, and behind a valid magic/version/flags prefix), and valid
+    /// plans with 1–8 bytes overwritten, come back as `Ok` or a typed
+    /// `Err` — `entry_count` is checked against the bytes present before
+    /// the entry list is sized from it.
+    #[test]
+    fn from_bytes_returns_ok_or_a_typed_error(
+        junk in proptest::collection::vec(any::<u8>(), 0..128),
+        s24s in proptest::collection::vec(0u32..512, 0..64),
+        patches in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..9),
+    ) {
+        let mut framed = PLAN_MAGIC.to_vec();
+        framed.extend_from_slice(&PLAN_FORMAT_VERSION.to_le_bytes());
+        framed.extend_from_slice(&[0, 0]);
+        framed.extend_from_slice(&junk);
+        let mut bytes = plan_from_s24s(512 * 256, &s24s).to_bytes().expect("encodes");
+        for (at, value) in patches {
+            let at = at as usize % bytes.len();
+            bytes[at] = value;
+        }
+        for input in [&junk, &framed, &bytes] {
+            match TargetPlan::from_bytes(input) {
+                Ok(plan) => prop_assert!(plan.to_bytes().is_ok()),
+                Err(e) => prop_assert!(
+                    matches!(e, PlanError::Frame(_) | PlanError::InvalidInput { .. }),
+                    "{}",
+                    e
+                ),
+            }
+        }
     }
 }

@@ -176,6 +176,7 @@ impl From<StoreError> for QueryError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use originscan_store::frame::FrameError;
 
     #[test]
     fn kinds_statuses_and_messages() {
@@ -247,7 +248,10 @@ mod tests {
                 404,
             ),
             (
-                QueryError::Store(StoreError::UnsupportedVersion { found: 7 }),
+                QueryError::Store(StoreError::Frame(FrameError::UnsupportedVersion {
+                    found: 7,
+                    supported: 1,
+                })),
                 "store",
                 500,
             ),

@@ -26,10 +26,13 @@
 //! checksum is CRC-32 (IEEE, reflected, polynomial `0xEDB88320`).
 //! Entries are sorted by `(protocol, trial, origin)` and containers are
 //! canonical (smallest representation), so same-seed experiments
-//! serialize byte-identically. All corruption surfaces as a typed
-//! [`StoreError`] — never a panic.
+//! serialize byte-identically. The header, checksum and bounds checks
+//! are [`crate::frame`]'s, shared with the plan format; all corruption
+//! surfaces as a typed [`FrameError`] (inside [`StoreError::Frame`]) —
+//! never a panic.
 
 use crate::container::{Container, ContainerKind, ARRAY_MAX, WORDS};
+use crate::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 use crate::scanset::ScanSet;
 
 /// File magic: "OriginSCan Store".
@@ -52,47 +55,10 @@ pub const DIR_RECORD_LEN: usize = 16;
 pub enum StoreError {
     /// An underlying filesystem error.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion {
-        /// The version actually found.
-        found: u16,
-    },
-    /// A section is shorter than its declared length.
-    Truncated {
-        /// Which section came up short.
-        section: &'static str,
-        /// Bytes the section required.
-        needed: u64,
-        /// Bytes actually available.
-        available: u64,
-    },
-    /// A section's checksum does not match its contents.
-    ChecksumMismatch {
-        /// Which section failed verification.
-        section: &'static str,
-        /// The checksum stored in the file.
-        stored: u32,
-        /// The checksum computed over the bytes read.
-        computed: u32,
-    },
-    /// A structurally invalid section (bad container code, unsorted
-    /// values, cardinality mismatch, ...).
-    Corrupt {
-        /// Which section is malformed.
-        section: &'static str,
-        /// What invariant it violates.
-        detail: &'static str,
-    },
-    /// A value exceeds what the format can represent.
-    TooLarge {
-        /// Which field overflowed.
-        section: &'static str,
-    },
+    /// The bytes are not a valid store: bad magic, unsupported version,
+    /// truncation, checksum mismatch, structural damage, or a value the
+    /// format cannot represent.
+    Frame(FrameError),
     /// The requested `(protocol, trial, origin)` is not in the store.
     KeyNotFound {
         /// Rendered key.
@@ -104,34 +70,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::BadMagic { found } => {
-                write!(f, "bad store magic {found:02x?} (expected {MAGIC:02x?})")
-            }
-            StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported store version {found} (reader supports {VERSION})")
-            }
-            StoreError::Truncated {
-                section,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated store: section `{section}` needs {needed} bytes, {available} available"
-            ),
-            StoreError::ChecksumMismatch {
-                section,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "checksum mismatch in section `{section}`: stored {stored:08x}, computed {computed:08x}"
-            ),
-            StoreError::Corrupt { section, detail } => {
-                write!(f, "corrupt store section `{section}`: {detail}")
-            }
-            StoreError::TooLarge { section } => {
-                write!(f, "value too large for store format in `{section}`")
-            }
+            StoreError::Frame(e) => write!(f, "store format error: {e}"),
             StoreError::KeyNotFound { key } => write!(f, "scan set `{key}` not in store"),
         }
     }
@@ -141,7 +80,8 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            _ => None,
+            StoreError::Frame(e) => Some(e),
+            StoreError::KeyNotFound { .. } => None,
         }
     }
 }
@@ -152,110 +92,9 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = make_crc_table();
-
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    !crc
-}
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked little-endian cursor over a byte slice.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8], section: &'static str) -> Cursor<'a> {
-        Cursor {
-            data,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).ok_or(StoreError::TooLarge {
-            section: self.section,
-        })?;
-        if end > self.data.len() {
-            return Err(StoreError::Truncated {
-                section: self.section,
-                needed: end as u64,
-                available: self.data.len() as u64,
-            });
-        }
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, StoreError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n)
-    }
-
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.pos == self.data.len()
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> Self {
+        StoreError::Frame(e)
     }
 }
 
@@ -298,14 +137,22 @@ pub fn encode_container(c: &Container, out: &mut Vec<u8>) {
     }
 }
 
+/// The little-endian `u16`s of `bytes` (a trailing odd byte is not
+/// yielded; callers check the length first).
+fn le_u16s(bytes: &[u8]) -> impl Iterator<Item = u16> + '_ {
+    bytes
+        .chunks_exact(2)
+        .map(|pair| u16::from_le_bytes(pair.try_into().unwrap_or_default()))
+}
+
 /// Decode and structurally validate one container payload.
 pub fn decode_container(
     kind: ContainerKind,
     cardinality: u32,
     payload: &[u8],
-) -> Result<Container, StoreError> {
+) -> Result<Container, FrameError> {
     let section = "chunk payload";
-    let corrupt = |detail: &'static str| StoreError::Corrupt { section, detail };
+    let corrupt = |detail: &'static str| FrameError::Corrupt { section, detail };
     match kind {
         ContainerKind::Array => {
             if payload.len() != cardinality as usize * 2 {
@@ -314,11 +161,8 @@ pub fn decode_container(
             if cardinality as usize > ARRAY_MAX {
                 return Err(corrupt("array container above the 4096 cutoff"));
             }
-            let mut values = Vec::with_capacity(cardinality as usize);
-            for pair in payload.chunks_exact(2) {
-                values.push(u16::from_le_bytes([pair[0], pair[1]]));
-            }
-            if values.windows(2).any(|w| w[0] >= w[1]) {
+            let values: Vec<u16> = le_u16s(payload).collect();
+            if values.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
                 return Err(corrupt("array values not strictly ascending"));
             }
             Ok(Container::Array(values))
@@ -329,9 +173,7 @@ pub fn decode_container(
             }
             let mut words = Box::new([0u64; WORDS]);
             for (dst, chunk) in words.iter_mut().zip(payload.chunks_exact(8)) {
-                *dst = u64::from_le_bytes([
-                    chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-                ]);
+                *dst = u64::from_le_bytes(chunk.try_into().unwrap_or_default());
             }
             let c = Container::Bitmap(words);
             if c.cardinality() != cardinality {
@@ -344,19 +186,17 @@ pub fn decode_container(
                 return Err(corrupt("run payload length not a multiple of 4"));
             }
             let mut runs = Vec::with_capacity(payload.len() / 4);
-            for quad in payload.chunks_exact(4) {
-                let s = u16::from_le_bytes([quad[0], quad[1]]);
-                let e = u16::from_le_bytes([quad[2], quad[3]]);
+            let mut bounds = le_u16s(payload);
+            while let (Some(s), Some(e)) = (bounds.next(), bounds.next()) {
                 if e < s {
                     return Err(corrupt("run with end before start"));
                 }
                 runs.push((s, e));
             }
             // Sorted, non-overlapping, non-adjacent (else not canonical).
-            if runs
-                .windows(2)
-                .any(|w| u32::from(w[1].0) <= u32::from(w[0].1) + 1)
-            {
+            if runs.windows(2).any(
+                |w| matches!(w, [(_, end), (next, _)] if u32::from(*next) <= u32::from(*end) + 1),
+            ) {
                 return Err(corrupt("runs unsorted, overlapping, or adjacent"));
             }
             let c = Container::Run(runs);
@@ -370,8 +210,8 @@ pub fn decode_container(
 
 /// Serialize one scan set as an entry section (set header + directory +
 /// payloads).
-pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, StoreError> {
-    let chunk_count = u32::try_from(set.chunk_count()).map_err(|_| StoreError::TooLarge {
+pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, FrameError> {
+    let chunk_count = u32::try_from(set.chunk_count()).map_err(|_| FrameError::TooLarge {
         section: "chunk_count",
     })?;
     let mut directory = Vec::with_capacity(set.chunk_count() * DIR_RECORD_LEN);
@@ -379,7 +219,7 @@ pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, StoreError> {
     for (key, c) in set.chunks() {
         let mut payload = Vec::with_capacity(c.payload_bytes());
         encode_container(c, &mut payload);
-        let payload_len = u32::try_from(payload.len()).map_err(|_| StoreError::TooLarge {
+        let payload_len = u32::try_from(payload.len()).map_err(|_| FrameError::TooLarge {
             section: "chunk payload",
         })?;
         put_u16(&mut directory, key);
@@ -401,30 +241,18 @@ pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, StoreError> {
 /// Parse and verify an entry's set header and chunk directory, without
 /// touching payload bytes (the lazy loader's first step). Returns the
 /// directory with per-chunk payload offsets resolved.
-pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, StoreError> {
-    let mut cur = Cursor::new(bytes, "set header");
-    let chunk_count = cur.u32()? as usize;
-    let dir_crc = cur.u32()?;
+pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameError> {
+    let section = "chunk directory";
+    let mut head = Cursor::new(bytes, "set header");
+    let chunk_count = head.u32()? as usize;
+    let dir_crc = head.u32()?;
     let dir_len = chunk_count
         .checked_mul(DIR_RECORD_LEN)
-        .ok_or(StoreError::TooLarge {
-            section: "chunk directory",
-        })?;
-    let mut cur = Cursor::new(
-        bytes.get(SET_HEADER_LEN..).unwrap_or(&[]),
-        "chunk directory",
-    );
-    let dir_bytes = cur.bytes(dir_len)?;
-    let computed = crc32(dir_bytes);
-    if computed != dir_crc {
-        return Err(StoreError::ChecksumMismatch {
-            section: "chunk directory",
-            stored: dir_crc,
-            computed,
-        });
-    }
+        .ok_or(FrameError::TooLarge { section })?;
+    let mut rec = Cursor::new(head.rest(), section).checked(dir_len, dir_crc)?;
+    // `dir_len` bytes were present, so `chunk_count` is no larger than
+    // the input allows.
     let mut dir = Vec::with_capacity(chunk_count);
-    let mut rec = Cursor::new(dir_bytes, "chunk directory");
     let mut payload_offset = 0u64;
     for _ in 0..chunk_count {
         let key = rec.u16()?;
@@ -433,8 +261,8 @@ pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, StoreErr
         let cardinality = rec.u32()?;
         let payload_len = rec.u32()?;
         let payload_crc = rec.u32()?;
-        let kind = ContainerKind::from_code(code).ok_or(StoreError::Corrupt {
-            section: "chunk directory",
+        let kind = ContainerKind::from_code(code).ok_or(FrameError::Corrupt {
+            section,
             detail: "unknown container type code",
         })?;
         dir.push(ChunkDirEntry {
@@ -447,9 +275,12 @@ pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, StoreErr
         });
         payload_offset += u64::from(payload_len);
     }
-    if dir.windows(2).any(|w| w[0].key >= w[1].key) {
-        return Err(StoreError::Corrupt {
-            section: "chunk directory",
+    if dir
+        .windows(2)
+        .any(|w| matches!(w, [a, b] if a.key >= b.key))
+    {
+        return Err(FrameError::Corrupt {
+            section,
             detail: "chunk keys unsorted or duplicated",
         });
     }
@@ -457,37 +288,26 @@ pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, StoreErr
 }
 
 /// Verify one chunk payload's checksum and decode it.
-pub fn decode_chunk(entry: &ChunkDirEntry, payload: &[u8]) -> Result<Container, StoreError> {
-    let computed = crc32(payload);
-    if computed != entry.payload_crc {
-        return Err(StoreError::ChecksumMismatch {
-            section: "chunk payload",
-            stored: entry.payload_crc,
-            computed,
-        });
-    }
-    decode_container(entry.kind, entry.cardinality, payload)
+pub fn decode_chunk(entry: &ChunkDirEntry, payload: &[u8]) -> Result<Container, FrameError> {
+    let payload =
+        Cursor::new(payload, "chunk payload").checked(payload.len(), entry.payload_crc)?;
+    decode_container(entry.kind, entry.cardinality, payload.rest())
 }
 
 /// Decode a whole entry back into a [`ScanSet`], verifying every
 /// checksum.
-pub fn decode_set(bytes: &[u8]) -> Result<ScanSet, StoreError> {
+pub fn decode_set(bytes: &[u8]) -> Result<ScanSet, FrameError> {
     let dir = decode_set_directory(bytes)?;
     let payload_base = SET_HEADER_LEN + dir.len() * DIR_RECORD_LEN;
     let mut chunks = Vec::with_capacity(dir.len());
     let payloads = bytes.get(payload_base..).unwrap_or(&[]);
     let mut cur = Cursor::new(payloads, "chunk payload");
     for entry in &dir {
-        let payload = cur.bytes(entry.payload_len as usize)?;
+        let payload = cur.take(entry.payload_len as usize)?;
         chunks.push((entry.key, decode_chunk(entry, payload)?));
     }
-    if !cur.is_exhausted() {
-        return Err(StoreError::Corrupt {
-            section: "chunk payload",
-            detail: "trailing bytes after the last payload",
-        });
-    }
-    ScanSet::from_chunks(chunks).ok_or(StoreError::Corrupt {
+    cur.finish()?;
+    ScanSet::from_chunks(chunks).ok_or(FrameError::Corrupt {
         section: "chunk directory",
         detail: "chunk keys unsorted or duplicated",
     })
@@ -565,13 +385,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_known_vectors() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn set_roundtrip_all_kinds() {
         // Array chunk, run chunk, bitmap chunk in one set.
         let mut addrs: Vec<u32> = vec![1, 5, 9]; // chunk 0: array
@@ -616,7 +429,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         match decode_set(&bytes) {
-            Err(StoreError::ChecksumMismatch { section, .. }) => {
+            Err(FrameError::ChecksumMismatch { section, .. }) => {
                 assert_eq!(section, "chunk payload")
             }
             other => panic!("expected payload checksum mismatch, got {other:?}"),
@@ -629,7 +442,7 @@ mod tests {
         let mut bytes = encode_set(&set).unwrap();
         bytes[SET_HEADER_LEN] ^= 0x01;
         match decode_set_directory(&bytes) {
-            Err(StoreError::ChecksumMismatch { section, .. }) => {
+            Err(FrameError::ChecksumMismatch { section, .. }) => {
                 assert_eq!(section, "chunk directory")
             }
             other => panic!("expected directory checksum mismatch, got {other:?}"),
@@ -642,7 +455,7 @@ mod tests {
         let bytes = encode_set(&set).unwrap();
         for cut in [1, SET_HEADER_LEN, SET_HEADER_LEN + 4, bytes.len() - 1] {
             match decode_set(&bytes[..cut]) {
-                Err(StoreError::Truncated { .. }) => {}
+                Err(FrameError::Truncated { .. }) => {}
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
         }
@@ -659,22 +472,22 @@ mod tests {
         let crc = crc32(&bytes[SET_HEADER_LEN..dir_end]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         match decode_set(&bytes) {
-            Err(StoreError::Corrupt { detail, .. }) => {
+            Err(FrameError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("container type"), "{detail}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // Unsorted array payload.
         let err = decode_container(ContainerKind::Array, 2, &[5, 0, 1, 0]);
-        assert!(matches!(err, Err(StoreError::Corrupt { .. })));
+        assert!(matches!(err, Err(FrameError::Corrupt { .. })));
         // Adjacent runs are not canonical.
         let err = decode_container(ContainerKind::Run, 4, &[0, 0, 1, 0, 2, 0, 3, 0]);
-        assert!(matches!(err, Err(StoreError::Corrupt { .. })));
+        assert!(matches!(err, Err(FrameError::Corrupt { .. })));
         // Cardinality lie on a bitmap.
         let mut payload = vec![0u8; WORDS * 8];
         payload[0] = 0b11;
         let err = decode_container(ContainerKind::Bitmap, 3, &payload);
-        assert!(matches!(err, Err(StoreError::Corrupt { .. })));
+        assert!(matches!(err, Err(FrameError::Corrupt { .. })));
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //! # Corruption handling
 //!
 //! Every section (TOC, chunk directories, chunk payloads) carries a
-//! CRC-32 and decodes through bounds-checked cursors; damage surfaces
-//! as a typed [`StoreError`], never a panic.
+//! CRC-32 and decodes through the one bounds-checked cursor of
+//! [`frame`] — the framing layer (cursor, header/CRC checks, CRC-32,
+//! [`FrameError`](frame::FrameError)) this format shares with
+//! `originscan-plan`'s. Damage surfaces as a typed [`StoreError`],
+//! never a panic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -31,6 +34,7 @@
 
 pub mod container;
 pub mod format;
+pub mod frame;
 pub mod scanset;
 pub mod store;
 

@@ -10,9 +10,10 @@
 //! a query actually touches it.
 
 use crate::format::{
-    crc32, decode_chunk, decode_set, decode_set_directory, encode_set, put_u16, put_u32, put_u64,
-    ChunkDirEntry, Cursor, StoreError, DIR_RECORD_LEN, HEADER_LEN, MAGIC, SET_HEADER_LEN, VERSION,
+    decode_chunk, decode_set, decode_set_directory, encode_set, ChunkDirEntry, StoreError,
+    DIR_RECORD_LEN, HEADER_LEN, MAGIC, SET_HEADER_LEN, VERSION,
 };
+use crate::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 use crate::scanset::ScanSet;
 use crate::Container;
 use originscan_telemetry::metrics::names;
@@ -151,22 +152,23 @@ impl ScanSetStore {
 
     /// Serialize the whole store (header + TOC + entries).
     pub fn to_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        let entry_count = u32::try_from(self.entries.len()).map_err(|_| StoreError::TooLarge {
+        let entry_count = u32::try_from(self.entries.len()).map_err(|_| FrameError::TooLarge {
             section: "entry_count",
         })?;
         let mut blobs: Vec<(&StoreKey, Vec<u8>)> = Vec::with_capacity(self.entries.len());
         let mut toc_len = 0usize;
         for (key, set) in &self.entries {
             if key.protocol.len() > usize::from(u8::MAX) {
-                return Err(StoreError::TooLarge {
+                return Err(FrameError::TooLarge {
                     section: "protocol label",
-                });
+                }
+                .into());
             }
             toc_len += 1 + key.protocol.len() + 1 + 2 + 8 + 8;
             blobs.push((key, encode_set(set)?));
         }
         let toc_len_u32 =
-            u32::try_from(toc_len).map_err(|_| StoreError::TooLarge { section: "toc_len" })?;
+            u32::try_from(toc_len).map_err(|_| FrameError::TooLarge { section: "toc_len" })?;
         let mut toc = Vec::with_capacity(toc_len);
         let mut offset = (HEADER_LEN + toc_len) as u64;
         for (key, blob) in &blobs {
@@ -202,14 +204,33 @@ impl ScanSetStore {
 
     /// Eagerly decode a serialized store, verifying every checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<ScanSetStore, StoreError> {
-        let toc = parse_header_toc(bytes)?;
+        let mut cur = Cursor::new(bytes, "file header");
+        let header = parse_header(&mut cur)?;
         let mut entries = BTreeMap::new();
-        for rec in toc {
+        let mut end = (HEADER_LEN + header.toc_len) as u64;
+        for rec in parse_toc(&header, cur.rest())? {
             let blob = slice_entry(bytes, &rec)?;
+            end = end.max(rec.offset.saturating_add(rec.len));
             entries.insert(rec.key, decode_set(blob)?);
+        }
+        if end != bytes.len() as u64 {
+            return Err(FrameError::Corrupt {
+                section: "entry",
+                detail: "trailing bytes after the last entry",
+            }
+            .into());
         }
         Ok(ScanSetStore { entries })
     }
+}
+
+/// The fields of the fixed file header that follow the magic, version
+/// and flags.
+#[derive(Debug)]
+struct Header {
+    entry_count: u32,
+    toc_len: usize,
+    toc_crc: u32,
 }
 
 /// One parsed TOC record.
@@ -220,82 +241,72 @@ struct TocRecord {
     len: u64,
 }
 
-fn parse_header_toc(bytes: &[u8]) -> Result<Vec<TocRecord>, StoreError> {
-    let mut cur = Cursor::new(bytes, "file header");
-    let magic = cur.bytes(4)?;
-    if magic != MAGIC {
-        return Err(StoreError::BadMagic {
-            found: [magic[0], magic[1], magic[2], magic[3]],
-        });
-    }
-    let version = cur.u16()?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version });
-    }
-    let _flags = cur.u16()?;
-    let entry_count = cur.u32()? as usize;
-    let toc_len = cur.u32()? as usize;
-    let toc_crc = cur.u32()?;
-    let mut cur = Cursor::new(bytes.get(HEADER_LEN..).unwrap_or(&[]), "toc");
-    let toc_bytes = cur.bytes(toc_len)?;
-    let computed = crc32(toc_bytes);
-    if computed != toc_crc {
-        return Err(StoreError::ChecksumMismatch {
-            section: "toc",
-            stored: toc_crc,
-            computed,
-        });
-    }
-    let mut toc = Vec::with_capacity(entry_count);
-    let mut rec = Cursor::new(toc_bytes, "toc");
+/// Byte length of a TOC record with an empty protocol label.
+const TOC_RECORD_MIN_LEN: usize = 1 + 1 + 2 + 8 + 8;
+
+/// Check and read the [`HEADER_LEN`]-byte file header.
+fn parse_header(cur: &mut Cursor<'_>) -> Result<Header, FrameError> {
+    cur.header(MAGIC, VERSION)?;
+    Ok(Header {
+        entry_count: cur.u32()?,
+        toc_len: cur.u32()? as usize,
+        toc_crc: cur.u32()?,
+    })
+}
+
+/// Verify and parse the TOC, which starts `after_header` (anything past
+/// its `toc_len` bytes is left alone).
+fn parse_toc(header: &Header, after_header: &[u8]) -> Result<Vec<TocRecord>, FrameError> {
+    let section = "toc";
+    let mut rec = Cursor::new(after_header, section).checked(header.toc_len, header.toc_crc)?;
+    // `entry_count` sits outside every checksum: size nothing from it
+    // beyond what the verified TOC bytes could hold. A count above the
+    // records present runs the cursor dry (`Truncated`); one below
+    // leaves bytes over (`Corrupt`).
+    let entry_count = header.entry_count as usize;
+    let mut toc = Vec::with_capacity(entry_count.min(header.toc_len / TOC_RECORD_MIN_LEN));
     for _ in 0..entry_count {
         let proto_len = usize::from(rec.u8()?);
-        let proto = rec.bytes(proto_len)?;
-        let protocol = std::str::from_utf8(proto)
-            .map_err(|_| StoreError::Corrupt {
-                section: "toc",
+        let protocol = std::str::from_utf8(rec.take(proto_len)?)
+            .map_err(|_| FrameError::Corrupt {
+                section,
                 detail: "protocol label is not UTF-8",
             })?
             .to_string();
-        let trial = rec.u8()?;
-        let origin = rec.u16()?;
-        let offset = rec.u64()?;
-        let len = rec.u64()?;
+        let key = StoreKey {
+            protocol,
+            trial: rec.u8()?,
+            origin: rec.u16()?,
+        };
         toc.push(TocRecord {
-            key: StoreKey {
-                protocol,
-                trial,
-                origin,
-            },
-            offset,
-            len,
+            key,
+            offset: rec.u64()?,
+            len: rec.u64()?,
         });
     }
-    if !rec.is_exhausted() {
-        return Err(StoreError::Corrupt {
-            section: "toc",
-            detail: "trailing bytes after the last record",
-        });
-    }
-    if toc.windows(2).any(|w| w[0].key >= w[1].key) {
-        return Err(StoreError::Corrupt {
-            section: "toc",
+    rec.finish()?;
+    if toc
+        .windows(2)
+        .any(|w| matches!(w, [a, b] if a.key >= b.key))
+    {
+        return Err(FrameError::Corrupt {
+            section,
             detail: "keys unsorted or duplicated",
         });
     }
     Ok(toc)
 }
 
-fn slice_entry<'a>(bytes: &'a [u8], rec: &TocRecord) -> Result<&'a [u8], StoreError> {
+fn slice_entry<'a>(bytes: &'a [u8], rec: &TocRecord) -> Result<&'a [u8], FrameError> {
     let start = rec.offset as usize;
     let end = start
         .checked_add(rec.len as usize)
-        .ok_or(StoreError::TooLarge {
+        .ok_or(FrameError::TooLarge {
             section: "toc offset",
         })?;
-    bytes.get(start..end).ok_or(StoreError::Truncated {
+    bytes.get(start..end).ok_or(FrameError::Truncated {
         section: "entry",
-        needed: rec.offset + rec.len,
+        needed: rec.offset.saturating_add(rec.len),
         available: bytes.len() as u64,
     })
 }
@@ -318,6 +329,8 @@ pub struct ReadStats {
 #[derive(Debug)]
 pub struct StoreReader {
     file: std::fs::File,
+    /// Length at open: no read is sized beyond it.
+    file_len: u64,
     toc: Vec<TocRecord>,
     entries_opened: AtomicU64,
     chunks_loaded: AtomicU64,
@@ -328,33 +341,19 @@ impl StoreReader {
     /// Open a store file: reads and verifies the header and TOC only.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
         let file = std::fs::File::open(path)?;
-        let mut header = vec![0u8; HEADER_LEN];
-        read_exact_at(&file, 0, &mut header, "file header")?;
-        let mut cur = Cursor::new(&header, "file header");
-        let magic = cur.bytes(4)?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic {
-                found: [magic[0], magic[1], magic[2], magic[3]],
-            });
-        }
-        let version = cur.u16()?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion { found: version });
-        }
-        let _flags = cur.u16()?;
-        let _entry_count = cur.u32()?;
-        let toc_len = cur.u32()? as usize;
-        let mut full = vec![0u8; HEADER_LEN + toc_len];
-        read_exact_at(&file, 0, &mut full, "toc")?;
-        let toc = parse_header_toc(&full)?;
-        let reader = StoreReader {
+        let file_len = file.metadata()?.len();
+        let head = read_section(&file, file_len, 0, HEADER_LEN, "file header")?;
+        let header = parse_header(&mut Cursor::new(&head, "file header"))?;
+        let toc_bytes = read_section(&file, file_len, HEADER_LEN as u64, header.toc_len, "toc")?;
+        let toc = parse_toc(&header, &toc_bytes)?;
+        Ok(StoreReader {
             file,
+            file_len,
             toc,
             entries_opened: AtomicU64::new(0),
             chunks_loaded: AtomicU64::new(0),
-            bytes_read: AtomicU64::new((HEADER_LEN * 2 + toc_len) as u64),
-        };
-        Ok(reader)
+            bytes_read: AtomicU64::new((HEADER_LEN + header.toc_len) as u64),
+        })
     }
 
     /// Keys present in the store, canonical order.
@@ -398,12 +397,13 @@ impl StoreReader {
     }
 
     fn record(&self, key: &StoreKey) -> Result<&TocRecord, StoreError> {
-        match self.toc.binary_search_by(|r| r.key.cmp(key)) {
-            Ok(i) => Ok(&self.toc[i]),
-            Err(_) => Err(StoreError::KeyNotFound {
+        self.toc
+            .binary_search_by(|r| r.key.cmp(key))
+            .ok()
+            .and_then(|i| self.toc.get(i))
+            .ok_or_else(|| StoreError::KeyNotFound {
                 key: key.to_string(),
-            }),
-        }
+            })
     }
 
     fn read_at(
@@ -412,8 +412,7 @@ impl StoreReader {
         len: usize,
         section: &'static str,
     ) -> Result<Vec<u8>, StoreError> {
-        let mut buf = vec![0u8; len];
-        read_exact_at(&self.file, offset, &mut buf, section)?;
+        let buf = read_section(&self.file, self.file_len, offset, len, section)?;
         self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
         Ok(buf)
     }
@@ -445,11 +444,10 @@ impl StoreReader {
         let rec = self.record(key)?;
         // Directory length is implied by chunk_count in the set header.
         let head = self.read_at(rec.offset, SET_HEADER_LEN, "set header")?;
-        let mut cur = Cursor::new(&head, "set header");
-        let chunk_count = cur.u32()? as usize;
+        let chunk_count = Cursor::new(&head, "set header").u32()? as usize;
         let dir_len = chunk_count
             .checked_mul(DIR_RECORD_LEN)
-            .ok_or(StoreError::TooLarge {
+            .ok_or(FrameError::TooLarge {
                 section: "chunk directory",
             })?;
         let head_and_dir = self.read_at(rec.offset, SET_HEADER_LEN + dir_len, "chunk directory")?;
@@ -465,26 +463,30 @@ impl StoreReader {
     }
 }
 
-/// Positional `read_exact`: no shared cursor, so it needs only `&File`.
-fn read_exact_at(
+/// Positional read of exactly `len` bytes at `offset` (no shared cursor,
+/// so it needs only `&File`). A range the `file_len`-byte file cannot
+/// hold is `Truncated` before any buffer is sized from it — `len` may
+/// come straight from a damaged length field.
+fn read_section(
     file: &std::fs::File,
+    file_len: u64,
     offset: u64,
-    buf: &mut [u8],
+    len: usize,
     section: &'static str,
-) -> Result<(), StoreError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let n = file.read_at(&mut buf[filled..], offset + filled as u64)?;
-        if n == 0 {
-            return Err(StoreError::Truncated {
-                section,
-                needed: offset + buf.len() as u64,
-                available: offset + filled as u64,
-            });
+) -> Result<Vec<u8>, StoreError> {
+    let end = offset.saturating_add(len as u64);
+    if end > file_len {
+        return Err(FrameError::Truncated {
+            section,
+            needed: end,
+            available: file_len,
         }
-        filled += n;
+        .into());
     }
-    Ok(())
+    let mut buf = vec![0u8; len];
+    // Short only if the file shrank after open: `Io(UnexpectedEof)`.
+    file.read_exact_at(&mut buf, offset)?;
+    Ok(buf)
 }
 
 /// One lazily loaded scan set: the verified chunk directory plus a cache
@@ -515,23 +517,25 @@ impl LazyScanSet<'_> {
         self.cache.borrow().len()
     }
 
-    /// Cardinality of one chunk, from the directory (no payload I/O).
-    pub fn chunk_cardinality(&self, key: u16) -> u64 {
-        match self.dir.binary_search_by_key(&key, |d| d.key) {
-            Ok(i) => u64::from(self.dir[i].cardinality),
-            Err(_) => 0,
-        }
+    /// The directory record of chunk `key`, if the entry has one.
+    fn dir_entry(&self, key: u16) -> Option<&ChunkDirEntry> {
+        let idx = self.dir.binary_search_by_key(&key, |d| d.key).ok()?;
+        self.dir.get(idx)
     }
 
-    fn load_chunk(&self, idx: usize) -> Result<(), StoreError> {
-        let d = self.dir[idx];
+    /// Cardinality of one chunk, from the directory (no payload I/O).
+    pub fn chunk_cardinality(&self, key: u16) -> u64 {
+        self.dir_entry(key).map_or(0, |d| u64::from(d.cardinality))
+    }
+
+    fn load_chunk(&self, d: &ChunkDirEntry) -> Result<(), StoreError> {
         if self.cache.borrow().contains_key(&d.key) {
             return Ok(());
         }
         let end = d
             .payload_offset
             .checked_add(u64::from(d.payload_len))
-            .ok_or(StoreError::TooLarge {
+            .ok_or(FrameError::TooLarge {
                 section: "chunk payload",
             })?;
         // Guard against directories pointing past the entry.
@@ -539,18 +543,19 @@ impl LazyScanSet<'_> {
             .entry_len
             .saturating_sub((SET_HEADER_LEN + self.dir.len() * DIR_RECORD_LEN) as u64);
         if end > payload_room {
-            return Err(StoreError::Truncated {
+            return Err(FrameError::Truncated {
                 section: "chunk payload",
                 needed: end,
                 available: payload_room,
-            });
+            }
+            .into());
         }
         let bytes = self.reader.read_at(
             self.payload_base + d.payload_offset,
             d.payload_len as usize,
             "chunk payload",
         )?;
-        let container = decode_chunk(&d, &bytes)?;
+        let container = decode_chunk(d, &bytes)?;
         self.reader.chunks_loaded.fetch_add(1, Ordering::Relaxed);
         self.cache.borrow_mut().insert(d.key, container);
         Ok(())
@@ -559,10 +564,10 @@ impl LazyScanSet<'_> {
     /// Membership test, loading at most one chunk.
     pub fn contains(&self, addr: u32) -> Result<bool, StoreError> {
         let key = (addr >> 16) as u16;
-        let Ok(idx) = self.dir.binary_search_by_key(&key, |d| d.key) else {
+        let Some(d) = self.dir_entry(key) else {
             return Ok(false);
         };
-        self.load_chunk(idx)?;
+        self.load_chunk(d)?;
         Ok(self
             .cache
             .borrow()
@@ -577,11 +582,11 @@ impl LazyScanSet<'_> {
     pub fn rank(&self, addr: u32) -> Result<u64, StoreError> {
         let key = (addr >> 16) as u16;
         let mut count = 0u64;
-        for (idx, d) in self.dir.iter().enumerate() {
+        for d in &self.dir {
             if d.key < key {
                 count += u64::from(d.cardinality);
             } else if d.key == key {
-                self.load_chunk(idx)?;
+                self.load_chunk(d)?;
                 count += self
                     .cache
                     .borrow()
@@ -599,10 +604,10 @@ impl LazyScanSet<'_> {
     /// and only its payload is decoded for the in-chunk select.
     pub fn select(&self, k: u64) -> Result<Option<u32>, StoreError> {
         let mut remaining = k;
-        for (idx, d) in self.dir.iter().enumerate() {
+        for d in &self.dir {
             let card = u64::from(d.cardinality);
             if remaining < card {
-                self.load_chunk(idx)?;
+                self.load_chunk(d)?;
                 let low = self
                     .cache
                     .borrow()
@@ -617,8 +622,8 @@ impl LazyScanSet<'_> {
 
     /// Load every remaining chunk and assemble the full [`ScanSet`].
     pub fn materialize(&self) -> Result<ScanSet, StoreError> {
-        for idx in 0..self.dir.len() {
-            self.load_chunk(idx)?;
+        for d in &self.dir {
+            self.load_chunk(d)?;
         }
         let cache = self.cache.borrow();
         let chunks: Vec<(u16, Container)> = self
@@ -626,10 +631,12 @@ impl LazyScanSet<'_> {
             .iter()
             .filter_map(|d| cache.get(&d.key).map(|c| (d.key, c.clone())))
             .collect();
-        ScanSet::from_chunks(chunks).ok_or(StoreError::Corrupt {
-            section: "chunk directory",
-            detail: "chunk keys unsorted or duplicated",
-        })
+        ScanSet::from_chunks(chunks)
+            .ok_or(FrameError::Corrupt {
+                section: "chunk directory",
+                detail: "chunk keys unsorted or duplicated",
+            })
+            .map_err(StoreError::from)
     }
 }
 
@@ -825,6 +832,14 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `from_bytes` reduced to its frame error, for the match sites below.
+    fn frame_err(bytes: &[u8]) -> FrameError {
+        match ScanSetStore::from_bytes(bytes) {
+            Err(StoreError::Frame(e)) => e,
+            other => panic!("expected a frame error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupted_files_surface_typed_errors() {
         let store = sample_store();
@@ -832,30 +847,30 @@ mod tests {
         // Bad magic.
         let mut b = bytes.clone();
         b[0] = b'X';
-        assert!(matches!(
-            ScanSetStore::from_bytes(&b),
-            Err(StoreError::BadMagic { .. })
-        ));
+        assert!(matches!(frame_err(&b), FrameError::BadMagic { .. }));
         // Future version.
         let mut b = bytes.clone();
         b[4] = 9;
         assert!(matches!(
-            ScanSetStore::from_bytes(&b),
-            Err(StoreError::UnsupportedVersion { found: 9 })
+            frame_err(&b),
+            FrameError::UnsupportedVersion {
+                found: 9,
+                supported: VERSION
+            }
         ));
         // Flipped TOC byte.
         let mut b = bytes.clone();
         b[HEADER_LEN] ^= 0x40;
         assert!(matches!(
-            ScanSetStore::from_bytes(&b),
-            Err(StoreError::ChecksumMismatch { section: "toc", .. })
+            frame_err(&b),
+            FrameError::ChecksumMismatch { section: "toc", .. }
         ));
         // Flipped TOC checksum itself.
         let mut b = bytes.clone();
         b[16] ^= 0x01;
         assert!(matches!(
-            ScanSetStore::from_bytes(&b),
-            Err(StoreError::ChecksumMismatch { section: "toc", .. })
+            frame_err(&b),
+            FrameError::ChecksumMismatch { section: "toc", .. }
         ));
         // Truncations at every section boundary.
         for cut in [
@@ -867,8 +882,8 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    ScanSetStore::from_bytes(&bytes[..cut]),
-                    Err(StoreError::Truncated { .. }) | Err(StoreError::ChecksumMismatch { .. })
+                    frame_err(&bytes[..cut]),
+                    FrameError::Truncated { .. } | FrameError::ChecksumMismatch { .. }
                 ),
                 "cut at {cut}"
             );
@@ -878,12 +893,129 @@ mod tests {
         let last = b.len() - 1;
         b[last] ^= 0xFF;
         assert!(matches!(
-            ScanSetStore::from_bytes(&b),
-            Err(StoreError::ChecksumMismatch {
+            frame_err(&b),
+            FrameError::ChecksumMismatch {
                 section: "chunk payload",
                 ..
-            })
+            }
         ));
+    }
+
+    /// Both readers' frame error for the same damaged bytes.
+    fn eager_and_open_errs(name: &str, bytes: &[u8]) -> [FrameError; 2] {
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).unwrap();
+        let opened = StoreReader::open(&path);
+        std::fs::remove_file(&path).ok();
+        match opened {
+            Err(StoreError::Frame(e)) => [frame_err(bytes), e],
+            other => panic!("expected open to fail with a frame error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flipped_entry_count_is_typed_not_an_allocation() {
+        // `entry_count` is outside every checksum. Its top bit used to
+        // reach `Vec::with_capacity(2³¹)` and abort the process.
+        let mut b = sample_store().to_bytes().unwrap();
+        b[11] ^= 0x80;
+        for e in eager_and_open_errs("count_high", &b) {
+            assert!(
+                matches!(e, FrameError::Truncated { section: "toc", .. }),
+                "{e}"
+            );
+        }
+        // One record fewer than the TOC holds: the rest is left over.
+        b[11] ^= 0x80;
+        b[8] -= 1;
+        for e in eager_and_open_errs("count_low", &b) {
+            assert!(
+                matches!(e, FrameError::Corrupt { section: "toc", .. }),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn nonzero_flags_are_rejected() {
+        // Version 1 defines no flag; these used to decode to a store
+        // equal to the original.
+        let bytes = sample_store().to_bytes().unwrap();
+        for (at, bit) in [(6, 0x01), (7, 0x80)] {
+            let mut b = bytes.clone();
+            b[at] ^= bit;
+            for e in eager_and_open_errs("flags", &b) {
+                assert!(
+                    matches!(
+                        e,
+                        FrameError::Corrupt {
+                            section: "file header",
+                            ..
+                        }
+                    ),
+                    "{e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_last_entry_are_rejected() {
+        let mut b = sample_store().to_bytes().unwrap();
+        b.push(0);
+        assert!(matches!(
+            frame_err(&b),
+            FrameError::Corrupt {
+                section: "entry",
+                ..
+            }
+        ));
+        // An empty store ends where its (empty) TOC does.
+        let mut b = ScanSetStore::new().to_bytes().unwrap();
+        assert_eq!(ScanSetStore::from_bytes(&b).unwrap(), ScanSetStore::new());
+        b.push(0);
+        assert!(matches!(frame_err(&b), FrameError::Corrupt { .. }));
+    }
+
+    #[test]
+    fn lengths_beyond_the_file_are_refused_before_any_read() {
+        let store = sample_store();
+        let bytes = store.to_bytes().unwrap();
+        // A flipped `toc_len` used to size a buffer of up to 4 GiB.
+        let mut b = bytes.clone();
+        b[15] ^= 0x80;
+        for e in eager_and_open_errs("toc_len", &b) {
+            assert!(
+                matches!(e, FrameError::Truncated { section: "toc", .. }),
+                "{e}"
+            );
+        }
+        // Same for an entry's `chunk_count` on the lazy path: 2³¹
+        // directory records cannot fit the file, so nothing is read.
+        let path = temp_path("chunk_count");
+        let reader_over = |b: &[u8]| {
+            std::fs::write(&path, b).unwrap();
+            StoreReader::open(&path).unwrap()
+        };
+        let first_key = store.keys().next().unwrap();
+        let first_entry = reader_over(&bytes).record(first_key).unwrap().offset as usize;
+        let mut b = bytes.clone();
+        b[first_entry + 3] ^= 0x80;
+        let reader = reader_over(&b);
+        let before = reader.stats().bytes_read;
+        assert!(matches!(
+            reader.lazy(first_key),
+            Err(StoreError::Frame(FrameError::Truncated {
+                section: "chunk directory",
+                ..
+            }))
+        ));
+        assert_eq!(
+            reader.stats().bytes_read - before,
+            SET_HEADER_LEN as u64,
+            "only the set header was read"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -900,7 +1032,9 @@ mod tests {
         let any_fails = reader.keys().cloned().collect::<Vec<_>>().iter().any(|k| {
             matches!(
                 reader.load(k),
-                Err(StoreError::ChecksumMismatch { .. }) | Err(StoreError::Corrupt { .. })
+                Err(StoreError::Frame(
+                    FrameError::ChecksumMismatch { .. } | FrameError::Corrupt { .. }
+                ))
             )
         });
         assert!(any_fails, "a flipped entry byte must fail verification");
@@ -911,7 +1045,10 @@ mod tests {
         let reader = StoreReader::open(&path).unwrap();
         let last_key = reader.keys().last().cloned().unwrap();
         let outcome = reader.lazy(&last_key).and_then(|lazy| lazy.materialize());
-        assert!(matches!(outcome, Err(StoreError::Truncated { .. })));
+        assert!(matches!(
+            outcome,
+            Err(StoreError::Frame(FrameError::Truncated { .. }))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

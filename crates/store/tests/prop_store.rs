@@ -1,12 +1,14 @@
 //! Property tests for the compressed bitmap: set-operation kernels vs a
-//! naive `BTreeSet` oracle, and serialize→deserialize roundtrip identity
+//! naive `BTreeSet` oracle, serialize→deserialize roundtrip identity
 //! across all three container kinds — including the 4096-element
-//! promotion/demotion boundary.
+//! promotion/demotion boundary — and the decoder's no-panic guarantee
+//! on arbitrary and damaged bytes.
 // Gated: runs only with `--features proptest` (vendored shim; see
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_store::{ScanSet, ScanSetStore, StoreKey, ARRAY_MAX};
+use originscan_store::format::MAGIC;
+use originscan_store::{ScanSet, ScanSetStore, StoreError, StoreKey, ARRAY_MAX, FORMAT_VERSION};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,5 +181,47 @@ proptest! {
         let back = ScanSetStore::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back.get(&StoreKey::new("SSH", 1, 2)).unwrap(), &set);
         prop_assert_eq!(back.to_bytes().unwrap(), bytes);
+    }
+
+    /// No input makes the eager decoder panic or abort: arbitrary bytes
+    /// (bare, and behind a valid magic/version/flags prefix so they reach
+    /// the header counts), and valid stores with 1–8 bytes overwritten,
+    /// come back as `Ok` or a typed `Err`. Every count and length in the
+    /// file is checked against the bytes present before anything is
+    /// allocated from it, so a hostile `entry_count`/`toc_len`/
+    /// `chunk_count` costs nothing.
+    #[test]
+    fn from_bytes_returns_ok_or_a_typed_error(
+        junk in pvec(any::<u8>(), 0..256),
+        ra in raw_strategy(),
+        rb in raw_strategy(),
+        patches in pvec((0u32..2, any::<u32>(), any::<u8>()), 1..9),
+    ) {
+        let mut framed = MAGIC.to_vec();
+        framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        framed.extend_from_slice(&[0, 0]);
+        framed.extend_from_slice(&junk);
+        for bytes in [&junk, &framed] {
+            if let Ok(store) = ScanSetStore::from_bytes(bytes) {
+                prop_assert!(store.to_bytes().is_ok());
+            }
+        }
+
+        let mut store = ScanSetStore::new();
+        for (origin, raw) in [ra, rb].into_iter().enumerate() {
+            let addrs = raw.into_iter().map(to_addr).collect();
+            store.insert(StoreKey::new("HTTP", 0, origin as u16), ScanSet::from_unsorted(addrs));
+        }
+        let mut bytes = store.to_bytes().unwrap();
+        for (region, at, value) in patches {
+            // Half the overwrites aim at the header, TOC and first set
+            // header, where the unchecksummed counts and lengths live.
+            let span = if region == 0 { bytes.len().min(96) } else { bytes.len() };
+            bytes[at as usize % span] = value;
+        }
+        match ScanSetStore::from_bytes(&bytes) {
+            Ok(decoded) => prop_assert!(decoded.to_bytes().is_ok()),
+            Err(e) => prop_assert!(matches!(e, StoreError::Frame(_)), "{}", e),
+        }
     }
 }
