@@ -12,7 +12,7 @@
 use originscan_core::experiment::{Experiment, ExperimentConfig, TRIAL_DURATION_S};
 use originscan_core::report::Table;
 use originscan_netmodel::policy::{self, Block};
-use originscan_netmodel::{burst, path, OriginId, WorldConfig};
+use originscan_netmodel::{burst, path, OriginId, SimNet, WorldConfig};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
 
 fn main() {
@@ -29,6 +29,8 @@ fn main() {
         ..Default::default()
     };
     let r = Experiment::new(&world, cfg).run().unwrap();
+    // The same path state the scans above ran against.
+    let net = SimNet::new(&world, &OriginId::MAIN, TRIAL_DURATION_S);
     for proto in PAPER_PROTOCOLS {
         let m = r.matrix(proto, 0);
         println!("\n{proto} ground truth (trial 1): {} hosts", m.len());
@@ -43,7 +45,8 @@ fn main() {
                 }
                 let asr = world.as_of(addr);
                 let time = f64::from(m.hour[i]) / 21.0 * TRIAL_DURATION_S;
-                let p = path::path_params(&world, *origin, asr, proto, 0);
+                let state = net.path_state(oi as u16, asr, proto, 0);
+                let p = state.params;
                 let cause = if policy::block_status(&world, *origin, addr, proto, 0) != Block::None
                 {
                     0
@@ -61,16 +64,17 @@ fn main() {
                     2
                 } else if burst::in_burst(
                     &world,
+                    state.bursts(),
                     *origin,
                     addr,
                     asr.index,
-                    proto,
                     0,
                     time,
                     TRIAL_DURATION_S,
                 ) {
                     3
-                } else if path::host_flaky(&world, *origin, addr, proto, 0, time, p.flaky_q) {
+                } else if path::host_flaky(&world, *origin, addr, proto, 0, time, state.flaky_half)
+                {
                     4
                 } else if path::l7_flaky(&world, *origin, addr, proto, 0, p.flaky_q) {
                     5

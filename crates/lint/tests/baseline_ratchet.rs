@@ -8,7 +8,7 @@ use std::path::Path;
 /// The baseline entry count as of the last burn-down. Lower it as
 /// entries are retired; never raise it without burning something else
 /// down first (new findings belong in code fixes, not the baseline).
-const BASELINE_CEILING: usize = 65;
+const BASELINE_CEILING: usize = 62;
 
 fn baseline_entries() -> Vec<String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -64,6 +64,22 @@ fn wire_codec_index_burndown_holds() {
     assert!(
         offenders.is_empty(),
         "wire codec indexing findings reappeared in the baseline: {offenders:?}"
+    );
+}
+
+#[test]
+fn burst_model_burndown_holds() {
+    // `burst::draw_origin_mask` builds its keys as fixed arrays and picks
+    // origins through `get`; the path-state derivation it feeds runs
+    // inside the scan loop's first touch of an AS and stays off the
+    // accepted panic paths.
+    let offenders: Vec<String> = baseline_entries()
+        .into_iter()
+        .filter(|e| e.starts_with("reach-panic@crates/netmodel/src/burst.rs"))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "burst model indexing findings reappeared in the baseline: {offenders:?}"
     );
 }
 

@@ -25,8 +25,12 @@ const SLOT_P: f64 = 0.10;
 /// Scan duration the hour grid is defined over (the paper's ~21 h trial).
 pub const SCAN_HOURS: f64 = 21.0;
 
+/// Most events [`events_for`] can return: every slot plus the mega
+/// event.
+pub const MAX_EVENTS: usize = SLOTS as usize + 1;
+
 /// One burst event.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BurstEvent {
     /// Start of the outage window, in hours since scan start.
     pub start_h: f64,
@@ -58,7 +62,7 @@ pub fn events_for(world: &World, as_index: u32, proto: Protocol, trial: u8) -> V
         }
         let start_h = det.range(Tag::Burst, &[2, a, p, t, slot], 0.0, SCAN_HOURS - 1.0);
         let len_h = det.range(Tag::Burst, &[3, a, p, t, slot], 0.6, 1.4);
-        let origin_mask = draw_origin_mask(det, &[4, a, p, t, slot]);
+        let origin_mask = draw_origin_mask(det, [a, p, t, slot]);
         let frac = det.range(Tag::Burst, &[5, a, p, t, slot], 0.5, 1.0);
         out.push(BurstEvent {
             start_h,
@@ -81,45 +85,39 @@ pub fn events_for(world: &World, as_index: u32, proto: Protocol, trial: u8) -> V
 }
 
 /// Draw the affected-origin mask: ~60 % single origin, most of the rest
-/// two or three origins, a sliver affecting many.
-fn draw_origin_mask(det: &Det, key: &[u64]) -> u16 {
-    let mut k = key.to_vec();
-    k.push(0);
-    let u = det.uniform(Tag::Burst, &k);
-    // Australia is disproportionately the single affected origin (§5.3:
-    // 30–40 % of single-origin bursts).
-    let single = |det: &Det, k: &mut Vec<u64>| -> u16 {
-        k.push(1);
-        let pick = det.uniform(Tag::Burst, k);
-        k.pop();
-        if pick < 0.35 {
-            origin_bit(OriginId::Australia)
-        } else {
-            // Uniform over the remaining main origins.
-            let others = [
-                OriginId::Brazil,
-                OriginId::Germany,
-                OriginId::Japan,
-                OriginId::Us1,
-                OriginId::Us64,
-                OriginId::Censys,
-            ];
-            let i = ((pick - 0.35) / 0.65 * others.len() as f64) as usize;
-            origin_bit(others[i.min(others.len() - 1)])
-        }
-    };
+/// two or three origins, a sliver affecting many. Keyed by the event's
+/// `(AS, protocol, trial, slot)`.
+fn draw_origin_mask(det: &Det, [a, p, t, slot]: [u64; 4]) -> u16 {
+    let u = det.uniform(Tag::Burst, &[4, a, p, t, slot, 0]);
+    let sub = |salt: u64| [4, a, p, t, slot, 0, salt];
     if u < 0.60 {
-        single(det, &mut k)
+        // Australia is disproportionately the single affected origin
+        // (§5.3: 30–40 % of single-origin bursts).
+        let pick = det.uniform(Tag::Burst, &sub(1));
+        if pick < 0.35 {
+            return origin_bit(OriginId::Australia);
+        }
+        // Uniform over the remaining main origins.
+        let others = [
+            OriginId::Brazil,
+            OriginId::Germany,
+            OriginId::Japan,
+            OriginId::Us1,
+            OriginId::Us64,
+            OriginId::Censys,
+        ];
+        let i = ((pick - 0.35) / 0.65 * others.len() as f64) as usize;
+        // `pick < 1` keeps `i` in range; rounding at the top edge lands
+        // on the last origin.
+        origin_bit(*others.get(i).unwrap_or(&OriginId::Censys))
     } else if u < 0.91 {
         // Two or three origins.
         let n = if u < 0.80 { 2 } else { 3 };
         let mut mask = 0u16;
         let mut j = 0u64;
         while mask.count_ones() < n {
-            k.push(10 + j);
-            let i = det.below(Tag::Burst, &k, OriginId::MAIN.len() as u64) as usize;
-            k.pop();
-            mask |= origin_bit(OriginId::MAIN[i]);
+            let i = det.below(Tag::Burst, &sub(10 + j), OriginId::MAIN.len() as u64) as usize;
+            mask |= OriginId::MAIN.get(i).map_or(0, |&o| origin_bit(o));
             j += 1;
         }
         mask
@@ -132,20 +130,20 @@ fn draw_origin_mask(det: &Det, key: &[u64]) -> u16 {
     }
 }
 
-/// Is a probe sent at `time_s` from `origin` inside a burst for this AS,
-/// and is this particular host part of the affected fraction?
+/// Is a probe sent at `time_s` from `origin` inside one of `events` —
+/// the AS's [`events_for`] this (protocol, trial) — and is this
+/// particular host part of the affected fraction?
 #[allow(clippy::too_many_arguments)] // mirrors the probe context
 pub fn in_burst(
     world: &World,
+    events: &[BurstEvent],
     origin: OriginId,
     addr: u32,
     as_index: u32,
-    proto: Protocol,
     trial: u8,
     time_s: f64,
     duration_s: f64,
 ) -> bool {
-    let events = events_for(world, as_index, proto, trial);
     if events.is_empty() {
         return false;
     }
@@ -243,7 +241,8 @@ mod tests {
         let duration = 21.0 * 3600.0;
         // Find an AS with an event affecting some origin.
         for a in 0..w.ases.len() as u32 {
-            if let Some(e) = events_for(&w, a, Protocol::Http, 0).into_iter().next() {
+            let events = events_for(&w, a, Protocol::Http, 0);
+            if let Some(&e) = events.first() {
                 let origin = OriginId::MAIN
                     .into_iter()
                     .find(|o| e.origin_mask & origin_bit(*o) != 0)
@@ -252,18 +251,16 @@ mod tests {
                 let outside_t = ((e.start_h + e.len_h + 2.0) % SCAN_HOURS) / SCAN_HOURS * duration;
                 // With frac >= 0.5, at least ~half of addresses hit inside.
                 let hits = (0..200u32)
-                    .filter(|&addr| {
-                        in_burst(&w, origin, addr, a, Protocol::Http, 0, inside_t, duration)
-                    })
+                    .filter(|&addr| in_burst(&w, &events, origin, addr, a, 0, inside_t, duration))
                     .count();
                 assert!(hits > 50, "inside-window hits {hits}");
                 // Outside the window (and away from other events) we can't
                 // assert zero because another event may overlap; just check
                 // the window logic via an AS with exactly one event.
-                if events_for(&w, a, Protocol::Http, 0).len() == 1 {
+                if events.len() == 1 {
                     let misses = (0..200u32)
                         .filter(|&addr| {
-                            in_burst(&w, origin, addr, a, Protocol::Http, 0, outside_t, duration)
+                            in_burst(&w, &events, origin, addr, a, 0, outside_t, duration)
                         })
                         .count();
                     assert_eq!(misses, 0);

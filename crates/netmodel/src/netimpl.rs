@@ -9,30 +9,85 @@
 //! and then applies the SSH-specific mechanisms (Alibaba RST,
 //! MaxStartups) before serving protocol-correct bytes produced with the
 //! `originscan-wire` codecs.
+//!
+//! # The path-state table
+//!
+//! Part of that derivation does not depend on the address at all: the
+//! loss parameters and burst events of a path are a function of
+//! (origin, destination AS, protocol, trial) — [`path::path_state`] —
+//! and a scan asks for them three or more times per responsive host. So
+//! a `SimNet` owns a table of [`PathState`] with one write-once slot per
+//! key, filled the first time a probe needs it and read without a lock
+//! afterwards. Nothing is allocated for a (trial), an (origin, protocol)
+//! or an AS no probe has touched, which keeps [`SimNet::new`] cheap.
+//!
+//! The net is shared by an experiment's scan threads, so which thread
+//! fills a slot — and in what order slots fill — varies from run to run.
+//! That cannot reach any output: the stored value is a pure function of
+//! the slot's key and the world seed, so every thread would have written
+//! the same bytes, and a reader never sees a slot half-written.
 
+use crate::asn::AsRecord;
 use crate::burst;
 use crate::host::{self, Protocol};
 use crate::origin::OriginId;
-use crate::path;
+use crate::path::{self, PathState};
 use crate::policy::defender::{self, DefenseQuery, Verdict};
 use crate::policy::{geo_restrict, maxstartups};
 use crate::rng::Tag;
-use crate::world::World;
+use crate::world::{proto_slot, World, PROTO_SLOTS};
 use originscan_scanner::target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
 use originscan_wire::dns;
 use originscan_wire::icmp::IcmpEcho;
 use originscan_wire::tcp::TcpHeader;
+use std::sync::OnceLock;
+
+/// A fixed-length row of write-once slots, each filled on first use.
+#[derive(Debug)]
+struct Slots<T> {
+    row: Box<[OnceLock<T>]>,
+}
+
+impl<T> Slots<T> {
+    fn new(len: usize) -> Self {
+        Self {
+            row: (0..len).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The value in slot `i`, computing it with `fill` if this is the
+    /// first use. Callers racing on an empty slot all get the one value
+    /// that was stored.
+    fn get_or_fill(&self, i: usize, fill: impl FnOnce() -> T) -> &T {
+        // lint:allow(reach-panic) reason= every row is allocated with the
+        // length of the key range that indexes it: all 256 trials,
+        // origins.len() × PROTO_SLOTS, world.ases.len().
+        self.row[i].get_or_init(fill)
+    }
+}
 
 /// The simulated network an experiment scans.
-#[derive(Debug, Clone, Copy)]
 pub struct SimNet<'w> {
     world: &'w World,
     /// Maps the scanner's opaque `ctx.origin` index to an origin.
     origins: &'w [OriginId],
     /// Simulated scan duration (time normalization for temporal models).
     duration_s: f64,
+    /// [`PathState`] by trial, then (origin index, protocol), then AS
+    /// index; see the module docs.
+    paths: Slots<Slots<Slots<PathState>>>,
+}
+
+impl std::fmt::Debug for SimNet<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The table is a cache of derived values, and thousands of slots.
+        f.debug_struct("SimNet")
+            .field("origins", &self.origins)
+            .field("duration_s", &self.duration_s)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Probability that an address hosting a *different* protocol's service
@@ -55,6 +110,7 @@ impl<'w> SimNet<'w> {
             world,
             origins,
             duration_s,
+            paths: Slots::new(usize::from(u8::MAX) + 1),
         }
     }
 
@@ -69,20 +125,50 @@ impl<'w> SimNet<'w> {
     }
 
     fn origin(&self, idx: u16) -> OriginId {
-        self.origins[idx as usize]
+        // lint:allow(reach-panic) reason= `idx` is a `ScanConfig.origin`,
+        // which every runner takes from the roster it built this net
+        // with, so `idx < origins.len()`; an index outside it is a caller
+        // bug, and answering it as a silent network would hide that.
+        self.origins[usize::from(idx)]
+    }
+
+    /// The path state from origin number `origin` (an index into this
+    /// net's roster) into `asr` for one (protocol, trial): computed by
+    /// [`path::path_state`] on first use, then served from the table.
+    pub fn path_state(
+        &self,
+        origin: u16,
+        asr: &AsRecord,
+        proto: Protocol,
+        trial: u8,
+    ) -> &PathState {
+        let w = self.world;
+        let o = self.origin(origin);
+        self.paths
+            .get_or_fill(usize::from(trial), || {
+                Slots::new(self.origins.len() * PROTO_SLOTS)
+            })
+            .get_or_fill(
+                usize::from(origin) * PROTO_SLOTS + proto_slot(proto),
+                || Slots::new(w.ases.len()),
+            )
+            .get_or_fill(asr.index as usize, || {
+                path::path_state(w, o, asr, proto, trial)
+            })
     }
 
     /// Shared host-state decision: is the host reachable from this origin
     /// at this time, and if not, how does the failure manifest?
     fn host_state(
         &self,
-        o: OriginId,
+        origin: u16,
         addr: u32,
         proto: Protocol,
         trial: u8,
         time_s: f64,
     ) -> HostState {
         let w = self.world;
+        let o = self.origin(origin);
         if !w.is_host(proto, addr) {
             // Machine may still exist running another service: closed port.
             // Deliberately checks the paper's TCP trio only (the keyed
@@ -119,14 +205,24 @@ impl<'w> SimNet<'w> {
             Verdict::DropL7 => return HostState::L7Filtered,
             Verdict::Allow | Verdict::RstAfterHandshake => {}
         }
-        let params = path::path_params(w, o, asr, proto, trial);
+        let path = self.path_state(origin, asr, proto, trial);
+        let params = path.params;
         if path::host_persistent_unreachable(w, o, addr, params.persistent_f) {
             return HostState::SilentlyFiltered;
         }
-        if burst::in_burst(w, o, addr, asr.index, proto, trial, time_s, self.duration_s) {
+        if burst::in_burst(
+            w,
+            path.bursts(),
+            o,
+            addr,
+            asr.index,
+            trial,
+            time_s,
+            self.duration_s,
+        ) {
             return HostState::TransientlyDown;
         }
-        if path::host_flaky(w, o, addr, proto, trial, time_s, params.flaky_q) {
+        if path::host_flaky(w, o, addr, proto, trial, time_s, path.flaky_half) {
             return HostState::TransientlyDown;
         }
         HostState::Reachable {
@@ -161,7 +257,7 @@ enum HostState {
 impl Network for SimNet<'_> {
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         let o = self.origin(ctx.origin);
-        let state = self.host_state(o, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
+        let state = self.host_state(ctx.origin, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
         match state {
             HostState::Absent | HostState::SilentlyFiltered | HostState::TransientlyDown => {
                 SynReply::Silent
@@ -195,7 +291,7 @@ impl Network for SimNet<'_> {
 
     fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
         let o = self.origin(ctx.origin);
-        let state = self.host_state(o, ctx.dst, Protocol::Icmp, ctx.trial, ctx.time_s);
+        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Icmp, ctx.trial, ctx.time_s);
         match state {
             HostState::Absent | HostState::ClosedPort => {
                 // The last-hop router answers for a fraction of missing
@@ -252,7 +348,7 @@ impl Network for SimNet<'_> {
     fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
         let w = self.world;
         let o = self.origin(ctx.origin);
-        let state = self.host_state(o, ctx.dst, Protocol::Dns, ctx.trial, ctx.time_s);
+        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Dns, ctx.trial, ctx.time_s);
         match state {
             HostState::Absent => UdpReply::Silent,
             // Machine up, nothing bound to UDP/53: kernel sends ICMP
@@ -330,7 +426,7 @@ impl Network for SimNet<'_> {
         let o = self.origin(ctx.origin);
         let addr = ctx.dst;
         let proto = ctx.protocol;
-        match self.host_state(o, addr, proto, ctx.trial, ctx.time_s) {
+        match self.host_state(ctx.origin, addr, proto, ctx.trial, ctx.time_s) {
             HostState::Absent | HostState::SilentlyFiltered | HostState::TransientlyDown => {
                 // The engine only calls l7 after a SYN-ACK; if the state
                 // says unreachable, the connection stalls out.
@@ -586,6 +682,160 @@ mod tests {
             de < br,
             "DE {de} should trail BR {br} inside Telecom Italia"
         );
+    }
+
+    /// The trials the table tests ask about: the study's three, two
+    /// past them, and the last a `u8` can name.
+    const TRIALS: [u8; 6] = [0, 1, 2, 7, 8, 255];
+
+    /// One question for the net, answered through all four entry points.
+    #[derive(Debug, Clone, Copy)]
+    struct Ask {
+        origin: u16,
+        proto: Protocol,
+        trial: u8,
+        addr: u32,
+        time_s: f64,
+        probe_idx: u8,
+        attempt: u8,
+    }
+
+    fn answer(net: &SimNet<'_>, q: Ask) -> (SynReply, IcmpReply, UdpReply, L7Reply) {
+        let ctx = ProbeCtx {
+            origin: q.origin,
+            src_ip: 0x0a00_0001,
+            dst: q.addr,
+            protocol: q.proto,
+            time_s: q.time_s,
+            probe_idx: q.probe_idx,
+            trial: q.trial,
+        };
+        let l7 = L7Ctx {
+            origin: q.origin,
+            src_ip: ctx.src_ip,
+            dst: q.addr,
+            protocol: q.proto,
+            time_s: q.time_s,
+            trial: q.trial,
+            attempt: q.attempt,
+            concurrent_origins: MAIN.len() as u8,
+        };
+        let query = dns::a_query(q.addr as u16, "origin-scan.example.com").unwrap();
+        (
+            net.syn(&ctx, &TcpHeader::syn_probe(40_000, 80, q.addr)),
+            net.icmp(&ctx, &IcmpEcho::request(7, q.addr as u16)),
+            net.udp(&ctx, &query),
+            net.l7(&l7, b""),
+        )
+    }
+
+    /// `n` questions drawn from the world's own hash stream, mostly
+    /// about deployed hosts (an empty address never reaches the table).
+    fn asks(w: &World, n: u64, salt: u64) -> Vec<Ask> {
+        let protos: Vec<Protocol> = originscan_scanner::probe::modules()
+            .iter()
+            .map(|m| m.protocol())
+            .collect();
+        (0..n)
+            .map(|i| {
+                let draw = |k: u64, below: u64| w.det().below(Tag::Structure, &[salt, i, k], below);
+                let proto = protos[draw(0, protos.len() as u64) as usize];
+                let hosts = w.hosts(proto);
+                let addr = if draw(1, 8) == 0 {
+                    draw(2, w.space()) as u32
+                } else {
+                    hosts[draw(2, hosts.len() as u64) as usize]
+                };
+                Ask {
+                    origin: draw(3, MAIN.len() as u64) as u16,
+                    proto,
+                    trial: TRIALS[draw(4, TRIALS.len() as u64) as usize],
+                    addr,
+                    time_s: draw(5, 75_600) as f64,
+                    probe_idx: draw(6, 2) as u8,
+                    attempt: draw(7, 4) as u8,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_net_answers_like_a_fresh_one() {
+        let w = world();
+        let warm = SimNet::new(&w, MAIN, 75_600.0);
+        for q in asks(&w, 4000, 1) {
+            answer(&warm, q);
+        }
+        for q in asks(&w, 1500, 2) {
+            let fresh = SimNet::new(&w, MAIN, 75_600.0);
+            assert_eq!(answer(&warm, q), answer(&fresh, q), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn stored_path_state_is_the_direct_derivation() {
+        let w = world();
+        let net = SimNet::new(&w, MAIN, 75_600.0);
+        // Twice, the second pass in the opposite order: first touch, then
+        // the stored value, whichever slot filled first.
+        let mut keys: Vec<(u16, &AsRecord, Protocol, u8)> = Vec::new();
+        for origin in 0..MAIN.len() as u16 {
+            for m in originscan_scanner::probe::modules() {
+                for trial in TRIALS {
+                    for asr in w.ases.iter().step_by(5) {
+                        keys.push((origin, asr, m.protocol(), trial));
+                    }
+                }
+            }
+        }
+        let reversed: Vec<_> = keys.iter().rev().copied().collect();
+        for (origin, asr, proto, trial) in keys.into_iter().chain(reversed) {
+            let o = MAIN[usize::from(origin)];
+            let params = path::path_params(&w, o, asr, proto, trial);
+            let stored = net.path_state(origin, asr, proto, trial);
+            let what = format!("{o} → AS {} {proto} trial {trial}", asr.index);
+            assert_eq!(stored.params, params, "{what}");
+            assert_eq!(
+                stored.flaky_half,
+                path::flaky_half(params.flaky_q),
+                "{what}"
+            );
+            assert_eq!(
+                stored.bursts(),
+                burst::events_for(&w, asr.index, proto, trial),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_threads_filling_one_net_agree_with_one_thread() {
+        let w = world();
+        let qs = asks(&w, 3000, 3);
+        let alone = SimNet::new(&w, MAIN, 75_600.0);
+        let expect: Vec<_> = qs.iter().map(|&q| answer(&alone, q)).collect();
+        // Both threads ask the same questions of one empty net from the
+        // same instant, one of them back to front, so they race to fill
+        // the same slots and each reads slots the other filled.
+        let shared = SimNet::new(&w, MAIN, 75_600.0);
+        let start = std::sync::Barrier::new(2);
+        let (fwd, mut rev) = std::thread::scope(|s| {
+            let fwd = s.spawn(|| {
+                start.wait();
+                qs.iter().map(|&q| answer(&shared, q)).collect::<Vec<_>>()
+            });
+            let rev = s.spawn(|| {
+                start.wait();
+                qs.iter()
+                    .rev()
+                    .map(|&q| answer(&shared, q))
+                    .collect::<Vec<_>>()
+            });
+            (fwd.join().unwrap(), rev.join().unwrap())
+        });
+        rev.reverse();
+        assert_eq!(fwd, expect);
+        assert_eq!(rev, expect);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! coverage in Fig 18.
 
 use crate::asn::{AsRecord, AsTags};
+use crate::burst::{self, BurstEvent};
 use crate::host::{proto_key, Protocol};
 use crate::origin::OriginId;
 use crate::rng::Tag;
@@ -144,14 +145,60 @@ pub fn path_params(
     params
 }
 
-/// Is `addr` transiently unreachable from `origin` for this whole scan?
-///
-/// The failure is split into a *site* component (shared by origins in the
-/// same data center — their probes traverse the same upstream paths, so
-/// the same hosts fail) and an *origin* component, each contributing half
-/// of the total probability `q`. This is what makes the collocated
-/// HE–NTT–TELIA triad the worst triad in Fig 18: its members' transient
-/// misses overlap heavily, so the union recovers less.
+/// Everything the model derives from (origin, destination AS, protocol,
+/// trial) alone: the *path state* every per-address decision on that
+/// path starts from. [`path_state`] is the one place the four keys turn
+/// into loss parameters and events; `SimNet` computes it once per key
+/// and tools call the same function.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathState {
+    /// The path's loss parameters ([`path_params`]).
+    pub params: PathParams,
+    /// [`flaky_half`] of `params.flaky_q`, the rate [`host_flaky`] draws
+    /// its site and origin components against.
+    pub flaky_half: f64,
+    /// Storage for [`bursts`](Self::bursts). Inline, not a `Vec`: a
+    /// state is stored for the life of a `SimNet` from whichever scan
+    /// thread first needs it, and small long-lived blocks scattered
+    /// through the scan threads' allocator arenas keep every arena at
+    /// its high-water mark.
+    events: [BurstEvent; burst::MAX_EVENTS],
+    n_events: usize,
+}
+
+impl PathState {
+    /// The AS's burst events this (protocol, trial)
+    /// ([`burst::events_for`]; usually none).
+    pub fn bursts(&self) -> &[BurstEvent] {
+        self.events.get(..self.n_events).unwrap_or(&self.events)
+    }
+}
+
+/// Derive the path state. A pure function of the world seed and the four
+/// keys, so it may be computed once and shared, in any order, by any
+/// number of threads.
+pub fn path_state(
+    world: &World,
+    origin: OriginId,
+    asr: &AsRecord,
+    proto: Protocol,
+    trial: u8,
+) -> PathState {
+    let params = path_params(world, origin, asr, proto, trial);
+    let bursts = burst::events_for(world, asr.index, proto, trial);
+    assert!(bursts.len() <= burst::MAX_EVENTS, "{} events", bursts.len());
+    let mut events = [BurstEvent::default(); burst::MAX_EVENTS];
+    for (slot, e) in events.iter_mut().zip(&bursts) {
+        *slot = *e;
+    }
+    PathState {
+        params,
+        flaky_half: flaky_half(params.flaky_q),
+        events,
+        n_events: bursts.len(),
+    }
+}
+
 /// Length of one transient-state window in seconds.
 ///
 /// A host's transient unreachability is a *state* that persists for a
@@ -161,13 +208,23 @@ pub fn path_params(
 /// endorses, works precisely because of this structure.
 pub const FLAKY_WINDOW_S: f64 = 2.0 * 3600.0;
 
-/// Is `addr` transiently unreachable from `origin` at `time_s`?
+/// The rate each of [`host_flaky`]'s two components draws against so
+/// that their union has rate `q`: `1 − (1 − half)² = q`.
+pub fn flaky_half(q: f64) -> f64 {
+    1.0 - (1.0 - q.min(1.0)).sqrt()
+}
+
+/// Is `addr` transiently unreachable from `origin` at `time_s`, on a
+/// path whose correlated-loss level is `q = 1 − (1 − half)²`
+/// ([`flaky_half`])?
 ///
 /// Two structural properties, both load-bearing for the paper's findings:
 /// the failure is split into a *site* component (shared by collocated
-/// origins, Fig 18) and an *origin* component, and the state is drawn per
-/// [`FLAKY_WINDOW_S`] window so consecutive probes share a fate while
-/// time-separated probes redraw (the delayed-probe mitigation).
+/// origins, Fig 18 — their probes traverse the same upstream paths, so
+/// the same hosts fail) and an *origin* component, and the state is
+/// drawn per [`FLAKY_WINDOW_S`] window so consecutive probes share a
+/// fate while time-separated probes redraw (the delayed-probe
+/// mitigation).
 pub fn host_flaky(
     world: &World,
     origin: OriginId,
@@ -175,10 +232,8 @@ pub fn host_flaky(
     proto: Protocol,
     trial: u8,
     time_s: f64,
-    q: f64,
+    half: f64,
 ) -> bool {
-    // 1 - (1 - half)^2 = q, so the combined rate is exactly q.
-    let half = 1.0 - (1.0 - q.min(1.0)).sqrt();
     let det = world.det();
     let window = (time_s / FLAKY_WINDOW_S).max(0.0) as u64;
     let key = |salt: u64, ok: u64| {
@@ -396,8 +451,9 @@ mod tests {
     fn flaky_and_persistent_host_draws_behave() {
         let w = world();
         // Rate roughly matches q.
+        let half = flaky_half(0.05);
         let hits = (0..30_000u32)
-            .filter(|&a| host_flaky(&w, OriginId::Us1, a, Protocol::Http, 0, 100.0, 0.05))
+            .filter(|&a| host_flaky(&w, OriginId::Us1, a, Protocol::Http, 0, 100.0, half))
             .count();
         let rate = hits as f64 / 30_000.0;
         assert!((rate - 0.05).abs() < 0.01, "{rate}");

@@ -94,14 +94,18 @@ pub struct World {
     slash24_country: Vec<Country>,
     /// Sorted deployed addresses per protocol
     /// (HTTP, HTTPS, SSH, ICMP, DNS).
-    hosts: [Vec<u32>; 5],
+    hosts: [Vec<u32>; PROTO_SLOTS],
     /// Presence bitmaps per protocol, 1 bit per address.
-    bitmaps: [Vec<u64>; 5],
+    bitmaps: [Vec<u64>; PROTO_SLOTS],
     /// The deterministic hash stream.
     det: Det,
 }
 
-fn proto_slot(p: Protocol) -> usize {
+/// Number of per-protocol slots ([`proto_slot`]'s range).
+pub(crate) const PROTO_SLOTS: usize = 5;
+
+/// Dense index of a protocol, for per-protocol arrays.
+pub(crate) fn proto_slot(p: Protocol) -> usize {
     match p {
         Protocol::Http => 0,
         Protocol::Https => 1,

@@ -4,8 +4,15 @@
 #![cfg(feature = "proptest")]
 
 use originscan_netmodel::policy::{self, Block};
-use originscan_netmodel::{OriginId, Protocol, WorldConfig};
+use originscan_netmodel::{burst, path, OriginId, Protocol, SimNet, WorldConfig};
+use originscan_scanner::target::{L7Ctx, Network, ProbeCtx};
+use originscan_wire::icmp::IcmpEcho;
+use originscan_wire::{dns, TcpHeader};
 use proptest::prelude::*;
+
+/// Trials the path-state table is asked about: the study's three, two
+/// past them, and the last a `u8` can name.
+const TRIALS: [u8; 6] = [0, 1, 2, 7, 8, 255];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -72,6 +79,75 @@ proptest! {
             .filter(|&a| policy::block_status(&w, OriginId::Censys, a, Protocol::Http, 0) != Block::None)
             .count();
         prop_assert!(blocked >= 255, "{blocked}/256 blocked");
+    }
+
+    /// A net that has been answering for a while says what a net built
+    /// for the one question says, through every entry point, and what it
+    /// stored for the path is the direct derivation.
+    #[test]
+    fn long_lived_net_answers_like_a_fresh_one(
+        seed: u64,
+        asks in proptest::collection::vec(
+            (
+                (0u16..7, 0usize..5, 0usize..6),
+                any::<u32>(),
+                0.0f64..75_600.0,
+                0u8..2,
+                0u8..4,
+            ),
+            64..256,
+        ),
+    ) {
+        let w = WorldConfig::tiny(seed).build();
+        let modules = originscan_scanner::probe::modules();
+        let warm = SimNet::new(&w, &OriginId::MAIN, 75_600.0);
+        for ((origin, proto, trial), pick, time_s, probe_idx, attempt) in asks {
+            let protocol = modules[proto].protocol();
+            let trial = TRIALS[trial];
+            // Mostly deployed hosts: an empty address never reaches the
+            // path state.
+            let hosts = w.hosts(protocol);
+            let dst = if pick % 8 == 0 {
+                pick % w.space() as u32
+            } else {
+                hosts[pick as usize % hosts.len()]
+            };
+            let ctx = ProbeCtx {
+                origin,
+                src_ip: 0x0a00_0001,
+                dst,
+                protocol,
+                time_s,
+                probe_idx,
+                trial,
+            };
+            let l7 = L7Ctx {
+                origin,
+                src_ip: ctx.src_ip,
+                dst,
+                protocol,
+                time_s,
+                trial,
+                attempt,
+                concurrent_origins: 7,
+            };
+            let syn = TcpHeader::syn_probe(40_000, 80, pick);
+            let echo = IcmpEcho::request(7, pick as u16);
+            let query = dns::a_query(pick as u16, "origin-scan.example.com").unwrap();
+            let fresh = SimNet::new(&w, &OriginId::MAIN, 75_600.0);
+            prop_assert_eq!(warm.syn(&ctx, &syn), fresh.syn(&ctx, &syn));
+            prop_assert_eq!(warm.icmp(&ctx, &echo), fresh.icmp(&ctx, &echo));
+            prop_assert_eq!(warm.udp(&ctx, &query), fresh.udp(&ctx, &query));
+            prop_assert_eq!(warm.l7(&l7, b""), fresh.l7(&l7, b""));
+
+            let asr = w.as_of(dst);
+            let o = OriginId::MAIN[usize::from(origin)];
+            let params = path::path_params(&w, o, asr, protocol, trial);
+            let stored = warm.path_state(origin, asr, protocol, trial);
+            prop_assert_eq!(stored.params, params);
+            prop_assert_eq!(stored.flaky_half, path::flaky_half(params.flaky_q));
+            prop_assert_eq!(stored.bursts(), burst::events_for(&w, asr.index, protocol, trial));
+        }
     }
 
     /// Worlds with different seeds differ somewhere observable.

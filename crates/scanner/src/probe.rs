@@ -34,6 +34,7 @@ use originscan_wire::icmp::IcmpEcho;
 use originscan_wire::ipv4::{PROTO_ICMP, PROTO_UDP};
 use originscan_wire::validation::Validator;
 use originscan_wire::{dns, udp, Ipv4Header, TcpHeader};
+use std::sync::OnceLock;
 
 /// The qname every DNS probe asks for (an A record, recursion desired).
 pub const DNS_PROBE_QNAME: &str = "origin-scan.example.com";
@@ -247,6 +248,25 @@ fn icmp_wire_roundtrip(probe: &IcmpEcho, src: u32, dst: u32) -> bool {
     matches!(IcmpEcho::parse(&bytes), Ok(reparsed) if &reparsed == probe)
 }
 
+/// Upper bound on the encoded probe query (41 bytes for
+/// [`DNS_PROBE_QNAME`]): the size of the per-probe stack buffer.
+const DNS_QUERY_BUF: usize = 64;
+
+/// The probe's A-query for transaction id `txid`, written into `buf`:
+/// a copy of the query encoded once per process with the two txid bytes
+/// patched — every other byte is the same for every target. `None` if
+/// the fixed qname does not encode or outgrows the buffer.
+fn dns_query(txid: u16, buf: &mut [u8; DNS_QUERY_BUF]) -> Option<&[u8]> {
+    static TEMPLATE: OnceLock<Option<Vec<u8>>> = OnceLock::new();
+    let template = TEMPLATE
+        .get_or_init(|| dns::a_query(0, DNS_PROBE_QNAME).ok())
+        .as_deref()?;
+    let query = buf.get_mut(..template.len())?;
+    query.copy_from_slice(template);
+    *query.first_chunk_mut()? = txid.to_be_bytes();
+    Some(query)
+}
+
 /// DNS A-query over UDP/53: the validation MAC rides in the transaction
 /// id and the response must mirror it.
 #[derive(Debug)]
@@ -278,15 +298,16 @@ impl ProbeModule for DnsUdpModule {
         let txid = shot
             .validator
             .probe_seq(ctx.src_ip, ctx.dst, shot.sport, shot.dport) as u16;
-        let Ok(query) = dns::a_query(txid, DNS_PROBE_QNAME) else {
+        let mut buf = [0u8; DNS_QUERY_BUF];
+        let Some(query) = dns_query(txid, &mut buf) else {
             // The fixed probe qname always encodes; treat a failure like
             // any other codec self-check violation.
             return Err(ScanError::WireCheck { addr: ctx.dst });
         };
-        if shot.wire_check && !udp_wire_roundtrip(&query, shot, ctx) {
+        if shot.wire_check && !udp_wire_roundtrip(query, shot, ctx) {
             return Err(ScanError::WireCheck { addr: ctx.dst });
         }
-        Ok(match net.udp(ctx, &query) {
+        Ok(match net.udp(ctx, query) {
             UdpReply::Data(bytes) => match dns::parse_response(&bytes) {
                 Ok(r) if r.txid == txid => ProbeVerdict::Positive(Some(L7Detail::Dns {
                     rcode: r.rcode,
@@ -473,6 +494,15 @@ mod tests {
                 }
                 v => panic!("{}: expected positive, got {v:?}", m.name()),
             }
+        }
+    }
+
+    #[test]
+    fn patched_dns_template_is_the_encoded_query() {
+        for txid in [0u16, 1, 0x00ff, 0xff00, 0x4242, u16::MAX] {
+            let mut buf = [0xaau8; DNS_QUERY_BUF];
+            let expect = dns::a_query(txid, DNS_PROBE_QNAME).unwrap();
+            assert_eq!(dns_query(txid, &mut buf), Some(expect.as_slice()));
         }
     }
 

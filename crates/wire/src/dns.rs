@@ -95,10 +95,12 @@ pub struct DnsResponse {
     pub answers: u16,
 }
 
-/// Walk one encoded name, appending dotted labels to `out`. Accepts a
+/// Walk one encoded name, checking its structure and appending dotted
+/// labels to `out` when the caller wants the text (a response's names
+/// are only validated, so that path builds no string). Accepts a
 /// compression pointer (terminating the walk) anywhere a label could
 /// start.
-fn read_name(r: &mut Reader<'_>, out: &mut String) -> Result<(), ParseError> {
+fn read_name(r: &mut Reader<'_>, mut out: Option<&mut String>) -> Result<(), ParseError> {
     loop {
         let len = r.u8()?;
         if len == 0 {
@@ -114,14 +116,14 @@ fn read_name(r: &mut Reader<'_>, out: &mut String) -> Result<(), ParseError> {
             return Err(ParseError::Malformed);
         }
         let label = r.take(usize::from(len))?;
-        if !out.is_empty() {
-            out.push('.');
+        if !label.iter().all(u8::is_ascii_graphic) {
+            return Err(ParseError::Malformed);
         }
-        for &c in label {
-            if !c.is_ascii_graphic() {
-                return Err(ParseError::Malformed);
+        if let Some(out) = out.as_deref_mut() {
+            if !out.is_empty() {
+                out.push('.');
             }
-            out.push(char::from(c));
+            out.extend(label.iter().copied().map(char::from));
         }
     }
 }
@@ -139,8 +141,10 @@ pub fn parse_query(buf: &[u8]) -> Result<DnsQuery, ParseError> {
         return Err(ParseError::Malformed);
     }
     r.skip(6)?; // AN/NS/AR counts
-    let mut qname = String::new();
-    read_name(&mut r, &mut qname)?;
+
+    // One allocation: the dotted name is shorter than its message.
+    let mut qname = String::with_capacity(buf.len());
+    read_name(&mut r, Some(&mut qname))?;
     let qtype = r.u16()?;
     r.u16()?; // qclass
     Ok(DnsQuery { txid, qname, qtype })
@@ -160,13 +164,11 @@ pub fn parse_response(buf: &[u8]) -> Result<DnsResponse, ParseError> {
     let answers = r.u16()?;
     r.skip(4)?; // NS/AR counts
     for _ in 0..qdcount {
-        let mut name = String::new();
-        read_name(&mut r, &mut name)?;
+        read_name(&mut r, None)?;
         r.skip(4)?; // qtype + qclass
     }
     for _ in 0..answers {
-        let mut name = String::new();
-        read_name(&mut r, &mut name)?;
+        read_name(&mut r, None)?;
         r.skip(8)?; // type, class, TTL
         let rdlength = r.u16()?;
         r.skip(usize::from(rdlength))?;

@@ -33,25 +33,54 @@ fn sipround(v0: u64, v1: u64, v2: u64, v3: u64) -> (u64, u64, u64, u64) {
     (v0, v1, v2, v3)
 }
 
+/// The four-word SipHash state while a message is absorbed.
+#[derive(Clone, Copy)]
+struct State(u64, u64, u64, u64);
+
+impl State {
+    /// One message block: c = 1 compression round.
+    #[inline]
+    fn absorb(self, m: u64) -> Self {
+        let Self(v0, v1, v2, v3) = self;
+        let (v0, v1, v2, v3) = sipround(v0, v1, v2, v3 ^ m);
+        Self(v0 ^ m, v1, v2, v3)
+    }
+
+    /// d = 3 finalization rounds, folded to the 64-bit tag.
+    #[inline]
+    fn finish(self) -> u64 {
+        let Self(mut v0, mut v1, mut v2, mut v3) = self;
+        v2 ^= 0xff;
+        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
+        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
+        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
+        v0 ^ v1 ^ v2 ^ v3
+    }
+}
+
 impl SipHash13 {
     /// Construct from a 128-bit key split into two words.
     pub fn new(k0: u64, k1: u64) -> Self {
         Self { k0, k1 }
     }
 
+    #[inline]
+    fn keyed(&self) -> State {
+        State(
+            self.k0 ^ 0x736f_6d65_7073_6575,
+            self.k1 ^ 0x646f_7261_6e64_6f6d,
+            self.k0 ^ 0x6c79_6765_6e65_7261,
+            self.k1 ^ 0x7465_6462_7974_6573,
+        )
+    }
+
     /// Hash a message, returning a 64-bit tag.
     pub fn hash(&self, msg: &[u8]) -> u64 {
-        let mut v0 = self.k0 ^ 0x736f_6d65_7073_6575;
-        let mut v1 = self.k1 ^ 0x646f_7261_6e64_6f6d;
-        let mut v2 = self.k0 ^ 0x6c79_6765_6e65_7261;
-        let mut v3 = self.k1 ^ 0x7465_6462_7974_6573;
+        let mut v = self.keyed();
         let mut chunks = msg.chunks_exact(8);
         for c in &mut chunks {
             // chunks_exact(8) guarantees the conversion succeeds.
-            let m = u64::from_le_bytes(c.try_into().unwrap_or_default());
-            v3 ^= m;
-            (v0, v1, v2, v3) = sipround(v0, v1, v2, v3); // c = 1 compression round
-            v0 ^= m;
+            v = v.absorb(u64::from_le_bytes(c.try_into().unwrap_or_default()));
         }
         // Final block: remaining bytes in the low positions plus
         // `len mod 256` in the top byte, per spec. The shift by 56 keeps
@@ -60,24 +89,18 @@ impl SipHash13 {
         for (i, &b) in chunks.remainder().iter().enumerate() {
             m |= u64::from(b) << (8 * i);
         }
-        v3 ^= m;
-        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
-        v0 ^= m;
-
-        v2 ^= 0xff;
-        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3); // d = 3 finalization rounds
-        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
-        (v0, v1, v2, v3) = sipround(v0, v1, v2, v3);
-        v0 ^ v1 ^ v2 ^ v3
+        v.absorb(m).finish()
     }
 
-    /// Hash a sequence of 64-bit words (convenience for fixed tuples).
+    /// Hash a sequence of 64-bit words: the tag of [`hash`](Self::hash)
+    /// over their little-endian bytes, without serialising them. Each
+    /// word is one whole block, so the final block carries only the
+    /// byte length `8·n`. This is the per-probe validation MAC, so it
+    /// must not allocate.
+    #[inline]
     pub fn hash_words(&self, words: &[u64]) -> u64 {
-        let mut buf = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        self.hash(&buf)
+        let v = words.iter().fold(self.keyed(), |v, &w| v.absorb(w));
+        v.absorb((words.len() as u64 * 8) << 56).finish()
     }
 }
 
@@ -105,13 +128,29 @@ mod tests {
 
     #[test]
     fn words_match_bytes() {
-        let h = SipHash13::new(42, 43);
-        let words = [0x0102_0304_0506_0708u64, 0x1112_1314_1516_1718u64];
-        let mut bytes = Vec::new();
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        // `hash` over the little-endian bytes is the reference; the word
+        // path must agree at every length, including the empty message.
+        let mut x = 0x1234_5678_9abc_def0u64;
+        let mut next = || {
+            // SplitMix64 step.
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for round in 0..40 {
+            let h = SipHash13::new(next(), next());
+            for len in 0..=8 {
+                let words: Vec<u64> = (0..len).map(|_| next()).collect();
+                let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                assert_eq!(
+                    h.hash_words(&words),
+                    h.hash(&bytes),
+                    "round {round}, {len} words"
+                );
+            }
         }
-        assert_eq!(h.hash_words(&words), h.hash(&bytes));
     }
 
     #[test]

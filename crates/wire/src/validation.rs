@@ -40,6 +40,7 @@ impl Validator {
     /// `src`/`dst` are host-order IPv4 addresses. The destination port is
     /// fixed per scan, the source port may vary across retransmissions, so
     /// both are bound into the MAC.
+    #[inline]
     pub fn probe_seq(&self, src: u32, dst: u32, src_port: u16, dst_port: u16) -> u32 {
         let tag = self.mac.hash_words(&[
             (u64::from(src) << 32) | u64::from(dst),
@@ -54,6 +55,7 @@ impl Validator {
     /// probe's destination and source swapped back by the caller. Accepts
     /// SYN-ACKs that acknowledge `mac + 1` and RSTs that acknowledge
     /// `mac + 1` (RFC-compliant RST-ACK answering our SYN).
+    #[inline]
     pub fn check_reply(&self, reply: &TcpHeader, probe_src: u32, probe_dst: u32) -> bool {
         let expected = self
             .probe_seq(probe_src, probe_dst, reply.dst_port, reply.src_port)
@@ -102,6 +104,28 @@ mod tests {
         let a = Validator::from_seed(1);
         let b = Validator::from_seed(2);
         assert_ne!(a.probe_seq(1, 2, 3, 4), b.probe_seq(1, 2, 3, 4),);
+    }
+
+    #[test]
+    fn mac_values_are_pinned() {
+        // Validation passes for any self-consistent MAC, so no golden
+        // would notice the MAC itself drifting; these three values are
+        // the ones the byte-serialising SipHash path produced.
+        for (seed, src, dst, sport, dport, seq) in [
+            (
+                0u64,
+                0x0a00_0001u32,
+                0x0102_0304u32,
+                40_000u16,
+                80u16,
+                0x603d_1236u32,
+            ),
+            (2020, 0xc0a8_0001, 0x0000_beef, 54_321, 443, 0xccac_02a5),
+            (u64::MAX, 0xffff_ffff, 0, 0, 0, 0x465d_9fac),
+        ] {
+            let got = Validator::from_seed(seed).probe_seq(src, dst, sport, dport);
+            assert_eq!(got, seq, "seed {seed:#x}: {got:#010x}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use originscan_wire::http::StatusLine;
 use originscan_wire::icmp::{IcmpEcho, IcmpUnreachable};
 use originscan_wire::ipv4::{Ipv4Header, PROTO_UDP};
+use originscan_wire::siphash::SipHash13;
 use originscan_wire::ssh::ServerIdent;
 use originscan_wire::tcp::{TcpFlags, TcpHeader};
 use originscan_wire::tls::{ServerHello, CHROME_TLS12_SUITES, VERSION_TLS12};
@@ -76,6 +77,16 @@ proptest! {
         prop_assert!(v.check_reply(&reply, src, dst));
         reply.ack = reply.ack.wrapping_add(delta);
         prop_assert!(!v.check_reply(&reply, src, dst));
+    }
+
+    #[test]
+    fn siphash_words_match_le_bytes(
+        k0: u64, k1: u64,
+        words in proptest::collection::vec(any::<u64>(), 0..=8),
+    ) {
+        let h = SipHash13::new(k0, k1);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        prop_assert_eq!(h.hash_words(&words), h.hash(&bytes));
     }
 
     #[test]
