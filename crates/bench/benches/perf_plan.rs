@@ -7,9 +7,9 @@
 //! ≤50% of the probes**. On a realistically sparse world most /24s are
 //! never deployed, deployment is stable across trials, and the
 //! observed-deployment plan skips the dead space at almost no recall
-//! cost. Writes `BENCH_plan.json` for the CI regression gate: recall and
-//! probe fractions are seed-determined (tight tolerance), wall-clock
-//! throughput is machine noise (wide tolerance).
+//! cost. Writes `BENCH_plan.json` for the CI conformance gate: recall and
+//! probe fractions are seed-determined (tight tolerance); wall time is
+//! printed, not recorded.
 //!
 //! Like the kernel benches this ignores `ORIGINSCAN_SCALE`: the fixed
 //! sparse tiny world keeps the gated counters comparable across runs.
@@ -95,13 +95,12 @@ fn main() {
 
     let total_probes: u64 =
         sweep.baseline_probes * 3 + sweep.points.iter().map(|p| p.probes_sent).sum::<u64>();
-    rec.metric(
-        "probes_per_s",
-        total_probes as f64 / wall_s,
-        Dir::Higher,
-        Some(0.6),
+    println!(
+        "wall: {:.1} ms for {} probes ({:.0} probes/s)",
+        wall_s * 1e3,
+        total_probes,
+        total_probes as f64 / wall_s
     );
-    println!("wall: {:.1} ms for {} probes", wall_s * 1e3, total_probes);
 
     let path = rec.write().expect("write BENCH_plan.json");
     println!("record: {}", path.display());

@@ -3,7 +3,7 @@
 //! throughput, cold-cache vs warm-cache.
 //!
 //! The store is synthetic (six correlated origins over 2²² addresses,
-//! the same generator family as `perf_setops`), so the bench measures
+//! the `origin_set` generator `perf_setops` also uses), so the bench measures
 //! the serve stack — parsing, planning, cache, set kernels, HTTP — not
 //! experiment time. Two phases over an identical query mix:
 //!
@@ -18,17 +18,19 @@
 //! `GET /trace` and checks span attribution: ≥90% of warm request wall
 //! time must land in named child spans (read/execute/write and the
 //! kernels below them), so the instrumentation cannot silently rot. The
-//! bench asserts the warm best-k pass is ≥5× faster than the cold one,
-//! a floor on warm throughput, and that warm connections are reused
-//! (each client thread holds one persistent connection, so a server
-//! that stops keeping them shows), then writes `BENCH_serve.json` (the
-//! bench-diff gate input) and `BENCH_serve.profile.jsonl` (the merged
-//! flame tree of the warm traces).
+//! bench asserts the warm best-k pass is ≥5× faster than the cold one
+//! and that warm connections are reused (each client thread holds one
+//! persistent connection, so a server that stops keeping them shows),
+//! then writes `BENCH_serve.json` (the bench-diff gate input: ratios
+//! only, throughput and latency are printed, not recorded) and
+//! `BENCH_serve.profile.jsonl` (the merged flame tree of the warm
+//! traces).
 
 // Wall-clock timing is the bench harness's job; results never feed analyses.
 #![allow(clippy::disallowed_methods)]
 
 use originscan_bench::jsonv::JsonValue;
+use originscan_bench::origin_set;
 use originscan_bench::record::{BenchRecord, Dir};
 use originscan_serve::{QueryEngine, Server, ServerConfig};
 use originscan_store::{ScanSet, ScanSetStore, StoreKey, StoreReader};
@@ -52,38 +54,12 @@ const CLIENT_THREADS: usize = 4;
 /// a fraction of a millisecond, so fewer would time thread start-up.
 const WARM_ROUNDS: usize = 64;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Correlated origin views: shared host membership, per-origin misses.
-fn origin_set(origin: u64) -> ScanSet {
-    let mut base = 2020u64;
-    let mut per_origin = 0xC0FFEE ^ (origin << 32);
-    let threshold = (DENSITY * f64::from(u32::MAX)) as u64;
-    let mut out = Vec::new();
-    for addr in 0..SPACE {
-        let host_draw = splitmix(&mut base) & 0xFFFF_FFFF;
-        if host_draw < threshold {
-            let miss_draw = splitmix(&mut per_origin) & 0xFF;
-            if miss_draw >= 26 {
-                out.push(addr);
-            }
-        }
-    }
-    ScanSet::from_sorted(&out)
-}
-
 fn build_store(path: &std::path::Path) {
     let mut store = ScanSetStore::new();
     for origin in 0..ORIGINS {
         store.insert(
             StoreKey::new("HTTP", 0, origin),
-            origin_set(u64::from(origin)),
+            ScanSet::from_sorted(&origin_set(u64::from(origin), SPACE, DENSITY)),
         );
     }
     store.write_to(path).expect("write bench store");
@@ -431,14 +407,6 @@ fn main() {
         bestk_speedup >= 5.0,
         "warm best-k must be >=5x faster than cold (got {bestk_speedup:.1}x)"
     );
-    // Throughput floor, far under typical loopback numbers on kept
-    // connections, so CI noise cannot trip it while a serialization bug
-    // (e.g. every request re-materializing bitmaps) still would.
-    assert!(
-        warm.req_per_s >= 2000.0,
-        "warm throughput too low: {:.0} req/s",
-        warm.req_per_s
-    );
     // Every client keeps its one connection unless the server hands a
     // worker to somebody else; a server that closes after each answer
     // reads 1.0 here whatever the machine.
@@ -476,16 +444,10 @@ fn main() {
     rec.param("client_threads", CLIENT_THREADS);
     rec.param("queries_per_round", query_mix().len());
     rec.param("warm_rounds", WARM_ROUNDS);
-    // Wall-clock metrics get wide tolerances (CI machines vary hugely);
-    // the gate exists to catch order-of-magnitude regressions. The
-    // attribution ratio is machine-independent, so it gates tightly.
-    rec.metric("cold_req_per_s", cold.req_per_s, Dir::Higher, Some(0.6));
-    rec.metric("warm_req_per_s", warm.req_per_s, Dir::Higher, Some(0.6));
+    // Throughput and latency are printed above and judged by the
+    // repository benchmark; the record keeps ratios. The attribution
+    // ratio is machine-independent, so it gates tightly.
     rec.metric("warm_conn_reuse", warm.conn_reuse, Dir::Higher, Some(0.9));
-    rec.metric("warm_p50_us", warm.p50_us, Dir::Lower, Some(1.5));
-    rec.metric("warm_p99_us", warm.p99_us, Dir::Lower, Some(1.5));
-    rec.metric("cold_p99_us", cold.p99_us, Dir::Lower, Some(1.5));
-    rec.metric("server_p99_us", server_p99_us, Dir::Lower, Some(1.5));
     rec.metric("bestk_speedup", bestk_speedup, Dir::Higher, Some(0.8));
     rec.metric(
         "span_attribution",

@@ -16,7 +16,7 @@
 //! synthetic sets build in milliseconds.
 
 use originscan_bench::record::{BenchRecord, Dir};
-use originscan_bench::{header, paper_says, timed};
+use originscan_bench::{header, origin_set, paper_says, splitmix, timed};
 use originscan_core::multiorigin::best_k_of;
 use originscan_stats::combos::k_subsets;
 use originscan_store::ScanSet;
@@ -31,36 +31,6 @@ const SIGNATURE_ORIGINS: u64 = 7;
 
 /// Per-origin L7-success density, matching the world model's ~5% hitrate.
 const DENSITY: f64 = 0.05;
-
-/// splitmix64 — the same generator the world model seeds from.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A synthetic origin view: a deterministic ~DENSITY sample of the space,
-/// correlated across origins (shared base membership plus per-origin
-/// blocking), like real origins seeing mostly-overlapping host sets.
-fn origin_set(origin: u64) -> Vec<u32> {
-    let mut base = 2020u64;
-    let mut per_origin = 0xC0FFEE ^ (origin << 32);
-    let threshold = (DENSITY * f64::from(u32::MAX)) as u64;
-    let mut out = Vec::new();
-    for addr in 0..SPACE {
-        let host_draw = splitmix(&mut base) & 0xFFFF_FFFF;
-        if host_draw < threshold {
-            // Host exists; each origin misses ~10% of them, independently.
-            let miss_draw = splitmix(&mut per_origin) & 0xFF;
-            if miss_draw >= 26 {
-                out.push(addr);
-            }
-        }
-    }
-    out
-}
 
 fn row(label: &str, naive_s: f64, kernel_s: f64, naive_val: u64, kernel_val: u64) -> f64 {
     assert_eq!(
@@ -100,7 +70,7 @@ fn main() {
     ]);
 
     let views: Vec<Vec<u32>> = timed("build synthetic origin views", || {
-        (0..3u64).map(origin_set).collect()
+        (0..3u64).map(|o| origin_set(o, SPACE, DENSITY)).collect()
     });
     let oracles: Vec<BTreeSet<u32>> = timed("build BTreeSet baselines", || {
         views.iter().map(|v| v.iter().copied().collect()).collect()
@@ -189,7 +159,7 @@ fn main() {
     // sides fold every answer into one checksum, asserted equal.
     let seven: Vec<ScanSet> = timed("build 7 origin bitmaps", || {
         (0..SIGNATURE_ORIGINS)
-            .map(|o| ScanSet::from_sorted(&origin_set(o)))
+            .map(|o| ScanSet::from_sorted(&origin_set(o, SPACE, DENSITY)))
             .collect()
     });
     let refs: Vec<&ScanSet> = seven.iter().collect();

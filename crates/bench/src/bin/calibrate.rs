@@ -6,21 +6,26 @@
 //! against the paper's §3–§6 narrative when tuning model parameters.
 //!
 //! ```sh
-//! cargo run -p originscan-bench --bin calibrate --release [tiny|small|medium]
+//! cargo run -p originscan-bench --bin calibrate --release [tiny|small|medium|full]
 //! ```
 
+use originscan_bench::Scale;
 use originscan_core::experiment::{Experiment, ExperimentConfig, TRIAL_DURATION_S};
 use originscan_core::report::Table;
 use originscan_netmodel::policy::{self, Block};
-use originscan_netmodel::{burst, path, OriginId, SimNet, WorldConfig};
+use originscan_netmodel::{burst, path, OriginId, SimNet};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
 
 fn main() {
-    let scale = std::env::args().nth(1).unwrap_or_else(|| "tiny".into());
-    let world = match scale.as_str() {
-        "small" => WorldConfig::small(2020).build(),
-        "medium" => WorldConfig::medium(2020).build(),
-        _ => WorldConfig::tiny(2020).build(),
+    let scale = std::env::args()
+        .nth(1)
+        .map_or(Ok(Scale::Tiny), |name| name.parse());
+    let world = match scale {
+        Ok(scale) => scale.world_config().build(),
+        Err(e) => {
+            eprintln!("calibrate: {e}");
+            std::process::exit(2);
+        }
     };
     let cfg = ExperimentConfig {
         origins: OriginId::MAIN.to_vec(),

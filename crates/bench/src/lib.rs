@@ -1,45 +1,91 @@
 //! # originscan-bench
 //!
 //! Shared harness for the reproduction benches. Every table and figure of
-//! the paper has a `harness = false` bench target under `benches/` that
-//! rebuilds the experiment and prints paper-style rows next to the
-//! paper's reported values; `EXPERIMENTS.md` records the comparison.
+//! the paper is one row of [`artifacts::ARTIFACTS`]; the `artifacts` bench
+//! target renders the rows it is asked for over one shared
+//! [`artifacts::Study`] and prints paper-style rows next to the paper's
+//! reported values; `EXPERIMENTS.md` records the comparison.
 //!
-//! Scale control: set `ORIGINSCAN_SCALE` to `tiny`, `small` (default),
-//! `medium`, or `full`; the world seed is fixed so runs are comparable.
+//! Scale control: the `artifacts` target reads `ORIGINSCAN_SCALE`
+//! (`tiny`, `small` (default), `medium`, or `full`) once, in its `main`,
+//! into a [`Scale`]; everything here takes that value as an argument. The
+//! world seed is fixed so runs are comparable.
 
+pub mod artifacts;
 pub mod jsonv;
 pub mod record;
 
-use originscan_core::experiment::{Experiment, ExperimentConfig};
-use originscan_core::results::ExperimentResults;
-use originscan_netmodel::{OriginId, Protocol, World, WorldConfig};
+use originscan_netmodel::{Protocol, World, WorldConfig};
 use originscan_telemetry::progress::{emit_progress, FieldValue};
+use std::str::FromStr;
 use std::time::Instant;
 
 /// The fixed world seed used by all reproduction benches.
 pub const WORLD_SEED: u64 = 2020;
 
-/// Build the bench world at the scale selected by `ORIGINSCAN_SCALE`.
-///
-/// The world is leaked: bench binaries are one-shot processes and the
-/// analyses borrow the world for their whole life.
+/// Size of the bench world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// 2¹⁶ addresses.
+    Tiny,
+    /// 2²⁰ addresses.
+    Small,
+    /// 2²² addresses.
+    Medium,
+    /// 2²⁴ addresses.
+    Full,
+}
+
+impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 4] = [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Full];
+
+    /// The name `ORIGINSCAN_SCALE` selects this scale by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The bench world's generation parameters at this scale.
+    pub fn world_config(self) -> WorldConfig {
+        match self {
+            Scale::Tiny => WorldConfig::tiny(WORLD_SEED),
+            Scale::Small => WorldConfig::small(WORLD_SEED),
+            Scale::Medium => WorldConfig::medium(WORLD_SEED),
+            Scale::Full => WorldConfig::full(WORLD_SEED),
+        }
+    }
+}
+
+impl FromStr for Scale {
+    type Err = String;
+
+    /// An unknown name is an error that lists the accepted ones.
+    fn from_str(name: &str) -> Result<Scale, String> {
+        Scale::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                let names = Scale::ALL.map(Scale::name).join(", ");
+                format!("unknown scale `{name}`; accepted: {names}")
+            })
+    }
+}
+
+/// Build the bench world at `scale`.
 // Wall-clock timing is the bench harness's job; results never feed analyses.
 #[allow(clippy::disallowed_methods)]
-pub fn bench_world() -> &'static World {
-    let seed = WORLD_SEED;
-    let (scale, cfg) = match std::env::var("ORIGINSCAN_SCALE").as_deref() {
-        Ok("tiny") => ("tiny", WorldConfig::tiny(seed)),
-        Ok("medium") => ("medium", WorldConfig::medium(seed)),
-        Ok("full") => ("full", WorldConfig::full(seed)),
-        _ => ("small", WorldConfig::small(seed)),
-    };
+pub fn bench_world(scale: Scale) -> World {
     let t = Instant::now();
-    let world = Box::leak(Box::new(cfg.build()));
+    let world = scale.world_config().build();
     emit_progress(
         "bench_world",
         &[
-            ("scale", FieldValue::from(scale)),
+            ("scale", FieldValue::from(scale.name())),
             ("addresses", FieldValue::from(world.space())),
             ("ases", FieldValue::from(world.ases.len() as u64)),
             (
@@ -50,27 +96,6 @@ pub fn bench_world() -> &'static World {
         ],
     );
     world
-}
-
-/// Run the main study (7 origins, 3 trials) for the given protocols.
-pub fn run_main<'w>(world: &'w World, protocols: &[Protocol]) -> ExperimentResults<'w> {
-    let cfg = ExperimentConfig {
-        origins: OriginId::MAIN.to_vec(),
-        protocols: protocols.to_vec(),
-        trials: 3,
-        probes: 2,
-        ..ExperimentConfig::default()
-    };
-    timed("experiment", || Experiment::new(world, cfg).run().unwrap())
-}
-
-/// Run the §7 follow-up experiment (8 origins, HTTP, 2 trials).
-pub fn run_follow_up(world: &World) -> ExperimentResults<'_> {
-    timed("follow-up experiment", || {
-        Experiment::new(world, ExperimentConfig::follow_up(0xF011))
-            .run()
-            .unwrap()
-    })
 }
 
 /// Run a closure, reporting its wall time through the telemetry
@@ -90,31 +115,72 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Write one line of the reproduced artifact to stdout.
+/// Write reproduced-artifact text to stdout.
 ///
 /// Stdout *is* the bench's product — the paper-style tables recorded in
 /// `EXPERIMENTS.md` — so it stays human-readable; progress/liveness
 /// chatter goes to stderr through the telemetry sink instead.
-fn artifact_line(line: &str) {
+pub fn emit_artifact(text: &str) {
     // lint:allow(obs-print) reason= stdout is the bench artifact itself;
     // the audited sink for it is this one function.
-    println!("{line}");
+    print!("{text}");
+}
+
+/// The section header of a reproduced artifact.
+fn header_text(id: &str, caption: &str) -> String {
+    const RULE: &str = "================================================================";
+    format!("\n{RULE}\n{id} — {caption}\n{RULE}\n")
+}
+
+/// The paper's reported values, for side-by-side comparison.
+fn paper_says_text(lines: &[&str]) -> String {
+    let mut out = String::from("paper reports:\n");
+    for l in lines {
+        out.push_str(&format!("  | {l}\n"));
+    }
+    out.push('\n');
+    out
 }
 
 /// Print a section header for a reproduced artifact.
 pub fn header(id: &str, caption: &str) {
-    artifact_line("\n================================================================");
-    artifact_line(&format!("{id} — {caption}"));
-    artifact_line("================================================================");
+    emit_artifact(&header_text(id, caption));
 }
 
 /// Print the paper's reported values for side-by-side comparison.
 pub fn paper_says(lines: &[&str]) {
-    artifact_line("paper reports:");
-    for l in lines {
-        artifact_line(&format!("  | {l}"));
+    emit_artifact(&paper_says_text(lines));
+}
+
+/// splitmix64 — the same generator the world model seeds from.
+pub fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A synthetic origin view for the kernel and serve benches: a
+/// deterministic ~`density` sample of `0..space`, correlated across
+/// origins (shared base membership plus per-origin blocking), like real
+/// origins seeing mostly-overlapping host sets. Sorted ascending.
+pub fn origin_set(origin: u64, space: u32, density: f64) -> Vec<u32> {
+    let mut base = 2020u64;
+    let mut per_origin = 0xC0FFEE ^ (origin << 32);
+    let threshold = (density * f64::from(u32::MAX)) as u64;
+    let mut out = Vec::new();
+    for addr in 0..space {
+        let host_draw = splitmix(&mut base) & 0xFFFF_FFFF;
+        if host_draw < threshold {
+            // Host exists; each origin misses ~10% of them, independently.
+            let miss_draw = splitmix(&mut per_origin) & 0xFF;
+            if miss_draw >= 26 {
+                out.push(addr);
+            }
+        }
     }
-    artifact_line("");
+    out
 }
 
 #[cfg(test)]
@@ -122,10 +188,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_world_builds_default_scale() {
-        // Guard against env leakage in test runners.
-        std::env::remove_var("ORIGINSCAN_SCALE");
-        let w = bench_world();
-        assert_eq!(w.space(), 4096 * 256);
+    fn scale_names_round_trip_and_typos_are_refused() {
+        for s in Scale::ALL {
+            assert_eq!(s.name().parse::<Scale>(), Ok(s));
+        }
+        let err = "large".parse::<Scale>().unwrap_err();
+        assert!(err.contains("large") && err.contains("tiny, small, medium, full"));
+    }
+
+    #[test]
+    fn bench_world_is_sized_by_its_scale() {
+        assert_eq!(bench_world(Scale::Tiny).space(), 1 << 16);
+        assert_eq!(bench_world(Scale::Small).space(), 4096 * 256);
     }
 }

@@ -156,13 +156,6 @@ pub const RULES: &[Rule] = &[
                orphaned file)",
     },
     Rule {
-        id: "reg-bench-doc",
-        summary: "every crates/bench/benches/fig*.rs / tab*.rs must be documented in \
-                  EXPERIMENTS.md",
-        hint: "add the bench target to the per-artifact index in EXPERIMENTS.md so every \
-               figure/table stays regenerable and accounted for",
-    },
-    Rule {
         id: "lint-bad-allow",
         summary: "lint:allow escapes must name a known rule and carry a reason= annotation",
         hint: "write `// lint:allow(rule-id) reason= justification`; the reason is the \

@@ -5,10 +5,6 @@
 //!   must be declared in `policy/mod.rs`. An orphaned policy file
 //!   compiles nowhere, so its mechanism silently drops out of the
 //!   simulated Internet.
-//! * `reg-bench-doc` — every `crates/bench/benches/fig*.rs` / `tab*.rs`
-//!   artifact generator must be named in `EXPERIMENTS.md`. An
-//!   undocumented figure bench is a figure nobody re-checks against the
-//!   paper.
 
 use crate::lexer::lex;
 use crate::Violation;
@@ -21,7 +17,6 @@ use std::path::Path;
 pub fn check_registry(root: &Path) -> io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     check_policy_mods(root, &mut out)?;
-    check_bench_docs(root, &mut out)?;
     Ok(out)
 }
 
@@ -63,31 +58,6 @@ fn check_policy_mods(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
                 line: 1,
                 rule: "reg-policy-mod",
                 msg: format!("policy module `{stem}` is not declared in policy/mod.rs"),
-                chain: Vec::new(),
-                anchor: String::new(),
-                fingerprint: String::new(),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn check_bench_docs(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
-    let benches_dir = root.join("crates/bench/benches");
-    if !benches_dir.is_dir() {
-        return Ok(());
-    }
-    let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap_or_default();
-    for stem in sorted_rs_stems(&benches_dir)? {
-        if !(stem.starts_with("fig") || stem.starts_with("tab")) {
-            continue;
-        }
-        if !experiments.contains(&stem) {
-            out.push(Violation {
-                file: format!("crates/bench/benches/{stem}.rs"),
-                line: 1,
-                rule: "reg-bench-doc",
-                msg: format!("artifact bench `{stem}` is not documented in EXPERIMENTS.md"),
                 chain: Vec::new(),
                 anchor: String::new(),
                 fingerprint: String::new(),

@@ -212,7 +212,7 @@ fn bad_allow_cannot_be_self_suppressed() {
 }
 
 #[test]
-fn registry_bad_tree_flags_orphan_and_undocumented_bench() {
+fn registry_bad_tree_flags_orphan_policy_module() {
     let out = check_workspace(&fixture_dir().join("registry_bad")).unwrap();
     let got: Vec<(&str, &str, u32)> = out
         .iter()
@@ -220,10 +220,7 @@ fn registry_bad_tree_flags_orphan_and_undocumented_bench() {
         .collect();
     assert_eq!(
         got,
-        vec![
-            ("crates/bench/benches/fig9_extra.rs", "reg-bench-doc", 1),
-            ("crates/netmodel/src/policy/orphan.rs", "reg-policy-mod", 1),
-        ],
+        vec![("crates/netmodel/src/policy/orphan.rs", "reg-policy-mod", 1)],
         "got {:#?}",
         out.iter().map(ToString::to_string).collect::<Vec<_>>()
     );
@@ -245,10 +242,10 @@ fn every_rule_in_the_catalogue_is_exercised() {
         .iter()
         .flat_map(|(_, _, exp)| exp.iter().map(|(r, _)| *r))
         .collect();
-    covered.extend(["reg-policy-mod", "reg-bench-doc"]); // registry_bad tree
-                                                         // The interprocedural passes are exercised by tests/interprocedural.rs
-                                                         // on seeded multi-file workspaces (they need a call graph, not a
-                                                         // single fixture file).
+    covered.push("reg-policy-mod"); // registry_bad tree
+                                    // The interprocedural passes are exercised by tests/interprocedural.rs
+                                    // on seeded multi-file workspaces (they need a call graph, not a
+                                    // single fixture file).
     covered.extend([
         "reach-panic",
         "det-taint",
