@@ -284,12 +284,26 @@ impl AdversarialResults {
     }
 
     /// The cell at politeness row `pi`, aggression column `ai`.
+    ///
+    /// # Panics
+    /// When `pi` or `ai` is outside the configured matrix.
     pub fn cell(&self, pi: usize, ai: usize) -> &CellOutcome {
+        // lint:allow(reach-panic) reason= row-major matrix with one cell
+        // per (politeness, aggression) pair, so the index is in range for
+        // `pi < politeness.len()`, `ai < aggression.len()`; a coordinate
+        // outside the matrix is a caller bug.
         &self.cells[pi * self.cfg.aggression.len() + ai]
     }
 
     /// Undefended reference L7-success count for `(politeness, trial)`.
+    ///
+    /// # Panics
+    /// When `pi` is not a politeness row or `trial` not one of the
+    /// sweep's trials.
     pub fn reference_l7(&self, pi: usize, trial: usize) -> u64 {
+        // lint:allow(reach-panic) reason= one row per politeness profile,
+        // one count per trial: in range for `pi < politeness.len()`,
+        // `trial < trials`; anything else is a caller bug.
         self.reference[pi][trial]
     }
 
@@ -418,35 +432,33 @@ impl<'w> AdversarialSweep<'w> {
         if cfg.politeness.is_empty() || cfg.aggression.is_empty() || cfg.trials == 0 {
             return Err(AdversarialError::EmptyConfig);
         }
-        let p_n = cfg.politeness.len();
-        let a_n = cfg.aggression.len();
-        let n_cells = p_n * a_n;
-        // One origin index per cell, plus one per politeness row for the
-        // undefended reference — all the same vantage, but each with its
-        // own telemetry scope.
-        let roster: Vec<OriginId> = vec![OriginId::Us1; n_cells + p_n];
+        // One job per cell, row-major, then one undefended reference per
+        // politeness row. A job's position is its origin index — all the
+        // same vantage, but each with its own telemetry scope.
+        let cell_keys = || {
+            cfg.politeness
+                .iter()
+                .flat_map(|p| cfg.aggression.iter().map(move |&a| (p, a)))
+        };
+        let reference_keys = cfg.politeness.iter().map(|p| (p, AggressionProfile::off()));
+        let mut jobs: Vec<_> = cell_keys()
+            .chain(reference_keys)
+            .map(|key| (key, None))
+            .collect();
+        let roster: Vec<OriginId> = vec![OriginId::Us1; jobs.len()];
         let net = SimNet::new(self.world, &roster, cfg.duration_s);
         let hub = Telemetry::new();
-        let mut jobs: Vec<Option<Result<CellRun, AdversarialError>>> =
-            (0..n_cells + p_n).map(|_| None).collect();
         std::thread::scope(|s| {
-            for (idx, slot) in jobs.iter_mut().enumerate() {
-                let net = &net;
-                let hub = &hub;
+            for (idx, ((p, a), slot)) in jobs.iter_mut().enumerate() {
+                let (net, hub, p, a) = (&net, &hub, *p, *a);
                 s.spawn(move || {
                     let origin = u16::try_from(idx).unwrap_or(u16::MAX);
-                    let (p, a) = if idx < n_cells {
-                        (&cfg.politeness[idx / a_n], cfg.aggression[idx % a_n])
-                    } else {
-                        // Reference job for politeness row `idx - n_cells`.
-                        (&cfg.politeness[idx - n_cells], AggressionProfile::off())
-                    };
                     *slot = Some(self.run_cell(net, hub, origin, p, a));
                 });
             }
         });
-        let mut runs: Vec<CellRun> = Vec::with_capacity(n_cells + p_n);
-        for slot in jobs {
+        let mut runs: Vec<CellRun> = Vec::with_capacity(jobs.len());
+        for (_, slot) in jobs {
             match slot {
                 Some(Ok(run)) => runs.push(run),
                 Some(Err(e)) => return Err(e),
@@ -455,18 +467,24 @@ impl<'w> AdversarialSweep<'w> {
                 None => return Err(AdversarialError::EmptyConfig),
             }
         }
-        let reference: Vec<Vec<u64>> = (0..p_n).map(|pi| runs[n_cells + pi].l7.clone()).collect();
+        let (cell_runs, reference_runs) = runs.split_at(cell_keys().count());
+        let reference: Vec<Vec<u64>> = reference_runs.iter().map(|run| run.l7.clone()).collect();
         let snapshot = hub.into_snapshot();
-        let cells = runs[..n_cells]
+        // Each cell's keys again, with its politeness row's reference.
+        let cell_rows = cfg
+            .politeness
             .iter()
+            .zip(&reference)
+            .flat_map(|(p, row)| cfg.aggression.iter().map(move |a| (p, a, row)));
+        let cells = cell_rows
+            .zip(cell_runs)
             .enumerate()
-            .map(|(idx, run)| {
-                let (pi, ai) = (idx / a_n, idx % a_n);
+            .map(|(idx, ((p, a, reference_row), run))| {
                 let origin = u16::try_from(idx).unwrap_or(u16::MAX);
                 let coverage = run
                     .l7
                     .iter()
-                    .zip(&reference[pi])
+                    .zip(reference_row)
                     .map(|(&got, &reference)| {
                         if reference == 0 {
                             // An empty reference means there was nothing
@@ -499,8 +517,8 @@ impl<'w> AdversarialSweep<'w> {
                     CellStatus::Unchallenged
                 };
                 CellOutcome {
-                    politeness: cfg.politeness[pi].name,
-                    aggression: cfg.aggression[ai].name,
+                    politeness: p.name,
+                    aggression: a.name,
                     coverage,
                     l7_successes: run.l7.clone(),
                     defense: run.defense,

@@ -36,36 +36,34 @@ impl Table {
 
     /// Render with aligned columns.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
+        // `row` sized every row to the header width, so cells and
+        // widths zip one to one.
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
-            for (i, c) in r.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(r) {
+                *w = (*w).max(c.len());
             }
         }
         let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let fmt_row = |cells: &[String]| -> String {
             let mut line = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
+            for (i, (c, &w)) in cells.iter().zip(&widths).enumerate() {
                 // First column left-aligned, the rest right-aligned.
                 if i == 0 {
-                    line.push_str(&format!("{:<w$}", c, w = widths[i]));
+                    line.push_str(&format!("{c:<w$}"));
                 } else {
-                    line.push_str(&format!("{:>w$}", c, w = widths[i]));
+                    line.push_str(&format!("  {c:>w$}"));
                 }
             }
             line
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
+        out.push_str(&fmt_row(&self.headers));
         out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
+        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for r in &self.rows {
-            out.push_str(&fmt_row(r, &widths));
+            out.push_str(&fmt_row(r));
             out.push('\n');
         }
         out

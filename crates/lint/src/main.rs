@@ -10,11 +10,13 @@
 //! ```
 //!
 //! By default findings are diffed against `ROOT/lint-baseline.txt` (when
-//! present): baselined findings are reported but do not fail the run,
-//! and stale baseline entries are warned about.
+//! present): baselined findings are reported but do not fail the run.
+//! A stale baseline entry — one whose finding no longer fires — does:
+//! fingerprints are `fn/what#n`, so a dead line would silently re-admit
+//! the next such site written in that function.
 //!
-//! Exit codes: 0 clean (or all findings baselined), 1 new violations
-//! found, 2 usage or I/O error.
+//! Exit codes: 0 clean (or all findings baselined), 1 new violations or
+//! stale baseline entries, 2 usage or I/O error.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -131,12 +133,12 @@ fn main() -> ExitCode {
             };
             println!("{v}{mark}");
         }
-        for fp in &stale {
-            eprintln!("originscan-lint: stale baseline entry (no longer fires): {fp}");
-        }
         report_summary(violations.len(), &new_fps, &stale);
     }
-    if new_fps.is_empty() {
+    for fp in &stale {
+        eprintln!("originscan-lint: stale baseline entry (no longer fires, delete it): {fp}");
+    }
+    if new_fps.is_empty() && stale.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

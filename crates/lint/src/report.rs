@@ -1,13 +1,12 @@
 //! Findings output and the new-findings baseline.
 //!
 //! The interprocedural passes can surface long-standing sites whose fix
-//! is a scheduled refactor (e.g. the serve tier's lock-held store reads,
-//! slated for the lock-free snapshot redesign). Those are recorded in a
-//! checked-in baseline keyed by *fingerprint* — rule, file, and a
-//! line-number-free anchor — so CI fails only when a **new** finding
-//! appears, and unrelated edits shifting line numbers never churn the
-//! file. `--json` renders the same findings machine-readably for the CI
-//! artifact.
+//! is a scheduled refactor (today: `World`'s by-address table reads).
+//! Those are recorded in a checked-in baseline keyed by *fingerprint* —
+//! rule, file, and a line-number-free anchor — so CI fails when a
+//! **new** finding appears or a recorded one stops firing, and
+//! unrelated edits shifting line numbers never churn the file. `--json`
+//! renders the same findings machine-readably for the CI artifact.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -129,7 +128,8 @@ impl Baseline {
         let mut out = String::new();
         out.push_str("# originscan-lint baseline — accepted findings, one fingerprint per line.\n");
         out.push_str("# Regenerate with: cargo run -p originscan-lint -- --write-baseline\n");
-        out.push_str("# CI fails only on findings NOT listed here; keep every entry justified.\n");
+        out.push_str("# CI fails on findings NOT listed here and on entries no longer firing;\n");
+        out.push_str("# state each entry's invariant in a `#` line above it.\n");
         let fps: BTreeSet<&str> = violations.iter().map(|v| v.fingerprint.as_str()).collect();
         for fp in fps {
             out.push_str(fp);

@@ -204,7 +204,7 @@ impl Blocklist {
     /// Is `addr` blocked?
     pub fn contains(&self, addr: u32) -> bool {
         let i = self.ranges.partition_point(|r| r.hi < addr);
-        i < self.ranges.len() && self.ranges[i].lo <= addr
+        self.ranges.get(i).is_some_and(|r| r.lo <= addr)
     }
 
     /// Total number of blocked addresses.

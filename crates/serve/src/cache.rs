@@ -78,7 +78,9 @@ impl<V: Clone> ShardedLru<V> {
     fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
         let h = fnv1a64(key.as_bytes());
         let idx = h % self.shards.len() as u64;
-        // idx < shards.len() <= usize::MAX by construction.
+        // lint:allow(reach-panic) reason= `idx = h % shards.len()`, and
+        // `shards` is never empty (`new` builds `shard_count.max(1)`), so
+        // `idx < shards.len() <= usize::MAX`.
         &self.shards[usize::try_from(idx).unwrap_or(0)]
     }
 

@@ -774,36 +774,26 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
 /// text in a URL. Malformed escapes pass through verbatim (the query
 /// parser will reject them with a typed error).
 fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
+    let mut out = Vec::with_capacity(s.len());
+    let mut rest = s.as_bytes();
+    while let [b, tail @ ..] = rest {
+        rest = tail;
+        match b {
+            b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                }) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
+                let escape = tail.split_at_checked(2).and_then(|(hex, after)| {
+                    let hex = std::str::from_utf8(hex).ok()?;
+                    Some((u8::from_str_radix(hex, 16).ok()?, after))
+                });
+                match escape {
+                    Some((byte, after)) => {
+                        out.push(byte);
+                        rest = after;
                     }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+                    None => out.push(b'%'),
                 }
             }
-            b => {
-                out.push(b);
-                i += 1;
-            }
+            &b => out.push(b),
         }
     }
     String::from_utf8_lossy(&out).into_owned()

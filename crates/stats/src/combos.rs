@@ -6,36 +6,24 @@
 
 /// Enumerate all k-element subsets of `0..n` in lexicographic order.
 pub fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k > n {
-        return out;
+    // Grow every j-subset by each element above its last, k times over:
+    // extending in ascending order keeps each level lexicographic, and a
+    // prefix too high to complete simply has no extension.
+    let mut subsets: Vec<Vec<usize>> = vec![Vec::new()];
+    for _ in 0..k {
+        subsets = subsets
+            .iter()
+            .flat_map(|prefix| {
+                let above = prefix.last().map_or(0, |&last| last + 1);
+                (above..n).map(move |next| {
+                    let mut grown = prefix.clone();
+                    grown.push(next);
+                    grown
+                })
+            })
+            .collect();
     }
-    if k == 0 {
-        out.push(Vec::new());
-        return out;
-    }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
+    subsets
 }
 
 /// Binomial coefficient n-choose-k (saturating, for sanity checks).

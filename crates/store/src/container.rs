@@ -16,6 +16,9 @@
 //! both the promotion *and* demotion path: every canonical constructor
 //! routes through it.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 /// Number of 64-bit words in a bitmap container (2¹⁶ bits).
 pub const WORDS: usize = 1024;
 
@@ -116,7 +119,7 @@ impl Container {
         } else {
             let mut words = Box::new([0u64; WORDS]);
             for &v in &values {
-                words[usize::from(v) >> 6] |= 1u64 << (v & 63);
+                set_bit(&mut words, v);
             }
             Container::Bitmap(words)
         }
@@ -156,15 +159,17 @@ impl Container {
     pub fn contains(&self, v: u16) -> bool {
         match self {
             Container::Array(a) => a.binary_search(&v).is_ok(),
-            Container::Bitmap(w) => w[usize::from(v) >> 6] & (1u64 << (v & 63)) != 0,
+            Container::Bitmap(w) => w
+                .get(usize::from(v) >> 6)
+                .is_some_and(|word| word & (1u64 << (v & 63)) != 0),
             Container::Run(r) => r
                 .binary_search_by(|&(s, e)| {
                     if e < v {
-                        std::cmp::Ordering::Less
+                        Ordering::Less
                     } else if s > v {
-                        std::cmp::Ordering::Greater
+                        Ordering::Greater
                     } else {
-                        std::cmp::Ordering::Equal
+                        Ordering::Equal
                     }
                 })
                 .is_ok(),
@@ -184,25 +189,19 @@ impl Container {
                         a.insert(pos, v);
                     } else {
                         let mut words = self.to_words();
-                        words[usize::from(v) >> 6] |= 1u64 << (v & 63);
+                        set_bit(&mut words, v);
                         *self = Container::Bitmap(words);
                     }
                     true
                 }
             },
-            Container::Bitmap(w) => {
-                let slot = &mut w[usize::from(v) >> 6];
-                let bit = 1u64 << (v & 63);
-                let fresh = *slot & bit == 0;
-                *slot |= bit;
-                fresh
-            }
+            Container::Bitmap(w) => set_bit(w, v),
             Container::Run(_) => {
                 if self.contains(v) {
                     return false;
                 }
                 let mut words = self.to_words();
-                words[usize::from(v) >> 6] |= 1u64 << (v & 63);
+                set_bit(&mut words, v);
                 *self = Container::Bitmap(words);
                 true
             }
@@ -303,7 +302,7 @@ impl Container {
         match self {
             Container::Array(a) => {
                 for &v in a {
-                    words[usize::from(v) >> 6] |= 1u64 << (v & 63);
+                    set_bit(words, v);
                 }
             }
             Container::Bitmap(w) => {
@@ -335,11 +334,14 @@ impl Container {
     pub fn iter(&self) -> ContainerIter<'_> {
         match self {
             Container::Array(a) => ContainerIter::Array(a.iter()),
-            Container::Bitmap(w) => ContainerIter::Bitmap {
-                words: w,
-                idx: 0,
-                cur: w[0],
-            },
+            Container::Bitmap(w) => {
+                let [cur, ..] = **w;
+                ContainerIter::Bitmap {
+                    words: w,
+                    idx: 0,
+                    cur,
+                }
+            }
             Container::Run(r) => ContainerIter::Run {
                 runs: r.iter(),
                 cur: None,
@@ -352,16 +354,9 @@ impl Container {
         match self {
             Container::Array(a) => len_u32(a.partition_point(|&x| x <= v)),
             Container::Bitmap(w) => {
-                let word = usize::from(v) >> 6;
-                let mut count: u32 = w[..word].iter().map(|x| x.count_ones()).sum();
-                let keep = u32::from(v & 63) + 1;
-                let mask = if keep == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << keep) - 1
-                };
-                count += (w[word] & mask).count_ones();
-                count
+                let (below, rest) = w.split_at(usize::from(v) >> 6);
+                let count: u32 = below.iter().map(|x| x.count_ones()).sum();
+                count + rest.first().map_or(0, |x| (x & low_mask(v)).count_ones())
             }
             Container::Run(r) => {
                 let mut count = 0u32;
@@ -413,12 +408,10 @@ impl Container {
         if let (Container::Array(a), Container::Array(b)) = (self, other) {
             return Container::from_sorted(merge_arrays(a, b, op)).optimized();
         }
-        let wa = self.words_ref();
-        let wb = other.words_ref();
+        let (wa, wb) = (self.words(), other.words());
         let mut out = Box::new([0u64; WORDS]);
         let mut card = 0u32;
-        for (i, dst) in out.iter_mut().enumerate() {
-            let w = word_op(wa.get(i), wb.get(i), op);
+        for (dst, w) in out.iter_mut().zip(word_ops(&wa, &wb, op)) {
             card += w.count_ones();
             *dst = w;
         }
@@ -432,17 +425,17 @@ impl Container {
         if let (Container::Array(a), Container::Array(b)) = (self, other) {
             return merge_cardinality(a, b, op);
         }
-        let wa = self.words_ref();
-        let wb = other.words_ref();
-        (0..WORDS)
-            .map(|i| word_op(wa.get(i), wb.get(i), op).count_ones())
+        word_ops(&self.words(), &other.words(), op)
+            .map(u64::count_ones)
             .sum()
     }
 
-    fn words_ref(&self) -> WordsRef<'_> {
+    /// The word block of this container: a bitmap's own, or an expanded
+    /// copy.
+    fn words(&self) -> Cow<'_, Box<[u64; WORDS]>> {
         match self {
-            Container::Bitmap(w) => WordsRef::Borrowed(w),
-            other => WordsRef::Owned(other.to_words()),
+            Container::Bitmap(w) => Cow::Borrowed(w),
+            other => Cow::Owned(other.to_words()),
         }
     }
 }
@@ -482,52 +475,52 @@ fn values_of(words: &[u64; WORDS], card: u32) -> Vec<u16> {
     values
 }
 
-/// The word-level kernel shared by every non-array pairing.
-#[inline]
-fn word_op(a: u64, b: u64, op: SetOp) -> u64 {
-    match op {
+/// The word-level kernel shared by every non-array pairing: `op` over
+/// two blocks, word by word.
+fn word_ops<'a>(
+    a: &'a [u64; WORDS],
+    b: &'a [u64; WORDS],
+    op: SetOp,
+) -> impl Iterator<Item = u64> + 'a {
+    a.iter().zip(b).map(move |(&a, &b)| match op {
         SetOp::And => a & b,
         SetOp::Or => a | b,
         SetOp::AndNot => a & !b,
         SetOp::Xor => a ^ b,
-    }
+    })
 }
 
-enum WordsRef<'a> {
-    Borrowed(&'a [u64; WORDS]),
-    Owned(Box<[u64; WORDS]>),
+/// Set bit `v` in a word array; true when it was clear.
+#[inline]
+fn set_bit(words: &mut [u64; WORDS], v: u16) -> bool {
+    // Every `u16` has a word: `v >> 6 < WORDS`.
+    let Some(slot) = words.get_mut(usize::from(v) >> 6) else {
+        return false;
+    };
+    let bit = 1u64 << (v & 63);
+    let fresh = *slot & bit == 0;
+    *slot |= bit;
+    fresh
 }
 
-impl WordsRef<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            WordsRef::Borrowed(w) => w[i],
-            WordsRef::Owned(w) => w[i],
-        }
-    }
+/// Bits `0..=v % 64` of a word: the members ≤ `v` in `v`'s own word.
+#[inline]
+fn low_mask(v: u16) -> u64 {
+    u64::MAX >> (63 - (v & 63))
 }
 
 /// Set bits `s..=e` in a word array.
 fn set_range(words: &mut [u64; WORDS], s: u16, e: u16) {
-    let (s, e) = (u32::from(s), u32::from(e));
-    let first = (s >> 6) as usize;
-    let last = (e >> 6) as usize;
     let lo_mask = u64::MAX << (s & 63);
-    let hi_keep = (e & 63) + 1;
-    let hi_mask = if hi_keep == 64 {
-        u64::MAX
-    } else {
-        (1u64 << hi_keep) - 1
-    };
-    if first == last {
-        words[first] |= lo_mask & hi_mask;
-    } else {
-        words[first] |= lo_mask;
-        for w in &mut words[first + 1..last] {
-            *w = u64::MAX;
+    let hi_mask = low_mask(e);
+    match words.get_mut(usize::from(s) >> 6..=usize::from(e) >> 6) {
+        Some([only]) => *only |= lo_mask & hi_mask,
+        Some([first, between @ .., last]) => {
+            *first |= lo_mask;
+            between.fill(u64::MAX);
+            *last |= hi_mask;
         }
-        words[last] |= hi_mask;
+        _ => {}
     }
 }
 
@@ -548,38 +541,61 @@ fn select_in_word(word: u64, k: u32) -> u32 {
     63
 }
 
-/// Merge-walk kernel over two sorted arrays.
-fn merge_arrays(a: &[u16], b: &[u16], op: SetOp) -> Vec<u16> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                if matches!(op, SetOp::Or | SetOp::AndNot | SetOp::Xor) {
-                    out.push(a[i]);
-                }
-                i += 1;
+/// The one merge over two sorted arrays: step through both while both
+/// have values, handing `f` how the heads compare and the smaller (or
+/// common) one, and return the unconsumed tails — at most one of them
+/// non-empty.
+#[inline]
+fn merge_walk<'a>(
+    mut a: &'a [u16],
+    mut b: &'a [u16],
+    mut f: impl FnMut(Ordering, u16),
+) -> (&'a [u16], &'a [u16]) {
+    while let ([x, ra @ ..], [y, rb @ ..]) = (a, b) {
+        match x.cmp(y) {
+            Ordering::Less => {
+                f(Ordering::Less, *x);
+                a = ra;
             }
-            std::cmp::Ordering::Greater => {
-                if matches!(op, SetOp::Or | SetOp::Xor) {
-                    out.push(b[j]);
-                }
-                j += 1;
+            Ordering::Greater => {
+                f(Ordering::Greater, *y);
+                b = rb;
             }
-            std::cmp::Ordering::Equal => {
-                if matches!(op, SetOp::And | SetOp::Or) {
-                    out.push(a[i]);
-                }
-                i += 1;
-                j += 1;
+            Ordering::Equal => {
+                f(Ordering::Equal, *x);
+                a = ra;
+                b = rb;
             }
         }
     }
-    if matches!(op, SetOp::Or | SetOp::AndNot | SetOp::Xor) {
-        out.extend_from_slice(&a[i..]);
+    (a, b)
+}
+
+/// Merge-walk kernel over two sorted arrays.
+fn merge_arrays(a: &[u16], b: &[u16], op: SetOp) -> Vec<u16> {
+    // Which values the op keeps: those only `a` has, only `b` has, both.
+    let (left, right, both) = match op {
+        SetOp::And => (false, false, true),
+        SetOp::Or => (true, true, true),
+        SetOp::AndNot => (true, false, false),
+        SetOp::Xor => (true, true, false),
+    };
+    let mut out = Vec::new();
+    let (tail_a, tail_b) = merge_walk(a, b, |side, v| {
+        let keep = match side {
+            Ordering::Less => left,
+            Ordering::Greater => right,
+            Ordering::Equal => both,
+        };
+        if keep {
+            out.push(v);
+        }
+    });
+    if left {
+        out.extend_from_slice(tail_a);
     }
-    if matches!(op, SetOp::Or | SetOp::Xor) {
-        out.extend_from_slice(&b[j..]);
+    if right {
+        out.extend_from_slice(tail_b);
     }
     out
 }
@@ -587,18 +603,7 @@ fn merge_arrays(a: &[u16], b: &[u16], op: SetOp) -> Vec<u16> {
 /// Cardinality-only variant of [`merge_arrays`].
 fn merge_cardinality(a: &[u16], b: &[u16], op: SetOp) -> u32 {
     let mut inter = 0u32;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+    merge_walk(a, b, |side, _| inter += u32::from(side.is_eq()));
     let (na, nb) = (len_u32(a.len()), len_u32(b.len()));
     match op {
         SetOp::And => inter,
@@ -641,10 +646,7 @@ impl Iterator for ContainerIter<'_> {
             ContainerIter::Bitmap { words, idx, cur } => {
                 while *cur == 0 {
                     *idx += 1;
-                    if *idx >= WORDS {
-                        return None;
-                    }
-                    *cur = words[*idx];
+                    *cur = *words.get(*idx)?;
                 }
                 let bit = cur.trailing_zeros();
                 *cur &= *cur - 1;
@@ -770,6 +772,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn merge_walk_steps_and_tails() {
+        // Every compared step as `f` sees it, and the two tails.
+        type Walk = (Vec<(Ordering, u16)>, Vec<u16>, Vec<u16>);
+        fn walk(a: &[u16], b: &[u16]) -> Walk {
+            let mut steps = Vec::new();
+            let (tail_a, tail_b) = merge_walk(a, b, |side, v| steps.push((side, v)));
+            assert!(tail_a.is_empty() || tail_b.is_empty(), "{a:?} {b:?}");
+            (steps, tail_a.to_vec(), tail_b.to_vec())
+        }
+        use Ordering::{Equal, Greater, Less};
+        assert_eq!(walk(&[], &[1, 2]), (vec![], vec![], vec![1, 2]));
+        assert_eq!(walk(&[1, 2], &[]), (vec![], vec![1, 2], vec![]));
+        assert_eq!(walk(&[], &[]), (vec![], vec![], vec![]));
+        // Disjoint: the left side runs out first, the right tail is left.
+        assert_eq!(
+            walk(&[1, 5], &[2, 7, 9]),
+            (vec![(Less, 1), (Greater, 2), (Less, 5)], vec![], vec![7, 9])
+        );
+        // Identical: every step is common, nothing is left over.
+        assert_eq!(
+            walk(&[3, 4, 0xFFFF], &[3, 4, 0xFFFF]),
+            (
+                vec![(Equal, 3), (Equal, 4), (Equal, 0xFFFF)],
+                vec![],
+                vec![]
+            )
+        );
+        assert_eq!(
+            walk(&[2, 4, 6], &[4]),
+            (vec![(Less, 2), (Equal, 4)], vec![6], vec![])
+        );
     }
 
     #[test]

@@ -46,17 +46,17 @@ impl ScanSet {
     /// detected and routed through [`ScanSet::from_unsorted`], so the
     /// result is always the canonical form of the member set.
     pub fn from_sorted(addrs: &[u32]) -> ScanSet {
-        if addrs.windows(2).any(|w| w[0] >= w[1]) {
+        if addrs.iter().zip(addrs.iter().skip(1)).any(|(a, b)| a >= b) {
             return ScanSet::from_unsorted(addrs.to_vec());
         }
         let mut chunks: Vec<(u16, Container)> = Vec::new();
-        let mut i = 0usize;
-        while i < addrs.len() {
-            let key = key_of(addrs[i]);
-            let end = addrs[i..].partition_point(|&a| key_of(a) == key) + i;
-            let values: Vec<u16> = addrs[i..end].iter().map(|&a| low_of(a)).collect();
+        let mut rest = addrs;
+        while let Some(&first) = rest.first() {
+            let key = key_of(first);
+            let (chunk, later) = rest.split_at(rest.partition_point(|&a| key_of(a) == key));
+            let values: Vec<u16> = chunk.iter().map(|&a| low_of(a)).collect();
             chunks.push((key, Container::from_sorted(values).optimized()));
-            i = end;
+            rest = later;
         }
         ScanSet { chunks }
     }
@@ -74,7 +74,10 @@ impl ScanSet {
     pub fn insert(&mut self, addr: u32) -> bool {
         let key = key_of(addr);
         match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(pos) => self.chunks[pos].1.insert(low_of(addr)),
+            Ok(pos) => self
+                .chunks
+                .get_mut(pos)
+                .is_some_and(|(_, c)| c.insert(low_of(addr))),
             Err(pos) => {
                 self.chunks
                     .insert(pos, (key, Container::Array(vec![low_of(addr)])));
@@ -99,7 +102,9 @@ impl ScanSet {
     pub fn contains(&self, addr: u32) -> bool {
         self.chunks
             .binary_search_by_key(&key_of(addr), |&(k, _)| k)
-            .is_ok_and(|pos| self.chunks[pos].1.contains(low_of(addr)))
+            .ok()
+            .and_then(|pos| self.chunks.get(pos))
+            .is_some_and(|(_, c)| c.contains(low_of(addr)))
     }
 
     /// Number of members.
@@ -140,7 +145,10 @@ impl ScanSet {
     /// Assemble from chunks already in key order (the deserializer's
     /// path). Returns `None` when keys are unsorted or duplicated.
     pub fn from_chunks(chunks: Vec<(u16, Container)>) -> Option<ScanSet> {
-        if chunks.windows(2).any(|w| w[0].0 >= w[1].0) {
+        if chunks
+            .windows(2)
+            .any(|w| matches!(w, [(a, _), (b, _)] if a >= b))
+        {
             return None;
         }
         Some(ScanSet { chunks })
@@ -211,17 +219,13 @@ impl ScanSet {
 
     /// `|self ∩ other|` without materializing the intersection.
     pub fn intersection_cardinality(&self, other: &ScanSet) -> u64 {
-        self.merge_chunks(other)
-            .map(|pair| match pair {
-                (Some(a), Some(b)) => u64::from(a.op_cardinality(b, SetOp::And)),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// `|self ∪ other|` without materializing the union.
-    pub fn union_cardinality(&self, other: &ScanSet) -> u64 {
-        self.cardinality() + other.cardinality() - self.intersection_cardinality(other)
+        let mut total = 0u64;
+        for_each_chunk(&[self, other], |_, holders| {
+            if let [(_, a), (_, b)] = holders {
+                total += u64::from(a.op_cardinality(b, SetOp::And));
+            }
+        });
+        total
     }
 
     /// `|self ∖ other|` without materializing the difference.
@@ -340,67 +344,21 @@ impl ScanSet {
 
     fn binary_op(&self, other: &ScanSet, op: SetOp) -> ScanSet {
         let mut chunks: Vec<(u16, Container)> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        let empty = Container::new();
-        while i < self.chunks.len() || j < other.chunks.len() {
-            let ka = self.chunks.get(i).map(|&(k, _)| k);
-            let kb = other.chunks.get(j).map(|&(k, _)| k);
-            let (key, a, b) = match (ka, kb) {
-                (Some(ka), Some(kb)) if ka == kb => {
-                    let pair = (ka, Some(&self.chunks[i].1), Some(&other.chunks[j].1));
-                    i += 1;
-                    j += 1;
-                    pair
-                }
-                (Some(ka), Some(kb)) if ka < kb => {
-                    let pair = (ka, Some(&self.chunks[i].1), None);
-                    i += 1;
-                    pair
-                }
-                (Some(ka), None) => {
-                    let pair = (ka, Some(&self.chunks[i].1), None);
-                    i += 1;
-                    pair
-                }
-                (_, Some(kb)) => {
-                    let pair = (kb, None, Some(&other.chunks[j].1));
-                    j += 1;
-                    pair
-                }
-                (None, None) => break,
-            };
-            let out = match (a, b) {
-                (Some(a), Some(b)) => a.op(b, op),
-                // One-sided chunks: And drops them, AndNot keeps only the
-                // left side, Or/Xor keep either side verbatim.
-                (Some(a), None) => match op {
-                    SetOp::And => empty.clone(),
-                    _ => a.clone(),
-                },
-                (None, Some(b)) => match op {
-                    SetOp::Or | SetOp::Xor => b.clone(),
-                    _ => empty.clone(),
-                },
-                (None, None) => empty.clone(),
+        for_each_chunk(&[self, other], |key, holders| {
+            let out = match holders {
+                [(_, a), (_, b)] => a.op(b, op),
+                // One-sided chunks are kept verbatim or dropped: the
+                // left set's unless intersecting, the right set's for
+                // Or/Xor.
+                [(0, a)] if op != SetOp::And => (*a).clone(),
+                [(1, b)] if matches!(op, SetOp::Or | SetOp::Xor) => (*b).clone(),
+                _ => return,
             };
             if !out.is_empty() {
                 chunks.push((key, out));
             }
-        }
+        });
         ScanSet { chunks }
-    }
-
-    /// Merge-walk both chunk lists, yielding aligned container pairs.
-    fn merge_chunks<'a>(
-        &'a self,
-        other: &'a ScanSet,
-    ) -> impl Iterator<Item = (Option<&'a Container>, Option<&'a Container>)> {
-        MergeChunks {
-            a: &self.chunks,
-            b: &other.chunks,
-            i: 0,
-            j: 0,
-        }
     }
 }
 
@@ -412,9 +370,11 @@ impl FromIterator<u32> for ScanSet {
 
 /// Walk the union of the sets' chunk keys in ascending order, handing
 /// `f` each key with its holders: `(index into sets, container)` of
-/// every set that has the chunk, ascending by index. The one k-way walk
-/// behind [`ScanSet::union_cardinality_many`], [`ScanSet::union_many`]
-/// and [`ScanSet::signature_counts`].
+/// every set that has the chunk, ascending by index. The one chunk
+/// alignment walk: the binary operations and
+/// [`ScanSet::intersection_cardinality`] are its two-set case,
+/// [`ScanSet::union_cardinality_many`], [`ScanSet::union_many`] and
+/// [`ScanSet::signature_counts`] its k-set one.
 fn for_each_chunk<'a>(sets: &[&'a ScanSet], mut f: impl FnMut(u16, &[(usize, &'a Container)])) {
     let mut cursors: Vec<_> = sets.iter().map(|s| s.chunks.iter().peekable()).collect();
     let mut holders: Vec<(usize, &Container)> = Vec::with_capacity(sets.len());
@@ -467,53 +427,6 @@ impl SignatureCounts {
             .filter(|&&(m, _)| pred(m))
             .map(|&(_, n)| n)
             .sum()
-    }
-}
-
-struct MergeChunks<'a> {
-    a: &'a [(u16, Container)],
-    b: &'a [(u16, Container)],
-    i: usize,
-    j: usize,
-}
-
-impl<'a> Iterator for MergeChunks<'a> {
-    type Item = (Option<&'a Container>, Option<&'a Container>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let ka = self.a.get(self.i).map(|&(k, _)| k);
-        let kb = self.b.get(self.j).map(|&(k, _)| k);
-        match (ka, kb) {
-            (None, None) => None,
-            (Some(_), None) => {
-                let item = (Some(&self.a[self.i].1), None);
-                self.i += 1;
-                Some(item)
-            }
-            (None, Some(_)) => {
-                let item = (None, Some(&self.b[self.j].1));
-                self.j += 1;
-                Some(item)
-            }
-            (Some(ka), Some(kb)) => match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    let item = (Some(&self.a[self.i].1), None);
-                    self.i += 1;
-                    Some(item)
-                }
-                std::cmp::Ordering::Greater => {
-                    let item = (None, Some(&self.b[self.j].1));
-                    self.j += 1;
-                    Some(item)
-                }
-                std::cmp::Ordering::Equal => {
-                    let item = (Some(&self.a[self.i].1), Some(&self.b[self.j].1));
-                    self.i += 1;
-                    self.j += 1;
-                    Some(item)
-                }
-            },
-        }
     }
 }
 
@@ -588,6 +501,15 @@ mod tests {
     }
 
     #[test]
+    fn from_chunks_wants_strictly_ascending_keys() {
+        let c = || Container::from_sorted(vec![1]);
+        assert_eq!(ScanSet::from_chunks(vec![]), Some(ScanSet::new()));
+        assert!(ScanSet::from_chunks(vec![(1, c()), (2, c()), (9, c())]).is_some());
+        assert!(ScanSet::from_chunks(vec![(1, c()), (9, c()), (2, c())]).is_none());
+        assert!(ScanSet::from_chunks(vec![(1, c()), (2, c()), (2, c())]).is_none());
+    }
+
+    #[test]
     fn insert_matches_bulk_build() {
         let addrs = sample(11, 5000, 1 << 24);
         let mut inc = ScanSet::new();
@@ -626,7 +548,10 @@ mod tests {
             sa.intersection_cardinality(&sb) as usize,
             a.intersection(&b).count()
         );
-        assert_eq!(sa.union_cardinality(&sb) as usize, a.union(&b).count());
+        assert_eq!(
+            ScanSet::union_cardinality_many(&[&sa, &sb]) as usize,
+            a.union(&b).count()
+        );
         assert_eq!(
             sa.andnot_cardinality(&sb) as usize,
             a.difference(&b).count()

@@ -20,11 +20,39 @@ fn to_addr((mode, raw): (u32, u32)) -> u32 {
     match mode % 3 {
         // Sparse: spread across four chunks → array containers.
         0 => ((raw % 4) << 16) | (raw.wrapping_mul(2_654_435_761) & 0xFFFF),
-        // Dense window in chunk 0 → run/bitmap containers.
-        1 => raw % 2048,
+        // Dense window across the chunk 0 / chunk 1 edge (`0xFFFF`,
+        // `0x1_0000` and 32 word boundaries inside it).
+        1 => 0xFC00 + raw % 2048,
         // Around the array/bitmap cutoff inside one chunk.
         _ => (5 << 16) + (raw % 8192),
     }
+}
+
+/// One set's addresses: the raw draws moved up `shift` chunks — so two
+/// sets' chunks meet or are held by one side only, depending on their
+/// shifts — plus a chunk 8 that is a bitmap, a run, or absent.
+fn shifted_addrs(raw: Vec<(u32, u32)>, shift: u32) -> Vec<u32> {
+    let mut addrs: Vec<u32> = raw
+        .into_iter()
+        .map(|r| to_addr(r) + (shift << 16))
+        .collect();
+    match shift {
+        // Three of every four addresses, bits 63 and 64 and `0xFFFF`
+        // among them: too many runs for anything but a bitmap.
+        1 => addrs.extend((0..=0xFFFF).filter(|v| v % 4 != 1).map(|v| (8 << 16) + v)),
+        // One run from the last bit of chunk 8's first word, over the
+        // chunk edge, to the first bit of chunk 9's second word.
+        2 => addrs.extend((8 << 16) + 63..=(9 << 16) + 64),
+        _ => {}
+    }
+    addrs
+}
+
+/// The bytes a store holding just `set` serializes to.
+fn store_bytes(set: ScanSet) -> Vec<u8> {
+    let mut store = ScanSetStore::new();
+    store.insert(StoreKey::new("HTTP", 0, 0), set);
+    store.to_bytes().unwrap()
 }
 
 /// Strategy for the raw `(mode, raw)` pair lists.
@@ -35,25 +63,46 @@ fn raw_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every binary kernel agrees with the BTreeSet oracle.
+    /// Every binary kernel agrees with the BTreeSet oracle — member for
+    /// member and, serialized, byte for byte with the canonical set of
+    /// the oracle's members (a one-sided chunk comes through verbatim, a
+    /// two-sided one optimized) — over array, bitmap and run chunks that
+    /// both sets hold or only either one does.
     #[test]
-    fn ops_match_btreeset_oracle(ra in raw_strategy(), rb in raw_strategy()) {
-        let a: Vec<u32> = ra.into_iter().map(to_addr).collect();
-        let b: Vec<u32> = rb.into_iter().map(to_addr).collect();
+    fn ops_match_btreeset_oracle(
+        ra in raw_strategy(),
+        rb in raw_strategy(),
+        shifts in (0u32..3, 0u32..3),
+    ) {
+        let a = shifted_addrs(ra, shifts.0);
+        let b = shifted_addrs(rb, shifts.1);
         let oa: BTreeSet<u32> = a.iter().copied().collect();
         let ob: BTreeSet<u32> = b.iter().copied().collect();
         let sa = ScanSet::from_unsorted(a);
         let sb = ScanSet::from_unsorted(b);
-        prop_assert_eq!(sa.cardinality() as usize, oa.len());
+        prop_assert_eq!(sa.to_vec(), oa.iter().copied().collect::<Vec<u32>>());
+        // Either side of a word boundary and of a chunk edge, in the
+        // dense window and in chunk 8.
+        for base in [shifts.0 << 16, 8 << 16] {
+            for addr in [62, 63, 64, 0xFFFE, 0xFFFF, 0x1_0000, 0x1_0040].map(|off| base + off) {
+                prop_assert_eq!(sa.contains(addr), oa.contains(&addr), "{:#x}", addr);
+                prop_assert_eq!(sa.rank(addr) as usize, oa.range(..=addr).count(), "{:#x}", addr);
+            }
+        }
 
         let and: Vec<u32> = oa.intersection(&ob).copied().collect();
-        prop_assert_eq!(sa.and(&sb).to_vec(), and);
         let or: Vec<u32> = oa.union(&ob).copied().collect();
-        prop_assert_eq!(sa.or(&sb).to_vec(), or);
         let andnot: Vec<u32> = oa.difference(&ob).copied().collect();
-        prop_assert_eq!(sa.andnot(&sb).to_vec(), andnot);
         let xor: Vec<u32> = oa.symmetric_difference(&ob).copied().collect();
-        prop_assert_eq!(sa.xor(&sb).to_vec(), xor);
+        for (got, want) in [
+            (sa.and(&sb), and),
+            (sa.or(&sb), or),
+            (sa.andnot(&sb), andnot),
+            (sa.xor(&sb), xor),
+        ] {
+            prop_assert_eq!(got.to_vec(), &want[..]);
+            prop_assert_eq!(store_bytes(got), store_bytes(ScanSet::from_sorted(&want)));
+        }
 
         // Cardinality-only kernels agree without materializing.
         prop_assert_eq!(sa.intersection_cardinality(&sb) as usize,
@@ -76,18 +125,7 @@ proptest! {
         let sets: Vec<ScanSet> = raws
             .into_iter()
             .zip(&shifts)
-            .map(|(raw, &shift)| {
-                let mut addrs: Vec<u32> =
-                    raw.into_iter().map(|r| to_addr(r) + (shift << 16)).collect();
-                // Chunk 8 meets as a bitmap (every other address), a long
-                // run, or not at all, depending on the set's shift.
-                match shift {
-                    1 => addrs.extend((0..32_768).map(|v| (8 << 16) + 2 * v)),
-                    2 => addrs.extend((8 << 16) + 100..(8 << 16) + 40_000),
-                    _ => {}
-                }
-                ScanSet::from_unsorted(addrs)
-            })
+            .map(|(raw, &shift)| ScanSet::from_unsorted(shifted_addrs(raw, shift)))
             .collect();
         let refs: Vec<&ScanSet> = sets.iter().collect();
         let mut masks: BTreeMap<u32, u64> = BTreeMap::new();

@@ -34,7 +34,9 @@ impl Accumulator {
     pub fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for c in &mut chunks {
-            self.add_u16(u16::from_be_bytes([c[0], c[1]]));
+            if let [hi, lo] = *c {
+                self.add_u16(u16::from_be_bytes([hi, lo]));
+            }
         }
         if let [last] = chunks.remainder() {
             self.add_u16(u16::from_be_bytes([*last, 0]));

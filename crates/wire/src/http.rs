@@ -36,7 +36,8 @@ impl StatusLine {
             .windows(2)
             .position(|w| w == b"\r\n")
             .ok_or(ParseError::Truncated)?;
-        let line = core::str::from_utf8(&buf[..line_end]).map_err(|_| ParseError::Malformed)?;
+        let line = buf.get(..line_end).ok_or(ParseError::Truncated)?;
+        let line = core::str::from_utf8(line).map_err(|_| ParseError::Malformed)?;
         let rest = line.strip_prefix("HTTP/1.").ok_or(ParseError::Malformed)?;
         let mut it = rest.splitn(3, ' ');
         let minor: u8 = it

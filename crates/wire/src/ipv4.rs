@@ -61,20 +61,37 @@ impl Ipv4Header {
 
     /// Serialize into exactly [`HEADER_LEN`] bytes with a valid checksum.
     pub fn emit(&self) -> [u8; HEADER_LEN] {
-        let mut b = [0u8; HEADER_LEN];
-        b[0] = 0x45; // version 4, IHL 5
-        b[1] = 0; // DSCP/ECN
-        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        b[6..8].copy_from_slice(&[0x40, 0x00]); // DF set, no fragmentation
-        b[8] = self.ttl;
-        b[9] = self.protocol;
-        // checksum at [10..12] computed over the header with the field zeroed
-        b[12..16].copy_from_slice(&self.src.to_be_bytes());
-        b[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        let csum = checksum::checksum(&b);
-        b[10..12].copy_from_slice(&csum.to_be_bytes());
-        b
+        let [len_hi, len_lo] = self.total_len.to_be_bytes();
+        let [id_hi, id_lo] = self.ident.to_be_bytes();
+        let [s0, s1, s2, s3] = self.src.to_be_bytes();
+        let [d0, d1, d2, d3] = self.dst.to_be_bytes();
+        let with_checksum = |[ck_hi, ck_lo]: [u8; 2]| {
+            [
+                0x45,   // 0: version 4, IHL 5
+                0,      // 1: DSCP/ECN
+                len_hi, // 2–3: total length
+                len_lo,
+                id_hi, // 4–5: identification
+                id_lo,
+                0x40, // 6–7: DF set, no fragmentation
+                0x00,
+                self.ttl,      // 8
+                self.protocol, // 9
+                ck_hi,         // 10–11: header checksum
+                ck_lo,
+                s0, // 12–15: source
+                s1,
+                s2,
+                s3,
+                d0, // 16–19: destination
+                d1,
+                d2,
+                d3,
+            ]
+        };
+        // The checksum is computed over the header with its field zero.
+        let csum = checksum::checksum(&with_checksum([0, 0]));
+        with_checksum(csum.to_be_bytes())
     }
 
     /// Parse and checksum-verify a header from the front of `buf`.

@@ -53,10 +53,8 @@ impl ServerIdent {
         if nl + 1 > MAX_IDENT_LEN {
             return Err(ParseError::Malformed);
         }
-        let mut line = &buf[..nl];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
-        }
+        let line = buf.get(..nl).ok_or(ParseError::Truncated)?;
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
         let line = core::str::from_utf8(line).map_err(|_| ParseError::Malformed)?;
         let rest = line.strip_prefix("SSH-").ok_or(ParseError::Malformed)?;
         let (proto, soft_and_comment) = rest.split_once('-').ok_or(ParseError::Malformed)?;
