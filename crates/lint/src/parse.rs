@@ -47,6 +47,9 @@ pub struct FnDef {
     /// `pub` (any visibility restriction counts as pub for entry-point
     /// purposes only when unrestricted `pub`).
     pub is_pub: bool,
+    /// Defined directly inside `impl Trait for Type`: callable through
+    /// the trait from outside the file whatever its own visibility.
+    pub trait_impl: bool,
     /// Inside `#[cfg(test)]`/`#[test]` items, `fn main`, or an exempt
     /// path — invisible to every pass.
     pub exempt: bool,
@@ -142,8 +145,9 @@ struct Frame {
 enum FrameKind {
     /// Inline `mod name { … }`.
     Mod,
-    /// `impl`/`trait` block; the self type applies to contained fns.
-    Impl(Option<String>),
+    /// `impl`/`trait` block; the self type applies to contained fns,
+    /// `of_trait` marks `impl Trait for Type`.
+    Impl { ty: Option<String>, of_trait: bool },
     /// A function body; on close, patch the recorded body range.
     Fn(usize),
     /// Any other brace group.
@@ -191,16 +195,17 @@ impl<'f> ItemParser<'f> {
         self.file_mods.clone()
     }
 
-    /// Current impl self-type, if inside an `impl`/`trait` frame.
-    fn self_ty(&self) -> Option<String> {
+    /// Self type and `impl Trait for Type`-ness of the enclosing
+    /// `impl`/`trait` frame, if the current item sits directly in one.
+    fn enclosing_impl(&self) -> (Option<String>, bool) {
         for fr in self.frames.iter().rev() {
             match &fr.kind {
-                FrameKind::Impl(ty) => return ty.clone(),
-                FrameKind::Fn(_) => return None,
+                FrameKind::Impl { ty, of_trait } => return (ty.clone(), *of_trait),
+                FrameKind::Fn(_) => break,
                 _ => {}
             }
         }
-        None
+        (None, false)
     }
 
     fn inside_fn(&self) -> bool {
@@ -259,31 +264,17 @@ impl<'f> ItemParser<'f> {
                     }
                 }
                 TokKind::Ident(kw) if kw == "impl" || kw == "trait" => {
-                    let ty = if kw == "impl" {
-                        self.impl_self_ty()
-                    } else {
-                        self.toks
+                    let (j, mut ty, of_trait) = self.impl_header();
+                    if kw == "trait" {
+                        ty = self
+                            .toks
                             .get(self.i + 1)
                             .and_then(Tok::ident)
-                            .map(str::to_string)
-                    };
-                    // Advance to the opening brace (or `;` for e.g.
-                    // `impl Trait for Type;`-like degenerate input).
-                    let mut j = self.i + 1;
-                    let mut angle = 0i32;
-                    while j < self.toks.len() {
-                        match &self.toks[j].kind {
-                            TokKind::Punct('<') => angle += 1,
-                            TokKind::Punct('>') => angle -= 1,
-                            TokKind::Punct('{') if angle <= 0 => break,
-                            TokKind::Punct(';') if angle <= 0 => break,
-                            _ => {}
-                        }
-                        j += 1;
+                            .map(str::to_string);
                     }
                     if self.toks.get(j).is_some_and(|t| t.is_punct('{')) {
                         self.frames.push(Frame {
-                            kind: FrameKind::Impl(ty),
+                            kind: FrameKind::Impl { ty, of_trait },
                             exempt: self.exempt_here() || self.pending_exempt,
                         });
                         self.pending_exempt = false;
@@ -345,23 +336,32 @@ impl<'f> ItemParser<'f> {
         self.i = j + 1;
     }
 
-    /// Self-type of an `impl` header: the last path ident of the type
-    /// (after `for` when present), ignoring generics and where clauses.
-    fn impl_self_ty(&self) -> Option<String> {
+    /// Scan an `impl`/`trait` header from its keyword to the opening
+    /// brace (or `;` for `impl Trait for Type;`-like degenerate input),
+    /// both outside `<…>` and `[…; N]`. Returns the index it stopped at,
+    /// the self type — the last path ident of the type (after `for` when
+    /// present), ignoring generics and where clauses — and whether the
+    /// header is `impl Trait for Type`.
+    fn impl_header(&self) -> (usize, Option<String>, bool) {
         let mut j = self.i + 1;
-        let mut angle = 0i32;
+        let (mut angle, mut bracket) = (0i32, 0i32);
         let mut last_ident: Option<&str> = None;
-        while j < self.toks.len() {
-            match &self.toks[j].kind {
+        let mut of_trait = false;
+        let mut in_where = false;
+        while let Some(t) = self.toks.get(j) {
+            match &t.kind {
                 TokKind::Punct('<') => angle += 1,
                 TokKind::Punct('>') => angle -= 1,
-                TokKind::Punct('{' | ';') if angle <= 0 => break,
-                TokKind::Ident(s) if angle <= 0 => {
+                TokKind::Punct('[') => bracket += 1,
+                TokKind::Punct(']') => bracket -= 1,
+                TokKind::Punct('{' | ';') if angle <= 0 && bracket <= 0 => break,
+                TokKind::Ident(s) if angle <= 0 && !in_where => {
                     if s == "for" {
                         // `impl Trait for Type`: only the type counts.
                         last_ident = None;
+                        of_trait = true;
                     } else if s == "where" {
-                        break;
+                        in_where = true;
                     } else if !KEYWORDS.contains(&s.as_str()) {
                         last_ident = Some(s);
                     }
@@ -370,7 +370,7 @@ impl<'f> ItemParser<'f> {
             }
             j += 1;
         }
-        last_ident.map(str::to_string)
+        (j, last_ident.map(str::to_string), of_trait)
     }
 
     fn fn_item(&mut self, ws: &mut Workspace, inline_mods: &[(usize, String)]) {
@@ -414,17 +414,20 @@ impl<'f> ItemParser<'f> {
                 }
             }
         }
-        // Scan the signature to the body `{` or a `;`.
+        // Scan the signature to the body `{` or a `;` — one outside
+        // `<…>` and outside an array type's `[T; N]`.
         let sig_start = self.i;
         let mut j = self.i + 2;
-        let mut angle = 0i32;
+        let (mut angle, mut bracket) = (0i32, 0i32);
         let mut returns_guard = false;
         while j < self.toks.len() {
             match &self.toks[j].kind {
                 TokKind::Punct('<') => angle += 1,
                 TokKind::Punct('>') => angle = (angle - 1).max(0),
+                TokKind::Punct('[') => bracket += 1,
+                TokKind::Punct(']') => bracket -= 1,
                 TokKind::Punct('{') => break,
-                TokKind::Punct(';') if angle <= 0 => break,
+                TokKind::Punct(';') if angle <= 0 && bracket <= 0 => break,
                 TokKind::Ident(s) if s == "MutexGuard" => returns_guard = true,
                 _ => {}
             }
@@ -439,11 +442,12 @@ impl<'f> ItemParser<'f> {
             self.enclosing_fn_is_main(ws)
         };
         self.pending_exempt = false;
+        let (self_ty, trait_impl) = self.enclosing_impl();
         let def = FnDef {
             file: self.file,
             crate_name: self.crate_name.clone(),
             module,
-            self_ty: self.self_ty(),
+            self_ty,
             name: name.to_string(),
             line: fn_line,
             sig: sig_start..j,
@@ -451,6 +455,7 @@ impl<'f> ItemParser<'f> {
             // frame pops (no-body trait declarations stay empty).
             body: j..j,
             is_pub,
+            trait_impl,
             exempt,
             returns_guard,
         };
@@ -683,6 +688,59 @@ mod tests {
         assert!(nested.body.end < outer.body.end);
         assert!(files[0].toks[outer.body.start].is_punct('{'));
         assert!(files[0].toks[outer.body.end - 1].is_punct('}'));
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_it() {
+        // The `;` of `[u64; 4]` / `[u8; 2]` is not the `;` of a bodiless
+        // declaration: the body range must still cover the braces.
+        let src =
+            "pub fn set(words: &mut [u64; 4], i: usize) -> [u8; 2] { words[i] = 1; [0, 0] }\n\
+                   impl Codec for [u8; 4] { fn emit(&self) -> [u8; 4] { *self } }\n\
+                   trait Decl { fn no_body(&self) -> [u8; 2]; }";
+        let (ws, files) = parse_one("crates/demo/src/lib.rs", src);
+        let toks = &files[0].toks;
+        for name in ["set", "emit"] {
+            let f = ws.fns.iter().find(|f| f.name == name).unwrap();
+            assert!(toks[f.body.start].is_punct('{'), "{name}");
+            assert!(toks[f.body.end - 1].is_punct('}'), "{name}");
+            assert!(f.body.len() > 2, "{name}");
+        }
+        let emit = ws.fns.iter().find(|f| f.name == "emit").unwrap();
+        assert!(emit.trait_impl, "`impl Codec for [u8; 4]` is a trait impl");
+        assert!(ws
+            .fns
+            .iter()
+            .find(|f| f.name == "no_body")
+            .unwrap()
+            .body
+            .is_empty());
+    }
+
+    #[test]
+    fn trait_impl_methods_are_marked() {
+        let src = r#"
+            impl Iterator for It { fn next(&mut self) { fn nested() {} } }
+            impl It { fn inherent(&self) {} }
+            impl<F: for<'a> Fn(&'a u8)> Holder<F> { fn hrtb(&self) {} }
+            trait Probe { fn fire(&self) {} }
+        "#;
+        let (ws, _) = parse_one("crates/demo/src/lib.rs", src);
+        let marked: Vec<(&str, bool)> = ws
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.trait_impl))
+            .collect();
+        assert_eq!(
+            marked,
+            [
+                ("next", true),
+                ("nested", false),
+                ("inherent", false),
+                ("hrtb", false),
+                ("fire", false),
+            ]
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::parse::{SourceFile, Workspace, KEYWORDS};
 use crate::rules::Allows;
 use crate::Violation;
 
-/// Files whose unrestricted-`pub` functions are supervised entry points.
+/// Files whose unrestricted-`pub` functions and trait-impl methods are
+/// supervised entry points.
 ///
 /// This replaces the old PANIC_SCOPE file-list approximation for
 /// reachability purposes: anything these surfaces can reach is on a
@@ -114,14 +115,17 @@ pub fn panic_sites(
     out
 }
 
-/// Indices of entry-point functions: unrestricted-`pub`, non-exempt
-/// functions defined in [`ENTRY_SCOPE`] files.
+/// Indices of entry-point functions: non-exempt functions defined in
+/// [`ENTRY_SCOPE`] files that are unrestricted-`pub` or methods of an
+/// `impl Trait for Type` (callers reach those through the trait — often
+/// a `std` one such as `Iterator::next`, which the call graph does not
+/// link — so their own visibility says nothing).
 pub fn entry_points(ws: &Workspace, files: &[SourceFile]) -> Vec<usize> {
     ws.fns
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            f.is_pub
+            (f.is_pub || f.trait_impl)
                 && !f.exempt
                 && ENTRY_SCOPE
                     .iter()

@@ -227,6 +227,57 @@ fn recursive_chains_terminate() {
     );
 }
 
+/// An array type in the signature (`[u64; 4]`, `-> [u8; 2]`) does not
+/// hide the body: the index expression inside is found, at its line.
+#[test]
+fn array_type_in_signature_does_not_hide_the_body() {
+    let block = "//! Word blocks.\n\
+                 pub fn set(words: &mut [u64; 4], i: usize) -> [u8; 2] {\n\
+                 \x20   words[i] = 1;\n\
+                 \x20   [0, 0]\n\
+                 }\n";
+    let out = ws(&[("crates/store/src/block.rs", block)]);
+    assert_eq!(out.len(), 1, "got:\n{}", render(&out));
+    let v = &out[0];
+    assert_eq!(v.rule, "reach-panic");
+    assert_eq!(v.line, 3);
+    assert!(
+        v.msg.contains("index expression in `store::block::set`"),
+        "{}",
+        v.msg
+    );
+}
+
+/// A trait-impl method in an entry file is an entry point whatever its
+/// visibility: callers reach `next` through `Iterator`, a call the graph
+/// never links, so nothing else would root it.
+#[test]
+fn trait_impl_methods_of_entry_files_are_entry_points() {
+    let walk = "//! Word walk.\n\
+                pub struct It {\n\
+                \x20   w: Vec<u64>,\n\
+                \x20   i: usize,\n\
+                }\n\
+                impl Iterator for It {\n\
+                \x20   type Item = u64;\n\
+                \x20   fn next(&mut self) -> Option<u64> {\n\
+                \x20       Some(self.w[self.i])\n\
+                \x20   }\n\
+                }\n";
+    let out = ws(&[("crates/store/src/walk.rs", walk)]);
+    assert_eq!(out.len(), 1, "got:\n{}", render(&out));
+    let v = &out[0];
+    assert_eq!(v.rule, "reach-panic");
+    assert_eq!(v.line, 9);
+    assert_eq!(
+        v.chain,
+        ["chain: store::walk::It::next (entry point itself)"]
+    );
+    // The same impl outside the entry scope roots nothing.
+    let out = ws(&[("crates/stats/src/walk.rs", walk)]);
+    assert!(out.is_empty(), "got:\n{}", render(&out));
+}
+
 // ---------------------------------------------------------------------
 // det-taint
 // ---------------------------------------------------------------------
