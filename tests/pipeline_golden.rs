@@ -6,7 +6,9 @@
 //! the three telemetry JSONL surfaces and the rendered report/CSV for
 //! three tiny-world scenarios that between them reach every engine path:
 //! fault hook, checkpoint resume, adaptive controller, plan, shard and
-//! blocklist filters. To accept an intentional change:
+//! blocklist filters — plus every probe module's bare single-origin scan
+//! (count and CSV) and the planner's probes-vs-coverage frontier. To
+//! accept an intentional change:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test pipeline_golden
@@ -16,13 +18,15 @@ use originscan::core::adversarial::{PolitenessProfile, TRIAL_SPAN_MULT};
 use originscan::core::experiment::{
     supervise_scan, Experiment, ExperimentConfig, OriginRun, RunStatus, SupervisorPolicy,
 };
+use originscan::core::frontier::{sweep_frontier, FrontierConfig};
 use originscan::core::summary::full_report;
 use originscan::netmodel::{
     AggressionProfile, DefenderNet, FaultPlan, OriginId, Protocol, SimNet, WorldConfig,
 };
 use originscan::plan::{PlanEntry, TargetPlan};
-use originscan::scanner::engine::ScanConfig;
+use originscan::scanner::engine::{run_scan, ScanConfig};
 use originscan::scanner::output::{to_csv_all, to_scan_set};
+use originscan::scanner::probe::modules;
 use originscan::scanner::rate::rate_for_duration;
 use originscan::scanner::Blocklist;
 use originscan::serve::query::fnv1a64;
@@ -191,12 +195,57 @@ fn planned_sharded_blocklisted(out: &mut String) {
     telemetry_lines(out, "planned_sharded_blocklisted", &hub.snapshot());
 }
 
+/// One bare `run_scan` per registered probe module (the CLI `scan` path:
+/// no supervisor, checkpoints or telemetry): the positive-result count
+/// and every address and detail behind it. The only place the stateless
+/// ICMP/DNS modules' scan results are pinned.
+fn every_module_single_origin(out: &mut String) {
+    let world = WorldConfig::tiny(7).build();
+    let net = SimNet::new(&world, &[OriginId::Us1], DUR_S);
+    for m in modules() {
+        let cfg = ScanConfig::new(world.space(), m.protocol(), 99);
+        let scan = run_scan(&net, &cfg).unwrap();
+        let scenario = format!("every_module_single_origin.{}", m.name());
+        let _ = writeln!(out, "{scenario}.l7_successes {}", scan.summary.l7_successes);
+        digest_lines(
+            out,
+            &scenario,
+            &[("csv", to_csv_all(&scan.records).as_bytes())],
+        );
+    }
+}
+
+/// The planner's promise on a sparse world (most /24s never deployed, as
+/// on the real Internet): plans learned from two full trials, evaluated
+/// on a held-out one, reach ≥ 95 % of full-sweep coverage with ≤ 50 % of
+/// the probes. The rendered table's integer /24, probe and found columns
+/// pin every strategy's point.
+fn planner_frontier(out: &mut String) {
+    let mut wc = WorldConfig::tiny(41);
+    wc.density_scale = 0.05;
+    let cfg = FrontierConfig {
+        seed: 41,
+        ..FrontierConfig::default()
+    };
+    let sweep = sweep_frontier(&wc.build(), &cfg).unwrap();
+    assert!(sweep
+        .cheapest_with_recall(0.95)
+        .is_some_and(|p| p.probes_frac <= 0.5));
+    digest_lines(
+        out,
+        "planner_frontier",
+        &[("render", sweep.render().as_bytes())],
+    );
+}
+
 #[test]
 fn pipeline_bytes_match_golden_digests() {
     let mut actual = String::new();
     faulted_experiment(&mut actual);
     adaptive_kill_resume(&mut actual);
     planned_sharded_blocklisted(&mut actual);
+    every_module_single_origin(&mut actual);
+    planner_frontier(&mut actual);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
         return;
