@@ -12,8 +12,6 @@
 //! world seed is fixed so runs are comparable.
 
 pub mod artifacts;
-pub mod jsonv;
-pub mod record;
 
 use originscan_netmodel::{Protocol, World, WorldConfig};
 use originscan_telemetry::progress::{emit_progress, FieldValue};
@@ -139,47 +137,6 @@ fn paper_says_text(lines: &[&str]) -> String {
         out.push_str(&format!("  | {l}\n"));
     }
     out.push('\n');
-    out
-}
-
-/// Print a section header for a reproduced artifact.
-pub fn header(id: &str, caption: &str) {
-    emit_artifact(&header_text(id, caption));
-}
-
-/// Print the paper's reported values for side-by-side comparison.
-pub fn paper_says(lines: &[&str]) {
-    emit_artifact(&paper_says_text(lines));
-}
-
-/// splitmix64 — the same generator the world model seeds from.
-pub fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A synthetic origin view for the kernel and serve benches: a
-/// deterministic ~`density` sample of `0..space`, correlated across
-/// origins (shared base membership plus per-origin blocking), like real
-/// origins seeing mostly-overlapping host sets. Sorted ascending.
-pub fn origin_set(origin: u64, space: u32, density: f64) -> Vec<u32> {
-    let mut base = 2020u64;
-    let mut per_origin = 0xC0FFEE ^ (origin << 32);
-    let threshold = (density * f64::from(u32::MAX)) as u64;
-    let mut out = Vec::new();
-    for addr in 0..space {
-        let host_draw = splitmix(&mut base) & 0xFFFF_FFFF;
-        if host_draw < threshold {
-            // Host exists; each origin misses ~10% of them, independently.
-            let miss_draw = splitmix(&mut per_origin) & 0xFF;
-            if miss_draw >= 26 {
-                out.push(addr);
-            }
-        }
-    }
     out
 }
 

@@ -85,11 +85,6 @@ pub enum RunStatus {
 }
 
 impl RunStatus {
-    /// Did this run produce output records?
-    pub fn has_output(&self) -> bool {
-        !matches!(self, RunStatus::Failed { .. })
-    }
-
     /// Completed on the first attempt with no injected degradation?
     pub fn is_clean(&self) -> bool {
         matches!(self, RunStatus::Completed)

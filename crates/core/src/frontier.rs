@@ -13,8 +13,9 @@
 //! stable across trials.
 //!
 //! Everything is deterministic: same world + config ⇒ byte-identical
-//! [`FrontierSweep::render`] output (pinned by a unit test and consumed
-//! by `examples/fig_frontier.rs` and the `perf_plan` bench gate).
+//! [`FrontierSweep::render`] output (printed by
+//! `examples/fig_frontier.rs`; `tests/pipeline_golden.rs` pins one sparse
+//! world's table and its ≥ 95 % recall at ≤ 50 % of the probes).
 
 use crate::experiment::TRIAL_DURATION_S;
 use crate::report::{count, pct, Table};

@@ -9,7 +9,7 @@
 //! here. Adding a sixth module to the registry grows every table in
 //! this file by one row automatically.
 
-use crate::coverage::{coverage_table, mean_coverage};
+use crate::coverage::coverage_table;
 use crate::exclusivity::exclusive_counts;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError};
 use crate::multiorigin::best_k_union;
@@ -270,17 +270,6 @@ impl<'w> ModuleSweep<'w> {
         );
         out
     }
-}
-
-/// Mean coverage for one (module, origin) pair, by module name; `None`
-/// for unregistered names.
-pub fn module_mean_coverage(
-    sweep: &ModuleSweep<'_>,
-    name: &str,
-    origin: originscan_netmodel::OriginId,
-) -> Option<f64> {
-    let run = sweep.get(name)?;
-    Some(mean_coverage(&run.results, run.module.protocol(), origin))
 }
 
 #[cfg(test)]

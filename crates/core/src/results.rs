@@ -2,7 +2,6 @@
 
 use crate::experiment::{ExperimentConfig, RunStatus};
 use crate::matrix::TrialMatrix;
-use crate::outcome::HostOutcome;
 use originscan_netmodel::{OriginId, Protocol, World};
 use originscan_store::{ScanSet, ScanSetStore, StoreKey};
 use originscan_telemetry::TelemetrySnapshot;
@@ -109,13 +108,6 @@ impl<'w> ExperimentResults<'w> {
         }
     }
 
-    /// The supervised run status of one (protocol, trial, origin).
-    pub fn run_status(&self, proto: Protocol, trial: u8, origin: OriginId) -> Option<RunStatus> {
-        let m = self.try_matrix(proto, trial)?;
-        let oi = self.try_origin_index(origin)?;
-        m.statuses.get(oi).copied()
-    }
-
     /// Every run that was not a clean first-attempt completion, in
     /// (protocol, trial, origin) order. Empty for a fault-free experiment.
     pub fn disrupted_runs(&self) -> Vec<(Protocol, u8, OriginId, RunStatus)> {
@@ -195,9 +187,6 @@ pub struct Panel {
     pub present: Vec<u8>,
     /// `seen[origin][host]`: bit `t` set ⇔ origin completed L7 in trial t.
     pub seen: Vec<Vec<u8>>,
-    /// Position of each union host in each trial matrix (`u32::MAX` if the
-    /// host was absent from that trial).
-    pub trial_pos: Vec<Vec<u32>>,
     /// `ever_seen_sets[origin]`: addresses the origin completed L7 with in
     /// at least one trial (compressed bitmap).
     pub ever_seen_sets: Vec<ScanSet>,
@@ -223,14 +212,12 @@ impl Panel {
         let n = union.len();
         let mut present = vec![0u8; n];
         let mut seen = vec![vec![0u8; n]; origins.len()];
-        let mut trial_pos = vec![vec![u32::MAX; n]; trials.len()];
         for (t, m) in trials.iter().enumerate() {
             for (pos, &addr) in m.addrs.iter().enumerate() {
                 let Ok(u) = union.binary_search(&addr) else {
                     continue; // unreachable: the union contains every addr
                 };
                 present[u] |= 1 << t;
-                trial_pos[t][u] = pos as u32;
                 for (oi, col) in m.outcomes.iter().enumerate() {
                     if col[pos].l7_success() {
                         seen[oi][u] |= 1 << t;
@@ -264,7 +251,6 @@ impl Panel {
             addrs: union,
             present,
             seen,
-            trial_pos,
             ever_seen_sets,
             multi_present_set,
             longterm_sets,
@@ -289,24 +275,6 @@ impl Panel {
     /// Trials in which `origin` saw host `u` while it was present.
     pub fn seen_trials(&self, origin_idx: usize, u: usize) -> u32 {
         u32::from(self.seen[origin_idx][u] & self.present[u]).count_ones()
-    }
-
-    /// The outcome of `origin` for union host `u` in `trial`, if present.
-    pub fn outcome_in_trial(
-        &self,
-        matrices: &[TrialMatrix],
-        origin_idx: usize,
-        u: usize,
-        trial: u8,
-    ) -> Option<HostOutcome> {
-        let pos = self.trial_pos[trial as usize][u];
-        if pos == u32::MAX {
-            return None;
-        }
-        let m = matrices
-            .iter()
-            .find(|m| m.protocol == self.protocol && m.trial == trial)?;
-        Some(m.outcomes[origin_idx][pos as usize])
     }
 }
 

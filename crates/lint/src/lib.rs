@@ -31,10 +31,6 @@
 //! * [`locks`] — lock-order cycles and lock-held-across-blocking-call
 //!   sites over the serve tier's `Mutex`es.
 //!
-//! Interprocedural findings carry stable fingerprints and diff against a
-//! checked-in baseline (`lint-baseline.txt`) so CI fails only on *new*
-//! findings ([`report`]).
-//!
 //! ## Escape hatch
 //!
 //! A violation can be suppressed with an *audited* comment on (or
@@ -58,7 +54,6 @@ pub mod locks;
 pub mod parse;
 pub mod reach;
 pub mod registry;
-pub mod report;
 pub mod rules;
 pub mod taint;
 
@@ -218,12 +213,6 @@ pub struct Violation {
     /// Extra diagnostic lines (call chains / flow chains); empty for
     /// per-file rules.
     pub chain: Vec<String>,
-    /// Line-number-free site anchor used to build the fingerprint; empty
-    /// for per-file rules (the message head substitutes).
-    pub anchor: String,
-    /// Stable fingerprint (`rule@file@anchor`), assigned by
-    /// [`report::assign_fingerprints`] after all passes run.
-    pub fingerprint: String,
 }
 
 impl fmt::Display for Violation {
@@ -255,8 +244,8 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Violation> {
 /// Analyze a set of in-memory `(path, source)` files as a complete
 /// workspace: the per-file rules, the cross-crate interprocedural passes
 /// (panic-reachability, determinism taint, lock order), and stale-allow
-/// detection, with fingerprints assigned. Registry (`reg-*`) rules need
-/// the real tree and only run through [`check_workspace`].
+/// detection. Registry (`reg-*`) rules need the real tree and only run
+/// through [`check_workspace`].
 pub fn check_files(inputs: &[(String, String)]) -> Vec<Violation> {
     let mut files = Vec::with_capacity(inputs.len());
     let mut allows = Vec::with_capacity(inputs.len());
@@ -300,14 +289,11 @@ pub fn check_files(inputs: &[(String, String)]) -> Vec<Violation> {
                         e.rule
                     ),
                     chain: Vec::new(),
-                    anchor: format!("allow/{}", e.rule),
-                    fingerprint: String::new(),
                 });
             }
         }
     }
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    report::assign_fingerprints(&mut out);
     out
 }
 
@@ -323,7 +309,6 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut out = check_files(&inputs);
     out.extend(registry::check_registry(root)?);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    report::assign_fingerprints(&mut out);
     Ok(out)
 }
 

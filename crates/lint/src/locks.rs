@@ -350,8 +350,6 @@ pub(crate) fn check(
                         a.line,
                         f.qualname(),
                     )],
-                    anchor: format!("{}/{}", f.qualname(), a.class),
-                    fingerprint: String::new(),
                 });
             }
         }
@@ -414,8 +412,6 @@ pub(crate) fn check(
                 cycle.join("` -> `"),
             ),
             chain: vec![format!("order: {}", cycle.join(" -> "))],
-            anchor: cycle.join("->"),
-            fingerprint: String::new(),
         });
     }
     out

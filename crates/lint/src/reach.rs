@@ -172,8 +172,6 @@ pub(crate) fn check(
                     entry.qualname(),
                 ),
                 chain: vec![format!("chain: {}", render_chain(ws, chain))],
-                anchor: format!("{}/{}", f.qualname(), site.what),
-                fingerprint: String::new(),
             };
             if chain.len() == 1 {
                 v.chain = vec![format!("chain: {} (entry point itself)", entry.qualname())];

@@ -59,8 +59,6 @@ fn check_policy_mods(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
                 rule: "reg-policy-mod",
                 msg: format!("policy module `{stem}` is not declared in policy/mod.rs"),
                 chain: Vec::new(),
-                anchor: String::new(),
-                fingerprint: String::new(),
             });
         }
     }

@@ -133,8 +133,6 @@ fn violation(path: &str, line: u32, rule_id: &'static str, msg: String) -> Viola
         rule: rule_id,
         msg,
         chain: Vec::new(),
-        anchor: String::new(),
-        fingerprint: String::new(),
     }
 }
 

@@ -188,8 +188,6 @@ pub(crate) fn check(
                     sink.qualname(),
                 ),
                 chain: vec![format!("flow: {}", render_chain(ws, chain))],
-                anchor: format!("{}/{}", f.qualname(), src.what),
-                fingerprint: String::new(),
             });
         }
     }

@@ -275,6 +275,13 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
         hub.flush(scope, batch);
     }
 
+    /// The AS whose defenders see a probe to `dst`. `None` outside the
+    /// world: nobody announces the address, so nobody defends it and the
+    /// probe goes to the inner network unchanged.
+    fn defending_as(&self, dst: u32) -> Option<u32> {
+        (u64::from(dst) < self.world.space()).then(|| self.world.as_index_of(dst))
+    }
+
     /// The reply a blocked probe gets: a valid RST when the profile
     /// advertises its blocks, silence otherwise.
     fn blocked_reply(&self, probe: &TcpHeader) -> SynReply {
@@ -306,7 +313,9 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
     /// caller only renders `true` (blocked) into its own wire type.
     fn gate_blocks_probe(&self, ctx: &ProbeCtx) -> bool {
         let p = &self.profile;
-        let as_index = self.world.as_index_of(ctx.dst);
+        let Some(as_index) = self.defending_as(ctx.dst) else {
+            return false;
+        };
         let g = f64::from(ctx.trial) * self.duration_s + ctx.time_s;
         let scope = Scope::new(ctx.protocol.name(), ctx.trial, ctx.origin);
         let mut st = self.lock();
@@ -426,7 +435,9 @@ impl<N: Network + ?Sized> Network for DefenderNet<'_, N> {
         if p.window_probes == 0 && p.listing_threshold == 0 {
             return self.inner.l7(ctx, request);
         }
-        let as_index = self.world.as_index_of(ctx.dst);
+        let Some(as_index) = self.defending_as(ctx.dst) else {
+            return self.inner.l7(ctx, request);
+        };
         let g = f64::from(ctx.trial) * self.duration_s + ctx.time_s;
         if self.blocked_readonly(ctx.origin, ctx.src_ip, as_index, g) {
             // A block that lands between handshake and application layer:
@@ -502,6 +513,23 @@ mod tests {
             assert_eq!(defended.syn(&ctx, &probe), net.syn(&ctx, &probe));
         }
         assert_eq!(defended.stats(), DefenseStats::default());
+    }
+
+    #[test]
+    fn scan_wider_than_the_world_passes_through_undefended() {
+        use originscan_scanner::engine::{run_scan, ScanConfig};
+        let world = WorldConfig::tiny(5).build();
+        let net = SimNet::new(&world, ORIGINS, DUR);
+        let defended = DefenderNet::new(&net, &world, AggressionProfile::aggressive(), DUR);
+        // No AS announces the upper half, so no detector sees it: the
+        // probes reach the inner network, which hosts nothing there.
+        let cfg = ScanConfig::new(2 * world.space(), Protocol::Http, 7);
+        let out = run_scan(&defended, &cfg).unwrap();
+        assert!(out.summary.l7_successes > 0);
+        assert!(out
+            .records
+            .iter()
+            .all(|r| u64::from(r.addr) < world.space()));
     }
 
     #[test]

@@ -578,6 +578,18 @@ mod tests {
     }
 
     #[test]
+    fn scan_wider_than_the_world_finds_only_the_worlds_hosts() {
+        // Nothing ties `ScanConfig::space` to the world's: the addresses
+        // past its end host nothing and stay silent.
+        let w = world();
+        let net = SimNet::new(&w, MAIN, 75_600.0);
+        let cfg = ScanConfig::new(2 * w.space(), Protocol::Http, 1000);
+        let out = run_scan(&net, &cfg).unwrap();
+        assert!(out.summary.l7_successes > 0);
+        assert!(out.records.iter().all(|r| u64::from(r.addr) < w.space()));
+    }
+
+    #[test]
     fn determinism_across_runs() {
         let w = world();
         let a = scan(&w, 0, Protocol::Ssh, 1);

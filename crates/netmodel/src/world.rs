@@ -287,12 +287,26 @@ impl World {
     }
 
     /// AS index of an address.
+    ///
+    /// # Panics
+    /// When `addr` is outside the world (`addr >= self.space()`).
     pub fn as_index_of(&self, addr: u32) -> u32 {
+        // lint:allow(reach-panic) reason= `slash24_as` has one entry per
+        // /24 of the world, and callers pass addresses that came out of a
+        // scan of this world: `SimNet` gets here only after `is_host`
+        // said yes, `DefenderNet` only for `dst < space()`. An address
+        // outside the world is a caller bug.
         self.slash24_as[(addr / 256) as usize]
     }
 
     /// AS record of an address.
+    ///
+    /// # Panics
+    /// When `addr` is outside the world (`addr >= self.space()`).
     pub fn as_of(&self, addr: u32) -> &AsRecord {
+        // lint:allow(reach-panic) reason= `slash24_as` holds the
+        // `AsRecord::index` of records in `ases`, written once when the
+        // world is built.
         &self.ases[self.as_index_of(addr) as usize]
     }
 
@@ -306,10 +320,13 @@ impl World {
         &self.hosts[proto_slot(p)]
     }
 
-    /// O(1): does any host run `p` at `addr`?
+    /// O(1): does any host run `p` at `addr`? An address outside the
+    /// world hosts nothing.
     pub fn is_host(&self, p: Protocol, addr: u32) -> bool {
-        let bm = &self.bitmaps[proto_slot(p)];
-        bm[(addr / 64) as usize] & (1 << (addr % 64)) != 0
+        self.bitmaps
+            .get(proto_slot(p))
+            .and_then(|bm| bm.get((addr / 64) as usize))
+            .is_some_and(|word| word & (1 << (addr % 64)) != 0)
     }
 
     /// Churn: is the host at `addr` online during `trial`?

@@ -45,6 +45,11 @@ use originscan_telemetry::{EventKind, MetricBatch, Scope, ScopedTelemetry, Telem
 use originscan_wire::validation::Validator;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+/// First ephemeral source port.
+const SPORT_BASE: u16 = 32768;
+/// Number of ephemeral source ports flows are spread over.
+const SPORT_RANGE: u32 = 16384;
+
 /// Configuration for one scan (one origin, one protocol, one trial).
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
@@ -62,10 +67,6 @@ pub struct ScanConfig {
     pub batch: u32,
     /// Source addresses to cycle through (US₆₄ uses 64; most origins 1).
     pub source_ips: Vec<u32>,
-    /// First ephemeral source port.
-    pub sport_base: u16,
-    /// Number of ephemeral source ports to spread flows over.
-    pub sport_range: u16,
     /// Opaque origin index forwarded to the network model.
     pub origin: u16,
     /// Trial number forwarded to the network model.
@@ -121,8 +122,6 @@ impl ScanConfig {
             rate_pps: crate::rate::rate_for_duration(space, duration_s),
             batch: 16,
             source_ips: vec![0x0a00_0001],
-            sport_base: 32768,
-            sport_range: 16384,
             origin: 0,
             trial: 0,
             protocol,
@@ -216,11 +215,6 @@ impl HostScanRecord {
     /// Did the host complete the application handshake?
     pub fn l7_success(&self) -> bool {
         self.l7.is_success()
-    }
-
-    /// Number of probes answered with a SYN-ACK.
-    pub fn synack_count(&self) -> u32 {
-        u32::from(self.synack_mask).count_ones()
     }
 }
 
@@ -598,9 +592,7 @@ fn probe(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> Result<AddrOutcome, 
         Some(c) => c.source_index() as usize,
         None => mix as usize,
     });
-    let sport = cfg
-        .sport_base
-        .wrapping_add(((mix >> 8) % u32::from(cfg.sport_range.max(1))) as u16);
+    let sport = SPORT_BASE + ((mix >> 8) % SPORT_RANGE) as u16;
 
     let mut synack_mask = 0u8;
     let mut got_rst = false;

@@ -50,7 +50,6 @@ pub use engine::{
     ScanCheckpoint, ScanConfig, ScanOutput, ScanSession, ScanSummary,
 };
 pub use error::{ConfigError, ScanError};
-pub use output::OutputError;
 pub use probe::{ProbeModule, ProbeShot, ProbeVerdict, PAPER_PROTOCOLS};
 pub use target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,

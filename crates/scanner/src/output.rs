@@ -9,9 +9,8 @@
 use crate::engine::HostScanRecord;
 use crate::zgrab::{L7Detail, L7Outcome, SshSoftware};
 use crate::CloseKind;
-use originscan_store::{ScanSet, ScanSetStore, StoreError, StoreKey};
+use originscan_store::ScanSet;
 use originscan_wire::ipv4::{fmt_addr, parse_addr};
-use std::path::{Component, Path, PathBuf};
 
 /// The CSV header line.
 pub const HEADER: &str = "saddr,synack_probes,rst,time_s,l7_status,l7_detail,attempts";
@@ -151,132 +150,6 @@ pub fn to_scan_set(records: &[HostScanRecord]) -> ScanSet {
         .collect()
 }
 
-/// The L7-success set a single-probe scan would have produced (first
-/// probe answered *and* handshake completed).
-pub fn to_scan_set_one_probe(records: &[HostScanRecord]) -> ScanSet {
-    records
-        .iter()
-        .filter(|r| r.l7_success() && (r.synack_mask & 1) != 0)
-        .map(|r| r.addr)
-        .collect()
-}
-
-/// Both archival renderings of one scan: the CSV document and a
-/// single-entry serialized [`ScanSetStore`] holding its L7-success set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanArtifacts {
-    /// CSV document (header + one line per record).
-    pub csv: String,
-    /// Serialized scan-set store (see `originscan-store`'s format docs).
-    pub scan_set: Vec<u8>,
-}
-
-/// Render both artifacts for one `(protocol, trial, origin)` scan.
-pub fn to_artifacts(
-    protocol: &str,
-    trial: u8,
-    origin: u16,
-    records: &[HostScanRecord],
-) -> Result<ScanArtifacts, StoreError> {
-    let mut store = ScanSetStore::new();
-    store.insert(StoreKey::new(protocol, trial, origin), to_scan_set(records));
-    Ok(ScanArtifacts {
-        csv: to_csv_all(records),
-        scan_set: store.to_bytes()?,
-    })
-}
-
-/// Why artifacts could not be written to disk.
-#[derive(Debug)]
-pub enum OutputError {
-    /// The output directory path is empty — almost always a forgotten
-    /// config value, and on some platforms it silently resolves to the
-    /// current directory, scattering artifacts wherever the process
-    /// happened to start.
-    EmptyDir,
-    /// The output directory contains a `..` component. A relative
-    /// escape turns "write under the results root" into "write
-    /// anywhere", so it is refused rather than normalized.
-    EscapingDir {
-        /// The offending path, for the error message.
-        dir: PathBuf,
-    },
-    /// Serializing the scan-set store failed.
-    Store(StoreError),
-    /// Creating the directory or writing a file failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for OutputError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OutputError::EmptyDir => write!(f, "output directory path is empty"),
-            OutputError::EscapingDir { dir } => {
-                write!(f, "output directory {} contains `..`", dir.display())
-            }
-            OutputError::Store(e) => write!(f, "serializing scan set: {e}"),
-            OutputError::Io(e) => write!(f, "writing artifacts: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for OutputError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            OutputError::Store(e) => Some(e),
-            OutputError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StoreError> for OutputError {
-    fn from(e: StoreError) -> Self {
-        OutputError::Store(e)
-    }
-}
-
-impl From<std::io::Error> for OutputError {
-    fn from(e: std::io::Error) -> Self {
-        OutputError::Io(e)
-    }
-}
-
-/// Validate an artifact output directory: non-empty and free of `..`
-/// components.
-pub fn validate_output_dir(dir: &Path) -> Result<(), OutputError> {
-    if dir.as_os_str().is_empty() {
-        return Err(OutputError::EmptyDir);
-    }
-    if dir.components().any(|c| matches!(c, Component::ParentDir)) {
-        return Err(OutputError::EscapingDir {
-            dir: dir.to_path_buf(),
-        });
-    }
-    Ok(())
-}
-
-/// Write both artifacts of one scan under `dir` (created if missing),
-/// named `{protocol}-t{trial}-o{origin}.{csv,oscs}`. Returns the two
-/// paths written, CSV first.
-pub fn write_artifacts(
-    dir: &Path,
-    protocol: &str,
-    trial: u8,
-    origin: u16,
-    records: &[HostScanRecord],
-) -> Result<(PathBuf, PathBuf), OutputError> {
-    validate_output_dir(dir)?;
-    let artifacts = to_artifacts(protocol, trial, origin, records)?;
-    std::fs::create_dir_all(dir)?;
-    let stem = format!("{protocol}-t{trial}-o{origin}");
-    let csv_path = dir.join(format!("{stem}.csv"));
-    let set_path = dir.join(format!("{stem}.oscs"));
-    std::fs::write(&csv_path, artifacts.csv.as_bytes())?;
-    std::fs::write(&set_path, &artifacts.scan_set)?;
-    Ok((csv_path, set_path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,10 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_sets_filter_by_success_and_probe() {
+    fn scan_set_filters_by_l7_success() {
         let mut records = sample();
-        // A host only the *second* probe reached: counts for the scan as
-        // run, not for the simulated single-probe scan.
+        // A host only the *second* probe reached still counts for the
+        // scan as run.
         records.push(HostScanRecord {
             addr: 3,
             synack_mask: 0b10,
@@ -380,54 +253,6 @@ mod tests {
         });
         let set = to_scan_set(&records);
         assert_eq!(set.to_vec(), vec![2, 3, 4, 5, 0x0a000001, 0xc0a80101]);
-        let one = to_scan_set_one_probe(&records);
-        assert_eq!(one.to_vec(), vec![2, 4, 0x0a000001, 0xc0a80101]);
-        assert_eq!(one.andnot_cardinality(&set), 0, "one-probe ⊆ two-probe");
-    }
-
-    #[test]
-    fn artifacts_are_deterministic_and_loadable() {
-        let records = sample();
-        let a = to_artifacts("HTTP", 0, 3, &records).unwrap();
-        let b = to_artifacts("HTTP", 0, 3, &records).unwrap();
-        assert_eq!(a, b, "artifacts are a pure function of the records");
-        assert!(a.csv.starts_with(HEADER));
-        let store = originscan_store::ScanSetStore::from_bytes(&a.scan_set).unwrap();
-        let key = StoreKey::new("HTTP", 0, 3);
-        assert_eq!(store.get(&key).unwrap(), &to_scan_set(&records));
-    }
-
-    #[test]
-    fn write_artifacts_rejects_bad_dirs() {
-        let records = sample();
-        // Empty path: typed error, nothing written to the cwd.
-        let err = write_artifacts(Path::new(""), "HTTP", 0, 0, &records).unwrap_err();
-        assert!(matches!(err, OutputError::EmptyDir), "{err}");
-        // Any `..` component is an escape, wherever it sits.
-        for dir in ["../out", "out/../../elsewhere", "a/.."] {
-            let err = write_artifacts(Path::new(dir), "HTTP", 0, 0, &records).unwrap_err();
-            assert!(
-                matches!(err, OutputError::EscapingDir { .. }),
-                "{dir}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn write_artifacts_roundtrips_via_disk() {
-        let dir = std::env::temp_dir().join(format!("originscan-output-{}", std::process::id()));
-        let records = sample();
-        let (csv_path, set_path) = write_artifacts(&dir, "HTTP", 1, 4, &records).unwrap();
-        assert!(csv_path.ends_with("HTTP-t1-o4.csv"));
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert_eq!(from_csv_all(&csv), records);
-        let bytes = std::fs::read(&set_path).unwrap();
-        let store = ScanSetStore::from_bytes(&bytes).unwrap();
-        assert_eq!(
-            store.get(&StoreKey::new("HTTP", 1, 4)).unwrap(),
-            &to_scan_set(&records)
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

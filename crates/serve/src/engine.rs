@@ -227,11 +227,6 @@ impl QueryEngine {
         }
     }
 
-    /// `/stats` as a JSON body (deterministic field order).
-    pub fn stats_json(&self) -> String {
-        self.stats_obj().finish()
-    }
-
     /// The `/stats` fields as an open [`JsonObj`], so the HTTP layer can
     /// append its own sections (per-query-type latency) before closing.
     pub fn stats_obj(&self) -> JsonObj {

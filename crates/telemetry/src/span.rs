@@ -204,11 +204,6 @@ impl Tracer {
         self.record_span(name, t, t);
     }
 
-    /// Spans recorded so far (dropped ones excluded).
-    pub fn span_count(&self) -> usize {
-        self.inner.borrow().spans.len()
-    }
-
     /// Close any still-open spans at the current clock reading and
     /// return the finished trace.
     pub fn finish(self) -> Trace {

@@ -45,10 +45,6 @@ impl TcpFlags {
     pub fn rst_ack() -> Self {
         Self(Self::RST | Self::ACK)
     }
-    /// A FIN-ACK.
-    pub fn fin_ack() -> Self {
-        Self(Self::FIN | Self::ACK)
-    }
 
     /// Is the SYN bit set?
     pub fn is_syn(self) -> bool {
@@ -61,10 +57,6 @@ impl TcpFlags {
     /// Is the RST bit set?
     pub fn is_rst(self) -> bool {
         self.0 & Self::RST != 0
-    }
-    /// Is the FIN bit set?
-    pub fn is_fin(self) -> bool {
-        self.0 & Self::FIN != 0
     }
     /// Is this exactly a SYN-ACK?
     pub fn is_syn_ack(self) -> bool {
