@@ -230,6 +230,60 @@ impl<'w> SimNet<'w> {
             flaky_q: params.flaky_q,
         }
     }
+
+    /// The host state behind each probe of a burst: derived for the first
+    /// and again only where a probe's send time differs from the one
+    /// before it (a `probe_delay_s`, or a batch boundary or rate change
+    /// between two probes).
+    fn burst_states<'a>(
+        &'a self,
+        ctx: &'a ProbeCtx,
+        proto: Protocol,
+        times: &'a [f64],
+    ) -> impl Iterator<Item = HostState> + 'a {
+        let mut last: Option<(u64, HostState)> = None;
+        times.iter().map(move |&t| match last {
+            Some((bits, state)) if bits == t.to_bits() => state,
+            _ => {
+                let state = self.host_state(ctx.origin, ctx.dst, proto, ctx.trial, t);
+                last = Some((t.to_bits(), state));
+                state
+            }
+        })
+    }
+
+    /// What the resolver at `addr` sends back for `payload`, if both
+    /// legs deliver.
+    fn resolver_response(&self, addr: u32, payload: &[u8]) -> UdpReply {
+        let w = self.world;
+        // A resolver ignores datagrams that do not parse as a
+        // single-question query.
+        if dns::parse_query(payload).is_err() {
+            return UdpReply::Silent;
+        }
+        // Resolver behaviour is a per-host attribute: most answer the A
+        // query, some return NXDOMAIN, closed resolvers refuse outside
+        // their client networks.
+        let u = w.det().uniform(Tag::ServerAttr, &[u64::from(addr), 53, 0]);
+        let answers: Vec<u32>;
+        let rcode = if u < 0.70 {
+            let n = 1 + w.det().below(Tag::ServerAttr, &[u64::from(addr), 53, 1], 2);
+            answers = (0..n)
+                .map(|i| w.det().hash(Tag::ServerAttr, &[u64::from(addr), 53, 2 + i]) as u32)
+                .collect();
+            dns::RCODE_NOERROR
+        } else if u < 0.85 {
+            answers = Vec::new();
+            dns::RCODE_NXDOMAIN
+        } else {
+            answers = Vec::new();
+            dns::RCODE_REFUSED
+        };
+        match dns::build_response(payload, rcode, &answers) {
+            Ok(resp) => UdpReply::Data(resp),
+            Err(_) => UdpReply::Silent,
+        }
+    }
 }
 
 /// Reachability state of an address for one (origin, protocol, trial).
@@ -254,53 +308,86 @@ enum HostState {
     },
 }
 
-impl Network for SimNet<'_> {
-    fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-        let o = self.origin(ctx.origin);
-        let state = self.host_state(ctx.origin, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
+impl HostState {
+    /// The drop probability of a probe that reaches the machine: only a
+    /// [`HostState::Reachable`] path loses packets independently.
+    fn drop_p(self) -> f64 {
+        match self {
+            HostState::Reachable { drop_p, .. } => drop_p,
+            _ => 0.0,
+        }
+    }
+}
+
+// One probe's reply, given the host state at its send time: the rules
+// of the scalar probes and of the bursts alike. What does not depend on
+// the probe index beyond that state — the ISN, the router's answer, the
+// resolver's response — sits in an `Option` the caller keeps for the
+// burst, filled by the first probe that needs it; only the drop draws
+// are per probe. Each rule has its two callers and is inlined into both:
+// out of line, every probe's reply goes back through a stack slot.
+impl SimNet<'_> {
+    #[inline(always)]
+    fn syn_reply(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &TcpHeader,
+        state: HostState,
+        probe_idx: u8,
+        isn: &mut Option<u32>,
+    ) -> SynReply {
+        let (w, o) = (self.world, self.origin(ctx.origin));
         match state {
             HostState::Absent | HostState::SilentlyFiltered | HostState::TransientlyDown => {
                 SynReply::Silent
             }
             HostState::ClosedPort => SynReply::Rst(TcpHeader::rst_reply(probe)),
             HostState::L7Filtered | HostState::Reachable { .. } => {
-                let drop_p = match state {
-                    HostState::Reachable { drop_p, .. } => drop_p,
-                    _ => 0.0,
-                };
                 // The probe (or its reply) can still drop independently.
                 if path::probe_drops(
-                    self.world,
+                    w,
                     o,
                     ctx.dst,
                     ctx.protocol,
                     ctx.trial,
-                    ctx.probe_idx,
-                    drop_p,
+                    probe_idx,
+                    state.drop_p(),
                 ) {
                     return SynReply::Silent;
                 }
-                let isn = self.world.det().hash(
-                    Tag::ServerAttr,
-                    &[99, u64::from(ctx.dst), u64::from(ctx.trial)],
-                ) as u32;
+                let isn = *isn.get_or_insert_with(|| {
+                    w.det().hash(
+                        Tag::ServerAttr,
+                        &[99, u64::from(ctx.dst), u64::from(ctx.trial)],
+                    ) as u32
+                });
                 SynReply::SynAck(TcpHeader::syn_ack_reply(probe, isn))
             }
         }
     }
 
-    fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
-        let o = self.origin(ctx.origin);
-        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Icmp, ctx.trial, ctx.time_s);
+    #[inline(always)]
+    fn icmp_reply(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &IcmpEcho,
+        state: HostState,
+        probe_idx: u8,
+        router_answers: &mut Option<bool>,
+    ) -> IcmpReply {
+        let (w, o) = (self.world, self.origin(ctx.origin));
         match state {
             HostState::Absent | HostState::ClosedPort => {
                 // The last-hop router answers for a fraction of missing
                 // machines; the rest time out silently.
-                if self.world.det().bernoulli(
-                    Tag::ClosedPort,
-                    &[2, u64::from(ctx.dst), host::proto_key(Protocol::Icmp)],
-                    ROUTER_UNREACHABLE_P,
-                ) {
+                let answers = *router_answers.get_or_insert_with(|| {
+                    w.det().bernoulli(
+                        Tag::ClosedPort,
+                        &[2, u64::from(ctx.dst), host::proto_key(Protocol::Icmp)],
+                        ROUTER_UNREACHABLE_P,
+                    )
+                });
+                if answers {
                     IcmpReply::Unreachable {
                         code: CODE_HOST_UNREACHABLE,
                     }
@@ -312,29 +399,20 @@ impl Network for SimNet<'_> {
             // An L7 filter acts above the transport: the machine still
             // answers ping, just like it still completes TCP handshakes.
             HostState::L7Filtered | HostState::Reachable { .. } => {
-                let drop_p = match state {
-                    HostState::Reachable { drop_p, .. } => drop_p,
-                    _ => 0.0,
-                };
+                let drop_p = state.drop_p();
                 // Stateless probes lose packets on both legs: the echo
                 // request and, independently, the echo reply.
-                if path::probe_drops(
-                    self.world,
-                    o,
-                    ctx.dst,
-                    Protocol::Icmp,
-                    ctx.trial,
-                    ctx.probe_idx,
-                    drop_p,
-                ) || path::stateless_reply_drops(
-                    self.world,
-                    o,
-                    ctx.dst,
-                    Protocol::Icmp,
-                    ctx.trial,
-                    ctx.probe_idx,
-                    drop_p,
-                ) {
+                if path::probe_drops(w, o, ctx.dst, Protocol::Icmp, ctx.trial, probe_idx, drop_p)
+                    || path::stateless_reply_drops(
+                        w,
+                        o,
+                        ctx.dst,
+                        Protocol::Icmp,
+                        ctx.trial,
+                        probe_idx,
+                        drop_p,
+                    )
+                {
                     return IcmpReply::Silent;
                 }
                 IcmpReply::EchoReply {
@@ -345,10 +423,16 @@ impl Network for SimNet<'_> {
         }
     }
 
-    fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
-        let w = self.world;
-        let o = self.origin(ctx.origin);
-        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Dns, ctx.trial, ctx.time_s);
+    #[inline(always)]
+    fn udp_reply(
+        &self,
+        ctx: &ProbeCtx,
+        payload: &[u8],
+        state: HostState,
+        probe_idx: u8,
+        response: &mut Option<UdpReply>,
+    ) -> UdpReply {
+        let (w, o) = (self.world, self.origin(ctx.origin));
         match state {
             HostState::Absent => UdpReply::Silent,
             // Machine up, nothing bound to UDP/53: kernel sends ICMP
@@ -358,66 +442,80 @@ impl Network for SimNet<'_> {
                 UdpReply::Silent
             }
             HostState::Reachable { drop_p, .. } => {
-                if path::probe_drops(
-                    w,
-                    o,
-                    ctx.dst,
-                    Protocol::Dns,
-                    ctx.trial,
-                    ctx.probe_idx,
-                    drop_p,
-                ) {
-                    return UdpReply::Silent;
-                }
-                // A resolver ignores datagrams that do not parse as a
-                // single-question query.
-                if dns::parse_query(payload).is_err() {
-                    return UdpReply::Silent;
-                }
                 // UDP has no retransmission: the response leg is its own
                 // independent, origin-biased loss channel.
-                if path::stateless_reply_drops(
-                    w,
-                    o,
-                    ctx.dst,
-                    Protocol::Dns,
-                    ctx.trial,
-                    ctx.probe_idx,
-                    drop_p,
-                ) {
+                if path::probe_drops(w, o, ctx.dst, Protocol::Dns, ctx.trial, probe_idx, drop_p)
+                    || path::stateless_reply_drops(
+                        w,
+                        o,
+                        ctx.dst,
+                        Protocol::Dns,
+                        ctx.trial,
+                        probe_idx,
+                        drop_p,
+                    )
+                {
                     return UdpReply::Silent;
                 }
-                // Resolver behaviour is a per-host attribute: most answer
-                // the A query, some return NXDOMAIN, closed resolvers
-                // refuse outside their client networks.
-                let u = w
-                    .det()
-                    .uniform(Tag::ServerAttr, &[u64::from(ctx.dst), 53, 0]);
-                let answers: Vec<u32>;
-                let rcode = if u < 0.70 {
-                    let n = 1 + w
-                        .det()
-                        .below(Tag::ServerAttr, &[u64::from(ctx.dst), 53, 1], 2);
-                    answers = (0..n)
-                        .map(|i| {
-                            w.det()
-                                .hash(Tag::ServerAttr, &[u64::from(ctx.dst), 53, 2 + i])
-                                as u32
-                        })
-                        .collect();
-                    dns::RCODE_NOERROR
-                } else if u < 0.85 {
-                    answers = Vec::new();
-                    dns::RCODE_NXDOMAIN
-                } else {
-                    answers = Vec::new();
-                    dns::RCODE_REFUSED
-                };
-                match dns::build_response(payload, rcode, &answers) {
-                    Ok(resp) => UdpReply::Data(resp),
-                    Err(_) => UdpReply::Silent,
-                }
+                response
+                    .get_or_insert_with(|| self.resolver_response(ctx.dst, payload))
+                    .clone()
             }
+        }
+    }
+}
+
+impl Network for SimNet<'_> {
+    fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+        let state = self.host_state(ctx.origin, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
+        self.syn_reply(ctx, probe, state, ctx.probe_idx, &mut None)
+    }
+
+    fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Icmp, ctx.trial, ctx.time_s);
+        self.icmp_reply(ctx, probe, state, ctx.probe_idx, &mut None)
+    }
+
+    fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+        let state = self.host_state(ctx.origin, ctx.dst, Protocol::Dns, ctx.trial, ctx.time_s);
+        self.udp_reply(ctx, payload, state, ctx.probe_idx, &mut None)
+    }
+
+    fn syn_burst(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &TcpHeader,
+        times: &[f64],
+        replies: &mut [SynReply],
+    ) {
+        let mut isn = None;
+        let states = self.burst_states(ctx, ctx.protocol, times);
+        for ((reply, state), i) in replies.iter_mut().zip(states).zip(0u8..) {
+            *reply = self.syn_reply(ctx, probe, state, ctx.probe_idx.wrapping_add(i), &mut isn);
+        }
+    }
+
+    fn icmp_burst(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &IcmpEcho,
+        times: &[f64],
+        replies: &mut [IcmpReply],
+    ) {
+        let mut router_answers = None;
+        let states = self.burst_states(ctx, Protocol::Icmp, times);
+        for ((reply, state), i) in replies.iter_mut().zip(states).zip(0u8..) {
+            let probe_idx = ctx.probe_idx.wrapping_add(i);
+            *reply = self.icmp_reply(ctx, probe, state, probe_idx, &mut router_answers);
+        }
+    }
+
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], replies: &mut [UdpReply]) {
+        let mut response = None;
+        let states = self.burst_states(ctx, Protocol::Dns, times);
+        for ((reply, state), i) in replies.iter_mut().zip(states).zip(0u8..) {
+            let probe_idx = ctx.probe_idx.wrapping_add(i);
+            *reply = self.udp_reply(ctx, payload, state, probe_idx, &mut response);
         }
     }
 
@@ -769,6 +867,140 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// A net that implements only the scalar probes, so its bursts are
+    /// the trait's provided loops over them.
+    struct ScalarOnly<'a>(&'a SimNet<'a>);
+
+    impl Network for ScalarOnly<'_> {
+        fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            self.0.syn(ctx, probe)
+        }
+        fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+            self.0.l7(ctx, request)
+        }
+        fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+            self.0.icmp(ctx, probe)
+        }
+        fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+            self.0.udp(ctx, payload)
+        }
+    }
+
+    /// Which [`HostState`] arms have been seen, one bit each.
+    fn arm(state: HostState) -> u8 {
+        match state {
+            HostState::Absent => 1,
+            HostState::ClosedPort => 2,
+            HostState::SilentlyFiltered => 4,
+            HostState::L7Filtered => 8,
+            HostState::TransientlyDown => 16,
+            HostState::Reachable { .. } => 32,
+        }
+    }
+
+    /// Assert that `net`'s three burst overrides write, for `q` sent at
+    /// `times`, exactly what the provided loops write. Returns the arms
+    /// the bursts met and whether `q.proto`'s state changed inside the
+    /// burst.
+    fn check_bursts(net: &SimNet<'_>, q: Ask, times: &[f64]) -> (u8, bool) {
+        const N: usize = originscan_scanner::MAX_PROBES;
+        let scalar = ScalarOnly(net);
+        let ctx = ProbeCtx {
+            origin: q.origin,
+            src_ip: 0x0a00_0001,
+            dst: q.addr,
+            protocol: q.proto,
+            time_s: f64::NAN, // a burst must not read it
+            probe_idx: q.probe_idx,
+            trial: q.trial,
+        };
+        let what = format!("{q:?} at {times:?}");
+        let syn = TcpHeader::syn_probe(40_000, 80, q.addr);
+        let (mut got, mut want) = ([SynReply::Silent; N], [SynReply::Silent; N]);
+        net.syn_burst(&ctx, &syn, times, &mut got);
+        scalar.syn_burst(&ctx, &syn, times, &mut want);
+        assert_eq!(got, want, "syn {what}");
+        let echo = IcmpEcho::request(7, q.addr as u16);
+        let (mut got, mut want) = ([IcmpReply::Silent; N], [IcmpReply::Silent; N]);
+        net.icmp_burst(&ctx, &echo, times, &mut got);
+        scalar.icmp_burst(&ctx, &echo, times, &mut want);
+        assert_eq!(got, want, "icmp {what}");
+        let query = dns::a_query(q.addr as u16, "origin-scan.example.com").unwrap();
+        let (mut got, mut want) = (
+            [const { UdpReply::Silent }; N],
+            [const { UdpReply::Silent }; N],
+        );
+        net.udp_burst(&ctx, &query, times, &mut got);
+        scalar.udp_burst(&ctx, &query, times, &mut want);
+        assert_eq!(got, want, "udp {what}");
+        let state = |p: Protocol, t: f64| net.host_state(q.origin, q.addr, p, q.trial, t);
+        let arms = times
+            .iter()
+            .flat_map(|&t| [q.proto, Protocol::Icmp, Protocol::Dns].map(|p| arm(state(p, t))))
+            .fold(0, |a, b| a | b);
+        let changed = times
+            .windows(2)
+            .any(|w| state(q.proto, w[0]) != state(q.proto, w[1]));
+        (arms, changed)
+    }
+
+    #[test]
+    fn bursts_write_what_the_provided_loops_write() {
+        let w = world();
+        let net = SimNet::new(&w, MAIN, 75_600.0);
+        let (mut arms, mut flaky_changes, mut burst_changes) = (0u8, 0u32, 0u32);
+        for (i, q) in asks(&w, 6000, 4).into_iter().enumerate() {
+            let n = 1 + i % originscan_scanner::MAX_PROBES;
+            // Back-to-back probes, then the same burst with every other
+            // probe in the next flakiness window.
+            arms |= check_bursts(&net, q, &vec![q.time_s; n]).0;
+            let delayed: Vec<f64> = (0..n)
+                .map(|k| q.time_s + (k / 2) as f64 * path::FLAKY_WINDOW_S)
+                .collect();
+            let (seen, changed) = check_bursts(&net, q, &delayed);
+            arms |= seen;
+            flaky_changes += u32::from(changed);
+        }
+        assert_eq!(arms, 63, "every HostState arm must occur");
+        assert!(flaky_changes > 0, "no burst saw a flakiness window end");
+
+        // Bursts that start before an AS's outage window, run through it
+        // and end after it, for hosts of that AS from every origin.
+        for asr in &w.ases {
+            let hosts: Vec<u32> = w
+                .hosts(Protocol::Http)
+                .iter()
+                .copied()
+                .filter(|h| {
+                    (asr.first_slash24..asr.first_slash24 + asr.n_slash24).contains(&(h >> 8))
+                })
+                .take(40)
+                .collect();
+            for e in burst::events_for(&w, asr.index, Protocol::Http, 0) {
+                let at = |hour: f64| hour / burst::SCAN_HOURS * net.duration_s();
+                let times = [
+                    at(e.start_h - 0.01),
+                    at(e.start_h + 0.01),
+                    at(e.start_h + 0.01),
+                    at(e.start_h + e.len_h + 0.01),
+                ];
+                for (&addr, origin) in hosts.iter().zip((0..MAIN.len() as u16).cycle()) {
+                    let q = Ask {
+                        origin,
+                        proto: Protocol::Http,
+                        trial: 0,
+                        addr,
+                        time_s: 0.0,
+                        probe_idx: 0,
+                        attempt: 0,
+                    };
+                    burst_changes += u32::from(check_bursts(&net, q, &times).1);
+                }
+            }
+        }
+        assert!(burst_changes > 0, "no burst saw an outage window open");
     }
 
     #[test]

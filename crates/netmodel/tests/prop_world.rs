@@ -5,7 +5,9 @@
 
 use originscan_netmodel::policy::{self, Block};
 use originscan_netmodel::{burst, path, OriginId, Protocol, SimNet, WorldConfig};
-use originscan_scanner::target::{L7Ctx, Network, ProbeCtx};
+use originscan_scanner::target::{
+    IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+};
 use originscan_wire::icmp::IcmpEcho;
 use originscan_wire::{dns, TcpHeader};
 use proptest::prelude::*;
@@ -147,6 +149,84 @@ proptest! {
             prop_assert_eq!(stored.params, params);
             prop_assert_eq!(stored.flaky_half, path::flaky_half(params.flaky_q));
             prop_assert_eq!(stored.bursts(), burst::events_for(&w, asr.index, protocol, trial));
+        }
+    }
+
+    /// A burst through `SimNet`'s overrides is the provided loop over its
+    /// scalar probes: same replies for back-to-back probes and for probes
+    /// spread over hours (flakiness and outage windows end in between).
+    #[test]
+    fn bursts_are_the_provided_loop_over_scalar_probes(
+        seed: u64,
+        asks in proptest::collection::vec(
+            (
+                (0u16..7, 0usize..5, 0usize..6),
+                any::<u32>(),
+                proptest::collection::vec(0.0f64..75_600.0, 1..9),
+                any::<bool>(),
+                0u8..2,
+            ),
+            32..128,
+        ),
+    ) {
+        /// Only the scalar probes, so the bursts are the trait's own.
+        struct ScalarOnly<'a>(&'a SimNet<'a>);
+        impl Network for ScalarOnly<'_> {
+            fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+                self.0.syn(ctx, probe)
+            }
+            fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+                self.0.l7(ctx, request)
+            }
+            fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+                self.0.icmp(ctx, probe)
+            }
+            fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+                self.0.udp(ctx, payload)
+            }
+        }
+        const N: usize = originscan_scanner::MAX_PROBES;
+        let w = WorldConfig::tiny(seed).build();
+        let modules = originscan_scanner::probe::modules();
+        let net = SimNet::new(&w, &OriginId::MAIN, 75_600.0);
+        let scalar = ScalarOnly(&net);
+        for ((origin, proto, trial), pick, mut times, back_to_back, probe_idx) in asks {
+            if back_to_back {
+                let first = times[0];
+                times.fill(first);
+            }
+            let protocol = modules[proto].protocol();
+            let hosts = w.hosts(protocol);
+            let dst = if pick % 8 == 0 {
+                pick % w.space() as u32
+            } else {
+                hosts[pick as usize % hosts.len()]
+            };
+            let ctx = ProbeCtx {
+                origin,
+                src_ip: 0x0a00_0001,
+                dst,
+                protocol,
+                time_s: f64::NAN,
+                probe_idx,
+                trial: TRIALS[trial],
+            };
+            let syn = TcpHeader::syn_probe(40_000, 80, pick);
+            let (mut got, mut want) = ([SynReply::Silent; N], [SynReply::Silent; N]);
+            net.syn_burst(&ctx, &syn, &times, &mut got);
+            scalar.syn_burst(&ctx, &syn, &times, &mut want);
+            prop_assert_eq!(got, want);
+            let echo = IcmpEcho::request(7, pick as u16);
+            let (mut got, mut want) = ([IcmpReply::Silent; N], [IcmpReply::Silent; N]);
+            net.icmp_burst(&ctx, &echo, &times, &mut got);
+            scalar.icmp_burst(&ctx, &echo, &times, &mut want);
+            prop_assert_eq!(got, want);
+            let query = dns::a_query(pick as u16, "origin-scan.example.com").unwrap();
+            let mut got = [const { UdpReply::Silent }; N];
+            let mut want = [const { UdpReply::Silent }; N];
+            net.udp_burst(&ctx, &query, &times, &mut got);
+            scalar.udp_burst(&ctx, &query, &times, &mut want);
+            prop_assert_eq!(got, want);
         }
     }
 

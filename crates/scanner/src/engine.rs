@@ -33,8 +33,8 @@
 
 use crate::blocklist::Blocklist;
 use crate::cyclic::{Cycle, ShardIter};
-use crate::error::{ConfigError, ScanError};
-use crate::probe::{module_for, ProbeModule, ProbeShot, ProbeVerdict};
+use crate::error::{ConfigError, ScanError, MAX_PROBES};
+use crate::probe::{module_for, ProbeModule, ProbeShot};
 use crate::rate::Pacer;
 use crate::resilience::{AdaptivePolicy, Controller, ControllerState};
 use crate::target::{L7Ctx, Network, ProbeCtx, Protocol};
@@ -89,8 +89,7 @@ pub struct ScanConfig {
     pub concurrent_origins: u8,
     /// When set, every probe is round-tripped through its byte-level
     /// encoding (IPv4 + TCP emit/parse with checksums) as a self-check of
-    /// the wire codecs. Costs ~2× per probe; default on in tests, off in
-    /// large benches.
+    /// the wire codecs. Costs ~2× per probe; off by default.
     pub wire_check: bool,
     /// Adaptive resilience policy (None: classic open-loop scan,
     /// byte-identical to builds before the controller existed). When set,
@@ -146,7 +145,7 @@ impl ScanConfig {
         if self.probes == 0 {
             return Err(ConfigError::ZeroProbes);
         }
-        if self.probes > 8 {
+        if usize::from(self.probes) > MAX_PROBES {
             return Err(ConfigError::TooManyProbes {
                 probes: self.probes,
             });
@@ -579,73 +578,67 @@ struct AddrOutcome {
     last_t: f64,
 }
 
-/// Probe one address end to end: pace and send every probe through the
-/// scan's [`ProbeModule`], fold the verdicts into a record, and run the
-/// ZGrab follow-up for stateful modules. Main and tail pass both use it.
+/// Probe one address end to end: stamp the burst's send times, deliver
+/// it through the scan's [`ProbeModule`], fold the verdict masks into a
+/// record, and run the ZGrab follow-up for stateful modules. Main and
+/// tail pass both use it.
 fn probe(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> Result<AddrOutcome, ScanError> {
     let cfg = ctx.cfg;
     p.out.summary.addresses_probed += 1;
     // ZMap spreads flows over source IPs/ports by address hash; an
     // adaptive scan pins the source to the controller's active one.
     let mix = (addr ^ (addr >> 16)).wrapping_mul(0x9E37_79B9);
-    let src_ip = ctx.source_ip(match &p.ctrl {
-        Some(c) => c.source_index() as usize,
-        None => mix as usize,
-    });
     let sport = SPORT_BASE + ((mix >> 8) % SPORT_RANGE) as u16;
-
-    let mut synack_mask = 0u8;
-    let mut got_rst = false;
-    let mut response_time = 0.0f64;
-    let mut last_t = 0.0f64;
-    let mut detail = None;
+    // Built ahead of the division and pacer arithmetic below: the module
+    // loads both ports at once, and that load cannot be forwarded from
+    // two port-sized stores still in flight (4 ns an address here).
     let shot = ProbeShot {
         validator: &ctx.validator,
         sport,
         dport: ctx.module.port(),
         wire_check: cfg.wire_check,
     };
-    for probe_idx in 0..cfg.probes {
-        let t = p.pacer.next_send_time() + p.stall_s + f64::from(probe_idx) * cfg.probe_delay_s;
-        last_t = t;
-        p.out.summary.probes_sent += 1;
-        let probe_ctx = ProbeCtx {
-            origin: cfg.origin,
-            src_ip,
-            dst: addr,
-            protocol: cfg.protocol,
-            time_s: t,
-            probe_idx,
-            trial: cfg.trial,
-        };
-        match ctx.module.deliver(ctx.net, &shot, &probe_ctx)? {
-            ProbeVerdict::Positive(d) => {
-                if synack_mask == 0 && !got_rst {
-                    response_time = t;
-                }
-                synack_mask |= 1 << probe_idx;
-                if detail.is_none() {
-                    detail = d;
-                }
-            }
-            ProbeVerdict::Negative => {
-                if synack_mask == 0 && !got_rst {
-                    response_time = t;
-                }
-                got_rst = true;
-            }
-            ProbeVerdict::Invalid => {
-                p.out.summary.validation_failures += 1;
-                ctx.tele.record_span("validate", t, t);
-            }
-            ProbeVerdict::Silent => {}
+    let src_ip = ctx.source_ip(match &p.ctrl {
+        Some(c) => c.source_index() as usize,
+        None => mix as usize,
+    });
+
+    let mut stamps = [0.0f64; MAX_PROBES];
+    let times = stamps
+        .get_mut(..usize::from(cfg.probes))
+        .unwrap_or_default();
+    for (t, probe_idx) in times.iter_mut().zip(0u8..) {
+        *t = p.pacer.next_send_time() + p.stall_s + f64::from(probe_idx) * cfg.probe_delay_s;
+    }
+    p.out.summary.probes_sent += u64::from(cfg.probes);
+    let probe_ctx = ProbeCtx {
+        origin: cfg.origin,
+        src_ip,
+        dst: addr,
+        protocol: cfg.protocol,
+        time_s: times.first().copied().unwrap_or_default(),
+        probe_idx: 0,
+        trial: cfg.trial,
+    };
+    let v = ctx
+        .module
+        .deliver_burst(ctx.net, &shot, &probe_ctx, times)?;
+    let (synack_mask, got_rst) = (v.positive, v.negative != 0);
+    // The first validated answer, positive or negative, times the host.
+    let first_answered = (v.positive | v.negative).trailing_zeros() as usize;
+    let response_time = times.get(first_answered).copied().unwrap_or_default();
+    let last_t = times.last().copied().unwrap_or_default();
+    for (&t, probe_idx) in times.iter().zip(0u32..) {
+        if v.invalid >> probe_idx & 1 != 0 {
+            p.out.summary.validation_failures += 1;
+            ctx.tele.record_span("validate", t, t);
         }
     }
 
     let (mut l7, mut l7_attempts) = (L7Outcome::Timeout, 0);
     if synack_mask != 0 {
         p.out.summary.synacks += u64::from(u32::from(synack_mask).count_ones());
-        (l7, l7_attempts) = match detail {
+        (l7, l7_attempts) = match v.detail {
             // Stateless module: the validated probe reply is already the
             // terminal application result; no follow-up connection.
             Some(d) => (L7Outcome::Success(d), 0),

@@ -7,6 +7,11 @@
 
 use std::fmt;
 
+/// Most probes one address can be sent: one bit each in the 8-bit masks
+/// of a burst's verdicts and of [`crate::engine::HostScanRecord`], and
+/// the length of the per-burst stack arrays.
+pub const MAX_PROBES: usize = 8;
+
 /// Why a [`crate::engine::ScanConfig`] is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -14,7 +19,7 @@ pub enum ConfigError {
     EmptySpace,
     /// `probes` is zero: every address would be skipped silently.
     ZeroProbes,
-    /// `probes` exceeds the 8-bit SYN-ACK mask the engine records.
+    /// `probes` exceeds [`MAX_PROBES`].
     TooManyProbes {
         /// The requested probe count.
         probes: u8,
@@ -57,7 +62,7 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyProbes { probes } => {
                 write!(
                     f,
-                    "{probes} probes per address exceeds the supported maximum of 8"
+                    "{probes} probes per address exceeds the supported maximum of {MAX_PROBES}"
                 )
             }
             ConfigError::NoSourceIps => write!(f, "at least one source IP is required"),

@@ -10,9 +10,9 @@
 //!
 //! # Determinism obligations
 //!
-//! A module's [`deliver`](ProbeModule::deliver) must be a pure function
-//! of the probe context and the network: no interior state, no clocks,
-//! no randomness of its own. All validation state is derived from the
+//! A module's [`deliver_burst`](ProbeModule::deliver_burst) must be a
+//! pure function of the probe context, the send times and the network:
+//! no interior state, no clocks, no randomness of its own. All validation state is derived from the
 //! engine-owned [`Validator`] (ZMap's stateless MAC scheme), so a module
 //! never needs per-target memory. This is what keeps whole experiments
 //! byte-reproducible under the same seed.
@@ -27,7 +27,7 @@
 //! store keys, `serve` queries, telemetry scopes — picks the module up
 //! from the registry.
 
-use crate::error::ScanError;
+use crate::error::{ScanError, MAX_PROBES};
 use crate::target::{IcmpReply, Network, ProbeCtx, Protocol, SynReply, UdpReply};
 use crate::zgrab::L7Detail;
 use originscan_wire::icmp::IcmpEcho;
@@ -62,7 +62,46 @@ pub enum ProbeVerdict {
     Silent,
 }
 
-/// Engine-owned state for one probe delivery: the validator plus the
+/// How a probe module classified one address's burst of probes: bit `i`
+/// of a mask is probe `i` of the burst, and a probe in no mask was
+/// [`ProbeVerdict::Silent`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BurstVerdict {
+    /// Probes that were [`ProbeVerdict::Positive`].
+    pub positive: u8,
+    /// Probes that were [`ProbeVerdict::Negative`].
+    pub negative: u8,
+    /// Probes that were [`ProbeVerdict::Invalid`].
+    pub invalid: u8,
+    /// The application detail of the first positive probe that has one.
+    pub detail: Option<L7Detail>,
+}
+
+impl BurstVerdict {
+    /// Classify the first `sent` replies of a burst, in probe order.
+    fn fold<R>(
+        replies: &[R; MAX_PROBES],
+        sent: usize,
+        mut classify: impl FnMut(&R) -> Result<ProbeVerdict, ScanError>,
+    ) -> Result<Self, ScanError> {
+        let mut v = Self::default();
+        for (reply, i) in replies.iter().take(sent).zip(0u32..) {
+            let bit = 1u8 << i;
+            match classify(reply)? {
+                ProbeVerdict::Positive(d) => {
+                    v.positive |= bit;
+                    v.detail = v.detail.or(d);
+                }
+                ProbeVerdict::Negative => v.negative |= bit,
+                ProbeVerdict::Invalid => v.invalid |= bit,
+                ProbeVerdict::Silent => {}
+            }
+        }
+        Ok(v)
+    }
+}
+
+/// Engine-owned state for one address's probes: the validator plus the
 /// flow metadata the engine derived from the address hash.
 #[derive(Debug)]
 pub struct ProbeShot<'a> {
@@ -98,14 +137,52 @@ pub trait ProbeModule: Sync + std::fmt::Debug {
     /// application result (no ZGrab follow-up connection).
     fn stateless(&self) -> bool;
 
-    /// Build this module's probe for `ctx`, deliver it to `net`, and
-    /// classify the reply.
+    /// Build this module's probe for `ctx` once, deliver it to `net`
+    /// `times.len()` times (at most [`MAX_PROBES`]; probe `i` leaves at
+    /// `times[i]` as `ctx.probe_idx + i`, `ctx.time_s` is not read), and
+    /// classify each reply.
+    fn deliver_burst(
+        &self,
+        net: &dyn Network,
+        shot: &ProbeShot<'_>,
+        ctx: &ProbeCtx,
+        times: &[f64],
+    ) -> Result<BurstVerdict, ScanError>;
+
+    /// One probe, sent at `ctx.time_s`: a burst of one.
     fn deliver(
         &self,
         net: &dyn Network,
         shot: &ProbeShot<'_>,
         ctx: &ProbeCtx,
-    ) -> Result<ProbeVerdict, ScanError>;
+    ) -> Result<ProbeVerdict, ScanError> {
+        let v = self.deliver_burst(net, shot, ctx, &[ctx.time_s])?;
+        Ok(if v.positive != 0 {
+            ProbeVerdict::Positive(v.detail)
+        } else if v.negative != 0 {
+            ProbeVerdict::Negative
+        } else if v.invalid != 0 {
+            ProbeVerdict::Invalid
+        } else {
+            ProbeVerdict::Silent
+        })
+    }
+}
+
+/// The codec self-check of a burst's probe, when `shot` asks for it: one
+/// `roundtrip` per probe sent, though every probe of a burst is the same
+/// bytes — the option counts round trips per probe (ROADMAP item 8
+/// deletes it).
+fn check_probe(
+    shot: &ProbeShot<'_>,
+    ctx: &ProbeCtx,
+    times: &[f64],
+    roundtrip: impl Fn() -> bool,
+) -> Result<(), ScanError> {
+    if shot.wire_check && !times.iter().all(|_| roundtrip()) {
+        return Err(ScanError::WireCheck { addr: ctx.dst });
+    }
+    Ok(())
 }
 
 /// Round-trip a TCP header through its byte encoding as a codec
@@ -148,38 +225,43 @@ impl ProbeModule for TcpSynModule {
         false
     }
 
-    fn deliver(
+    fn deliver_burst(
         &self,
         net: &dyn Network,
         shot: &ProbeShot<'_>,
         ctx: &ProbeCtx,
-    ) -> Result<ProbeVerdict, ScanError> {
+        times: &[f64],
+    ) -> Result<BurstVerdict, ScanError> {
         let seq = shot
             .validator
             .probe_seq(ctx.src_ip, ctx.dst, shot.sport, shot.dport);
         let probe = TcpHeader::syn_probe(shot.sport, shot.dport, seq);
-        if shot.wire_check && !tcp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst) {
-            return Err(ScanError::WireCheck { addr: ctx.dst });
-        }
-        Ok(match net.syn(ctx, &probe) {
-            SynReply::SynAck(h) => {
-                if shot.validator.check_reply(&h, ctx.src_ip, ctx.dst) {
-                    if shot.wire_check && !tcp_wire_roundtrip(&h, ctx.dst, ctx.src_ip) {
-                        return Err(ScanError::WireCheck { addr: ctx.dst });
+        check_probe(shot, ctx, times, || {
+            tcp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst)
+        })?;
+        let mut replies = [SynReply::Silent; MAX_PROBES];
+        net.syn_burst(ctx, &probe, times, &mut replies);
+        BurstVerdict::fold(&replies, times.len(), |reply| {
+            Ok(match reply {
+                SynReply::SynAck(h) => {
+                    if shot.validator.check_reply(h, ctx.src_ip, ctx.dst) {
+                        if shot.wire_check && !tcp_wire_roundtrip(h, ctx.dst, ctx.src_ip) {
+                            return Err(ScanError::WireCheck { addr: ctx.dst });
+                        }
+                        ProbeVerdict::Positive(None)
+                    } else {
+                        ProbeVerdict::Invalid
                     }
-                    ProbeVerdict::Positive(None)
-                } else {
-                    ProbeVerdict::Invalid
                 }
-            }
-            SynReply::Rst(h) => {
-                if shot.validator.check_reply(&h, ctx.src_ip, ctx.dst) {
-                    ProbeVerdict::Negative
-                } else {
-                    ProbeVerdict::Invalid
+                SynReply::Rst(h) => {
+                    if shot.validator.check_reply(h, ctx.src_ip, ctx.dst) {
+                        ProbeVerdict::Negative
+                    } else {
+                        ProbeVerdict::Invalid
+                    }
                 }
-            }
-            SynReply::Silent => ProbeVerdict::Silent,
+                SynReply::Silent => ProbeVerdict::Silent,
+            })
         })
     }
 }
@@ -206,30 +288,35 @@ impl ProbeModule for IcmpEchoModule {
         true
     }
 
-    fn deliver(
+    fn deliver_burst(
         &self,
         net: &dyn Network,
         shot: &ProbeShot<'_>,
         ctx: &ProbeCtx,
-    ) -> Result<ProbeVerdict, ScanError> {
+        times: &[f64],
+    ) -> Result<BurstVerdict, ScanError> {
         // No ports on ICMP: the MAC binds only the address pair, split
         // across the two 16-bit echo fields.
         let mac = shot.validator.probe_seq(ctx.src_ip, ctx.dst, 0, 0);
         let (ident, seq) = ((mac >> 16) as u16, mac as u16);
         let probe = IcmpEcho::request(ident, seq);
-        if shot.wire_check && !icmp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst) {
-            return Err(ScanError::WireCheck { addr: ctx.dst });
-        }
-        Ok(match net.icmp(ctx, &probe) {
-            IcmpReply::EchoReply { ident: ri, seq: rs } => {
-                if (ri, rs) == (ident, seq) {
-                    ProbeVerdict::Positive(Some(L7Detail::Icmp))
-                } else {
-                    ProbeVerdict::Invalid
+        check_probe(shot, ctx, times, || {
+            icmp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst)
+        })?;
+        let mut replies = [IcmpReply::Silent; MAX_PROBES];
+        net.icmp_burst(ctx, &probe, times, &mut replies);
+        BurstVerdict::fold(&replies, times.len(), |reply| {
+            Ok(match *reply {
+                IcmpReply::EchoReply { ident: ri, seq: rs } => {
+                    if (ri, rs) == (ident, seq) {
+                        ProbeVerdict::Positive(Some(L7Detail::Icmp))
+                    } else {
+                        ProbeVerdict::Invalid
+                    }
                 }
-            }
-            IcmpReply::Unreachable { .. } => ProbeVerdict::Negative,
-            IcmpReply::Silent => ProbeVerdict::Silent,
+                IcmpReply::Unreachable { .. } => ProbeVerdict::Negative,
+                IcmpReply::Silent => ProbeVerdict::Silent,
+            })
         })
     }
 }
@@ -289,12 +376,13 @@ impl ProbeModule for DnsUdpModule {
         true
     }
 
-    fn deliver(
+    fn deliver_burst(
         &self,
         net: &dyn Network,
         shot: &ProbeShot<'_>,
         ctx: &ProbeCtx,
-    ) -> Result<ProbeVerdict, ScanError> {
+        times: &[f64],
+    ) -> Result<BurstVerdict, ScanError> {
         let txid = shot
             .validator
             .probe_seq(ctx.src_ip, ctx.dst, shot.sport, shot.dport) as u16;
@@ -304,19 +392,21 @@ impl ProbeModule for DnsUdpModule {
             // any other codec self-check violation.
             return Err(ScanError::WireCheck { addr: ctx.dst });
         };
-        if shot.wire_check && !udp_wire_roundtrip(query, shot, ctx) {
-            return Err(ScanError::WireCheck { addr: ctx.dst });
-        }
-        Ok(match net.udp(ctx, query) {
-            UdpReply::Data(bytes) => match dns::parse_response(&bytes) {
-                Ok(r) if r.txid == txid => ProbeVerdict::Positive(Some(L7Detail::Dns {
-                    rcode: r.rcode,
-                    answers: u8::try_from(r.answers).unwrap_or(u8::MAX),
-                })),
-                _ => ProbeVerdict::Invalid,
-            },
-            UdpReply::PortUnreachable => ProbeVerdict::Negative,
-            UdpReply::Silent => ProbeVerdict::Silent,
+        check_probe(shot, ctx, times, || udp_wire_roundtrip(query, shot, ctx))?;
+        let mut replies = [const { UdpReply::Silent }; MAX_PROBES];
+        net.udp_burst(ctx, query, times, &mut replies);
+        BurstVerdict::fold(&replies, times.len(), |reply| {
+            Ok(match reply {
+                UdpReply::Data(bytes) => match dns::parse_response(bytes) {
+                    Ok(r) if r.txid == txid => ProbeVerdict::Positive(Some(L7Detail::Dns {
+                        rcode: r.rcode,
+                        answers: u8::try_from(r.answers).unwrap_or(u8::MAX),
+                    })),
+                    _ => ProbeVerdict::Invalid,
+                },
+                UdpReply::PortUnreachable => ProbeVerdict::Negative,
+                UdpReply::Silent => ProbeVerdict::Silent,
+            })
         })
     }
 }
@@ -551,26 +641,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn negative_replies_classify_as_negative() {
-        #[derive(Debug)]
-        struct RefuseNet;
-        impl Network for RefuseNet {
-            fn syn(&self, _ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-                SynReply::Rst(TcpHeader::rst_reply(probe))
-            }
-            fn l7(&self, _ctx: &crate::target::L7Ctx, _r: &[u8]) -> crate::target::L7Reply {
-                crate::target::L7Reply::Timeout
-            }
-            fn icmp(&self, _ctx: &ProbeCtx, _probe: &IcmpEcho) -> IcmpReply {
-                IcmpReply::Unreachable {
-                    code: originscan_wire::icmp::CODE_PORT_UNREACHABLE,
-                }
-            }
-            fn udp(&self, _ctx: &ProbeCtx, _payload: &[u8]) -> UdpReply {
-                UdpReply::PortUnreachable
+    /// A network that refuses every probe with a validated negative.
+    #[derive(Debug)]
+    struct RefuseNet;
+
+    impl Network for RefuseNet {
+        fn syn(&self, _ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            SynReply::Rst(TcpHeader::rst_reply(probe))
+        }
+        fn l7(&self, _ctx: &crate::target::L7Ctx, _r: &[u8]) -> crate::target::L7Reply {
+            crate::target::L7Reply::Timeout
+        }
+        fn icmp(&self, _ctx: &ProbeCtx, _probe: &IcmpEcho) -> IcmpReply {
+            IcmpReply::Unreachable {
+                code: originscan_wire::icmp::CODE_PORT_UNREACHABLE,
             }
         }
+        fn udp(&self, _ctx: &ProbeCtx, _payload: &[u8]) -> UdpReply {
+            UdpReply::PortUnreachable
+        }
+    }
+
+    #[test]
+    fn negative_replies_classify_as_negative() {
         let validator = Validator::from_seed(9);
         for m in modules() {
             let verdict = m
@@ -578,5 +671,90 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
             assert_eq!(verdict, ProbeVerdict::Negative, "{}", m.name());
         }
+    }
+
+    /// A network whose answer turns with the probe: accept, refuse,
+    /// spoof or stay silent by address + probe index + send second.
+    #[derive(Debug)]
+    struct TurningNet;
+
+    impl TurningNet {
+        fn pick<'a>(&self, ctx: &ProbeCtx) -> Option<&'a dyn Network> {
+            let turn = ctx.dst + u32::from(ctx.probe_idx) + ctx.time_s as u32;
+            [
+                Some(&EchoAllNet as &dyn Network),
+                Some(&RefuseNet as &dyn Network),
+                Some(&SpoofNet as &dyn Network),
+                None,
+            ][turn as usize % 4]
+        }
+    }
+
+    impl Network for TurningNet {
+        fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            self.pick(ctx)
+                .map_or(SynReply::Silent, |net| net.syn(ctx, probe))
+        }
+        fn l7(&self, _ctx: &crate::target::L7Ctx, _r: &[u8]) -> crate::target::L7Reply {
+            crate::target::L7Reply::Timeout
+        }
+        fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+            self.pick(ctx)
+                .map_or(IcmpReply::Silent, |net| net.icmp(ctx, probe))
+        }
+        fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+            self.pick(ctx)
+                .map_or(UdpReply::Silent, |net| net.udp(ctx, payload))
+        }
+    }
+
+    #[test]
+    fn a_burst_is_its_probes_delivered_one_by_one() {
+        let validator = Validator::from_seed(11);
+        let nets: [&dyn Network; 4] = [&SpoofNet, &RefuseNet, &EchoAllNet, &TurningNet];
+        let mut seen = BurstVerdict::default();
+        for m in modules() {
+            let shot = shot(&validator, *m);
+            for (net, n, dst) in nets
+                .iter()
+                .flat_map(|net| (1..=MAX_PROBES).map(move |n| (*net, n)))
+                .flat_map(|(net, n)| (0..4).map(move |dst| (net, n, dst)))
+            {
+                let ctx = ProbeCtx {
+                    dst,
+                    time_s: f64::NAN, // a burst must not read it
+                    probe_idx: 1,
+                    ..ctx(*m)
+                };
+                let times: Vec<f64> = (0..n).map(|i| 3.0 + (i / 2) as f64).collect();
+                let mut want = BurstVerdict::default();
+                for (&time_s, i) in times.iter().zip(0u8..) {
+                    let one = ProbeCtx {
+                        time_s,
+                        probe_idx: ctx.probe_idx + i,
+                        ..ctx
+                    };
+                    match m.deliver(net, &shot, &one).unwrap() {
+                        ProbeVerdict::Positive(d) => {
+                            want.positive |= 1 << i;
+                            want.detail = want.detail.or(d);
+                        }
+                        ProbeVerdict::Negative => want.negative |= 1 << i,
+                        ProbeVerdict::Invalid => want.invalid |= 1 << i,
+                        ProbeVerdict::Silent => {}
+                    }
+                }
+                let got = m.deliver_burst(net, &shot, &ctx, &times).unwrap();
+                assert_eq!(got, want, "{} × {n} to {dst}", m.name());
+                seen.positive |= got.positive;
+                seen.negative |= got.negative;
+                seen.invalid |= got.invalid;
+            }
+        }
+        // Every probe of a full burst was, somewhere, each kind of answer.
+        assert_eq!(
+            (seen.positive, seen.negative, seen.invalid),
+            (255, 255, 255)
+        );
     }
 }

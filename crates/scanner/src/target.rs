@@ -58,7 +58,8 @@ pub struct ProbeCtx {
     pub protocol: Protocol,
     /// Simulated seconds since the start of the scan.
     pub time_s: f64,
-    /// Probe sequence within the back-to-back burst (0 or 1).
+    /// Probe sequence within the address's burst (`0..probes`, so at
+    /// most [`crate::MAX_PROBES`]` - 1`).
     pub probe_idx: u8,
     /// Trial number (0-based).
     pub trial: u8,
@@ -148,11 +149,40 @@ pub enum UdpReply {
     Silent,
 }
 
+/// The provided burst loop: write `one`'s answer to each probe of the
+/// burst into `replies`, probe `i` sent at `times[i]` as
+/// `ctx.probe_idx + i`.
+fn burst_of<R>(
+    ctx: &ProbeCtx,
+    times: &[f64],
+    replies: &mut [R],
+    mut one: impl FnMut(&ProbeCtx) -> R,
+) {
+    for ((reply, &time_s), i) in replies.iter_mut().zip(times).zip(0..) {
+        *reply = one(&ProbeCtx {
+            time_s,
+            probe_idx: ctx.probe_idx.wrapping_add(i),
+            ..*ctx
+        });
+    }
+}
+
 /// A probed network: answers probes and application handshakes.
 ///
 /// ICMP and UDP delivery have `Silent` defaults so TCP-only networks
 /// (and test doubles) keep compiling unchanged; a network that models
 /// those probe modules overrides them.
+///
+/// # Bursts
+///
+/// The engine sends an address its probes as one burst: the same probe
+/// `times.len()` times (at most [`crate::MAX_PROBES`]), probe `i` at `times[i]`
+/// as `ctx.probe_idx + i`; `ctx.time_s` is not read. The answer to probe
+/// `i` goes to `replies[i]`, for as many probes as both slices hold. The
+/// provided `*_burst` methods loop over the scalar call, so a network
+/// that implements only those is complete. An override exists to share
+/// work between an address's probes, and must write exactly what the
+/// provided loop would.
 pub trait Network: Sync {
     /// Deliver `probe` (a SYN built by the engine) and return the reply.
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply;
@@ -168,6 +198,33 @@ pub trait Network: Sync {
     /// Deliver a UDP payload and return the reply.
     fn udp(&self, _ctx: &ProbeCtx, _payload: &[u8]) -> UdpReply {
         UdpReply::Silent
+    }
+
+    /// Deliver a burst of SYNs (see the trait docs).
+    fn syn_burst(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &TcpHeader,
+        times: &[f64],
+        replies: &mut [SynReply],
+    ) {
+        burst_of(ctx, times, replies, |c| self.syn(c, probe));
+    }
+
+    /// Deliver a burst of echo requests (see the trait docs).
+    fn icmp_burst(
+        &self,
+        ctx: &ProbeCtx,
+        probe: &IcmpEcho,
+        times: &[f64],
+        replies: &mut [IcmpReply],
+    ) {
+        burst_of(ctx, times, replies, |c| self.icmp(c, probe));
+    }
+
+    /// Deliver a burst of UDP payloads (see the trait docs).
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], replies: &mut [UdpReply]) {
+        burst_of(ctx, times, replies, |c| self.udp(c, payload));
     }
 }
 
