@@ -21,7 +21,7 @@ use crate::experiment::TRIAL_DURATION_S;
 use crate::report::{count, pct, Table};
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_plan::{AsSpan, PlanBuilder, PlanError, Strategy, TargetPlan};
-use originscan_scanner::{run_scan, ScanConfig, ScanError};
+use originscan_scanner::{run_scan, Network, ScanConfig, ScanError};
 use originscan_store::ScanSet;
 use std::fmt;
 use std::fmt::Write as _;
@@ -165,7 +165,7 @@ pub fn as_spans(world: &World) -> Vec<AsSpan> {
 /// Scan `trial` from every origin (plan-free or planned), returning the
 /// union of responsive addresses and the summed probe count.
 fn scan_union(
-    net: &SimNet<'_>,
+    net: &dyn Network,
     cfg: &FrontierConfig,
     space: u64,
     trial: u8,
@@ -193,21 +193,38 @@ fn scan_union(
     Ok((ScanSet::from_unsorted(addrs), probes))
 }
 
+impl FrontierConfig {
+    /// Every list a sweep needs is non-empty.
+    fn check(&self) -> Result<(), FrontierError> {
+        let what = if self.origins.is_empty() {
+            "origins"
+        } else if self.strategies.is_empty() {
+            "strategies"
+        } else if self.prior_trials == 0 {
+            "prior trials"
+        } else {
+            return Ok(());
+        };
+        Err(FrontierError::EmptyConfig { what })
+    }
+}
+
 /// Measure the probes-vs-coverage frontier on `world` under `cfg`.
 pub fn sweep_frontier(world: &World, cfg: &FrontierConfig) -> Result<FrontierSweep, FrontierError> {
-    if cfg.origins.is_empty() {
-        return Err(FrontierError::EmptyConfig { what: "origins" });
-    }
-    if cfg.strategies.is_empty() {
-        return Err(FrontierError::EmptyConfig { what: "strategies" });
-    }
-    if cfg.prior_trials == 0 {
-        return Err(FrontierError::EmptyConfig {
-            what: "prior trials",
-        });
-    }
-    let space = world.space();
+    cfg.check()?; // `SimNet::new` asserts a roster
     let net = SimNet::new(world, &cfg.origins, TRIAL_DURATION_S);
+    sweep_frontier_on(&net, world, cfg)
+}
+
+/// [`sweep_frontier`] through `net`, a view of `world` from
+/// `cfg.origins` in that order (a `SimNet`, or a wrapper around one).
+pub fn sweep_frontier_on(
+    net: &dyn Network,
+    world: &World,
+    cfg: &FrontierConfig,
+) -> Result<FrontierSweep, FrontierError> {
+    cfg.check()?;
+    let space = world.space();
 
     // Learn: full sweeps over the prior trials feed the builder.
     let mut builder = PlanBuilder::new(space, cfg.seed)?.with_topology(as_spans(world));
@@ -215,19 +232,19 @@ pub fn sweep_frontier(world: &World, cfg: &FrontierConfig) -> Result<FrontierSwe
         builder = builder.with_budget_per_as(cap);
     }
     for trial in 0..cfg.prior_trials {
-        let (union, _probes) = scan_union(&net, cfg, space, trial, None)?;
+        let (union, _probes) = scan_union(net, cfg, space, trial, None)?;
         builder.observe_trial(&union);
     }
 
     // Evaluate on the held-out trial: plan-free baseline first.
     let eval_trial = cfg.prior_trials;
-    let (baseline_set, baseline_probes) = scan_union(&net, cfg, space, eval_trial, None)?;
+    let (baseline_set, baseline_probes) = scan_union(net, cfg, space, eval_trial, None)?;
     let baseline_found = baseline_set.cardinality();
 
     let mut points = Vec::with_capacity(cfg.strategies.len());
     for strategy in &cfg.strategies {
         let plan = builder.build(strategy)?;
-        let (found_set, probes) = scan_union(&net, cfg, space, eval_trial, Some(&plan))?;
+        let (found_set, probes) = scan_union(net, cfg, space, eval_trial, Some(&plan))?;
         let covered = found_set.intersection_cardinality(&baseline_set);
         points.push(FrontierPoint {
             strategy: plan.strategy().to_string(),

@@ -466,6 +466,11 @@ impl SimNet<'_> {
 }
 
 impl Network for SimNet<'_> {
+    /// Every reply is a keyed draw over the call's arguments and the world.
+    fn order_free(&self) -> bool {
+        true
+    }
+
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         let state = self.host_state(ctx.origin, ctx.dst, ctx.protocol, ctx.trial, ctx.time_s);
         self.syn_reply(ctx, probe, state, ctx.probe_idx, &mut None)
@@ -1080,6 +1085,47 @@ mod tests {
         rev.reverse();
         assert_eq!(fwd, expect);
         assert_eq!(rev, expect);
+    }
+
+    #[test]
+    fn fanned_scan_equals_the_step_loop() {
+        // `run_scan` spreads an open-loop scan of a `SimNet` over the cores
+        // (one inline worker on a single core) and steps through
+        // `ScalarOnly`, which keeps `order_free`'s default.
+        use originscan_scanner::blocklist::Blocklist;
+        for world_seed in [99, 7, 41] {
+            let world = WorldConfig::tiny(world_seed).build();
+            let net = SimNet::new(&world, MAIN, 75_600.0);
+            assert!(net.order_free() && !ScalarOnly(&net).order_free());
+            for (m, origin) in originscan_scanner::probe::modules().iter().zip(0u16..) {
+                for setting in 0..5 {
+                    let mut cfg = ScanConfig::new(world.space(), m.protocol(), 1000 + world_seed);
+                    cfg.origin = origin;
+                    cfg.concurrent_origins = MAIN.len() as u8;
+                    match setting {
+                        0 => {}
+                        1 => (cfg.probes, cfg.batch, cfg.shard) = (1, 1, (1, 4)),
+                        2 => (cfg.probes, cfg.batch, cfg.probe_delay_s) = (8, 7, 900.0),
+                        3 => (cfg.shard, cfg.l7_retries, cfg.trial) = ((2, 3), 2, 1),
+                        // Wider than the world: the far half is silent.
+                        _ => (cfg.space, cfg.probe_delay_s) = (2 * world.space(), 900.0),
+                    }
+                    if setting >= 2 {
+                        cfg.blocklist = Blocklist::parse("0.0.3.0/24\n0.0.128.0/18").unwrap();
+                        cfg.wire_check = true;
+                    }
+                    let fanned = run_scan(&net, &cfg).unwrap();
+                    let step = run_scan(&ScalarOnly(&net), &cfg).unwrap();
+                    assert_eq!(fanned, step, "{cfg:?}");
+                    let bits = |o: &originscan_scanner::ScanOutput| -> Vec<u64> {
+                        let times = o.records.iter().map(|r| r.response_time_s.to_bits());
+                        times.chain([o.summary.duration_s.to_bits()]).collect()
+                    };
+                    assert_eq!(bits(&fanned), bits(&step), "{cfg:?}");
+                    assert!(!step.records.is_empty(), "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

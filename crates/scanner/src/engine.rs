@@ -4,8 +4,7 @@
 //! ([`crate::cyclic`]), the engine sends `probes` back-to-back SYNs
 //! (stateless, validation-tagged), collects validated replies, and — for
 //! L4-responsive hosts — immediately runs the application handshake
-//! ([`crate::zgrab`]), exactly mirroring the paper's ZMap → ZGrab
-//! pipeline.
+//! ([`crate::zgrab`]): the paper's ZMap → ZGrab pipeline.
 //!
 //! # Supervision, faults, and resume
 //!
@@ -25,15 +24,18 @@
 //!   fast-forwards in O(log n) and the restored pacer is a copy of the
 //!   one that was running, so re-run timestamps are bit-identical.
 //!
-//! [`run_scan_session`] itself is a send loop in the ZMap mould — next
-//! target → probe module → record — over a `ScanCtx` (what stays fixed)
-//! and a `Progress` (what moves); checkpointing, the fault hook, skip
-//! filters and controller reactions are small functions over that pair,
-//! run once per *permutation step*, skipped addresses included.
+//! [`run_scan_session`]'s *step loop* is a send loop in the ZMap mould —
+//! next target → probe module → record — over a `ScanCtx` (what stays
+//! fixed) and a `Progress` (what moves); checkpointing, the fault hook,
+//! skip filters and controller reactions are small functions over that
+//! pair, run once per *permutation step*, skipped addresses included. An
+//! unsupervised, non-adaptive scan of a [`Network::order_free`] network
+//! bypasses it for `fan.rs`: the same `probe`, on every core.
 
 use crate::blocklist::Blocklist;
 use crate::cyclic::{Cycle, ShardIter};
 use crate::error::{ConfigError, ScanError, MAX_PROBES};
+use crate::fan;
 use crate::probe::{module_for, ProbeModule, ProbeShot};
 use crate::rate::Pacer;
 use crate::resilience::{AdaptivePolicy, Controller, ControllerState};
@@ -91,20 +93,18 @@ pub struct ScanConfig {
     /// encoding (IPv4 + TCP emit/parse with checksums) as a self-check of
     /// the wire codecs. Costs ~2× per probe; off by default.
     pub wire_check: bool,
-    /// Adaptive resilience policy (None: classic open-loop scan,
-    /// byte-identical to builds before the controller existed). When set,
-    /// the engine feeds every address outcome to a
+    /// Adaptive resilience policy (None: open-loop scan). When set, the
+    /// engine feeds every address outcome to a
     /// [`crate::resilience::Controller`] and applies its reactions: rate
     /// backoff/recovery at batch boundaries, source-IP rotation through
     /// [`ScanConfig::source_ips`], and deferral of suspect /24s to an
     /// end-of-scan tail pass.
     pub adapt: Option<AdaptivePolicy>,
-    /// Optional target plan (None: probe the whole space, byte-identical
-    /// to builds before the planner existed). When set, addresses outside
-    /// the plan's /24 allowlist are skipped before probing, composing
-    /// with the blocklist and sharding: each shard probes exactly its
-    /// slice of `plan ∩ ¬blocklist`. The permutation still walks the full
-    /// space, so planned scans stay synchronized across origins.
+    /// Optional target plan (None: probe the whole space). When set,
+    /// addresses outside the plan's /24 allowlist are skipped before
+    /// probing, composing with the blocklist and sharding: each shard
+    /// probes exactly its slice of `plan ∩ ¬blocklist`. The permutation
+    /// still walks the full space, so planned scans stay synchronized.
     pub plan: Option<TargetPlan>,
 }
 
@@ -381,10 +381,9 @@ pub struct ScanSession<'a> {
     pub store: Option<&'a CheckpointStore>,
     /// Supervisor attempt number forwarded to the fault hook.
     pub attempt: u32,
-    /// Telemetry hub recording this scan's events and metrics (None:
-    /// telemetry off, zero overhead). Events are emitted at simulated
-    /// time as they happen; metrics are accumulated locally and flushed
-    /// in one lock acquisition at completion.
+    /// Telemetry hub for this scan's events and metrics (None: off, zero
+    /// overhead). Events are emitted at simulated time as they happen;
+    /// metrics accumulate locally and are flushed once, at completion.
     pub telemetry: Option<&'a Telemetry>,
 }
 
@@ -401,17 +400,16 @@ impl std::fmt::Debug for ScanSession<'_> {
     }
 }
 
-/// Execute one scan against `net` with no supervision: no fault hook, no
-/// checkpoints. Equivalent to [`run_scan_session`] with a default
-/// session.
+/// Execute one scan against `net` unsupervised: [`run_scan_session`] with
+/// a default session (no fault hook, checkpoints or telemetry).
 pub fn run_scan(net: &dyn Network, cfg: &ScanConfig) -> Result<ScanOutput, ScanError> {
     run_scan_session(net, cfg, ScanSession::default())
 }
 
 /// Everything about one scan that stays fixed while it runs.
-struct ScanCtx<'a> {
+pub(crate) struct ScanCtx<'a> {
     net: &'a dyn Network,
-    cfg: &'a ScanConfig,
+    pub(crate) cfg: &'a ScanConfig,
     session: ScanSession<'a>,
     module: &'static dyn ProbeModule,
     validator: Validator,
@@ -419,23 +417,34 @@ struct ScanCtx<'a> {
     tele: ScopedTelemetry<'a>,
 }
 
-impl ScanCtx<'_> {
-    /// Source address `idx` of the pool, wrapping (`validate` rejected
-    /// an empty pool).
+impl<'a> ScanCtx<'a> {
+    pub(crate) fn new(net: &'a dyn Network, cfg: &'a ScanConfig, session: ScanSession<'a>) -> Self {
+        let module = module_for(cfg.protocol);
+        let scope = Scope::new(module.name(), cfg.trial, cfg.origin);
+        Self {
+            net,
+            cfg,
+            module,
+            validator: Validator::from_seed(cfg.seed),
+            tele: ScopedTelemetry::new(session.telemetry, scope),
+            session,
+        }
+    }
+
+    /// Source address `idx` of the pool (`validate`d non-empty), wrapping.
     fn source_ip(&self, idx: usize) -> u32 {
         let pool = &self.cfg.source_ips;
         pool.get(idx % pool.len().max(1)).copied().unwrap_or(0)
     }
 }
 
-/// Everything that moves. A checkpoint copies all but the two counters,
-/// which are per-attempt bookkeeping.
-struct Progress {
+/// Everything that moves; a checkpoint copies all but the two per-attempt counters.
+pub(crate) struct Progress {
     /// Position in the address permutation.
-    iter: ShardIter,
-    pacer: Pacer,
+    pub(crate) iter: ShardIter,
+    pub(crate) pacer: Pacer,
     stall_s: f64,
-    out: ScanOutput,
+    pub(crate) out: ScanOutput,
     /// The adaptive controller (None: classic open-loop scan).
     ctrl: Option<Controller>,
     /// Permutation steps since the last checkpoint (or since resume).
@@ -453,7 +462,7 @@ impl Progress {
 
 /// Start from the top of the permutation, or — when the session's store
 /// holds a checkpoint — take it and fast-forward to it.
-fn restore_or_start(ctx: &ScanCtx<'_>) -> Result<Progress, ScanError> {
+pub(crate) fn restore_or_start(ctx: &ScanCtx<'_>) -> Result<Progress, ScanError> {
     let (cfg, attempt) = (ctx.cfg, ctx.session.attempt);
     let mut p = Progress {
         iter: Cycle::new(cfg.space, cfg.seed).iter_shard(cfg.shard.0, cfg.shard.1),
@@ -552,7 +561,8 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
 
 /// Is `addr` passed over at this step? Counts plan and blocklist skips;
 /// an adaptive scan also parks quarantined addresses for the tail pass.
-fn skip(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> bool {
+#[inline] // once per permutation step, in the step loop and in `fan`'s serial stage
+pub(crate) fn skip(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> bool {
     if ctx.cfg.plan.as_ref().is_some_and(|plan| !plan.allows(addr)) {
         p.out.summary.plan_skipped += 1;
         return true;
@@ -561,15 +571,12 @@ fn skip(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> bool {
         p.out.summary.blocked += 1;
         return true;
     }
-    match p.ctrl.as_mut() {
-        Some(c) => c.should_defer(addr, p.pacer.peek_send_time() + p.stall_s),
-        None => false,
-    }
+    let ctrl = p.ctrl.as_mut();
+    ctrl.is_some_and(|c| c.should_defer(addr, p.pacer.peek_send_time() + p.stall_s))
 }
 
-/// Outcome of probing one address, as observed by the adaptive
-/// controller.
-struct AddrOutcome {
+/// What the adaptive controller observes of one probed address.
+pub(crate) struct AddrOutcome {
     /// At least one probe got a validated SYN-ACK.
     responsive: bool,
     /// A validated RST arrived.
@@ -580,9 +587,14 @@ struct AddrOutcome {
 
 /// Probe one address end to end: stamp the burst's send times, deliver
 /// it through the scan's [`ProbeModule`], fold the verdict masks into a
-/// record, and run the ZGrab follow-up for stateful modules. Main and
-/// tail pass both use it.
-fn probe(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> Result<AddrOutcome, ScanError> {
+/// record, and run the ZGrab follow-up for stateful modules. The step
+/// loop, its tail pass and the fanned scan's workers all use it.
+#[inline] // a copy per codegen unit: the step loop's stays private to it
+pub(crate) fn probe(
+    ctx: &ScanCtx<'_>,
+    p: &mut Progress,
+    addr: u32,
+) -> Result<AddrOutcome, ScanError> {
     let cfg = ctx.cfg;
     p.out.summary.addresses_probed += 1;
     // ZMap spreads flows over source IPs/ports by address hash; an
@@ -709,10 +721,9 @@ fn react(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32, o: &AddrOutcome) {
     }
 }
 
-/// Adaptive tail pass: re-probe quarantined addresses now that their
-/// block windows have had the rest of the scan to lapse. Bounded by the
-/// policy's deferral cap; runs unsupervised (no fault hook or
-/// checkpoints) at the current backed-off rate.
+/// Adaptive tail pass: re-probe quarantined addresses now that their block
+/// windows have had the rest of the scan to lapse. Bounded by the policy's
+/// deferral cap; unsupervised (no hook or checkpoints), at the backed-off rate.
 fn tail_pass(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
     let deferred = p
         .ctrl
@@ -796,23 +807,18 @@ fn completion_metrics(ctx: &ScanCtx<'_>, p: &Progress) -> MetricBatch {
 
 /// Execute one scan against `net` under supervision: consult the fault
 /// hook before every address, periodically checkpoint resumable state,
-/// and resume from the session store's checkpoint when it holds one.
+/// and resume from the session store's checkpoint when it holds one. A
+/// session with none of that may not step at all (see the module docs).
 pub fn run_scan_session(
     net: &dyn Network,
     cfg: &ScanConfig,
     session: ScanSession<'_>,
 ) -> Result<ScanOutput, ScanError> {
     cfg.validate()?;
-    let module = module_for(cfg.protocol);
-    let scope = Scope::new(module.name(), cfg.trial, cfg.origin);
-    let ctx = ScanCtx {
-        net,
-        cfg,
-        module,
-        validator: Validator::from_seed(cfg.seed),
-        tele: ScopedTelemetry::new(session.telemetry, scope),
-        session,
-    };
+    if fan::open_loop(net, cfg, &session) {
+        return fan::run(net, cfg, fan::threads(cfg), fan::CHUNK, probe);
+    }
+    let ctx = ScanCtx::new(net, cfg, session);
     let tele = &ctx.tele;
     let mut p = restore_or_start(&ctx)?;
 
@@ -822,7 +828,7 @@ pub fn run_scan_session(
     // Markers before the first send: permutation/validator setup (and any
     // fast-forward), the wire module, and whether a plan is in force.
     tele.record_span("permute", start_s, start_s);
-    tele.record_span(module.wire_name(), start_s, start_s);
+    tele.record_span(ctx.module.wire_name(), start_s, start_s);
     if cfg.plan.is_some() {
         tele.record_span("plan", start_s, start_s);
     }
@@ -1351,15 +1357,9 @@ mod tests {
         };
         // A checkpoint from deep inside a much larger scan's permutation.
         let store = CheckpointStore::new(64);
-        let mut elsewhere = Progress {
-            iter: Cycle::new(1 << 16, 99).iter_shard(0, 1),
-            pacer: Pacer::new(1.0, 1),
-            stall_s: 0.0,
-            out: ScanOutput::default(),
-            ctrl: None,
-            since_checkpoint: 0,
-            checkpoint_writes: 0,
-        };
+        let larger = cfg(1 << 16);
+        let ctx = ScanCtx::new(&net, &larger, ScanSession::default());
+        let mut elsewhere = restore_or_start(&ctx).unwrap();
         assert!(elsewhere.iter.fast_forward(5000));
         store.save(&elsewhere);
         let session = ScanSession {

@@ -21,7 +21,9 @@
 //!   over UDP) with a registry, all sharing the permutation/pacing core.
 //! * [`engine`] — the scan loop: stateless validation-tagged probes,
 //!   validated-reply collection, L7 follow-up; plus supervised execution
-//!   with fault hooks and mid-permutation checkpoint/resume.
+//!   with fault hooks and mid-permutation checkpoint/resume. An open-loop
+//!   scan of an order-free network runs on every core (`fan.rs`) with the
+//!   same output.
 //! * [`error`] — typed configuration and scan errors, so supervisors can
 //!   react to failures instead of unwinding.
 //! * [`zgrab`] — HTTP / TLS / SSH handshake drivers with the retry policy
@@ -36,6 +38,7 @@ pub mod blocklist;
 pub mod cyclic;
 pub mod engine;
 pub mod error;
+mod fan;
 pub mod output;
 pub mod probe;
 pub mod rate;

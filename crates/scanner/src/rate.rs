@@ -47,6 +47,22 @@ impl Pacer {
         }
     }
 
+    /// The pacer [`Pacer::new`] becomes after `sent` calls of
+    /// [`Pacer::next_send_time`], in O(1): a pacer whose rate never
+    /// changes is a pure function of its call count, so a scan's clock
+    /// can be picked up at any probe offset.
+    pub fn at(rate: f64, batch: u32, sent: u64) -> Self {
+        let mut p = Self::new(rate, batch);
+        if let Some(last) = sent.checked_sub(1) {
+            // The batch holding the last probe sent is still open, full
+            // or not: the roll-over waits for the next call.
+            p.batches_sent = last / u64::from(batch);
+            p.sent_in_batch = u32::try_from(last % u64::from(batch) + 1).unwrap_or(batch);
+            p.batch_start_time = p.batch_start(p.batches_sent);
+        }
+        p
+    }
+
     /// Start time of batch index `b` under the current anchor and rate.
     fn batch_start(&self, b: u64) -> f64 {
         self.anchor_time + (b - self.anchor_batches) as f64 * f64::from(self.batch) / self.rate
@@ -194,6 +210,33 @@ mod tests {
                 assert_eq!(p.next_send_time(), resumed.next_send_time(), "{n}+{i}");
             }
             assert_eq!(p.duration_elapsed(), resumed.duration_elapsed());
+        }
+    }
+
+    #[test]
+    fn at_equals_new_stepped() {
+        // n ≡ 0 (mod batch) is the state to get right: the last batch is
+        // full but not yet rolled over.
+        for batch in [1u32, 3, 16] {
+            for n in 0..=3 * u64::from(batch) + 1 {
+                let mut stepped = Pacer::new(640.0, batch);
+                for _ in 0..n {
+                    stepped.next_send_time();
+                }
+                let mut jumped = Pacer::at(640.0, batch, n);
+                assert_eq!(jumped, stepped, "batch {batch}, n {n}");
+                let bits =
+                    |p: &Pacer| (p.peek_send_time().to_bits(), p.duration_elapsed().to_bits());
+                for i in 0..2 * batch + 2 {
+                    assert_eq!(bits(&jumped), bits(&stepped), "batch {batch}, {n}+{i}");
+                    assert_eq!(
+                        jumped.next_send_time().to_bits(),
+                        stepped.next_send_time().to_bits(),
+                        "batch {batch}, {n}+{i}"
+                    );
+                }
+                assert_eq!(bits(&jumped), bits(&stepped));
+            }
         }
     }
 

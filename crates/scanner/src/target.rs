@@ -2,10 +2,11 @@
 //!
 //! The scanner is generic over a [`Network`]: the live Internet for real
 //! ZMap, or the deterministic simulated Internet in `originscan-netmodel`
-//! here. The trait is synchronous and `&self` — implementations must be
-//! pure functions of the probe context (plus their own precomputed state),
-//! which is what makes whole experiments reproducible and trivially
-//! parallelizable.
+//! here. The trait is synchronous and `&self`. An implementation whose
+//! replies are pure functions of the probe context (plus its own
+//! precomputed state) says so through [`Network::order_free`], and the
+//! engine then probes it from several threads at once; one that learns
+//! from the order of its calls is probed by one thread, in send order.
 
 use originscan_wire::icmp::IcmpEcho;
 use originscan_wire::tcp::TcpHeader;
@@ -189,6 +190,17 @@ pub trait Network: Sync {
 
     /// Open a connection and send `request`; returns the server's answer.
     fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply;
+
+    /// Is every reply a pure function of the call's arguments (and of
+    /// state fixed before the scan)? Then neither the order of calls nor
+    /// the thread they come from can change a reply or leave a trace,
+    /// and an open-loop scan spreads its probes over the machine's cores
+    /// (see [`crate::engine`]). The default is `false`: a network that keeps
+    /// state across calls (a defender that counts probes, a fault layer
+    /// that logs them) must see one caller, in send order.
+    fn order_free(&self) -> bool {
+        false
+    }
 
     /// Deliver an ICMP echo request and return the reply.
     fn icmp(&self, _ctx: &ProbeCtx, _probe: &IcmpEcho) -> IcmpReply {

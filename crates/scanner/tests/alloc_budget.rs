@@ -1,13 +1,17 @@
 //! The probe path allocates O(1) per scan: scanning sixteen times the
-//! addresses may not cost sixteen times the heap allocations.
+//! addresses may not cost sixteen times the heap allocations, on the
+//! engine's step loop or fanned out over the cores.
 //!
 //! A counting allocator needs to be the process's `#[global_allocator]`,
 //! so this is one `#[test]` in a binary of its own; the `unsafe` it takes
 //! to wrap `System` stays out of the library crates.
 
-use originscan_scanner::engine::{run_scan, ScanConfig};
+use originscan_scanner::engine::{run_scan, ScanConfig, ScanOutput};
 use originscan_scanner::probe::modules;
-use originscan_scanner::target::{L7Ctx, L7Reply, Network, ProbeCtx, SynReply};
+use originscan_scanner::target::{
+    IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply,
+};
+use originscan_wire::icmp::IcmpEcho;
 use originscan_wire::TcpHeader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,11 +45,18 @@ static GLOBAL: Counting = Counting;
 
 /// Nothing is out there: every module's probe goes unanswered (ICMP and
 /// UDP through the trait's silent defaults), so the count is the probe
-/// path's own and no result record is ever pushed.
+/// path's own and no result record is ever pushed. `order_free` is what
+/// the net says of itself: `false` keeps the scan on the engine's step
+/// loop, `true` spreads it over the cores.
 #[derive(Debug)]
-struct SilentNet;
+struct SilentNet {
+    order_free: bool,
+}
 
 impl Network for SilentNet {
+    fn order_free(&self) -> bool {
+        self.order_free
+    }
     fn syn(&self, _ctx: &ProbeCtx, _probe: &TcpHeader) -> SynReply {
         SynReply::Silent
     }
@@ -54,30 +65,91 @@ impl Network for SilentNet {
     }
 }
 
+/// Every address answers a ping (and nothing else), from any thread: one
+/// record per address and no allocation behind any of them.
+#[derive(Debug)]
+struct EchoNet;
+
+impl Network for EchoNet {
+    fn order_free(&self) -> bool {
+        true
+    }
+    fn syn(&self, _ctx: &ProbeCtx, _probe: &TcpHeader) -> SynReply {
+        SynReply::Silent
+    }
+    fn l7(&self, _ctx: &L7Ctx, _request: &[u8]) -> L7Reply {
+        L7Reply::Timeout
+    }
+    fn icmp(&self, _ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+        IcmpReply::EchoReply {
+            ident: probe.ident,
+            seq: probe.seq,
+        }
+    }
+}
+
 /// What a scan's allocation count may grow by when the space grows
 /// sixteenfold: nothing per probe, a little for whatever the engine
 /// sizes by the space.
 const SLACK: u64 = 8;
 
+/// Allocations one scan of `cfg` against `net` makes, and its output.
+fn allocations(net: &dyn Network, cfg: &ScanConfig) -> (u64, ScanOutput) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = run_scan(net, cfg).expect("a plain scan");
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+// One `#[test]`: the counter is the process's, and the harness runs a
+// binary's tests on parallel threads.
 #[test]
 fn probe_path_allocates_a_constant_per_scan() {
-    for module in modules() {
-        let allocations = |space: u64| {
-            let cfg = ScanConfig::new(space, module.protocol(), 2020);
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let out = run_scan(&SilentNet, &cfg).expect("a plain scan of a silent net");
-            let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
-            assert!(out.summary.probes_sent >= space, "{}", module.name());
-            spent
-        };
-        // Once unmeasured: per-process set-up (the DNS template) is not
-        // either scan's.
-        allocations(1 << 8);
-        let (small, large) = (allocations(1 << 12), allocations(1 << 16));
-        assert!(
-            large.abs_diff(small) <= SLACK,
-            "{}: {small} allocations for 2^12 addresses, {large} for 2^16",
-            module.name()
-        );
+    // A fanned scan takes a worker per core but no more than it has chunks
+    // of 4096 addresses, and a worker costs its thread and its buffers.
+    // The smaller scan gives every core four chunks, so both scans run the
+    // same workers and differ in addresses — and chunks — alone.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let small = 4 * (cores as u64 * 4096).next_power_of_two();
+    let extra_chunks = 15 * small / 4096;
+    for order_free in [false, true] {
+        let net = SilentNet { order_free };
+        // The step loop allocates nothing by the address. Nor does a
+        // worker, which reuses its address and record buffers from chunk
+        // to chunk; but one that runs ahead while another is descheduled
+        // holds finished chunks back, and that list (and, below, their
+        // records) grows by doubling. An allocation per chunk would add
+        // `extra_chunks`; half of that tells the two apart on any machine.
+        let slack = if order_free { extra_chunks / 2 } else { SLACK };
+        for module in modules() {
+            let spent = |space: u64| {
+                let cfg = ScanConfig::new(space, module.protocol(), 2020);
+                let (spent, out) = allocations(&net, &cfg);
+                assert!(out.summary.probes_sent >= space, "{}", module.name());
+                spent
+            };
+            // Once unmeasured: per-process set-up (the DNS template) is
+            // not either scan's.
+            spent(1 << 8);
+            let (few, many) = (spent(small), spent(16 * small));
+            assert!(
+                many.abs_diff(few) <= slack,
+                "{} (order-free: {order_free}): {few} allocations for {small} addresses, \
+                 {many} for sixteen times as many",
+                module.name()
+            );
+        }
     }
+
+    // A record per address: the output, too, grows by doubling (four times
+    // more for sixteen times the records), not by the chunk.
+    let spent = |space: u64| {
+        let (spent, out) = allocations(&EchoNet, &ScanConfig::new(space, Protocol::Icmp, 2020));
+        assert_eq!(out.records.len() as u64, space);
+        spent
+    };
+    let (few, many) = (spent(small), spent(16 * small));
+    assert!(
+        many.abs_diff(few) <= extra_chunks / 2,
+        "{few} allocations for {small} records, {many} for sixteen times as many"
+    );
 }

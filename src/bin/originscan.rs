@@ -105,14 +105,21 @@ fn scan_to_csv(
         cfg.probe_delay_s = run.probe_delay_s;
         cfg.concurrent_origins = run.origins.len() as u8;
         cfg.plan = plan.clone();
+        // Wall time is this tool's own speed (ZMap's `send: … p/s avg`);
+        // it goes to stderr only, so the CSV stays a function of the seed.
+        #[allow(clippy::disallowed_methods)]
+        let started = std::time::Instant::now();
         let out = run_scan(&net, &cfg)?;
+        let wall_s = started.elapsed().as_secs_f64();
         eprintln!(
-            "# {} {proto}: {} probes sent, {} responsive ({} plan-skipped), {} completed L7",
+            "# {} {proto}: {} probes sent, {} responsive ({} plan-skipped), {} completed L7; \
+             {wall_s:.3} s, {:.2} Mp/s avg",
             run.origins[0],
             out.summary.probes_sent,
             out.records.len(),
             out.summary.plan_skipped,
-            out.summary.l7_successes
+            out.summary.l7_successes,
+            out.summary.probes_sent as f64 / wall_s.max(1e-9) / 1e6
         );
         print!("{}", to_csv_all(&out.records));
     }

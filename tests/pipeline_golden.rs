@@ -18,7 +18,7 @@ use originscan::core::adversarial::{PolitenessProfile, TRIAL_SPAN_MULT};
 use originscan::core::experiment::{
     supervise_scan, Experiment, ExperimentConfig, OriginRun, RunStatus, SupervisorPolicy,
 };
-use originscan::core::frontier::{sweep_frontier, FrontierConfig};
+use originscan::core::frontier::{sweep_frontier_on, FrontierConfig};
 use originscan::core::summary::full_report;
 use originscan::netmodel::{
     AggressionProfile, DefenderNet, FaultPlan, OriginId, Protocol, SimNet, WorldConfig,
@@ -28,11 +28,16 @@ use originscan::scanner::engine::{run_scan, ScanConfig};
 use originscan::scanner::output::{to_csv_all, to_scan_set};
 use originscan::scanner::probe::modules;
 use originscan::scanner::rate::rate_for_duration;
+use originscan::scanner::target::{
+    IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+};
 use originscan::scanner::Blocklist;
 use originscan::serve::query::fnv1a64;
 use originscan::store::{ScanSetStore, StoreKey};
 use originscan::telemetry::metrics::names;
 use originscan::telemetry::{Scope, Telemetry, TelemetrySnapshot};
+use originscan::wire::icmp::IcmpEcho;
+use originscan::wire::tcp::TcpHeader;
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -195,6 +200,48 @@ fn planned_sharded_blocklisted(out: &mut String) {
     telemetry_lines(out, "planned_sharded_blocklisted", &hub.snapshot());
 }
 
+/// A `SimNet` behind a wrapper that forwards every probe and leaves
+/// `Network::order_free` at its default: a bare `run_scan` spreads over
+/// the cores against the net itself and steps through this, one address
+/// after another on one thread.
+struct Stepped<'a>(&'a SimNet<'a>);
+
+impl Network for Stepped<'_> {
+    fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+        self.0.syn(ctx, probe)
+    }
+    fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+        self.0.l7(ctx, request)
+    }
+    fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+        self.0.icmp(ctx, probe)
+    }
+    fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+        self.0.udp(ctx, payload)
+    }
+    fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, times: &[f64], out: &mut [SynReply]) {
+        self.0.syn_burst(ctx, probe, times, out);
+    }
+    fn icmp_burst(&self, ctx: &ProbeCtx, probe: &IcmpEcho, times: &[f64], out: &mut [IcmpReply]) {
+        self.0.icmp_burst(ctx, probe, times, out);
+    }
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], out: &mut [UdpReply]) {
+        self.0.udp_burst(ctx, payload, times, out);
+    }
+}
+
+/// The rows `lines` writes with bare `run_scan`s: once with the scans
+/// fanned out (through `net`) and once stepped (through [`Stepped`]),
+/// which must agree — so the golden file pins both loops.
+fn both_loops(out: &mut String, net: &SimNet<'_>, lines: impl Fn(&mut String, &dyn Network)) {
+    assert!(net.order_free() && !Stepped(net).order_free());
+    let (mut fanned, mut stepped) = (String::new(), String::new());
+    lines(&mut fanned, net);
+    lines(&mut stepped, &Stepped(net));
+    assert_eq!(fanned, stepped, "the fanned scan and the step loop differ");
+    out.push_str(&fanned);
+}
+
 /// One bare `run_scan` per registered probe module (the CLI `scan` path:
 /// no supervisor, checkpoints or telemetry): the positive-result count
 /// and every address and detail behind it. The only place the stateless
@@ -202,17 +249,16 @@ fn planned_sharded_blocklisted(out: &mut String) {
 fn every_module_single_origin(out: &mut String) {
     let world = WorldConfig::tiny(7).build();
     let net = SimNet::new(&world, &[OriginId::Us1], DUR_S);
-    for m in modules() {
-        let cfg = ScanConfig::new(world.space(), m.protocol(), 99);
-        let scan = run_scan(&net, &cfg).unwrap();
-        let scenario = format!("every_module_single_origin.{}", m.name());
-        let _ = writeln!(out, "{scenario}.l7_successes {}", scan.summary.l7_successes);
-        digest_lines(
-            out,
-            &scenario,
-            &[("csv", to_csv_all(&scan.records).as_bytes())],
-        );
-    }
+    both_loops(out, &net, |out, net| {
+        for m in modules() {
+            let cfg = ScanConfig::new(world.space(), m.protocol(), 99);
+            let scan = run_scan(net, &cfg).unwrap();
+            let scenario = format!("every_module_single_origin.{}", m.name());
+            let _ = writeln!(out, "{scenario}.l7_successes {}", scan.summary.l7_successes);
+            let csv = to_csv_all(&scan.records);
+            digest_lines(out, &scenario, &[("csv", csv.as_bytes())]);
+        }
+    });
 }
 
 /// The planner's promise on a sparse world (most /24s never deployed, as
@@ -223,19 +269,24 @@ fn every_module_single_origin(out: &mut String) {
 fn planner_frontier(out: &mut String) {
     let mut wc = WorldConfig::tiny(41);
     wc.density_scale = 0.05;
+    let world = wc.build();
     let cfg = FrontierConfig {
         seed: 41,
         ..FrontierConfig::default()
     };
-    let sweep = sweep_frontier(&wc.build(), &cfg).unwrap();
-    assert!(sweep
-        .cheapest_with_recall(0.95)
-        .is_some_and(|p| p.probes_frac <= 0.5));
-    digest_lines(
-        out,
-        "planner_frontier",
-        &[("render", sweep.render().as_bytes())],
+    let net = SimNet::new(
+        &world,
+        &cfg.origins,
+        originscan::core::experiment::TRIAL_DURATION_S,
     );
+    both_loops(out, &net, |out, net| {
+        let sweep = sweep_frontier_on(net, &world, &cfg).unwrap();
+        assert!(sweep
+            .cheapest_with_recall(0.95)
+            .is_some_and(|p| p.probes_frac <= 0.5));
+        let render = sweep.render();
+        digest_lines(out, "planner_frontier", &[("render", render.as_bytes())]);
+    });
 }
 
 #[test]
