@@ -32,7 +32,7 @@
 //! never a panic.
 
 use crate::container::{Container, ContainerKind, ARRAY_MAX, WORDS};
-use crate::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
+use crate::frame::{crc32, put_u16, put_u32, Cursor, FrameError};
 use crate::scanset::ScanSet;
 
 /// File magic: "OriginSCan Store".
@@ -115,23 +115,26 @@ pub struct ChunkDirEntry {
     pub payload_offset: u64,
 }
 
-/// Serialize a container payload.
+/// Append a container's payload ([`Container::payload_bytes`] bytes).
 pub fn encode_container(c: &Container, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + c.payload_bytes(), 0);
+    let payload = out.get_mut(start..).unwrap_or_default();
     match c {
         Container::Array(a) => {
-            for &v in a {
-                put_u16(out, v);
+            for (dst, v) in payload.chunks_exact_mut(2).zip(a) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         }
         Container::Bitmap(w) => {
-            for &word in w.iter() {
-                put_u64(out, word);
+            for (dst, word) in payload.chunks_exact_mut(8).zip(w.iter()) {
+                dst.copy_from_slice(&word.to_le_bytes());
             }
         }
         Container::Run(r) => {
-            for &(s, e) in r {
-                put_u16(out, s);
-                put_u16(out, e);
+            for (dst, (s, e)) in payload.chunks_exact_mut(4).zip(r) {
+                let ([s0, s1], [e0, e1]) = (s.to_le_bytes(), e.to_le_bytes());
+                dst.copy_from_slice(&[s0, s1, e0, e1]);
             }
         }
     }
@@ -208,17 +211,29 @@ pub fn decode_container(
     }
 }
 
-/// Serialize one scan set as an entry section (set header + directory +
-/// payloads).
-pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, FrameError> {
+/// Exactly how many bytes [`encode_set`] appends for `set`.
+pub fn encoded_set_len(set: &ScanSet) -> usize {
+    let payloads: usize = set.chunks().map(|(_, c)| c.payload_bytes()).sum();
+    SET_HEADER_LEN + set.chunk_count() * DIR_RECORD_LEN + payloads
+}
+
+/// Append one scan set to `out` as an entry section (set header +
+/// directory + payloads).
+pub fn encode_set(set: &ScanSet, out: &mut Vec<u8>) -> Result<(), FrameError> {
     let chunk_count = u32::try_from(set.chunk_count()).map_err(|_| FrameError::TooLarge {
         section: "chunk_count",
     })?;
-    let mut directory = Vec::with_capacity(set.chunk_count() * DIR_RECORD_LEN);
-    let mut payloads = Vec::new();
+    // The set header and directory come first but hold the payloads'
+    // checksums: leave a hole for them, encode each payload once, where
+    // it stays, and fill the hole last.
+    let hole = out.len();
+    let dir_len = set.chunk_count() * DIR_RECORD_LEN;
+    out.resize(hole + SET_HEADER_LEN + dir_len, 0);
+    let mut directory = Vec::with_capacity(dir_len);
     for (key, c) in set.chunks() {
-        let mut payload = Vec::with_capacity(c.payload_bytes());
-        encode_container(c, &mut payload);
+        let start = out.len();
+        encode_container(c, out);
+        let payload = out.get(start..).unwrap_or_default();
         let payload_len = u32::try_from(payload.len()).map_err(|_| FrameError::TooLarge {
             section: "chunk payload",
         })?;
@@ -227,29 +242,59 @@ pub fn encode_set(set: &ScanSet) -> Result<Vec<u8>, FrameError> {
         directory.push(0); // reserved
         put_u32(&mut directory, c.cardinality());
         put_u32(&mut directory, payload_len);
-        put_u32(&mut directory, crc32(&payload));
-        payloads.extend_from_slice(&payload);
+        put_u32(&mut directory, crc32(payload));
     }
-    let mut out = Vec::with_capacity(SET_HEADER_LEN + directory.len() + payloads.len());
-    put_u32(&mut out, chunk_count);
-    put_u32(&mut out, crc32(&directory));
-    out.extend_from_slice(&directory);
-    out.extend_from_slice(&payloads);
-    Ok(out)
+    let header = chunk_count
+        .to_le_bytes()
+        .into_iter()
+        .chain(crc32(&directory).to_le_bytes());
+    for (dst, byte) in out.iter_mut().skip(hole).zip(header.chain(directory)) {
+        *dst = byte;
+    }
+    Ok(())
 }
 
-/// Parse and verify an entry's set header and chunk directory, without
-/// touching payload bytes (the lazy loader's first step). Returns the
-/// directory with per-chunk payload offsets resolved.
-pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameError> {
-    let section = "chunk directory";
+/// An entry's parsed set header: the byte length of the chunk directory
+/// that follows it, and that directory's CRC-32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetHeader {
+    /// `chunk_count × DIR_RECORD_LEN`.
+    pub dir_len: usize,
+    /// CRC-32 the directory bytes must have.
+    pub dir_crc: u32,
+}
+
+/// Parse the [`SET_HEADER_LEN`] bytes an entry starts with.
+pub fn decode_set_header(bytes: &[u8]) -> Result<SetHeader, FrameError> {
     let mut head = Cursor::new(bytes, "set header");
     let chunk_count = head.u32()? as usize;
     let dir_crc = head.u32()?;
     let dir_len = chunk_count
         .checked_mul(DIR_RECORD_LEN)
-        .ok_or(FrameError::TooLarge { section })?;
-    let mut rec = Cursor::new(head.rest(), section).checked(dir_len, dir_crc)?;
+        .ok_or(FrameError::TooLarge {
+            section: "chunk directory",
+        })?;
+    Ok(SetHeader { dir_len, dir_crc })
+}
+
+/// Parse and verify an entry's set header and chunk directory, without
+/// touching payload bytes. Returns the directory with per-chunk payload
+/// offsets resolved.
+pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameError> {
+    let header = decode_set_header(bytes)?;
+    decode_directory(&header, bytes.get(SET_HEADER_LEN..).unwrap_or_default())
+}
+
+/// Verify and parse the chunk directory `after_header` starts with (the
+/// lazy loader reads just those `dir_len` bytes; anything past them is
+/// left alone).
+pub fn decode_directory(
+    header: &SetHeader,
+    after_header: &[u8],
+) -> Result<Vec<ChunkDirEntry>, FrameError> {
+    let section = "chunk directory";
+    let chunk_count = header.dir_len / DIR_RECORD_LEN;
+    let mut rec = Cursor::new(after_header, section).checked(header.dir_len, header.dir_crc)?;
     // `dir_len` bytes were present, so `chunk_count` is no larger than
     // the input allows.
     let mut dir = Vec::with_capacity(chunk_count);
@@ -384,13 +429,24 @@ pub fn describe() -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn set_roundtrip_all_kinds() {
-        // Array chunk, run chunk, bitmap chunk in one set.
+    /// `set` as an entry of its own.
+    fn encoded(set: &ScanSet) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_set(set, &mut out).unwrap();
+        out
+    }
+
+    /// Array chunk, run chunk, bitmap chunk in one set.
+    fn all_kinds_set() -> ScanSet {
         let mut addrs: Vec<u32> = vec![1, 5, 9]; // chunk 0: array
         addrs.extend(0x0001_0000u32..0x0001_8000); // chunk 1: run
         addrs.extend((0..20000u32).map(|v| 0x0002_0000 + v * 3)); // chunk 2: bitmap
-        let set = ScanSet::from_sorted(&addrs);
+        ScanSet::from_sorted(&addrs)
+    }
+
+    #[test]
+    fn set_roundtrip_all_kinds() {
+        let set = all_kinds_set();
         let kinds: Vec<ContainerKind> = set.chunks().map(|(_, c)| c.kind()).collect();
         assert_eq!(
             kinds,
@@ -400,20 +456,63 @@ mod tests {
                 ContainerKind::Bitmap
             ]
         );
-        let bytes = encode_set(&set).unwrap();
+        let bytes = encoded(&set);
         let back = decode_set(&bytes).unwrap();
         assert_eq!(back, set);
         // The decoded representation is identical, not just the set.
         let back_kinds: Vec<ContainerKind> = back.chunks().map(|(_, c)| c.kind()).collect();
         assert_eq!(back_kinds, kinds);
         // Re-encoding is byte-identical.
-        assert_eq!(encode_set(&back).unwrap(), bytes);
+        assert_eq!(encoded(&back), bytes);
+    }
+
+    #[test]
+    fn encoded_set_len_is_exactly_what_encode_set_appends() {
+        // Every other address: an array up to the 4096 cutoff, a bitmap
+        // past it.
+        let strided = |n: u32| ScanSet::from_sorted(&(0..n).map(|v| v * 2).collect::<Vec<_>>());
+        let sets = [
+            ScanSet::from_sorted(&[]),
+            ScanSet::from_sorted(&[1, 5, 9]),
+            ScanSet::from_sorted(&(0..0x8000).collect::<Vec<_>>()),
+            strided(20000),
+            all_kinds_set(),
+            strided(ARRAY_MAX as u32 - 1),
+            strided(ARRAY_MAX as u32),
+            strided(ARRAY_MAX as u32 + 1),
+        ];
+        let kinds: Vec<Vec<ContainerKind>> = sets
+            .iter()
+            .map(|set| set.chunks().map(|(_, c)| c.kind()).collect())
+            .collect();
+        use ContainerKind::{Array, Bitmap, Run};
+        assert_eq!(
+            kinds,
+            [
+                vec![],
+                vec![Array],
+                vec![Run],
+                vec![Bitmap],
+                vec![Array, Run, Bitmap],
+                vec![Array],
+                vec![Array],
+                vec![Bitmap]
+            ]
+        );
+        for set in &sets {
+            // Appending: what `out` already holds stays as it is.
+            let mut out = vec![0xAA; 3];
+            encode_set(set, &mut out).unwrap();
+            assert_eq!(out.len() - 3, encoded_set_len(set));
+            assert_eq!(out[..3], [0xAA; 3]);
+            assert_eq!(&decode_set(&out[3..]).unwrap(), set);
+        }
     }
 
     #[test]
     fn directory_is_readable_without_payloads() {
         let set = ScanSet::from_sorted(&[3, 0x0005_0001, 0x0005_0002]);
-        let bytes = encode_set(&set).unwrap();
+        let bytes = encoded(&set);
         let dir = decode_set_directory(&bytes).unwrap();
         assert_eq!(dir.len(), 2);
         assert_eq!(dir[0].key, 0);
@@ -425,7 +524,7 @@ mod tests {
     #[test]
     fn flipped_payload_byte_is_checksum_mismatch() {
         let set = ScanSet::from_sorted(&[10, 20, 30]);
-        let mut bytes = encode_set(&set).unwrap();
+        let mut bytes = encoded(&set);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         match decode_set(&bytes) {
@@ -439,7 +538,7 @@ mod tests {
     #[test]
     fn flipped_directory_byte_is_checksum_mismatch() {
         let set = ScanSet::from_sorted(&[10, 20, 30]);
-        let mut bytes = encode_set(&set).unwrap();
+        let mut bytes = encoded(&set);
         bytes[SET_HEADER_LEN] ^= 0x01;
         match decode_set_directory(&bytes) {
             Err(FrameError::ChecksumMismatch { section, .. }) => {
@@ -452,7 +551,7 @@ mod tests {
     #[test]
     fn truncated_entry_is_typed() {
         let set = ScanSet::from_sorted(&(0..100).collect::<Vec<u32>>());
-        let bytes = encode_set(&set).unwrap();
+        let bytes = encoded(&set);
         for cut in [1, SET_HEADER_LEN, SET_HEADER_LEN + 4, bytes.len() - 1] {
             match decode_set(&bytes[..cut]) {
                 Err(FrameError::Truncated { .. }) => {}
@@ -465,7 +564,7 @@ mod tests {
     fn invalid_structures_are_corrupt_errors() {
         // Unknown container code.
         let set = ScanSet::from_sorted(&[1, 2, 3]);
-        let mut bytes = encode_set(&set).unwrap();
+        let mut bytes = encoded(&set);
         bytes[SET_HEADER_LEN + 2] = 9; // kind byte of the first record
                                        // Fix the directory CRC so the code check is reached.
         let dir_end = SET_HEADER_LEN + DIR_RECORD_LEN;

@@ -103,8 +103,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Sixteen tables for slicing-by-16: `T[0]` is the bytewise table and
+/// `T[k][i]` is `T[0][i]` pushed through `k` further zero bytes.
+const fn make_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -117,21 +119,43 @@ const fn make_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 16] = make_crc_tables();
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
+/// CRC-32 (IEEE 802.3, reflected) over `data`, sixteen bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    // A `u8` cannot miss a 256-entry table, so `get` always hits (and
+    // compiles without a bounds check).
+    let at = |table: &[u32; 256], b: u8| table.get(usize::from(b)).copied().unwrap_or_default();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        // `idx` is masked to 0..=255, so `get` always hits.
-        crc = (crc >> 8) ^ CRC_TABLE.get(idx).copied().unwrap_or_default();
+    let mut steps = data.chunks_exact(16);
+    for step in &mut steps {
+        // The register meets the step's first four bytes; byte `i` then
+        // has `15 - i` more bytes to pass through.
+        let step = u128::from_le_bytes(step.try_into().unwrap_or_default());
+        let folded = (step ^ u128::from(crc)).to_le_bytes();
+        crc = (folded.iter().zip(CRC_TABLES.iter().rev()))
+            .fold(0, |acc, (&b, table)| acc ^ at(table, b));
+    }
+    let [bytewise, ..] = &CRC_TABLES;
+    for &b in steps.remainder() {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ at(bytewise, b ^ low);
     }
     !crc
 }
@@ -283,11 +307,86 @@ mod tests {
 
     const MAGIC: [u8; 4] = *b"TEST";
 
+    /// The raw register after `data`, one byte per lookup: the
+    /// definition the sliced tables are derived from.
+    fn crc32_register(init: u32, data: &[u8]) -> u32 {
+        data.iter().fold(init, |crc, &b| {
+            (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
+    /// CRC-32 folded a byte at a time (what `crc32` was before slicing).
+    fn crc32_reference(data: &[u8]) -> u32 {
+        !crc32_register(0xFFFF_FFFF, data)
+    }
+
+    /// `len` deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vectors() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
+        let ascending: Vec<u8> = (0x00..=0x1F).collect();
+        for (data, crc) in [
+            // The classic check value for CRC-32/IEEE.
+            (&b"123456789"[..], 0xCBF4_3926),
+            (b"", 0),
+            (&[0x00; 32], 0x190A_55AD),
+            (&[0xFF; 32], 0xFF6C_AB0B),
+            (&ascending, 0x9126_7E8A),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+        ] {
+            assert_eq!(crc32(data), crc, "{data:02x?}");
+            assert_eq!(crc32_reference(data), crc, "{data:02x?}");
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_definition_on_every_alignment() {
+        // Every head/tail split around the 16-byte step.
+        let buf = noise(16 + 96);
+        for start in 0..16 {
+            for len in 0..=96 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_reference(data),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let mib = noise(1 << 20);
+        assert_eq!(crc32(&mib), crc32_reference(&mib));
+        for fill in [0x00u8, 0xFF] {
+            for len in [15, 16, 17, 4096] {
+                let data = vec![fill; len];
+                assert_eq!(crc32(&data), crc32_reference(&data), "{len} × {fill:02x}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc_table_k_is_the_register_after_k_zero_bytes() {
+        for (k, table) in CRC_TABLES.iter().enumerate() {
+            for i in 0..=255u8 {
+                let mut data = vec![i];
+                data.resize(1 + k, 0);
+                assert_eq!(
+                    table[usize::from(i)],
+                    crc32_register(0, &data),
+                    "T[{k}][{i}]"
+                );
+            }
+        }
     }
 
     #[test]

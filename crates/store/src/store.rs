@@ -10,8 +10,8 @@
 //! a query actually touches it.
 
 use crate::format::{
-    decode_chunk, decode_set, decode_set_directory, encode_set, ChunkDirEntry, StoreError,
-    DIR_RECORD_LEN, HEADER_LEN, MAGIC, SET_HEADER_LEN, VERSION,
+    decode_chunk, decode_directory, decode_set, decode_set_header, encode_set, encoded_set_len,
+    ChunkDirEntry, StoreError, DIR_RECORD_LEN, HEADER_LEN, MAGIC, SET_HEADER_LEN, VERSION,
 };
 use crate::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 use crate::scanset::ScanSet;
@@ -155,31 +155,33 @@ impl ScanSetStore {
         let entry_count = u32::try_from(self.entries.len()).map_err(|_| FrameError::TooLarge {
             section: "entry_count",
         })?;
-        let mut blobs: Vec<(&StoreKey, Vec<u8>)> = Vec::with_capacity(self.entries.len());
+        // Lengths first: an entry's size is known before it is encoded,
+        // so the TOC and the image's exact size are too, and every byte
+        // is written once, in place.
         let mut toc_len = 0usize;
-        for (key, set) in &self.entries {
+        for key in self.entries.keys() {
             if key.protocol.len() > usize::from(u8::MAX) {
                 return Err(FrameError::TooLarge {
                     section: "protocol label",
                 }
                 .into());
             }
-            toc_len += 1 + key.protocol.len() + 1 + 2 + 8 + 8;
-            blobs.push((key, encode_set(set)?));
+            toc_len += TOC_RECORD_MIN_LEN + key.protocol.len();
         }
         let toc_len_u32 =
             u32::try_from(toc_len).map_err(|_| FrameError::TooLarge { section: "toc_len" })?;
         let mut toc = Vec::with_capacity(toc_len);
         let mut offset = (HEADER_LEN + toc_len) as u64;
-        for (key, blob) in &blobs {
+        for (key, set) in &self.entries {
+            let len = encoded_set_len(set) as u64;
             // Protocol length fits u8: checked above against u8::MAX.
             toc.push(u8::try_from(key.protocol.len()).unwrap_or(u8::MAX));
             toc.extend_from_slice(key.protocol.as_bytes());
             toc.push(key.trial);
             put_u16(&mut toc, key.origin);
             put_u64(&mut toc, offset);
-            put_u64(&mut toc, blob.len() as u64);
-            offset += blob.len() as u64;
+            put_u64(&mut toc, len);
+            offset += len;
         }
         let mut out = Vec::with_capacity(offset as usize);
         out.extend_from_slice(&MAGIC);
@@ -189,8 +191,8 @@ impl ScanSetStore {
         put_u32(&mut out, toc_len_u32);
         put_u32(&mut out, crc32(&toc));
         out.extend_from_slice(&toc);
-        for (_, blob) in &blobs {
-            out.extend_from_slice(blob);
+        for set in self.entries.values() {
+            encode_set(set, &mut out)?;
         }
         Ok(out)
     }
@@ -442,20 +444,16 @@ impl StoreReader {
     /// directory. Payloads load (and verify) on first touch, per chunk.
     pub fn lazy(&self, key: &StoreKey) -> Result<LazyScanSet<'_>, StoreError> {
         let rec = self.record(key)?;
-        // Directory length is implied by chunk_count in the set header.
-        let head = self.read_at(rec.offset, SET_HEADER_LEN, "set header")?;
-        let chunk_count = Cursor::new(&head, "set header").u32()? as usize;
-        let dir_len = chunk_count
-            .checked_mul(DIR_RECORD_LEN)
-            .ok_or(FrameError::TooLarge {
-                section: "chunk directory",
-            })?;
-        let head_and_dir = self.read_at(rec.offset, SET_HEADER_LEN + dir_len, "chunk directory")?;
-        let dir = decode_set_directory(&head_and_dir)?;
+        // The set header says how long the directory is; `read_at`
+        // refuses a length the file cannot hold before sizing a buffer.
+        let header = decode_set_header(&self.read_at(rec.offset, SET_HEADER_LEN, "set header")?)?;
+        let dir_at = rec.offset + SET_HEADER_LEN as u64;
+        let dir_bytes = self.read_at(dir_at, header.dir_len, "chunk directory")?;
+        let dir = decode_directory(&header, &dir_bytes)?;
         self.entries_opened.fetch_add(1, Ordering::Relaxed);
         Ok(LazyScanSet {
             reader: self,
-            payload_base: rec.offset + (SET_HEADER_LEN + dir_len) as u64,
+            payload_base: dir_at + header.dir_len as u64,
             entry_len: rec.len,
             dir,
             cache: RefCell::new(BTreeMap::new()),
@@ -682,6 +680,52 @@ mod tests {
         assert_eq!(back.to_bytes().unwrap(), a, "re-serialization is identity");
     }
 
+    /// The file image put together the long way round: each set encoded
+    /// into a `Vec` of its own, concatenated behind a hand-built TOC.
+    fn image_from_blobs(store: &ScanSetStore) -> Vec<u8> {
+        let blobs: Vec<Vec<u8>> = store
+            .iter()
+            .map(|(_, set)| {
+                let mut blob = Vec::new();
+                encode_set(set, &mut blob).unwrap();
+                blob
+            })
+            .collect();
+        let toc_len: usize = store.keys().map(|k| 1 + k.protocol.len() + 19).sum();
+        let mut toc = Vec::new();
+        let mut offset = (HEADER_LEN + toc_len) as u64;
+        for (key, blob) in store.keys().zip(&blobs) {
+            toc.push(key.protocol.len() as u8);
+            toc.extend_from_slice(key.protocol.as_bytes());
+            toc.push(key.trial);
+            toc.extend_from_slice(&key.origin.to_le_bytes());
+            toc.extend_from_slice(&offset.to_le_bytes());
+            toc.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            offset += blob.len() as u64;
+        }
+        assert_eq!(toc.len(), toc_len);
+        let mut image = b"OSCS\x01\0\0\0".to_vec();
+        image.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
+        image.extend_from_slice(&(toc_len as u32).to_le_bytes());
+        image.extend_from_slice(&crc32(&toc).to_le_bytes());
+        image.extend(toc);
+        image.extend(blobs.concat());
+        image
+    }
+
+    #[test]
+    fn one_buffer_image_equals_the_entry_by_entry_one() {
+        // TOC records of different size (`HTTP`, `SSH`, a long label),
+        // and an empty set: an entry that is a set header and nothing else.
+        let mut with_empty = sample_store();
+        with_empty.insert(StoreKey::new("ICMP-ECHO", 2, 6), ScanSet::from_sorted(&[]));
+        for store in [sample_store(), with_empty, ScanSetStore::new()] {
+            let bytes = store.to_bytes().unwrap();
+            assert_eq!(bytes, image_from_blobs(&store));
+            assert_eq!(bytes.capacity(), bytes.len(), "sized once, exactly");
+        }
+    }
+
     #[test]
     fn reader_loads_and_counts() {
         let store = sample_store();
@@ -748,11 +792,17 @@ mod tests {
         store.write_to(&path).unwrap();
         let reader = StoreReader::open(&path).unwrap();
         let key = StoreKey::new("HTTP", 0, 0);
+        let opened = reader.stats().bytes_read;
         let lazy = reader.lazy(&key).unwrap();
         let eager = store.get(&key).unwrap();
         assert_eq!(lazy.cardinality(), eager.cardinality());
         assert_eq!(lazy.chunk_count(), eager.chunk_count());
         assert_eq!(lazy.loaded_chunks(), 0, "directory reads load no payload");
+        assert_eq!(
+            reader.stats().bytes_read - opened,
+            (SET_HEADER_LEN + eager.chunk_count() * DIR_RECORD_LEN) as u64,
+            "the set header and the directory, each read once"
+        );
         // Touch one address: exactly one chunk loads.
         assert!(lazy.contains(0).unwrap());
         assert!(!lazy.contains(1).unwrap());

@@ -1,13 +1,15 @@
 //! Property tests for the compressed bitmap: set-operation kernels vs a
 //! naive `BTreeSet` oracle, serialize→deserialize roundtrip identity
 //! across all three container kinds — including the 4096-element
-//! promotion/demotion boundary — and the decoder's no-panic guarantee
-//! on arbitrary and damaged bytes.
+//! promotion/demotion boundary — the decoder's no-panic guarantee on
+//! arbitrary and damaged bytes, and the sliced CRC-32 against its
+//! bit-at-a-time definition.
 // Gated: runs only with `--features proptest` (vendored shim; see
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
 use originscan_store::format::MAGIC;
+use originscan_store::frame::crc32;
 use originscan_store::{ScanSet, ScanSetStore, StoreError, StoreKey, ARRAY_MAX, FORMAT_VERSION};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -53,6 +55,16 @@ fn store_bytes(set: ScanSet) -> Vec<u8> {
     let mut store = ScanSetStore::new();
     store.insert(StoreKey::new("HTTP", 0, 0), set);
     store.to_bytes().unwrap()
+}
+
+/// CRC-32/IEEE from its polynomial, one bit at a time: shares no table
+/// with the crate.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |crc, &b| {
+        (0..8).fold(crc ^ u32::from(b), |crc, _| {
+            (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1))
+        })
+    })
 }
 
 /// Strategy for the raw `(mode, raw)` pair lists.
@@ -261,5 +273,12 @@ proptest! {
             Ok(decoded) => prop_assert!(decoded.to_bytes().is_ok()),
             Err(e) => prop_assert!(matches!(e, StoreError::Frame(_)), "{}", e),
         }
+    }
+
+    /// The table-sliced `crc32` is the polynomial's CRC for any input
+    /// (every length mod 16, every byte value).
+    #[test]
+    fn crc32_matches_the_bit_at_a_time_definition(data in pvec(any::<u8>(), 0..4096)) {
+        prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
     }
 }
