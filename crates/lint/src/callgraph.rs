@@ -375,12 +375,33 @@ pub fn fn_bodies(ws: &Workspace) -> FnBodies {
 pub fn build(ws: &Workspace, files: &[SourceFile], bodies: &FnBodies) -> CallGraph {
     let resolver = Resolver::new(ws);
     let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(ws.fns.len());
-    // File-wide annotations (struct fields, other fns) type receivers
-    // that the fn-local scan cannot see — e.g. a `hits: AtomicU64` field
-    // types `self.hits.load(…)`. Locals override on collision.
+    // File-wide annotations (struct fields, consts, statics) type
+    // receivers that the fn-local scan cannot see — e.g. a `hits:
+    // AtomicU64` field types `self.hits.load(…)`. They come from the
+    // tokens outside every fn: another fn's params and `let`s say nothing
+    // about this one's names. Locals override on collision.
     let file_types: Vec<BTreeMap<String, String>> = files
         .iter()
-        .map(|f| type_bindings(&f.toks, 0..f.toks.len()))
+        .enumerate()
+        .map(|(file, f)| {
+            // `ws.fns` is in token order, so the gaps come out in order.
+            let mut fns: Vec<std::ops::Range<usize>> = ws
+                .fns
+                .iter()
+                .filter(|g| g.file == file)
+                .map(|g| g.sig.start..g.body.end.max(g.sig.end))
+                .collect();
+            fns.push(f.toks.len()..f.toks.len());
+            let mut types = BTreeMap::new();
+            let mut from = 0;
+            for r in fns {
+                if r.start > from {
+                    types.extend(type_bindings(&f.toks, from..r.start));
+                }
+                from = from.max(r.end);
+            }
+            types
+        })
         .collect();
     for (i, f) in ws.fns.iter().enumerate() {
         let toks = &files[f.file].toks;

@@ -189,6 +189,57 @@ fn trait_dispatch_links_all_candidate_methods() {
     assert!(v.chain[0].contains("launch"), "{}", v.chain[0]);
 }
 
+/// A `let w = Alpha::…` in one function does not type the `w` of
+/// another: there `w` is an untyped local (`let w = &self.beta;`), so
+/// `w.launch()` links every `launch` and the edge to the panicking
+/// `Beta::launch` survives. (A file-wide map once retyped it `Alpha` and
+/// dropped the edge: a false negative that a test's binding could cause.)
+#[test]
+fn let_bindings_type_receivers_in_their_own_function_only() {
+    let http = "//! Serve handlers.\n\
+                pub struct Holder {\n\
+                \x20   beta: Beta,\n\
+                }\n\
+                impl Holder {\n\
+                \x20   pub fn run(&self) -> u64 {\n\
+                \x20       let w = &self.beta;\n\
+                \x20       w.launch()\n\
+                \x20   }\n\
+                }\n\
+                pub fn warm() -> u64 {\n\
+                \x20   let w = Alpha::new();\n\
+                \x20   w.launch()\n\
+                }\n";
+    let probes = "//! Probe impls.\n\
+                  pub struct Alpha;\n\
+                  impl Alpha {\n\
+                  \x20   pub fn new() -> Self {\n\
+                  \x20       Alpha\n\
+                  \x20   }\n\
+                  \x20   pub fn launch(&self) -> u64 {\n\
+                  \x20       1\n\
+                  \x20   }\n\
+                  }\n\
+                  pub struct Beta;\n\
+                  impl Beta {\n\
+                  \x20   pub fn launch(&self) -> u64 {\n\
+                  \x20       unreachable!()\n\
+                  \x20   }\n\
+                  }\n";
+    let out = ws(&[
+        ("crates/serve/src/http.rs", http),
+        ("crates/stats/src/probe.rs", probes),
+    ]);
+    assert_eq!(out.len(), 1, "got:\n{}", render(&out));
+    let v = &out[0];
+    assert_eq!(v.rule, "reach-panic");
+    assert!(
+        v.chain[0].contains("Holder::run") && v.chain[0].contains("Beta::launch"),
+        "{}",
+        v.chain[0]
+    );
+}
+
 /// Recursive call chains terminate and still surface the panic at the
 /// end of the chain.
 #[test]

@@ -12,7 +12,9 @@
 //! - **Per-(source IP, AS) detectors** count probes over tumbling
 //!   simulated-time windows. Crossing the threshold trips a detection,
 //!   starts a block window, and escalates the block duration
-//!   geometrically on each repeat.
+//!   geometrically on each repeat. They sit in one dense table, a row of
+//!   the world's ASes per source IP, and a burst of probes to one address
+//!   passes through them under one lock.
 //! - **A reputation store keyed by origin** accumulates detections from
 //!   every AS. Crossing [`AggressionProfile::listing_threshold`] *lists*
 //!   the origin: from then on every defended probe is dropped, across
@@ -28,8 +30,9 @@
 
 use crate::world::World;
 use originscan_scanner::target::{
-    CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    burst_of, CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
+use originscan_scanner::MAX_PROBES;
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, MetricBatch, Scope, Telemetry};
 use originscan_wire::icmp::IcmpEcho;
@@ -37,9 +40,9 @@ use originscan_wire::tcp::TcpHeader;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-/// ICMP destination-unreachable code for "communication administratively
-/// prohibited" — what a visible defender sends for non-TCP probes.
-const CODE_ADMIN_PROHIBITED: u8 = 13;
+/// ICMP destination unreachable, "communication administratively
+/// prohibited": what a visible defender answers a blocked echo with.
+const ADMIN_PROHIBITED: IcmpReply = IcmpReply::Unreachable { code: 13 };
 
 /// How hard the defender swarm pushes back. One profile governs every
 /// AS-level detector plus the shared reputation store.
@@ -168,8 +171,12 @@ pub struct DefenseStats {
 /// Mutable swarm state: every detector, plus the shared reputation store.
 #[derive(Debug, Default)]
 struct SwarmState {
-    /// Detector per (scanner source IP, AS index).
-    detectors: BTreeMap<(u32, u32), DetectorState>,
+    /// Scanner source IPs in first-seen order: a source's slot is its
+    /// position here.
+    sources: Vec<u32>,
+    /// Detector per (source slot, AS index), at `slot × ASes + as_index`:
+    /// a source's row is allocated on its first probe.
+    detectors: Vec<DetectorState>,
     /// Detections accumulated per origin by the reputation store.
     origin_detections: BTreeMap<u16, u32>,
     /// Origins the reputation store has listed (never unlisted).
@@ -178,6 +185,21 @@ struct SwarmState {
     pending: DefenseStats,
     /// Counters since construction.
     total: DefenseStats,
+}
+
+impl SwarmState {
+    /// Where `src_ip`'s detector in `as_index` sits, allocating the
+    /// source's row of `ases` detectors on its first probe.
+    fn cell(&mut self, src_ip: u32, as_index: u32, ases: usize) -> usize {
+        let slot = self.sources.iter().position(|&s| s == src_ip);
+        let slot = slot.unwrap_or_else(|| {
+            self.sources.push(src_ip);
+            self.detectors
+                .resize(self.sources.len() * ases, DetectorState::default());
+            self.sources.len() - 1
+        });
+        slot * ases + as_index as usize
+    }
 }
 
 /// A [`Network`] wrapper that fronts the inner model with stateful
@@ -282,13 +304,18 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
         (u64::from(dst) < self.world.space()).then(|| self.world.as_index_of(dst))
     }
 
-    /// The reply a blocked probe gets: a valid RST when the profile
-    /// advertises its blocks, silence otherwise.
-    fn blocked_reply(&self, probe: &TcpHeader) -> SynReply {
+    /// Defense off: every call goes to the inner net untouched, no lock.
+    fn off(&self) -> bool {
+        self.profile.window_probes == 0 && self.profile.listing_threshold == 0
+    }
+
+    /// What a blocked probe gets: the `visible` refusal when the profile
+    /// advertises its blocks, `silent` otherwise.
+    fn refused<R>(&self, visible: R, silent: R) -> R {
         if self.profile.rst_on_block {
-            SynReply::Rst(TcpHeader::rst_reply(probe))
+            visible
         } else {
-            SynReply::Silent
+            silent
         }
     }
 
@@ -301,39 +328,43 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
         if st.listed.contains(&origin) {
             return true;
         }
-        st.detectors
-            .get(&(src_ip, as_index))
+        let ases = self.world.ases.len();
+        let slot = st.sources.iter().position(|&s| s == src_ip);
+        slot.and_then(|slot| st.detectors.get(slot * ases + as_index as usize))
             .is_some_and(|d| g < d.blocked_until)
     }
 
     /// Run one probe through the detector swarm, advancing windows,
-    /// block state, and the reputation store. Probe-flavour-agnostic: an
-    /// ICMP echo or a UDP datagram trips an IDS exactly like a SYN, so
-    /// every [`Network`] probe method shares this state machine and the
-    /// caller only renders `true` (blocked) into its own wire type.
-    fn gate_blocks_probe(&self, ctx: &ProbeCtx) -> bool {
+    /// block state, and the reputation store; `true` when it is blocked.
+    /// Probe-flavour-agnostic: an ICMP echo or a UDP datagram trips an
+    /// IDS exactly like a SYN, so every [`Network`] probe method, scalar
+    /// or burst, goes through this one state machine under the caller's
+    /// guard and only renders the verdict into its own wire type.
+    fn gate(&self, st: &mut SwarmState, ctx: &ProbeCtx) -> bool {
         let p = &self.profile;
         let Some(as_index) = self.defending_as(ctx.dst) else {
             return false;
         };
         let g = f64::from(ctx.trial) * self.duration_s + ctx.time_s;
-        let scope = Scope::new(ctx.protocol.name(), ctx.trial, ctx.origin);
-        let mut st = self.lock();
         if st.listed.contains(&ctx.origin) {
             st.pending.reputation_drops += 1;
             st.total.reputation_drops += 1;
             return true;
         }
-        let det = st.detectors.entry((ctx.src_ip, as_index)).or_default();
+        let cell = st.cell(ctx.src_ip, as_index, self.world.ases.len());
+        let Some(det) = st.detectors.get_mut(cell) else {
+            return false;
+        };
         if g < det.blocked_until {
             st.pending.blocked_probes += 1;
             st.total.blocked_probes += 1;
             return true;
         }
+        let scope = || Scope::new(ctx.protocol.name(), ctx.trial, ctx.origin);
         if det.in_block {
             det.in_block = false;
             if let Some(hub) = self.telemetry {
-                hub.emit(scope, ctx.time_s, EventKind::BlockEnded { as_index });
+                hub.emit(scope(), ctx.time_s, EventKind::BlockEnded { as_index });
             }
         }
         if g - det.window_start >= p.window_s {
@@ -341,98 +372,146 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
             det.window_count = 0;
         }
         det.window_count += 1;
-        if det.window_count > p.window_probes {
-            det.level = (det.level + 1).min(p.max_level);
-            let exp = (det.level - 1).min(30) as i32;
-            let block_s = p.block_base_s * p.escalation.powi(exp);
-            det.blocked_until = g + block_s;
-            det.in_block = true;
-            det.window_count = 0;
-            let level = det.level;
-            st.pending.detections += 1;
-            st.total.detections += 1;
-            st.pending.blocked_probes += 1;
-            st.total.blocked_probes += 1;
-            let n = st.origin_detections.entry(ctx.origin).or_insert(0);
-            *n += 1;
-            let n = *n;
-            let mut listed_now = false;
-            if p.listing_threshold > 0 && n >= p.listing_threshold && st.listed.insert(ctx.origin) {
-                st.pending.listings += 1;
-                st.total.listings += 1;
-                listed_now = true;
-            }
-            if let Some(hub) = self.telemetry {
-                hub.emit(
-                    scope,
-                    ctx.time_s,
-                    EventKind::ScanDetected { as_index, level },
-                );
-                hub.emit(
-                    scope,
-                    ctx.time_s,
-                    EventKind::BlockStarted { as_index, block_s },
-                );
-                if listed_now {
-                    hub.emit(scope, ctx.time_s, EventKind::OriginListed { detections: n });
-                }
-            }
-            return true;
+        if det.window_count <= p.window_probes {
+            return false;
         }
-        false
+        det.level = (det.level + 1).min(p.max_level);
+        let exp = (det.level - 1).min(30) as i32;
+        let block_s = p.block_base_s * p.escalation.powi(exp);
+        det.blocked_until = g + block_s;
+        det.in_block = true;
+        det.window_count = 0;
+        let level = det.level;
+        st.pending.detections += 1;
+        st.total.detections += 1;
+        st.pending.blocked_probes += 1;
+        st.total.blocked_probes += 1;
+        let n = st.origin_detections.entry(ctx.origin).or_insert(0);
+        *n += 1;
+        let n = *n;
+        let mut listed_now = false;
+        if p.listing_threshold > 0 && n >= p.listing_threshold && st.listed.insert(ctx.origin) {
+            st.pending.listings += 1;
+            st.total.listings += 1;
+            listed_now = true;
+        }
+        if let Some(hub) = self.telemetry {
+            let scope = scope();
+            hub.emit(
+                scope,
+                ctx.time_s,
+                EventKind::ScanDetected { as_index, level },
+            );
+            hub.emit(
+                scope,
+                ctx.time_s,
+                EventKind::BlockStarted { as_index, block_s },
+            );
+            if listed_now {
+                hub.emit(scope, ctx.time_s, EventKind::OriginListed { detections: n });
+            }
+        }
+        true
+    }
+
+    /// One probe, gated under its own guard: `blocked()` when the swarm
+    /// blocks it, `inner`'s reply otherwise. Every scalar probe method.
+    fn one<R>(&self, ctx: &ProbeCtx, blocked: impl Fn() -> R, inner: impl Fn(&ProbeCtx) -> R) -> R {
+        if !self.off() && self.gate(&mut self.lock(), ctx) {
+            blocked()
+        } else {
+            inner(ctx)
+        }
+    }
+
+    /// One burst, probe `i` at `times[i]` as `ctx.probe_idx + i`: gated in
+    /// send order under one guard, then answered by one `whole` inner
+    /// burst when no probe was blocked, or probe by probe (`blocked()` or
+    /// `inner`) when some were. Gating all before the inner net answers any
+    /// is the provided loop's order of effects only over an
+    /// [`Network::order_free`] inner net, and the mask holds [`MAX_PROBES`]
+    /// probes: any other burst takes the provided loop over [`Self::one`].
+    fn burst<R>(
+        &self,
+        ctx: &ProbeCtx,
+        times: &[f64],
+        out: &mut [R],
+        blocked: impl Fn() -> R,
+        inner: impl Fn(&ProbeCtx) -> R,
+        whole: impl FnOnce(&mut [R]),
+    ) {
+        if self.off() {
+            return whole(out);
+        }
+        let n = out.len().min(times.len());
+        if !self.inner.order_free() || n > MAX_PROBES {
+            return burst_of(ctx, times, out, |c| self.one(c, &blocked, &inner));
+        }
+        let mut mask = 0u8;
+        let mut st = self.lock();
+        for (&time_s, i) in times.iter().take(n).zip(0u8..) {
+            let probe = ProbeCtx {
+                time_s,
+                probe_idx: ctx.probe_idx.wrapping_add(i),
+                ..*ctx
+            };
+            mask |= u8::from(self.gate(&mut st, &probe)) << i;
+        }
+        drop(st);
+        if mask == 0 {
+            return whole(out);
+        }
+        burst_of(ctx, times, out, |c| {
+            let hit = mask & 1 != 0;
+            mask >>= 1;
+            if hit {
+                blocked()
+            } else {
+                inner(c)
+            }
+        });
     }
 }
 
 impl<N: Network + ?Sized> Network for DefenderNet<'_, N> {
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-        let p = &self.profile;
-        if p.window_probes == 0 && p.listing_threshold == 0 {
-            // Defense off: zero locks, byte-identical to the inner model.
-            return self.inner.syn(ctx, probe);
-        }
-        if self.gate_blocks_probe(ctx) {
-            return self.blocked_reply(probe);
-        }
-        self.inner.syn(ctx, probe)
+        let blocked = || self.refused(SynReply::Rst(TcpHeader::rst_reply(probe)), SynReply::Silent);
+        self.one(ctx, blocked, |c| self.inner.syn(c, probe))
     }
 
     fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
-        let p = &self.profile;
-        if p.window_probes == 0 && p.listing_threshold == 0 {
-            return self.inner.icmp(ctx, probe);
-        }
-        if self.gate_blocks_probe(ctx) {
-            // A visible defender refuses with an administratively-
-            // prohibited unreachable; a silent one just drops.
-            return if p.rst_on_block {
-                IcmpReply::Unreachable {
-                    code: CODE_ADMIN_PROHIBITED,
-                }
-            } else {
-                IcmpReply::Silent
-            };
-        }
-        self.inner.icmp(ctx, probe)
+        let blocked = || self.refused(ADMIN_PROHIBITED, IcmpReply::Silent);
+        self.one(ctx, blocked, |c| self.inner.icmp(c, probe))
     }
 
     fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
-        let p = &self.profile;
-        if p.window_probes == 0 && p.listing_threshold == 0 {
-            return self.inner.udp(ctx, payload);
-        }
-        if self.gate_blocks_probe(ctx) {
-            return if p.rst_on_block {
-                UdpReply::PortUnreachable
-            } else {
-                UdpReply::Silent
-            };
-        }
-        self.inner.udp(ctx, payload)
+        let blocked = || self.refused(UdpReply::PortUnreachable, UdpReply::Silent);
+        self.one(ctx, blocked, |c| self.inner.udp(c, payload))
+    }
+
+    fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, times: &[f64], out: &mut [SynReply]) {
+        let blocked = || self.refused(SynReply::Rst(TcpHeader::rst_reply(probe)), SynReply::Silent);
+        let inner = |c: &ProbeCtx| self.inner.syn(c, probe);
+        let whole = |o: &mut [SynReply]| self.inner.syn_burst(ctx, probe, times, o);
+        self.burst(ctx, times, out, blocked, inner, whole);
+    }
+
+    fn icmp_burst(&self, ctx: &ProbeCtx, probe: &IcmpEcho, times: &[f64], out: &mut [IcmpReply]) {
+        let blocked = || self.refused(ADMIN_PROHIBITED, IcmpReply::Silent);
+        let inner = |c: &ProbeCtx| self.inner.icmp(c, probe);
+        let whole = |o: &mut [IcmpReply]| self.inner.icmp_burst(ctx, probe, times, o);
+        self.burst(ctx, times, out, blocked, inner, whole);
+    }
+
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], out: &mut [UdpReply]) {
+        let blocked = || self.refused(UdpReply::PortUnreachable, UdpReply::Silent);
+        let inner = |c: &ProbeCtx| self.inner.udp(c, payload);
+        let whole = |o: &mut [UdpReply]| self.inner.udp_burst(ctx, payload, times, o);
+        self.burst(ctx, times, out, blocked, inner, whole);
     }
 
     fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
-        let p = &self.profile;
-        if p.window_probes == 0 && p.listing_threshold == 0 {
+        if self.off() {
             return self.inner.l7(ctx, request);
         }
         let Some(as_index) = self.defending_as(ctx.dst) else {
@@ -443,11 +522,7 @@ impl<N: Network + ?Sized> Network for DefenderNet<'_, N> {
             // A block that lands between handshake and application layer:
             // visible defenders reset the connection, silent ones let it
             // hang.
-            return if p.rst_on_block {
-                L7Reply::ConnClosed(CloseKind::Rst)
-            } else {
-                L7Reply::Timeout
-            };
+            return self.refused(L7Reply::ConnClosed(CloseKind::Rst), L7Reply::Timeout);
         }
         self.inner.l7(ctx, request)
     }
@@ -661,12 +736,7 @@ mod tests {
         // its own wire vocabulary.
         let mut ctx = probe_ctx(5, 120.0, 0, 0x0a00_0001);
         ctx.protocol = Protocol::Icmp;
-        assert_eq!(
-            defended.icmp(&ctx, &echo),
-            IcmpReply::Unreachable {
-                code: CODE_ADMIN_PROHIBITED
-            }
-        );
+        assert_eq!(defended.icmp(&ctx, &echo), ADMIN_PROHIBITED);
         ctx.protocol = Protocol::Dns;
         assert_eq!(defended.udp(&ctx, &[0u8; 12]), UdpReply::PortUnreachable);
     }

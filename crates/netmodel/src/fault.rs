@@ -34,7 +34,7 @@
 use crate::rng::{Det, Tag};
 use originscan_scanner::engine::{FaultAction, FaultCtx, FaultHook};
 use originscan_scanner::target::{
-    IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    burst_of, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, Scope, Telemetry};
@@ -306,8 +306,9 @@ impl FaultHook for PlanHook<'_> {
 /// faults in front of any inner network.
 ///
 /// Origins and trials the plan does not mention pass through *untouched*
-/// — the wrapper forwards the call verbatim — which is what makes the
-/// per-origin isolation guarantee structural rather than statistical.
+/// — the wrapper forwards the call verbatim, a burst as one burst —
+/// which is what makes the per-origin isolation guarantee structural
+/// rather than statistical.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultyNet<'a, N: Network + ?Sized> {
     inner: &'a N,
@@ -339,6 +340,28 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
     /// The wrapped plan.
     pub fn plan(&self) -> &'a FaultPlan {
         self.plan
+    }
+
+    /// One burst: forwarded to the inner net verbatim (`whole`) when the
+    /// plan leaves `ctx`'s scope alone (no outage window and no tampering
+    /// for its origin and trial), as every probe method then is; otherwise
+    /// the provided loop over `scalar`, since the outage telemetry and the
+    /// tamper draws are per probe, in send order.
+    fn burst<R>(
+        &self,
+        ctx: &ProbeCtx,
+        times: &[f64],
+        out: &mut [R],
+        scalar: impl FnMut(&ProbeCtx) -> R,
+        whole: impl FnOnce(&mut [R]),
+    ) {
+        if self.plan.has_outage(ctx.origin, ctx.trial)
+            || self.plan.tamper_for(ctx.origin, ctx.trial).is_some()
+        {
+            burst_of(ctx, times, out, scalar);
+        } else {
+            whole(out);
+        }
     }
 
     /// Outage check shared by every probe flavour: updates outage
@@ -494,6 +517,21 @@ impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
             }
         }
         reply
+    }
+
+    fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, times: &[f64], out: &mut [SynReply]) {
+        let whole = |o: &mut [SynReply]| self.inner.syn_burst(ctx, probe, times, o);
+        self.burst(ctx, times, out, |c| self.syn(c, probe), whole);
+    }
+
+    fn icmp_burst(&self, ctx: &ProbeCtx, probe: &IcmpEcho, times: &[f64], out: &mut [IcmpReply]) {
+        let whole = |o: &mut [IcmpReply]| self.inner.icmp_burst(ctx, probe, times, o);
+        self.burst(ctx, times, out, |c| self.icmp(c, probe), whole);
+    }
+
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], out: &mut [UdpReply]) {
+        let whole = |o: &mut [UdpReply]| self.inner.udp_burst(ctx, payload, times, o);
+        self.burst(ctx, times, out, |c| self.udp(c, payload), whole);
     }
 
     fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {

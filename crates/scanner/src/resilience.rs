@@ -411,12 +411,22 @@ mod tests {
         feed(&mut a, 1, true, false);
         feed(&mut a, 2, false, true);
         let snap = a.state().clone();
+        assert!(!snap.suspects.is_empty());
         let mut b = Controller::from_state(quick_policy(), 4, snap);
         for i in 0..200u32 {
-            let ra = a.observe(i, i % 7 == 0, i % 11 == 0, f64::from(i));
-            let rb = b.observe(i, i % 7 == 0, i % 11 == 0, f64::from(i));
+            // Deferral reads the checkpointed suspects: a quarantined /24
+            // defers after the resume too.
+            let (addr, t) = (i * 37, f64::from(i));
+            assert_eq!(
+                a.should_defer(addr, t),
+                b.should_defer(addr, t),
+                "addr {addr}"
+            );
+            let ra = a.observe(i, i % 7 == 0, i % 11 == 0, t);
+            let rb = b.observe(i, i % 7 == 0, i % 11 == 0, t);
             assert_eq!(ra, rb, "step {i}");
         }
+        assert!(a.state().deferred_total > 0);
         assert_eq!(a.state(), b.state());
     }
 }

@@ -152,8 +152,10 @@ pub enum UdpReply {
 
 /// The provided burst loop: write `one`'s answer to each probe of the
 /// burst into `replies`, probe `i` sent at `times[i]` as
-/// `ctx.probe_idx + i`.
-fn burst_of<R>(
+/// `ctx.probe_idx + i`. Public so that an override which must fall back
+/// to the provided behaviour (a stateful wrapper over a net that is not
+/// [`Network::order_free`]) calls this loop instead of copying it.
+pub fn burst_of<R>(
     ctx: &ProbeCtx,
     times: &[f64],
     replies: &mut [R],

@@ -201,6 +201,7 @@ impl Telemetry {
     /// Merge a locally-accumulated [`MetricBatch`] into the registry in a
     /// single lock acquisition. This is the hot-path contract: a scan
     /// accumulates into plain locals, builds one batch, and flushes once.
+    /// A histogram merges with one lookup however many values it holds.
     pub fn flush(&self, scope: Scope, batch: MetricBatch) {
         self.with_inner(|inner| {
             for (name, delta) in batch.counters {
@@ -209,8 +210,8 @@ impl Telemetry {
             for (name, value) in batch.gauges {
                 inner.registry.set_gauge(scope, name, value);
             }
-            for (name, bounds, value) in batch.observations {
-                inner.registry.observe(scope, name, bounds, value);
+            for (name, h) in batch.histograms {
+                inner.registry.merge(scope, name, &h);
             }
         });
     }
@@ -268,7 +269,7 @@ impl Telemetry {
 pub struct MetricBatch {
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, f64)>,
-    observations: Vec<(&'static str, &'static [f64], f64)>,
+    histograms: Vec<(&'static str, Histogram)>,
 }
 
 impl MetricBatch {
@@ -290,9 +291,19 @@ impl MetricBatch {
         self.gauges.push((name, value));
     }
 
-    /// Queue a histogram observation.
+    /// Fold an observation into the batch's one histogram for `name`.
+    /// Flushed into a (scope, name) the hub has not seen, that is
+    /// bit-exact with observing the values one by one (`0.0 + s == s`);
+    /// a later multi-value batch adds its partial sum, which may round
+    /// differently from adding the values singly.
     pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], value: f64) {
-        self.observations.push((name, bounds, value));
+        if let Some((_, h)) = self.histograms.iter_mut().find(|(n, _)| *n == name) {
+            h.observe(value);
+        } else {
+            let mut h = Histogram::new(bounds);
+            h.observe(value);
+            self.histograms.push((name, h));
+        }
     }
 }
 
@@ -576,6 +587,50 @@ mod tests {
         assert_eq!(s.gauge(sc(0), names::DURATION_SECONDS), Some(3.5));
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.histograms[0].counts.iter().sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn a_flushed_batch_is_its_values_observed_one_by_one() {
+        // Two histograms interleaved, values past the last bound, a NaN.
+        let frac = [0.05, 0.95, 3.0, 0.1, 0.7, 0.2];
+        let attempts = [1.0, f64::NAN, 12.0, 2.0, 1e300, 4.5];
+        let (batched, single) = (Telemetry::new(), Telemetry::new());
+        let mut b = MetricBatch::new();
+        for (&f, &a) in frac.iter().zip(&attempts) {
+            for (name, bounds, v) in [
+                (names::RESPONSE_FRAC, metrics::RESPONSE_FRAC_BOUNDS, f),
+                (names::L7_ATTEMPTS, metrics::L7_ATTEMPT_BOUNDS, a),
+            ] {
+                b.observe(name, bounds, v);
+                single.observe(sc(0), name, bounds, v);
+            }
+        }
+        batched.flush(sc(0), b);
+        let (got, want) = (batched.snapshot(), single.snapshot());
+        assert_eq!(got.histograms.len(), 2);
+        for (g, w) in got.histograms.iter().zip(&want.histograms) {
+            assert_eq!((g.name, g.bounds, &g.counts), (w.name, w.bounds, &w.counts));
+            assert_eq!(g.sum.to_bits(), w.sum.to_bits(), "{}", g.name);
+        }
+        assert_eq!(got.metrics_jsonl(), want.metrics_jsonl());
+    }
+
+    #[test]
+    fn a_later_batch_adds_its_partial_sum() {
+        let bounds = metrics::RESPONSE_FRAC_BOUNDS;
+        let t = Telemetry::new();
+        let mut first = MetricBatch::new();
+        first.observe(names::RESPONSE_FRAC, bounds, 0.1);
+        t.flush(sc(0), first);
+        let mut second = MetricBatch::new();
+        second.observe(names::RESPONSE_FRAC, bounds, 0.2);
+        second.observe(names::RESPONSE_FRAC, bounds, 0.3);
+        t.flush(sc(0), second);
+        let h = &t.snapshot().histograms[0];
+        assert_eq!(h.counts.iter().sum::<u64>(), 3);
+        // 0.1 + (0.2 + 0.3), not (0.1 + 0.2) + 0.3: the last bit differs.
+        assert_eq!(h.sum.to_bits(), (0.1 + (0.2 + 0.3f64)).to_bits());
+        assert_ne!(h.sum.to_bits(), (0.1 + 0.2 + 0.3f64).to_bits());
     }
 
     #[test]

@@ -321,6 +321,18 @@ impl Registry {
             .or_insert_with(|| Histogram::new(bounds))
             .observe(value);
     }
+
+    /// Merge a batch's histogram: counts add and sums add.
+    pub(crate) fn merge(&mut self, scope: Scope, name: &'static str, h: &Histogram) {
+        let into = self
+            .histograms
+            .entry((scope, name))
+            .or_insert_with(|| Histogram::new(h.bounds));
+        for (c, add) in into.counts.iter_mut().zip(&h.counts) {
+            *c = c.saturating_add(*add);
+        }
+        into.sum += h.sum;
+    }
 }
 
 /// One counter or gauge in a snapshot.
