@@ -19,12 +19,14 @@
 //! reads "fraction of what this scanner would have seen if nobody had
 //! pushed back".
 //!
-//! Determinism: cells run in parallel threads but share one [`Telemetry`]
-//! hub keyed by a per-cell origin index, and the hub's exports are
+//! Determinism: cells are jobs of one queue over the cores, in whatever
+//! order the workers take them, but share one [`Telemetry`] hub keyed by
+//! a per-cell origin index, and the hub's exports are
 //! canonically ordered — two same-seed sweeps produce byte-identical
 //! matrices and byte-identical telemetry JSONL (asserted by the
 //! integration suite).
 
+use crate::jobs;
 use crate::report::Table;
 use originscan_netmodel::defend::{AggressionProfile, DefenderNet, DefenseStats};
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
@@ -424,10 +426,16 @@ impl<'w> AdversarialSweep<'w> {
     }
 
     /// Run the full sweep. Cells (and each politeness profile's
-    /// undefended reference run) execute in parallel threads over one
-    /// telemetry hub; results are condensed in deterministic row-major
-    /// order.
+    /// undefended reference run) are jobs of one queue over the cores,
+    /// sharing one telemetry hub; results are condensed in deterministic
+    /// row-major order.
     pub fn run(&self) -> Result<AdversarialResults, AdversarialError> {
+        self.run_on(originscan_scanner::cores())
+    }
+
+    /// [`AdversarialSweep::run`] on `workers` threads; nothing it returns
+    /// depends on how many.
+    pub(crate) fn run_on(&self, workers: usize) -> Result<AdversarialResults, AdversarialError> {
         let cfg = &self.cfg;
         if cfg.politeness.is_empty() || cfg.aggression.is_empty() || cfg.trials == 0 {
             return Err(AdversarialError::EmptyConfig);
@@ -435,66 +443,38 @@ impl<'w> AdversarialSweep<'w> {
         // One job per cell, row-major, then one undefended reference per
         // politeness row. A job's position is its origin index — all the
         // same vantage, but each with its own telemetry scope.
-        let cell_keys = || {
-            cfg.politeness
-                .iter()
-                .flat_map(|p| cfg.aggression.iter().map(move |&a| (p, a)))
-        };
-        let reference_keys = cfg.politeness.iter().map(|p| (p, AggressionProfile::off()));
-        let mut jobs: Vec<_> = cell_keys()
-            .chain(reference_keys)
-            .map(|key| (key, None))
-            .collect();
-        let roster: Vec<OriginId> = vec![OriginId::Us1; jobs.len()];
-        let net = SimNet::new(self.world, &roster, cfg.duration_s);
-        let hub = Telemetry::new();
-        std::thread::scope(|s| {
-            for (idx, ((p, a), slot)) in jobs.iter_mut().enumerate() {
-                let (net, hub, p, a) = (&net, &hub, *p, *a);
-                s.spawn(move || {
-                    let origin = u16::try_from(idx).unwrap_or(u16::MAX);
-                    *slot = Some(self.run_cell(net, hub, origin, p, a));
-                });
-            }
-        });
-        let mut runs: Vec<CellRun> = Vec::with_capacity(jobs.len());
-        for (_, slot) in jobs {
-            match slot {
-                Some(Ok(run)) => runs.push(run),
-                Some(Err(e)) => return Err(e),
-                // The scoped threads always fill their slot; this arm is
-                // unreachable defensiveness.
-                None => return Err(AdversarialError::EmptyConfig),
-            }
-        }
-        let (cell_runs, reference_runs) = runs.split_at(cell_keys().count());
-        let reference: Vec<Vec<u64>> = reference_runs.iter().map(|run| run.l7.clone()).collect();
-        let snapshot = hub.into_snapshot();
-        // Each cell's keys again, with its politeness row's reference.
-        let cell_rows = cfg
+        let cell_keys = cfg
             .politeness
             .iter()
-            .zip(&reference)
-            .flat_map(|(p, row)| cfg.aggression.iter().map(move |a| (p, a, row)));
-        let cells = cell_rows
-            .zip(cell_runs)
+            .flat_map(|p| cfg.aggression.iter().map(move |&a| (p, a)));
+        let reference_keys = cfg.politeness.iter().map(|p| (p, AggressionProfile::off()));
+        let queue: Vec<_> = cell_keys
+            .chain(reference_keys)
             .enumerate()
-            .map(|(idx, ((p, a, reference_row), run))| {
-                let origin = u16::try_from(idx).unwrap_or(u16::MAX);
-                let coverage = run
-                    .l7
-                    .iter()
-                    .zip(reference_row)
-                    .map(|(&got, &reference)| {
-                        if reference == 0 {
-                            // An empty reference means there was nothing
-                            // to lose.
-                            1.0
-                        } else {
-                            got as f64 / reference as f64
-                        }
-                    })
-                    .collect();
+            .map(|(idx, (p, a))| (u16::try_from(idx).unwrap_or(u16::MAX), p, a))
+            .collect();
+        let roster: Vec<OriginId> = vec![OriginId::Us1; queue.len()];
+        let net = SimNet::new(self.world, &roster, cfg.duration_s);
+        let hub = Telemetry::new();
+        let runs = jobs::run(&queue, workers, |&(origin, p, a)| {
+            self.run_cell(&net, &hub, origin, p, a)
+        });
+        let mut runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let reference_runs = runs.split_off(cfg.politeness.len() * cfg.aggression.len());
+        let reference: Vec<Vec<u64>> = reference_runs.into_iter().map(|run| run.l7).collect();
+        let snapshot = hub.into_snapshot();
+        // Each cell's run and key, with its politeness row's reference.
+        let rows = runs.chunks(cfg.aggression.len()).zip(&reference);
+        let cells = rows
+            .flat_map(|(row, r)| row.iter().map(move |run| (run, r)))
+            .zip(&queue)
+            .map(|((run, reference_row), &(origin, p, a))| {
+                // An empty reference means there was nothing to lose.
+                let ratio = |(&got, &reference): (&u64, &u64)| match reference {
+                    0 => 1.0,
+                    _ => got as f64 / reference as f64,
+                };
+                let coverage = run.l7.iter().zip(reference_row).map(ratio).collect();
                 let counter_sum = |name: &'static str| -> u64 {
                     (0..cfg.trials)
                         .map(|t| snapshot.counter(Scope::new(cfg.protocol.name(), t, origin), name))
@@ -619,6 +599,26 @@ mod tests {
         assert!(lines[1].starts_with("baseline\t1.000000\t"));
         assert!(lines[2].starts_with("adaptive\t1.000000\t"));
         assert!(!r.render().is_empty());
+    }
+
+    #[test]
+    fn the_worker_count_changes_no_byte() {
+        let world = WorldConfig::tiny(41).build();
+        // Short trials, so the aggressive column's detectors trip.
+        let cfg = AdversarialConfig {
+            trials: 2,
+            duration_s: 6.0 * 3600.0,
+            ..quick_cfg()
+        };
+        let sweep = AdversarialSweep::new(&world, cfg);
+        let bytes = |workers| {
+            let r = sweep.run_on(workers).unwrap();
+            let cells = format!("{:?}", r.cells());
+            (r.matrix_tsv(), cells, r.telemetry().to_jsonl())
+        };
+        let inline = bytes(1);
+        assert!(inline.1.contains("Listed"), "no defender engaged");
+        assert!(bytes(4) == inline, "4 workers differ from 1");
     }
 
     #[test]

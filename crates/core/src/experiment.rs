@@ -4,8 +4,9 @@
 //! the *same ZMap seed*, so every scanner visits the same addresses at
 //! approximately the same moment. We reproduce that literally: one scan
 //! configuration per (protocol, trial), cloned per origin with only the
-//! origin identity (and its source-IP count) changed, run in parallel
-//! threads, then condensed into per-trial ground-truth matrices.
+//! origin identity (and its source-IP count) changed. Every trial's scans
+//! share one job queue over the cores, and the worker that finishes a
+//! trial's last origin condenses it into its ground-truth matrix.
 //!
 //! # Supervision
 //!
@@ -28,6 +29,7 @@
 //!   their retries are *excluded from ground truth* rather than
 //!   invalidating the trial.
 
+use crate::jobs;
 use crate::matrix::TrialMatrix;
 use crate::results::ExperimentResults;
 use originscan_netmodel::fault::{FaultPlan, FaultyNet, InjectedFault};
@@ -36,11 +38,13 @@ use originscan_scanner::engine::{
     run_scan_session, CheckpointStore, FaultHook, ScanConfig, ScanOutput, ScanSession,
 };
 use originscan_scanner::error::ScanError;
+use originscan_scanner::rate::rate_for_duration;
 use originscan_scanner::target::Network;
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, Scope, ScopedTelemetry, Telemetry};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// Simulated trial duration: the paper's trials took ≈ 21 hours.
 pub const TRIAL_DURATION_S: f64 = 21.0 * 3600.0;
@@ -423,31 +427,76 @@ impl<'w> Experiment<'w> {
     /// to simulated time and canonically ordered, so two runs of the same
     /// configuration carry byte-identical telemetry.
     pub fn run(&self) -> Result<ExperimentResults<'w>, ExperimentError> {
+        self.run_on(originscan_scanner::cores())
+    }
+
+    /// [`Experiment::run`] on `workers` threads; nothing it returns
+    /// depends on how many.
+    pub(crate) fn run_on(&self, workers: usize) -> Result<ExperimentResults<'w>, ExperimentError> {
         let cfg = &self.cfg;
         if cfg.origins.is_empty() || cfg.protocols.is_empty() || cfg.trials == 0 {
             return Err(ExperimentError::EmptyConfig);
         }
         let hub = Telemetry::new();
-        let mut matrices = Vec::new();
-        for &proto in &cfg.protocols {
-            for trial in 0..cfg.trials {
-                let runs = self.run_trial(proto, trial, &hub);
-                if runs.iter().all(|r| r.output.is_none()) {
-                    return Err(ExperimentError::AllOriginsFailed {
-                        protocol: proto,
-                        trial,
-                    });
-                }
-                matrices.push(TrialMatrix::build_supervised(
-                    self.world,
-                    proto,
-                    trial,
-                    &cfg.origins,
-                    &runs,
-                    cfg.duration_s,
-                ));
+        // One net for every trial: its path table is keyed by the trial.
+        let sim = SimNet::new(self.world, &cfg.origins, cfg.duration_s);
+        let plan = cfg.faults.as_ref().filter(|p| !p.is_empty());
+        let faulty = plan.map(|p| FaultyNet::new(&sim, p, cfg.duration_s).with_telemetry(&hub));
+        let net: &dyn Network = match &faulty {
+            Some(f) => f,
+            None => &sim,
+        };
+        let plan_hook = plan.map(|p| p.hook(cfg.duration_s));
+        let hook = plan_hook.as_ref().map(|h| h as &dyn FaultHook);
+        // Each (protocol, trial) with its finished origins' runs.
+        let n = cfg.origins.len();
+        let trials: Vec<_> = cfg
+            .protocols
+            .iter()
+            .flat_map(|&p| (0..cfg.trials).map(move |t| ((p, t), Mutex::new(vec![None; n]))))
+            .collect();
+        // Trial-major: a trial's origins are consecutive jobs, and the one
+        // to finish last condenses the trial and drops its records.
+        let queue: Vec<_> = trials
+            .iter()
+            .flat_map(|t| (0..n).map(move |i| (t, i)))
+            .collect();
+        let condensed = jobs::run(&queue, workers, |&(t, i)| {
+            let &((protocol, trial), ref finished) = t;
+            let scan = self.scan_config(protocol, trial, i);
+            let mut run = supervise_scan(net, &scan, hook, &cfg.policy, Some(&hub));
+            // Network-level faults degrade results without killing the
+            // process; classify them from the plan.
+            let fault = plan.and_then(|p| p.degradation(scan.origin, trial));
+            if let (Some(out), Some(fault)) = (&run.output, fault) {
+                let kind = match fault {
+                    InjectedFault::Outage => "outage",
+                    InjectedFault::ReplyTamper => "reply-tamper",
+                };
+                let scope = Scope::new(protocol.name(), trial, scan.origin);
+                let event = EventKind::OriginDegraded { fault: kind };
+                hub.emit(scope, out.summary.duration_s, event);
+                // A run with output took one attempt, or resumed after the rest.
+                let retries = run.attempts - 1;
+                run.status = RunStatus::Degraded { fault, retries };
             }
-        }
+            let mut slots = finished.lock().unwrap_or_else(PoisonError::into_inner);
+            slots[i] = Some(run);
+            if slots.iter().any(Option::is_none) {
+                return None;
+            }
+            let runs: Vec<OriginRun> = std::mem::take(&mut *slots).into_iter().flatten().collect();
+            drop(slots);
+            if runs.iter().all(|r| r.output.is_none()) {
+                return Some(Err(ExperimentError::AllOriginsFailed { protocol, trial }));
+            }
+            let (world, origins, duration_s) = (self.world, &cfg.origins, cfg.duration_s);
+            Some(Ok(TrialMatrix::build_supervised(
+                world, protocol, trial, origins, &runs, duration_s,
+            )))
+        });
+        // In job order, so the first dead trial is the error.
+        let matrices = condensed.into_iter().flatten().collect::<Result<_, _>>()?;
         Ok(ExperimentResults::new(
             self.world,
             cfg.clone(),
@@ -456,93 +505,24 @@ impl<'w> Experiment<'w> {
         ))
     }
 
-    /// Run one (protocol, trial) across all origins, in parallel, each
-    /// under its own supervisor.
-    fn run_trial(&self, proto: Protocol, trial: u8, hub: &Telemetry) -> Vec<OriginRun> {
+    /// The scan origin number `origin` runs in one (protocol, trial).
+    fn scan_config(&self, proto: Protocol, trial: u8, origin: usize) -> ScanConfig {
         let cfg = &self.cfg;
-        let world = self.world;
-        let net = SimNet::new(world, &cfg.origins, cfg.duration_s);
-        let plan = cfg.faults.as_ref().filter(|p| !p.is_empty());
-        let faulty = plan.map(|p| FaultyNet::new(&net, p, cfg.duration_s).with_telemetry(hub));
-        let net_ref: &dyn Network = match &faulty {
-            Some(f) => f,
-            None => &net,
-        };
-        let plan_hook = plan.map(|p| p.hook(cfg.duration_s));
-        let hook = plan_hook.as_ref().map(|h| h as &dyn FaultHook);
-        let space = world.space();
-        let rate = originscan_scanner::rate::rate_for_duration(
-            space * u64::from(cfg.probes),
-            cfg.duration_s,
-        );
-        let scan_cfg_for = |origin_idx: usize| -> ScanConfig {
-            let spec = cfg.origins[origin_idx].spec();
-            let mut c = ScanConfig::new(space, proto, cfg.base_seed + u64::from(trial));
-            c.origin = origin_idx as u16;
-            c.trial = trial;
-            c.probes = cfg.probes;
-            c.rate_pps = rate;
-            c.l7_retries = cfg.l7_retries;
-            c.probe_delay_s = cfg.probe_delay_s;
-            c.concurrent_origins = cfg.origins.len() as u8;
-            c.wire_check = cfg.wire_check;
-            // US₆₄: a contiguous block of source addresses.
-            c.source_ips = (0..spec.source_ips)
-                .map(|i| 0x0a00_0100u32 + u32::from(i))
-                .collect();
-            c
-        };
-        let n = cfg.origins.len();
-        let mut runs: Vec<Option<OriginRun>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            for (i, slot) in runs.iter_mut().enumerate() {
-                let c = scan_cfg_for(i);
-                s.spawn(move || {
-                    *slot = Some(supervise_scan(net_ref, &c, hook, &cfg.policy, Some(hub)));
-                });
-            }
-        });
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                // `supervise_scan` cannot unwind, so the slot is always
-                // filled; the fallback is pure defensiveness.
-                let mut run = slot.unwrap_or(OriginRun {
-                    status: RunStatus::Failed {
-                        cause: FailCause::Panicked,
-                    },
-                    attempts: 0,
-                    sim_backoff_s: 0.0,
-                    output: None,
-                });
-                // Network-level faults degrade results without killing
-                // the process; classify them from the plan.
-                if run.output.is_some() {
-                    if let Some(fault) = plan.and_then(|p| p.degradation(i as u16, trial)) {
-                        let retries = match run.status {
-                            RunStatus::Resumed { retries } => retries,
-                            _ => 0,
-                        };
-                        run.status = RunStatus::Degraded { fault, retries };
-                        let duration_s = run
-                            .output
-                            .as_ref()
-                            .map_or(cfg.duration_s, |o| o.summary.duration_s);
-                        hub.emit(
-                            Scope::new(proto.name(), trial, i as u16),
-                            duration_s,
-                            EventKind::OriginDegraded {
-                                fault: match fault {
-                                    InjectedFault::Outage => "outage",
-                                    InjectedFault::ReplyTamper => "reply-tamper",
-                                },
-                            },
-                        );
-                    }
-                }
-                run
-            })
-            .collect()
+        let space = self.world.space();
+        let mut c = ScanConfig::new(space, proto, cfg.base_seed + u64::from(trial));
+        c.origin = origin as u16;
+        c.trial = trial;
+        c.probes = cfg.probes;
+        c.rate_pps = rate_for_duration(space * u64::from(cfg.probes), cfg.duration_s);
+        c.l7_retries = cfg.l7_retries;
+        c.probe_delay_s = cfg.probe_delay_s;
+        c.concurrent_origins = cfg.origins.len() as u8;
+        c.wire_check = cfg.wire_check;
+        // US₆₄: a contiguous block of source addresses.
+        c.source_ips = (0..cfg.origins[origin].spec().source_ips)
+            .map(|i| 0x0a00_0100u32 + u32::from(i))
+            .collect();
+        c
     }
 }
 
@@ -880,6 +860,65 @@ mod tests {
                 trial: 0
             }
         );
+    }
+
+    #[test]
+    fn the_first_dead_trial_is_the_error_at_any_worker_count() {
+        let world = WorldConfig::tiny(3).build();
+        // The only origin dies in trials 1 and 2: late in 1, at once in 2,
+        // so with company trial 2 is usually condensed first.
+        let plan = FaultPlan::new(2)
+            .crash(0, 1, 0.9, u32::MAX)
+            .crash(0, 2, 0.0, u32::MAX);
+        let cfg = ExperimentConfig {
+            origins: vec![OriginId::Us1],
+            protocols: vec![Protocol::Http],
+            trials: 3,
+            faults: Some(plan),
+            ..Default::default()
+        };
+        let experiment = Experiment::new(&world, cfg);
+        for workers in [1, 2, 3, 4] {
+            assert_eq!(
+                experiment.run_on(workers).unwrap_err(),
+                ExperimentError::AllOriginsFailed {
+                    protocol: Protocol::Http,
+                    trial: 1
+                },
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn the_worker_count_changes_no_byte() {
+        let world = WorldConfig::tiny(29).build();
+        // An outage, a crash and resume, a stall and tampered replies,
+        // over two protocols and two trials: twelve jobs.
+        let plan = FaultPlan::new(11)
+            .outage(1, 0, 0.4, 0.6)
+            .crash(2, 0, 0.5, 1)
+            .stall(0, 1, 0.3, 45.0)
+            .corrupt_replies(1, 0, 0.02)
+            .duplicate_replies(1, 0, 0.02);
+        let cfg = ExperimentConfig {
+            origins: vec![OriginId::Us1, OriginId::Germany, OriginId::Japan],
+            protocols: vec![Protocol::Http, Protocol::Ssh],
+            trials: 2,
+            faults: Some(plan),
+            ..Default::default()
+        };
+        let experiment = Experiment::new(&world, cfg);
+        let bytes = |workers| {
+            let r = experiment.run_on(workers).unwrap();
+            (format!("{:?}", r.matrices()), r.telemetry().to_jsonl())
+        };
+        let inline = bytes(1);
+        for kind in ["Degraded", "Resumed"] {
+            assert!(inline.0.contains(kind), "no {kind} run");
+        }
+        assert!(inline.1.contains("stall"), "no stall");
+        assert!(bytes(4) == inline, "4 workers differ from 1");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod diff;
 pub mod exclusivity;
 pub mod experiment;
 pub mod frontier;
+mod jobs;
 pub mod matrix;
 pub mod modules;
 pub mod multiorigin;

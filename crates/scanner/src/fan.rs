@@ -48,7 +48,7 @@ pub(crate) fn open_loop(net: &dyn Network, cfg: &ScanConfig, session: &ScanSessi
 /// Workers for `cfg`: one per core, but no more than its shard has
 /// chunks — a scan of one chunk spawns nothing.
 pub(crate) fn threads(cfg: &ScanConfig) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = crate::cores();
     let chunks = (cfg.space / cfg.shard.1.max(1)).div_ceil(CHUNK as u64);
     cores.min(usize::try_from(chunks).unwrap_or(cores)).max(1)
 }

@@ -58,3 +58,9 @@ pub use target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,
 };
 pub use zgrab::{GrabResult, L7Detail, L7Outcome, SshSoftware};
+
+/// Threads this process can run at once (1 when the OS will not say): the
+/// one place a fanned scan and an experiment's job queue size themselves.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}

@@ -108,7 +108,7 @@ fn probe_path_allocates_a_constant_per_scan() {
     // of 4096 addresses, and a worker costs its thread and its buffers.
     // The smaller scan gives every core four chunks, so both scans run the
     // same workers and differ in addresses — and chunks — alone.
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = originscan_scanner::cores();
     let small = 4 * (cores as u64 * 4096).next_power_of_two();
     let extra_chunks = 15 * small / 4096;
     for order_free in [false, true] {
