@@ -207,7 +207,8 @@ impl SwarmState {
 ///
 /// Interior mutability keeps the [`Network`] trait's `&self` contract;
 /// the mutex is uncontended in the deterministic single-threaded scans
-/// the co-simulation runs per sweep cell.
+/// the co-simulation runs per sweep cell. [`Network::silent`] stays
+/// `false`: the detectors count probes to unused addresses too.
 #[derive(Debug)]
 pub struct DefenderNet<'a, N: Network + ?Sized> {
     inner: &'a N,

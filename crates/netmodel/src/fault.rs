@@ -342,11 +342,18 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         self.plan
     }
 
-    /// One burst: forwarded to the inner net verbatim (`whole`) when the
-    /// plan leaves `ctx`'s scope alone (no outage window and no tampering
-    /// for its origin and trial), as every probe method then is; otherwise
-    /// the provided loop over `scalar`, since the outage telemetry and the
-    /// tamper draws are per probe, in send order.
+    /// Does the plan leave `ctx`'s scope alone (no outage window and no
+    /// tampering for its origin and trial)? Then every probe method
+    /// forwards to the inner net verbatim.
+    fn untouched(&self, ctx: &ProbeCtx) -> bool {
+        !self.plan.has_outage(ctx.origin, ctx.trial)
+            && self.plan.tamper_for(ctx.origin, ctx.trial).is_none()
+    }
+
+    /// One burst: forwarded to the inner net verbatim (`whole`) in an
+    /// [`untouched`](Self::untouched) scope; otherwise the provided loop
+    /// over `scalar`, since the outage telemetry and the tamper draws are
+    /// per probe, in send order.
     fn burst<R>(
         &self,
         ctx: &ProbeCtx,
@@ -355,12 +362,10 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         scalar: impl FnMut(&ProbeCtx) -> R,
         whole: impl FnOnce(&mut [R]),
     ) {
-        if self.plan.has_outage(ctx.origin, ctx.trial)
-            || self.plan.tamper_for(ctx.origin, ctx.trial).is_some()
-        {
-            burst_of(ctx, times, out, scalar);
-        } else {
+        if self.untouched(ctx) {
             whole(out);
+        } else {
+            burst_of(ctx, times, out, scalar);
         }
     }
 
@@ -446,6 +451,12 @@ fn tamper_key(ctx: &ProbeCtx) -> [u64; 4] {
 }
 
 impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
+    /// The inner net's answer in an untouched scope: an outage scope counts
+    /// the probes it silences and a tampered one draws per probe.
+    fn silent(&self, ctx: &ProbeCtx) -> bool {
+        self.untouched(ctx) && self.inner.silent(ctx)
+    }
+
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         if self.probe_outage(ctx) {
             return SynReply::Silent;

@@ -36,6 +36,7 @@ use crate::policy::defender::{self, DefenseQuery, Verdict};
 use crate::policy::{geo_restrict, maxstartups};
 use crate::rng::Tag;
 use crate::world::{proto_slot, World, PROTO_SLOTS};
+use originscan_scanner::probe::PAPER_PROTOCOLS;
 use originscan_scanner::target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
@@ -173,7 +174,7 @@ impl<'w> SimNet<'w> {
             // Machine may still exist running another service: closed port.
             // Deliberately checks the paper's TCP trio only (the keyed
             // draws below feed the byte-reproducible trio scans).
-            let other_service = originscan_scanner::probe::PAPER_PROTOCOLS
+            let other_service = PAPER_PROTOCOLS
                 .into_iter()
                 .any(|p| p != proto && w.is_host(p, addr) && w.alive(p, addr, trial));
             if other_service
@@ -469,6 +470,17 @@ impl Network for SimNet<'_> {
     /// Every reply is a keyed draw over the call's arguments and the world.
     fn order_free(&self) -> bool {
         true
+    }
+
+    /// No host of the probed protocol and no machine of the TCP trio at
+    /// `ctx.dst`: `HostState::Absent` at every send time, which SYN and
+    /// UDP probes meet with silence. Never for ICMP, whose missing
+    /// machines a last-hop router may answer for.
+    fn silent(&self, ctx: &ProbeCtx) -> bool {
+        let (w, dst) = (self.world, ctx.dst);
+        ctx.protocol != Protocol::Icmp
+            && !w.is_host(ctx.protocol, dst)
+            && !PAPER_PROTOCOLS.into_iter().any(|p| w.is_host(p, dst))
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
@@ -1006,6 +1018,72 @@ mod tests {
             }
         }
         assert!(burst_changes > 0, "no burst saw an outage window open");
+    }
+
+    /// Every address, protocol, origin and trial of a tiny world: where
+    /// `silent` holds, the protocol's burst, sent at the start, middle and
+    /// end of the scan, gets no reply. `silent` never holds for ICMP and
+    /// holds for most of the HTTP space, so the engine's short-cut fires.
+    #[test]
+    fn silent_addresses_answer_no_burst() {
+        const N: usize = 3;
+        let w = WorldConfig::tiny(7).build();
+        let roster: Vec<OriginId> = OriginId::MAIN
+            .into_iter()
+            .chain(OriginId::FOLLOW_UP)
+            .chain([OriginId::Carinet])
+            .collect();
+        let net = SimNet::new(&w, &roster, 75_600.0);
+        let times = [0.0, net.duration_s() / 2.0, net.duration_s()];
+        let query = dns::a_query(7, "origin-scan.example.com").unwrap();
+        let (mut silent_icmp, mut silent_http) = (0u64, 0u64);
+        for dst in 0..w.space() as u32 {
+            let syn = TcpHeader::syn_probe(40_000, 80, dst);
+            let echo = IcmpEcho::request(7, dst as u16);
+            for m in originscan_scanner::probe::modules() {
+                for origin in 0..roster.len() as u16 {
+                    for trial in 0..3 {
+                        let ctx = ProbeCtx {
+                            origin,
+                            src_ip: 0x0a00_0001,
+                            dst,
+                            protocol: m.protocol(),
+                            time_s: f64::NAN,
+                            probe_idx: 0,
+                            trial,
+                        };
+                        if !net.silent(&ctx) {
+                            continue;
+                        }
+                        match ctx.protocol {
+                            Protocol::Icmp => {
+                                silent_icmp += 1;
+                                let mut got = [IcmpReply::Unreachable { code: 0 }; N];
+                                net.icmp_burst(&ctx, &echo, &times, &mut got);
+                                assert_eq!(got, [IcmpReply::Silent; N], "{ctx:?}");
+                            }
+                            Protocol::Dns => {
+                                let mut got = [const { UdpReply::PortUnreachable }; N];
+                                net.udp_burst(&ctx, &query, &times, &mut got);
+                                assert_eq!(got, [const { UdpReply::Silent }; N], "{ctx:?}");
+                            }
+                            p => {
+                                silent_http += u64::from(p == Protocol::Http);
+                                let mut got = [SynReply::SynAck(syn); N];
+                                net.syn_burst(&ctx, &syn, &times, &mut got);
+                                assert_eq!(got, [SynReply::Silent; N], "{ctx:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(silent_icmp, 0);
+        let http_asks = w.space() * roster.len() as u64 * 3;
+        assert!(
+            silent_http * 10 >= http_asks * 8,
+            "{silent_http} of {http_asks}"
+        );
     }
 
     #[test]

@@ -230,6 +230,61 @@ proptest! {
         }
     }
 
+    /// In any world, a burst of the probed protocol to an address
+    /// `silent` names gets no reply, at any send times; `silent` never
+    /// names an ICMP target.
+    #[test]
+    fn silent_addresses_answer_no_burst(
+        seed: u64,
+        density in 0.05f64..2.0,
+        asks in proptest::collection::vec(
+            (
+                (0u16..7, 0usize..5, 0usize..6),
+                any::<u32>(),
+                proptest::collection::vec(0.0f64..75_600.0, 1..9),
+            ),
+            256..1024,
+        ),
+    ) {
+        const N: usize = originscan_scanner::MAX_PROBES;
+        let mut wc = WorldConfig::tiny(seed);
+        wc.density_scale = density;
+        let w = wc.build();
+        let modules = originscan_scanner::probe::modules();
+        let net = SimNet::new(&w, &OriginId::MAIN, 75_600.0);
+        for ((origin, proto, trial), pick, times) in asks {
+            let dst = pick % w.space() as u32;
+            let protocol = modules[proto].protocol();
+            let ctx = ProbeCtx {
+                origin,
+                src_ip: 0x0a00_0001,
+                dst,
+                protocol,
+                time_s: f64::NAN,
+                probe_idx: 0,
+                trial: TRIALS[trial],
+            };
+            if !net.silent(&ctx) {
+                continue;
+            }
+            match protocol {
+                Protocol::Icmp => prop_assert!(false, "silent ICMP target {}", dst),
+                Protocol::Dns => {
+                    let query = dns::a_query(pick as u16, "origin-scan.example.com").unwrap();
+                    let mut got = [const { UdpReply::PortUnreachable }; N];
+                    net.udp_burst(&ctx, &query, &times, &mut got);
+                    prop_assert!(got[..times.len()].iter().all(|r| *r == UdpReply::Silent));
+                }
+                _ => {
+                    let syn = TcpHeader::syn_probe(40_000, 80, pick);
+                    let mut got = [SynReply::SynAck(syn); N];
+                    net.syn_burst(&ctx, &syn, &times, &mut got);
+                    prop_assert!(got[..times.len()].iter().all(|r| *r == SynReply::Silent));
+                }
+            }
+        }
+    }
+
     /// Worlds with different seeds differ somewhere observable.
     #[test]
     fn seeds_matter(seed in 0u64..1_000_000) {

@@ -14,7 +14,7 @@ use originscan_scanner::resilience::AdaptivePolicy;
 use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
-use originscan_scanner::{Protocol, MAX_PROBES};
+use originscan_scanner::{Blocklist, Cidr, Protocol, MAX_PROBES};
 use originscan_telemetry::{Scope, Telemetry, TelemetrySnapshot};
 use originscan_wire::dns;
 use originscan_wire::icmp::IcmpEcho;
@@ -450,6 +450,78 @@ fn faulted_bursts_are_the_provided_loop_over_scalar_probes() {
             assert_eq!(got.0[0].records, bare.unwrap().records);
         }
     }
+}
+
+/// `FaultyNet` passes `SimNet`'s `silent` through only where it forwards
+/// every probe verbatim; outage and tamper scopes see every probe.
+#[test]
+fn faulty_net_is_silent_only_where_the_plan_is_absent() {
+    let world = WorldConfig::tiny(7).build();
+    let origins = [
+        OriginId::Us1,
+        OriginId::Germany,
+        OriginId::Japan,
+        OriginId::Brazil,
+    ];
+    let net = SimNet::new(&world, &origins, DUR_S);
+    let plan = FaultPlan::new(5)
+        .outage(1, 0, 0.25, 0.75)
+        .corrupt_replies(2, 0, 0.3)
+        .duplicate_replies(3, 0, 0.3)
+        .crash(0, 1, 0.5, 1)
+        .stall(0, 1, 0.3, 45.0);
+    let faulty = FaultyNet::new(&net, &plan, DUR_S);
+    let mut silent = 0;
+    for dst in 0..world.space() as u32 {
+        for m in modules() {
+            for (origin, trial) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
+                let ctx = ProbeCtx {
+                    origin,
+                    trial,
+                    ..burst_ctx(dst, 1, m.protocol())
+                };
+                // Crashes and stalls act through the hook, not the net.
+                let untouched = trial == 1 || origin == 0;
+                let want = untouched && net.silent(&ctx);
+                assert_eq!(faulty.silent(&ctx), want, "{ctx:?}");
+                silent += u32::from(net.silent(&ctx) && !untouched);
+            }
+        }
+    }
+    assert!(silent > 0, "no touched scope asked about a silent address");
+}
+
+/// A defender counts probes to unused addresses: through it, no address
+/// is silent, and a source that probed only addresses `SimNet` calls
+/// silent is still detected and listed.
+#[test]
+fn a_defender_sees_and_lists_probes_to_silent_addresses() {
+    let world = WorldConfig::tiny(41).build();
+    let net = SimNet::new(&world, &[OriginId::Us1], DUR_S);
+    let profile = AggressionProfile::aggressive();
+    let defender = DefenderNet::new(&net, &world, profile, SPAN_S);
+    let space = world.space() as u32;
+    let is_silent = |dst| net.silent(&burst_ctx(dst, 0x0a00_0100, Protocol::Http));
+    let dst = (0..space).find(|&dst| is_silent(dst)).unwrap();
+    assert!(!defender.silent(&burst_ctx(dst, 0x0a00_0100, Protocol::Http)));
+    // Blocklist every address that could answer: the scan probes only
+    // silent ones.
+    let axis = Axis {
+        profile,
+        protocol: Protocol::Http,
+        probes: 2,
+        delay_s: 0.0,
+        pool: 1,
+        seed: 7,
+    };
+    let mut cfg = axis.config(&world, 0);
+    let answering = (0..space).filter(|&dst| !is_silent(dst));
+    cfg.blocklist = Blocklist::from_cidrs(answering.map(|dst| Cidr::new(dst, 32)));
+    let out = run_scan_session(&defender, &cfg, ScanSession::default()).unwrap();
+    // Whatever answered was the defender refusing: no host SYN-ACKed.
+    assert!(out.summary.blocked > 0 && out.summary.synacks == 0);
+    assert!(defender.stats().detections > 0);
+    assert!(defender.is_listed(0));
 }
 
 #[cfg(feature = "proptest")]

@@ -587,8 +587,10 @@ pub(crate) struct AddrOutcome {
 
 /// Probe one address end to end: stamp the burst's send times, deliver
 /// it through the scan's [`ProbeModule`], fold the verdict masks into a
-/// record, and run the ZGrab follow-up for stateful modules. The step
-/// loop, its tail pass and the fanned scan's workers all use it.
+/// record, and run the ZGrab follow-up for stateful modules. A burst the
+/// network calls [`Network::silent`] is stamped and counted, not built
+/// (unless `wire_check` asks for its round trips). The step loop, its
+/// tail pass and the fanned scan's workers all use it.
 #[inline] // a copy per codegen unit: the step loop's stays private to it
 pub(crate) fn probe(
     ctx: &ScanCtx<'_>,
@@ -632,6 +634,14 @@ pub(crate) fn probe(
         probe_idx: 0,
         trial: cfg.trial,
     };
+    let last_t = times.last().copied().unwrap_or_default();
+    if !cfg.wire_check && ctx.net.silent(&probe_ctx) {
+        return Ok(AddrOutcome {
+            responsive: false,
+            rst: false,
+            last_t,
+        });
+    }
     let v = ctx
         .module
         .deliver_burst(ctx.net, &shot, &probe_ctx, times)?;
@@ -639,7 +649,6 @@ pub(crate) fn probe(
     // The first validated answer, positive or negative, times the host.
     let first_answered = (v.positive | v.negative).trailing_zeros() as usize;
     let response_time = times.get(first_answered).copied().unwrap_or_default();
-    let last_t = times.last().copied().unwrap_or_default();
     for (&t, probe_idx) in times.iter().zip(0u32..) {
         if v.invalid >> probe_idx & 1 != 0 {
             p.out.summary.validation_failures += 1;
@@ -933,6 +942,38 @@ mod tests {
             .iter()
             .filter(|r| r.l4_responsive())
             .all(|r| r.synack_mask == 0b11));
+    }
+
+    /// Calls every burst silent, and counts the bursts it gets anyway.
+    struct SilentNet(std::sync::atomic::AtomicU64);
+
+    impl Network for SilentNet {
+        fn silent(&self, _ctx: &ProbeCtx) -> bool {
+            true
+        }
+        fn syn(&self, _ctx: &ProbeCtx, _probe: &TcpHeader) -> SynReply {
+            SynReply::Silent
+        }
+        fn l7(&self, _ctx: &L7Ctx, _req: &[u8]) -> L7Reply {
+            L7Reply::Timeout
+        }
+        fn syn_burst(&self, _: &ProbeCtx, _: &TcpHeader, _: &[f64], _: &mut [SynReply]) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn wire_check_delivers_bursts_the_net_calls_silent() {
+        for wire_check in [true, false] {
+            let net = SilentNet(0.into());
+            let mut c = cfg(1000);
+            c.wire_check = wire_check;
+            let out = run_scan(&net, &c).unwrap();
+            assert_eq!(out.summary.addresses_probed, 1000);
+            assert_eq!(out.summary.probes_sent, 2000);
+            let bursts = net.0.into_inner();
+            assert_eq!(bursts, if wire_check { 1000 } else { 0 });
+        }
     }
 
     #[test]

@@ -204,6 +204,16 @@ pub trait Network: Sync {
         false
     }
 
+    /// Is a burst to `ctx.dst` certain to go unanswered? `true` promises
+    /// that every probe of any burst to `ctx.dst`, from `ctx`'s origin,
+    /// protocol and trial, gets `Silent`, whatever the probe bytes and send
+    /// times, and that the call leaves no trace; the engine then neither
+    /// builds nor delivers the burst. The default `false` suits a network
+    /// that must see every probe (a defender, a fault layer that logs).
+    fn silent(&self, _ctx: &ProbeCtx) -> bool {
+        false
+    }
+
     /// Deliver an ICMP echo request and return the reply.
     fn icmp(&self, _ctx: &ProbeCtx, _probe: &IcmpEcho) -> IcmpReply {
         IcmpReply::Silent

@@ -203,7 +203,9 @@ fn planned_sharded_blocklisted(out: &mut String) {
 /// A `SimNet` behind a wrapper that forwards every probe and leaves
 /// `Network::order_free` at its default: a bare `run_scan` spreads over
 /// the cores against the net itself and steps through this, one address
-/// after another on one thread.
+/// after another on one thread. It deliberately leaves `Network::silent`
+/// at its default too, so every burst is built and delivered through it:
+/// against the net itself, the engine skips the silent ones.
 struct Stepped<'a>(&'a SimNet<'a>);
 
 impl Network for Stepped<'_> {
@@ -287,6 +289,50 @@ fn planner_frontier(out: &mut String) {
         let render = sweep.render();
         digest_lines(out, "planner_frontier", &[("render", render.as_bytes())]);
     });
+}
+
+/// Supervised and adaptive scans step through the net itself, where the
+/// engine skips every burst `SimNet` calls silent, and through
+/// [`Stepped`], where it delivers them all: the records, summary and
+/// telemetry must not tell the two apart.
+#[test]
+fn skipping_silent_bursts_leaves_no_trace() {
+    let world = WorldConfig::tiny(7).build();
+    let net = SimNet::new(&world, &[OriginId::Us1, OriginId::Japan], DUR_S);
+    let space = world.space();
+    let mut cfg = ScanConfig::new(space, Protocol::Http, 2020);
+    cfg.rate_pps = rate_for_duration(space * 2, DUR_S);
+    let mut adaptive = cfg.clone();
+    let p = PolitenessProfile::adaptive();
+    adaptive.adapt = p.adapt.clone();
+    adaptive.source_ips = (0..p.source_ips)
+        .map(|i| 0x0a00_0100 + u32::from(i))
+        .collect();
+    let plan = FaultPlan::new(0).crash(0, 0, 0.5, 1);
+    let hook = plan.hook(DUR_S);
+    let policy = SupervisorPolicy {
+        checkpoint_every: 64,
+        ..SupervisorPolicy::default()
+    };
+    let run = |net: &dyn Network, cfg: &ScanConfig, killed: bool| {
+        let hub = Telemetry::new();
+        let hook = killed.then_some(&hook as _);
+        let run = supervise_scan(net, cfg, hook, &policy, Some(&hub));
+        let t = hub.snapshot();
+        let jsonl = [t.events_jsonl(), t.metrics_jsonl(), t.spans_jsonl()];
+        (run.status, run.output.unwrap(), jsonl)
+    };
+    for (cfg, killed) in [(&cfg, true), (&adaptive, false)] {
+        let fast = run(&net, cfg, killed);
+        assert_eq!(fast, run(&Stepped(&net), cfg, killed));
+        let status = if killed {
+            RunStatus::Resumed { retries: 1 }
+        } else {
+            RunStatus::Completed
+        };
+        assert_eq!(fast.0, status);
+        assert!(!fast.1.records.is_empty());
+    }
 }
 
 #[test]
