@@ -11,6 +11,8 @@
 //! into a [`Scale`]; everything here takes that value as an argument. The
 //! world seed is fixed so runs are comparable.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod artifacts;
 
 use originscan_netmodel::{Protocol, World, WorldConfig};
@@ -75,8 +77,10 @@ impl FromStr for Scale {
 }
 
 /// Build the bench world at `scale`.
-// Wall-clock timing is the bench harness's job; results never feed analyses.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is the bench harness's job; results never feed analyses"
+)]
 pub fn bench_world(scale: Scale) -> World {
     let t = Instant::now();
     let world = scale.world_config().build();
@@ -98,8 +102,10 @@ pub fn bench_world(scale: Scale) -> World {
 
 /// Run a closure, reporting its wall time through the telemetry
 /// progress sink (a `bench_timed` JSONL line on stderr).
-// Wall-clock timing is the bench harness's job; results never feed analyses.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is the bench harness's job; results never feed analyses"
+)]
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let t = Instant::now();
     let out = f();
@@ -118,9 +124,11 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
 /// Stdout *is* the bench's product — the paper-style tables recorded in
 /// `EXPERIMENTS.md` — so it stays human-readable; progress/liveness
 /// chatter goes to stderr through the telemetry sink instead.
+#[expect(
+    clippy::print_stdout,
+    reason = "stdout is the bench artifact itself; the audited sink for it is this one function"
+)]
 pub fn emit_artifact(text: &str) {
-    // lint:allow(obs-print) reason= stdout is the bench artifact itself;
-    // the audited sink for it is this one function.
     print!("{text}");
 }
 

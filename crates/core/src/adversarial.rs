@@ -26,6 +26,12 @@
 //! matrices and byte-identical telemetry JSONL (asserted by the
 //! integration suite).
 
+// The sweep runs inside supervised sessions: typed errors, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::jobs;
 use crate::report::Table;
 use originscan_netmodel::defend::{AggressionProfile, DefenderNet, DefenseStats};
@@ -289,11 +295,11 @@ impl AdversarialResults {
     ///
     /// # Panics
     /// When `pi` or `ai` is outside the configured matrix.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row-major (politeness, aggression) matrix; outside it is a caller bug"
+    )]
     pub fn cell(&self, pi: usize, ai: usize) -> &CellOutcome {
-        // lint:allow(reach-panic) reason= row-major matrix with one cell
-        // per (politeness, aggression) pair, so the index is in range for
-        // `pi < politeness.len()`, `ai < aggression.len()`; a coordinate
-        // outside the matrix is a caller bug.
         &self.cells[pi * self.cfg.aggression.len() + ai]
     }
 
@@ -302,10 +308,11 @@ impl AdversarialResults {
     /// # Panics
     /// When `pi` is not a politeness row or `trial` not one of the
     /// sweep's trials.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one row per politeness profile, one count per trial; else a caller bug"
+    )]
     pub fn reference_l7(&self, pi: usize, trial: usize) -> u64 {
-        // lint:allow(reach-panic) reason= one row per politeness profile,
-        // one count per trial: in range for `pi < politeness.len()`,
-        // `trial < trials`; anything else is a caller bug.
         self.reference[pi][trial]
     }
 

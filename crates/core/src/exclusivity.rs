@@ -256,7 +256,7 @@ mod tests {
     fn exclusive_sets_disjoint_across_origins() {
         let world = WorldConfig::tiny(29).build();
         let p = panel(&world);
-        #[allow(clippy::disallowed_types)] // membership check only in a test
+        #[expect(clippy::disallowed_types, reason = "membership check only in a test")]
         let mut seen = std::collections::HashSet::new();
         for oi in 0..p.origins.len() {
             for u in exclusive_hosts(&p, oi) {

@@ -133,7 +133,7 @@ fn draw_origin_mask(det: &Det, [a, p, t, slot]: [u64; 4]) -> u16 {
 /// Is a probe sent at `time_s` from `origin` inside one of `events` —
 /// the AS's [`events_for`] this (protocol, trial) — and is this
 /// particular host part of the affected fraction?
-#[allow(clippy::too_many_arguments)] // mirrors the probe context
+#[expect(clippy::too_many_arguments, reason = "mirrors the probe context")]
 pub fn in_burst(
     world: &World,
     events: &[BurstEvent],

@@ -28,6 +28,8 @@
 //! letting block windows and listings straddle trial boundaries the way
 //! real blocklist entries straddle scan days.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::world::World;
 use originscan_scanner::target::{
     burst_of, CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,

@@ -14,6 +14,7 @@ pub struct Country(pub [u8; 2]);
 
 impl Country {
     /// Construct from a 2-letter code.
+    #[expect(clippy::indexing_slicing, reason = "`b.len() == 2` is asserted first")]
     pub const fn new(code: &str) -> Self {
         let b = code.as_bytes();
         assert!(b.len() == 2);

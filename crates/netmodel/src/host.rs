@@ -96,6 +96,7 @@ pub fn http_status(det: &Det, addr: u32) -> u16 {
 }
 
 /// TLS cipher suite a host selects (always one the ClientHello offered).
+#[expect(clippy::indexing_slicing, reason = "`det.below(n)` draws from `0..n`")]
 pub fn tls_cipher(det: &Det, addr: u32) -> u16 {
     let suites = originscan_wire::tls::CHROME_TLS12_SUITES;
     let i = det.below(

@@ -61,10 +61,11 @@ impl<T> Slots<T> {
     /// The value in slot `i`, computing it with `fill` if this is the
     /// first use. Callers racing on an empty slot all get the one value
     /// that was stored.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rows are sized to their key range: 256 trials, origins × PROTO_SLOTS, ASes"
+    )]
     fn get_or_fill(&self, i: usize, fill: impl FnOnce() -> T) -> &T {
-        // lint:allow(reach-panic) reason= every row is allocated with the
-        // length of the key range that indexes it: all 256 trials,
-        // origins.len() × PROTO_SLOTS, world.ases.len().
         self.row[i].get_or_init(fill)
     }
 }
@@ -125,11 +126,11 @@ impl<'w> SimNet<'w> {
         self.duration_s
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a `ScanConfig.origin` from the roster this net was built with"
+    )]
     fn origin(&self, idx: u16) -> OriginId {
-        // lint:allow(reach-panic) reason= `idx` is a `ScanConfig.origin`,
-        // which every runner takes from the roster it built this net
-        // with, so `idx < origins.len()`; an index outside it is a caller
-        // bug, and answering it as a silent network would hide that.
         self.origins[usize::from(idx)]
     }
 

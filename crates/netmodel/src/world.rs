@@ -116,6 +116,7 @@ pub(crate) fn proto_slot(p: Protocol) -> usize {
 }
 
 impl World {
+    #[expect(clippy::indexing_slicing, reason = "tables sized before filling")]
     fn generate(config: WorldConfig) -> World {
         assert!(config.slash24s >= 64, "world too small to be interesting");
         let det = Det::new(config.seed);
@@ -186,8 +187,7 @@ impl World {
             }
         }
         // Any rounding remainder joins the last AS.
-        if next_s24 < total {
-            let last = ases.last_mut().expect("at least one AS");
+        if let Some(last) = ases.last_mut().filter(|_| next_s24 < total) {
             last.n_slash24 += total - next_s24;
         }
 
@@ -290,12 +290,11 @@ impl World {
     ///
     /// # Panics
     /// When `addr` is outside the world (`addr >= self.space()`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass addresses of this world: `is_host` said yes, or `dst < space()`"
+    )]
     pub fn as_index_of(&self, addr: u32) -> u32 {
-        // lint:allow(reach-panic) reason= `slash24_as` has one entry per
-        // /24 of the world, and callers pass addresses that came out of a
-        // scan of this world: `SimNet` gets here only after `is_host`
-        // said yes, `DefenderNet` only for `dst < space()`. An address
-        // outside the world is a caller bug.
         self.slash24_as[(addr / 256) as usize]
     }
 
@@ -303,21 +302,23 @@ impl World {
     ///
     /// # Panics
     /// When `addr` is outside the world (`addr >= self.space()`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slash24_as` holds indices of `ases`, written once at build"
+    )]
     pub fn as_of(&self, addr: u32) -> &AsRecord {
-        // lint:allow(reach-panic) reason= `slash24_as` holds the
-        // `AsRecord::index` of records in `ases`, written once when the
-        // world is built.
         &self.ases[self.as_index_of(addr) as usize]
     }
 
     /// Geolocated country of an address (what MaxMind would say).
+    #[expect(clippy::indexing_slicing, reason = "one entry per /24")]
     pub fn country_of(&self, addr: u32) -> Country {
         self.slash24_country[(addr / 256) as usize]
     }
 
     /// All deployed addresses for a protocol (sorted).
     pub fn hosts(&self, p: Protocol) -> &[u32] {
-        &self.hosts[proto_slot(p)]
+        self.hosts.get(proto_slot(p)).map_or(&[], Vec::as_slice)
     }
 
     /// O(1): does any host run `p` at `addr`? An address outside the
@@ -348,7 +349,7 @@ impl World {
 
     /// Total deployed hosts per protocol.
     pub fn host_count(&self, p: Protocol) -> usize {
-        self.hosts[proto_slot(p)].len()
+        self.hosts(p).len()
     }
 
     /// Render the AS inventory as TSV: one row per AS with its ASN, name,
@@ -412,16 +413,16 @@ fn generated_category(det: &Det, country_idx: u64, k: u64) -> Category {
 /// Country a /24 geolocates to, honoring multi-country mixes and anycast
 /// geolocation noise.
 fn per_s24_country(det: &Det, a: &AsRecord, s24: u32) -> Country {
-    if let Some(mix) = &a.country_mix {
+    if let Some((&(last, _), head)) = a.country_mix.as_ref().and_then(|m| m.split_last()) {
         let u = det.uniform(Tag::Structure, &[3, u64::from(s24)]);
         let mut acc = 0.0;
-        for &(c, w) in mix {
+        for &(c, w) in head {
             acc += w;
             if u < acc {
                 return c;
             }
         }
-        return mix.last().expect("mix non-empty").0;
+        return last;
     }
     if a.tags.has(AsTags::ANYCAST_GEO) {
         // Anycast: geolocation scatters across the big web countries.
@@ -447,8 +448,10 @@ fn per_s24_country(det: &Det, a: &AsRecord, s24: u32) -> Country {
 }
 
 #[cfg(test)]
-// Tests assert membership/counts only; hash iteration order never escapes.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "tests assert membership/counts only; hash iteration order never escapes"
+)]
 mod tests {
     use super::*;
 

@@ -189,15 +189,18 @@ impl Blocklist {
 
     /// Insert a prefix, merging with existing ranges.
     pub fn insert(&mut self, cidr: Cidr) {
-        let (mut lo, mut hi) = (cidr.first(), cidr.last());
-        // Find all ranges overlapping or adjacent to [lo, hi] and merge.
+        self.insert_range(cidr.first(), cidr.last());
+    }
+
+    /// Insert `[lo, hi]`, merging every range it overlaps or touches.
+    fn insert_range(&mut self, lo: u32, hi: u32) {
         let start = self.ranges.partition_point(|r| r.hi < lo.saturating_sub(1));
-        let mut end = start;
-        while end < self.ranges.len() && self.ranges[end].lo <= hi.saturating_add(1) {
-            lo = lo.min(self.ranges[end].lo);
-            hi = hi.max(self.ranges[end].hi);
-            end += 1;
-        }
+        let end = self
+            .ranges
+            .partition_point(|r| r.lo <= hi.saturating_add(1));
+        let merged = self.ranges.get(start..end).unwrap_or_default();
+        let lo = merged.first().map_or(lo, |r| lo.min(r.lo));
+        let hi = merged.last().map_or(hi, |r| hi.max(r.hi));
         self.ranges.splice(start..end, [Range { lo, hi }]);
     }
 
@@ -221,16 +224,7 @@ impl Blocklist {
     /// synchronization: any origin's exclusions apply to all).
     pub fn merge(&mut self, other: &Blocklist) {
         for r in &other.ranges {
-            // Re-insert as a synthetic /32.. range by lo..hi.
-            let (mut lo, mut hi) = (r.lo, r.hi);
-            let start = self.ranges.partition_point(|x| x.hi < lo.saturating_sub(1));
-            let mut end = start;
-            while end < self.ranges.len() && self.ranges[end].lo <= hi.saturating_add(1) {
-                lo = lo.min(self.ranges[end].lo);
-                hi = hi.max(self.ranges[end].hi);
-                end += 1;
-            }
-            self.ranges.splice(start..end, [Range { lo, hi }]);
+            self.insert_range(r.lo, r.hi);
         }
     }
 }

@@ -55,6 +55,7 @@ pub fn is_prime(n: u64) -> bool {
 
 /// `(a * b) mod m` without overflow.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "remainder < m, a u64")]
 pub fn mod_mul(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
@@ -111,6 +112,10 @@ pub fn prime_factors(mut n: u64) -> Vec<u64> {
 }
 
 /// Find the smallest primitive root modulo prime `p`.
+#[expect(
+    clippy::unreachable,
+    reason = "dead arm: every prime has a primitive root, so the loop returns first"
+)]
 pub fn primitive_root(p: u64) -> u64 {
     if p == 2 {
         return 1;
@@ -124,8 +129,6 @@ pub fn primitive_root(p: u64) -> u64 {
         }
         return g;
     }
-    // lint:allow(panic-macro) reason= mathematically dead arm: every prime
-    // has a primitive root, so the candidate loop always returns first
     unreachable!("every prime has a primitive root");
 }
 
@@ -317,8 +320,10 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 #[cfg(test)]
-// Tests assert membership/counts only; hash iteration order never escapes.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "tests assert membership/counts only; hash iteration order never escapes"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

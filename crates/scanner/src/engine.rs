@@ -818,6 +818,7 @@ fn completion_metrics(ctx: &ScanCtx<'_>, p: &Progress) -> MetricBatch {
 /// hook before every address, periodically checkpoint resumable state,
 /// and resume from the session store's checkpoint when it holds one. A
 /// session with none of that may not step at all (see the module docs).
+#[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
 pub fn run_scan_session(
     net: &dyn Network,
     cfg: &ScanConfig,

@@ -107,6 +107,7 @@ impl Shared {
     /// the next chunk's surviving addresses: returns its index and the
     /// probe offset it starts at, or `None` when nothing is left (or
     /// nothing more should be started).
+    #[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
     fn turn(
         &self,
         ctx: &ScanCtx<'_>,

@@ -288,6 +288,7 @@ impl ProbeModule for IcmpEchoModule {
         true
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "the MAC's 16-bit halves")]
     fn deliver_burst(
         &self,
         net: &dyn Network,
@@ -376,6 +377,7 @@ impl ProbeModule for DnsUdpModule {
         true
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "txid = low 16 MAC bits")]
     fn deliver_burst(
         &self,
         net: &dyn Network,

@@ -3,8 +3,10 @@
 // Gated: runs only with `--features proptest` (vendored shim; see
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
-// Tests assert membership/counts only; hash iteration order never escapes.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "tests assert membership/counts only; hash iteration order never escapes"
+)]
 
 use originscan_plan::{PlanEntry, PlanError, TargetPlan, PLAN_FORMAT_VERSION, PLAN_MAGIC};
 use originscan_scanner::blocklist::{Blocklist, Cidr};

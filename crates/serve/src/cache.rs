@@ -75,12 +75,13 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx = h % shards.len()` and `new` builds `shard_count.max(1)` shards"
+    )]
     fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
         let h = fnv1a64(key.as_bytes());
         let idx = h % self.shards.len() as u64;
-        // lint:allow(reach-panic) reason= `idx = h % shards.len()`, and
-        // `shards` is never empty (`new` builds `shard_count.max(1)`), so
-        // `idx < shards.len() <= usize::MAX`.
         &self.shards[usize::try_from(idx).unwrap_or(0)]
     }
 

@@ -26,9 +26,11 @@ pub struct WallTime {
 
 impl WallTime {
     /// A source reading zero now and wall-elapsed seconds later.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timing at the audited I/O boundary; wall traces stay in the trace ring"
+    )]
     pub fn start() -> WallTime {
-        #[allow(clippy::disallowed_methods)]
-        // lint:allow(det-wall-clock) reason= request span timing at the audited I/O boundary; wall traces stay in the trace ring and never reach a deterministic surface.
         let origin = std::time::Instant::now();
         WallTime { origin }
     }

@@ -4,8 +4,10 @@
 //! connections are refused), and persistent connections (reuse,
 //! pipelining, the close rules, worker fairness, idle timeout).
 
-// The timeout tests time the server from outside; nothing here feeds an analysis.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the timeout tests time the server from outside; nothing here feeds an analysis"
+)]
 
 use originscan_serve::{QueryEngine, Server, ServerConfig};
 use originscan_store::{ScanSet, ScanSetStore, StoreKey, StoreReader};

@@ -65,8 +65,16 @@ impl ContainerKind {
 /// Narrow a length to `u32`. Every collection in this module lives in
 /// the 2¹⁶ chunk domain (≤ 65536 elements), so the cast cannot truncate.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "≤ 65536 elements")]
 fn len_u32(n: usize) -> u32 {
     n as u32
+}
+
+/// A chunk-domain value (`< 2¹⁶`) as the member it is.
+#[inline]
+#[expect(clippy::cast_possible_truncation, reason = "values are < 2¹⁶")]
+fn low16(v: u32) -> u16 {
+    v as u16
 }
 
 /// A set-operation selector for the shared kernels.
@@ -381,7 +389,7 @@ impl Container {
                     let pop = word.count_ones();
                     if remaining < pop {
                         let bit = select_in_word(word, remaining);
-                        return Some(((wi as u32) << 6 | bit) as u16);
+                        return Some(low16(len_u32(wi) << 6 | bit));
                     }
                     remaining -= pop;
                 }
@@ -392,7 +400,7 @@ impl Container {
                 for &(s, e) in r {
                     let len = u32::from(e) - u32::from(s) + 1;
                     if remaining < len {
-                        return Some((u32::from(s) + remaining) as u16);
+                        return Some(low16(u32::from(s) + remaining));
                     }
                     remaining -= len;
                 }
@@ -468,7 +476,7 @@ fn values_of(words: &[u64; WORDS], card: u32) -> Vec<u16> {
         let mut bits = word;
         while bits != 0 {
             let bit = bits.trailing_zeros();
-            values.push(((wi as u32) << 6 | bit) as u16);
+            values.push(low16(len_u32(wi) << 6 | bit));
             bits &= bits - 1;
         }
     }
@@ -650,12 +658,12 @@ impl Iterator for ContainerIter<'_> {
                 }
                 let bit = cur.trailing_zeros();
                 *cur &= *cur - 1;
-                Some(((*idx as u32) << 6 | bit) as u16)
+                Some(low16(len_u32(*idx) << 6 | bit))
             }
             ContainerIter::Run { runs, cur } => loop {
                 if let Some((next, end)) = cur {
                     if *next <= *end {
-                        let v = *next as u16;
+                        let v = low16(*next);
                         *next += 1;
                         return Some(v);
                     }

@@ -105,6 +105,11 @@ impl std::error::Error for FrameError {}
 
 /// Sixteen tables for slicing-by-16: `T[0]` is the bytewise table and
 /// `T[k][i]` is `T[0][i]` pushed through `k` further zero bytes.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "const-evaluated: an index out of range is a compile error; `i < 256`"
+)]
 const fn make_crc_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;

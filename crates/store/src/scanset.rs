@@ -189,7 +189,7 @@ impl ScanSet {
         for (key, c) in &self.chunks {
             let card = u64::from(c.cardinality());
             if remaining < card {
-                let low = c.select(remaining as u32)?;
+                let low = c.select(u32::try_from(remaining).ok()?)?;
                 return Some(join(*key, low));
             }
             remaining -= card;

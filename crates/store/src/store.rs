@@ -171,19 +171,19 @@ impl ScanSetStore {
         let toc_len_u32 =
             u32::try_from(toc_len).map_err(|_| FrameError::TooLarge { section: "toc_len" })?;
         let mut toc = Vec::with_capacity(toc_len);
-        let mut offset = (HEADER_LEN + toc_len) as u64;
+        let mut offset = HEADER_LEN + toc_len;
         for (key, set) in &self.entries {
-            let len = encoded_set_len(set) as u64;
+            let len = encoded_set_len(set);
             // Protocol length fits u8: checked above against u8::MAX.
             toc.push(u8::try_from(key.protocol.len()).unwrap_or(u8::MAX));
             toc.extend_from_slice(key.protocol.as_bytes());
             toc.push(key.trial);
             put_u16(&mut toc, key.origin);
-            put_u64(&mut toc, offset);
-            put_u64(&mut toc, len);
+            put_u64(&mut toc, offset as u64);
+            put_u64(&mut toc, len as u64);
             offset += len;
         }
-        let mut out = Vec::with_capacity(offset as usize);
+        let mut out = Vec::with_capacity(offset);
         out.extend_from_slice(&MAGIC);
         put_u16(&mut out, VERSION);
         put_u16(&mut out, 0); // flags
@@ -300,12 +300,12 @@ fn parse_toc(header: &Header, after_header: &[u8]) -> Result<Vec<TocRecord>, Fra
 }
 
 fn slice_entry<'a>(bytes: &'a [u8], rec: &TocRecord) -> Result<&'a [u8], FrameError> {
-    let start = rec.offset as usize;
-    let end = start
-        .checked_add(rec.len as usize)
-        .ok_or(FrameError::TooLarge {
-            section: "toc offset",
-        })?;
+    let too_large = || FrameError::TooLarge {
+        section: "toc offset",
+    };
+    let start = usize::try_from(rec.offset).map_err(|_| too_large())?;
+    let len = usize::try_from(rec.len).map_err(|_| too_large())?;
+    let end = start.checked_add(len).ok_or_else(too_large)?;
     bytes.get(start..end).ok_or(FrameError::Truncated {
         section: "entry",
         needed: rec.offset.saturating_add(rec.len),
@@ -423,7 +423,9 @@ impl StoreReader {
     /// chunk payload.
     pub fn load(&self, key: &StoreKey) -> Result<ScanSet, StoreError> {
         let rec = self.record(key)?;
-        let blob = self.read_at(rec.offset, rec.len as usize, "entry")?;
+        let len =
+            usize::try_from(rec.len).map_err(|_| FrameError::TooLarge { section: "entry" })?;
+        let blob = self.read_at(rec.offset, len, "entry")?;
         self.entries_opened.fetch_add(1, Ordering::Relaxed);
         let set = decode_set(&blob)?;
         self.chunks_loaded
@@ -610,7 +612,7 @@ impl LazyScanSet<'_> {
                     .cache
                     .borrow()
                     .get(&d.key)
-                    .and_then(|c| c.select(remaining as u32));
+                    .and_then(|c| c.select(u32::try_from(remaining).ok()?));
                 return Ok(low.map(|low| u32::from(d.key) << 16 | u32::from(low)));
             }
             remaining -= card;

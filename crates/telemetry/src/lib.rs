@@ -35,13 +35,18 @@
 //! 2. snapshots sort events by `(scope, seq)` and keep metrics in
 //!    `BTreeMap` order, erasing cross-thread interleaving.
 //!
-//! The `det-*` invariants enforced by `originscan-lint` apply to this
-//! crate's library code like any other; the stderr progress sink carries
-//! the one audited `lint:allow(obs-print)` escape in the workspace.
+//! The workspace's clippy denies apply here like anywhere else; the
+//! stderr progress sink carries the one `print_stderr` escape among the
+//! library crates.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod event;
 pub mod json;

@@ -261,6 +261,7 @@ impl Histogram {
     /// The underflow bucket interpolates from 0; the overflow bucket
     /// saturates at the last bound (the buckets carry no upper limit).
     /// Returns 0 for an empty histogram.
+    #[expect(clippy::cast_possible_truncation, reason = "a rank in 1..=total")]
     pub fn percentile(&self, p: f64) -> f64 {
         let total = self.total();
         if total == 0 {

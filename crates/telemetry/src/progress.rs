@@ -10,7 +10,7 @@
 //!
 //! This is the one audited place in the workspace library code that
 //! writes to stderr; everything else routes through it or is flagged by
-//! the `obs-print` lint rule.
+//! clippy's `print_stderr` deny.
 
 use crate::json::JsonObj;
 
@@ -69,9 +69,11 @@ pub fn format_progress(kind: &str, fields: &[(&str, FieldValue)]) -> String {
 }
 
 /// Write one progress line to stderr.
+#[expect(
+    clippy::print_stderr,
+    reason = "this IS the stderr progress sink the rest of the workspace routes through"
+)]
 pub fn emit_progress(kind: &str, fields: &[(&str, FieldValue)]) {
-    // lint:allow(obs-print) reason= this IS the stderr progress sink the
-    // rest of the workspace routes through; nothing below this line.
     eprintln!("{}", format_progress(kind, fields));
 }
 

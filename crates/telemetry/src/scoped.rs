@@ -143,7 +143,7 @@ mod tests {
         let tele = ScopedTelemetry::new(None, scope());
         tele.emit(1.0, EventKind::ScanStarted { attempt: 0 });
         tele.add(names::FAULT_KILLS, 1);
-        tele.flush_with(|| unreachable!("batch built with telemetry off"));
+        tele.flush_with(|| panic!("batch built with telemetry off"));
         assert!(tele.span("scan").is_none());
         tele.set_time(2.0);
         tele.finish(3.0);

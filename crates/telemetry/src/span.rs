@@ -212,6 +212,7 @@ impl Tracer {
 
     /// [`Tracer::finish`] behind `&self`: the tracer is left empty, and
     /// guards still alive close nothing when they drop.
+    #[expect(clippy::cast_possible_truncation, reason = "span count ≪ 2^32")]
     pub(crate) fn drain(&self) -> Trace {
         let now = self.now_s();
         let clock = self.clock_name();

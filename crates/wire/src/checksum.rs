@@ -49,7 +49,8 @@ impl Accumulator {
         while sum >> 16 != 0 {
             sum = (sum & 0xffff) + (sum >> 16);
         }
-        !(sum as u16)
+        let [_, _, hi, lo] = sum.to_be_bytes();
+        !u16::from_be_bytes([hi, lo])
     }
 }
 

@@ -183,6 +183,7 @@ pub fn parse_response(buf: &[u8]) -> Result<DnsResponse, ParseError> {
 /// Build the response a resolver sends to `query`: the question echoed,
 /// `rcode` in the flags, and one A record per address in `answers`
 /// (name-compressed back to the question, TTL 60).
+#[expect(clippy::cast_possible_truncation, reason = "HEADER_LEN is 12")]
 pub fn build_response(query: &[u8], rcode: u8, answers: &[u32]) -> Result<Vec<u8>, ParseError> {
     let q = parse_query(query)?;
     let mut b = Vec::with_capacity(query.len() + 4 + answers.len() * 16);

@@ -43,6 +43,7 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Build a header for a datagram of `protocol` carrying
     /// `payload_len` bytes.
+    #[expect(clippy::cast_possible_truncation, reason = "datagrams are < 64 KiB")]
     pub fn for_proto(protocol: u8, src: u32, dst: u32, payload_len: usize) -> Self {
         Self {
             total_len: (HEADER_LEN + payload_len) as u16,

@@ -37,6 +37,7 @@ impl<W: Write> PcapWriter<W> {
 
     /// Append one raw-IP packet captured at `time_s` (fractional seconds
     /// since the epoch — the simulation's clock maps directly).
+    #[expect(clippy::cast_possible_truncation, reason = "float `as` saturates")]
     pub fn packet(&mut self, time_s: f64, data: &[u8]) -> io::Result<()> {
         let len = u32::try_from(data.len()).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "packet exceeds 2^32 bytes")
@@ -73,10 +74,12 @@ pub struct PcapPacket {
     pub data: Vec<u8>,
 }
 
-/// Read the little-endian `u32` at `off`; the caller has already
-/// bounds-checked `off + 4 <= buf.len()`, so construction is infallible.
-fn le_u32(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
+/// Read the little-endian `u32` at `off`.
+fn le_u32(buf: &[u8], off: usize) -> Result<u32, ParseError> {
+    match buf.get(off..off + 4) {
+        Some(&[a, b, c, d]) => Ok(u32::from_le_bytes([a, b, c, d])),
+        _ => Err(ParseError::Truncated),
+    }
 }
 
 /// Parse a classic little-endian pcap buffer (tests and tooling).
@@ -84,31 +87,25 @@ pub fn parse(buf: &[u8]) -> Result<(u32, Vec<PcapPacket>), ParseError> {
     if buf.len() < 24 {
         return Err(ParseError::Truncated);
     }
-    let magic = le_u32(buf, 0);
-    if magic != MAGIC_LE {
+    if le_u32(buf, 0)? != MAGIC_LE {
         return Err(ParseError::Malformed);
     }
-    let linktype = le_u32(buf, 20);
+    let linktype = le_u32(buf, 20)?;
     let mut packets = Vec::new();
     let mut off = 24usize;
     while off < buf.len() {
-        if off + 16 > buf.len() {
-            return Err(ParseError::Truncated);
-        }
-        let secs = le_u32(buf, off);
-        let micros = le_u32(buf, off + 4);
-        let incl = le_u32(buf, off + 8) as usize;
-        let orig = le_u32(buf, off + 12) as usize;
+        let secs = le_u32(buf, off)?;
+        let micros = le_u32(buf, off + 4)?;
+        let incl = le_u32(buf, off + 8)? as usize;
+        let orig = le_u32(buf, off + 12)? as usize;
         if incl != orig {
             return Err(ParseError::Malformed); // we never truncate
         }
         off += 16;
-        if off + incl > buf.len() {
-            return Err(ParseError::Truncated);
-        }
+        let data = buf.get(off..off.saturating_add(incl));
         packets.push(PcapPacket {
             time_us: u64::from(secs) * 1_000_000 + u64::from(micros),
-            data: buf[off..off + incl].to_vec(),
+            data: data.ok_or(ParseError::Truncated)?.to_vec(),
         });
         off += incl;
     }
@@ -168,6 +165,27 @@ mod tests {
         assert_eq!(parse(&bad), Err(ParseError::Malformed));
         let truncated = &capture_probe(0.0)[..30];
         assert!(parse(truncated).is_err());
+        // Every prefix of a two-packet capture that does not end on a
+        // record boundary (24, 60, 104) is refused.
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.packet(0.5, &[0x45; 20]).unwrap();
+        w.packet(1.0, &[0x45; 28]).unwrap();
+        let two = w.finish().unwrap();
+        for cut in 0..=two.len() {
+            let got = parse(&two[..cut]).map(|(_, pkts)| pkts.len());
+            let want = match cut {
+                24 => Ok(0),
+                60 => Ok(1),
+                104 => Ok(2),
+                _ => Err(ParseError::Truncated),
+            };
+            assert_eq!(got, want, "prefix {cut}");
+        }
+        // A record claiming 4 GiB of packet is refused, not allocated.
+        let mut huge = two[..24 + 8].to_vec();
+        huge.extend_from_slice(&[0xff; 8]); // incl_len = orig_len = u32::MAX
+        huge.extend_from_slice(&[0x45; 20]);
+        assert_eq!(parse(&huge), Err(ParseError::Truncated));
     }
 
     #[test]

@@ -135,6 +135,7 @@ impl TcpHeader {
     }
 
     /// Serialize, computing the checksum over `ip`'s pseudo-header.
+    #[expect(clippy::cast_possible_truncation, reason = "`wire_len()` is 20 or 24")]
     pub fn emit(&self, ip: &Ipv4Header) -> Vec<u8> {
         let len = self.wire_len();
         let mut b = Vec::with_capacity(len);

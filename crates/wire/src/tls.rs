@@ -42,6 +42,7 @@ pub const CHROME_TLS12_SUITES: [u16; 11] = [
 /// `random` seeds the 32-byte client random deterministically (the
 /// simulator derives it from the flow); real entropy is irrelevant since
 /// the handshake is aborted after the ServerHello.
+#[expect(clippy::cast_possible_truncation, reason = "an 11-entry const table")]
 pub fn client_hello(random: u64) -> Vec<u8> {
     let mut body = Vec::with_capacity(128);
     body.extend_from_slice(&VERSION_TLS12.to_be_bytes());
@@ -68,6 +69,10 @@ pub fn client_hello(random: u64) -> Vec<u8> {
 }
 
 /// Wrap a handshake body in handshake + record headers.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded: hello bodies stay tiny, far from the 2^24 and 2^16 length caps"
+)]
 fn frame_handshake(hs_type: u8, body: &[u8]) -> Vec<u8> {
     let mut hs = Vec::with_capacity(body.len() + 9);
     hs.push(hs_type);
@@ -75,7 +80,6 @@ fn frame_handshake(hs_type: u8, body: &[u8]) -> Vec<u8> {
         body.len() < (1 << 24),
         "handshake body exceeds 24-bit length"
     );
-    // lint:allow(panic-lossy-cast) reason= guarded: hello bodies are built here and stay tiny
     let len = body.len() as u32;
     let [_, l0, l1, l2] = len.to_be_bytes();
     hs.extend_from_slice(&[l0, l1, l2]); // 24-bit length
@@ -88,7 +92,6 @@ fn frame_handshake(hs_type: u8, body: &[u8]) -> Vec<u8> {
         hs.len() <= usize::from(u16::MAX),
         "record exceeds u16 length"
     );
-    // lint:allow(panic-lossy-cast) reason= guarded: a framed hello never nears the 2^16 record cap
     rec.extend_from_slice(&(hs.len() as u16).to_be_bytes());
     rec.extend_from_slice(&hs);
     rec

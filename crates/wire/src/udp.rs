@@ -27,6 +27,7 @@ pub struct UdpHeader {
 
 /// Serialize a datagram, computing the checksum over `ip`'s
 /// pseudo-header.
+#[expect(clippy::cast_possible_truncation, reason = "datagrams are < 64 KiB")]
 pub fn emit_datagram(src_port: u16, dst_port: u16, payload: &[u8], ip: &Ipv4Header) -> Vec<u8> {
     let len = (HEADER_LEN + payload.len()) as u16;
     let mut b = Vec::with_capacity(HEADER_LEN + payload.len());

@@ -105,9 +105,10 @@ fn scan_to_csv(
         cfg.probe_delay_s = run.probe_delay_s;
         cfg.concurrent_origins = run.origins.len() as u8;
         cfg.plan = plan.clone();
-        // Wall time is this tool's own speed (ZMap's `send: … p/s avg`);
-        // it goes to stderr only, so the CSV stays a function of the seed.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the tool's own speed (ZMap's `send: … p/s avg`), on stderr only"
+        )]
         let started = std::time::Instant::now();
         let out = run_scan(&net, &cfg)?;
         let wall_s = started.elapsed().as_secs_f64();

@@ -62,6 +62,8 @@
 //! assert!(cov.fraction() > 0.8, "origin should see most ground-truth hosts");
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod cli;
 
 pub use originscan_core as core;
