@@ -7,7 +7,8 @@
 //! three tiny-world scenarios that between them reach every engine path:
 //! fault hook, checkpoint resume, adaptive controller, plan, shard and
 //! blocklist filters — plus every probe module's bare single-origin scan
-//! (count and CSV) and the planner's probes-vs-coverage frontier. To
+//! (count and CSV), the planner's probes-vs-coverage frontier and the
+//! net's reply to every origin, trial and scan time at every host. To
 //! accept an intentional change:
 //!
 //! ```sh
@@ -26,10 +27,10 @@ use originscan::netmodel::{
 use originscan::plan::{PlanEntry, TargetPlan};
 use originscan::scanner::engine::{run_scan, ScanConfig};
 use originscan::scanner::output::{to_csv_all, to_scan_set};
-use originscan::scanner::probe::modules;
+use originscan::scanner::probe::{modules, PAPER_PROTOCOLS};
 use originscan::scanner::rate::rate_for_duration;
 use originscan::scanner::target::{
-    IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
 use originscan::scanner::Blocklist;
 use originscan::serve::query::fnv1a64;
@@ -291,6 +292,73 @@ fn planner_frontier(out: &mut String) {
     });
 }
 
+/// The destination-side decisions behind every reply: for each host of
+/// the paper's TCP trio, each main and follow-up origin, trial 0–2 and
+/// three send times, one byte naming the SYN reply and, after a SYN-ACK,
+/// the first application attempt's reply. Reputation and geographic
+/// walls, the rate IDS, Alibaba's SSH reset and `MaxStartups` all show
+/// here, asked through the `Network` trait alone.
+fn policy_decisions(out: &mut String) {
+    let world = WorldConfig::tiny(8).build();
+    let follow_up = OriginId::FOLLOW_UP
+        .into_iter()
+        .filter(|o| !OriginId::MAIN.contains(o));
+    let origins: Vec<OriginId> = OriginId::MAIN.into_iter().chain(follow_up).collect();
+    let sim = SimNet::new(&world, &origins, DUR_S);
+    let net: &dyn Network = &sim;
+    let mut kinds = Vec::new();
+    for protocol in PAPER_PROTOCOLS {
+        let dport = match protocol {
+            Protocol::Http => 80,
+            Protocol::Https => 443,
+            _ => 22,
+        };
+        let probe = TcpHeader::syn_probe(40_000, dport, 1);
+        for &dst in world.hosts(protocol) {
+            for origin in 0..origins.len() as u16 {
+                for trial in 0..3 {
+                    for frac in [0.05, 0.5, 0.95] {
+                        let time_s = frac * DUR_S;
+                        let ctx = ProbeCtx {
+                            origin,
+                            src_ip: 0x0a00_0001,
+                            dst,
+                            protocol,
+                            time_s,
+                            probe_idx: 0,
+                            trial,
+                        };
+                        let kind = match net.syn(&ctx, &probe) {
+                            SynReply::Silent => 0,
+                            SynReply::Rst(_) => 1,
+                            SynReply::SynAck(_) => {
+                                let l7 = L7Ctx {
+                                    origin,
+                                    src_ip: ctx.src_ip,
+                                    dst,
+                                    protocol,
+                                    time_s,
+                                    trial,
+                                    attempt: 0,
+                                    concurrent_origins: 1,
+                                };
+                                match net.l7(&l7, &[]) {
+                                    L7Reply::Data(_) => 2,
+                                    L7Reply::ConnClosed(CloseKind::Rst) => 3,
+                                    L7Reply::ConnClosed(CloseKind::FinAck) => 4,
+                                    L7Reply::Timeout => 5,
+                                }
+                            }
+                        };
+                        kinds.push(kind);
+                    }
+                }
+            }
+        }
+    }
+    digest_lines(out, "policy_decisions", &[("replies", &kinds)]);
+}
+
 /// Supervised and adaptive scans step through the net itself, where the
 /// engine skips every burst `SimNet` calls silent, and through
 /// [`Stepped`], where it delivers them all: the records, summary and
@@ -343,6 +411,7 @@ fn pipeline_bytes_match_golden_digests() {
     planned_sharded_blocklisted(&mut actual);
     every_module_single_origin(&mut actual);
     planner_frontier(&mut actual);
+    policy_decisions(&mut actual);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
         return;
