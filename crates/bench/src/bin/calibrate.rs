@@ -52,7 +52,8 @@ fn main() {
                 let time = f64::from(m.hour[i]) / 21.0 * TRIAL_DURATION_S;
                 let state = net.path_state(oi as u16, asr, proto, 0);
                 let p = state.params;
-                let cause = if policy::block_status(&world, *origin, addr, proto, 0) != Block::None
+                let cause = if policy::block_status(&world, *origin, asr, addr, proto, 0)
+                    != Block::None
                 {
                     0
                 } else if policy::ids::blocked(

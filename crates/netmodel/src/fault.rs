@@ -230,13 +230,6 @@ impl FaultPlan {
         tampered.then_some(InjectedFault::ReplyTamper)
     }
 
-    /// Does the plan schedule a crash for `(origin, trial)`?
-    pub fn crashes_origin(&self, origin: u16, trial: u8) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.origin == origin && c.trial == trial)
-    }
-
     /// Is the plan empty (injects nothing)?
     pub fn is_empty(&self) -> bool {
         self.outages.is_empty()
@@ -411,6 +404,38 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         eff
     }
 
+    /// One probe through the plan: `silent` in an outage, otherwise what
+    /// `ask` answers for the (possibly duplicated) context, mangled in
+    /// place by `corrupt` on a corruption draw. `corrupt` says whether
+    /// there was a reply to mangle: corrupting silence is a no-op, so
+    /// only actual replies (each of which the scanner's validation will
+    /// reject) are recorded as faults.
+    fn tampered<R>(
+        &self,
+        ctx: &ProbeCtx,
+        silent: R,
+        ask: impl Fn(&ProbeCtx) -> R,
+        corrupt: impl FnOnce(&mut R) -> bool,
+    ) -> R {
+        if self.probe_outage(ctx) {
+            return silent;
+        }
+        let Some(t) = self.plan.tamper_for(ctx.origin, ctx.trial) else {
+            return ask(ctx);
+        };
+        let det = Det::new(self.plan.seed);
+        let key = tamper_key(ctx);
+        let eff = self.duplicated_ctx(&det, &key, t, ctx);
+        let mut reply = ask(&eff);
+        if t.corrupt_p > 0.0
+            && det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p)
+            && corrupt(&mut reply)
+        {
+            self.note_corruption(ctx);
+        }
+        reply
+    }
+
     /// Record a reply the plan mangled (the scanner will reject it).
     fn note_corruption(&self, ctx: &ProbeCtx) {
         if let Some(hub) = self.telemetry {
@@ -422,21 +447,6 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
             );
             hub.add(scope, names::FAULT_REPLIES_CORRUPTED, 1);
         }
-    }
-}
-
-/// Mangle a validated reply so the scanner's stateless MAC check fails.
-fn corrupt_reply(reply: SynReply) -> SynReply {
-    match reply {
-        SynReply::SynAck(mut h) => {
-            h.ack = h.ack.wrapping_add(0x5A5A_0001);
-            SynReply::SynAck(h)
-        }
-        SynReply::Rst(mut h) => {
-            h.ack = h.ack.wrapping_add(0x5A5A_0001);
-            SynReply::Rst(h)
-        }
-        SynReply::Silent => SynReply::Silent,
     }
 }
 
@@ -458,76 +468,43 @@ impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-        if self.probe_outage(ctx) {
-            return SynReply::Silent;
-        }
-        let Some(t) = self.plan.tamper_for(ctx.origin, ctx.trial) else {
-            return self.inner.syn(ctx, probe);
-        };
-        let det = Det::new(self.plan.seed);
-        let key = tamper_key(ctx);
-        let eff = self.duplicated_ctx(&det, &key, t, ctx);
-        let reply = self.inner.syn(&eff, probe);
-        if t.corrupt_p > 0.0 && det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p) {
-            // Corrupting silence is a no-op; only record faults that
-            // mangled an actual reply (each of which the scanner's
-            // validation will reject).
-            if !matches!(reply, SynReply::Silent) {
-                self.note_corruption(ctx);
+        let ask = |c: &ProbeCtx| self.inner.syn(c, probe);
+        // Shift the acknowledgment: the scanner's stateless MAC check fails.
+        self.tampered(ctx, SynReply::Silent, ask, |reply| match reply {
+            SynReply::SynAck(h) | SynReply::Rst(h) => {
+                h.ack = h.ack.wrapping_add(0x5A5A_0001);
+                true
             }
-            return corrupt_reply(reply);
-        }
-        reply
+            SynReply::Silent => false,
+        })
     }
 
     fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
-        if self.probe_outage(ctx) {
-            return IcmpReply::Silent;
-        }
-        let Some(t) = self.plan.tamper_for(ctx.origin, ctx.trial) else {
-            return self.inner.icmp(ctx, probe);
-        };
-        let det = Det::new(self.plan.seed);
-        let key = tamper_key(ctx);
-        let eff = self.duplicated_ctx(&det, &key, t, ctx);
-        let reply = self.inner.icmp(&eff, probe);
-        if t.corrupt_p > 0.0 && det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p) {
-            // Mangle the echoed identifier: the module's ident/seq
-            // validation rejects the reply.
-            if let IcmpReply::EchoReply { ident, seq } = reply {
-                self.note_corruption(ctx);
-                return IcmpReply::EchoReply {
-                    ident: ident.wrapping_add(0x5A5A),
-                    seq,
-                };
+        let ask = |c: &ProbeCtx| self.inner.icmp(c, probe);
+        // Mangle the echoed identifier: the module's ident/seq validation
+        // rejects the reply.
+        self.tampered(ctx, IcmpReply::Silent, ask, |reply| match reply {
+            IcmpReply::EchoReply { ident, .. } => {
+                *ident = ident.wrapping_add(0x5A5A);
+                true
             }
-        }
-        reply
+            IcmpReply::Unreachable { .. } | IcmpReply::Silent => false,
+        })
     }
 
     fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
-        if self.probe_outage(ctx) {
-            return UdpReply::Silent;
-        }
-        let Some(t) = self.plan.tamper_for(ctx.origin, ctx.trial) else {
-            return self.inner.udp(ctx, payload);
-        };
-        let det = Det::new(self.plan.seed);
-        let key = tamper_key(ctx);
-        let eff = self.duplicated_ctx(&det, &key, t, ctx);
-        let reply = self.inner.udp(&eff, payload);
-        if t.corrupt_p > 0.0 && det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p) {
-            // Flip the transaction id in the response header: the
-            // module's txid validation rejects the reply.
-            if let UdpReply::Data(mut bytes) = reply {
+        let ask = |c: &ProbeCtx| self.inner.udp(c, payload);
+        // Flip the transaction id in the response header: the module's
+        // txid validation rejects the reply.
+        self.tampered(ctx, UdpReply::Silent, ask, |reply| match reply {
+            UdpReply::Data(bytes) => {
                 if let Some(b) = bytes.get_mut(0) {
                     *b ^= 0x5A;
                 }
-                self.note_corruption(ctx);
-                return UdpReply::Data(bytes);
+                true
             }
-        }
-        reply
+            UdpReply::PortUnreachable | UdpReply::Silent => false,
+        })
     }
 
     fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, times: &[f64], out: &mut [SynReply]) {
@@ -812,8 +789,6 @@ mod tests {
         assert_eq!(plan.degradation(3, 0), None, "stall only delays");
         assert_eq!(plan.degradation(4, 1), Some(InjectedFault::ReplyTamper));
         assert_eq!(plan.degradation(4, 0), None, "trial-scoped");
-        assert!(plan.crashes_origin(2, 0));
-        assert!(!plan.crashes_origin(1, 0));
         assert!(!plan.is_empty());
         assert!(FaultPlan::new(9).is_empty());
     }

@@ -18,9 +18,10 @@
 //! * [`path`] — correlated transient loss, independent packet drop, and
 //!   persistent unreachability per (origin, AS, trial).
 //! * [`burst`] — hour-scale localized outages (§5.3).
-//! * [`policy`] — reputation blocking, geographic restrictions,
+//! * [`policy`] — one plain function per destination-side mechanism
+//!   (§4, §6): reputation blocking, geographic restrictions,
 //!   rate-triggered IDS, Alibaba's temporal SSH RST, and OpenSSH
-//!   `MaxStartups` refusals (§4, §6).
+//!   `MaxStartups` refusals, consulted by [`netimpl`] in a fixed order.
 //! * [`netimpl`] — ties it all together behind the scanner's
 //!   [`originscan_scanner::target::Network`] trait.
 //! * [`fault`] — deterministic fault injection (vantage outages, crashes,

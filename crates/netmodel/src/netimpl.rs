@@ -2,7 +2,7 @@
 //!
 //! Implements [`originscan_scanner::target::Network`] for a [`World`]: a
 //! SYN probe traverses, in order, host existence → churn → long-term
-//! policy → persistent path failure → temporal blocking (IDS) → burst
+//! policy → temporal blocking (IDS) → persistent path failure → burst
 //! outages → correlated transient flakiness → independent packet drop.
 //! The L7 handshake re-derives the same state (the keys exclude the probe
 //! index, so both probes and the L7 connection agree on the host's fate)
@@ -32,8 +32,7 @@ use crate::burst;
 use crate::host::{self, Protocol};
 use crate::origin::OriginId;
 use crate::path::{self, PathState};
-use crate::policy::defender::{self, DefenseQuery, Verdict};
-use crate::policy::{geo_restrict, maxstartups};
+use crate::policy::{self, alibaba, geo_restrict, ids, maxstartups, Block};
 use crate::rng::Tag;
 use crate::world::{proto_slot, World, PROTO_SLOTS};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
@@ -193,19 +192,13 @@ impl<'w> SimNet<'w> {
             return HostState::Absent;
         }
         let asr = w.as_of(addr);
-        let q = DefenseQuery {
-            origin: o,
-            asr,
-            addr,
-            proto,
-            trial,
-            time_s,
-            duration_s: self.duration_s,
-        };
-        match defender::l4_verdict(w, &q) {
-            Verdict::DropL4 => return HostState::SilentlyFiltered,
-            Verdict::DropL7 => return HostState::L7Filtered,
-            Verdict::Allow | Verdict::RstAfterHandshake => {}
+        match policy::block_status(w, o, asr, addr, proto, trial) {
+            Block::DropL4 => return HostState::SilentlyFiltered,
+            Block::DropL7 => return HostState::L7Filtered,
+            Block::None => {}
+        }
+        if ids::blocked(w, o, asr, proto, trial, time_s, self.duration_s) {
+            return HostState::SilentlyFiltered;
         }
         let path = self.path_state(origin, asr, proto, trial);
         let params = path.params;
@@ -574,16 +567,16 @@ impl Network for SimNet<'_> {
                 }
                 // Alibaba's temporal SSH blocking: RST right after the
                 // TCP handshake, network-wide.
-                let q = DefenseQuery {
-                    origin: o,
-                    asr,
-                    addr,
-                    proto,
-                    trial: ctx.trial,
-                    time_s: ctx.time_s,
-                    duration_s: self.duration_s,
-                };
-                if defender::handshake_verdict(w, &q) == Verdict::RstAfterHandshake {
+                if proto == Protocol::Ssh
+                    && alibaba::rst_after_handshake(
+                        w,
+                        o,
+                        asr,
+                        ctx.trial,
+                        ctx.time_s,
+                        self.duration_s,
+                    )
+                {
                     return L7Reply::ConnClosed(CloseKind::Rst);
                 }
                 // MaxStartups probabilistic refusal (per attempt).
@@ -730,6 +723,51 @@ mod tests {
         let http = frac(Protocol::Http, 3);
         let ssh = frac(Protocol::Ssh, 3);
         assert!(ssh < http, "SSH coverage {ssh} should trail HTTP {http}");
+    }
+
+    #[test]
+    fn alibaba_resets_ssh_only() {
+        // Late in trial 0 Alibaba has detected Japan: each Alibaba host
+        // the path leaves reachable and not L7-flaky resets an SSH
+        // connection right after the handshake and serves HTTP as usual.
+        let w = WorldConfig::tiny(55).build();
+        let net = SimNet::new(&w, &[OriginId::Japan], 75_600.0);
+        let time_s = 0.9 * 75_600.0;
+        let mut checked = [0u32; 2];
+        for name in ["HZ Alibaba Advertising", "Alibaba US Technology"] {
+            let asr = w.as_by_name(name).unwrap();
+            let lo = asr.first_slash24 * 256;
+            for dst in lo..lo + asr.n_slash24 * 256 {
+                for (n, protocol) in checked.iter_mut().zip([Protocol::Ssh, Protocol::Http]) {
+                    let HostState::Reachable { flaky_q, .. } =
+                        net.host_state(0, dst, protocol, 0, time_s)
+                    else {
+                        continue;
+                    };
+                    if path::l7_flaky(&w, OriginId::Japan, dst, protocol, 0, flaky_q) {
+                        continue;
+                    }
+                    let ctx = L7Ctx {
+                        origin: 0,
+                        src_ip: 0x0a00_0001,
+                        dst,
+                        protocol,
+                        time_s,
+                        trial: 0,
+                        attempt: 0,
+                        concurrent_origins: 1,
+                    };
+                    let reply = net.l7(&ctx, &[]);
+                    if protocol == Protocol::Ssh {
+                        assert_eq!(reply, L7Reply::ConnClosed(CloseKind::Rst), "{dst}");
+                    } else {
+                        assert!(matches!(reply, L7Reply::Data(_)), "{dst}: {reply:?}");
+                    }
+                    *n += 1;
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 0), "{checked:?}");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! handshake and then immediately RSTs. It is the only network in the
 //! study with this signature, and it applies to SSH only.
 
-use super::defender::{self, Defender, DefenseQuery, Detection, Verdict};
+use super::{evades, Detection};
 use crate::asn::{AsRecord, AsTags};
-use crate::host::Protocol;
 use crate::origin::OriginId;
 use crate::rng::Tag;
 use crate::world::World;
@@ -22,7 +21,7 @@ use crate::world::World;
 /// varying, sometimes absent, detection in later trials), so no trial
 /// ever yields [`Detection::Prior`].
 pub fn detection(world: &World, origin: OriginId, trial: u8) -> Detection {
-    if defender::evades(origin) {
+    if evades(origin) {
         return Detection::Never; // multiple source IPs evade the detector
     }
     let det = world.det();
@@ -41,15 +40,6 @@ pub fn detection(world: &World, origin: OriginId, trial: u8) -> Detection {
     }
 }
 
-/// Fraction of the scan after which `origin` is detected in `trial`, or
-/// `None` if this trial escapes detection.
-pub fn detection_point(world: &World, origin: OriginId, trial: u8) -> Option<f64> {
-    match detection(world, origin, trial) {
-        Detection::At(d) => Some(d),
-        Detection::Never | Detection::Prior => None,
-    }
-}
-
 /// Does this SSH connection get the RST-after-handshake treatment?
 pub fn rst_after_handshake(
     world: &World,
@@ -63,27 +53,6 @@ pub fn rst_after_handshake(
         && detection(world, origin, trial).blocked_at(time_s, duration_s)
 }
 
-/// Alibaba's temporal SSH blocking as a [`Defender`] agent: it lets the
-/// TCP handshake complete and resets the connection immediately after.
-#[derive(Debug, Clone, Copy)]
-pub struct AlibabaSsh;
-
-impl Defender for AlibabaSsh {
-    fn name(&self) -> &'static str {
-        "alibaba-ssh"
-    }
-
-    fn verdict(&self, world: &World, q: &DefenseQuery<'_>) -> Verdict {
-        if q.proto == Protocol::Ssh
-            && rst_after_handshake(world, q.origin, q.asr, q.trial, q.time_s, q.duration_s)
-        {
-            Verdict::RstAfterHandshake
-        } else {
-            Verdict::Allow
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +62,15 @@ mod tests {
 
     fn world() -> World {
         WorldConfig::tiny(55).build()
+    }
+
+    /// Fraction of the scan after which `origin` is detected in `trial`,
+    /// or `None` if this trial escapes detection.
+    fn detection_point(world: &World, origin: OriginId, trial: u8) -> Option<f64> {
+        match detection(world, origin, trial) {
+            Detection::At(d) => Some(d),
+            Detection::Never | Detection::Prior => None,
+        }
     }
 
     #[test]
@@ -115,6 +93,15 @@ mod tests {
         for t in 0..3 {
             assert_eq!(detection_point(&w, OriginId::Us64, t), None);
         }
+    }
+
+    #[test]
+    fn late_trial1_connections_reset_unless_the_origin_evades() {
+        let w = world();
+        let ali = w.as_by_name("HZ Alibaba Advertising").unwrap();
+        let late = 0.9 * DUR;
+        assert!(rst_after_handshake(&w, OriginId::Japan, ali, 0, late, DUR));
+        assert!(!rst_after_handshake(&w, OriginId::Us64, ali, 0, late, DUR));
     }
 
     #[test]

@@ -7,31 +7,11 @@
 //! paper) was reachable only from Australia. The restriction applies to a
 //! per-AS *fraction* of /24s, drawn stably per /24.
 
-use super::defender::{self, Defender, DefenseQuery, Verdict};
 use crate::asn::{AsRecord, AsTags};
 use crate::geo;
 use crate::origin::OriginId;
 use crate::rng::Tag;
 use crate::world::World;
-
-/// Geographic restriction as a [`Defender`] agent, sharing the long-term
-/// L4/L7 split with [`super::reputation::ReputationWall`].
-#[derive(Debug, Clone, Copy)]
-pub struct GeoWall;
-
-impl Defender for GeoWall {
-    fn name(&self) -> &'static str {
-        "geo-wall"
-    }
-
-    fn verdict(&self, world: &World, q: &DefenseQuery<'_>) -> Verdict {
-        if blocks(world, q.origin, q.asr, q.addr) {
-            defender::filtered_verdict(world, q.addr)
-        } else {
-            Verdict::Allow
-        }
-    }
-}
 
 /// Is this /24 part of the AS's restricted slice?
 ///

@@ -8,7 +8,7 @@
 //! per-IP rate below the detection threshold. SK Broadband shows the same
 //! behaviour for SSH only.
 
-use super::defender::{self, Defender, DefenseQuery, Detection, Verdict};
+use super::{evades, Detection};
 use crate::asn::{AsRecord, AsTags};
 use crate::host::{proto_key, Protocol};
 use crate::origin::OriginId;
@@ -58,7 +58,7 @@ pub fn detection(
     proto: Protocol,
     trial: u8,
 ) -> Detection {
-    if !has_ids(world, asr, proto) || defender::evades(origin) {
+    if !has_ids(world, asr, proto) || evades(origin) {
         return Detection::Never;
     }
     if trial > 0 {
@@ -90,25 +90,6 @@ pub fn blocked(
     duration_s: f64,
 ) -> bool {
     detection(world, origin, asr, proto, trial).blocked_at(time_s, duration_s)
-}
-
-/// The rate-triggered IDS as a [`Defender`] agent: silently drops every
-/// SYN once the origin's per-IP probe rate has tripped the threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct RateIds;
-
-impl Defender for RateIds {
-    fn name(&self) -> &'static str {
-        "rate-ids"
-    }
-
-    fn verdict(&self, world: &World, q: &DefenseQuery<'_>) -> Verdict {
-        if detection(world, q.origin, q.asr, q.proto, q.trial).blocked_at(q.time_s, q.duration_s) {
-            Verdict::DropL4
-        } else {
-            Verdict::Allow
-        }
-    }
 }
 
 #[cfg(test)]

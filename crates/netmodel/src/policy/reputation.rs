@@ -10,33 +10,12 @@
 //! non-US origins; ABCDE Group drops HTTP from the US, Brazil, and
 //! Censys.
 
-use super::defender::{self, Defender, DefenseQuery, Verdict};
 use crate::asn::{AsRecord, AsTags, Category};
 use crate::geo;
 use crate::host::{proto_key, Protocol};
 use crate::origin::{OriginId, Reputation};
 use crate::rng::Tag;
 use crate::world::World;
-
-/// Reputation blocking as a [`Defender`] agent. The L4/L7 split is the
-/// shared per-address draw, so overlapping long-term agents agree on how
-/// a blocked host fails.
-#[derive(Debug, Clone, Copy)]
-pub struct ReputationWall;
-
-impl Defender for ReputationWall {
-    fn name(&self) -> &'static str {
-        "reputation-wall"
-    }
-
-    fn verdict(&self, world: &World, q: &DefenseQuery<'_>) -> Verdict {
-        if blocks(world, q.origin, q.asr, q.addr, q.proto, q.trial) {
-            defender::filtered_verdict(world, q.addr)
-        } else {
-            Verdict::Allow
-        }
-    }
-}
 
 /// Does `asr` (or the host inside it) block `origin` long-term?
 pub fn blocks(

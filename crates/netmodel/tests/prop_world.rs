@@ -51,9 +51,10 @@ proptest! {
     fn blocking_is_a_function_of_identity(seed: u64, addr_salt in 0u32..1000) {
         let w = WorldConfig::tiny(seed).build();
         let addr = addr_salt % (w.space() as u32);
+        let asr = w.as_of(addr);
         for o in [OriginId::Censys, OriginId::Brazil, OriginId::Us64] {
-            let a = policy::block_status(&w, o, addr, Protocol::Https, 0);
-            let b = policy::block_status(&w, o, addr, Protocol::Https, 0);
+            let a = policy::block_status(&w, o, asr, addr, Protocol::Https, 0);
+            let b = policy::block_status(&w, o, asr, addr, Protocol::Https, 0);
             prop_assert_eq!(a, b);
         }
     }
@@ -65,8 +66,9 @@ proptest! {
     fn us1_us64_share_static_blocking(seed: u64, addr_salt in 0u32..4000) {
         let w = WorldConfig::tiny(seed).build();
         let addr = addr_salt % (w.space() as u32);
-        let a = policy::block_status(&w, OriginId::Us1, addr, Protocol::Http, 1);
-        let b = policy::block_status(&w, OriginId::Us64, addr, Protocol::Http, 1);
+        let asr = w.as_of(addr);
+        let a = policy::block_status(&w, OriginId::Us1, asr, addr, Protocol::Http, 1);
+        let b = policy::block_status(&w, OriginId::Us64, asr, addr, Protocol::Http, 1);
         prop_assert_eq!(a, b);
     }
 
@@ -78,7 +80,7 @@ proptest! {
         let dxtl = w.as_by_name("DXTL Tseung Kwan O Service").unwrap();
         let lo = dxtl.first_slash24 * 256;
         let blocked = (lo..lo + 256)
-            .filter(|&a| policy::block_status(&w, OriginId::Censys, a, Protocol::Http, 0) != Block::None)
+            .filter(|&a| policy::block_status(&w, OriginId::Censys, dxtl, a, Protocol::Http, 0) != Block::None)
             .count();
         prop_assert!(blocked >= 255, "{blocked}/256 blocked");
     }

@@ -28,7 +28,7 @@ use originscan_core::multiorigin::best_k_of;
 use originscan_plan::TargetPlan;
 use originscan_store::{ScanSet, SignatureCounts, StoreKey, StoreReader};
 use originscan_telemetry::json::JsonObj;
-use originscan_telemetry::metrics::{names, SERVE_LATENCY_BOUNDS};
+use originscan_telemetry::metrics::names;
 use originscan_telemetry::{Scope, Telemetry, Tracer};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -599,10 +599,6 @@ pub fn error_body(e: &QueryError) -> String {
     o.field_str("detail", &e.to_string());
     o.finish()
 }
-
-/// The latency histogram bounds the server observes request times under
-/// (re-exported so the bench and the server agree on buckets).
-pub const LATENCY_BOUNDS: &[f64] = SERVE_LATENCY_BOUNDS;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //!   five-number summaries (for the paper's box plots, Figs 15/17/18).
 //! * [`mcnemar`] — McNemar's test for paired binary outcomes (§3 uses it
 //!   to show origins see statistically different host sets) plus the
-//!   Bonferroni correction, and Cochran's Q for completeness.
+//!   Bonferroni correction.
 //! * [`mod@spearman`] — Spearman rank correlation with tie handling (§4.4 and
 //!   §5.2 report ρ between host counts / packet loss and transient loss).
 //! * [`timeseries`] — rolling-window smoothing and the 2σ-noise burst
@@ -36,6 +36,6 @@ pub mod special;
 pub mod timeseries;
 
 pub use descriptive::{FiveNumber, Summary};
-pub use mcnemar::{bonferroni, cochran_q, mcnemar_test, McNemarResult, PairedCounts};
+pub use mcnemar::{bonferroni, mcnemar_test, McNemarResult, PairedCounts};
 pub use spearman::{spearman, SpearmanResult};
 pub use timeseries::{detect_bursts, rolling_mean, Burst};

@@ -1,11 +1,11 @@
-//! McNemar's test for paired binary outcomes, Cochran's Q, and the
-//! Bonferroni correction.
+//! McNemar's test for paired binary outcomes and the Bonferroni
+//! correction.
 //!
 //! §3 of the paper: *"we compare the number of hosts seen (and not seen) by
 //! each pair of origins per protocol using McNemar's test and find
 //! statistically significant differences (p < 0.001) between all pairs of
 //! scan origins in all trials"*, choosing pairwise McNemar over Cochran's Q
-//! and applying a Bonferroni correction. This module provides all three
+//! and applying a Bonferroni correction. This module provides both
 //! pieces.
 
 use crate::dist::chi2_sf;
@@ -86,46 +86,6 @@ pub fn bonferroni(alpha: f64, m: usize) -> f64 {
     alpha / m as f64
 }
 
-/// Cochran's Q test over k paired binary classifiers.
-///
-/// `outcomes[i]` is the length-k response vector of subject i (host i seen
-/// by each of the k origins). Returns `(Q, p)` against chi-square(k-1).
-/// The paper *rejects* this test for its main analysis — a single deviant
-/// origin drives significance — but we implement it both for completeness
-/// and to demonstrate that effect in tests.
-pub fn cochran_q(outcomes: &[Vec<bool>]) -> Option<(f64, f64)> {
-    let n = outcomes.len();
-    if n == 0 {
-        return None;
-    }
-    let k = outcomes[0].len();
-    if k < 2 || outcomes.iter().any(|row| row.len() != k) {
-        return None;
-    }
-    let col_sums: Vec<f64> = (0..k)
-        .map(|j| outcomes.iter().filter(|row| row[j]).count() as f64)
-        .collect();
-    let row_sums: Vec<f64> = outcomes
-        .iter()
-        .map(|row| row.iter().filter(|&&v| v).count() as f64)
-        .collect();
-    let total: f64 = row_sums.iter().sum();
-    let mean_col = total / k as f64;
-    let num: f64 = (k as f64 - 1.0)
-        * k as f64
-        * col_sums
-            .iter()
-            .map(|c| (c - mean_col) * (c - mean_col))
-            .sum::<f64>();
-    let den: f64 = k as f64 * total - row_sums.iter().map(|r| r * r).sum::<f64>();
-    if den <= 0.0 {
-        // All rows all-true or all-false: no discriminating information.
-        return Some((0.0, 1.0));
-    }
-    let q = num / den;
-    Some((q, chi2_sf(q, (k - 1) as f64)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,32 +153,5 @@ mod tests {
         assert_eq!(bonferroni(0.05, 10), 0.005);
         // 7 origins -> 21 pairs, 3 protocols, 3 trials = 189 tests.
         assert!((bonferroni(0.001, 189) - 5.291005e-6).abs() < 1e-11);
-    }
-
-    #[test]
-    fn cochran_q_single_deviant_origin_dominates() {
-        // Three origins; two identical, one missing many hosts. Q should be
-        // highly significant even though origins 0 and 1 are identical —
-        // exactly why the paper prefers pairwise McNemar.
-        let mut outcomes = Vec::new();
-        for i in 0..200 {
-            let dev = i % 4 != 0; // origin 2 misses 25% of hosts
-            outcomes.push(vec![true, true, dev]);
-        }
-        // Add some all-false rows (hosts seen by nobody) for den variety.
-        for _ in 0..20 {
-            outcomes.push(vec![false, false, false]);
-        }
-        let (q, p) = cochran_q(&outcomes).unwrap();
-        assert!(q > 50.0);
-        assert!(p < 1e-6);
-    }
-
-    #[test]
-    fn cochran_q_degenerate_inputs() {
-        assert!(cochran_q(&[]).is_none());
-        assert!(cochran_q(&[vec![true]]).is_none());
-        let uniform = vec![vec![true, true]; 10];
-        assert_eq!(cochran_q(&uniform).unwrap().1, 1.0);
     }
 }
