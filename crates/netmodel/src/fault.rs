@@ -34,7 +34,7 @@
 use crate::rng::{Det, Tag};
 use originscan_scanner::engine::{FaultAction, FaultCtx, FaultHook};
 use originscan_scanner::target::{
-    burst_of, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    burst_of, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,
 };
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, Scope, Telemetry};
@@ -335,12 +335,11 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         self.plan
     }
 
-    /// Does the plan leave `ctx`'s scope alone (no outage window and no
-    /// tampering for its origin and trial)? Then every probe method
-    /// forwards to the inner net verbatim.
-    fn untouched(&self, ctx: &ProbeCtx) -> bool {
-        !self.plan.has_outage(ctx.origin, ctx.trial)
-            && self.plan.tamper_for(ctx.origin, ctx.trial).is_none()
+    /// Does the plan leave the scope of `origin` and `trial` alone (no
+    /// outage window and no tampering)? Then every probe method forwards
+    /// to the inner net verbatim.
+    fn untouched(&self, origin: u16, trial: u8) -> bool {
+        !self.plan.has_outage(origin, trial) && self.plan.tamper_for(origin, trial).is_none()
     }
 
     /// One burst: forwarded to the inner net verbatim (`whole`) in an
@@ -355,7 +354,7 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         scalar: impl FnMut(&ProbeCtx) -> R,
         whole: impl FnOnce(&mut [R]),
     ) {
-        if self.untouched(ctx) {
+        if self.untouched(ctx.origin, ctx.trial) {
             whole(out);
         } else {
             burst_of(ctx, times, out, scalar);
@@ -463,8 +462,8 @@ fn tamper_key(ctx: &ProbeCtx) -> [u64; 4] {
 impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
     /// The inner net's answer in an untouched scope: an outage scope counts
     /// the probes it silences and a tampered one draws per probe.
-    fn silent(&self, ctx: &ProbeCtx) -> bool {
-        self.untouched(ctx) && self.inner.silent(ctx)
+    fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
+        self.untouched(origin, trial) && self.inner.silent(origin, protocol, trial, dst)
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {

@@ -10,6 +10,7 @@
 pub use originscan_scanner::target::Protocol;
 
 use crate::rng::{Det, Tag};
+use originscan_wire::{decimal_len, put_decimal};
 
 /// Stable numeric key for a protocol.
 pub fn proto_key(p: Protocol) -> u64 {
@@ -73,10 +74,19 @@ pub fn ssh_impl(det: &Det, addr: u32) -> SshImpl {
     }
 }
 
-/// Render the identification line for a host's SSH server.
+/// Render the identification line for a host's SSH server, in one
+/// buffer of exactly its length.
 pub fn ssh_banner(imp: SshImpl) -> Vec<u8> {
+    const OPENSSH_7: &[u8] = b"SSH-2.0-OpenSSH_7.";
     match imp {
-        SshImpl::OpenSsh(minor) => format!("SSH-2.0-OpenSSH_7.{minor}\r\n").into_bytes(),
+        SshImpl::OpenSsh(minor) => {
+            let minor = u64::from(minor);
+            let mut line = Vec::with_capacity(OPENSSH_7.len() + decimal_len(minor) + 2);
+            line.extend_from_slice(OPENSSH_7);
+            put_decimal(&mut line, minor);
+            line.extend_from_slice(b"\r\n");
+            line
+        }
         SshImpl::Dropbear => b"SSH-2.0-dropbear_2019.78\r\n".to_vec(),
         SshImpl::Other => b"SSH-2.0-ROSSSH\r\n".to_vec(),
     }
@@ -162,6 +172,23 @@ mod tests {
             let parsed = ServerIdent::parse(&b).expect("generated banner must parse");
             assert_eq!(parsed.proto_version, "2.0");
         }
+    }
+
+    #[test]
+    fn banners_equal_the_formatted_banners() {
+        for minor in 0..=u8::MAX {
+            let banner = ssh_banner(SshImpl::OpenSsh(minor));
+            assert_eq!(
+                banner,
+                format!("SSH-2.0-OpenSSH_7.{minor}\r\n").into_bytes()
+            );
+            assert_eq!(banner.len(), banner.capacity());
+        }
+        assert_eq!(
+            ssh_banner(SshImpl::Dropbear),
+            b"SSH-2.0-dropbear_2019.78\r\n"
+        );
+        assert_eq!(ssh_banner(SshImpl::Other), b"SSH-2.0-ROSSSH\r\n");
     }
 
     #[test]

@@ -467,14 +467,17 @@ impl Network for SimNet<'_> {
     }
 
     /// No host of the probed protocol and no machine of the TCP trio at
-    /// `ctx.dst`: `HostState::Absent` at every send time, which SYN and
-    /// UDP probes meet with silence. Never for ICMP, whose missing
-    /// machines a last-hop router may answer for.
-    fn silent(&self, ctx: &ProbeCtx) -> bool {
-        let (w, dst) = (self.world, ctx.dst);
-        ctx.protocol != Protocol::Icmp
-            && !w.is_host(ctx.protocol, dst)
-            && !PAPER_PROTOCOLS.into_iter().any(|p| w.is_host(p, dst))
+    /// `dst`: `HostState::Absent` at every send time, which SYN and UDP
+    /// probes meet with silence. Never for ICMP, whose missing machines a
+    /// last-hop router may answer for.
+    fn silent(&self, _origin: u16, protocol: Protocol, _trial: u8, dst: u32) -> bool {
+        let w = self.world;
+        match protocol {
+            Protocol::Icmp => false,
+            Protocol::Dns => !w.is_trio_machine(dst) && !w.is_host(Protocol::Dns, dst),
+            // The trio machine bit covers the protocol's own.
+            Protocol::Http | Protocol::Https | Protocol::Ssh => !w.is_trio_machine(dst),
+        }
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
@@ -615,7 +618,7 @@ impl Network for SimNet<'_> {
                         let line = originscan_wire::http::StatusLine {
                             minor_version: 1,
                             code,
-                            reason: reason.to_string(),
+                            reason,
                         };
                         L7Reply::Data(line.emit(body))
                     }
@@ -1091,7 +1094,12 @@ mod tests {
                             probe_idx: 0,
                             trial,
                         };
-                        if !net.silent(&ctx) {
+                        let silent = net.silent(origin, ctx.protocol, trial, dst);
+                        let four_lookups = ctx.protocol != Protocol::Icmp
+                            && !w.is_host(ctx.protocol, dst)
+                            && !PAPER_PROTOCOLS.into_iter().any(|p| w.is_host(p, dst));
+                        assert_eq!(silent, four_lookups, "{ctx:?}");
+                        if !silent {
                             continue;
                         }
                         match ctx.protocol {

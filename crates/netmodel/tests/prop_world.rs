@@ -266,7 +266,7 @@ proptest! {
                 probe_idx: 0,
                 trial: TRIALS[trial],
             };
-            if !net.silent(&ctx) {
+            if !net.silent(origin, protocol, ctx.trial, dst) {
                 continue;
             }
             match protocol {

@@ -482,9 +482,10 @@ fn faulty_net_is_silent_only_where_the_plan_is_absent() {
                 };
                 // Crashes and stalls act through the hook, not the net.
                 let untouched = trial == 1 || origin == 0;
-                let want = untouched && net.silent(&ctx);
-                assert_eq!(faulty.silent(&ctx), want, "{ctx:?}");
-                silent += u32::from(net.silent(&ctx) && !untouched);
+                let ask = |n: &dyn Network| n.silent(origin, ctx.protocol, trial, dst);
+                let want = untouched && ask(&net);
+                assert_eq!(ask(&faulty), want, "{ctx:?}");
+                silent += u32::from(ask(&net) && !untouched);
             }
         }
     }
@@ -501,9 +502,9 @@ fn a_defender_sees_and_lists_probes_to_silent_addresses() {
     let profile = AggressionProfile::aggressive();
     let defender = DefenderNet::new(&net, &world, profile, SPAN_S);
     let space = world.space() as u32;
-    let is_silent = |dst| net.silent(&burst_ctx(dst, 0x0a00_0100, Protocol::Http));
+    let is_silent = |dst| net.silent(0, Protocol::Http, 0, dst);
     let dst = (0..space).find(|&dst| is_silent(dst)).unwrap();
-    assert!(!defender.silent(&burst_ctx(dst, 0x0a00_0100, Protocol::Http)));
+    assert!(!defender.silent(0, Protocol::Http, 0, dst));
     // Blocklist every address that could answer: the scan probes only
     // silent ones.
     let axis = Axis {

@@ -60,6 +60,45 @@ pub fn mod_mul(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
+/// Multiplication by one fixed factor `b` modulo one `m` with no
+/// division: Shoup's method, which keeps the Barrett factor of the
+/// multiplier, `⌊b · 2^64 / m⌋`, computed once. Exact for every `m` below
+/// `2^63`, so for every prime [`next_prime`] returns for a u32 space (at
+/// most `2^32 + 15`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FixedMul {
+    m: u64,
+    b: u64,
+    /// `⌊b · 2^64 / m⌋`.
+    factor: u64,
+}
+
+impl FixedMul {
+    /// Multiplication by `b` modulo `m` (`b < m < 2^63`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "b < m, so b · 2^64 / m < 2^64"
+    )]
+    pub fn new(b: u64, m: u64) -> Self {
+        assert!(
+            b < m && m < 1 << 63,
+            "no fixed multiplication by {b} mod {m}"
+        );
+        let factor = ((u128::from(b) << 64) / u128::from(m)) as u64;
+        Self { m, b, factor }
+    }
+
+    /// `(a · b) mod m`, for any `a`.
+    #[inline]
+    pub fn apply(&self, a: u64) -> u64 {
+        let q = ((u128::from(a) * u128::from(self.factor)) >> 64) as u64;
+        // q is the quotient or one short of it: r < 2m, and wrapping u64
+        // arithmetic computes it exactly.
+        let r = a.wrapping_mul(self.b).wrapping_sub(q.wrapping_mul(self.m));
+        r.min(r.wrapping_sub(self.m))
+    }
+}
+
 /// `base^exp mod m` by square-and-multiply.
 pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
     if m == 1 {
@@ -190,7 +229,8 @@ impl Cycle {
     /// exactly once, in pseudorandom order.
     pub fn iter(&self) -> CycleIter {
         CycleIter {
-            cycle: self.clone(),
+            size: self.size,
+            step: FixedMul::new(self.generator, self.prime),
             current: self.start,
             remaining_group: self.prime - 1,
         }
@@ -211,9 +251,8 @@ impl Cycle {
         let order = self.prime - 1;
         let steps = order / total + u64::from(shard < order % total);
         ShardIter {
-            prime: self.prime,
             size: self.size,
-            stride,
+            step: FixedMul::new(stride, self.prime),
             current: start,
             remaining: steps,
             taken: 0,
@@ -224,7 +263,9 @@ impl Cycle {
 /// Iterator over a full [`Cycle`].
 #[derive(Debug, Clone)]
 pub struct CycleIter {
-    cycle: Cycle,
+    size: u64,
+    /// Multiplication by the generator.
+    step: FixedMul,
     current: u64,
     remaining_group: u64,
 }
@@ -235,10 +276,10 @@ impl Iterator for CycleIter {
     fn next(&mut self) -> Option<u64> {
         while self.remaining_group > 0 {
             let element = self.current;
-            self.current = mod_mul(self.current, self.cycle.generator, self.cycle.prime);
+            self.current = self.step.apply(self.current);
             self.remaining_group -= 1;
             let addr = element - 1;
-            if addr < self.cycle.size {
+            if addr < self.size {
                 return Some(addr);
             }
         }
@@ -254,9 +295,9 @@ impl Iterator for CycleIter {
 /// checkpoint/resume support is built on exactly these two operations.
 #[derive(Debug, Clone)]
 pub struct ShardIter {
-    prime: u64,
     size: u64,
-    stride: u64,
+    /// Multiplication by the stride, `g^total`.
+    step: FixedMul,
     current: u64,
     remaining: u64,
     taken: u64,
@@ -281,11 +322,8 @@ impl ShardIter {
             Some(d) if d <= self.remaining => d,
             _ => return false,
         };
-        self.current = mod_mul(
-            self.current,
-            mod_pow(self.stride, delta, self.prime),
-            self.prime,
-        );
+        let (stride, p) = (self.step.b, self.step.m);
+        self.current = FixedMul::new(mod_pow(stride, delta, p), p).apply(self.current);
         self.remaining -= delta;
         self.taken = steps;
         true
@@ -298,7 +336,7 @@ impl Iterator for ShardIter {
     fn next(&mut self) -> Option<u64> {
         while self.remaining > 0 {
             let element = self.current;
-            self.current = mod_mul(self.current, self.stride, self.prime);
+            self.current = self.step.apply(self.current);
             self.remaining -= 1;
             self.taken += 1;
             let addr = element - 1;
@@ -362,6 +400,69 @@ mod tests {
             seen.insert(x);
         }
         assert_eq!(seen.len() as u64, p - 1);
+    }
+
+    /// The moduli the reduction must be exact for: `next_prime(2^k + 1)`,
+    /// the prime of a `2^k`-address space. k = 16, 20, 22 and 24 are the
+    /// world presets (tiny to full); k = 32 is real ZMap's `2^32 + 15`.
+    fn reduction_moduli() -> [u64; 7] {
+        [8, 16, 20, 22, 24, 31, 32].map(|k| next_prime((1u64 << k) + 1))
+    }
+
+    #[test]
+    fn fixed_mul_matches_u128_remainder() {
+        assert!(reduction_moduli().contains(&4_294_967_311));
+        let mut state = 0x5eed_u64;
+        let mut draw = |m: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % m
+        };
+        for m in reduction_moduli() {
+            let edges = [0, 1, 2, m / 2, m - 2, m - 1];
+            for &b in &edges {
+                let by = FixedMul::new(b, m);
+                for a in edges.into_iter().chain([m, u64::MAX]) {
+                    assert_eq!(by.apply(a), mod_mul(a, b, m), "{a}·{b} mod {m}");
+                }
+            }
+            for _ in 0..100_000 {
+                let (a, b) = (draw(m), draw(m));
+                let by = FixedMul::new(b, m);
+                assert_eq!(by.apply(a), mod_mul(a, b, m), "{a}·{b} mod {m}");
+            }
+        }
+    }
+
+    /// At real ZMap's space, 2^32 addresses modulo `2^32 + 15`, a shard
+    /// and a fast-forwarded shard step exactly like a u128 reference.
+    #[test]
+    fn full_ipv4_space_steps_match_u128_reference() {
+        const STEPS: u64 = 100_000;
+        let c = Cycle::new(1 << 32, 2020);
+        let p = c.prime();
+        assert_eq!(p, 4_294_967_311);
+        // The reference walk: shard 1 of 4 starts one step in and strides
+        // by g^4; the address at each step, `None` where out of space.
+        let stride = mod_pow(c.generator, 4, p);
+        let mut element = mod_mul(c.start, c.generator, p);
+        let mut walk = Vec::new();
+        for _ in 0..STEPS {
+            walk.push((element - 1 < c.size()).then_some(element - 1));
+            element = mod_mul(element, stride, p);
+        }
+        let want =
+            |from: u64| -> Vec<u64> { walk[from as usize..].iter().flatten().copied().collect() };
+        let mut shard = c.iter_shard(1, 4);
+        let got: Vec<u64> = shard.by_ref().take(want(0).len()).collect();
+        assert_eq!(got, want(0));
+        assert_eq!(shard.steps_taken(), STEPS);
+        let mut jumped = c.iter_shard(1, 4);
+        assert!(jumped.fast_forward(STEPS / 2));
+        let rest: Vec<u64> = jumped.take(want(STEPS / 2).len()).collect();
+        assert_eq!(rest, want(STEPS / 2));
     }
 
     #[test]

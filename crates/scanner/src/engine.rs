@@ -34,7 +34,7 @@
 
 use crate::blocklist::Blocklist;
 use crate::cyclic::{Cycle, ShardIter};
-use crate::error::{ConfigError, ScanError, MAX_PROBES};
+use crate::error::{ConfigError, ScanError, MAX_L7_RETRIES, MAX_PROBES};
 use crate::fan;
 use crate::probe::{module_for, ProbeModule, ProbeShot};
 use crate::rate::Pacer;
@@ -149,6 +149,10 @@ impl ScanConfig {
             return Err(ConfigError::TooManyProbes {
                 probes: self.probes,
             });
+        }
+        if self.l7_retries > MAX_L7_RETRIES {
+            let retries = self.l7_retries;
+            return Err(ConfigError::TooManyRetries { retries });
         }
         if self.source_ips.is_empty() {
             return Err(ConfigError::NoSourceIps);
@@ -430,12 +434,6 @@ impl<'a> ScanCtx<'a> {
             session,
         }
     }
-
-    /// Source address `idx` of the pool (`validate`d non-empty), wrapping.
-    fn source_ip(&self, idx: usize) -> u32 {
-        let pool = &self.cfg.source_ips;
-        pool.get(idx % pool.len().max(1)).copied().unwrap_or(0)
-    }
 }
 
 /// Everything that moves; a checkpoint copies all but the two per-attempt counters.
@@ -588,9 +586,9 @@ pub(crate) struct AddrOutcome {
 /// Probe one address end to end: stamp the burst's send times, deliver
 /// it through the scan's [`ProbeModule`], fold the verdict masks into a
 /// record, and run the ZGrab follow-up for stateful modules. A burst the
-/// network calls [`Network::silent`] is stamped and counted, not built
-/// (unless `wire_check` asks for its round trips). The step loop, its
-/// tail pass and the fanned scan's workers all use it.
+/// network calls [`Network::silent`] costs its counters and the pacer's
+/// advance, nothing more (unless `wire_check` asks for its round trips).
+/// The step loop, its tail pass and the fanned scan's workers all use it.
 #[inline] // a copy per codegen unit: the step loop's stays private to it
 pub(crate) fn probe(
     ctx: &ScanCtx<'_>,
@@ -599,6 +597,15 @@ pub(crate) fn probe(
 ) -> Result<AddrOutcome, ScanError> {
     let cfg = ctx.cfg;
     p.out.summary.addresses_probed += 1;
+    p.out.summary.probes_sent += u64::from(cfg.probes);
+    if !cfg.wire_check && ctx.net.silent(cfg.origin, cfg.protocol, cfg.trial, addr) {
+        let last = p.pacer.advance(cfg.probes) + p.stall_s;
+        return Ok(AddrOutcome {
+            responsive: false,
+            rst: false,
+            last_t: last + f64::from(cfg.probes - 1) * cfg.probe_delay_s,
+        });
+    }
     // ZMap spreads flows over source IPs/ports by address hash; an
     // adaptive scan pins the source to the controller's active one.
     let mix = (addr ^ (addr >> 16)).wrapping_mul(0x9E37_79B9);
@@ -612,10 +619,12 @@ pub(crate) fn probe(
         dport: ctx.module.port(),
         wire_check: cfg.wire_check,
     };
-    let src_ip = ctx.source_ip(match &p.ctrl {
-        Some(c) => c.source_index() as usize,
-        None => mix as usize,
-    });
+    let src_idx = p
+        .ctrl
+        .as_ref()
+        .map_or(mix as usize, |c| c.source_index() as usize);
+    let pool = &cfg.source_ips; // `validate`d non-empty
+    let src_ip = pool.get(src_idx % pool.len().max(1)).copied().unwrap_or(0);
 
     let mut stamps = [0.0f64; MAX_PROBES];
     let times = stamps
@@ -624,7 +633,6 @@ pub(crate) fn probe(
     for (t, probe_idx) in times.iter_mut().zip(0u8..) {
         *t = p.pacer.next_send_time() + p.stall_s + f64::from(probe_idx) * cfg.probe_delay_s;
     }
-    p.out.summary.probes_sent += u64::from(cfg.probes);
     let probe_ctx = ProbeCtx {
         origin: cfg.origin,
         src_ip,
@@ -634,14 +642,6 @@ pub(crate) fn probe(
         probe_idx: 0,
         trial: cfg.trial,
     };
-    let last_t = times.last().copied().unwrap_or_default();
-    if !cfg.wire_check && ctx.net.silent(&probe_ctx) {
-        return Ok(AddrOutcome {
-            responsive: false,
-            rst: false,
-            last_t,
-        });
-    }
     let v = ctx
         .module
         .deliver_burst(ctx.net, &shot, &probe_ctx, times)?;
@@ -697,7 +697,7 @@ pub(crate) fn probe(
     Ok(AddrOutcome {
         responsive: synack_mask != 0,
         rst: got_rst,
-        last_t,
+        last_t: times.last().copied().unwrap_or_default(),
     })
 }
 
@@ -949,7 +949,7 @@ mod tests {
     struct SilentNet(std::sync::atomic::AtomicU64);
 
     impl Network for SilentNet {
-        fn silent(&self, _ctx: &ProbeCtx) -> bool {
+        fn silent(&self, _: u16, _: Protocol, _: u8, _: u32) -> bool {
             true
         }
         fn syn(&self, _ctx: &ProbeCtx, _probe: &TcpHeader) -> SynReply {
@@ -1213,7 +1213,48 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             check(&|c| c.probe_delay_s = bad, ConfigError::BadProbeDelay);
         }
+        check(
+            &|c| c.l7_retries = u8::MAX,
+            ConfigError::TooManyRetries { retries: u8::MAX },
+        );
         assert_eq!(base.validate(), Ok(()));
+    }
+
+    /// SYN-ACKs every address, FIN-closes every connection.
+    struct ClosingNet {
+        order_free: bool,
+    }
+
+    impl Network for ClosingNet {
+        fn order_free(&self) -> bool {
+            self.order_free
+        }
+        fn syn(&self, _: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            SynReply::SynAck(TcpHeader::syn_ack_reply(probe, 7))
+        }
+        fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
+            L7Reply::ConnClosed(CloseKind::FinAck)
+        }
+    }
+
+    /// The most retries a record's `u8` attempt count holds run to the
+    /// end, stepped and fanned; one more is refused before any probe.
+    #[test]
+    fn the_largest_retry_count_is_counted_and_one_more_refused() {
+        for order_free in [false, true] {
+            let net = ClosingNet { order_free };
+            let mut c = ScanConfig::new(64, Protocol::Ssh, 5);
+            c.l7_retries = MAX_L7_RETRIES;
+            let out = run_scan(&net, &c).unwrap();
+            assert_eq!(out.records.len(), 64);
+            for r in &out.records {
+                assert_eq!(r.l7, L7Outcome::ConnClosed(CloseKind::FinAck));
+                assert_eq!(r.l7_attempts, u8::MAX, "order-free: {order_free}");
+            }
+            c.l7_retries = MAX_L7_RETRIES + 1;
+            let refused = ConfigError::TooManyRetries { retries: u8::MAX };
+            assert_eq!(run_scan(&net, &c), Err(ScanError::Config(refused)));
+        }
     }
 
     /// Kills the scan whenever the predicate holds.

@@ -12,6 +12,10 @@ use std::fmt;
 /// the length of the per-burst stack arrays.
 pub const MAX_PROBES: usize = 8;
 
+/// Most L7 retries a host can be given: its attempt count, retries + 1,
+/// must fit [`crate::engine::HostScanRecord`]'s `u8`.
+pub const MAX_L7_RETRIES: u8 = u8::MAX - 1;
+
 /// Why a [`crate::engine::ScanConfig`] is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -23,6 +27,11 @@ pub enum ConfigError {
     TooManyProbes {
         /// The requested probe count.
         probes: u8,
+    },
+    /// `l7_retries` exceeds [`MAX_L7_RETRIES`].
+    TooManyRetries {
+        /// The requested retry count.
+        retries: u8,
     },
     /// `source_ips` is empty: no address to send probes from.
     NoSourceIps,
@@ -65,6 +74,10 @@ impl fmt::Display for ConfigError {
                     "{probes} probes per address exceeds the supported maximum of {MAX_PROBES}"
                 )
             }
+            ConfigError::TooManyRetries { retries } => write!(
+                f,
+                "{retries} L7 retries exceeds the supported maximum of {MAX_L7_RETRIES}"
+            ),
             ConfigError::NoSourceIps => write!(f, "at least one source IP is required"),
             ConfigError::InvalidShard { shard, total } => {
                 write!(

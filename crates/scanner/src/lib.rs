@@ -57,7 +57,7 @@ pub use engine::{
     run_scan, run_scan_session, CheckpointStore, FaultAction, FaultCtx, FaultHook, HostScanRecord,
     ScanCheckpoint, ScanConfig, ScanOutput, ScanSession, ScanSummary,
 };
-pub use error::{ConfigError, ScanError, MAX_PROBES};
+pub use error::{ConfigError, ScanError, MAX_L7_RETRIES, MAX_PROBES};
 pub use probe::{BurstVerdict, ProbeModule, ProbeShot, ProbeVerdict, PAPER_PROTOCOLS};
 pub use target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,

@@ -81,6 +81,16 @@ impl Pacer {
         self.batch_start_time
     }
 
+    /// [`Pacer::next_send_time`] `n` times (at least once): the send time
+    /// of the last of `n` probes.
+    pub(crate) fn advance(&mut self, n: u8) -> f64 {
+        let mut t = self.next_send_time();
+        for _ in 1..n {
+            t = self.next_send_time();
+        }
+        t
+    }
+
     /// Timestamp the next call to [`Pacer::next_send_time`] will return,
     /// without advancing state — the fault layer uses this to decide
     /// whether an outage window has opened before the probe is committed.

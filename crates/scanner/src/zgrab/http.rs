@@ -2,12 +2,11 @@
 
 use super::{L7Detail, L7Outcome};
 use crate::target::L7Ctx;
-use originscan_wire::http::StatusLine;
-use originscan_wire::ipv4::fmt_addr;
+use originscan_wire::http::{get_request, StatusLine};
 
 /// Build the request bytes for this connection.
 pub fn request(ctx: &L7Ctx) -> Vec<u8> {
-    originscan_wire::http::get_request(&fmt_addr(ctx.dst))
+    get_request(ctx.dst)
 }
 
 /// Parse the response: any syntactically valid HTTP status line counts as

@@ -15,6 +15,7 @@ pub mod http;
 pub mod ssh;
 pub mod tls;
 
+use crate::error::MAX_L7_RETRIES;
 use crate::target::{CloseKind, L7Ctx, L7Reply, Network, Protocol};
 
 /// Protocol-specific facts recorded from a successful handshake.
@@ -90,12 +91,14 @@ pub struct GrabResult {
 }
 
 /// Perform the application handshake with up to `retries` immediate
-/// retries after a closed or timed-out connection.
+/// retries after a closed or timed-out connection (at most
+/// [`MAX_L7_RETRIES`], so the attempt count fits its `u8`).
 ///
 /// The base study uses `retries = 0` (a single attempt, as ZGrab does);
 /// §6's follow-up experiment sweeps `retries` from 0 to 8 and shows
 /// retrying recovers most hosts lost to OpenSSH `MaxStartups`.
 pub fn grab<N: Network + ?Sized>(net: &N, mut ctx: L7Ctx, retries: u8) -> GrabResult {
+    let retries = retries.min(MAX_L7_RETRIES);
     let mut last = L7Outcome::Timeout;
     for attempt in 0..=retries {
         ctx.attempt = attempt;
@@ -227,6 +230,18 @@ mod tests {
             let r = grab(&net, ctx(p), 0);
             assert!(r.outcome.is_success(), "{p}");
         }
+    }
+
+    #[test]
+    fn retries_past_the_cap_stop_at_a_countable_attempt() {
+        let net = FlakyNet {
+            refusals: u8::MAX,
+            calls: AtomicU8::new(0),
+        };
+        let r = grab(&net, ctx(Protocol::Http), u8::MAX);
+        assert_eq!(r.outcome, L7Outcome::ConnClosed(CloseKind::FinAck));
+        assert_eq!(r.attempts, u8::MAX);
+        assert_eq!(net.calls.load(Ordering::Relaxed), u8::MAX);
     }
 
     #[test]

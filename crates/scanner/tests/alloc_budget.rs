@@ -1,17 +1,19 @@
 //! The probe path allocates O(1) per scan: scanning sixteen times the
 //! addresses may not cost sixteen times the heap allocations, on the
-//! engine's step loop or fanned out over the cores.
+//! engine's step loop or fanned out over the cores. A ZGrab handshake
+//! allocates its request and nothing but the net's reply besides.
 //!
 //! A counting allocator needs to be the process's `#[global_allocator]`,
 //! so this is one `#[test]` in a binary of its own; the `unsafe` it takes
 //! to wrap `System` stays out of the library crates.
 
 use originscan_scanner::engine::{run_scan, ScanConfig, ScanOutput};
-use originscan_scanner::probe::modules;
+use originscan_scanner::probe::{modules, PAPER_PROTOCOLS};
 use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply,
 };
 use originscan_wire::icmp::IcmpEcho;
+use originscan_wire::tls::{ServerHello, VERSION_TLS12};
 use originscan_wire::TcpHeader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +90,30 @@ impl Network for EchoNet {
     }
 }
 
+/// Every address runs every TCP service, and every handshake succeeds on
+/// fixed reply bytes: the reply's copy is the net's one allocation.
+#[derive(Debug)]
+struct ServingNet {
+    order_free: bool,
+    tls: Vec<u8>,
+}
+
+impl Network for ServingNet {
+    fn order_free(&self) -> bool {
+        self.order_free
+    }
+    fn syn(&self, _ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+        SynReply::SynAck(TcpHeader::syn_ack_reply(probe, 7))
+    }
+    fn l7(&self, ctx: &L7Ctx, _request: &[u8]) -> L7Reply {
+        L7Reply::Data(match ctx.protocol {
+            Protocol::Http => b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n".to_vec(),
+            Protocol::Https => self.tls.clone(),
+            _ => b"SSH-2.0-OpenSSH_7.4 Debian-10+deb9u7\r\n".to_vec(),
+        })
+    }
+}
+
 /// What a scan's allocation count may grow by when the space grows
 /// sixteenfold: nothing per probe, a little for whatever the engine
 /// sizes by the space.
@@ -152,4 +178,32 @@ fn probe_path_allocates_a_constant_per_scan() {
         many.abs_diff(few) <= extra_chunks / 2,
         "{few} allocations for {small} records, {many} for sixteen times as many"
     );
+
+    // A handshake per address: two allocations each (the request, and
+    // the reply the net hands over), plus the records' doubling.
+    let tls = ServerHello {
+        version: VERSION_TLS12,
+        cipher_suite: 0xc02f,
+    }
+    .emit(3);
+    for order_free in [false, true] {
+        let net = ServingNet {
+            order_free,
+            tls: tls.clone(),
+        };
+        for protocol in PAPER_PROTOCOLS {
+            let spent = |space: u64| {
+                let (spent, out) = allocations(&net, &ScanConfig::new(space, protocol, 2020));
+                assert_eq!(out.summary.l7_successes, space, "{protocol}");
+                spent
+            };
+            let (few, many) = (spent(small), spent(16 * small));
+            let handshakes = 15 * small;
+            assert!(
+                many.saturating_sub(few) <= 2 * handshakes + extra_chunks / 2,
+                "{protocol} (order-free: {order_free}): {few} allocations for {small} \
+                 handshakes, {many} for sixteen times as many"
+            );
+        }
+    }
 }

@@ -8,7 +8,7 @@
 )]
 
 use originscan_scanner::blocklist::{Blocklist, Cidr};
-use originscan_scanner::cyclic::{is_prime, next_prime, Cycle};
+use originscan_scanner::cyclic::{is_prime, mod_mul, next_prime, Cycle, FixedMul};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -25,6 +25,18 @@ proptest! {
         let set: HashSet<u64> = visited.iter().copied().collect();
         prop_assert_eq!(set.len() as u64, size);
         prop_assert!(visited.iter().all(|&a| a < size));
+    }
+
+    /// The permutation's division-free step is the u128 remainder, at the
+    /// prime of a `2^k`-address space for each k the scanner meets (the
+    /// world presets' 16 to 24, and up to real ZMap's 2^32 + 15).
+    #[test]
+    fn fixed_mul_matches_u128_remainder(i in 0usize..7, a: u64, b: u64) {
+        let k = [8, 16, 20, 22, 24, 31, 32][i];
+        let m = next_prime((1u64 << k) + 1);
+        let b = b % m;
+        prop_assert_eq!(FixedMul::new(b, m).apply(a), mod_mul(a, b, m));
+        prop_assert_eq!(FixedMul::new(b, m).apply(a % m), mod_mul(a, b, m));
     }
 
     /// Shards partition the space: disjoint, and their union is complete.

@@ -1,4 +1,5 @@
-//! Checked byte-level reads shared by the wire parsers.
+//! Checked byte-level reads shared by the wire parsers, and the decimal
+//! writes shared by the text renderers.
 //!
 //! Every accessor returns a typed [`ParseError`] instead of panicking,
 //! so parsers built on top of them contain no slice-index expressions:
@@ -70,6 +71,27 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Digits in the decimal form of `n`: what [`put_decimal`] appends.
+pub fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Append `n` in decimal, as `{n}` formats it, without formatting: a
+/// renderer that sized its buffer with [`decimal_len`] never grows it.
+pub fn put_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let start = out.len();
+    loop {
+        out.push(b'0' + (n % 10) as u8);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +108,17 @@ mod tests {
         // Offsets near usize::MAX must not wrap around into a panic.
         assert_eq!(be16(&buf, usize::MAX), Err(ParseError::Truncated));
         assert_eq!(be32(&buf, usize::MAX - 1), Err(ParseError::Truncated));
+    }
+
+    #[test]
+    fn decimals_match_format() {
+        let mut out = b"x".to_vec();
+        for n in [0, 1, 9, 10, 99, 100, 255, 999, 1000, 65_535, u64::MAX] {
+            out.truncate(1);
+            put_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}").into_bytes());
+            assert_eq!(decimal_len(n), n.to_string().len());
+        }
     }
 
     #[test]

@@ -4,34 +4,52 @@
 //! line; a host "completes the L7 handshake" when it returns any valid
 //! HTTP status line. We implement exactly that.
 
-use crate::ParseError;
+use crate::{decimal_len, put_decimal, ParseError};
 
-/// Build the `GET /` request the scanner sends.
+/// The request up to the `Host` value, and everything after it.
+const GET_HEAD: &[u8] = b"GET / HTTP/1.1\r\nHost: ";
+const GET_TAIL: &[u8] = b"\r\nUser-Agent: Mozilla/5.0 (compatible; originscan/0.1; +https://example.edu/scanning)\r\nAccept: */*\r\nConnection: close\r\n\r\n";
+
+/// Build the `GET /` request the scanner sends to `addr`, named in
+/// dotted-quad form in its `Host` header.
 ///
 /// Mirrors ZGrab's defaults: explicit `Host`, a researcher-identifying
 /// `User-Agent`, and `Connection: close` so the probed server tears the
 /// connection down immediately (one of the paper's ethical measures).
-pub fn get_request(host: &str) -> Vec<u8> {
-    format!(
-        "GET / HTTP/1.1\r\nHost: {host}\r\nUser-Agent: Mozilla/5.0 (compatible; originscan/0.1; +https://example.edu/scanning)\r\nAccept: */*\r\nConnection: close\r\n\r\n"
-    )
-    .into_bytes()
+pub fn get_request(addr: u32) -> Vec<u8> {
+    let octets = addr.to_be_bytes().map(u64::from);
+    let host_len: usize = octets.iter().map(|&o| decimal_len(o) + 1).sum::<usize>() - 1;
+    let mut req = Vec::with_capacity(GET_HEAD.len() + host_len + GET_TAIL.len());
+    req.extend_from_slice(GET_HEAD);
+    for (i, octet) in octets.into_iter().enumerate() {
+        if i > 0 {
+            req.push(b'.');
+        }
+        put_decimal(&mut req, octet);
+    }
+    req.extend_from_slice(GET_TAIL);
+    req
 }
 
-/// A parsed HTTP status line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatusLine {
+/// A parsed HTTP status line, borrowing its reason phrase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatusLine<'a> {
     /// Minor version of `HTTP/1.x` (0 or 1).
     pub minor_version: u8,
     /// Three-digit status code.
     pub code: u16,
     /// Reason phrase (may be empty).
-    pub reason: String,
+    pub reason: &'a str,
 }
 
-impl StatusLine {
+/// What [`StatusLine::emit`] writes between the reason phrase and the
+/// body length, and after it.
+const CONTENT_LENGTH: &[u8] = b"\r\nContent-Length: ";
+const CLOSE: &[u8] = b"\r\nConnection: close\r\n\r\n";
+
+impl<'a> StatusLine<'a> {
     /// Parse a status line from the front of a response buffer.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
         let line_end = buf
             .windows(2)
             .position(|w| w == b"\r\n")
@@ -56,25 +74,40 @@ impl StatusLine {
         if !(100..600).contains(&code) {
             return Err(ParseError::Malformed);
         }
-        let reason = it.next().unwrap_or("").to_string();
         Ok(Self {
             minor_version: minor,
             code,
-            reason,
+            reason: it.next().unwrap_or(""),
         })
     }
 
-    /// Render a status line plus minimal headers, as simulated servers send.
+    /// Render a status line plus minimal headers, as simulated servers
+    /// send, into one buffer of exactly its length.
     pub fn emit(&self, body: &str) -> Vec<u8> {
-        format!(
-            "HTTP/1.{} {} {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            self.minor_version,
-            self.code,
-            self.reason,
-            body.len(),
-            body
-        )
-        .into_bytes()
+        let (minor, code) = (u64::from(self.minor_version), u64::from(self.code));
+        let body_len = body.len() as u64;
+        let len = b"HTTP/1.".len()
+            + decimal_len(minor)
+            + 1
+            + decimal_len(code)
+            + 1
+            + self.reason.len()
+            + CONTENT_LENGTH.len()
+            + decimal_len(body_len)
+            + CLOSE.len()
+            + body.len();
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(b"HTTP/1.");
+        put_decimal(&mut out, minor);
+        out.push(b' ');
+        put_decimal(&mut out, code);
+        out.push(b' ');
+        out.extend_from_slice(self.reason.as_bytes());
+        out.extend_from_slice(CONTENT_LENGTH);
+        put_decimal(&mut out, body_len);
+        out.extend_from_slice(CLOSE);
+        out.extend_from_slice(body.as_bytes());
+        out
     }
 }
 
@@ -84,7 +117,7 @@ mod tests {
 
     #[test]
     fn request_is_well_formed() {
-        let req = get_request("1.2.3.4");
+        let req = get_request(0x0102_0304);
         let s = core::str::from_utf8(&req).unwrap();
         assert!(s.starts_with("GET / HTTP/1.1\r\n"));
         assert!(s.contains("Host: 1.2.3.4\r\n"));
@@ -92,12 +125,77 @@ mod tests {
         assert!(s.ends_with("\r\n\r\n"));
     }
 
+    /// The `format!` renderings the byte writers replaced.
+    fn formatted_request(addr: u32) -> Vec<u8> {
+        format!(
+            "GET / HTTP/1.1\r\nHost: {}\r\nUser-Agent: Mozilla/5.0 (compatible; originscan/0.1; +https://example.edu/scanning)\r\nAccept: */*\r\nConnection: close\r\n\r\n",
+            crate::ipv4::fmt_addr(addr)
+        )
+        .into_bytes()
+    }
+
+    fn formatted_status(sl: &StatusLine<'_>, body: &str) -> Vec<u8> {
+        format!(
+            "HTTP/1.{} {} {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+            sl.minor_version,
+            sl.code,
+            sl.reason,
+            body.len(),
+            body
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn request_bytes_equal_the_formatted_request() {
+        let octets = [0u32, 9, 10, 99, 100, 255];
+        for a in octets {
+            for b in octets {
+                for c in octets {
+                    for d in octets {
+                        let addr = a << 24 | b << 16 | c << 8 | d;
+                        let req = get_request(addr);
+                        assert_eq!(req, formatted_request(addr), "{addr:#x}");
+                        assert_eq!(req.len(), req.capacity(), "{addr:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every status a simulated server sends (any code with `OK`, `403
+    /// Forbidden` with its `Blocked Site` page) and then some.
+    #[test]
+    fn status_bytes_equal_the_formatted_status() {
+        for minor_version in [0, 1] {
+            for code in 100..600 {
+                for (reason, body) in [("OK", ""), ("Forbidden", "Blocked Site"), ("", "x")] {
+                    let sl = StatusLine {
+                        minor_version,
+                        code,
+                        reason,
+                    };
+                    let bytes = sl.emit(body);
+                    assert_eq!(bytes, formatted_status(&sl, body), "{sl:?}");
+                    assert_eq!(bytes.len(), bytes.capacity(), "{sl:?}");
+                }
+            }
+        }
+        let long = "b".repeat(12_345);
+        let sl = StatusLine {
+            minor_version: 1,
+            code: 200,
+            reason: "OK",
+        };
+        assert_eq!(sl.emit(&long), formatted_status(&sl, &long));
+    }
+
     #[test]
     fn status_roundtrip() {
         let sl = StatusLine {
             minor_version: 1,
             code: 200,
-            reason: "OK".into(),
+            reason: "OK",
         };
         let bytes = sl.emit("hello");
         let parsed = StatusLine::parse(&bytes).unwrap();

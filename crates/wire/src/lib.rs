@@ -58,6 +58,7 @@ pub mod tls;
 pub mod udp;
 pub mod validation;
 
+pub use bytes::{decimal_len, put_decimal};
 pub use icmp::IcmpEcho;
 pub use ipv4::Ipv4Header;
 pub use tcp::{TcpFlags, TcpHeader};

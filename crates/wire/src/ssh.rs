@@ -15,21 +15,24 @@ pub const MAX_IDENT_LEN: usize = 255;
 
 /// Build the client identification line as sent on the wire.
 pub fn client_ident_line() -> Vec<u8> {
-    format!("{CLIENT_IDENT}\r\n").into_bytes()
+    let mut line = Vec::with_capacity(CLIENT_IDENT.len() + 2);
+    line.extend_from_slice(CLIENT_IDENT.as_bytes());
+    line.extend_from_slice(b"\r\n");
+    line
 }
 
-/// A parsed server identification string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerIdent {
+/// A parsed server identification string, borrowing from the reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerIdent<'a> {
     /// Protocol version, e.g. `2.0` or `1.99` (which signals 2.0 compat).
-    pub proto_version: String,
+    pub proto_version: &'a str,
     /// Software version token, e.g. `OpenSSH_7.4`.
-    pub software: String,
+    pub software: &'a str,
     /// Optional comment following the software version.
-    pub comment: Option<String>,
+    pub comment: Option<&'a str>,
 }
 
-impl ServerIdent {
+impl<'a> ServerIdent<'a> {
     /// Emit the line as a server sends it.
     pub fn emit(&self) -> Vec<u8> {
         let mut s = format!("SSH-{}-{}", self.proto_version, self.software);
@@ -45,7 +48,7 @@ impl ServerIdent {
     ///
     /// Accepts a bare `\n` terminator (some stacks omit `\r`), rejects
     /// over-long or non-SSH lines.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
         let nl = buf
             .iter()
             .position(|&b| b == b'\n')
@@ -62,14 +65,14 @@ impl ServerIdent {
             return Err(ParseError::Malformed);
         }
         let (software, comment) = match soft_and_comment.split_once(' ') {
-            Some((s, c)) => (s.to_string(), Some(c.to_string())),
-            None => (soft_and_comment.to_string(), None),
+            Some((s, c)) => (s, Some(c)),
+            None => (soft_and_comment, None),
         };
         if software.is_empty() {
             return Err(ParseError::Malformed);
         }
         Ok(Self {
-            proto_version: proto.to_string(),
+            proto_version: proto,
             software,
             comment,
         })
@@ -92,6 +95,9 @@ mod tests {
         assert!(line.starts_with(b"SSH-2.0-"));
         assert!(line.ends_with(b"\r\n"));
         assert!(line.len() <= MAX_IDENT_LEN);
+        // Byte for byte what `format!` rendered, in a buffer of its size.
+        assert_eq!(line, format!("{CLIENT_IDENT}\r\n").into_bytes());
+        assert_eq!(line.len(), line.capacity());
     }
 
     #[test]
@@ -99,15 +105,15 @@ mod tests {
         let parsed = ServerIdent::parse(b"SSH-2.0-OpenSSH_7.4 Debian-10+deb9u7\r\n").unwrap();
         assert_eq!(parsed.proto_version, "2.0");
         assert_eq!(parsed.software, "OpenSSH_7.4");
-        assert_eq!(parsed.comment.as_deref(), Some("Debian-10+deb9u7"));
+        assert_eq!(parsed.comment, Some("Debian-10+deb9u7"));
         assert!(parsed.is_openssh());
     }
 
     #[test]
     fn roundtrip() {
         let ident = ServerIdent {
-            proto_version: "2.0".into(),
-            software: "dropbear_2019.78".into(),
+            proto_version: "2.0",
+            software: "dropbear_2019.78",
             comment: None,
         };
         assert_eq!(ServerIdent::parse(&ident.emit()).unwrap(), ident);

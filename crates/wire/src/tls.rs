@@ -37,6 +37,11 @@ pub const CHROME_TLS12_SUITES: [u16; 11] = [
     0x0035, // RSA-AES256-CBC-SHA
 ];
 
+/// ClientHello body bytes: version, random, empty session id, the
+/// suites with their length, one (null) compression method, and an
+/// empty extension block.
+const CLIENT_HELLO_BODY: usize = 2 + 32 + 1 + 2 + 2 * CHROME_TLS12_SUITES.len() + 2 + 2;
+
 /// Emit a complete ClientHello record.
 ///
 /// `random` seeds the 32-byte client random deterministically (the
@@ -44,56 +49,48 @@ pub const CHROME_TLS12_SUITES: [u16; 11] = [
 /// the handshake is aborted after the ServerHello.
 #[expect(clippy::cast_possible_truncation, reason = "an 11-entry const table")]
 pub fn client_hello(random: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128);
-    body.extend_from_slice(&VERSION_TLS12.to_be_bytes());
-    // 32-byte client random expanded from the seed.
-    for i in 0..4u64 {
-        body.extend_from_slice(
-            &random
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(i)
-                .to_be_bytes(),
-        );
-    }
-    body.push(0); // empty session id
-    let suites_len = (CHROME_TLS12_SUITES.len() * 2) as u16;
-    body.extend_from_slice(&suites_len.to_be_bytes());
-    for s in CHROME_TLS12_SUITES {
-        body.extend_from_slice(&s.to_be_bytes());
-    }
-    body.push(1); // one compression method:
-    body.push(0); //   null
-    body.extend_from_slice(&0u16.to_be_bytes()); // no extensions
-
-    frame_handshake(HS_CLIENT_HELLO, &body)
+    framed(HS_CLIENT_HELLO, CLIENT_HELLO_BODY, |body| {
+        body.extend_from_slice(&VERSION_TLS12.to_be_bytes());
+        // 32-byte client random expanded from the seed.
+        for i in 0..4u64 {
+            body.extend_from_slice(
+                &random
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i)
+                    .to_be_bytes(),
+            );
+        }
+        body.push(0); // empty session id
+        let suites_len = (CHROME_TLS12_SUITES.len() * 2) as u16;
+        body.extend_from_slice(&suites_len.to_be_bytes());
+        for s in CHROME_TLS12_SUITES {
+            body.extend_from_slice(&s.to_be_bytes());
+        }
+        body.push(1); // one compression method:
+        body.push(0); //   null
+        body.extend_from_slice(&0u16.to_be_bytes()); // no extensions
+    })
 }
 
-/// Wrap a handshake body in handshake + record headers.
+/// One handshake message of type `hs_type` in one record, in one buffer
+/// of exactly its length: the record and handshake headers, then the
+/// `body_len` bytes `body` writes.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "guarded: hello bodies stay tiny, far from the 2^24 and 2^16 length caps"
 )]
-fn frame_handshake(hs_type: u8, body: &[u8]) -> Vec<u8> {
-    let mut hs = Vec::with_capacity(body.len() + 9);
-    hs.push(hs_type);
-    debug_assert!(
-        body.len() < (1 << 24),
-        "handshake body exceeds 24-bit length"
-    );
-    let len = body.len() as u32;
-    let [_, l0, l1, l2] = len.to_be_bytes();
-    hs.extend_from_slice(&[l0, l1, l2]); // 24-bit length
-    hs.extend_from_slice(body);
-
-    let mut rec = Vec::with_capacity(hs.len() + 5);
+fn framed(hs_type: u8, body_len: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let hs_len = 4 + body_len;
+    debug_assert!(hs_len <= usize::from(u16::MAX), "record exceeds u16 length");
+    let mut rec = Vec::with_capacity(5 + hs_len);
     rec.push(CONTENT_HANDSHAKE);
     rec.extend_from_slice(&VERSION_TLS12.to_be_bytes());
-    debug_assert!(
-        hs.len() <= usize::from(u16::MAX),
-        "record exceeds u16 length"
-    );
-    rec.extend_from_slice(&(hs.len() as u16).to_be_bytes());
-    rec.extend_from_slice(&hs);
+    rec.extend_from_slice(&(hs_len as u16).to_be_bytes());
+    rec.push(hs_type);
+    let [_, l0, l1, l2] = (body_len as u32).to_be_bytes();
+    rec.extend_from_slice(&[l0, l1, l2]); // 24-bit length
+    body(&mut rec);
+    debug_assert_eq!(rec.len(), 5 + hs_len, "body length mismatch");
     rec
 }
 
@@ -110,15 +107,16 @@ impl ServerHello {
     /// Emit a ServerHello record selecting `cipher_suite` (used by the
     /// simulated servers).
     pub fn emit(&self, random: u64) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64);
-        body.extend_from_slice(&self.version.to_be_bytes());
-        for i in 0..4u64 {
-            body.extend_from_slice(&random.wrapping_add(i).to_be_bytes());
-        }
-        body.push(0); // empty session id
-        body.extend_from_slice(&self.cipher_suite.to_be_bytes());
-        body.push(0); // null compression
-        frame_handshake(HS_SERVER_HELLO, &body)
+        // version, random, empty session id, suite, compression
+        framed(HS_SERVER_HELLO, 2 + 32 + 1 + 2 + 1, |body| {
+            body.extend_from_slice(&self.version.to_be_bytes());
+            for i in 0..4u64 {
+                body.extend_from_slice(&random.wrapping_add(i).to_be_bytes());
+            }
+            body.push(0); // empty session id
+            body.extend_from_slice(&self.cipher_suite.to_be_bytes());
+            body.push(0); // null compression
+        })
     }
 
     /// Parse a ServerHello from a record buffer.
@@ -198,6 +196,38 @@ mod tests {
         let rec_len = usize::from(u16::from_be_bytes([ch[3], ch[4]]));
         assert_eq!(rec_len, ch.len() - 5);
         assert_eq!(ch[5], HS_CLIENT_HELLO);
+    }
+
+    /// The framing `framed` replaced: handshake header and body in one
+    /// buffer, then record header and that in another.
+    fn framed_in_two_buffers(hs_type: u8, body: &[u8]) -> Vec<u8> {
+        let mut hs = vec![hs_type];
+        hs.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..]);
+        hs.extend_from_slice(body);
+        let mut rec = vec![CONTENT_HANDSHAKE];
+        rec.extend_from_slice(&VERSION_TLS12.to_be_bytes());
+        rec.extend_from_slice(&(hs.len() as u16).to_be_bytes());
+        rec.extend_from_slice(&hs);
+        rec
+    }
+
+    #[test]
+    fn hellos_equal_the_two_buffer_framing() {
+        for random in [0, 1, 42, u64::MAX] {
+            let ch = client_hello(random);
+            assert_eq!(ch, framed_in_two_buffers(HS_CLIENT_HELLO, &ch[9..]));
+            assert_eq!(ch.len(), ch.capacity());
+            assert_eq!(&ch[9..11], &VERSION_TLS12.to_be_bytes());
+            for cipher_suite in CHROME_TLS12_SUITES {
+                let sh = ServerHello {
+                    version: VERSION_TLS12,
+                    cipher_suite,
+                }
+                .emit(random);
+                assert_eq!(sh, framed_in_two_buffers(HS_SERVER_HELLO, &sh[9..]));
+                assert_eq!(sh.len(), sh.capacity());
+            }
+        }
     }
 
     #[test]

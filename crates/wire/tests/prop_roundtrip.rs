@@ -92,8 +92,9 @@ proptest! {
     #[test]
     fn status_line_roundtrip(minor in 0u8..=1, code in 100u16..600, reason in "[ -~]{0,30}") {
         // Reason phrases are free-form printable ASCII.
-        let sl = StatusLine { minor_version: minor, code, reason: reason.clone() };
-        let parsed = StatusLine::parse(&sl.emit("body")).unwrap();
+        let sl = StatusLine { minor_version: minor, code, reason: &reason };
+        let bytes = sl.emit("body");
+        let parsed = StatusLine::parse(&bytes).unwrap();
         prop_assert_eq!(parsed, sl);
     }
 
@@ -113,11 +114,12 @@ proptest! {
         // Comments must not start with a space-splitting ambiguity; the
         // generator above guarantees non-empty tokens.
         let ident = ServerIdent {
-            proto_version: "2.0".to_string(),
-            software: software.clone(),
-            comment: comment.clone().map(|c| c.trim().to_string()).filter(|c| !c.is_empty()),
+            proto_version: "2.0",
+            software: &software,
+            comment: comment.as_deref().map(str::trim).filter(|c| !c.is_empty()),
         };
-        let parsed = ServerIdent::parse(&ident.emit()).unwrap();
+        let bytes = ident.emit();
+        let parsed = ServerIdent::parse(&bytes).unwrap();
         prop_assert_eq!(parsed.software, ident.software);
         prop_assert_eq!(parsed.proto_version, "2.0");
     }
