@@ -34,7 +34,7 @@ use crate::world::World;
 use originscan_scanner::target::{
     burst_of, CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
-use originscan_scanner::MAX_PROBES;
+use originscan_scanner::{Protocol, MAX_PROBES};
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, MetricBatch, Scope, Telemetry};
 use originscan_wire::icmp::IcmpEcho;
@@ -209,8 +209,10 @@ impl SwarmState {
 ///
 /// Interior mutability keeps the [`Network`] trait's `&self` contract;
 /// the mutex is uncontended in the deterministic single-threaded scans
-/// the co-simulation runs per sweep cell. [`Network::silent`] stays
-/// `false`: the detectors count probes to unused addresses too.
+/// the co-simulation runs per sweep cell. A defended net is never
+/// [`Network::silent`]: the detectors count probes to unused addresses
+/// too. With the `off` profile every call goes straight to the inner net,
+/// which then also answers `silent` and [`Network::order_free`].
 #[derive(Debug)]
 pub struct DefenderNet<'a, N: Network + ?Sized> {
     inner: &'a N,
@@ -477,6 +479,14 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
 }
 
 impl<N: Network + ?Sized> Network for DefenderNet<'_, N> {
+    fn order_free(&self) -> bool {
+        self.off() && self.inner.order_free()
+    }
+
+    fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
+        self.off() && self.inner.silent(origin, protocol, trial, dst)
+    }
+
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         let blocked = || self.refused(SynReply::Rst(TcpHeader::rst_reply(probe)), SynReply::Silent);
         self.one(ctx, blocked, |c| self.inner.syn(c, probe))

@@ -492,6 +492,33 @@ fn faulty_net_is_silent_only_where_the_plan_is_absent() {
     assert!(silent > 0, "no touched scope asked about a silent address");
 }
 
+/// An undefended `DefenderNet` is its inner net: at every address, module,
+/// origin and trial it answers `silent` and `order_free` as `SimNet` does.
+#[test]
+fn an_undefended_net_is_silent_and_order_free_as_its_inner_net() {
+    let world = WorldConfig::tiny(7).build();
+    let origins = [OriginId::Us1, OriginId::Germany, OriginId::Japan];
+    let net = SimNet::new(&world, &origins, DUR_S);
+    let defender = DefenderNet::new(&net, &world, AggressionProfile::off(), SPAN_S);
+    assert!(net.order_free());
+    assert_eq!(defender.order_free(), net.order_free());
+    let mut silent = 0u32;
+    for dst in 0..world.space() as u32 {
+        for m in modules() {
+            for origin in 0..origins.len() as u16 {
+                for trial in 0..3 {
+                    let ask = |n: &dyn Network| n.silent(origin, m.protocol(), trial, dst);
+                    assert_eq!(ask(&defender), ask(&net), "{dst} {origin} {trial}");
+                    silent += u32::from(ask(&net));
+                }
+            }
+        }
+    }
+    assert!(silent > 0, "no address was silent");
+    let guarded = DefenderNet::new(&net, &world, AggressionProfile::lenient(), SPAN_S);
+    assert!(!guarded.order_free());
+}
+
 /// A defender counts probes to unused addresses: through it, no address
 /// is silent, and a source that probed only addresses `SimNet` calls
 /// silent is still detected and listed.

@@ -26,11 +26,11 @@
 //!
 //! [`run_scan_session`]'s *step loop* is a send loop in the ZMap mould —
 //! next target → probe module → record — over a `ScanCtx` (what stays
-//! fixed) and a `Progress` (what moves); checkpointing, the fault hook,
-//! skip filters and controller reactions are small functions over that
-//! pair, run once per *permutation step*, skipped addresses included. An
-//! unsupervised, non-adaptive scan of a [`Network::order_free`] network
-//! bypasses it for `fan.rs`: the same `probe`, on every core.
+//! fixed) and a `Progress` (what moves). Clock, checkpoint and fault hook
+//! run once per *window*: a walk through the skip filters to the next
+//! address to probe or checkpoint, silent addresses counted in bulk (one
+//! step with a hook, a controller or `wire_check`). An open-loop scan of a
+//! [`Network::order_free`] network runs `probe` on every core (`fan.rs`).
 
 use crate::blocklist::Blocklist;
 use crate::cyclic::{Cycle, ShardIter};
@@ -492,13 +492,14 @@ pub(crate) fn restore_or_start(ctx: &ScanCtx<'_>) -> Result<Progress, ScanError>
 }
 
 /// Periodic checkpoint, taken *before* the iterator advances so the saved
-/// state excludes any in-flight address.
-fn checkpoint_if_due(ctx: &ScanCtx<'_>, p: &mut Progress) {
-    let Some(store) = ctx.session.store else {
-        return;
+/// state excludes any in-flight address. Returns the steps until the next
+/// one is due (unbounded when none ever is).
+fn checkpoint_if_due(ctx: &ScanCtx<'_>, p: &mut Progress) -> u64 {
+    let Some(store) = ctx.session.store.filter(|s| s.every > 0) else {
+        return u64::MAX;
     };
-    if store.every == 0 || p.since_checkpoint < store.every {
-        return;
+    if p.since_checkpoint < store.every {
+        return store.every - p.since_checkpoint;
     }
     store.save(p);
     p.since_checkpoint = 0;
@@ -510,6 +511,7 @@ fn checkpoint_if_due(ctx: &ScanCtx<'_>, p: &mut Progress) {
             addresses_probed: p.out.summary.addresses_probed,
         },
     );
+    store.every
 }
 
 /// Ask the fault hook what happens before the next address: nothing, a
@@ -557,20 +559,44 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
     }
 }
 
-/// Is `addr` passed over at this step? Counts plan and blocklist skips;
-/// an adaptive scan also parks quarantined addresses for the tail pass.
-#[inline] // once per permutation step, in the step loop and in `fan`'s serial stage
-pub(crate) fn skip(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> bool {
-    if ctx.cfg.plan.as_ref().is_some_and(|plan| !plan.allows(addr)) {
-        p.out.summary.plan_skipped += 1;
-        return true;
+/// Walk up to `window` permutation steps to the next address to [`probe`],
+/// counting plan and blocklist skips and parking what a controller defers.
+/// With `silence` (never with a controller, which sees every outcome), a
+/// run of [`Network::silent`] addresses is counted, and the pacer moved,
+/// once. Short of an address it returns its steps: `Err(0)`, none left.
+#[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
+pub(crate) fn walk(
+    ctx: &ScanCtx<'_>,
+    p: &mut Progress,
+    window: u64,
+    silence: bool,
+) -> Result<u32, u64> {
+    // Only a silent run moves the clock, and only at the walk's end.
+    let (cfg, now, mut steps, mut silent) = (ctx.cfg, p.now(), 0, 0);
+    let stop = loop {
+        let next = if steps < window { p.iter.next() } else { None };
+        let Some(addr64) = next else {
+            break Err(steps);
+        };
+        steps += 1;
+        let addr = addr64 as u32;
+        if cfg.plan.as_ref().is_some_and(|plan| !plan.allows(addr)) {
+            p.out.summary.plan_skipped += 1;
+        } else if cfg.blocklist.contains(addr) {
+            p.out.summary.blocked += 1;
+        } else if silence && ctx.net.silent(cfg.origin, cfg.protocol, cfg.trial, addr) {
+            silent += 1;
+        } else if !p.ctrl.as_mut().is_some_and(|c| c.should_defer(addr, now)) {
+            break Ok(addr);
+        }
+    };
+    p.since_checkpoint += steps;
+    if silent > 0 {
+        p.out.summary.addresses_probed += silent;
+        p.out.summary.probes_sent += silent * u64::from(cfg.probes);
+        p.pacer.skip_probes(silent * u64::from(cfg.probes));
     }
-    if ctx.cfg.blocklist.contains(addr) {
-        p.out.summary.blocked += 1;
-        return true;
-    }
-    let ctrl = p.ctrl.as_mut();
-    ctrl.is_some_and(|c| c.should_defer(addr, p.pacer.peek_send_time() + p.stall_s))
+    stop
 }
 
 /// What the adaptive controller observes of one probed address.
@@ -818,7 +844,6 @@ fn completion_metrics(ctx: &ScanCtx<'_>, p: &Progress) -> MetricBatch {
 /// hook before every address, periodically checkpoint resumable state,
 /// and resume from the session store's checkpoint when it holds one. A
 /// session with none of that may not step at all (see the module docs).
-#[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
 pub fn run_scan_session(
     net: &dyn Network,
     cfg: &ScanConfig,
@@ -843,16 +868,18 @@ pub fn run_scan_session(
         tele.record_span("plan", start_s, start_s);
     }
     let probe_span = tele.span("probe");
+    // A hook, a controller and `wire_check` see every address, one step
+    // at a time; otherwise a walk runs to the next checkpoint.
+    let stepwise = ctx.session.hook.is_some() || cfg.adapt.is_some() || cfg.wire_check;
     loop {
         tele.set_time(p.now());
-        checkpoint_if_due(&ctx, &mut p);
+        let due = checkpoint_if_due(&ctx, &mut p);
         consult_hook(&ctx, &mut p)?;
-        let Some(addr64) = p.iter.next() else { break };
-        p.since_checkpoint += 1;
-        let addr = addr64 as u32;
-        if skip(&ctx, &mut p, addr) {
-            continue;
-        }
+        let addr = match walk(&ctx, &mut p, if stepwise { 1 } else { due }, !stepwise) {
+            Ok(addr) => addr,
+            Err(0) => break,
+            Err(_) => continue,
+        };
         let outcome = probe(&ctx, &mut p, addr)?;
         react(&ctx, &mut p, addr, &outcome);
     }
@@ -1451,6 +1478,124 @@ mod tests {
         };
         let err = run_scan_session(&net, &cfg(100), session).unwrap_err();
         assert_eq!(err, ScanError::BadCheckpoint { steps: 5000 });
+    }
+
+    /// Silent at three addresses in four, by a hash of the address; the
+    /// rest SYN-ACK, RST or drop by the address and the send time, so a
+    /// probe stamped on the wrong clock gets another answer.
+    struct Patchy(u32);
+
+    impl Patchy {
+        fn hash(&self, dst: u32) -> u32 {
+            (dst ^ self.0).wrapping_mul(0x9E37_79B9) >> 16
+        }
+    }
+
+    impl Network for Patchy {
+        fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
+            !self.hash(dst).is_multiple_of(4)
+        }
+        fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            if self.silent(0, ctx.protocol, 0, ctx.dst) {
+                return SynReply::Silent;
+            }
+            match (self.hash(ctx.dst) / 4).wrapping_add(ctx.time_s as u32) % 3 {
+                0 => SynReply::SynAck(TcpHeader::syn_ack_reply(probe, 7)),
+                1 => SynReply::Rst(TcpHeader::rst_reply(probe)),
+                _ => SynReply::Silent,
+            }
+        }
+        fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
+            L7Reply::Data(b"HTTP/1.1 200 OK\r\n\r\n".to_vec())
+        }
+    }
+
+    /// What a supervised run leaves: its output, the checkpoints it
+    /// announced (steps, addresses probed, time bits), its hub's JSONL
+    /// and its store.
+    type Supervised = (ScanOutput, Vec<(u64, u64, u64)>, String, CheckpointStore);
+
+    /// Run `cfg` with a store saving every `every` steps and a hub; with
+    /// `stepwise`, also a hook that always continues, which makes the
+    /// loop walk one step at a time.
+    fn run_supervised(
+        net: &dyn Network,
+        cfg: &ScanConfig,
+        every: u64,
+        stepwise: bool,
+    ) -> Supervised {
+        let (hub, store, never) = (
+            Telemetry::new(),
+            CheckpointStore::new(every),
+            KillWhen(|_: &FaultCtx| false),
+        );
+        let session = ScanSession {
+            hook: stepwise.then_some(&never as &dyn FaultHook),
+            store: Some(&store),
+            attempt: 0,
+            telemetry: Some(&hub),
+        };
+        let out = run_scan_session(net, cfg, session).unwrap();
+        let snap = hub.snapshot();
+        let saved = snap.events.iter().filter_map(|e| match e.kind {
+            EventKind::CheckpointSaved {
+                steps,
+                addresses_probed,
+            } => Some((steps, addresses_probed, e.time_s.to_bits())),
+            _ => None,
+        });
+        (out, saved.collect(), snap.to_jsonl(), store)
+    }
+
+    /// Walking the permutation to the next checkpoint, silent runs counted
+    /// in bulk, is stepping it one address at a time: the same output,
+    /// checkpoints and telemetry bytes, across plans, blocklists, shards,
+    /// probe counts, batch sizes and checkpoint cadences — one of which
+    /// falls due exactly at the permutation's last step. A checkpoint the
+    /// walk saved resumes to the uninterrupted output.
+    #[test]
+    fn walking_to_the_next_checkpoint_equals_stepping_every_address() {
+        let net = Patchy(0x5eed);
+        let entries = [0, 2, 3, 7, 11, 12].map(|s24| originscan_plan::PlanEntry { s24, score: 1 });
+        let plan = TargetPlan::from_entries(4096, 99, "observed", entries.to_vec()).unwrap();
+        for axes in 0..8u8 {
+            for probes in 1..=MAX_PROBES as u8 {
+                let mut c = ScanConfig::new(4096, Protocol::Http, 99);
+                c.probes = probes;
+                c.batch = [1, 3, 16][usize::from(probes) % 3];
+                c.plan = (axes & 1 != 0).then(|| plan.clone());
+                if axes & 2 != 0 {
+                    c.blocklist = Blocklist::parse("0.0.2.0/23").unwrap();
+                }
+                c.shard = if axes & 4 != 0 { (1, 3) } else { (0, 1) };
+                let cycle = Cycle::new(c.space, c.seed);
+                let count = cycle.iter_shard(c.shard.0, c.shard.1).count() as u64;
+                let divisor = (2..count)
+                    .rev()
+                    .find(|&d| count.is_multiple_of(d))
+                    .unwrap_or(count);
+                let uninterrupted = run_scan(&net, &c).unwrap();
+                for every in [0, 1, 1024, divisor, count] {
+                    let at = (axes, probes, every);
+                    let walked = run_supervised(&net, &c, every, false);
+                    let stepped = run_supervised(&net, &c, every, true);
+                    assert_eq!(walked.0, uninterrupted, "{at:?}");
+                    assert_eq!(walked.0, stepped.0, "{at:?}");
+                    assert_eq!(walked.1, stepped.1, "{at:?}");
+                    assert!(walked.2 == stepped.2, "{at:?}: the hub JSONL differs");
+                    assert_eq!(walked.1.len() as u64, count.checked_div(every).unwrap_or(0));
+                    let (saved, want) = (walked.3.take(), stepped.3.take());
+                    assert_eq!(saved, want, "{at:?}");
+                    *walked.3.slot() = saved;
+                    let session = ScanSession {
+                        store: Some(&walked.3),
+                        ..Default::default()
+                    };
+                    let resumed = run_scan_session(&net, &c, session).unwrap();
+                    assert_eq!(resumed, uninterrupted, "{at:?}: resumed");
+                }
+            }
+        }
     }
 
     /// Stalls the pipeline once, by `delay_s`, at `at` probed addresses.

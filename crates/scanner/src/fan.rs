@@ -20,7 +20,7 @@
 //! The output is the step loop's, bit for bit, at any worker count.
 
 use crate::engine::{
-    restore_or_start, skip, HostScanRecord, Progress, ScanConfig, ScanCtx, ScanOutput, ScanSession,
+    restore_or_start, walk, HostScanRecord, Progress, ScanConfig, ScanCtx, ScanOutput, ScanSession,
 };
 use crate::error::ScanError;
 use crate::rate::Pacer;
@@ -107,7 +107,6 @@ impl Shared {
     /// the next chunk's surviving addresses: returns its index and the
     /// probe offset it starts at, or `None` when nothing is left (or
     /// nothing more should be started).
-    #[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
     fn turn(
         &self,
         ctx: &ScanCtx<'_>,
@@ -138,11 +137,10 @@ impl Shared {
             return None;
         }
         while addrs.len() < chunk {
-            let Some(addr64) = s.p.iter.next() else { break };
-            let addr = addr64 as u32;
-            if !skip(ctx, &mut s.p, addr) {
-                addrs.push(addr);
-            }
+            let Ok(addr) = walk(ctx, &mut s.p, u64::MAX, false) else {
+                break;
+            };
+            addrs.push(addr);
         }
         if addrs.is_empty() {
             return None;

@@ -48,19 +48,30 @@ impl Pacer {
     }
 
     /// The pacer [`Pacer::new`] becomes after `sent` calls of
-    /// [`Pacer::next_send_time`], in O(1): a pacer whose rate never
-    /// changes is a pure function of its call count, so a scan's clock
-    /// can be picked up at any probe offset.
+    /// [`Pacer::next_send_time`], in O(1): a scan's clock can be picked up
+    /// at any probe offset.
     pub fn at(rate: f64, batch: u32, sent: u64) -> Self {
         let mut p = Self::new(rate, batch);
-        if let Some(last) = sent.checked_sub(1) {
-            // The batch holding the last probe sent is still open, full
-            // or not: the roll-over waits for the next call.
-            p.batches_sent = last / u64::from(batch);
-            p.sent_in_batch = u32::try_from(last % u64::from(batch) + 1).unwrap_or(batch);
-            p.batch_start_time = p.batch_start(p.batches_sent);
-        }
+        p.skip_probes(sent);
         p
+    }
+
+    /// `n` calls of [`Pacer::next_send_time`] in O(1), bit for bit: a
+    /// batch's start is a function of its index, so only the batch that
+    /// holds the last of the `n` probes needs its start computed.
+    pub fn skip_probes(&mut self, n: u64) {
+        let room = u64::from(self.batch - self.sent_in_batch);
+        let Some(past) = n.checked_sub(room).filter(|&past| past > 0) else {
+            // `n ≤ room`, so it fits the open batch's `u32` count.
+            self.sent_in_batch += u32::try_from(n).unwrap_or(0);
+            return;
+        };
+        // The batch holding the last probe stays open, full or not: the
+        // roll-over waits for the next call.
+        let batch = u64::from(self.batch);
+        self.batches_sent += (past - 1) / batch + 1;
+        self.sent_in_batch = u32::try_from((past - 1) % batch + 1).unwrap_or(self.batch);
+        self.batch_start_time = self.batch_start(self.batches_sent);
     }
 
     /// Start time of batch index `b` under the current anchor and rate.
@@ -81,14 +92,11 @@ impl Pacer {
         self.batch_start_time
     }
 
-    /// [`Pacer::next_send_time`] `n` times (at least once): the send time
-    /// of the last of `n` probes.
+    /// [`Pacer::next_send_time`] `n ≥ 1` times: the send time of the last
+    /// of the `n` probes.
     pub(crate) fn advance(&mut self, n: u8) -> f64 {
-        let mut t = self.next_send_time();
-        for _ in 1..n {
-            t = self.next_send_time();
-        }
-        t
+        self.skip_probes(u64::from(n));
+        self.batch_start_time
     }
 
     /// Timestamp the next call to [`Pacer::next_send_time`] will return,
@@ -246,6 +254,39 @@ mod tests {
                     );
                 }
                 assert_eq!(bits(&jumped), bits(&stepped));
+            }
+        }
+    }
+
+    #[test]
+    fn skip_probes_equals_stepping() {
+        // From a fresh pacer, mid-batch, on a full batch, and right after
+        // a rate change (the state that rolls into the anchored batch).
+        for batch in [1u32, 3, 16] {
+            for prefix in [0u64, 1, u64::from(batch), u64::from(batch) + 2] {
+                for rerate in [false, true] {
+                    let mut start = Pacer::new(640.0, batch);
+                    for _ in 0..prefix {
+                        start.next_send_time();
+                    }
+                    if rerate {
+                        start.set_rate(96.0);
+                    }
+                    for n in (0..=3 * u64::from(batch) + 1).chain([1000, 65_537]) {
+                        let (mut stepped, mut jumped) = (start.clone(), start.clone());
+                        for _ in 0..n {
+                            stepped.next_send_time();
+                        }
+                        jumped.skip_probes(n);
+                        let at = (batch, prefix, rerate, n);
+                        assert_eq!(jumped, stepped, "{at:?}");
+                        assert_eq!(
+                            jumped.next_send_time().to_bits(),
+                            stepped.next_send_time().to_bits(),
+                            "{at:?}"
+                        );
+                    }
+                }
             }
         }
     }
