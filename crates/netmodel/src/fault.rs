@@ -306,6 +306,8 @@ impl FaultHook for PlanHook<'_> {
 pub struct FaultyNet<'a, N: Network + ?Sized> {
     inner: &'a N,
     plan: &'a FaultPlan,
+    /// The tamper draws' stream, rooted at the plan's seed.
+    det: Det,
     duration_s: f64,
     telemetry: Option<&'a Telemetry>,
 }
@@ -317,6 +319,7 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         Self {
             inner,
             plan,
+            det: Det::new(plan.seed),
             duration_s,
             telemetry: None,
         }
@@ -383,11 +386,11 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
     /// Duplication draw shared by every probe flavour: returns the
     /// effective context (probe `i` may be re-asked as probe `i − 1`,
     /// which *is* the earlier reply since the inner network is pure).
-    fn duplicated_ctx(&self, det: &Det, key: &[u64], t: &Tamper, ctx: &ProbeCtx) -> ProbeCtx {
+    fn duplicated_ctx(&self, key: &[u64], t: &Tamper, ctx: &ProbeCtx) -> ProbeCtx {
         let mut eff = *ctx;
         if t.duplicate_p > 0.0
             && ctx.probe_idx > 0
-            && det.bernoulli(Tag::FaultDuplicate, key, t.duplicate_p)
+            && self.det.bernoulli(Tag::FaultDuplicate, key, t.duplicate_p)
         {
             eff.probe_idx -= 1;
             if let Some(hub) = self.telemetry {
@@ -422,12 +425,11 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
         let Some(t) = self.plan.tamper_for(ctx.origin, ctx.trial) else {
             return ask(ctx);
         };
-        let det = Det::new(self.plan.seed);
         let key = tamper_key(ctx);
-        let eff = self.duplicated_ctx(&det, &key, t, ctx);
+        let eff = self.duplicated_ctx(&key, t, ctx);
         let mut reply = ask(&eff);
         if t.corrupt_p > 0.0
-            && det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p)
+            && self.det.bernoulli(Tag::FaultCorrupt, &key, t.corrupt_p)
             && corrupt(&mut reply)
         {
             self.note_corruption(ctx);

@@ -10,16 +10,26 @@
 //! MaxStartups) before serving protocol-correct bytes produced with the
 //! `originscan-wire` codecs.
 //!
-//! # The path-state table
+//! # Each decision once per its key
 //!
-//! Part of that derivation does not depend on the address at all: the
-//! loss parameters and burst events of a path are a function of
-//! (origin, destination AS, protocol, trial) — [`path::path_state`] —
-//! and a scan asks for them three or more times per responsive host. So
-//! a `SimNet` owns a table of [`PathState`] with one write-once slot per
-//! key, filled the first time a probe needs it and read without a lock
-//! afterwards. Nothing is allocated for a (trial), an (origin, protocol)
-//! or an AS no probe has touched, which keeps [`SimNet::new`] cheap.
+//! Much of that derivation does not depend on the address, the origin or
+//! the send time, and a scan would otherwise pay for it at every address
+//! and again in `l7`. So a `SimNet` owns a table of write-once slots,
+//! each filled the first time a probe needs it and read without a lock
+//! afterwards:
+//!
+//! * per (protocol, trial), the **answer set**: one bit per address of
+//!   the world, set where a live host of the protocol stands or where a
+//!   live machine of another trio protocol answers the closed port with a
+//!   RST. Every other address is `Absent` at every send time, which is
+//!   what [`Network::silent`] reads, and a host's state starts from its
+//!   bit;
+//! * per (origin, destination AS, protocol, trial), the [`PathState`]
+//!   ([`path::path_state`]): loss parameters, burst events, and the
+//!   AS-level halves of the reputation wall and the IDS.
+//!
+//! Nothing is allocated for a (trial), an (origin, protocol) or an AS no
+//! probe has touched, which keeps [`SimNet::new`] cheap.
 //!
 //! The net is shared by an experiment's scan threads, so which thread
 //! fills a slot — and in what order slots fill — varies from run to run.
@@ -32,7 +42,7 @@ use crate::burst;
 use crate::host::{self, Protocol};
 use crate::origin::OriginId;
 use crate::path::{self, PathState};
-use crate::policy::{self, alibaba, geo_restrict, ids, maxstartups, Block};
+use crate::policy::{self, alibaba, geo_restrict, maxstartups, Block};
 use crate::rng::Tag;
 use crate::world::{proto_slot, World, PROTO_SLOTS};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
@@ -62,11 +72,28 @@ impl<T> Slots<T> {
     /// that was stored.
     #[expect(
         clippy::indexing_slicing,
-        reason = "rows are sized to their key range: 256 trials, origins × PROTO_SLOTS, ASes"
+        reason = "rows are sized to their key range: 256 trials, PROTO_SLOTS, origins × PROTO_SLOTS, ASes"
     )]
     fn get_or_fill(&self, i: usize, fill: impl FnOnce() -> T) -> &T {
         self.row[i].get_or_init(fill)
     }
+}
+
+/// 1 024 addresses of an answer set, one bit each. A set is stored in
+/// whole 128-byte-aligned lines so that it shares no cache line with
+/// another allocation: every scan thread reads it at every address. (As a
+/// plain `u64` slice, a two-core `scan_single` ran ~15 % slower.)
+#[derive(Debug, Clone, Copy)]
+#[repr(align(128))]
+struct Line([u64; 16]);
+
+/// What a `SimNet` stores for one trial.
+#[derive(Debug)]
+struct TrialTable {
+    /// The answer set by protocol slot ([`answer_set`]).
+    answers: Slots<Box<[Line]>>,
+    /// [`PathState`] by (origin index, protocol), then AS index.
+    paths: Slots<Slots<PathState>>,
 }
 
 /// The simulated network an experiment scans.
@@ -76,9 +103,8 @@ pub struct SimNet<'w> {
     origins: &'w [OriginId],
     /// Simulated scan duration (time normalization for temporal models).
     duration_s: f64,
-    /// [`PathState`] by trial, then (origin index, protocol), then AS
-    /// index; see the module docs.
-    paths: Slots<Slots<Slots<PathState>>>,
+    /// What is stored per trial; see the module docs.
+    trials: Slots<TrialTable>,
 }
 
 impl std::fmt::Debug for SimNet<'_> {
@@ -102,6 +128,57 @@ const ROUTER_UNREACHABLE_P: f64 = 0.15;
 /// ICMP destination-unreachable code for "host unreachable".
 const CODE_HOST_UNREACHABLE: u8 = 1;
 
+/// Does a live machine at `addr` without a `proto` service answer that
+/// port with a RST? Deliberately asked only of the paper's TCP trio (the
+/// keyed draws feed the byte-reproducible trio scans).
+fn closes_port(w: &World, addr: u32, proto: Protocol) -> bool {
+    w.det().bernoulli(
+        Tag::ClosedPort,
+        &[u64::from(addr), host::proto_key(proto)],
+        CLOSED_PORT_RST_P,
+    )
+}
+
+/// Does the last-hop router answer an ICMP echo to `dst` when no live
+/// machine does? Keyed by the address alone.
+fn router_answers(w: &World, dst: u32) -> bool {
+    w.det().bernoulli(
+        Tag::ClosedPort,
+        &[2, u64::from(dst), host::proto_key(Protocol::Icmp)],
+        ROUTER_UNREACHABLE_P,
+    )
+}
+
+/// The addresses that can answer `proto` at all in `trial`, one bit each
+/// over the world's space: a host of `proto` that is alive, or a machine
+/// of another trio protocol that is alive and answers the closed port
+/// ([`closes_port`]). Built from the host lists, so it costs the world's
+/// trio machines, not its space.
+fn answer_set(w: &World, proto: Protocol, trial: u8) -> Box<[Line]> {
+    let mut lines = vec![Line([0; 16]); w.space().div_ceil(1024) as usize];
+    let mut set = |addr: u32| {
+        let line = lines.get_mut((addr / 1024) as usize);
+        if let Some(word) = line.and_then(|l| l.0.get_mut((addr / 64 % 16) as usize)) {
+            *word |= 1 << (addr % 64);
+        }
+    };
+    for &addr in w.hosts(proto) {
+        if w.alive(proto, addr, trial) {
+            set(addr);
+        }
+    }
+    for other in PAPER_PROTOCOLS.into_iter().filter(|&p| p != proto) {
+        for &addr in w.hosts(other) {
+            // The cheaper, rarer draw first.
+            if !w.is_host(proto, addr) && closes_port(w, addr, proto) && w.alive(other, addr, trial)
+            {
+                set(addr);
+            }
+        }
+    }
+    lines.into_boxed_slice()
+}
+
 impl<'w> SimNet<'w> {
     /// Wrap a world for scanning by the given origin roster.
     pub fn new(world: &'w World, origins: &'w [OriginId], duration_s: f64) -> Self {
@@ -111,7 +188,7 @@ impl<'w> SimNet<'w> {
             world,
             origins,
             duration_s,
-            paths: Slots::new(usize::from(u8::MAX) + 1),
+            trials: Slots::new(usize::from(u8::MAX) + 1),
         }
     }
 
@@ -133,6 +210,25 @@ impl<'w> SimNet<'w> {
         self.origins[usize::from(idx)]
     }
 
+    fn trial(&self, trial: u8) -> &TrialTable {
+        self.trials.get_or_fill(usize::from(trial), || TrialTable {
+            answers: Slots::new(PROTO_SLOTS),
+            paths: Slots::new(self.origins.len() * PROTO_SLOTS),
+        })
+    }
+
+    /// Can `addr` answer `proto` at all in `trial`: is its bit in the
+    /// answer set ([`answer_set`], built on first use)? An address outside
+    /// the world cannot.
+    fn answers(&self, proto: Protocol, trial: u8, addr: u32) -> bool {
+        self.trial(trial)
+            .answers
+            .get_or_fill(proto_slot(proto), || answer_set(self.world, proto, trial))
+            .get((addr / 1024) as usize)
+            .and_then(|line| line.0.get((addr / 64 % 16) as usize))
+            .is_some_and(|word| word & (1 << (addr % 64)) != 0)
+    }
+
     /// The path state from origin number `origin` (an index into this
     /// net's roster) into `asr` for one (protocol, trial): computed by
     /// [`path::path_state`] on first use, then served from the table.
@@ -144,17 +240,14 @@ impl<'w> SimNet<'w> {
         trial: u8,
     ) -> &PathState {
         let w = self.world;
-        let o = self.origin(origin);
-        self.paths
-            .get_or_fill(usize::from(trial), || {
-                Slots::new(self.origins.len() * PROTO_SLOTS)
-            })
+        self.trial(trial)
+            .paths
             .get_or_fill(
                 usize::from(origin) * PROTO_SLOTS + proto_slot(proto),
                 || Slots::new(w.ases.len()),
             )
             .get_or_fill(asr.index as usize, || {
-                path::path_state(w, o, asr, proto, trial)
+                path::path_state(w, self.origin(origin), asr, proto, trial)
             })
     }
 
@@ -168,39 +261,25 @@ impl<'w> SimNet<'w> {
         trial: u8,
         time_s: f64,
     ) -> HostState {
+        if !self.answers(proto, trial, addr) {
+            return HostState::Absent;
+        }
         let w = self.world;
-        let o = self.origin(origin);
         if !w.is_host(proto, addr) {
-            // Machine may still exist running another service: closed port.
-            // Deliberately checks the paper's TCP trio only (the keyed
-            // draws below feed the byte-reproducible trio scans).
-            let other_service = PAPER_PROTOCOLS
-                .into_iter()
-                .any(|p| p != proto && w.is_host(p, addr) && w.alive(p, addr, trial));
-            if other_service
-                && w.det().bernoulli(
-                    Tag::ClosedPort,
-                    &[u64::from(addr), host::proto_key(proto)],
-                    CLOSED_PORT_RST_P,
-                )
-            {
-                return HostState::ClosedPort;
-            }
-            return HostState::Absent;
+            // The machine runs another service: closed port.
+            return HostState::ClosedPort;
         }
-        if !w.alive(proto, addr, trial) {
-            return HostState::Absent;
-        }
+        let o = self.origin(origin);
         let asr = w.as_of(addr);
-        match policy::block_status(w, o, asr, addr, proto, trial) {
+        let path = self.path_state(origin, asr, proto, trial);
+        match policy::host_block(w, o, asr, addr, proto, path.wall) {
             Block::DropL4 => return HostState::SilentlyFiltered,
             Block::DropL7 => return HostState::L7Filtered,
             Block::None => {}
         }
-        if ids::blocked(w, o, asr, proto, trial, time_s, self.duration_s) {
+        if path.ids.blocked_at(time_s, self.duration_s) {
             return HostState::SilentlyFiltered;
         }
-        let path = self.path_state(origin, asr, proto, trial);
         let params = path.params;
         if path::host_persistent_unreachable(w, o, addr, params.persistent_f) {
             return HostState::SilentlyFiltered;
@@ -368,20 +447,14 @@ impl SimNet<'_> {
         probe: &IcmpEcho,
         state: HostState,
         probe_idx: u8,
-        router_answers: &mut Option<bool>,
+        router: &mut Option<bool>,
     ) -> IcmpReply {
         let (w, o) = (self.world, self.origin(ctx.origin));
         match state {
             HostState::Absent | HostState::ClosedPort => {
                 // The last-hop router answers for a fraction of missing
                 // machines; the rest time out silently.
-                let answers = *router_answers.get_or_insert_with(|| {
-                    w.det().bernoulli(
-                        Tag::ClosedPort,
-                        &[2, u64::from(ctx.dst), host::proto_key(Protocol::Icmp)],
-                        ROUTER_UNREACHABLE_P,
-                    )
-                });
+                let answers = *router.get_or_insert_with(|| router_answers(w, ctx.dst));
                 if answers {
                     IcmpReply::Unreachable {
                         code: CODE_HOST_UNREACHABLE,
@@ -466,18 +539,12 @@ impl Network for SimNet<'_> {
         true
     }
 
-    /// No host of the probed protocol and no machine of the TCP trio at
-    /// `dst`: `HostState::Absent` at every send time, which SYN and UDP
-    /// probes meet with silence. Never for ICMP, whose missing machines a
-    /// last-hop router may answer for.
-    fn silent(&self, _origin: u16, protocol: Protocol, _trial: u8, dst: u32) -> bool {
-        let w = self.world;
-        match protocol {
-            Protocol::Icmp => false,
-            Protocol::Dns => !w.is_trio_machine(dst) && !w.is_host(Protocol::Dns, dst),
-            // The trio machine bit covers the protocol's own.
-            Protocol::Http | Protocol::Https | Protocol::Ssh => !w.is_trio_machine(dst),
-        }
+    /// `dst` is not in the (protocol, trial) answer set: `HostState::Absent`
+    /// at every send time, which SYN and UDP probes meet with silence. An
+    /// ICMP echo also needs the last-hop router to stay quiet.
+    fn silent(&self, _origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
+        !self.answers(protocol, trial, dst)
+            && (protocol != Protocol::Icmp || !router_answers(self.world, dst))
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
@@ -516,11 +583,11 @@ impl Network for SimNet<'_> {
         times: &[f64],
         replies: &mut [IcmpReply],
     ) {
-        let mut router_answers = None;
+        let mut router = None;
         let states = self.burst_states(ctx, Protocol::Icmp, times);
         for ((reply, state), i) in replies.iter_mut().zip(states).zip(0u8..) {
             let probe_idx = ctx.probe_idx.wrapping_add(i);
-            *reply = self.icmp_reply(ctx, probe, state, probe_idx, &mut router_answers);
+            *reply = self.icmp_reply(ctx, probe, state, probe_idx, &mut router);
         }
     }
 
@@ -642,6 +709,7 @@ impl Network for SimNet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ids, reputation};
     use crate::world::WorldConfig;
     use originscan_scanner::engine::{run_scan, ScanConfig};
 
@@ -1062,10 +1130,27 @@ mod tests {
         assert!(burst_changes > 0, "no burst saw an outage window open");
     }
 
-    /// Every address, protocol, origin and trial of a tiny world: where
-    /// `silent` holds, the protocol's burst, sent at the start, middle and
-    /// end of the scan, gets no reply. `silent` never holds for ICMP and
-    /// holds for most of the HTTP space, so the engine's short-cut fires.
+    /// Is `dst` silent for `proto` in `trial`, by the model's definition:
+    /// no live host of `proto`, no closed-port RST from a live machine of
+    /// another trio protocol, and for ICMP no router answer either?
+    fn reference_silent(w: &World, proto: Protocol, trial: u8, dst: u32) -> bool {
+        let draw = |words: &[u64], p: f64| w.det().bernoulli(Tag::ClosedPort, words, p);
+        let key = host::proto_key(proto);
+        let live = w.is_host(proto, dst) && w.alive(proto, dst, trial);
+        let closed = !w.is_host(proto, dst)
+            && PAPER_PROTOCOLS
+                .into_iter()
+                .any(|p| p != proto && w.is_host(p, dst) && w.alive(p, dst, trial))
+            && draw(&[u64::from(dst), key], CLOSED_PORT_RST_P);
+        let router = proto == Protocol::Icmp && draw(&[2, u64::from(dst), 1], ROUTER_UNREACHABLE_P);
+        !live && !closed && !router
+    }
+
+    /// Every address, protocol, origin and trial of a tiny world: `silent`
+    /// is the reference definition, every module has silent and audible
+    /// addresses, and where `silent` holds the protocol's burst, sent at
+    /// the start, middle and end of the scan, gets no reply. It holds for
+    /// most of the HTTP space, so the engine's short-cut fires.
     #[test]
     fn silent_addresses_answer_no_burst() {
         const N: usize = 3;
@@ -1078,13 +1163,16 @@ mod tests {
         let net = SimNet::new(&w, &roster, 75_600.0);
         let times = [0.0, net.duration_s() / 2.0, net.duration_s()];
         let query = dns::a_query(7, "origin-scan.example.com").unwrap();
-        let (mut silent_icmp, mut silent_http) = (0u64, 0u64);
+        let modules = originscan_scanner::probe::modules();
+        // (silent, audible) asks per module.
+        let mut seen = vec![(0u64, 0u64); modules.len()];
         for dst in 0..w.space() as u32 {
             let syn = TcpHeader::syn_probe(40_000, 80, dst);
             let echo = IcmpEcho::request(7, dst as u16);
-            for m in originscan_scanner::probe::modules() {
-                for origin in 0..roster.len() as u16 {
-                    for trial in 0..3 {
+            for (m, seen) in modules.iter().zip(&mut seen) {
+                for trial in 0..3 {
+                    let want = reference_silent(&w, m.protocol(), trial, dst);
+                    for origin in 0..roster.len() as u16 {
                         let ctx = ProbeCtx {
                             origin,
                             src_ip: 0x0a00_0001,
@@ -1095,16 +1183,14 @@ mod tests {
                             trial,
                         };
                         let silent = net.silent(origin, ctx.protocol, trial, dst);
-                        let four_lookups = ctx.protocol != Protocol::Icmp
-                            && !w.is_host(ctx.protocol, dst)
-                            && !PAPER_PROTOCOLS.into_iter().any(|p| w.is_host(p, dst));
-                        assert_eq!(silent, four_lookups, "{ctx:?}");
+                        assert_eq!(silent, want, "{ctx:?}");
                         if !silent {
+                            seen.1 += 1;
                             continue;
                         }
+                        seen.0 += 1;
                         match ctx.protocol {
                             Protocol::Icmp => {
-                                silent_icmp += 1;
                                 let mut got = [IcmpReply::Unreachable { code: 0 }; N];
                                 net.icmp_burst(&ctx, &echo, &times, &mut got);
                                 assert_eq!(got, [IcmpReply::Silent; N], "{ctx:?}");
@@ -1114,8 +1200,7 @@ mod tests {
                                 net.udp_burst(&ctx, &query, &times, &mut got);
                                 assert_eq!(got, [const { UdpReply::Silent }; N], "{ctx:?}");
                             }
-                            p => {
-                                silent_http += u64::from(p == Protocol::Http);
+                            _ => {
                                 let mut got = [SynReply::SynAck(syn); N];
                                 net.syn_burst(&ctx, &syn, &times, &mut got);
                                 assert_eq!(got, [SynReply::Silent; N], "{ctx:?}");
@@ -1125,12 +1210,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(silent_icmp, 0);
-        let http_asks = w.space() * roster.len() as u64 * 3;
-        assert!(
-            silent_http * 10 >= http_asks * 8,
-            "{silent_http} of {http_asks}"
-        );
+        for (m, &(silent, audible)) in modules.iter().zip(&seen) {
+            assert!(
+                silent > 0 && audible > 0,
+                "{}: {silent} silent, {audible} audible",
+                m.name()
+            );
+        }
+        let asks = w.space() * roster.len() as u64 * 3;
+        let (silent_http, _) = seen[0];
+        assert_eq!(modules[0].protocol(), Protocol::Http);
+        assert!(silent_http * 10 >= asks * 8, "{silent_http} of {asks}");
     }
 
     #[test]
@@ -1168,6 +1258,19 @@ mod tests {
             let params = path::path_params(&w, o, asr, proto, trial);
             let stored = net.path_state(origin, asr, proto, trial);
             let what = format!("{o} → AS {} {proto} trial {trial}", asr.index);
+            assert_eq!(
+                stored.ids,
+                ids::detection(&w, o, asr, proto, trial),
+                "{what}"
+            );
+            let lo = asr.first_slash24 * 256;
+            for addr in lo..lo + asr.n_slash24 * 256 {
+                assert_eq!(
+                    stored.wall.blocks(&w, o, asr, addr, proto),
+                    reputation::blocks(&w, o, asr, addr, proto, trial),
+                    "{what}: {addr}"
+                );
+            }
             assert_eq!(stored.params, params, "{what}");
             assert_eq!(
                 stored.flaky_half,

@@ -25,6 +25,8 @@ use crate::asn::{AsRecord, AsTags};
 use crate::burst::{self, BurstEvent};
 use crate::host::{proto_key, Protocol};
 use crate::origin::OriginId;
+use crate::policy::reputation::{self, Wall};
+use crate::policy::{ids, Detection};
 use crate::rng::Tag;
 use crate::world::World;
 
@@ -147,8 +149,9 @@ pub fn path_params(
 
 /// Everything the model derives from (origin, destination AS, protocol,
 /// trial) alone: the *path state* every per-address decision on that
-/// path starts from. [`path_state`] is the one place the four keys turn
-/// into loss parameters and events; `SimNet` computes it once per key
+/// path starts from — loss parameters, burst events, and the AS-level
+/// halves of the reputation and IDS policies. [`path_state`] is the one
+/// place the four keys turn into them; `SimNet` computes it once per key
 /// and tools call the same function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathState {
@@ -164,6 +167,11 @@ pub struct PathState {
     /// its high-water mark.
     events: [BurstEvent; burst::MAX_EVENTS],
     n_events: usize,
+    /// The AS's reputation wall against the origin
+    /// ([`reputation::wall`]).
+    pub wall: Wall,
+    /// When the AS's IDS detects the origin ([`ids::detection`]).
+    pub ids: Detection,
 }
 
 impl PathState {
@@ -196,6 +204,8 @@ pub fn path_state(
         flaky_half: flaky_half(params.flaky_q),
         events,
         n_events: bursts.len(),
+        wall: reputation::wall(world, origin, asr, proto, trial),
+        ids: ids::detection(world, origin, asr, proto, trial),
     }
 }
 

@@ -7,9 +7,11 @@
 //! SSH-specific mechanisms ([`alibaba`], [`maxstartups`]). Each module is
 //! one mechanism: plain functions of the world seed and the probe's
 //! coordinates. The network implementation consults them in a fixed
-//! order — [`block_status`] and [`ids::blocked`] when it decides a host's
-//! state, then [`alibaba::rst_after_handshake`] and
-//! [`maxstartups::refuses`] after the TCP handshake.
+//! order — [`host_block`] and the IDS [`Detection`] when it decides a
+//! host's state (their AS-level parts, [`reputation::wall`] and
+//! [`ids::detection`], are kept in the path state), then
+//! [`alibaba::rst_after_handshake`] and [`maxstartups::refuses`] after the
+//! TCP handshake.
 //!
 //! The two time-triggered detectors (IDS, Alibaba) share one pattern:
 //! origins spreading load over many source IPs [evade](evades);
@@ -56,7 +58,21 @@ pub fn block_status(
     proto: Protocol,
     trial: u8,
 ) -> Block {
-    if reputation::blocks(world, origin, asr, addr, proto, trial)
+    let wall = reputation::wall(world, origin, asr, proto, trial);
+    host_block(world, origin, asr, addr, proto, wall)
+}
+
+/// The per-host part of [`block_status`], behind `asr`'s reputation
+/// `wall` ([`reputation::wall`], which `SimNet` keeps per path).
+pub fn host_block(
+    world: &World,
+    origin: OriginId,
+    asr: &AsRecord,
+    addr: u32,
+    proto: Protocol,
+    wall: reputation::Wall,
+) -> Block {
+    if wall.blocks(world, origin, asr, addr, proto)
         || geo_restrict::blocks(world, origin, asr, addr)
     {
         filtered_verdict(world, addr)

@@ -18,6 +18,9 @@ use crate::rng::Tag;
 use crate::world::World;
 
 /// Does `asr` (or the host inside it) block `origin` long-term?
+///
+/// The AS-level part of the decision ([`wall`]) and then the per-host
+/// part ([`Wall::blocks`]); `SimNet` keeps the first in its path state.
 pub fn blocks(
     world: &World,
     origin: OriginId,
@@ -26,6 +29,35 @@ pub fn blocks(
     proto: Protocol,
     trial: u8,
 ) -> bool {
+    wall(world, origin, asr, proto, trial).blocks(world, origin, asr, addr, proto)
+}
+
+/// What `asr` has decided about `origin` (for `proto`, in `trial`) before
+/// it looks at an address: which per-address draw, if any, settles
+/// [`blocks`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Wall {
+    /// Every address is blocked.
+    Whole,
+    /// DXTL and the like block Censys on all but a 0.01 % sliver of
+    /// addresses.
+    AllBut,
+    /// EGI's ramp: this fraction of addresses is blocked.
+    Ramp(f64),
+    /// Eastern-European hosters block Brazil and Japan on most /24s.
+    Slash24s,
+    /// ABCDE Group drops HTTP from one fixed 70 % of its hosts.
+    Abcde,
+    /// The AS filters this fraction of its hosts; the rest face the
+    /// per-host channel.
+    Hosts(f64),
+    /// Only the sparse per-host channel.
+    Open,
+}
+
+/// The AS-level part of [`blocks`]: every draw keyed by the AS (or by
+/// nothing finer), none keyed by an address.
+pub fn wall(world: &World, origin: OriginId, asr: &AsRecord, proto: Protocol, trial: u8) -> Wall {
     let det = world.det();
     let spec = origin.spec();
     let rep = spec.reputation;
@@ -35,27 +67,25 @@ pub fn blocks(
     // --- Named-AS behaviours ------------------------------------------
     if asr.tags.has(AsTags::BLOCKS_CENSYS) && rep == Reputation::Continuous {
         // >99.99 % of hosts inaccessible in every trial.
-        return !det.bernoulli(Tag::Block, &[1, a, u64::from(addr)], 0.0001);
+        return Wall::AllBut;
     }
     if asr.tags.has(AsTags::CENSYS_RAMP) && rep == Reputation::Continuous {
         // EGI: 90 % blocked in trial 1, completely blocked by trial 3.
-        let frac = match trial {
-            0 => 0.90,
-            1 => 0.97,
-            _ => 1.0,
+        return match trial {
+            0 => Wall::Ramp(0.90),
+            1 => Wall::Ramp(0.97),
+            _ => Wall::Whole,
         };
-        return det.bernoulli(Tag::Block, &[2, a, u64::from(addr)], frac) || trial >= 2;
     }
     if asr.tags.has(AsTags::BLOCKS_BR_JP) && (spec.country == geo::BR || spec.country == geo::JP) {
         // Per-/24 blocking of both origins (the shared-miss pattern §4.2).
-        let s24 = u64::from(addr / 256);
-        return det.bernoulli(Tag::Block, &[3, a, s24], 0.85);
+        return Wall::Slash24s;
     }
     if asr.tags.has(AsTags::BR_ONLY) && spec.country != geo::BR {
-        return true;
+        return Wall::Whole;
     }
     if asr.tags.has(AsTags::BLOCKS_NON_US) && spec.country != geo::US {
-        return true;
+        return Wall::Whole;
     }
     if asr.tags.has(AsTags::ABCDE_BLOCK)
         && proto == Protocol::Http
@@ -64,19 +94,17 @@ pub fn blocks(
             OriginId::Us1 | OriginId::Us64 | OriginId::Censys | OriginId::Brazil
         )
     {
-        // The same fixed subset of hosts (~56 K in the paper) is blocked
-        // for all four origins: keyed by address only.
-        return det.bernoulli(Tag::Block, &[4, u64::from(addr)], 0.70);
+        return Wall::Abcde;
     }
 
     // --- Category-driven blocking of Brazil (and other non-US) ---------
     if matches!(asr.category, Category::Finance | Category::Health) && asr.country == geo::US {
         if spec.country == geo::BR && det.bernoulli(Tag::Block, &[5, a], 0.35) {
-            return true;
+            return Wall::Whole;
         }
         // A few of these block every non-US origin.
         if spec.country != geo::US && det.bernoulli(Tag::Block, &[6, a], 0.05) {
-            return true;
+            return Wall::Whole;
         }
     }
 
@@ -93,26 +121,50 @@ pub fn blocks(
         let damp = 8.0 / (8.0 + f64::from(asr.n_slash24));
         let whole_as_p = whole_as_block_p(rep, asr.category) * damp;
         if whole_as_p > 0.0 && det.bernoulli(Tag::Block, &[7, a, rep_key], whole_as_p) {
-            return true;
+            return Wall::Whole;
         }
         // Host-level blocks: the AS decides (per reputation) to filter a
         // fraction of its hosts — edge-host firewalls, not a border ACL.
         let (as_p, frac_lo, frac_hi) = host_level_block_params(rep);
         if as_p > 0.0 && det.bernoulli(Tag::Block, &[8, a, rep_key], as_p) {
-            let frac = det.range(Tag::Block, &[9, a, rep_key], frac_lo, frac_hi);
-            if det.bernoulli(Tag::Block, &[10, u64::from(addr), rep_key], frac) {
-                return true;
-            }
+            return Wall::Hosts(det.range(Tag::Block, &[9, a, rep_key], frac_lo, frac_hi));
         }
     }
-    // Sparse fully-independent per-host blocking (individual edge hosts
-    // with their own blocklists).
-    let per_host = per_host_block_p(rep);
-    det.bernoulli(
-        Tag::Block,
-        &[11, u64::from(addr), rep_key, proto_key(proto)],
-        per_host,
-    )
+    Wall::Open
+}
+
+impl Wall {
+    /// Does this wall of `asr` block `addr`? The per-address part of
+    /// [`blocks`].
+    pub fn blocks(
+        self,
+        world: &World,
+        origin: OriginId,
+        asr: &AsRecord,
+        addr: u32,
+        proto: Protocol,
+    ) -> bool {
+        let det = world.det();
+        let (a, host) = (u64::from(asr.index), u64::from(addr));
+        let rep_key = origin.reputation_key();
+        match self {
+            Wall::Whole => true,
+            Wall::AllBut => !det.bernoulli(Tag::Block, &[1, a, host], 0.0001),
+            Wall::Ramp(frac) => det.bernoulli(Tag::Block, &[2, a, host], frac),
+            Wall::Slash24s => det.bernoulli(Tag::Block, &[3, a, u64::from(addr / 256)], 0.85),
+            // The same fixed subset of hosts (~56 K in the paper) is
+            // blocked for all four origins: keyed by address only.
+            Wall::Abcde => det.bernoulli(Tag::Block, &[4, host], 0.70),
+            Wall::Hosts(frac) if det.bernoulli(Tag::Block, &[10, host, rep_key], frac) => true,
+            // Sparse fully-independent per-host blocking (individual edge
+            // hosts with their own blocklists).
+            Wall::Hosts(_) | Wall::Open => det.bernoulli(
+                Tag::Block,
+                &[11, host, rep_key, proto_key(proto)],
+                per_host_block_p(origin.spec().reputation),
+            ),
+        }
+    }
 }
 
 /// Probability an AS of `category` blocks an origin of reputation `rep`

@@ -68,6 +68,35 @@ pub enum Tag {
     FaultDuplicate = 20,
 }
 
+impl Tag {
+    /// Every tag, in discriminant order (`1..=20`).
+    pub const ALL: [Tag; 20] = [
+        Tag::HostExists,
+        Tag::Churn,
+        Tag::PairLoss,
+        Tag::HostFlaky,
+        Tag::ProbeDrop,
+        Tag::Persistent,
+        Tag::Block,
+        Tag::Burst,
+        Tag::Ids,
+        Tag::Temporal,
+        Tag::MaxStartups,
+        Tag::Structure,
+        Tag::ServerAttr,
+        Tag::GeoError,
+        Tag::L7Flaky,
+        Tag::OriginTrial,
+        Tag::CloseKind,
+        Tag::ClosedPort,
+        Tag::FaultCorrupt,
+        Tag::FaultDuplicate,
+    ];
+}
+
+/// Length of [`Det`]'s table: one entry per discriminant, 0 unused.
+const TAG_STATES: usize = Tag::FaultDuplicate as usize + 1;
+
 #[inline]
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -77,23 +106,35 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 /// A keyed deterministic hash stream.
+///
+/// A hash starts from its tag's state, `splitmix(seed ^ tag·C)`, which
+/// depends on nothing else and so is computed once per tag in [`Det::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct Det {
-    seed: u64,
+    tags: [u64; TAG_STATES],
 }
 
 impl Det {
     /// Create a stream rooted at `seed` (the world seed).
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed: splitmix(seed ^ 0x6f72_6967_696e_7363),
-        } // "originsc"
+        let seed = splitmix(seed ^ 0x6f72_6967_696e_7363); // "originsc"
+        let mut tags = [0; TAG_STATES];
+        for tag in Tag::ALL {
+            if let Some(state) = tags.get_mut(tag as usize) {
+                *state = splitmix(seed ^ (tag as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+            }
+        }
+        Self { tags }
     }
 
     /// Hash a tag plus up to any number of key words into a u64.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the table has an entry for every discriminant"
+    )]
     pub fn hash(&self, tag: Tag, words: &[u64]) -> u64 {
-        let mut h = splitmix(self.seed ^ (tag as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+        let mut h = self.tags[tag as usize];
         for &w in words {
             h = splitmix(h ^ w.wrapping_mul(0xe703_7ed1_a0b4_28db));
         }
@@ -168,6 +209,62 @@ mod tests {
             a.hash(Tag::HostExists, &[1, 2]),
             a.hash(Tag::HostExists, &[2, 1])
         );
+    }
+
+    /// The chained formula every stream was defined by, step for step.
+    fn reference(seed: u64, tag: Tag, words: &[u64]) -> u64 {
+        let root = splitmix(seed ^ 0x6f72_6967_696e_7363);
+        let mut h = splitmix(root ^ (tag as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+        for &w in words {
+            h = splitmix(h ^ w.wrapping_mul(0xe703_7ed1_a0b4_28db));
+        }
+        h
+    }
+
+    #[test]
+    fn hash_is_the_chained_formula_for_every_tag() {
+        // A new variant fails to compile here until it joins `Tag::ALL`.
+        let listed = |tag: Tag| match tag {
+            Tag::HostExists
+            | Tag::Churn
+            | Tag::PairLoss
+            | Tag::HostFlaky
+            | Tag::ProbeDrop
+            | Tag::Persistent
+            | Tag::Block
+            | Tag::Burst
+            | Tag::Ids
+            | Tag::Temporal
+            | Tag::MaxStartups
+            | Tag::Structure
+            | Tag::ServerAttr
+            | Tag::GeoError
+            | Tag::L7Flaky
+            | Tag::OriginTrial
+            | Tag::CloseKind
+            | Tag::ClosedPort
+            | Tag::FaultCorrupt
+            | Tag::FaultDuplicate => Tag::ALL.contains(&tag),
+        };
+        // The table is sized from the enum: discriminants 1..=20, in order.
+        assert_eq!(TAG_STATES, Tag::ALL.len() + 1);
+        for (tag, n) in Tag::ALL.into_iter().zip(1u64..) {
+            assert!(listed(tag));
+            assert_eq!(tag as u64, n, "{tag:?}");
+        }
+        let words: [&[u64]; 4] = [&[], &[0], &[1, 2, 3], &[u64::MAX, 7, 0, 99, 5]];
+        for seed in [0, 7, 2020, u64::MAX] {
+            let det = Det::new(seed);
+            for tag in Tag::ALL {
+                for w in words {
+                    assert_eq!(
+                        det.hash(tag, w),
+                        reference(seed, tag, w),
+                        "{seed} {tag:?} {w:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,9 +97,6 @@ pub struct World {
     hosts: [Vec<u32>; PROTO_SLOTS],
     /// Presence bitmaps per protocol, 1 bit per address.
     bitmaps: [Vec<u64>; PROTO_SLOTS],
-    /// The union of the HTTP, HTTPS and SSH bitmaps: a machine of the
-    /// TCP trio.
-    trio: Vec<u64>,
     /// The deterministic hash stream.
     det: Det,
 }
@@ -263,13 +260,6 @@ impl World {
             }
         }
 
-        let [http, https, ssh, ..] = &bitmaps;
-        let trio = http
-            .iter()
-            .zip(https)
-            .zip(ssh)
-            .map(|((h, s), ssh)| h | s | ssh)
-            .collect();
         World {
             config,
             ases,
@@ -277,7 +267,6 @@ impl World {
             slash24_country,
             hosts,
             bitmaps,
-            trio,
             det,
         }
     }
@@ -338,14 +327,6 @@ impl World {
         self.bitmaps
             .get(proto_slot(p))
             .and_then(|bm| bm.get((addr / 64) as usize))
-            .is_some_and(|word| word & (1 << (addr % 64)) != 0)
-    }
-
-    /// O(1): does a machine of the TCP trio (HTTP, HTTPS or SSH) stand at
-    /// `addr`? One word, where asking [`World::is_host`] takes three.
-    pub(crate) fn is_trio_machine(&self, addr: u32) -> bool {
-        self.trio
-            .get((addr / 64) as usize)
             .is_some_and(|word| word & (1 << (addr % 64)) != 0)
     }
 

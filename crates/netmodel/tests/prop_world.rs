@@ -3,7 +3,9 @@
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_netmodel::policy::{self, Block};
+use originscan_netmodel::host::proto_key;
+use originscan_netmodel::policy::{self, ids, reputation, Block};
+use originscan_netmodel::rng::Tag;
 use originscan_netmodel::{burst, path, OriginId, Protocol, SimNet, WorldConfig};
 use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
@@ -151,6 +153,11 @@ proptest! {
             prop_assert_eq!(stored.params, params);
             prop_assert_eq!(stored.flaky_half, path::flaky_half(params.flaky_q));
             prop_assert_eq!(stored.bursts(), burst::events_for(&w, asr.index, protocol, trial));
+            prop_assert_eq!(stored.ids, ids::detection(&w, o, asr, protocol, trial));
+            prop_assert_eq!(
+                stored.wall.blocks(&w, o, asr, dst, protocol),
+                reputation::blocks(&w, o, asr, dst, protocol, trial)
+            );
         }
     }
 
@@ -233,8 +240,7 @@ proptest! {
     }
 
     /// In any world, a burst of the probed protocol to an address
-    /// `silent` names gets no reply, at any send times; `silent` never
-    /// names an ICMP target.
+    /// `silent` names gets no reply, at any send times.
     #[test]
     fn silent_addresses_answer_no_burst(
         seed: u64,
@@ -270,7 +276,12 @@ proptest! {
                 continue;
             }
             match protocol {
-                Protocol::Icmp => prop_assert!(false, "silent ICMP target {}", dst),
+                Protocol::Icmp => {
+                    let echo = IcmpEcho::request(7, pick as u16);
+                    let mut got = [IcmpReply::Unreachable { code: 0 }; N];
+                    net.icmp_burst(&ctx, &echo, &times, &mut got);
+                    prop_assert!(got[..times.len()].iter().all(|r| *r == IcmpReply::Silent));
+                }
                 Protocol::Dns => {
                     let query = dns::a_query(pick as u16, "origin-scan.example.com").unwrap();
                     let mut got = [const { UdpReply::PortUnreachable }; N];
@@ -284,6 +295,45 @@ proptest! {
                     prop_assert!(got[..times.len()].iter().all(|r| *r == SynReply::Silent));
                 }
             }
+        }
+    }
+
+    /// In any world, `silent` is the model's definition of an address
+    /// nothing answers: no live host of the protocol this trial, no
+    /// closed-port RST (20 %) from a live machine of another trio
+    /// protocol, and for ICMP no host-unreachable from the last-hop
+    /// router (15 %).
+    #[test]
+    fn silent_is_the_reference_definition(
+        seed: u64,
+        asks in proptest::collection::vec((0usize..5, 0usize..6, any::<u32>()), 512..2048),
+    ) {
+        let w = WorldConfig::tiny(seed).build();
+        let modules = originscan_scanner::probe::modules();
+        let net = SimNet::new(&w, &OriginId::MAIN, 75_600.0);
+        let trio = [Protocol::Http, Protocol::Https, Protocol::Ssh];
+        let draw = |words: &[u64], p: f64| w.det().bernoulli(Tag::ClosedPort, words, p);
+        for (proto, trial, pick) in asks {
+            let (protocol, trial) = (modules[proto].protocol(), TRIALS[trial]);
+            // Mostly machines of some kind, where the cases differ.
+            let dst = if pick % 4 == 0 {
+                pick % w.space() as u32
+            } else {
+                let machines = w.hosts(Protocol::Icmp);
+                machines[pick as usize % machines.len()]
+            };
+            let live = w.is_host(protocol, dst) && w.alive(protocol, dst, trial);
+            let closed = !w.is_host(protocol, dst)
+                && trio
+                    .into_iter()
+                    .any(|p| p != protocol && w.is_host(p, dst) && w.alive(p, dst, trial))
+                && draw(&[u64::from(dst), proto_key(protocol)], 0.20);
+            let router = protocol == Protocol::Icmp && draw(&[2, u64::from(dst), 1], 0.15);
+            prop_assert_eq!(
+                net.silent(0, protocol, trial, dst),
+                !live && !closed && !router,
+                "{} trial {} at {}", protocol, trial, dst
+            );
         }
     }
 

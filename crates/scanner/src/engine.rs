@@ -614,7 +614,8 @@ pub(crate) struct AddrOutcome {
 /// record, and run the ZGrab follow-up for stateful modules. A burst the
 /// network calls [`Network::silent`] costs its counters and the pacer's
 /// advance, nothing more (unless `wire_check` asks for its round trips).
-/// The step loop, its tail pass and the fanned scan's workers all use it.
+/// The step loop's stepped addresses, its tail pass and the fanned scan's
+/// workers all use it.
 #[inline] // a copy per codegen unit: the step loop's stays private to it
 pub(crate) fn probe(
     ctx: &ScanCtx<'_>,
@@ -622,9 +623,9 @@ pub(crate) fn probe(
     addr: u32,
 ) -> Result<AddrOutcome, ScanError> {
     let cfg = ctx.cfg;
-    p.out.summary.addresses_probed += 1;
-    p.out.summary.probes_sent += u64::from(cfg.probes);
     if !cfg.wire_check && ctx.net.silent(cfg.origin, cfg.protocol, cfg.trial, addr) {
+        p.out.summary.addresses_probed += 1;
+        p.out.summary.probes_sent += u64::from(cfg.probes);
         let last = p.pacer.advance(cfg.probes) + p.stall_s;
         return Ok(AddrOutcome {
             responsive: false,
@@ -632,6 +633,16 @@ pub(crate) fn probe(
             last_t: last + f64::from(cfg.probes - 1) * cfg.probe_delay_s,
         });
     }
+    probe_audible(ctx, p, addr)
+}
+
+/// [`probe`] for an address the network has already called not
+/// [`Network::silent`] (a walk that counted silent runs asked it).
+#[inline]
+fn probe_audible(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32) -> Result<AddrOutcome, ScanError> {
+    let cfg = ctx.cfg;
+    p.out.summary.addresses_probed += 1;
+    p.out.summary.probes_sent += u64::from(cfg.probes);
     // ZMap spreads flows over source IPs/ports by address hash; an
     // adaptive scan pins the source to the controller's active one.
     let mix = (addr ^ (addr >> 16)).wrapping_mul(0x9E37_79B9);
@@ -880,7 +891,12 @@ pub fn run_scan_session(
             Err(0) => break,
             Err(_) => continue,
         };
-        let outcome = probe(&ctx, &mut p, addr)?;
+        // A walk that counts silent runs has asked `silent` already.
+        let outcome = if stepwise {
+            probe(&ctx, &mut p, addr)?
+        } else {
+            probe_audible(&ctx, &mut p, addr)?
+        };
         react(&ctx, &mut p, addr, &outcome);
     }
     tele.set_time(p.now());
@@ -1594,6 +1610,62 @@ mod tests {
                     let resumed = run_scan_session(&net, &c, session).unwrap();
                     assert_eq!(resumed, uninterrupted, "{at:?}: resumed");
                 }
+            }
+        }
+    }
+
+    /// [`Patchy`], order-free, counting the `silent` questions it gets.
+    struct CountsSilent(Patchy, std::sync::atomic::AtomicU64);
+
+    impl Network for CountsSilent {
+        fn order_free(&self) -> bool {
+            true
+        }
+        fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.silent(origin, protocol, trial, dst)
+        }
+        fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            self.0.syn(ctx, probe)
+        }
+        fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+            self.0.l7(ctx, request)
+        }
+    }
+
+    /// Every address that passes the plan and blocklist is asked about
+    /// once — fanned, walked to the next checkpoint, stepped under a hook,
+    /// adaptive — and a `wire_check` scan asks nothing.
+    #[test]
+    fn each_unfiltered_address_is_asked_silent_once() {
+        let entries = [0, 2, 3, 7, 11, 12].map(|s24| originscan_plan::PlanEntry { s24, score: 1 });
+        let plan = TargetPlan::from_entries(4096, 99, "observed", entries.to_vec()).unwrap();
+        let mut plain = ScanConfig::new(4096, Protocol::Http, 99);
+        plain.blocklist = Blocklist::parse("0.0.2.0/23").unwrap();
+        let mut planned = plain.clone();
+        planned.plan = Some(plan);
+        let mut adaptive = adaptive_cfg(4096);
+        adaptive.wire_check = false;
+        let mut wire = plain.clone();
+        wire.wire_check = true;
+        for c in [plain, planned, adaptive, wire] {
+            type Run = fn(&dyn Network, &ScanConfig) -> ScanOutput;
+            let runs: [(&str, Run); 3] = [
+                ("bare", |net, c| run_scan(net, c).unwrap()),
+                ("walked", |net, c| run_supervised(net, c, 1024, false).0),
+                ("stepped", |net, c| run_supervised(net, c, 1024, true).0),
+            ];
+            for (how, run) in runs {
+                let net = CountsSilent(Patchy(0x5eed), 0.into());
+                let out = run(&net, &c);
+                let asked = net.1.into_inner();
+                let want = if c.wire_check {
+                    0
+                } else {
+                    out.summary.addresses_probed
+                };
+                assert_eq!(asked, want, "{how} {c:?}");
+                assert!(out.summary.addresses_probed > 0 && !out.records.is_empty());
             }
         }
     }
