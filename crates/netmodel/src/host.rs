@@ -108,7 +108,7 @@ pub fn http_status(det: &Det, addr: u32) -> u16 {
 /// TLS cipher suite a host selects (always one the ClientHello offered).
 #[expect(clippy::indexing_slicing, reason = "`det.below(n)` draws from `0..n`")]
 pub fn tls_cipher(det: &Det, addr: u32) -> u16 {
-    let suites = originscan_wire::tls::CHROME_TLS12_SUITES;
+    let suites = originscan_wire::CHROME_TLS12_SUITES;
     let i = det.below(
         Tag::ServerAttr,
         &[u64::from(addr), 443, 0],
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn banners_parse_with_wire_codec() {
-        use originscan_wire::ssh::ServerIdent;
+        use originscan_wire::ServerIdent;
         let det = Det::new(9);
         for addr in 0..100u32 {
             let b = ssh_banner(ssh_impl(&det, addr));
@@ -198,7 +198,7 @@ mod tests {
             let code = http_status(&det, addr);
             assert!((100..600).contains(&code));
             let cipher = tls_cipher(&det, addr);
-            assert!(originscan_wire::tls::CHROME_TLS12_SUITES.contains(&cipher));
+            assert!(originscan_wire::CHROME_TLS12_SUITES.contains(&cipher));
         }
     }
 

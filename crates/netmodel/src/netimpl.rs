@@ -682,7 +682,7 @@ impl Network for SimNet<'_> {
                         } else {
                             (host::http_status(w.det(), addr), "OK", "")
                         };
-                        let line = originscan_wire::http::StatusLine {
+                        let line = originscan_wire::StatusLine {
                             minor_version: 1,
                             code,
                             reason,
@@ -690,8 +690,8 @@ impl Network for SimNet<'_> {
                         L7Reply::Data(line.emit(body))
                     }
                     Protocol::Https => {
-                        let sh = originscan_wire::tls::ServerHello {
-                            version: originscan_wire::tls::VERSION_TLS12,
+                        let sh = originscan_wire::ServerHello {
+                            version: originscan_wire::VERSION_TLS12,
                             cipher_suite: host::tls_cipher(w.det(), addr),
                         };
                         L7Reply::Data(sh.emit(u64::from(addr)))

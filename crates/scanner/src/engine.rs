@@ -944,8 +944,8 @@ mod tests {
             match ctx.protocol {
                 Protocol::Http => L7Reply::Data(b"HTTP/1.1 200 OK\r\n\r\n".to_vec()),
                 Protocol::Https => L7Reply::Data(
-                    originscan_wire::tls::ServerHello {
-                        version: originscan_wire::tls::VERSION_TLS12,
+                    originscan_wire::ServerHello {
+                        version: originscan_wire::VERSION_TLS12,
                         cipher_suite: 0xc02f,
                     }
                     .emit(3),

@@ -253,7 +253,7 @@ mod tests {
     };
     use originscan_plan::{PlanEntry, TargetPlan};
     use originscan_wire::icmp::IcmpEcho;
-    use originscan_wire::{dns, tls, TcpHeader};
+    use originscan_wire::{dns, ServerHello, TcpHeader, VERSION_TLS12};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Worker counts every property runs at (the machine has two cores).
@@ -297,8 +297,8 @@ mod tests {
                 0 => L7Reply::ConnClosed(CloseKind::FinAck),
                 1 => L7Reply::Timeout,
                 _ => L7Reply::Data(match ctx.protocol {
-                    Protocol::Https => tls::ServerHello {
-                        version: tls::VERSION_TLS12,
+                    Protocol::Https => ServerHello {
+                        version: VERSION_TLS12,
                         cipher_suite: 0xc02f,
                     }
                     .emit(u64::from(ctx.dst)),

@@ -2,7 +2,7 @@
 
 use super::{L7Detail, L7Outcome};
 use crate::target::L7Ctx;
-use originscan_wire::http::{get_request, StatusLine};
+use originscan_wire::{get_request, StatusLine};
 
 /// Build the request bytes for this connection.
 pub fn request(ctx: &L7Ctx) -> Vec<u8> {

@@ -178,8 +178,8 @@ mod tests {
                     Protocol::Ssh => L7Reply::Data(b"SSH-2.0-OpenSSH_7.4\r\n".to_vec()),
                     Protocol::Http => L7Reply::Data(b"HTTP/1.1 200 OK\r\n\r\n".to_vec()),
                     Protocol::Https => {
-                        let sh = originscan_wire::tls::ServerHello {
-                            version: originscan_wire::tls::VERSION_TLS12,
+                        let sh = originscan_wire::ServerHello {
+                            version: originscan_wire::VERSION_TLS12,
                             cipher_suite: 0xc02f,
                         };
                         L7Reply::Data(sh.emit(1))

@@ -1,7 +1,7 @@
 //! SSH leg of the ZGrab phase: identification-string exchange only.
 
 use super::{L7Detail, L7Outcome, SshSoftware};
-use originscan_wire::ssh::{client_ident_line, ServerIdent};
+use originscan_wire::{client_ident_line, ServerIdent};
 
 /// The client identification line (same bytes for every connection).
 pub fn request() -> Vec<u8> {

@@ -2,7 +2,7 @@
 
 use super::{L7Detail, L7Outcome};
 use crate::target::L7Ctx;
-use originscan_wire::tls::{client_hello, ServerHello};
+use originscan_wire::{client_hello, ServerHello};
 
 /// Build the ClientHello for this connection; the client random is derived
 /// from the flow so the whole exchange is deterministic.
@@ -31,7 +31,7 @@ pub fn parse(bytes: &[u8]) -> L7Outcome {
 mod tests {
     use super::*;
     use crate::target::Protocol;
-    use originscan_wire::tls::{alert, VERSION_TLS12};
+    use originscan_wire::{alert, VERSION_TLS12};
 
     fn ctx() -> L7Ctx {
         L7Ctx {
@@ -49,8 +49,8 @@ mod tests {
     #[test]
     fn request_is_client_hello() {
         let req = request(&ctx());
-        assert_eq!(req[0], originscan_wire::tls::CONTENT_HANDSHAKE);
-        assert_eq!(req[5], originscan_wire::tls::HS_CLIENT_HELLO);
+        assert_eq!(req[0], originscan_wire::CONTENT_HANDSHAKE);
+        assert_eq!(req[5], originscan_wire::HS_CLIENT_HELLO);
     }
 
     #[test]

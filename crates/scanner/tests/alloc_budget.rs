@@ -13,8 +13,8 @@ use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply,
 };
 use originscan_wire::icmp::IcmpEcho;
-use originscan_wire::tls::{ServerHello, VERSION_TLS12};
 use originscan_wire::TcpHeader;
+use originscan_wire::{ServerHello, VERSION_TLS12};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

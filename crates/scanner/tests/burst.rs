@@ -10,7 +10,7 @@ use originscan_scanner::target::{
 };
 use originscan_scanner::MAX_PROBES;
 use originscan_wire::icmp::IcmpEcho;
-use originscan_wire::{dns, tls, TcpHeader};
+use originscan_wire::{dns, ServerHello, TcpHeader, VERSION_TLS12};
 
 /// What a [`ByProbe`] net does with a probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +42,8 @@ impl<F: Fn(&ProbeCtx) -> Answer + Sync> Network for ByProbe<F> {
     }
     fn l7(&self, ctx: &L7Ctx, _request: &[u8]) -> L7Reply {
         L7Reply::Data(match ctx.protocol {
-            Protocol::Https => tls::ServerHello {
-                version: tls::VERSION_TLS12,
+            Protocol::Https => ServerHello {
+                version: VERSION_TLS12,
                 cipher_suite: 0xc02f,
             }
             .emit(1),

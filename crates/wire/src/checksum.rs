@@ -9,29 +9,29 @@
 /// zero-padding the final octet) and u16/u32 words, then call
 /// [`Accumulator::finish`] to fold and complement.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     sum: u32,
 }
 
 impl Accumulator {
     /// Create an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add a big-endian 16-bit word.
-    pub fn add_u16(&mut self, v: u16) {
+    pub(crate) fn add_u16(&mut self, v: u16) {
         self.sum += u32::from(v);
     }
 
     /// Add a 32-bit value as two big-endian 16-bit words.
-    pub fn add_u32(&mut self, v: u32) {
+    pub(crate) fn add_u32(&mut self, v: u32) {
         self.add_u16((v >> 16) as u16);
         self.add_u16((v & 0xffff) as u16);
     }
 
     /// Add a byte slice, padding a trailing odd octet with zero.
-    pub fn add_bytes(&mut self, data: &[u8]) {
+    pub(crate) fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for c in &mut chunks {
             if let [hi, lo] = *c {
@@ -44,7 +44,7 @@ impl Accumulator {
     }
 
     /// Fold carries and return the ones'-complement checksum.
-    pub fn finish(self) -> u16 {
+    pub(crate) fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {
             sum = (sum & 0xffff) + (sum >> 16);
@@ -65,7 +65,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 ///
 /// Per RFC 1071, summing a buffer whose checksum field is already filled in
 /// yields `0xffff` before complementing, i.e. `checksum(buf) == 0`.
-pub fn verify(data: &[u8]) -> bool {
+pub(crate) fn verify(data: &[u8]) -> bool {
     checksum(data) == 0
 }
 

@@ -17,19 +17,19 @@ pub const HEADER_LEN: usize = 12;
 pub const QTYPE_A: u16 = 1;
 
 /// The Internet class.
-pub const QCLASS_IN: u16 = 1;
+pub(crate) const QCLASS_IN: u16 = 1;
 
 /// Header flag bit: message is a response.
-pub const FLAG_RESPONSE: u16 = 0x8000;
+pub(crate) const FLAG_RESPONSE: u16 = 0x8000;
 
 /// Header flag bit: recursion desired.
-pub const FLAG_RD: u16 = 0x0100;
+pub(crate) const FLAG_RD: u16 = 0x0100;
 
 /// Header flag bit: recursion available.
-pub const FLAG_RA: u16 = 0x0080;
+pub(crate) const FLAG_RA: u16 = 0x0080;
 
 /// Maximum length of one label in an encoded name.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 
 /// Response code: no error.
 pub const RCODE_NOERROR: u8 = 0;
@@ -42,7 +42,7 @@ pub const RCODE_REFUSED: u8 = 5;
 
 /// Append `name` in DNS label encoding (length-prefixed labels, zero
 /// terminator). Rejects empty labels and labels over [`MAX_LABEL_LEN`].
-pub fn encode_qname(name: &str, out: &mut Vec<u8>) -> Result<(), ParseError> {
+pub(crate) fn encode_qname(name: &str, out: &mut Vec<u8>) -> Result<(), ParseError> {
     for label in name.split('.') {
         let bytes = label.as_bytes();
         if bytes.is_empty() || bytes.len() > MAX_LABEL_LEN {

@@ -11,11 +11,11 @@ use crate::checksum;
 use crate::ParseError;
 
 /// ICMP type for an echo reply.
-pub const TYPE_ECHO_REPLY: u8 = 0;
+pub(crate) const TYPE_ECHO_REPLY: u8 = 0;
 /// ICMP type for destination unreachable.
-pub const TYPE_DEST_UNREACHABLE: u8 = 3;
+pub(crate) const TYPE_DEST_UNREACHABLE: u8 = 3;
 /// ICMP type for an echo request.
-pub const TYPE_ECHO_REQUEST: u8 = 8;
+pub(crate) const TYPE_ECHO_REQUEST: u8 = 8;
 
 /// Length of the fixed ICMP header (type, code, checksum, rest-of-header).
 pub const HEADER_LEN: usize = 8;
@@ -106,9 +106,9 @@ impl IcmpEcho {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IcmpUnreachable {
     /// Unreachable code (e.g. [`CODE_PORT_UNREACHABLE`]).
-    pub code: u8,
+    pub(crate) code: u8,
     /// Quoted bytes of the datagram that triggered the message.
-    pub original: Vec<u8>,
+    pub(crate) original: Vec<u8>,
 }
 
 impl IcmpUnreachable {

@@ -12,13 +12,13 @@ use crate::ParseError;
 pub const HEADER_LEN: usize = 20;
 
 /// Default TTL used by the scanner (matches ZMap's default of 255).
-pub const DEFAULT_TTL: u8 = 255;
+pub(crate) const DEFAULT_TTL: u8 = 255;
 
 /// Protocol number for ICMP.
 pub const PROTO_ICMP: u8 = 1;
 
 /// Protocol number for TCP.
-pub const PROTO_TCP: u8 = 6;
+pub(crate) const PROTO_TCP: u8 = 6;
 
 /// Protocol number for UDP.
 pub const PROTO_UDP: u8 = 17;
@@ -27,17 +27,17 @@ pub const PROTO_UDP: u8 = 17;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Total length of the datagram, header included.
-    pub total_len: u16,
+    pub(crate) total_len: u16,
     /// Identification field (ZMap re-purposes this for debugging; we send 0).
-    pub ident: u16,
+    pub(crate) ident: u16,
     /// Time to live.
     pub ttl: u8,
-    /// Payload protocol number ([`PROTO_TCP`] for everything we send).
-    pub protocol: u8,
+    /// Payload protocol number (`PROTO_TCP` for everything we send).
+    pub(crate) protocol: u8,
     /// Source address as a host-order u32.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Destination address as a host-order u32.
-    pub dst: u32,
+    pub(crate) dst: u32,
 }
 
 impl Ipv4Header {
@@ -121,7 +121,7 @@ impl Ipv4Header {
     }
 
     /// Contribution of the TCP/UDP pseudo-header to a payload checksum.
-    pub fn pseudo_header_sum(&self, payload_len: u16) -> Accumulator {
+    pub(crate) fn pseudo_header_sum(&self, payload_len: u16) -> Accumulator {
         let mut acc = Accumulator::new();
         acc.add_u32(self.src);
         acc.add_u32(self.dst);

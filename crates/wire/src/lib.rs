@@ -20,15 +20,15 @@
 //! * [`validation`] — ZMap's stateless *validation* scheme: the scanner
 //!   keeps no per-target state, so it encodes a MAC of the flow 4-tuple in
 //!   the SYN's sequence number and verifies `ack = seq + 1` on the
-//!   SYN-ACK. We implement the MAC with [SipHash-1-3](siphash).
-//! * [`http`] — the `GET /` request and status-line parsing used by the
+//!   SYN-ACK. We implement the MAC with SipHash-1-3 ([`SipHash13`]).
+//! * `http` — the `GET /` request and status-line parsing used by the
 //!   HTTP handshake.
-//! * [`tls`] — a minimal TLS 1.2 record/handshake codec: the ClientHello
+//! * `tls` — a minimal TLS 1.2 record/handshake codec: the ClientHello
 //!   (with modern-Chrome cipher suites, as in the paper's methodology) and
 //!   ServerHello parsing.
-//! * [`ssh`] — the SSH identification-string exchange (the paper's SSH
+//! * `ssh` — the SSH identification-string exchange (the paper's SSH
 //!   handshake terminates after the protocol version exchange).
-//! * [`pcap`] — classic libpcap capture files (LINKTYPE_RAW), so
+//! * `pcap` — classic libpcap capture files (LINKTYPE_RAW), so
 //!   simulated scans can be inspected in Wireshark/tcpdump.
 //!
 //! Everything here is deterministic, allocation-light, and independent of
@@ -44,25 +44,35 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
+// `pub mod` for the modules the repository benchmark names by path
+// (`checksum dns icmp ipv4 tcp validation`) and for `udp`, whose
+// `HEADER_LEN` would clash with theirs at the root; the rest is private
+// and its API is re-exported below.
 mod bytes;
 pub mod checksum;
 pub mod dns;
-pub mod http;
+mod http;
 pub mod icmp;
 pub mod ipv4;
-pub mod pcap;
-pub mod siphash;
-pub mod ssh;
+mod pcap;
+mod siphash;
+mod ssh;
 pub mod tcp;
-pub mod tls;
+mod tls;
 pub mod udp;
 pub mod validation;
 
 pub use bytes::{decimal_len, put_decimal};
-pub use icmp::IcmpEcho;
+pub use http::{get_request, StatusLine};
 pub use ipv4::Ipv4Header;
-pub use tcp::{TcpFlags, TcpHeader};
-pub use validation::Validator;
+pub use pcap::PcapWriter;
+pub use siphash::SipHash13;
+pub use ssh::{client_ident_line, ServerIdent};
+pub use tcp::TcpHeader;
+pub use tls::{
+    alert, client_hello, ServerHello, CHROME_TLS12_SUITES, CONTENT_HANDSHAKE, HS_CLIENT_HELLO,
+    VERSION_TLS12,
+};
 
 /// Errors produced when parsing wire formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

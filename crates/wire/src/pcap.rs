@@ -6,14 +6,13 @@
 //! the classic format is implemented; packets are raw IPv4 datagrams
 //! (link type 101), so no synthetic Ethernet headers are needed.
 
-use crate::ParseError;
 use std::io::{self, Write};
 
 /// Magic number of the classic little-endian pcap format.
-pub const MAGIC_LE: u32 = 0xa1b2_c3d4;
+pub(crate) const MAGIC_LE: u32 = 0xa1b2_c3d4;
 
 /// LINKTYPE_RAW: packets begin with the IPv4/IPv6 header.
-pub const LINKTYPE_RAW: u32 = 101;
+pub(crate) const LINKTYPE_RAW: u32 = 101;
 
 /// Streaming pcap writer.
 #[derive(Debug)]
@@ -65,58 +64,59 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// A packet read back from a capture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapPacket {
-    /// Capture timestamp in microseconds.
-    pub time_us: u64,
-    /// Raw packet bytes.
-    pub data: Vec<u8>,
-}
-
-/// Read the little-endian `u32` at `off`.
-fn le_u32(buf: &[u8], off: usize) -> Result<u32, ParseError> {
-    match buf.get(off..off + 4) {
-        Some(&[a, b, c, d]) => Ok(u32::from_le_bytes([a, b, c, d])),
-        _ => Err(ParseError::Truncated),
-    }
-}
-
-/// Parse a classic little-endian pcap buffer (tests and tooling).
-pub fn parse(buf: &[u8]) -> Result<(u32, Vec<PcapPacket>), ParseError> {
-    if buf.len() < 24 {
-        return Err(ParseError::Truncated);
-    }
-    if le_u32(buf, 0)? != MAGIC_LE {
-        return Err(ParseError::Malformed);
-    }
-    let linktype = le_u32(buf, 20)?;
-    let mut packets = Vec::new();
-    let mut off = 24usize;
-    while off < buf.len() {
-        let secs = le_u32(buf, off)?;
-        let micros = le_u32(buf, off + 4)?;
-        let incl = le_u32(buf, off + 8)? as usize;
-        let orig = le_u32(buf, off + 12)? as usize;
-        if incl != orig {
-            return Err(ParseError::Malformed); // we never truncate
-        }
-        off += 16;
-        let data = buf.get(off..off.saturating_add(incl));
-        packets.push(PcapPacket {
-            time_us: u64::from(secs) * 1_000_000 + u64::from(micros),
-            data: data.ok_or(ParseError::Truncated)?.to_vec(),
-        });
-        off += incl;
-    }
-    Ok((linktype, packets))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ipv4::Ipv4Header;
     use crate::tcp::TcpHeader;
+    use crate::ParseError;
+
+    /// A packet read back from a capture.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct PcapPacket {
+        /// Capture timestamp in microseconds.
+        time_us: u64,
+        /// Raw packet bytes.
+        data: Vec<u8>,
+    }
+
+    /// Read the little-endian `u32` at `off`.
+    fn le_u32(buf: &[u8], off: usize) -> Result<u32, ParseError> {
+        match buf.get(off..off + 4) {
+            Some(&[a, b, c, d]) => Ok(u32::from_le_bytes([a, b, c, d])),
+            _ => Err(ParseError::Truncated),
+        }
+    }
+
+    /// Parse a classic little-endian pcap buffer (tests and tooling).
+    fn parse(buf: &[u8]) -> Result<(u32, Vec<PcapPacket>), ParseError> {
+        if buf.len() < 24 {
+            return Err(ParseError::Truncated);
+        }
+        if le_u32(buf, 0)? != MAGIC_LE {
+            return Err(ParseError::Malformed);
+        }
+        let linktype = le_u32(buf, 20)?;
+        let mut packets = Vec::new();
+        let mut off = 24usize;
+        while off < buf.len() {
+            let secs = le_u32(buf, off)?;
+            let micros = le_u32(buf, off + 4)?;
+            let incl = le_u32(buf, off + 8)? as usize;
+            let orig = le_u32(buf, off + 12)? as usize;
+            if incl != orig {
+                return Err(ParseError::Malformed); // we never truncate
+            }
+            off += 16;
+            let data = buf.get(off..off.saturating_add(incl));
+            packets.push(PcapPacket {
+                time_us: u64::from(secs) * 1_000_000 + u64::from(micros),
+                data: data.ok_or(ParseError::Truncated)?.to_vec(),
+            });
+            off += incl;
+        }
+        Ok((linktype, packets))
+    }
 
     fn capture_probe(time: f64) -> Vec<u8> {
         let probe = TcpHeader::syn_probe(40000, 443, 0x1234_5678);

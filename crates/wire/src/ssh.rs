@@ -8,10 +8,10 @@
 use crate::ParseError;
 
 /// Identification string the scanner announces.
-pub const CLIENT_IDENT: &str = "SSH-2.0-originscan_0.1";
+pub(crate) const CLIENT_IDENT: &str = "SSH-2.0-originscan_0.1";
 
 /// Maximum identification line length including CRLF (RFC 4253).
-pub const MAX_IDENT_LEN: usize = 255;
+pub(crate) const MAX_IDENT_LEN: usize = 255;
 
 /// Build the client identification line as sent on the wire.
 pub fn client_ident_line() -> Vec<u8> {

@@ -12,54 +12,49 @@ use crate::ParseError;
 pub const HEADER_LEN: usize = 20;
 
 /// Length of the 4-byte MSS option ZMap appends to SYNs.
-pub const MSS_OPTION_LEN: usize = 4;
+pub(crate) const MSS_OPTION_LEN: usize = 4;
 
 /// The MSS value advertised in probes (ZMap's default).
-pub const PROBE_MSS: u16 = 1460;
+pub(crate) const PROBE_MSS: u16 = 1460;
 
 /// TCP flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
-    /// FIN flag.
-    pub const FIN: u8 = 0x01;
     /// SYN flag.
-    pub const SYN: u8 = 0x02;
+    pub(crate) const SYN: u8 = 0x02;
     /// RST flag.
-    pub const RST: u8 = 0x04;
-    /// PSH flag.
-    pub const PSH: u8 = 0x08;
+    pub(crate) const RST: u8 = 0x04;
     /// ACK flag.
-    pub const ACK: u8 = 0x10;
+    pub(crate) const ACK: u8 = 0x10;
 
     /// A pure SYN.
-    pub fn syn() -> Self {
+    pub(crate) fn syn() -> Self {
         Self(Self::SYN)
     }
     /// A SYN-ACK.
-    pub fn syn_ack() -> Self {
+    pub(crate) fn syn_ack() -> Self {
         Self(Self::SYN | Self::ACK)
     }
     /// A RST (optionally with ACK, as most stacks send).
-    pub fn rst_ack() -> Self {
+    pub(crate) fn rst_ack() -> Self {
         Self(Self::RST | Self::ACK)
     }
+}
 
-    /// Is the SYN bit set?
-    pub fn is_syn(self) -> bool {
+#[cfg(test)]
+impl TcpFlags {
+    pub(crate) fn is_syn(self) -> bool {
         self.0 & Self::SYN != 0
     }
-    /// Is the ACK bit set?
-    pub fn is_ack(self) -> bool {
+    fn is_ack(self) -> bool {
         self.0 & Self::ACK != 0
     }
-    /// Is the RST bit set?
-    pub fn is_rst(self) -> bool {
+    fn is_rst(self) -> bool {
         self.0 & Self::RST != 0
     }
-    /// Is this exactly a SYN-ACK?
-    pub fn is_syn_ack(self) -> bool {
+    fn is_syn_ack(self) -> bool {
         self.is_syn() && self.is_ack() && !self.is_rst()
     }
 }

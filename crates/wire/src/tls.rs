@@ -12,14 +12,14 @@ use crate::ParseError;
 /// TLS record content type for handshake messages.
 pub const CONTENT_HANDSHAKE: u8 = 22;
 /// TLS record content type for alerts.
-pub const CONTENT_ALERT: u8 = 21;
+pub(crate) const CONTENT_ALERT: u8 = 21;
 /// Wire version for TLS 1.2.
 pub const VERSION_TLS12: u16 = 0x0303;
 
 /// Handshake message type: ClientHello.
 pub const HS_CLIENT_HELLO: u8 = 1;
 /// Handshake message type: ServerHello.
-pub const HS_SERVER_HELLO: u8 = 2;
+pub(crate) const HS_SERVER_HELLO: u8 = 2;
 
 /// The TLS 1.2 cipher suites modern Chrome offered at the time of the
 /// study (GREASE omitted), in Chrome's preference order.

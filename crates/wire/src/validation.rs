@@ -18,7 +18,7 @@ pub struct Validator {
 
 impl Validator {
     /// Create a validator from the per-scan 128-bit secret.
-    pub fn new(key0: u64, key1: u64) -> Self {
+    pub(crate) fn new(key0: u64, key1: u64) -> Self {
         Self {
             mac: SipHash13::new(key0, key1),
         }

@@ -4,15 +4,15 @@
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_wire::http::StatusLine;
 use originscan_wire::icmp::{IcmpEcho, IcmpUnreachable};
 use originscan_wire::ipv4::{Ipv4Header, PROTO_UDP};
-use originscan_wire::siphash::SipHash13;
-use originscan_wire::ssh::ServerIdent;
 use originscan_wire::tcp::{TcpFlags, TcpHeader};
-use originscan_wire::tls::{ServerHello, CHROME_TLS12_SUITES, VERSION_TLS12};
 use originscan_wire::validation::Validator;
+use originscan_wire::ServerIdent;
+use originscan_wire::SipHash13;
+use originscan_wire::StatusLine;
 use originscan_wire::{dns, udp};
+use originscan_wire::{ServerHello, CHROME_TLS12_SUITES, VERSION_TLS12};
 use proptest::prelude::*;
 
 proptest! {

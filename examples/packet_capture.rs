@@ -14,9 +14,9 @@ use originscan::netmodel::{OriginId, Protocol, SimNet, WorldConfig};
 use originscan::scanner::target::{Network, ProbeCtx, SynReply};
 use originscan::scanner::Cycle;
 use originscan::wire::ipv4::Ipv4Header;
-use originscan::wire::pcap::PcapWriter;
 use originscan::wire::tcp::TcpHeader;
 use originscan::wire::validation::Validator;
+use originscan::wire::PcapWriter;
 use std::fs::File;
 use std::io::BufWriter;
 
