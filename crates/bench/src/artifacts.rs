@@ -43,8 +43,8 @@ use originscan_core::transient::{
 };
 use originscan_netmodel::{FaultPlan, OriginId, Protocol, World, WorldConfig};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
-use originscan_stats::combos::k_subsets;
 use originscan_stats::descriptive::{std_dev, Ecdf, FiveNumber};
+use originscan_stats::k_subsets;
 use std::cell::OnceCell;
 use std::fmt::Write as _;
 

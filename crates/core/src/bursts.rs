@@ -11,7 +11,7 @@ use crate::classify::{classify, Class};
 use crate::matrix::{TrialMatrix, SCAN_HOURS};
 use crate::results::Panel;
 use originscan_netmodel::World;
-use originscan_stats::timeseries::{burst_mass_fraction, detect_bursts, Burst};
+use originscan_stats::{burst_mass_fraction, detect_bursts, Burst};
 use std::collections::BTreeMap;
 
 /// Rolling window (hours) used for smoothing, per the paper.

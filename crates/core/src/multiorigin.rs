@@ -9,8 +9,8 @@
 use crate::matrix::TrialMatrix;
 use crate::results::ExperimentResults;
 use originscan_netmodel::{OriginId, Protocol};
-use originscan_stats::combos::k_subsets;
 use originscan_stats::descriptive::FiveNumber;
+use originscan_stats::k_subsets;
 use originscan_store::{ScanSet, SignatureCounts};
 
 /// Probe policy for coverage computation.

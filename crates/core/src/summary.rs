@@ -11,7 +11,7 @@ use crate::results::ExperimentResults;
 use crate::ssh::ssh_miss_breakdown;
 use crate::transient::origin_stability;
 use originscan_netmodel::Protocol;
-use originscan_stats::interval::wilson95;
+use originscan_stats::wilson95;
 use std::fmt::Write as _;
 
 /// Render the full report for an experiment's results.

@@ -883,7 +883,7 @@ mod tests {
                 let all = all_of(proto, *trial);
                 let sets = load(proto, *trial, &all);
                 let mut best: Option<(Vec<usize>, u64)> = None;
-                for combo in originscan_stats::combos::k_subsets(all.len(), *k) {
+                for combo in originscan_stats::k_subsets(all.len(), *k) {
                     let members: Vec<ScanSet> = combo.iter().map(|&i| sets[i].clone()).collect();
                     let covered = union(&members);
                     if best.as_ref().is_none_or(|(_, c)| covered > *c) {

@@ -3,7 +3,7 @@
 //! (Figs 15, 17, 18) report.
 
 /// Mean of a slice; 0 for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -32,7 +32,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Quantile of an already-sorted slice (type 7).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {
         return sorted[0];
@@ -83,28 +83,6 @@ impl FiveNumber {
     }
 }
 
-/// Mean / std-dev / n bundle for reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Summarize a slice.
-    pub fn of(xs: &[f64]) -> Self {
-        Self {
-            n: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-        }
-    }
-}
-
 /// An empirical CDF over a finite sample, supporting evaluation and
 /// inverse lookup; used for Fig 9 ("distribution of differences in
 /// transient loss rate") and Fig 4 (AS concentration curves).
@@ -151,9 +129,12 @@ impl Ecdf {
             self.cum_weight[k - 1] / total
         }
     }
+}
 
+#[cfg(test)]
+impl Ecdf {
     /// Smallest sample value v with `eval(v) >= q`.
-    pub fn inverse(&self, q: f64) -> f64 {
+    fn inverse(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty());
         let total = *self.cum_weight.last().unwrap();
         let target = q * total;
@@ -162,13 +143,8 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    /// True when constructed from no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 }
 
@@ -229,12 +205,5 @@ mod tests {
         assert_eq!(e.inverse(0.25), 10.0);
         assert_eq!(e.inverse(0.5), 20.0);
         assert_eq!(e.inverse(1.0), 40.0);
-    }
-
-    #[test]
-    fn summary_bundle() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.mean, 2.0);
     }
 }

@@ -8,7 +8,8 @@ pub fn normal_cdf(z: f64) -> f64 {
 }
 
 /// Standard normal survival function 1 − Φ(z).
-pub fn normal_sf(z: f64) -> f64 {
+#[cfg(test)]
+fn normal_sf(z: f64) -> f64 {
     0.5 * crate::special::erfc(z / std::f64::consts::SQRT_2)
 }
 
@@ -23,7 +24,7 @@ pub fn chi2_cdf(x: f64, df: f64) -> f64 {
 }
 
 /// Chi-square survival function (the p-value of a chi-square statistic).
-pub fn chi2_sf(x: f64, df: f64) -> f64 {
+pub(crate) fn chi2_sf(x: f64, df: f64) -> f64 {
     assert!(df > 0.0);
     if x <= 0.0 {
         1.0

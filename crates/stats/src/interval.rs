@@ -9,11 +9,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Lower bound.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Point estimate.
     pub estimate: f64,
     /// Upper bound.
-    pub hi: f64,
+    pub(crate) hi: f64,
 }
 
 impl Interval {
@@ -21,16 +21,19 @@ impl Interval {
     pub fn half_width(&self) -> f64 {
         (self.hi - self.lo) / 2.0
     }
+}
 
+#[cfg(test)]
+impl Interval {
     /// Does the interval contain `p`?
-    pub fn contains(&self, p: f64) -> bool {
+    fn contains(&self, p: f64) -> bool {
         (self.lo..=self.hi).contains(&p)
     }
 }
 
 /// Wilson score interval for `successes` out of `n` at normal quantile
 /// `z` (1.96 for 95 %).
-pub fn wilson(successes: u64, n: u64, z: f64) -> Interval {
+pub(crate) fn wilson(successes: u64, n: u64, z: f64) -> Interval {
     assert!(successes <= n, "successes exceed trials");
     if n == 0 {
         return Interval {

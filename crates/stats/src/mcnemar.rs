@@ -24,9 +24,10 @@ pub struct PairedCounts {
     pub neither: u64,
 }
 
+#[cfg(test)]
 impl PairedCounts {
     /// Accumulate one paired observation.
-    pub fn record(&mut self, a: bool, b: bool) {
+    fn record(&mut self, a: bool, b: bool) {
         match (a, b) {
             (true, true) => self.both += 1,
             (true, false) => self.only_a += 1,
@@ -36,7 +37,7 @@ impl PairedCounts {
     }
 
     /// Total paired observations.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.both + self.only_a + self.only_b + self.neither
     }
 }

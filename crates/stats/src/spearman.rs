@@ -16,7 +16,7 @@ pub struct SpearmanResult {
     /// Two-sided p-value from the t approximation (n ≥ 3 required).
     pub p_value: f64,
     /// Sample size.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 /// Assign average ranks (1-based) to a sample, ties share the mean rank.
@@ -42,7 +42,7 @@ pub fn average_ranks(xs: &[f64]) -> Vec<f64> {
 }
 
 /// Pearson correlation of two equal-length samples.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len() as f64;
     let mx = xs.iter().sum::<f64>() / n;

@@ -8,7 +8,7 @@
 /// Maximum absolute error ≈ 1.2e-7 from the base approximation; we instead
 /// use the higher-precision series/continued-fraction split on `erf` via
 /// the incomplete gamma identity `erf(x) = P(1/2, x^2)` for x ≥ 0.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x < 0.0 {
         -erf(-x)
     } else {
@@ -17,12 +17,13 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients from the standard g=7, 9-term Lanczos fit.
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -54,7 +55,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Uses the series expansion for `x < a + 1` and the continued fraction for
 /// the complement otherwise (Numerical Recipes' `gammp` split).
-pub fn lower_regularized_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn lower_regularized_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "shape must be positive");
     if x <= 0.0 {
         return 0.0;
@@ -67,7 +68,7 @@ pub fn lower_regularized_gamma(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x).
-pub fn upper_regularized_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn upper_regularized_gamma(a: f64, x: f64) -> f64 {
     1.0 - lower_regularized_gamma(a, x)
 }
 
@@ -118,7 +119,7 @@ fn gamma_cf(a: f64, x: f64) -> f64 {
 
 /// Regularized incomplete beta function I_x(a, b), via the standard
 /// continued-fraction evaluation (Numerical Recipes `betai`).
-pub fn regularized_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn regularized_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "shapes must be positive");
     assert!((0.0..=1.0).contains(&x), "x out of [0,1]");
     if x == 0.0 {

@@ -3,12 +3,12 @@
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_stats::combos::{choose, k_subsets};
 use originscan_stats::descriptive::{quantile, std_dev, Ecdf, FiveNumber};
-use originscan_stats::dist::{chi2_cdf, normal_cdf, t_sf_two_sided};
 use originscan_stats::mcnemar::{mcnemar_test, PairedCounts};
 use originscan_stats::spearman::{average_ranks, spearman};
-use originscan_stats::timeseries::{detect_bursts, rolling_mean};
+use originscan_stats::{chi2_cdf, normal_cdf, t_sf_two_sided};
+use originscan_stats::{choose, k_subsets};
+use originscan_stats::{detect_bursts, rolling_mean};
 use proptest::prelude::*;
 
 fn finite_vec(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {

@@ -6,7 +6,7 @@ use originscan::core::coverage::mean_coverage;
 use originscan::core::multiorigin::{named_combo_coverage, single_ip_roster, ProbePolicy};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
-use originscan::stats::combos::k_subsets;
+use originscan::stats::k_subsets;
 
 #[test]
 fn follow_up_reproduces_fig18_and_censys_recovery() {
