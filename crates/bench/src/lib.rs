@@ -16,7 +16,7 @@
 pub mod artifacts;
 
 use originscan_netmodel::{Protocol, World, WorldConfig};
-use originscan_telemetry::progress::{emit_progress, FieldValue};
+use originscan_telemetry::{emit_progress, FieldValue};
 use std::str::FromStr;
 use std::time::Instant;
 

@@ -27,8 +27,8 @@ use crate::query::Query;
 use originscan_core::multiorigin::best_k_of;
 use originscan_plan::TargetPlan;
 use originscan_store::{ScanSet, SignatureCounts, StoreKey, StoreReader};
-use originscan_telemetry::json::JsonObj;
 use originscan_telemetry::metrics::names;
+use originscan_telemetry::JsonObj;
 use originscan_telemetry::{Scope, Telemetry, Tracer};
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -47,10 +47,10 @@
 
 use crate::engine::{error_body, QueryEngine};
 use crate::trace::{TraceRing, WallTime};
-use originscan_telemetry::json::JsonObj;
 use originscan_telemetry::metrics::{names, Histogram, SERVE_LATENCY_BOUNDS};
 use originscan_telemetry::span::Tracer;
-use originscan_telemetry::{prom, Scope, Telemetry};
+use originscan_telemetry::JsonObj;
+use originscan_telemetry::{render_prometheus, Scope, Telemetry, PROMETHEUS_CONTENT_TYPE};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -505,7 +505,7 @@ fn route(shared: &Shared, req: &Request, tracer: &Tracer) -> (&'static str, Resp
             "metrics",
             Response {
                 status: 200,
-                content_type: prom::CONTENT_TYPE,
+                content_type: PROMETHEUS_CONTENT_TYPE,
                 extra_headers: String::new(),
                 body: metrics_body(shared),
             },
@@ -604,7 +604,7 @@ fn stats_body(shared: &Shared) -> String {
 fn metrics_body(shared: &Shared) -> String {
     let mut out = String::new();
     if let Some(hub) = &shared.hub {
-        out.push_str(&prom::render(&hub.snapshot()));
+        out.push_str(&render_prometheus(&hub.snapshot()));
     }
     out.push_str(&engine_prom(&shared.engine));
     out

@@ -10,8 +10,8 @@
 //!
 //! [`Telemetry`]: originscan_telemetry::Telemetry
 
-use originscan_telemetry::json::JsonObj;
 use originscan_telemetry::span::{TimeSource, Trace, Tracer};
+use originscan_telemetry::JsonObj;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 

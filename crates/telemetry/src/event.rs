@@ -21,11 +21,11 @@ use crate::json::{JsonObj, JsonVal};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Scope {
     /// Protocol display name (`"HTTP"`, `"HTTPS"`, `"SSH"`).
-    pub proto: &'static str,
+    pub(crate) proto: &'static str,
     /// Trial number (0-based).
-    pub trial: u8,
+    pub(crate) trial: u8,
     /// Opaque origin index assigned by the experiment runner.
-    pub origin: u16,
+    pub(crate) origin: u16,
 }
 
 impl Scope {
@@ -281,10 +281,10 @@ impl EventKind {
     }
 
     /// One representative sample of every variant, in catalogue order.
-    /// [`crate::schema::describe`] serializes these to pin the event
+    /// [`crate::describe_schema`] serializes these to pin the event
     /// taxonomy; [`EventKind::name`]'s exhaustive match forces this list
     /// to be revisited whenever a variant is added.
-    pub fn samples() -> Vec<EventKind> {
+    pub(crate) fn samples() -> Vec<EventKind> {
         vec![
             EventKind::ScanStarted { attempt: 0 },
             EventKind::ScanResumed {
@@ -348,10 +348,10 @@ impl EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Where it happened.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
     /// Per-scope emission index (0-based). Within one scope all events
     /// come from a single scan thread, so `seq` totally orders them.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Simulated seconds since the start of the scan.
     pub time_s: f64,
     /// What happened.
@@ -360,7 +360,7 @@ pub struct Event {
 
 impl Event {
     /// Serialize as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut o = JsonObj::new();
         o.field_str("type", "event");
         o.field_str("proto", self.scope.proto);

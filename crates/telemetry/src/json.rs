@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 /// A JSON value as the telemetry serializer understands it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JsonVal {
+pub(crate) enum JsonVal {
     /// Unsigned integer.
     U(u64),
     /// Float, rendered with `{:?}` (shortest round-trip, always with a
@@ -79,7 +79,7 @@ impl JsonObj {
     }
 
     /// Append one [`JsonVal`] field.
-    pub fn field_val(&mut self, k: &str, v: &JsonVal) {
+    pub(crate) fn field_val(&mut self, k: &str, v: &JsonVal) {
         match *v {
             JsonVal::U(u) => self.field_u64(k, u),
             JsonVal::F(f) => self.field_f64(k, f),
@@ -88,7 +88,7 @@ impl JsonObj {
     }
 
     /// Append an array-of-floats field.
-    pub fn field_f64_array(&mut self, k: &str, vs: &[f64]) {
+    pub(crate) fn field_f64_array(&mut self, k: &str, vs: &[f64]) {
         self.key(k);
         self.buf.push('[');
         for (i, v) in vs.iter().enumerate() {

@@ -11,10 +11,10 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * **Events** ([`Event`], [`EventKind`]) — structured moments keyed to
+//! * **Events** (`Event`, [`EventKind`]) — structured moments keyed to
 //!   **simulated time** and a [`Scope`] (protocol, trial, origin).
 //!   Library code never reads a wall clock; the only wall-clock numbers
-//!   in the system enter through the bench/CLI [`progress`] sink as
+//!   in the system enter through the bench/CLI [`emit_progress`] sink as
 //!   pre-measured plain values.
 //! * **Metrics** ([`metrics`]) — named counters, gauges, and fixed-bucket
 //!   histograms. Hot loops accumulate locally and flush once per scan, so
@@ -48,24 +48,32 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod event;
-pub mod json;
+// `pub mod` for the modules the repository benchmark names by path; the
+// rest is private and its API is re-exported below.
+mod event;
+mod json;
 pub mod metrics;
 pub mod profile;
-pub mod progress;
-pub mod prom;
-pub mod schema;
-pub mod scoped;
+mod progress;
+mod prom;
+mod schema;
+mod scoped;
 pub mod span;
 
-pub use event::{Event, EventKind, Scope};
-pub use metrics::{Histogram, HistogramEntry, MetricEntry};
-pub use profile::Profile;
+pub use event::{EventKind, Scope};
+pub use json::JsonObj;
+pub use metrics::{HistogramEntry, MetricEntry};
+pub use progress::{emit_progress, FieldValue};
+pub use prom::{render_prometheus, PROMETHEUS_CONTENT_TYPE};
+pub use schema::describe_schema;
 pub use scoped::ScopedTelemetry;
-pub use span::{SpanGuard, SpanRecord, TimeSource, Trace, Tracer};
+pub use span::{SpanGuard, Tracer};
 
-use json::JsonObj;
+use event::Event;
+use metrics::Histogram;
 use metrics::Registry;
+use profile::Profile;
+use span::Trace;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -179,7 +187,7 @@ impl Telemetry {
     /// scope's next sequential trace ID (one scope = one scan = one
     /// thread, so per-scope trace order is deterministic). Also bumps
     /// the `trace.*` counters so trace volume shows up in metrics.
-    pub fn record_trace(&self, scope: Scope, trace: Trace) {
+    pub(crate) fn record_trace(&self, scope: Scope, trace: Trace) {
         self.with_inner(|inner| {
             let seq = inner.trace_seqs.entry(scope).or_insert(0);
             let trace_id = *seq;
@@ -314,18 +322,18 @@ impl MetricBatch {
 
 /// One recorded trace with its scope and per-scope sequential ID.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceEntry {
+pub(crate) struct TraceEntry {
     /// The (protocol, trial, origin) the trace belongs to.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
     /// Per-scope sequential trace ID (record order).
-    pub trace_id: u32,
+    pub(crate) trace_id: u32,
     /// The span tree.
-    pub trace: Trace,
+    pub(crate) trace: Trace,
 }
 
 impl TraceEntry {
     /// One JSONL line per span (trailing newline after every line).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.trace.spans {
             let mut o = JsonObj::new();
@@ -357,7 +365,7 @@ pub struct TelemetrySnapshot {
     /// All histograms, in `(scope, name)` order.
     pub histograms: Vec<HistogramEntry>,
     /// All span traces, sorted by `(scope, trace_id)`.
-    pub traces: Vec<TraceEntry>,
+    pub(crate) traces: Vec<TraceEntry>,
 }
 
 impl TelemetrySnapshot {
@@ -412,11 +420,6 @@ impl TelemetrySnapshot {
         Profile::from_traces(self.traces.iter().map(|t| &t.trace))
     }
 
-    /// Traces belonging to one scope, in trace-ID order.
-    pub fn traces_for(&self, scope: Scope) -> impl Iterator<Item = &TraceEntry> {
-        self.traces.iter().filter(move |t| t.scope == scope)
-    }
-
     /// Look up a counter (0 when never touched).
     pub fn counter(&self, scope: Scope, name: &str) -> u64 {
         self.counters
@@ -439,7 +442,7 @@ impl TelemetrySnapshot {
     }
 
     /// Every scope that recorded anything, in canonical order.
-    pub fn scopes(&self) -> Vec<Scope> {
+    pub(crate) fn scopes(&self) -> Vec<Scope> {
         let mut set: BTreeSet<Scope> = self.events.iter().map(|e| e.scope).collect();
         set.extend(self.counters.iter().map(|c| c.scope));
         set.extend(self.gauges.iter().map(|g| g.scope));
@@ -497,6 +500,14 @@ impl TelemetrySnapshot {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl TelemetrySnapshot {
+    /// Traces belonging to one scope, in trace-ID order.
+    fn traces_for(&self, scope: Scope) -> impl Iterator<Item = &TraceEntry> {
+        self.traces.iter().filter(move |t| t.scope == scope)
     }
 }
 

@@ -133,11 +133,11 @@ pub mod names {
     /// Final rate multiplier when the scan completed (gauge).
     pub const ADAPT_RATE_MULT: &str = "adapt.rate_mult";
     /// Span traces recorded into the hub (counter).
-    pub const TRACE_TRACES: &str = "trace.traces";
+    pub(crate) const TRACE_TRACES: &str = "trace.traces";
     /// Spans across all recorded traces (counter).
-    pub const TRACE_SPANS: &str = "trace.spans";
+    pub(crate) const TRACE_SPANS: &str = "trace.spans";
     /// Spans discarded after the per-trace cap (counter).
-    pub const TRACE_SPANS_DROPPED: &str = "trace.spans_dropped";
+    pub(crate) const TRACE_SPANS_DROPPED: &str = "trace.spans_dropped";
     /// Bitmap kernel invocations charged by the serve engine (counter).
     pub const STORE_KERNEL_OPS: &str = "store.kernel_ops";
     /// Machine words of compressed container payload walked by those
@@ -153,7 +153,7 @@ pub mod names {
 
     /// The full catalogue as (name, record type) pairs, in serialization
     /// order. Pinned by the schema golden test.
-    pub const ALL: &[(&str, &str)] = &[
+    pub(crate) const ALL: &[(&str, &str)] = &[
         (PROBES_SENT, "counter"),
         (ADDRESSES_PROBED, "counter"),
         (BLOCKLIST_SKIPS, "counter"),
@@ -220,11 +220,11 @@ pub mod names {
 pub struct Histogram {
     /// Upper bucket boundaries (compile-time constants, strictly
     /// increasing).
-    pub bounds: &'static [f64],
+    pub(crate) bounds: &'static [f64],
     /// Per-bucket observation counts (`bounds.len() + 1` entries).
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Sum of all observed values (Prometheus `_sum`).
-    pub sum: f64,
+    pub(crate) sum: f64,
 }
 
 impl Histogram {
@@ -340,7 +340,7 @@ impl Registry {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricEntry<T> {
     /// The (protocol, trial, origin) the metric belongs to.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
     /// Metric name (one of [`names`]).
     pub name: &'static str,
     /// Its value at snapshot time.
@@ -349,7 +349,7 @@ pub struct MetricEntry<T> {
 
 impl MetricEntry<u64> {
     /// Serialize as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut o = scoped_obj("counter", self.scope, self.name);
         o.field_u64("value", self.value);
         o.finish()
@@ -358,7 +358,7 @@ impl MetricEntry<u64> {
 
 impl MetricEntry<f64> {
     /// Serialize as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut o = scoped_obj("gauge", self.scope, self.name);
         o.field_f64("value", self.value);
         o.finish()
@@ -369,20 +369,20 @@ impl MetricEntry<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramEntry {
     /// The (protocol, trial, origin) the histogram belongs to.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
     /// Histogram name (one of [`names`]).
     pub name: &'static str,
     /// Upper bucket boundaries.
-    pub bounds: &'static [f64],
+    pub(crate) bounds: &'static [f64],
     /// Per-bucket counts (`bounds.len() + 1` entries).
     pub counts: Vec<u64>,
     /// Sum of observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
 }
 
 impl HistogramEntry {
     /// Serialize as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut o = scoped_obj("histogram", self.scope, self.name);
         o.field_f64_array("bounds", self.bounds);
         o.field_u64_array("counts", &self.counts);

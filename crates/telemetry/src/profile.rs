@@ -7,11 +7,8 @@
 //! the "unaccounted" measure the serve latency work is planned against:
 //! a large root self-time means the instrumentation is missing a phase.
 //!
-//! Output surfaces:
-//!
-//! * [`Profile::to_jsonl`] — one line per node, pinned by the telemetry
-//!   schema golden (`type:"profile"`).
-//! * [`Profile::render`] — indented human-readable tree.
+//! Output: [`Profile::to_jsonl`], one line per node, pinned by the
+//! telemetry schema golden (`type:"profile"`).
 //!
 //! Determinism: nodes live in a `BTreeMap` keyed by path, so two
 //! profiles over the same traces serialize identically regardless of
@@ -20,7 +17,6 @@
 use crate::json::JsonObj;
 use crate::span::{SpanRecord, Trace};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One merged node of the flame tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,8 +41,8 @@ struct Agg {
     total_s: f64,
 }
 
-/// A merged flame tree. Build with [`Profile::add_trace`] (or
-/// [`Profile::from_traces`]), then read [`Profile::nodes`].
+/// A merged flame tree, built from a snapshot's traces
+/// ([`crate::TelemetrySnapshot::profile`]); read [`Profile::nodes`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     map: BTreeMap<String, Agg>,
@@ -59,7 +55,7 @@ impl Profile {
     }
 
     /// Merge every span of `trace` into the tree.
-    pub fn add_trace(&mut self, trace: &Trace) {
+    pub(crate) fn add_trace(&mut self, trace: &Trace) {
         self.add_spans(&trace.spans);
     }
 
@@ -80,17 +76,12 @@ impl Profile {
     }
 
     /// Build a profile over many traces at once.
-    pub fn from_traces<'a, I: IntoIterator<Item = &'a Trace>>(traces: I) -> Profile {
+    pub(crate) fn from_traces<'a, I: IntoIterator<Item = &'a Trace>>(traces: I) -> Profile {
         let mut p = Profile::new();
         for t in traces {
             p.add_trace(t);
         }
         p
-    }
-
-    /// True when no spans were merged.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// The merged nodes in path (depth-first) order, with derived self
@@ -145,9 +136,13 @@ impl Profile {
         }
         out
     }
+}
 
+#[cfg(test)]
+impl Profile {
     /// Indented human-readable tree.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,

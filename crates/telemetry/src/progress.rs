@@ -54,7 +54,7 @@ impl From<String> for FieldValue {
 
 /// Format one progress line (no trailing newline):
 /// `{"type":"progress","kind":<kind>,<fields...>}`.
-pub fn format_progress(kind: &str, fields: &[(&str, FieldValue)]) -> String {
+pub(crate) fn format_progress(kind: &str, fields: &[(&str, FieldValue)]) -> String {
     let mut o = JsonObj::new();
     o.field_str("type", "progress");
     o.field_str("kind", kind);

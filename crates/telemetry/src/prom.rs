@@ -1,6 +1,6 @@
 //! Prometheus text exposition over a [`TelemetrySnapshot`].
 //!
-//! [`render`] produces the standard `text/plain; version=0.0.4` format:
+//! [`render_prometheus`] produces the standard `text/plain; version=0.0.4` format:
 //! one `# TYPE` line per metric followed by every series, labelled by
 //! scope (`proto`/`trial`/`origin`). Histograms expose the usual
 //! cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
@@ -16,10 +16,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The content type the exposition format is served under.
-pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Prometheus-safe metric name: dots become underscores.
-pub fn metric_name(name: &str) -> String {
+pub(crate) fn metric_name(name: &str) -> String {
     name.replace('.', "_")
 }
 
@@ -31,7 +31,7 @@ fn labels(scope: Scope) -> String {
 }
 
 /// Render the full snapshot as Prometheus text exposition.
-pub fn render(snap: &TelemetrySnapshot) -> String {
+pub fn render_prometheus(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     render_counters(&mut out, &snap.counters);
     render_gauges(&mut out, &snap.gauges);
@@ -122,7 +122,7 @@ mod tests {
             crate::metrics::L7_ATTEMPT_BOUNDS,
             9.0,
         );
-        let text = render(&t.snapshot());
+        let text = render_prometheus(&t.snapshot());
         assert!(text.contains("# TYPE scan_probes_sent counter"), "{text}");
         assert!(
             text.contains("scan_probes_sent{proto=\"HTTP\",trial=\"0\",origin=\"1\"} 7"),
@@ -155,11 +155,11 @@ mod tests {
             t.add(Scope::new("HTTP", 0, 0), names::SYNACKS, 5);
             t.snapshot()
         };
-        assert_eq!(render(&build()), render(&build()));
+        assert_eq!(render_prometheus(&build()), render_prometheus(&build()));
     }
 
     #[test]
     fn empty_snapshot_renders_empty() {
-        assert_eq!(render(&TelemetrySnapshot::default()), "");
+        assert_eq!(render_prometheus(&TelemetrySnapshot::default()), "");
     }
 }

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 /// The schema document version. Bump when the envelope itself (the
 /// shared `type`/`proto`/`trial`/`origin` fields) changes shape.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 fn type_name(v: &JsonVal) -> &'static str {
     match v {
@@ -31,7 +31,7 @@ fn type_name(v: &JsonVal) -> &'static str {
 /// Derived from the same `EventKind::fields` table the JSONL writer
 /// uses, so the description cannot drift from the bytes: adding a
 /// variant or payload field changes this output mechanically.
-pub fn describe() -> String {
+pub fn describe_schema() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "originscan telemetry schema v{SCHEMA_VERSION}");
     let _ = writeln!(
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn describe_covers_every_event_and_metric() {
-        let doc = describe();
+        let doc = describe_schema();
         for kind in EventKind::samples() {
             assert!(
                 doc.contains(&format!("event {}", kind.name())),

@@ -37,7 +37,7 @@ use std::cell::{Cell, RefCell};
 /// Upper bound on spans retained per trace. A runaway instrumentation
 /// site (say, a span per probed address) degrades to dropped spans, not
 /// unbounded memory; the drop count is carried on the finished trace.
-pub const MAX_SPANS_PER_TRACE: usize = 65_536;
+pub(crate) const MAX_SPANS_PER_TRACE: usize = 65_536;
 
 /// A monotonically non-decreasing clock a [`Tracer`] can read.
 ///
@@ -74,7 +74,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Duration in seconds (clamped non-negative).
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         (self.end_s - self.start_s).max(0.0)
     }
 
@@ -99,17 +99,13 @@ pub struct Trace {
     /// Spans in ID order (parents before children).
     pub spans: Vec<SpanRecord>,
     /// Spans discarded after [`MAX_SPANS_PER_TRACE`] was reached.
-    pub dropped: u32,
+    pub(crate) dropped: u32,
 }
 
+#[cfg(test)]
 impl Trace {
-    /// The root span (the first span opened), if any was recorded.
-    pub fn root(&self) -> Option<&SpanRecord> {
-        self.spans.first()
-    }
-
     /// Direct children of the span with ID `id`, in ID order.
-    pub fn children(&self, id: u32) -> impl Iterator<Item = &SpanRecord> {
+    fn children(&self, id: u32) -> impl Iterator<Item = &SpanRecord> {
         self.spans.iter().filter(move |s| s.parent == Some(id))
     }
 }
@@ -289,13 +285,6 @@ impl Tracer {
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     id: u32,
-}
-
-impl SpanGuard<'_> {
-    /// The span's ID within its trace.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
 }
 
 impl Drop for SpanGuard<'_> {
