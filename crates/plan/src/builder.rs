@@ -19,7 +19,7 @@
 
 use crate::format::PlanError;
 use crate::plan::{PlanEntry, TargetPlan};
-use originscan_store::frame::FrameError;
+use originscan_store::FrameError;
 use originscan_store::{ScanSet, StoreReader};
 use std::collections::BTreeMap;
 

@@ -19,8 +19,8 @@
 //! [`PlanError::Frame`]), never a panic.
 
 use crate::plan::{PlanEntry, TargetPlan};
-use originscan_store::frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 use originscan_store::StoreError;
+use originscan_store::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 
 /// File magic: "Origin Scan PLan".
 pub const MAGIC: [u8; 4] = *b"OSPL";
@@ -159,7 +159,7 @@ pub fn decode_plan(bytes: &[u8]) -> Result<TargetPlan, PlanError> {
 /// Human-readable description of the on-disk plan format, derived from
 /// the same constants the serializers use. Pinned by the plan-format
 /// golden test: any layout change shows up as a golden-file diff.
-pub fn describe() -> String {
+pub fn describe_format() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "originscan-plan on-disk format");
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn describe_mentions_every_section() {
-        let d = describe();
+        let d = describe_format();
         for needle in ["magic", "entry record", "s24:u32", "CRC-32", "blocklist"] {
             assert!(d.contains(needle), "describe() missing {needle}");
         }

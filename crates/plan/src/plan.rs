@@ -7,7 +7,7 @@
 //! consumers rank prefixes); membership alone decides probing.
 
 use crate::format::{decode_plan, encode_plan, PlanError};
-use originscan_store::frame::FrameError;
+use originscan_store::FrameError;
 use std::path::Path;
 
 /// One planned /24 with its priority score.

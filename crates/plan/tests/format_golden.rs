@@ -9,7 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p originscan-plan --test format_golden
 //! ```
 
-use originscan_plan::{format, PlanEntry, TargetPlan};
+use originscan_plan::{format::describe_format, PlanEntry, TargetPlan};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/plan_format.txt");
 
@@ -58,7 +58,7 @@ fn render() -> String {
     let bytes = plan.to_bytes().expect("serialize");
     format!(
         "{}\ncanonical sample plan ({} bytes):\n{}",
-        format::describe(),
+        describe_format(),
         bytes.len(),
         hex_dump(&bytes),
     )

@@ -176,7 +176,7 @@ impl From<StoreError> for QueryError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use originscan_store::frame::FrameError;
+    use originscan_store::FrameError;
 
     #[test]
     fn kinds_statuses_and_messages() {

@@ -20,7 +20,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Number of 64-bit words in a bitmap container (2¹⁶ bits).
-pub const WORDS: usize = 1024;
+pub(crate) const WORDS: usize = 1024;
 
 /// Maximum cardinality of an array container; one past this promotes to
 /// a bitmap (the classic roaring 4096 cutoff, where 2 bytes/element
@@ -28,7 +28,7 @@ pub const WORDS: usize = 1024;
 pub const ARRAY_MAX: usize = 4096;
 
 /// Serialized size of a bitmap container in bytes.
-pub const BITMAP_BYTES: usize = WORDS * 8;
+pub(crate) const BITMAP_BYTES: usize = WORDS * 8;
 
 /// Discriminant of a container representation, as serialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub enum ContainerKind {
 
 impl ContainerKind {
     /// The on-disk type code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             ContainerKind::Array => 0,
             ContainerKind::Bitmap => 1,
@@ -52,7 +52,7 @@ impl ContainerKind {
     }
 
     /// Parse an on-disk type code.
-    pub fn from_code(code: u8) -> Option<ContainerKind> {
+    pub(crate) fn from_code(code: u8) -> Option<ContainerKind> {
         match code {
             0 => Some(ContainerKind::Array),
             1 => Some(ContainerKind::Bitmap),
@@ -79,7 +79,7 @@ fn low16(v: u32) -> u16 {
 
 /// A set-operation selector for the shared kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetOp {
+pub(crate) enum SetOp {
     /// Intersection.
     And,
     /// Union.
@@ -121,7 +121,7 @@ impl Container {
     /// Build from sorted unique values, choosing array or bitmap by the
     /// 4096 cutoff. Callers wanting the canonical (smallest) form chain
     /// [`Container::optimized`].
-    pub fn from_sorted(values: Vec<u16>) -> Container {
+    pub(crate) fn from_sorted(values: Vec<u16>) -> Container {
         if values.len() <= ARRAY_MAX {
             Container::Array(values)
         } else {
@@ -155,7 +155,7 @@ impl Container {
     }
 
     /// True when the container has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match self {
             Container::Array(a) => a.is_empty(),
             Container::Bitmap(w) => w.iter().all(|&x| x == 0),
@@ -187,7 +187,7 @@ impl Container {
     /// Insert a value; returns true when it was new. Array containers
     /// promote to bitmaps past [`ARRAY_MAX`]; run containers fall back to
     /// bitmaps (inserts are a build-time primitive — canonical form comes
-    /// from [`Container::optimized`]).
+    /// from `Container::optimized`).
     pub fn insert(&mut self, v: u16) -> bool {
         match self {
             Container::Array(a) => match a.binary_search(&v) {
@@ -217,7 +217,7 @@ impl Container {
     }
 
     /// Number of maximal contiguous runs.
-    pub fn run_count(&self) -> u32 {
+    pub(crate) fn run_count(&self) -> u32 {
         match self {
             Container::Array(a) => {
                 let mut runs = 0u32;
@@ -247,7 +247,7 @@ impl Container {
     }
 
     /// Serialized payload size of this representation, in bytes.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         match self {
             Container::Array(a) => a.len() * 2,
             Container::Bitmap(_) => BITMAP_BYTES,
@@ -260,7 +260,7 @@ impl Container {
     /// then Run, then Bitmap. This single rule is both container
     /// promotion and demotion, and makes serialized chunks a pure
     /// function of the member set.
-    pub fn optimized(self) -> Container {
+    pub(crate) fn optimized(self) -> Container {
         let n = self.cardinality() as usize;
         let r = self.run_count() as usize;
         let array_cost = if n <= ARRAY_MAX { Some(2 * n) } else { None };
@@ -287,7 +287,7 @@ impl Container {
     /// The canonical container of the members set in `words` (the
     /// many-way union kernel's way out of its scratch block, which it
     /// keeps).
-    pub fn from_words(words: &[u64; WORDS]) -> Container {
+    pub(crate) fn from_words(words: &[u64; WORDS]) -> Container {
         let card = popcount(words);
         let flat = if card as usize <= ARRAY_MAX {
             Container::Array(values_of(words, card))
@@ -298,7 +298,7 @@ impl Container {
     }
 
     /// Materialize as a flat bitmap word array.
-    pub fn to_words(&self) -> Box<[u64; WORDS]> {
+    pub(crate) fn to_words(&self) -> Box<[u64; WORDS]> {
         let mut words = Box::new([0u64; WORDS]);
         self.or_into(&mut words);
         words
@@ -306,7 +306,7 @@ impl Container {
 
     /// OR this container's members into `words` (the many-way union
     /// kernel's accumulator).
-    pub fn or_into(&self, words: &mut [u64; WORDS]) {
+    pub(crate) fn or_into(&self, words: &mut [u64; WORDS]) {
         match self {
             Container::Array(a) => {
                 for &v in a {
@@ -327,7 +327,7 @@ impl Container {
     }
 
     /// Materialize as sorted inclusive runs.
-    pub fn to_runs(&self) -> Vec<(u16, u16)> {
+    pub(crate) fn to_runs(&self) -> Vec<(u16, u16)> {
         let mut runs: Vec<(u16, u16)> = Vec::new();
         for v in self.iter() {
             match runs.last_mut() {
@@ -412,7 +412,7 @@ impl Container {
     /// Apply a binary set operation, returning an optimized container.
     /// Array pairs use merge-walk kernels; every other pairing goes
     /// through the word-level kernels.
-    pub fn op(&self, other: &Container, op: SetOp) -> Container {
+    pub(crate) fn op(&self, other: &Container, op: SetOp) -> Container {
         if let (Container::Array(a), Container::Array(b)) = (self, other) {
             return Container::from_sorted(merge_arrays(a, b, op)).optimized();
         }
@@ -429,7 +429,7 @@ impl Container {
     /// Cardinality of a binary set operation without materializing the
     /// result (the fast path behind coverage / McNemar / combination
     /// queries).
-    pub fn op_cardinality(&self, other: &Container, op: SetOp) -> u32 {
+    pub(crate) fn op_cardinality(&self, other: &Container, op: SetOp) -> u32 {
         if let (Container::Array(a), Container::Array(b)) = (self, other) {
             return merge_cardinality(a, b, op);
         }

@@ -42,13 +42,13 @@ pub const MAGIC: [u8; 4] = *b"OSCS";
 pub const VERSION: u16 = 1;
 
 /// Byte length of the fixed file header.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// Byte length of the per-entry set header (`chunk_count | dir_crc`).
-pub const SET_HEADER_LEN: usize = 8;
+pub(crate) const SET_HEADER_LEN: usize = 8;
 
 /// Byte length of one chunk-directory record.
-pub const DIR_RECORD_LEN: usize = 16;
+pub(crate) const DIR_RECORD_LEN: usize = 16;
 
 /// Everything that can go wrong reading or writing a store.
 #[derive(Debug)]
@@ -100,23 +100,23 @@ impl From<FrameError> for StoreError {
 
 /// One chunk-directory record, as parsed from an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkDirEntry {
+pub(crate) struct ChunkDirEntry {
     /// Chunk key (the high 16 address bits).
-    pub key: u16,
+    pub(crate) key: u16,
     /// Container representation.
-    pub kind: ContainerKind,
+    pub(crate) kind: ContainerKind,
     /// Member count (readable without touching the payload).
-    pub cardinality: u32,
+    pub(crate) cardinality: u32,
     /// Payload byte length.
-    pub payload_len: u32,
+    pub(crate) payload_len: u32,
     /// CRC-32 of the payload.
-    pub payload_crc: u32,
+    pub(crate) payload_crc: u32,
     /// Payload offset relative to the entry's payload base.
-    pub payload_offset: u64,
+    pub(crate) payload_offset: u64,
 }
 
 /// Append a container's payload ([`Container::payload_bytes`] bytes).
-pub fn encode_container(c: &Container, out: &mut Vec<u8>) {
+pub(crate) fn encode_container(c: &Container, out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + c.payload_bytes(), 0);
     let payload = out.get_mut(start..).unwrap_or_default();
@@ -149,7 +149,7 @@ fn le_u16s(bytes: &[u8]) -> impl Iterator<Item = u16> + '_ {
 }
 
 /// Decode and structurally validate one container payload.
-pub fn decode_container(
+pub(crate) fn decode_container(
     kind: ContainerKind,
     cardinality: u32,
     payload: &[u8],
@@ -212,14 +212,14 @@ pub fn decode_container(
 }
 
 /// Exactly how many bytes [`encode_set`] appends for `set`.
-pub fn encoded_set_len(set: &ScanSet) -> usize {
+pub(crate) fn encoded_set_len(set: &ScanSet) -> usize {
     let payloads: usize = set.chunks().map(|(_, c)| c.payload_bytes()).sum();
     SET_HEADER_LEN + set.chunk_count() * DIR_RECORD_LEN + payloads
 }
 
 /// Append one scan set to `out` as an entry section (set header +
 /// directory + payloads).
-pub fn encode_set(set: &ScanSet, out: &mut Vec<u8>) -> Result<(), FrameError> {
+pub(crate) fn encode_set(set: &ScanSet, out: &mut Vec<u8>) -> Result<(), FrameError> {
     let chunk_count = u32::try_from(set.chunk_count()).map_err(|_| FrameError::TooLarge {
         section: "chunk_count",
     })?;
@@ -257,15 +257,15 @@ pub fn encode_set(set: &ScanSet, out: &mut Vec<u8>) -> Result<(), FrameError> {
 /// An entry's parsed set header: the byte length of the chunk directory
 /// that follows it, and that directory's CRC-32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetHeader {
+pub(crate) struct SetHeader {
     /// `chunk_count × DIR_RECORD_LEN`.
-    pub dir_len: usize,
+    pub(crate) dir_len: usize,
     /// CRC-32 the directory bytes must have.
-    pub dir_crc: u32,
+    pub(crate) dir_crc: u32,
 }
 
 /// Parse the [`SET_HEADER_LEN`] bytes an entry starts with.
-pub fn decode_set_header(bytes: &[u8]) -> Result<SetHeader, FrameError> {
+pub(crate) fn decode_set_header(bytes: &[u8]) -> Result<SetHeader, FrameError> {
     let mut head = Cursor::new(bytes, "set header");
     let chunk_count = head.u32()? as usize;
     let dir_crc = head.u32()?;
@@ -280,7 +280,7 @@ pub fn decode_set_header(bytes: &[u8]) -> Result<SetHeader, FrameError> {
 /// Parse and verify an entry's set header and chunk directory, without
 /// touching payload bytes. Returns the directory with per-chunk payload
 /// offsets resolved.
-pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameError> {
+pub(crate) fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameError> {
     let header = decode_set_header(bytes)?;
     decode_directory(&header, bytes.get(SET_HEADER_LEN..).unwrap_or_default())
 }
@@ -288,7 +288,7 @@ pub fn decode_set_directory(bytes: &[u8]) -> Result<Vec<ChunkDirEntry>, FrameErr
 /// Verify and parse the chunk directory `after_header` starts with (the
 /// lazy loader reads just those `dir_len` bytes; anything past them is
 /// left alone).
-pub fn decode_directory(
+pub(crate) fn decode_directory(
     header: &SetHeader,
     after_header: &[u8],
 ) -> Result<Vec<ChunkDirEntry>, FrameError> {
@@ -333,7 +333,7 @@ pub fn decode_directory(
 }
 
 /// Verify one chunk payload's checksum and decode it.
-pub fn decode_chunk(entry: &ChunkDirEntry, payload: &[u8]) -> Result<Container, FrameError> {
+pub(crate) fn decode_chunk(entry: &ChunkDirEntry, payload: &[u8]) -> Result<Container, FrameError> {
     let payload =
         Cursor::new(payload, "chunk payload").checked(payload.len(), entry.payload_crc)?;
     decode_container(entry.kind, entry.cardinality, payload.rest())
@@ -341,7 +341,7 @@ pub fn decode_chunk(entry: &ChunkDirEntry, payload: &[u8]) -> Result<Container, 
 
 /// Decode a whole entry back into a [`ScanSet`], verifying every
 /// checksum.
-pub fn decode_set(bytes: &[u8]) -> Result<ScanSet, FrameError> {
+pub(crate) fn decode_set(bytes: &[u8]) -> Result<ScanSet, FrameError> {
     let dir = decode_set_directory(bytes)?;
     let payload_base = SET_HEADER_LEN + dir.len() * DIR_RECORD_LEN;
     let mut chunks = Vec::with_capacity(dir.len());
@@ -361,7 +361,7 @@ pub fn decode_set(bytes: &[u8]) -> Result<ScanSet, FrameError> {
 /// Human-readable description of the on-disk format, derived from the
 /// same constants the serializers use. Pinned by the format golden test:
 /// any layout change shows up as a golden-file diff.
-pub fn describe() -> String {
+pub fn describe_format() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "originscan-store on-disk format");
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn describe_mentions_every_section() {
-        let d = describe();
+        let d = describe_format();
         for needle in [
             "magic",
             "toc record",

@@ -230,7 +230,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, FrameError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, FrameError> {
         self.array().map(u16::from_le_bytes)
     }
 

@@ -23,8 +23,8 @@
 //!
 //! Every section (TOC, chunk directories, chunk payloads) carries a
 //! CRC-32 and decodes through the one bounds-checked cursor of
-//! [`frame`] — the framing layer (cursor, header/CRC checks, CRC-32,
-//! [`FrameError`](frame::FrameError)) this format shares with
+//! `frame` — the framing layer (cursor, header/CRC checks, CRC-32,
+//! [`FrameError`]) this format shares with
 //! `originscan-plan`'s. Damage surfaces as a typed [`StoreError`],
 //! never a panic.
 
@@ -37,13 +37,15 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod container;
-pub mod format;
-pub mod frame;
-pub mod scanset;
-pub mod store;
+// Every module is private; the API is re-exported below.
+mod container;
+mod format;
+mod frame;
+mod scanset;
+mod store;
 
-pub use container::{Container, ContainerKind, SetOp, ARRAY_MAX, WORDS};
-pub use format::{StoreError, VERSION as FORMAT_VERSION};
+pub use container::{Container, ARRAY_MAX};
+pub use format::{describe_format, StoreError, MAGIC as FORMAT_MAGIC, VERSION as FORMAT_VERSION};
+pub use frame::{crc32, put_u16, put_u32, put_u64, Cursor, FrameError};
 pub use scanset::{ScanSet, SignatureCounts};
-pub use store::{LazyScanSet, ReadStats, ScanSetStore, StoreBuildStats, StoreKey, StoreReader};
+pub use store::{ScanSetStore, StoreKey, StoreReader};

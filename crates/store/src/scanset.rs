@@ -69,8 +69,8 @@ impl ScanSet {
     }
 
     /// Insert one address; returns true when it was new. Containers are
-    /// *not* re-canonicalized per insert — call [`ScanSet::optimized`]
-    /// before serializing incrementally built sets.
+    /// *not* re-canonicalized per insert; [`ScanSet::from_sorted`] builds
+    /// canonical sets.
     pub fn insert(&mut self, addr: u32) -> bool {
         let key = key_of(addr);
         match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
@@ -83,18 +83,6 @@ impl ScanSet {
                     .insert(pos, (key, Container::Array(vec![low_of(addr)])));
                 true
             }
-        }
-    }
-
-    /// Convert every chunk to its canonical representation.
-    pub fn optimized(self) -> ScanSet {
-        ScanSet {
-            chunks: self
-                .chunks
-                .into_iter()
-                .filter(|(_, c)| !c.is_empty())
-                .map(|(k, c)| (k, c.optimized()))
-                .collect(),
         }
     }
 
@@ -113,11 +101,6 @@ impl ScanSet {
             .iter()
             .map(|(_, c)| u64::from(c.cardinality()))
             .sum()
-    }
-
-    /// True when the set has no members.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.iter().all(|(_, c)| c.is_empty())
     }
 
     /// Number of populated chunks.
@@ -144,7 +127,7 @@ impl ScanSet {
 
     /// Assemble from chunks already in key order (the deserializer's
     /// path). Returns `None` when keys are unsorted or duplicated.
-    pub fn from_chunks(chunks: Vec<(u16, Container)>) -> Option<ScanSet> {
+    pub(crate) fn from_chunks(chunks: Vec<(u16, Container)>) -> Option<ScanSet> {
         if chunks
             .windows(2)
             .any(|w| matches!(w, [(a, _), (b, _)] if a >= b))
@@ -450,6 +433,26 @@ impl Iterator for ScanSetIter<'_> {
             let (key, c) = self.chunks.next()?;
             self.cur = Some((*key, c.iter()));
         }
+    }
+}
+
+#[cfg(test)]
+impl ScanSet {
+    /// Convert every chunk to its canonical representation.
+    fn optimized(self) -> ScanSet {
+        ScanSet {
+            chunks: self
+                .chunks
+                .into_iter()
+                .filter(|(_, c)| !c.is_empty())
+                .map(|(k, c)| (k, c.optimized()))
+                .collect(),
+        }
+    }
+
+    /// True when the set has no members.
+    fn is_empty(&self) -> bool {
+        self.chunks.iter().all(|(_, c)| c.is_empty())
     }
 }
 

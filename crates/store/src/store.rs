@@ -317,7 +317,7 @@ fn slice_entry<'a>(bytes: &'a [u8], rec: &TocRecord) -> Result<&'a [u8], FrameEr
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Entries whose directory was opened.
-    pub entries_opened: u64,
+    pub(crate) entries_opened: u64,
     /// Chunk payloads actually loaded and verified.
     pub chunks_loaded: u64,
     /// Bytes read from the file.
@@ -361,21 +361,6 @@ impl StoreReader {
     /// Keys present in the store, canonical order.
     pub fn keys(&self) -> impl Iterator<Item = &StoreKey> {
         self.toc.iter().map(|r| &r.key)
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.toc.len()
-    }
-
-    /// True when the store has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.toc.is_empty()
-    }
-
-    /// True when `key` is present.
-    pub fn contains_key(&self, key: &StoreKey) -> bool {
-        self.toc.binary_search_by(|r| r.key.cmp(key)).is_ok()
     }
 
     /// Cumulative read statistics.
@@ -507,25 +492,10 @@ impl LazyScanSet<'_> {
         self.dir.iter().map(|d| u64::from(d.cardinality)).sum()
     }
 
-    /// Number of chunks in the entry.
-    pub fn chunk_count(&self) -> usize {
-        self.dir.len()
-    }
-
-    /// Number of chunk payloads loaded so far.
-    pub fn loaded_chunks(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
     /// The directory record of chunk `key`, if the entry has one.
     fn dir_entry(&self, key: u16) -> Option<&ChunkDirEntry> {
         let idx = self.dir.binary_search_by_key(&key, |d| d.key).ok()?;
         self.dir.get(idx)
-    }
-
-    /// Cardinality of one chunk, from the directory (no payload I/O).
-    pub fn chunk_cardinality(&self, key: u16) -> u64 {
-        self.dir_entry(key).map_or(0, |d| u64::from(d.cardinality))
     }
 
     fn load_chunk(&self, d: &ChunkDirEntry) -> Result<(), StoreError> {
@@ -637,6 +607,37 @@ impl LazyScanSet<'_> {
                 detail: "chunk keys unsorted or duplicated",
             })
             .map_err(StoreError::from)
+    }
+}
+
+#[cfg(test)]
+impl StoreReader {
+    /// Number of stored entries.
+    fn len(&self) -> usize {
+        self.toc.len()
+    }
+
+    /// True when `key` is present.
+    fn contains_key(&self, key: &StoreKey) -> bool {
+        self.toc.binary_search_by(|r| r.key.cmp(key)).is_ok()
+    }
+}
+
+#[cfg(test)]
+impl LazyScanSet<'_> {
+    /// Number of chunks in the entry.
+    fn chunk_count(&self) -> usize {
+        self.dir.len()
+    }
+
+    /// Number of chunk payloads loaded so far.
+    fn loaded_chunks(&self) -> usize {
+        self.cache.borrow().len()
+    }
+
+    /// Cardinality of one chunk, from the directory (no payload I/O).
+    fn chunk_cardinality(&self, key: u16) -> u64 {
+        self.dir_entry(key).map_or(0, |d| u64::from(d.cardinality))
     }
 }
 

@@ -9,7 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p originscan-store --test format_golden
 //! ```
 
-use originscan_store::{format, ScanSet, ScanSetStore, StoreKey};
+use originscan_store::{describe_format, ScanSet, ScanSetStore, StoreKey};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -53,7 +53,7 @@ fn render() -> String {
     let head = 256.min(bytes.len());
     format!(
         "{}\ncanonical sample store ({} bytes, first {head} shown):\n{}",
-        format::describe(),
+        describe_format(),
         bytes.len(),
         hex_dump(&bytes[..head]),
     )

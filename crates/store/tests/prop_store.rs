@@ -8,8 +8,8 @@
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_store::format::MAGIC;
-use originscan_store::frame::crc32;
+use originscan_store::crc32;
+use originscan_store::FORMAT_MAGIC;
 use originscan_store::{ScanSet, ScanSetStore, StoreError, StoreKey, ARRAY_MAX, FORMAT_VERSION};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -247,7 +247,7 @@ proptest! {
         rb in raw_strategy(),
         patches in pvec((0u32..2, any::<u32>(), any::<u8>()), 1..9),
     ) {
-        let mut framed = MAGIC.to_vec();
+        let mut framed = FORMAT_MAGIC.to_vec();
         framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         framed.extend_from_slice(&[0, 0]);
         framed.extend_from_slice(&junk);

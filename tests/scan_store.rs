@@ -17,7 +17,7 @@ use originscan::core::experiment::{Experiment, ExperimentConfig};
 use originscan::core::summary::full_report;
 use originscan::core::ExperimentResults;
 use originscan::netmodel::{OriginId, Protocol, World, WorldConfig};
-use originscan::store::frame::FrameError;
+use originscan::store::FrameError;
 use originscan::store::{ScanSetStore, StoreError, StoreKey, StoreReader};
 
 fn run(world: &World) -> ExperimentResults<'_> {
