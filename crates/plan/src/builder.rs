@@ -71,7 +71,7 @@ pub enum Strategy {
 impl Strategy {
     /// The label stored in the plan file (and used as the serve tier's
     /// plan-registry key).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Strategy::Full => "full".to_string(),
             Strategy::Observed => "observed".to_string(),

@@ -29,11 +29,11 @@ pub const MAGIC: [u8; 4] = *b"OSPL";
 pub const VERSION: u16 = 1;
 
 /// Byte length of one serialized plan entry (`s24 u32 | score u32`).
-pub const ENTRY_LEN: usize = 8;
+pub(crate) const ENTRY_LEN: usize = 8;
 
 /// Byte length of the fixed header prefix before the variable-length
 /// strategy string (`magic | version | flags | space | seed`).
-pub const HEADER_PREFIX_LEN: usize = 24;
+pub(crate) const HEADER_PREFIX_LEN: usize = 24;
 
 /// Everything that can go wrong building, reading, or writing a plan.
 #[derive(Debug)]
@@ -94,7 +94,7 @@ impl From<StoreError> for PlanError {
 }
 
 /// Serialize a plan to its canonical byte form.
-pub fn encode_plan(plan: &TargetPlan) -> Result<Vec<u8>, PlanError> {
+pub(crate) fn encode_plan(plan: &TargetPlan) -> Result<Vec<u8>, PlanError> {
     let strategy = plan.strategy().as_bytes();
     let strategy_len = u8::try_from(strategy.len()).map_err(|_| FrameError::TooLarge {
         section: "strategy",
@@ -122,7 +122,7 @@ pub fn encode_plan(plan: &TargetPlan) -> Result<Vec<u8>, PlanError> {
 }
 
 /// Decode and fully validate a plan from its byte form.
-pub fn decode_plan(bytes: &[u8]) -> Result<TargetPlan, PlanError> {
+pub(crate) fn decode_plan(bytes: &[u8]) -> Result<TargetPlan, PlanError> {
     let mut cur = Cursor::new(bytes, "plan header");
     cur.header(MAGIC, VERSION)?;
     let space = cur.u64()?;

@@ -28,11 +28,11 @@
 //! A plan is a pure function of its inputs: integer-only scoring, total
 //! tie-break ordering (score desc, /24 asc), and a canonical sorted
 //! serialization make same-seed builds byte-identical. The on-disk
-//! format ([`mod@format`]) is framed like the store's — magic, version,
-//! flags, a CRC-32 checksummed entry section — and decodes through the
-//! same cursor: `originscan_store::frame` holds it, the header/CRC
-//! checks and `FrameError`, so every corruption surfaces as a typed
-//! [`PlanError`] — never a panic.
+//! format ([`describe_format`] prints its layout) is framed like the
+//! store's — magic, version, flags, a CRC-32 checksummed entry section —
+//! and decodes through the same cursor: `originscan_store` holds it, the
+//! header/CRC checks and `FrameError`, so every corruption surfaces as a
+//! typed [`PlanError`] — never a panic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -43,10 +43,11 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod builder;
-pub mod format;
-pub mod plan;
+// Every module is private; the API is re-exported below.
+mod builder;
+mod format;
+mod plan;
 
 pub use builder::{AsSpan, PlanBuilder, Strategy};
-pub use format::{PlanError, MAGIC as PLAN_MAGIC, VERSION as PLAN_FORMAT_VERSION};
+pub use format::{describe_format, PlanError, MAGIC as PLAN_MAGIC, VERSION as PLAN_FORMAT_VERSION};
 pub use plan::{PlanEntry, TargetPlan};

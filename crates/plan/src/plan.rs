@@ -101,7 +101,7 @@ impl TargetPlan {
 
     /// The seed of the experiment the plan was learned from (provenance;
     /// the scan's own seed still controls the permutation).
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -111,21 +111,13 @@ impl TargetPlan {
     }
 
     /// The planned /24s with scores, sorted by `s24` ascending.
-    pub fn entries(&self) -> &[PlanEntry] {
+    pub(crate) fn entries(&self) -> &[PlanEntry] {
         &self.entries
     }
 
     /// Does the plan allow probing `addr`? O(1), probe-loop hot path.
     pub fn allows(&self, addr: u32) -> bool {
         let s24 = addr >> 8;
-        match self.words.get((s24 / 64) as usize) {
-            Some(w) => w & (1u64 << (s24 % 64)) != 0,
-            None => false,
-        }
-    }
-
-    /// Is the /24 with index `s24` planned?
-    pub fn contains_s24(&self, s24: u32) -> bool {
         match self.words.get((s24 / 64) as usize) {
             Some(w) => w & (1u64 << (s24 % 64)) != 0,
             None => false,
@@ -149,12 +141,7 @@ impl TargetPlan {
             .sum()
     }
 
-    /// True when the plan admits no address.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serialize to the canonical byte form (see [`crate::format`]).
+    /// Serialize to the canonical byte form (layout: [`crate::describe_format`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>, PlanError> {
         encode_plan(self)
     }
@@ -175,6 +162,22 @@ impl TargetPlan {
     pub fn open(path: &Path) -> Result<TargetPlan, PlanError> {
         let bytes = std::fs::read(path)?;
         TargetPlan::from_bytes(&bytes)
+    }
+}
+
+#[cfg(test)]
+impl TargetPlan {
+    /// Is the /24 with index `s24` planned?
+    pub(crate) fn contains_s24(&self, s24: u32) -> bool {
+        match self.words.get((s24 / 64) as usize) {
+            Some(w) => w & (1u64 << (s24 % 64)) != 0,
+            None => false,
+        }
+    }
+
+    /// True when the plan admits no address.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 

@@ -9,7 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p originscan-plan --test format_golden
 //! ```
 
-use originscan_plan::{format::describe_format, PlanEntry, TargetPlan};
+use originscan_plan::{describe_format, PlanEntry, TargetPlan};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/plan_format.txt");
 
