@@ -37,9 +37,9 @@ use crate::report::Table;
 use originscan_netmodel::defend::{AggressionProfile, DefenderNet, DefenseStats};
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_scanner::engine::{run_scan_session, ScanConfig, ScanSession};
-use originscan_scanner::error::ScanError;
-use originscan_scanner::rate::rate_for_duration;
-use originscan_scanner::resilience::AdaptivePolicy;
+use originscan_scanner::rate_for_duration;
+use originscan_scanner::AdaptivePolicy;
+use originscan_scanner::ScanError;
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{Scope, Telemetry, TelemetrySnapshot};
 use std::fmt;

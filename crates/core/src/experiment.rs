@@ -37,9 +37,9 @@ use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_scanner::engine::{
     run_scan_session, CheckpointStore, FaultHook, ScanConfig, ScanOutput, ScanSession,
 };
-use originscan_scanner::error::ScanError;
-use originscan_scanner::rate::rate_for_duration;
+use originscan_scanner::rate_for_duration;
 use originscan_scanner::target::Network;
+use originscan_scanner::ScanError;
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, Scope, ScopedTelemetry, Telemetry};
 use std::fmt;
@@ -620,8 +620,7 @@ mod tests {
         let origins = [OriginId::Us1];
         let net = SimNet::new(&world, &origins, TRIAL_DURATION_S);
         let mut cfg = ScanConfig::new(world.space(), Protocol::Http, 77);
-        cfg.rate_pps =
-            originscan_scanner::rate::rate_for_duration(world.space() * 2, TRIAL_DURATION_S);
+        cfg.rate_pps = originscan_scanner::rate_for_duration(world.space() * 2, TRIAL_DURATION_S);
         let clean = supervise_scan(&net, &cfg, None, &SupervisorPolicy::default(), None);
         assert_eq!(clean.status, RunStatus::Completed);
         assert_eq!(clean.attempts, 1);

@@ -171,7 +171,7 @@ fn scan_union(
     trial: u8,
     plan: Option<&TargetPlan>,
 ) -> Result<(ScanSet, u64), FrontierError> {
-    let rate = originscan_scanner::rate::rate_for_duration(space * 2, TRIAL_DURATION_S);
+    let rate = originscan_scanner::rate_for_duration(space * 2, TRIAL_DURATION_S);
     let mut addrs: Vec<u32> = Vec::new();
     let mut probes = 0u64;
     for (i, _origin) in cfg.origins.iter().enumerate() {

@@ -556,7 +556,7 @@ mod tests {
         c.concurrent_origins = ORIGINS.len() as u8;
         // Pace so the whole scan (2 probes/address) spans exactly DUR —
         // outage fractions then line up with response timestamps.
-        c.rate_pps = originscan_scanner::rate::rate_for_duration(w.space() * 2, DUR);
+        c.rate_pps = originscan_scanner::rate_for_duration(w.space() * 2, DUR);
         c
     }
 

@@ -9,11 +9,11 @@ use originscan_netmodel::{
 };
 use originscan_scanner::engine::{run_scan_session, ScanConfig, ScanOutput, ScanSession};
 use originscan_scanner::probe::modules;
-use originscan_scanner::rate::rate_for_duration;
-use originscan_scanner::resilience::AdaptivePolicy;
+use originscan_scanner::rate_for_duration;
 use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
+use originscan_scanner::AdaptivePolicy;
 use originscan_scanner::{Blocklist, Cidr, Protocol, MAX_PROBES};
 use originscan_telemetry::{Scope, Telemetry, TelemetrySnapshot};
 use originscan_wire::dns;

@@ -90,9 +90,9 @@ pub struct Blocklist {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cidr {
     /// Network base address (host order, masked).
-    pub base: u32,
+    pub(crate) base: u32,
     /// Prefix length 0..=32.
-    pub len: u8,
+    pub(crate) len: u8,
 }
 
 impl Cidr {
@@ -121,11 +121,6 @@ impl Cidr {
     /// Last address of the prefix.
     pub fn last(&self) -> u32 {
         self.base | !Self::mask(self.len)
-    }
-
-    /// Number of addresses covered.
-    pub fn size(&self) -> u64 {
-        1u64 << (32 - self.len)
     }
 }
 
@@ -188,7 +183,7 @@ impl Blocklist {
     }
 
     /// Insert a prefix, merging with existing ranges.
-    pub fn insert(&mut self, cidr: Cidr) {
+    pub(crate) fn insert(&mut self, cidr: Cidr) {
         self.insert_range(cidr.first(), cidr.last());
     }
 
@@ -226,6 +221,14 @@ impl Blocklist {
         for r in &other.ranges {
             self.insert_range(r.lo, r.hi);
         }
+    }
+}
+
+#[cfg(test)]
+impl Cidr {
+    /// Number of addresses covered.
+    pub(crate) fn size(&self) -> u64 {
+        1u64 << (32 - self.len)
     }
 }
 

@@ -100,7 +100,7 @@ impl FixedMul {
 }
 
 /// `base^exp mod m` by square-and-multiply.
-pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
+pub(crate) fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
     if m == 1 {
         return 0;
     }
@@ -132,7 +132,7 @@ pub fn next_prime(mut n: u64) -> u64 {
 
 /// Distinct prime factors by trial division (sufficient for the ≤ 2^34
 /// group orders we construct).
-pub fn prime_factors(mut n: u64) -> Vec<u64> {
+pub(crate) fn prime_factors(mut n: u64) -> Vec<u64> {
     let mut out = Vec::new();
     let mut d = 2u64;
     while d * d <= n {
@@ -155,7 +155,7 @@ pub fn prime_factors(mut n: u64) -> Vec<u64> {
     clippy::unreachable,
     reason = "dead arm: every prime has a primitive root, so the loop returns first"
 )]
-pub fn primitive_root(p: u64) -> u64 {
+pub(crate) fn primitive_root(p: u64) -> u64 {
     if p == 2 {
         return 1;
     }
@@ -213,16 +213,6 @@ impl Cycle {
             generator,
             start,
         }
-    }
-
-    /// Number of addresses in the permuted space.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// The prime modulus chosen for this space.
-    pub fn prime(&self) -> u64 {
-        self.prime
     }
 
     /// Iterate the full permutation: yields every value in `0..size`
@@ -290,8 +280,8 @@ impl Iterator for CycleIter {
 /// Iterator over one shard of a [`Cycle`].
 ///
 /// Unlike [`CycleIter`], a shard iterator counts the group steps it has
-/// consumed ([`ShardIter::steps_taken`]) and can be fast-forwarded to any
-/// step in O(log n) ([`ShardIter::fast_forward`]) — the scan engine's
+/// consumed (`ShardIter::steps_taken`) and can be fast-forwarded to any
+/// step in O(log n) (`ShardIter::fast_forward`) — the scan engine's
 /// checkpoint/resume support is built on exactly these two operations.
 #[derive(Debug, Clone)]
 pub struct ShardIter {
@@ -306,7 +296,7 @@ pub struct ShardIter {
 impl ShardIter {
     /// Group steps consumed so far (every call to `next` consumes at least
     /// one; out-of-range group elements consume steps without yielding).
-    pub fn steps_taken(&self) -> u64 {
+    pub(crate) fn steps_taken(&self) -> u64 {
         self.taken
     }
 
@@ -317,7 +307,7 @@ impl ShardIter {
     ///
     /// Returns `false` (leaving the iterator untouched) if `steps` is
     /// behind the current position or beyond the shard's end.
-    pub fn fast_forward(&mut self, steps: u64) -> bool {
+    pub(crate) fn fast_forward(&mut self, steps: u64) -> bool {
         let delta = match steps.checked_sub(self.taken) {
             Some(d) if d <= self.remaining => d,
             _ => return false,
@@ -355,6 +345,19 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         b = t;
     }
     a
+}
+
+#[cfg(test)]
+impl Cycle {
+    /// Number of addresses in the permuted space.
+    pub(crate) fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// The prime modulus chosen for this space.
+    pub(crate) fn prime(&self) -> u64 {
+        self.prime
+    }
 }
 
 #[cfg(test)]

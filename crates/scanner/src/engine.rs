@@ -15,7 +15,7 @@
 //!
 //! * a [`FaultHook`] is consulted before every address and may stall the
 //!   probe pipeline or kill the scan (simulating the origin dying);
-//! * periodic [`ScanCheckpoint`]s — permutation position, the pacer
+//! * periodic `ScanCheckpoint`s — permutation position, the pacer
 //!   itself, stall clock, controller state, and all partial records — are
 //!   written to a [`CheckpointStore`] that outlives the scan (and any
 //!   panic inside it), so a supervisor can resume mid-permutation;
@@ -58,7 +58,7 @@ pub struct ScanConfig {
     /// Scan seed: fixes the address permutation and validation key. The
     /// paper uses the *same* seed from all origins so scanners stay
     /// synchronized.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Size of the scanned address space (addresses are `0..space`).
     pub space: u64,
     /// SYN probes per address, sent back-to-back (paper: 2).
@@ -95,7 +95,7 @@ pub struct ScanConfig {
     pub wire_check: bool,
     /// Adaptive resilience policy (None: open-loop scan). When set, the
     /// engine feeds every address outcome to a
-    /// [`crate::resilience::Controller`] and applies its reactions: rate
+    /// `crate::resilience::Controller` and applies its reactions: rate
     /// backoff/recovery at batch boundaries, source-IP rotation through
     /// [`ScanConfig::source_ips`], and deferral of suspect /24s to an
     /// end-of-scan tail pass.
@@ -138,7 +138,7 @@ impl ScanConfig {
     /// Check every invariant the engine relies on, so a malformed
     /// configuration surfaces as a typed error instead of a panic deep in
     /// the scan loop.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.space == 0 {
             return Err(ConfigError::EmptySpace);
         }
@@ -283,9 +283,23 @@ pub struct FaultCtx {
     /// once and then clear (the supervisor's retry succeeds).
     pub attempt: u32,
     /// Permutation group steps consumed so far.
-    pub steps: u64,
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "no shipped hook kills on progress; the engine's tests do"
+        )
+    )]
+    pub(crate) steps: u64,
     /// Addresses fully probed so far.
-    pub addresses_probed: u64,
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "no shipped hook kills on progress; the engine's tests do"
+        )
+    )]
+    pub(crate) addresses_probed: u64,
     /// Send-clock time of the next probe, including accumulated stalls.
     pub time_s: f64,
     /// Stall seconds already accumulated.
@@ -306,17 +320,17 @@ pub trait FaultHook: Sync {
 /// Resumable scan state: everything needed to continue a scan from the
 /// middle of its permutation with bit-identical results.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScanCheckpoint {
+pub(crate) struct ScanCheckpoint {
     /// Permutation group steps consumed when the checkpoint was taken.
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Accumulated pipeline-stall seconds at the checkpoint.
-    pub stall_s: f64,
+    pub(crate) stall_s: f64,
     /// The pacer as it stood at the checkpoint (exact across rate changes).
-    pub pacer: Pacer,
+    pub(crate) pacer: Pacer,
     /// Adaptive controller state (None for classic open-loop scans).
-    pub ctrl: Option<ControllerState>,
+    pub(crate) ctrl: Option<ControllerState>,
     /// Partial output: all records and counters up to the checkpoint.
-    pub output: ScanOutput,
+    pub(crate) output: ScanOutput,
 }
 
 /// A single-slot, thread-safe checkpoint mailbox with a save cadence.
@@ -370,7 +384,7 @@ impl CheckpointStore {
     }
 
     /// Remove and return the stored checkpoint, if any.
-    pub fn take(&self) -> Option<ScanCheckpoint> {
+    pub(crate) fn take(&self) -> Option<ScanCheckpoint> {
         self.slot().take()
     }
 }

@@ -14,7 +14,7 @@ pub const MAX_PROBES: usize = 8;
 
 /// Most L7 retries a host can be given: its attempt count, retries + 1,
 /// must fit [`crate::engine::HostScanRecord`]'s `u8`.
-pub const MAX_L7_RETRIES: u8 = u8::MAX - 1;
+pub(crate) const MAX_L7_RETRIES: u8 = u8::MAX - 1;
 
 /// Why a [`crate::engine::ScanConfig`] is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub enum ConfigError {
         /// The requested probe count.
         probes: u8,
     },
-    /// `l7_retries` exceeds [`MAX_L7_RETRIES`].
+    /// `l7_retries` exceeds `MAX_L7_RETRIES`.
     TooManyRetries {
         /// The requested retry count.
         retries: u8,

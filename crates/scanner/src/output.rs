@@ -16,7 +16,7 @@ use originscan_wire::ipv4::{fmt_addr, parse_addr};
 pub const HEADER: &str = "saddr,synack_probes,rst,time_s,l7_status,l7_detail,attempts";
 
 /// Render one record as a CSV line (no trailing newline).
-pub fn to_csv(r: &HostScanRecord) -> String {
+pub(crate) fn to_csv(r: &HostScanRecord) -> String {
     let (status, detail) = match &r.l7 {
         L7Outcome::Success(L7Detail::Http { code }) => ("success", format!("http:{code}")),
         L7Outcome::Success(L7Detail::Tls { cipher }) => ("success", format!("tls:{cipher:04x}")),
@@ -67,7 +67,7 @@ pub fn to_csv_all(records: &[HostScanRecord]) -> String {
 }
 
 /// Parse one CSV line back into a record.
-pub fn from_csv(line: &str) -> Option<HostScanRecord> {
+pub(crate) fn from_csv(line: &str) -> Option<HostScanRecord> {
     let mut f = line.split(',');
     let addr = parse_addr(f.next()?)?;
     let synack_mask: u8 = f.next()?.parse().ok()?;

@@ -68,13 +68,13 @@ pub enum ProbeVerdict {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BurstVerdict {
     /// Probes that were [`ProbeVerdict::Positive`].
-    pub positive: u8,
+    pub(crate) positive: u8,
     /// Probes that were [`ProbeVerdict::Negative`].
-    pub negative: u8,
+    pub(crate) negative: u8,
     /// Probes that were [`ProbeVerdict::Invalid`].
-    pub invalid: u8,
+    pub(crate) invalid: u8,
     /// The application detail of the first positive probe that has one.
-    pub detail: Option<L7Detail>,
+    pub(crate) detail: Option<L7Detail>,
 }
 
 impl BurstVerdict {

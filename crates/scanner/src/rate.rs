@@ -50,7 +50,7 @@ impl Pacer {
     /// The pacer [`Pacer::new`] becomes after `sent` calls of
     /// [`Pacer::next_send_time`], in O(1): a scan's clock can be picked up
     /// at any probe offset.
-    pub fn at(rate: f64, batch: u32, sent: u64) -> Self {
+    pub(crate) fn at(rate: f64, batch: u32, sent: u64) -> Self {
         let mut p = Self::new(rate, batch);
         p.skip_probes(sent);
         p
@@ -102,7 +102,7 @@ impl Pacer {
     /// Timestamp the next call to [`Pacer::next_send_time`] will return,
     /// without advancing state — the fault layer uses this to decide
     /// whether an outage window has opened before the probe is committed.
-    pub fn peek_send_time(&self) -> f64 {
+    pub(crate) fn peek_send_time(&self) -> f64 {
         if self.sent_in_batch == self.batch {
             self.batch_start(self.batches_sent + 1)
         } else {
@@ -110,15 +110,10 @@ impl Pacer {
         }
     }
 
-    /// The current send rate in probes/second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Send-clock seconds consumed by every probe released so far, valid
     /// across any number of rate changes. For a pacer whose rate never
     /// changed this is exactly `probes / rate`.
-    pub fn duration_elapsed(&self) -> f64 {
+    pub(crate) fn duration_elapsed(&self) -> f64 {
         if self.batches_sent < self.anchor_batches {
             // A rate change closed the in-flight batch and nothing has
             // been sent since: the old schedule ran through anchor_time.
@@ -157,6 +152,14 @@ impl Pacer {
 pub fn rate_for_duration(total_probes: u64, duration_s: f64) -> f64 {
     assert!(duration_s > 0.0);
     (total_probes as f64 / duration_s).max(f64::MIN_POSITIVE)
+}
+
+#[cfg(test)]
+impl Pacer {
+    /// The current send rate in probes/second.
+    pub(crate) fn rate(&self) -> f64 {
+        self.rate
+    }
 }
 
 #[cfg(test)]

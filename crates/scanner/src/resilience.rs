@@ -82,53 +82,53 @@ impl Default for AdaptivePolicy {
 /// The controller's complete mutable state — everything needed to resume
 /// an adaptive scan from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ControllerState {
+pub(crate) struct ControllerState {
     /// Current backoff level (0 = full configured rate).
-    pub level: u32,
+    pub(crate) level: u32,
     /// Healthy windows since the last signal (resets on signal).
-    pub healthy_streak: u32,
+    pub(crate) healthy_streak: u32,
     /// Index into the source-IP pool currently in use.
-    pub active_source: u32,
+    pub(crate) active_source: u32,
     /// Best responsive fraction observed at level 0.
-    pub baseline_frac: f64,
+    pub(crate) baseline_frac: f64,
     /// Addresses observed in the current window.
-    pub win_addrs: u32,
+    pub(crate) win_addrs: u32,
     /// Responsive addresses in the current window.
-    pub win_responsive: u32,
+    pub(crate) win_responsive: u32,
     /// RST-answering addresses in the current window.
-    pub win_rst: u32,
+    pub(crate) win_rst: u32,
     /// Quarantined /24 prefixes → simulated release time.
-    pub suspects: BTreeMap<u32, f64>,
+    pub(crate) suspects: BTreeMap<u32, f64>,
     /// Addresses parked for the end-of-scan tail pass, in probe order.
-    pub deferred: Vec<u32>,
+    pub(crate) deferred: Vec<u32>,
     /// Total backoff transitions.
-    pub backoffs: u64,
+    pub(crate) backoffs: u64,
     /// Total recovery transitions.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Total source rotations.
-    pub rotations: u64,
+    pub(crate) rotations: u64,
     /// Total addresses deferred (capped by `max_deferred`).
-    pub deferred_total: u64,
+    pub(crate) deferred_total: u64,
 }
 
 /// What [`Controller::observe`] asked the engine to do, if anything.
 /// Fields are independent — one window can trigger a backoff *and* a
 /// rotation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Reaction {
+pub(crate) struct Reaction {
     /// Entered a backoff level: `(level, cumulative rate multiplier)`.
-    pub backoff: Option<(u32, f64)>,
+    pub(crate) backoff: Option<(u32, f64)>,
     /// Released a backoff level: `(level, cumulative rate multiplier)`.
-    pub recovered: Option<(u32, f64)>,
+    pub(crate) recovered: Option<(u32, f64)>,
     /// Rotated to this source-IP index.
-    pub rotated: Option<u32>,
+    pub(crate) rotated: Option<u32>,
     /// Newly quarantined /24: `(prefix, simulated release time)`.
-    pub suspect: Option<(u32, f64)>,
+    pub(crate) suspect: Option<(u32, f64)>,
 }
 
 impl Reaction {
     /// Did this observation change any engine-visible state?
-    pub fn is_some(&self) -> bool {
+    pub(crate) fn is_some(&self) -> bool {
         self.backoff.is_some()
             || self.recovered.is_some()
             || self.rotated.is_some()
@@ -139,7 +139,7 @@ impl Reaction {
 /// The adaptive resilience controller. One per scan; the engine feeds it
 /// every address outcome and applies the [`Reaction`]s it returns.
 #[derive(Debug, Clone)]
-pub struct Controller {
+pub(crate) struct Controller {
     policy: AdaptivePolicy,
     n_sources: u32,
     state: ControllerState,
@@ -147,7 +147,7 @@ pub struct Controller {
 
 impl Controller {
     /// A fresh controller over a pool of `n_sources` source IPs.
-    pub fn new(policy: AdaptivePolicy, n_sources: u32) -> Self {
+    pub(crate) fn new(policy: AdaptivePolicy, n_sources: u32) -> Self {
         assert!(n_sources > 0, "need at least one source IP");
         assert!(policy.window_addrs > 0, "window must be positive");
         assert!(
@@ -162,31 +162,35 @@ impl Controller {
     }
 
     /// Rebuild a controller from checkpointed state.
-    pub fn from_state(policy: AdaptivePolicy, n_sources: u32, state: ControllerState) -> Self {
+    pub(crate) fn from_state(
+        policy: AdaptivePolicy,
+        n_sources: u32,
+        state: ControllerState,
+    ) -> Self {
         let mut c = Self::new(policy, n_sources);
         c.state = state;
         c
     }
 
     /// The complete mutable state, for checkpointing.
-    pub fn state(&self) -> &ControllerState {
+    pub(crate) fn state(&self) -> &ControllerState {
         &self.state
     }
 
     /// Index into the source-IP pool the engine should send from now.
-    pub fn source_index(&self) -> u32 {
+    pub(crate) fn source_index(&self) -> u32 {
         self.state.active_source
     }
 
     /// Cumulative rate multiplier for the current backoff level.
-    pub fn rate_mult(&self) -> f64 {
+    pub(crate) fn rate_mult(&self) -> f64 {
         mult(&self.policy, self.state.level)
     }
 
     /// Should `addr` be parked for the tail pass instead of probed now?
     /// Quarantine applies while the /24's cooloff runs; parked addresses
     /// come back via [`Controller::take_deferred`].
-    pub fn should_defer(&mut self, addr: u32, time_s: f64) -> bool {
+    pub(crate) fn should_defer(&mut self, addr: u32, time_s: f64) -> bool {
         if !self.policy.defer_suspects {
             return false;
         }
@@ -206,14 +210,20 @@ impl Controller {
     }
 
     /// Take the parked addresses for the tail pass (clears the queue).
-    pub fn take_deferred(&mut self) -> Vec<u32> {
+    pub(crate) fn take_deferred(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.state.deferred)
     }
 
     /// Record one address outcome. `responsive` is "any validated
     /// SYN-ACK"; `rst` is "validated RST". Returns the reactions the
     /// engine must apply before the next address.
-    pub fn observe(&mut self, addr: u32, responsive: bool, rst: bool, time_s: f64) -> Reaction {
+    pub(crate) fn observe(
+        &mut self,
+        addr: u32,
+        responsive: bool,
+        rst: bool,
+        time_s: f64,
+    ) -> Reaction {
         let mut reaction = Reaction::default();
         let p = &self.policy;
         let st = &mut self.state;

@@ -12,7 +12,7 @@ pub fn request(ctx: &L7Ctx) -> Vec<u8> {
 /// Parse the response: any syntactically valid HTTP status line counts as
 /// a completed handshake (the paper's ground-truth rule — even a `403
 /// Blocked Site` page is a *reachable* host).
-pub fn parse(bytes: &[u8]) -> L7Outcome {
+pub(crate) fn parse(bytes: &[u8]) -> L7Outcome {
     match StatusLine::parse(bytes) {
         Ok(sl) => L7Outcome::Success(L7Detail::Http { code: sl.code }),
         Err(_) => L7Outcome::ProtocolError,

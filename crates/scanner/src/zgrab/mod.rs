@@ -12,8 +12,8 @@
 //! of the paper evaluates against probabilistic temporary blocking.
 
 pub mod http;
-pub mod ssh;
-pub mod tls;
+mod ssh;
+mod tls;
 
 use crate::error::MAX_L7_RETRIES;
 use crate::target::{CloseKind, L7Ctx, L7Reply, Network, Protocol};
@@ -76,7 +76,7 @@ pub enum L7Outcome {
 
 impl L7Outcome {
     /// Did the handshake complete?
-    pub fn is_success(&self) -> bool {
+    pub(crate) fn is_success(&self) -> bool {
         matches!(self, L7Outcome::Success(_))
     }
 }
@@ -87,12 +87,12 @@ pub struct GrabResult {
     /// Final outcome.
     pub outcome: L7Outcome,
     /// Attempts performed (1 = no retry needed).
-    pub attempts: u8,
+    pub(crate) attempts: u8,
 }
 
 /// Perform the application handshake with up to `retries` immediate
 /// retries after a closed or timed-out connection (at most
-/// [`MAX_L7_RETRIES`], so the attempt count fits its `u8`).
+/// `MAX_L7_RETRIES`, so the attempt count fits its `u8`).
 ///
 /// The base study uses `retries = 0` (a single attempt, as ZGrab does);
 /// §6's follow-up experiment sweeps `retries` from 0 to 8 and shows

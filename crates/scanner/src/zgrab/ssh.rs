@@ -4,12 +4,12 @@ use super::{L7Detail, L7Outcome, SshSoftware};
 use originscan_wire::{client_ident_line, ServerIdent};
 
 /// The client identification line (same bytes for every connection).
-pub fn request() -> Vec<u8> {
+pub(super) fn request() -> Vec<u8> {
     client_ident_line()
 }
 
 /// Parse the server identification string.
-pub fn parse(bytes: &[u8]) -> L7Outcome {
+pub(crate) fn parse(bytes: &[u8]) -> L7Outcome {
     match ServerIdent::parse(bytes) {
         Ok(ident) => {
             let software = if ident.is_openssh() {

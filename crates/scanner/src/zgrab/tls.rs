@@ -6,7 +6,7 @@ use originscan_wire::{client_hello, ServerHello};
 
 /// Build the ClientHello for this connection; the client random is derived
 /// from the flow so the whole exchange is deterministic.
-pub fn request(ctx: &L7Ctx) -> Vec<u8> {
+pub(super) fn request(ctx: &L7Ctx) -> Vec<u8> {
     let random = (u64::from(ctx.src_ip) << 32)
         ^ u64::from(ctx.dst)
         ^ (u64::from(ctx.trial) << 17)
@@ -18,7 +18,7 @@ pub fn request(ctx: &L7Ctx) -> Vec<u8> {
 /// completed handshake; alerts, junk, or suites we never offered are
 /// protocol errors (the host is reachable but not HTTPS-speaking — same
 /// bucket ZGrab places them in).
-pub fn parse(bytes: &[u8]) -> L7Outcome {
+pub(crate) fn parse(bytes: &[u8]) -> L7Outcome {
     match ServerHello::parse(bytes) {
         Ok(sh) if sh.suite_is_offered() => L7Outcome::Success(L7Detail::Tls {
             cipher: sh.cipher_suite,

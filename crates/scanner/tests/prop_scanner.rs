@@ -14,8 +14,8 @@ use originscan_scanner::engine::{
     run_scan, run_scan_session, CheckpointStore, FaultAction, FaultCtx, FaultHook, ScanConfig,
     ScanOutput, ScanSession,
 };
-use originscan_scanner::rate::Pacer;
 use originscan_scanner::target::{L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply};
+use originscan_scanner::Pacer;
 use originscan_scanner::MAX_PROBES;
 use originscan_telemetry::{EventKind, Telemetry};
 use originscan_wire::tcp::TcpHeader;

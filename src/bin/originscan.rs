@@ -97,7 +97,7 @@ fn scan_to_csv(
     world: &World,
     run: &RunArgs,
     plan: Option<TargetPlan>,
-) -> Result<(), originscan::scanner::error::ScanError> {
+) -> Result<(), originscan::scanner::ScanError> {
     let net = SimNet::new(world, &run.origins, 21.0 * 3600.0);
     for &proto in &run.protocols {
         let mut cfg = ScanConfig::new(world.space(), proto, run.seed);

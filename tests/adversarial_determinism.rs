@@ -164,7 +164,7 @@ fn adaptive_scan_resumes_bit_identically_from_checkpoints() {
     let p = PolitenessProfile::adaptive();
     let space = world.space();
     let mut cfg = ScanConfig::new(space, Protocol::Http, 99);
-    cfg.rate_pps = originscan::scanner::rate::rate_for_duration(space * 2, DUR_S);
+    cfg.rate_pps = originscan::scanner::rate_for_duration(space * 2, DUR_S);
     cfg.adapt = p.adapt.clone();
     cfg.source_ips = (0..p.source_ips)
         .map(|i| 0x0a00_0100 + u32::from(i))

@@ -16,7 +16,7 @@ use originscan::core::experiment::{
 use originscan::core::ExperimentResults;
 use originscan::netmodel::{FaultPlan, InjectedFault, OriginId, Protocol, SimNet, WorldConfig};
 use originscan::scanner::engine::ScanConfig;
-use originscan::scanner::rate::rate_for_duration;
+use originscan::scanner::rate_for_duration;
 
 const DUR: f64 = 21.0 * 3600.0;
 

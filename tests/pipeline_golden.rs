@@ -28,7 +28,7 @@ use originscan::plan::{PlanEntry, TargetPlan};
 use originscan::scanner::engine::{run_scan, ScanConfig};
 use originscan::scanner::output::{to_csv_all, to_scan_set};
 use originscan::scanner::probe::{modules, PAPER_PROTOCOLS};
-use originscan::scanner::rate::rate_for_duration;
+use originscan::scanner::rate_for_duration;
 use originscan::scanner::target::{
     CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
