@@ -30,6 +30,16 @@
 
 use std::collections::BTreeMap;
 
+/// Prior expectation of the responsive fraction, used as the baseline
+/// before (and alongside) the observed one — a defender that blocks from
+/// the first window would otherwise poison the baseline.
+const PRIOR_FRAC: f64 = 0.01;
+/// Collapse threshold: a window is a blocking signal when its responsive
+/// fraction drops below `COLLAPSE_FRAC × baseline`.
+const COLLAPSE_FRAC: f64 = 0.4;
+/// Simulated seconds a suspect /24 stays quarantined.
+const SUSPECT_COOLOFF_S: f64 = 7_200.0;
+
 /// Tuning knobs for the adaptive controller — the scanner-side
 /// counterpart of `netmodel`'s aggression profiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,25 +48,12 @@ pub struct AdaptivePolicy {
     pub window_addrs: u32,
     /// RST fraction within a window that signals active blocking.
     pub rst_signal_frac: f64,
-    /// Prior expectation of the responsive fraction, used as the baseline
-    /// before (and alongside) the observed one — a defender that blocks
-    /// from the first window would otherwise poison the baseline.
-    pub prior_frac: f64,
-    /// Collapse threshold: a window is a blocking signal when its
-    /// responsive fraction drops below `collapse_frac × baseline`.
-    pub collapse_frac: f64,
     /// Rate multiplier applied per backoff level (geometric).
     pub backoff_factor: f64,
     /// Floor for the cumulative rate multiplier; backoff stops here.
     pub min_rate_mult: f64,
     /// Consecutive healthy windows before one backoff level is released.
     pub recovery_windows: u32,
-    /// Rotate to the next source IP on every blocking signal.
-    pub rotate_on_signal: bool,
-    /// Park RST-ing /24s for the tail pass while backed off.
-    pub defer_suspects: bool,
-    /// Simulated seconds a suspect /24 stays quarantined.
-    pub suspect_cooloff_s: f64,
     /// Upper bound on addresses parked for the tail pass.
     pub max_deferred: usize,
 }
@@ -66,14 +63,9 @@ impl Default for AdaptivePolicy {
         Self {
             window_addrs: 256,
             rst_signal_frac: 0.35,
-            prior_frac: 0.01,
-            collapse_frac: 0.4,
             backoff_factor: 0.5,
             min_rate_mult: 1.0 / 64.0,
             recovery_windows: 8,
-            rotate_on_signal: true,
-            defer_suspects: true,
-            suspect_cooloff_s: 7_200.0,
             max_deferred: 1 << 16,
         }
     }
@@ -191,9 +183,6 @@ impl Controller {
     /// Quarantine applies while the /24's cooloff runs; parked addresses
     /// come back via [`Controller::take_deferred`].
     pub(crate) fn should_defer(&mut self, addr: u32, time_s: f64) -> bool {
-        if !self.policy.defer_suspects {
-            return false;
-        }
         let released = match self.state.suspects.get(&(addr >> 8)) {
             None => return false,
             Some(&release_at) => time_s >= release_at,
@@ -237,9 +226,9 @@ impl Controller {
             // evidence says we are being blocked; closed ports answer with
             // RSTs too, and quarantining those would shred baseline
             // coverage.
-            if p.defer_suspects && st.level > 0 {
+            if st.level > 0 {
                 let prefix = addr >> 8;
-                let release_at = time_s + p.suspect_cooloff_s;
+                let release_at = time_s + SUSPECT_COOLOFF_S;
                 if st.suspects.insert(prefix, release_at).is_none() {
                     reaction.suspect = Some((prefix, release_at));
                 }
@@ -254,8 +243,8 @@ impl Controller {
         st.win_addrs = 0;
         st.win_responsive = 0;
         st.win_rst = 0;
-        let baseline = st.baseline_frac.max(p.prior_frac);
-        let blocked = rst_frac >= p.rst_signal_frac || frac < p.collapse_frac * baseline;
+        let baseline = st.baseline_frac.max(PRIOR_FRAC);
+        let blocked = rst_frac >= p.rst_signal_frac || frac < COLLAPSE_FRAC * baseline;
         if blocked {
             st.healthy_streak = 0;
             if mult(p, st.level + 1) >= p.min_rate_mult * (1.0 - 1e-12) {
@@ -263,7 +252,7 @@ impl Controller {
                 st.backoffs += 1;
                 reaction.backoff = Some((st.level, mult(p, st.level)));
             }
-            if p.rotate_on_signal && self.n_sources > 1 {
+            if self.n_sources > 1 {
                 st.active_source = (st.active_source + 1) % self.n_sources;
                 st.rotations += 1;
                 reaction.rotated = Some(st.active_source);
