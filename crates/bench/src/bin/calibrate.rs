@@ -13,7 +13,9 @@ use originscan_bench::Scale;
 use originscan_core::experiment::{Experiment, ExperimentConfig, TRIAL_DURATION_S};
 use originscan_core::report::Table;
 use originscan_netmodel::policy::{self, Block};
-use originscan_netmodel::{burst, path, OriginId, SimNet};
+use originscan_netmodel::{
+    host_flaky, host_persistent_unreachable, in_burst, l7_flaky, probe_drops, OriginId, SimNet,
+};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
 
 fn main() {
@@ -52,45 +54,43 @@ fn main() {
                 let time = f64::from(m.hour[i]) / 21.0 * TRIAL_DURATION_S;
                 let state = net.path_state(oi as u16, asr, proto, 0);
                 let p = state.params;
-                let cause = if policy::block_status(&world, *origin, asr, addr, proto, 0)
-                    != Block::None
-                {
-                    0
-                } else if policy::ids::blocked(
-                    &world,
-                    *origin,
-                    asr,
-                    proto,
-                    0,
-                    time,
-                    TRIAL_DURATION_S,
-                ) {
-                    1
-                } else if path::host_persistent_unreachable(&world, *origin, addr, p.persistent_f) {
-                    2
-                } else if burst::in_burst(
-                    &world,
-                    state.bursts(),
-                    *origin,
-                    addr,
-                    asr.index,
-                    0,
-                    time,
-                    TRIAL_DURATION_S,
-                ) {
-                    3
-                } else if path::host_flaky(&world, *origin, addr, proto, 0, time, state.flaky_half)
-                {
-                    4
-                } else if path::l7_flaky(&world, *origin, addr, proto, 0, p.flaky_q) {
-                    5
-                } else if (0..2)
-                    .all(|pi| path::probe_drops(&world, *origin, addr, proto, 0, pi, p.drop_p))
-                {
-                    6
-                } else {
-                    7 // MaxStartups/Alibaba refusals land here for SSH
-                };
+                let cause =
+                    if policy::block_status(&world, *origin, asr, addr, proto, 0) != Block::None {
+                        0
+                    } else if policy::ids::blocked(
+                        &world,
+                        *origin,
+                        asr,
+                        proto,
+                        0,
+                        time,
+                        TRIAL_DURATION_S,
+                    ) {
+                        1
+                    } else if host_persistent_unreachable(&world, *origin, addr, p.persistent_f) {
+                        2
+                    } else if in_burst(
+                        &world,
+                        state.bursts(),
+                        *origin,
+                        addr,
+                        asr.index,
+                        0,
+                        time,
+                        TRIAL_DURATION_S,
+                    ) {
+                        3
+                    } else if host_flaky(&world, *origin, addr, proto, 0, time, state.flaky_half) {
+                        4
+                    } else if l7_flaky(&world, *origin, addr, proto, 0, p.flaky_q) {
+                        5
+                    } else if (0..2)
+                        .all(|pi| probe_drops(&world, *origin, addr, proto, 0, pi, p.drop_p))
+                    {
+                        6
+                    } else {
+                        7 // MaxStartups/Alibaba refusals land here for SSH
+                    };
                 c[cause] += 1;
             }
             t.row(

@@ -34,7 +34,7 @@
 
 use crate::jobs;
 use crate::report::Table;
-use originscan_netmodel::defend::{AggressionProfile, DefenderNet, DefenseStats};
+use originscan_netmodel::{AggressionProfile, DefenderNet, DefenseStats};
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_scanner::engine::{run_scan_session, ScanConfig, ScanSession};
 use originscan_scanner::rate_for_duration;

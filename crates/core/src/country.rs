@@ -3,7 +3,7 @@
 
 use crate::classify::{classify, Class};
 use crate::results::Panel;
-use originscan_netmodel::geo::Country;
+use originscan_netmodel::Country;
 use originscan_netmodel::World;
 use originscan_stats::spearman::{spearman, SpearmanResult};
 use std::collections::BTreeMap;
@@ -136,7 +136,7 @@ pub fn tiered_table<'a>(
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
-    use originscan_netmodel::{geo, OriginId, Protocol, WorldConfig};
+    use originscan_netmodel::{OriginId, Protocol, WorldConfig};
 
     fn setup(world: &World) -> Panel {
         let cfg = ExperimentConfig {
@@ -179,7 +179,7 @@ mod tests {
             .iter()
             .position(|&o| o == OriginId::Japan)
             .unwrap();
-        for cc in [geo::BD, geo::ZA] {
+        for cc in [Country::new("BD"), Country::new("ZA")] {
             let s = stats
                 .iter()
                 .find(|s| s.country == cc)

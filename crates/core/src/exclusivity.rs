@@ -10,7 +10,7 @@
 
 use crate::classify::{classify, Class};
 use crate::results::Panel;
-use originscan_netmodel::geo::Country;
+use originscan_netmodel::Country;
 use originscan_netmodel::World;
 use originscan_store::ScanSet;
 use std::collections::BTreeMap;
@@ -157,7 +157,7 @@ pub fn within_country_exclusive_fraction(world: &World, panel: &Panel, origin_id
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
-    use originscan_netmodel::{geo, OriginId, Protocol, WorldConfig};
+    use originscan_netmodel::{OriginId, Protocol, WorldConfig};
 
     fn panel(world: &World) -> Panel {
         let cfg = ExperimentConfig {
@@ -249,7 +249,10 @@ mod tests {
         // Gateway Inc geolocates to the US → JP's exclusive-country list
         // should include the US (the paper's curiosity).
         let by_cc = exclusive_by_country(&world, &p, jp);
-        assert!(by_cc.iter().any(|&(c, _)| c == geo::US), "{by_cc:?}");
+        assert!(
+            by_cc.iter().any(|&(c, _)| c == Country::new("US")),
+            "{by_cc:?}"
+        );
     }
 
     #[test]

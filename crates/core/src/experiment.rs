@@ -32,7 +32,7 @@
 use crate::jobs;
 use crate::matrix::TrialMatrix;
 use crate::results::ExperimentResults;
-use originscan_netmodel::fault::{FaultPlan, FaultyNet, InjectedFault};
+use originscan_netmodel::{FaultPlan, FaultyNet, InjectedFault};
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_scanner::engine::{
     run_scan_session, CheckpointStore, FaultHook, ScanConfig, ScanOutput, ScanSession,

@@ -5,7 +5,7 @@
 use crate::matrix::{TrialMatrix, SCAN_HOURS};
 use crate::outcome::FailKind;
 use crate::results::Panel;
-use originscan_netmodel::asn::AsTags;
+use originscan_netmodel::AsTags;
 use originscan_netmodel::{OriginId, Protocol, SimNet, World};
 use originscan_scanner::target::L7Ctx;
 use originscan_scanner::zgrab;

@@ -2,7 +2,7 @@
 
 use crate::classify::{classify, Class};
 use crate::results::Panel;
-use originscan_netmodel::geo::Country;
+use originscan_netmodel::Country;
 use originscan_netmodel::World;
 use std::collections::BTreeMap;
 

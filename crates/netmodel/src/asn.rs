@@ -14,7 +14,7 @@ use crate::geo::{self, Country};
 /// Business category of an AS; drives service density and the *kind* of
 /// blocking the network is likely to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Category {
+pub(crate) enum Category {
     /// Hosting / colocation providers (dense services, aggressive ops).
     Hosting,
     /// Hyperscale clouds.
@@ -42,7 +42,7 @@ pub enum Category {
 impl Category {
     /// Per-protocol service density (fraction of the AS's addresses that
     /// run the service): (HTTP, HTTPS, SSH).
-    pub fn densities(self) -> (f64, f64, f64) {
+    pub(crate) fn densities(self) -> (f64, f64, f64) {
         match self {
             Category::Hosting => (0.085, 0.060, 0.040),
             Category::Cloud => (0.075, 0.060, 0.035),
@@ -57,23 +57,6 @@ impl Category {
             Category::Education => (0.030, 0.020, 0.012),
         }
     }
-
-    /// Stable numeric key for hashing.
-    pub fn key(self) -> u64 {
-        match self {
-            Category::Hosting => 1,
-            Category::Cloud => 2,
-            Category::Cdn => 3,
-            Category::Isp => 4,
-            Category::Telecom => 5,
-            Category::Government => 6,
-            Category::Finance => 7,
-            Category::Health => 8,
-            Category::Consumer => 9,
-            Category::Media => 10,
-            Category::Education => 11,
-        }
-    }
 }
 
 /// Policy/behaviour tags attached to ASes (bit set).
@@ -82,44 +65,44 @@ pub struct AsTags(pub u32);
 
 impl AsTags {
     /// Permanently blocks the Censys scan ranges (>99.99 % of hosts).
-    pub const BLOCKS_CENSYS: u32 = 1 << 0;
+    pub(crate) const BLOCKS_CENSYS: u32 = 1 << 0;
     /// Blocks Censys with a ramp: 90 % in trial 1 → 100 % by trial 3 (EGI).
-    pub const CENSYS_RAMP: u32 = 1 << 1;
+    pub(crate) const CENSYS_RAMP: u32 = 1 << 1;
     /// Hosts (a fraction of the AS, `geo_fraction`) only reachable from
     /// the AS's primary country.
-    pub const COUNTRY_ONLY: u32 = 1 << 2;
+    pub(crate) const COUNTRY_ONLY: u32 = 1 << 2;
     /// Blocks Brazil and Japan (the Eastern-European hosting pattern).
-    pub const BLOCKS_BR_JP: u32 = 1 << 3;
+    pub(crate) const BLOCKS_BR_JP: u32 = 1 << 3;
     /// Only reachable from Brazil; serves everyone else nothing (WA K-20
     /// serves Brazil a "Blocked Site" page and drops other origins).
-    pub const BR_ONLY: u32 = 1 << 4;
+    pub(crate) const BR_ONLY: u32 = 1 << 4;
     /// Blocks every non-US origin (Tegna).
-    pub const BLOCKS_NON_US: u32 = 1 << 5;
+    pub(crate) const BLOCKS_NON_US: u32 = 1 << 5;
     /// ABCDE Group behaviour: drops HTTP from US₁/US₆₄/BR/Censys.
-    pub const ABCDE_BLOCK: u32 = 1 << 6;
+    pub(crate) const ABCDE_BLOCK: u32 = 1 << 6;
     /// Rate-based IDS: detects and persistently blocks single-source-IP
     /// scanners a couple of hours into their first scan (Ruhr-Uni Bochum).
-    pub const IDS: u32 = 1 << 7;
+    pub(crate) const IDS: u32 = 1 << 7;
     /// SSH-only rate-based IDS (SK Broadband).
-    pub const IDS_SSH: u32 = 1 << 8;
+    pub(crate) const IDS_SSH: u32 = 1 << 8;
     /// Alibaba temporal SSH blocking: network-wide RST-after-handshake
     /// once scanning is detected, non-deterministic per origin and trial.
     pub const ALIBABA_SSH: u32 = 1 << 9;
     /// Unusually high share of MaxStartups-sensitive OpenSSH hosts (EGI,
     /// Psychz — the §6 retry experiment's top networks).
-    pub const MAXSTARTUPS_HEAVY: u32 = 1 << 10;
+    pub(crate) const MAXSTARTUPS_HEAVY: u32 = 1 << 10;
     /// Anycast CDN whose geolocation is unreliable; a small subset is
     /// misconfigured to be Australia-only (the Cloudflare finding, §4.4).
-    pub const ANYCAST_GEO: u32 = 1 << 11;
+    pub(crate) const ANYCAST_GEO: u32 = 1 << 11;
     /// Chinese-path behaviour: high, unstable transnational packet loss
     /// from every origin (Zhu et al., confirmed in §5.2).
-    pub const CHINA_PATH: u32 = 1 << 12;
+    pub(crate) const CHINA_PATH: u32 = 1 << 12;
     /// Telecom-Italia path behaviour: extreme loss from Germany,
     /// near-zero loss from Brazil (TIM Brasil is a TI subsidiary).
-    pub const TI_PATH: u32 = 1 << 13;
+    pub(crate) const TI_PATH: u32 = 1 << 13;
     /// Persistently congested from Australia (Rostelecom/Kazakhtelecom —
     /// the §5.1 "consistent worst origin" pattern).
-    pub const AU_WORST: u32 = 1 << 14;
+    pub(crate) const AU_WORST: u32 = 1 << 14;
 
     /// Does this tag set contain `bit`?
     pub fn has(self, bit: u32) -> bool {
@@ -133,13 +116,13 @@ pub struct AsRecord {
     /// Dense index into `World::ases`.
     pub index: u32,
     /// Displayed AS number.
-    pub asn: u32,
+    pub(crate) asn: u32,
     /// Display name.
     pub name: String,
     /// Primary registration country.
-    pub country: Country,
+    pub(crate) country: Country,
     /// Business category.
-    pub category: Category,
+    pub(crate) category: Category,
     /// First /24 index owned by this AS (ASes own contiguous runs).
     pub first_slash24: u32,
     /// Number of /24s owned.
@@ -147,48 +130,41 @@ pub struct AsRecord {
     /// Policy tags.
     pub tags: AsTags,
     /// For `COUNTRY_ONLY`: fraction of the AS's /24s that are restricted.
-    pub geo_fraction: f64,
+    pub(crate) geo_fraction: f64,
     /// Optional country mix: /24s geolocate across these countries with
     /// the given weights (multi-country providers like DXTL).
-    pub country_mix: Option<Vec<(Country, f64)>>,
+    pub(crate) country_mix: Option<Vec<(Country, f64)>>,
     /// True for generated tail ASes; false for the named catalogue, whose
     /// blocking policies are fully specified by `tags` (generic
     /// reputation-blocking channels only apply to generated ASes).
-    pub generated: bool,
-}
-
-impl AsRecord {
-    /// Is /24 index `s24` (global index) owned by this AS?
-    pub fn owns(&self, s24: u32) -> bool {
-        s24 >= self.first_slash24 && s24 < self.first_slash24 + self.n_slash24
-    }
+    pub(crate) generated: bool,
 }
 
 /// Specification of a named AS before space is allotted.
 #[derive(Debug, Clone)]
-pub struct NamedAsSpec {
+pub(crate) struct NamedAsSpec {
     /// Display name (as used in the paper's tables/figures).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// AS number.
-    pub asn: u32,
+    pub(crate) asn: u32,
     /// Primary country.
-    pub country: Country,
+    pub(crate) country: Country,
     /// Category.
-    pub category: Category,
+    pub(crate) category: Category,
     /// Share of the total /24 space, in per-mille.
-    pub share_permille: f64,
+    pub(crate) share_permille: f64,
     /// Policy tags.
-    pub tags: u32,
+    pub(crate) tags: u32,
     /// Fraction of /24s affected by COUNTRY_ONLY (1.0 = whole AS).
-    pub geo_fraction: f64,
+    pub(crate) geo_fraction: f64,
     /// Country mix, if the AS announces space geolocating elsewhere.
-    pub country_mix: Option<&'static [(Country, f64)]>,
+    pub(crate) country_mix: Option<&'static [(Country, f64)]>,
 }
 
 /// The named-AS catalogue. Shares are loosely proportional to the
 /// footprint the paper reports for each network; what matters downstream
 /// is the ordering and rough ratios, not absolute sizes.
-pub fn named_ases() -> Vec<NamedAsSpec> {
+pub(crate) fn named_ases() -> Vec<NamedAsSpec> {
     use Category::*;
     const DXTL_MIX: &[(Country, f64)] = &[
         (geo::HK, 0.50),
@@ -632,6 +608,14 @@ pub fn named_ases() -> Vec<NamedAsSpec> {
             country_mix: None,
         },
     ]
+}
+
+#[cfg(test)]
+impl AsRecord {
+    /// Is /24 index `s24` (global index) owned by this AS?
+    pub(crate) fn owns(&self, s24: u32) -> bool {
+        s24 >= self.first_slash24 && s24 < self.first_slash24 + self.n_slash24
+    }
 }
 
 #[cfg(test)]

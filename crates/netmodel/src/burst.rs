@@ -23,24 +23,24 @@ const SLOTS: u64 = 2;
 const SLOT_P: f64 = 0.10;
 
 /// Scan duration the hour grid is defined over (the paper's ~21 h trial).
-pub const SCAN_HOURS: f64 = 21.0;
+pub(crate) const SCAN_HOURS: f64 = 21.0;
 
 /// Most events [`events_for`] can return: every slot plus the mega
 /// event.
-pub const MAX_EVENTS: usize = SLOTS as usize + 1;
+pub(crate) const MAX_EVENTS: usize = SLOTS as usize + 1;
 
 /// One burst event.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BurstEvent {
     /// Start of the outage window, in hours since scan start.
-    pub start_h: f64,
+    pub(crate) start_h: f64,
     /// Window length in hours (about an hour, per the paper's detection
     /// granularity).
-    pub len_h: f64,
+    pub(crate) len_h: f64,
     /// Bitmask over [`OriginId::MAIN`]-order origins affected.
-    pub origin_mask: u16,
+    pub(crate) origin_mask: u16,
     /// Fraction of hosts probed inside the window that are lost.
-    pub frac: f64,
+    pub(crate) frac: f64,
 }
 
 /// Derive the bitmask bit for an origin (main-study order; follow-up

@@ -52,22 +52,22 @@ const ADMIN_PROHIBITED: IcmpReply = IcmpReply::Unreachable { code: 13 };
 pub struct AggressionProfile {
     /// Profile name used in sweep matrices and telemetry.
     pub name: &'static str,
-    /// Probes from one source IP into one AS within [`Self::window_s`]
+    /// Probes from one source IP into one AS within `Self::window_s`
     /// that trip detection. `0` disables detection entirely.
     pub window_probes: u32,
     /// Tumbling detection-window length in simulated seconds.
-    pub window_s: f64,
+    pub(crate) window_s: f64,
     /// First block duration in simulated seconds.
-    pub block_base_s: f64,
+    pub(crate) block_base_s: f64,
     /// Block-duration multiplier per escalation level.
-    pub escalation: f64,
+    pub(crate) escalation: f64,
     /// Escalation ceiling (block duration stops growing here).
-    pub max_level: u32,
+    pub(crate) max_level: u32,
     /// Detections (swarm-wide, per origin) before the reputation store
     /// lists the origin outright. `0` disables listing.
-    pub listing_threshold: u32,
+    pub(crate) listing_threshold: u32,
     /// Blocked probes get a RST (visible signal) instead of silence.
-    pub rst_on_block: bool,
+    pub(crate) rst_on_block: bool,
 }
 
 impl AggressionProfile {
@@ -165,7 +165,7 @@ pub struct DefenseStats {
     /// Probes swallowed or reset by an active block window.
     pub blocked_probes: u64,
     /// Probes dropped because the origin is reputation-listed.
-    pub reputation_drops: u64,
+    pub(crate) reputation_drops: u64,
     /// Origins listed by the reputation store.
     pub listings: u64,
 }
@@ -248,11 +248,6 @@ impl<'a, N: Network + ?Sized> DefenderNet<'a, N> {
     pub fn with_telemetry(mut self, hub: &'a Telemetry) -> Self {
         self.telemetry = Some(hub);
         self
-    }
-
-    /// The active profile.
-    pub fn profile(&self) -> &AggressionProfile {
-        &self.profile
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SwarmState> {

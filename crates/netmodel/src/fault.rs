@@ -43,16 +43,16 @@ use originscan_wire::tcp::TcpHeader;
 
 /// A window of an origin's scan during which its network is unreachable.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutageWindow {
+pub(crate) struct OutageWindow {
     /// Scanner's opaque origin index the outage strikes.
-    pub origin: u16,
+    pub(crate) origin: u16,
     /// Trial the outage strikes.
-    pub trial: u8,
+    pub(crate) trial: u8,
     /// Window start, as a fraction of the scan duration.
-    pub start_frac: f64,
+    pub(crate) start_frac: f64,
     /// Window end (recovery point), as a fraction of the scan duration.
     /// `>= 1.0` means the origin never recovers within this scan.
-    pub end_frac: f64,
+    pub(crate) end_frac: f64,
 }
 
 impl OutageWindow {
@@ -201,14 +201,14 @@ impl FaultPlan {
 
     /// Is `(origin, trial)` inside an outage window at scan fraction
     /// `frac`?
-    pub fn in_outage(&self, origin: u16, trial: u8, frac: f64) -> bool {
+    pub(crate) fn in_outage(&self, origin: u16, trial: u8, frac: f64) -> bool {
         self.outages.iter().any(|w| w.covers(origin, trial, frac))
     }
 
     /// Does the plan schedule any outage window for `(origin, trial)`?
     /// (Gates per-probe outage telemetry so untouched origins take no
     /// locks.)
-    pub fn has_outage(&self, origin: u16, trial: u8) -> bool {
+    pub(crate) fn has_outage(&self, origin: u16, trial: u8) -> bool {
         self.outages
             .iter()
             .any(|w| w.origin == origin && w.trial == trial)
@@ -331,11 +331,6 @@ impl<'a, N: Network + ?Sized> FaultyNet<'a, N> {
     pub fn with_telemetry(mut self, hub: &'a Telemetry) -> Self {
         self.telemetry = Some(hub);
         self
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &'a FaultPlan {
-        self.plan
     }
 
     /// Does the plan leave the scope of `origin` and `trial` alone (no

@@ -40,10 +40,10 @@ macro_rules! countries {
     ($($name:ident = $code:literal, $weight:literal;)*) => {
         $(
             #[doc = concat!("Country constant `", $code, "`.")]
-            pub const $name: Country = Country::new($code);
+            pub(crate) const $name: Country = Country::new($code);
         )*
         /// Every country in the model with its host-population weight.
-        pub const ALL: &[(Country, f64)] = &[$(($name, $weight),)*];
+        pub(crate) const ALL: &[(Country, f64)] = &[$(($name, $weight),)*];
     };
 }
 
@@ -99,12 +99,13 @@ countries! {
 }
 
 /// Total of all country weights (normalization constant).
-pub fn total_weight() -> f64 {
+pub(crate) fn total_weight() -> f64 {
     ALL.iter().map(|&(_, w)| w).sum()
 }
 
 /// Countries used for the origin vantage points.
-pub fn origin_countries() -> Vec<Country> {
+#[cfg(test)]
+fn origin_countries() -> Vec<Country> {
     vec![AU, BR, DE, JP, US]
 }
 

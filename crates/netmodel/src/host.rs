@@ -29,7 +29,7 @@ pub fn proto_key(p: Protocol) -> u64 {
 /// in only one trial are classified "unknown". A `stable_fraction` of
 /// hosts are up in every trial; the rest are up in any given trial with
 /// `alive_prob`.
-pub fn alive_in_trial(
+pub(crate) fn alive_in_trial(
     det: &Det,
     addr: u32,
     proto: Protocol,
@@ -50,7 +50,7 @@ pub fn alive_in_trial(
 
 /// SSH server software for a host (drives the banner and MaxStartups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SshImpl {
+pub(crate) enum SshImpl {
     /// OpenSSH with a version string.
     OpenSsh(u8),
     /// Dropbear.
@@ -61,7 +61,7 @@ pub enum SshImpl {
 
 /// Determine the SSH implementation of a host (~80 % OpenSSH, matching
 /// the real Internet's skew that makes the MaxStartups effect global).
-pub fn ssh_impl(det: &Det, addr: u32) -> SshImpl {
+pub(crate) fn ssh_impl(det: &Det, addr: u32) -> SshImpl {
     let u = det.uniform(Tag::ServerAttr, &[u64::from(addr), 22, 0]);
     if u < 0.80 {
         // Spread across plausible OpenSSH minor versions.
@@ -76,7 +76,7 @@ pub fn ssh_impl(det: &Det, addr: u32) -> SshImpl {
 
 /// Render the identification line for a host's SSH server, in one
 /// buffer of exactly its length.
-pub fn ssh_banner(imp: SshImpl) -> Vec<u8> {
+pub(crate) fn ssh_banner(imp: SshImpl) -> Vec<u8> {
     const OPENSSH_7: &[u8] = b"SSH-2.0-OpenSSH_7.";
     match imp {
         SshImpl::OpenSsh(minor) => {
@@ -94,7 +94,7 @@ pub fn ssh_banner(imp: SshImpl) -> Vec<u8> {
 
 /// HTTP status code a host serves for `GET /` (any code is a completed
 /// handshake; the distribution only colors reports).
-pub fn http_status(det: &Det, addr: u32) -> u16 {
+pub(crate) fn http_status(det: &Det, addr: u32) -> u16 {
     match det.below(Tag::ServerAttr, &[u64::from(addr), 80, 0], 100) {
         0..=59 => 200,
         60..=74 => 301,
@@ -107,7 +107,7 @@ pub fn http_status(det: &Det, addr: u32) -> u16 {
 
 /// TLS cipher suite a host selects (always one the ClientHello offered).
 #[expect(clippy::indexing_slicing, reason = "`det.below(n)` draws from `0..n`")]
-pub fn tls_cipher(det: &Det, addr: u32) -> u16 {
+pub(crate) fn tls_cipher(det: &Det, addr: u32) -> u16 {
     let suites = originscan_wire::CHROME_TLS12_SUITES;
     let i = det.below(
         Tag::ServerAttr,

@@ -192,16 +192,6 @@ impl<'w> SimNet<'w> {
         }
     }
 
-    /// The wrapped world.
-    pub fn world(&self) -> &'w World {
-        self.world
-    }
-
-    /// The scan duration used for temporal models.
-    pub fn duration_s(&self) -> f64 {
-        self.duration_s
-    }
-
     #[expect(
         clippy::indexing_slicing,
         reason = "`idx` is a `ScanConfig.origin` from the roster this net was built with"
@@ -231,7 +221,7 @@ impl<'w> SimNet<'w> {
 
     /// The path state from origin number `origin` (an index into this
     /// net's roster) into `asr` for one (protocol, trial): computed by
-    /// [`path::path_state`] on first use, then served from the table.
+    /// `path::path_state` on first use, then served from the table.
     pub fn path_state(
         &self,
         origin: u16,
@@ -703,6 +693,14 @@ impl Network for SimNet<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl SimNet<'_> {
+    /// The scan duration used for temporal models.
+    fn duration_s(&self) -> f64 {
+        self.duration_s
     }
 }
 

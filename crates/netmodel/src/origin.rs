@@ -48,7 +48,7 @@ pub enum OriginId {
 /// How much prior scanning the origin's address space is associated with —
 /// the reputation axis that drives long-term blocking (§4.1, §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Reputation {
+pub(crate) enum Reputation {
     /// Fresh IP and fresh /24 (Brazil, Japan, the follow-up Tier-1s).
     Fresh,
     /// Fresh IP inside a /24 that regularly scans (US₁/US₆₄).
@@ -63,7 +63,7 @@ pub enum Reputation {
 
 /// A physical location; origins sharing a site share path components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Site {
+pub(crate) enum Site {
     /// University of Sydney, AU.
     Sydney,
     /// UFMG, Belo Horizonte, BR.
@@ -86,15 +86,15 @@ pub enum Site {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OriginSpec {
     /// Which origin this is.
-    pub id: OriginId,
+    pub(crate) id: OriginId,
     /// Country the origin (and its IP registration) is in.
     pub country: Country,
     /// Physical site (collocation key).
-    pub site: Site,
+    pub(crate) site: Site,
     /// Number of source IPs used (64 for US₆₄, 1 elsewhere).
     pub source_ips: u16,
     /// Scanning reputation of the address space.
-    pub reputation: Reputation,
+    pub(crate) reputation: Reputation,
     /// Short label used in the paper's tables.
     pub label: &'static str,
 }
@@ -230,7 +230,7 @@ impl OriginId {
     }
 
     /// Stable numeric key for hashing (independent of enum layout).
-    pub fn key(self) -> u64 {
+    pub(crate) fn key(self) -> u64 {
         use OriginId::*;
         match self {
             Australia => 1,
@@ -250,7 +250,7 @@ impl OriginId {
 
     /// Key of the *site*, shared by collocated origins; used so that path
     /// lossiness has a common component for origins in one data center.
-    pub fn site_key(self) -> u64 {
+    pub(crate) fn site_key(self) -> u64 {
         use Site::*;
         match self.spec().site {
             Sydney => 101,
@@ -267,7 +267,7 @@ impl OriginId {
     /// Key of the *address space identity* used for reputation-based
     /// blocking: US₁ and US₆₄ share a subnet identity; CensysFresh is
     /// deliberately distinct from Censys (new ranges reset reputation).
-    pub fn reputation_key(self) -> u64 {
+    pub(crate) fn reputation_key(self) -> u64 {
         use OriginId::*;
         match self {
             Us1 | Us64 => 205,

@@ -185,7 +185,7 @@ impl PathState {
 /// Derive the path state. A pure function of the world seed and the four
 /// keys, so it may be computed once and shared, in any order, by any
 /// number of threads.
-pub fn path_state(
+pub(crate) fn path_state(
     world: &World,
     origin: OriginId,
     asr: &AsRecord,
@@ -216,7 +216,7 @@ pub fn path_state(
 /// (they land in the same window) while probes separated by hours can
 /// succeed. Bano et al.'s delayed-probe mitigation, which §7 of the paper
 /// endorses, works precisely because of this structure.
-pub const FLAKY_WINDOW_S: f64 = 2.0 * 3600.0;
+pub(crate) const FLAKY_WINDOW_S: f64 = 2.0 * 3600.0;
 
 /// The rate each of [`host_flaky`]'s two components draws against so
 /// that their union has rate `q`: `1 − (1 − half)² = q`.
@@ -232,7 +232,7 @@ pub fn flaky_half(q: f64) -> f64 {
 /// the failure is split into a *site* component (shared by collocated
 /// origins, Fig 18 — their probes traverse the same upstream paths, so
 /// the same hosts fail) and an *origin* component, and the state is
-/// drawn per [`FLAKY_WINDOW_S`] window so consecutive probes share a
+/// drawn per `FLAKY_WINDOW_S` window so consecutive probes share a
 /// fate while time-separated probes redraw (the delayed-probe
 /// mitigation).
 pub fn host_flaky(
@@ -303,7 +303,7 @@ pub fn probe_drops(
 /// make an origin's forward drop high, so we scale the path's `drop_p` by
 /// a fixed factor rather than drawing an unrelated rate. Keyed with lead
 /// constant 3 to stay disjoint from the forward-drop stream (lead 2).
-pub fn stateless_reply_drops(
+pub(crate) fn stateless_reply_drops(
     world: &World,
     origin: OriginId,
     addr: u32,
@@ -354,7 +354,8 @@ pub fn l7_flaky(
 
 /// Quick sanity accessor used by analyses: mean drop rate across the
 /// space-weighted ASes for one origin/protocol/trial.
-pub fn global_mean_drop(world: &World, origin: OriginId, proto: Protocol, trial: u8) -> f64 {
+#[cfg(test)]
+fn global_mean_drop(world: &World, origin: OriginId, proto: Protocol, trial: u8) -> f64 {
     let mut weighted = 0.0;
     let mut weight = 0.0;
     for asr in &world.ases {

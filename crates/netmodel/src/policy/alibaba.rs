@@ -20,7 +20,7 @@ use crate::world::World;
 /// rate IDS, Alibaba re-detects each trial independently (Fig 12 shows
 /// varying, sometimes absent, detection in later trials), so no trial
 /// ever yields [`Detection::Prior`].
-pub fn detection(world: &World, origin: OriginId, trial: u8) -> Detection {
+pub(crate) fn detection(world: &World, origin: OriginId, trial: u8) -> Detection {
     if evades(origin) {
         return Detection::Never; // multiple source IPs evade the detector
     }
@@ -41,7 +41,7 @@ pub fn detection(world: &World, origin: OriginId, trial: u8) -> Detection {
 }
 
 /// Does this SSH connection get the RST-after-handshake treatment?
-pub fn rst_after_handshake(
+pub(crate) fn rst_after_handshake(
     world: &World,
     origin: OriginId,
     asr: &AsRecord,

@@ -35,7 +35,7 @@ fn s24_restricted(world: &World, asr: &AsRecord, addr: u32, salt: u64) -> bool {
 }
 
 /// Does a geographic policy hide `addr` from `origin`?
-pub fn blocks(world: &World, origin: OriginId, asr: &AsRecord, addr: u32) -> bool {
+pub(crate) fn blocks(world: &World, origin: OriginId, asr: &AsRecord, addr: u32) -> bool {
     if asr.tags.has(AsTags::COUNTRY_ONLY)
         && origin.spec().country != asr.country
         && s24_restricted(world, asr, addr, 40)
@@ -56,7 +56,7 @@ pub fn blocks(world: &World, origin: OriginId, asr: &AsRecord, addr: u32) -> boo
 /// Is `addr` part of the Brazil-only network that serves Brazil a
 /// "Blocked Site" page and drops everyone else (WA K-20)? The page itself
 /// is produced by the network implementation; this is just the lookup.
-pub fn is_br_only_page_host(asr: &AsRecord) -> bool {
+pub(crate) fn is_br_only_page_host(asr: &AsRecord) -> bool {
     asr.tags.has(AsTags::BR_ONLY)
 }
 

@@ -17,7 +17,7 @@ use crate::world::World;
 
 /// Source-IP count at or above which an origin's per-IP rate stays under
 /// every modelled IDS threshold.
-pub const EVASION_IPS: u16 = 16;
+pub(crate) const EVASION_IPS: u16 = 16;
 
 /// Fraction of *small generated* ASes that run a (all-protocol) rate IDS.
 /// Only small networks (≤ MAX_IDS_SLASH24S /24s) run aggressive border
@@ -29,7 +29,7 @@ const GENERATED_IDS_P: f64 = 0.045;
 const MAX_IDS_SLASH24S: u32 = 2;
 
 /// Does this AS run an IDS applying to `proto`?
-pub fn has_ids(world: &World, asr: &AsRecord, proto: Protocol) -> bool {
+pub(crate) fn has_ids(world: &World, asr: &AsRecord, proto: Protocol) -> bool {
     if asr.tags.has(AsTags::IDS) {
         return true;
     }

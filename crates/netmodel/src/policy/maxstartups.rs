@@ -19,17 +19,17 @@ use crate::world::World;
 /// Cap on the per-attempt refusal probability (a connection always has a
 /// fighting chance — `MaxStartups` only reaches certainty at `full`,
 /// which simultaneous scanners rarely hit).
-pub const REFUSE_CAP: f64 = 0.90;
+pub(crate) const REFUSE_CAP: f64 = 0.90;
 
 /// Per-extra-concurrent-origin multiplier on the refusal probability.
-pub const CONCURRENCY_FACTOR: f64 = 0.08;
+pub(crate) const CONCURRENCY_FACTOR: f64 = 0.08;
 
 /// Is this host's sshd configured restrictively enough to matter?
 ///
 /// Only OpenSSH honours `MaxStartups`; EGI Hosting and Psychz Networks
 /// (tagged `MAXSTARTUPS_HEAVY`) are the §6 retry experiment's flagship
 /// networks and carry a much higher sensitive share.
-pub fn sensitive(world: &World, asr: &AsRecord, addr: u32) -> bool {
+pub(crate) fn sensitive(world: &World, asr: &AsRecord, addr: u32) -> bool {
     if !matches!(ssh_impl(world.det(), addr), SshImpl::OpenSsh(_)) {
         return false;
     }
@@ -45,7 +45,7 @@ pub fn sensitive(world: &World, asr: &AsRecord, addr: u32) -> bool {
 
 /// The host's base per-connection refusal probability (its effective
 /// `rate` parameter), stable across trials.
-pub fn base_refusal(world: &World, addr: u32) -> f64 {
+pub(crate) fn base_refusal(world: &World, addr: u32) -> f64 {
     world
         .det()
         .range(Tag::MaxStartups, &[2, u64::from(addr)], 0.25, 0.78)
@@ -53,12 +53,12 @@ pub fn base_refusal(world: &World, addr: u32) -> f64 {
 
 /// Effective refusal probability given `concurrent` simultaneous
 /// scanning origins.
-pub fn effective_refusal(base: f64, concurrent: u8) -> f64 {
+pub(crate) fn effective_refusal(base: f64, concurrent: u8) -> f64 {
     (base * (1.0 + CONCURRENCY_FACTOR * f64::from(concurrent.saturating_sub(1)))).min(REFUSE_CAP)
 }
 
 /// Does this particular connection attempt get refused?
-pub fn refuses(
+pub(crate) fn refuses(
     world: &World,
     origin: OriginId,
     asr: &AsRecord,

@@ -2,27 +2,27 @@
 //! from particular scan origins.
 //!
 //! §4 of the paper decomposes long-term inaccessibility into reputation
-//! blocking ([`reputation`]), geographic restrictions ([`geo_restrict`]),
+//! blocking ([`reputation`]), geographic restrictions (`geo_restrict`),
 //! and rate-triggered intrusion detection ([`ids`]); §6 adds the two
-//! SSH-specific mechanisms ([`alibaba`], [`maxstartups`]). Each module is
+//! SSH-specific mechanisms (`alibaba`, `maxstartups`). Each module is
 //! one mechanism: plain functions of the world seed and the probe's
 //! coordinates. The network implementation consults them in a fixed
-//! order — [`host_block`] and the IDS [`Detection`] when it decides a
-//! host's state (their AS-level parts, [`reputation::wall`] and
+//! order — `host_block` and the IDS [`Detection`] when it decides a
+//! host's state (their AS-level parts, `reputation::wall` and
 //! [`ids::detection`], are kept in the path state), then
-//! [`alibaba::rst_after_handshake`] and [`maxstartups::refuses`] after the
+//! `alibaba::rst_after_handshake` and `maxstartups::refuses` after the
 //! TCP handshake.
 //!
 //! The two time-triggered detectors (IDS, Alibaba) share one pattern:
-//! origins spreading load over many source IPs [evade](evades);
+//! origins spreading load over many source IPs evade (`evades`);
 //! otherwise a stable detection instant splits the scan into an open
 //! prefix and a blocked suffix, which the IDS also remembers across
 //! trials. [`Detection`] captures it once.
 
-pub mod alibaba;
-pub mod geo_restrict;
+pub(crate) mod alibaba;
+pub(crate) mod geo_restrict;
 pub mod ids;
-pub mod maxstartups;
+pub(crate) mod maxstartups;
 pub mod reputation;
 
 use crate::asn::AsRecord;
@@ -64,7 +64,7 @@ pub fn block_status(
 
 /// The per-host part of [`block_status`], behind `asr`'s reputation
 /// `wall` ([`reputation::wall`], which `SimNet` keeps per path).
-pub fn host_block(
+pub(crate) fn host_block(
     world: &World,
     origin: OriginId,
     asr: &AsRecord,
@@ -110,7 +110,7 @@ pub enum Detection {
 
 impl Detection {
     /// Is the origin blocked at `time_s` of a `duration_s`-second scan?
-    pub fn blocked_at(&self, time_s: f64, duration_s: f64) -> bool {
+    pub(crate) fn blocked_at(&self, time_s: f64, duration_s: f64) -> bool {
         match *self {
             Detection::Never => false,
             Detection::Prior => true,
@@ -122,7 +122,7 @@ impl Detection {
 /// Does `origin` evade rate-triggered detection by spreading its scan
 /// over many source IPs (§4.3: US₆₄'s per-IP rate stays under every
 /// modelled threshold)?
-pub fn evades(origin: OriginId) -> bool {
+pub(crate) fn evades(origin: OriginId) -> bool {
     origin.spec().source_ips >= ids::EVASION_IPS
 }
 

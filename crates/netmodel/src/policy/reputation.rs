@@ -19,7 +19,7 @@ use crate::world::World;
 
 /// Does `asr` (or the host inside it) block `origin` long-term?
 ///
-/// The AS-level part of the decision ([`wall`]) and then the per-host
+/// The AS-level part of the decision (`wall`) and then the per-host
 /// part ([`Wall::blocks`]); `SimNet` keeps the first in its path state.
 pub fn blocks(
     world: &World,
@@ -57,7 +57,13 @@ pub enum Wall {
 
 /// The AS-level part of [`blocks`]: every draw keyed by the AS (or by
 /// nothing finer), none keyed by an address.
-pub fn wall(world: &World, origin: OriginId, asr: &AsRecord, proto: Protocol, trial: u8) -> Wall {
+pub(crate) fn wall(
+    world: &World,
+    origin: OriginId,
+    asr: &AsRecord,
+    proto: Protocol,
+    trial: u8,
+) -> Wall {
     let det = world.det();
     let spec = origin.spec();
     let rep = spec.reputation;

@@ -70,7 +70,7 @@ pub enum Tag {
 
 impl Tag {
     /// Every tag, in discriminant order (`1..=20`).
-    pub const ALL: [Tag; 20] = [
+    pub(crate) const ALL: [Tag; 20] = [
         Tag::HostExists,
         Tag::Churn,
         Tag::PairLoss,
@@ -133,7 +133,7 @@ impl Det {
         clippy::indexing_slicing,
         reason = "the table has an entry for every discriminant"
     )]
-    pub fn hash(&self, tag: Tag, words: &[u64]) -> u64 {
+    pub(crate) fn hash(&self, tag: Tag, words: &[u64]) -> u64 {
         let mut h = self.tags[tag as usize];
         for &w in words {
             h = splitmix(h ^ w.wrapping_mul(0xe703_7ed1_a0b4_28db));
@@ -143,7 +143,7 @@ impl Det {
 
     /// Uniform in `[0, 1)`.
     #[inline]
-    pub fn uniform(&self, tag: Tag, words: &[u64]) -> f64 {
+    pub(crate) fn uniform(&self, tag: Tag, words: &[u64]) -> f64 {
         // 53 random mantissa bits.
         (self.hash(tag, words) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -156,13 +156,13 @@ impl Det {
 
     /// Uniform in `[lo, hi)`.
     #[inline]
-    pub fn range(&self, tag: Tag, words: &[u64], lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range(&self, tag: Tag, words: &[u64], lo: f64, hi: f64) -> f64 {
         lo + self.uniform(tag, words) * (hi - lo)
     }
 
     /// Uniform integer in `[0, n)`.
     #[inline]
-    pub fn below(&self, tag: Tag, words: &[u64], n: u64) -> u64 {
+    pub(crate) fn below(&self, tag: Tag, words: &[u64], n: u64) -> u64 {
         assert!(n > 0);
         // Multiply-shift reduction avoids modulo bias for our n ≪ 2^64.
         ((self.hash(tag, words) as u128 * n as u128) >> 64) as u64
@@ -170,7 +170,7 @@ impl Det {
 
     /// Standard normal via Box–Muller on two sub-draws.
     #[inline]
-    pub fn normal(&self, tag: Tag, words: &[u64]) -> f64 {
+    pub(crate) fn normal(&self, tag: Tag, words: &[u64]) -> f64 {
         let h = self.hash(tag, words);
         let u1 = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
         let h2 = splitmix(h ^ 0xdeca_fbad_c0ff_ee00);
@@ -180,7 +180,7 @@ impl Det {
 
     /// Log-normal with the given log-space mean and sigma.
     #[inline]
-    pub fn lognormal(&self, tag: Tag, words: &[u64], mu_ln: f64, sigma_ln: f64) -> f64 {
+    pub(crate) fn lognormal(&self, tag: Tag, words: &[u64], mu_ln: f64, sigma_ln: f64) -> f64 {
         (mu_ln + sigma_ln * self.normal(tag, words)).exp()
     }
 }

@@ -3,10 +3,12 @@
 // third_party/proptest). The default offline build skips these suites.
 #![cfg(feature = "proptest")]
 
-use originscan_netmodel::host::proto_key;
 use originscan_netmodel::policy::{self, ids, reputation, Block};
-use originscan_netmodel::rng::Tag;
-use originscan_netmodel::{burst, path, OriginId, Protocol, SimNet, WorldConfig};
+use originscan_netmodel::proto_key;
+use originscan_netmodel::Tag;
+use originscan_netmodel::{
+    events_for, flaky_half, path_params, OriginId, Protocol, SimNet, WorldConfig,
+};
 use originscan_scanner::target::{
     IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
@@ -148,11 +150,11 @@ proptest! {
 
             let asr = w.as_of(dst);
             let o = OriginId::MAIN[usize::from(origin)];
-            let params = path::path_params(&w, o, asr, protocol, trial);
+            let params = path_params(&w, o, asr, protocol, trial);
             let stored = warm.path_state(origin, asr, protocol, trial);
             prop_assert_eq!(stored.params, params);
-            prop_assert_eq!(stored.flaky_half, path::flaky_half(params.flaky_q));
-            prop_assert_eq!(stored.bursts(), burst::events_for(&w, asr.index, protocol, trial));
+            prop_assert_eq!(stored.flaky_half, flaky_half(params.flaky_q));
+            prop_assert_eq!(stored.bursts(), events_for(&w, asr.index, protocol, trial));
             prop_assert_eq!(stored.ids, ids::detection(&w, o, asr, protocol, trial));
             prop_assert_eq!(
                 stored.wall.blocks(&w, o, asr, dst, protocol),

@@ -44,9 +44,9 @@
 //!
 //! ```
 //! use originscan::core::experiment::{Experiment, ExperimentConfig};
-//! use originscan::netmodel::world::WorldConfig;
-//! use originscan::netmodel::origin::OriginId;
-//! use originscan::netmodel::host::Protocol;
+//! use originscan::netmodel::WorldConfig;
+//! use originscan::netmodel::OriginId;
+//! use originscan::netmodel::Protocol;
 //!
 //! // A small world: 2^16 addresses, deterministic from the seed.
 //! let world = WorldConfig::tiny(7).build();

@@ -7,7 +7,7 @@
 use originscan::core::adversarial::{
     AdversarialConfig, AdversarialResults, AdversarialSweep, CellStatus, PolitenessProfile,
 };
-use originscan::netmodel::defend::AggressionProfile;
+use originscan::netmodel::AggressionProfile;
 use originscan::netmodel::{OriginId, Protocol, SimNet, World, WorldConfig};
 use originscan::scanner::engine::ScanConfig;
 use originscan::scanner::target::{L7Ctx, L7Reply, Network, ProbeCtx, SynReply};

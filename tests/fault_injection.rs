@@ -132,7 +132,7 @@ fn killed_and_resumed_scan_equals_uninterrupted() {
 
 #[test]
 fn overlapping_outage_windows_behave_as_their_union() {
-    use originscan::netmodel::fault::FaultyNet;
+    use originscan::netmodel::FaultyNet;
 
     let world = WorldConfig::tiny(44).build();
     let origins = [OriginId::Us1];
@@ -163,7 +163,7 @@ fn overlapping_outage_windows_behave_as_their_union() {
 
 #[test]
 fn zero_duration_stall_is_identical_to_fault_free() {
-    use originscan::netmodel::fault::FaultyNet;
+    use originscan::netmodel::FaultyNet;
 
     let world = WorldConfig::tiny(45).build();
     let origins = [OriginId::Us1];
@@ -185,7 +185,7 @@ fn zero_duration_stall_is_identical_to_fault_free() {
 
 #[test]
 fn crash_inside_outage_window_resumes_across_the_boundary() {
-    use originscan::netmodel::fault::FaultyNet;
+    use originscan::netmodel::FaultyNet;
 
     let world = WorldConfig::tiny(46).build();
     let origins = [OriginId::Us1];
