@@ -25,9 +25,9 @@ pub struct CacheStats {
     /// Lookups that missed.
     pub misses: u64,
     /// Entries evicted to make room.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Entries currently resident.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 #[derive(Debug)]
@@ -47,7 +47,7 @@ impl<V> Shard<V> {
 
 /// The cache proper: `shard_count` independently locked LRU maps.
 #[derive(Debug)]
-pub struct ShardedLru<V> {
+pub(crate) struct ShardedLru<V> {
     shards: Vec<Mutex<Shard<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -57,7 +57,7 @@ pub struct ShardedLru<V> {
 impl<V: Clone> ShardedLru<V> {
     /// A cache of `shard_count` shards holding at most `capacity_per_shard`
     /// entries each. Both are clamped to at least 1.
-    pub fn new(shard_count: usize, capacity_per_shard: usize) -> ShardedLru<V> {
+    pub(crate) fn new(shard_count: usize, capacity_per_shard: usize) -> ShardedLru<V> {
         let shards = (0..shard_count.max(1))
             .map(|_| {
                 Mutex::new(Shard {
@@ -96,7 +96,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Look up `key`, refreshing its recency on hit.
-    pub fn get(&self, key: &str) -> Option<V> {
+    pub(crate) fn get(&self, key: &str) -> Option<V> {
         let mut shard = self.lock(self.shard(key));
         let tick = shard.touch();
         match shard.map.get_mut(key) {
@@ -115,7 +115,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry
     /// of its shard when the shard is full.
-    pub fn insert(&self, key: String, value: V) {
+    pub(crate) fn insert(&self, key: String, value: V) {
         let mut shard = self.lock(self.shard(&key));
         let tick = shard.touch();
         if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
@@ -135,14 +135,14 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Drop every entry (counters are preserved).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for m in &self.shards {
             self.lock(m).map.clear();
         }
     }
 
     /// Cumulative counters plus current residency.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let len = self
             .shards
             .iter()

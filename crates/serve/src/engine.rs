@@ -45,9 +45,9 @@ const CACHE_CAPACITY_PER_SHARD: usize = 64;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Queries executed (including failed ones).
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Queries that returned a [`QueryError`].
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Memoized-response cache counters.
     pub plans: CacheStats,
     /// Materialized-bitmap cache counters.
@@ -116,7 +116,7 @@ impl QueryEngine {
     }
 
     /// Number of keys served across all stores.
-    pub fn key_count(&self) -> usize {
+    pub(crate) fn key_count(&self) -> usize {
         self.index.len()
     }
 
@@ -126,11 +126,6 @@ impl QueryEngine {
     /// responses are keyed by query text only).
     pub fn register_plan(&mut self, name: &str, plan: TargetPlan) {
         self.target_plans.insert(name.to_string(), Arc::new(plan));
-    }
-
-    /// Names of the registered target plans, ascending.
-    pub fn plan_names(&self) -> Vec<&str> {
-        self.target_plans.keys().map(String::as_str).collect()
     }
 
     /// Parse and execute one query text.
@@ -163,14 +158,9 @@ impl QueryEngine {
         }
     }
 
-    /// Execute one parsed query, returning the JSON response body.
-    pub fn execute(&self, q: &Query) -> Result<Arc<str>, QueryError> {
-        self.execute_traced(q, None)
-    }
-
     /// Execute one parsed query, recording phase spans (`plan`, `cache`,
     /// `resolve`, `load`, `kernel.*`) into `tracer` when present.
-    pub fn execute_traced(
+    pub(crate) fn execute_traced(
         &self,
         q: &Query,
         tracer: Option<&Tracer>,
@@ -229,7 +219,7 @@ impl QueryEngine {
 
     /// The `/stats` fields as an open [`JsonObj`], so the HTTP layer can
     /// append its own sections (per-query-type latency) before closing.
-    pub fn stats_obj(&self) -> JsonObj {
+    pub(crate) fn stats_obj(&self) -> JsonObj {
         let s = self.stats();
         let mut o = JsonObj::new();
         o.field_u64("queries", s.queries);
@@ -591,13 +581,26 @@ fn fraction(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Render a [`QueryError`] as the deterministic JSON error body the
+/// Render a `QueryError` as the deterministic JSON error body the
 /// server answers with.
 pub fn error_body(e: &QueryError) -> String {
     let mut o = JsonObj::new();
     o.field_str("error", e.kind());
     o.field_str("detail", &e.to_string());
     o.finish()
+}
+
+#[cfg(test)]
+impl QueryEngine {
+    /// Names of the registered target plans, ascending.
+    pub(crate) fn plan_names(&self) -> Vec<&str> {
+        self.target_plans.keys().map(String::as_str).collect()
+    }
+
+    /// Execute one parsed query, returning the JSON response body.
+    pub(crate) fn execute(&self, q: &Query) -> Result<Arc<str>, QueryError> {
+        self.execute_traced(q, None)
+    }
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub enum QueryError {
 impl QueryError {
     /// Stable machine-readable error kind (the `error` field of the JSON
     /// error body).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             QueryError::Parse { .. } => "parse",
             QueryError::UnknownQuery { .. } => "unknown-query",

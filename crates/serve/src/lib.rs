@@ -7,18 +7,18 @@
 //!
 //! Two layers, both dependency-free:
 //!
-//! * **Query engine** ([`engine::QueryEngine`]) — a small typed query
+//! * **Query engine** ([`QueryEngine`]) — a small typed query
 //!   language ([`query::Query`]: `coverage`, `union`, `diff`,
 //!   `exclusive`, `best-k`, `rank`, `member`) parsed into a canonical
 //!   plan and executed lazily against one or more
 //!   [`originscan_store::StoreReader`] shards, with sharded LRU caches
-//!   ([`cache::ShardedLru`]) of materialized bitmaps, one
+//!   (`ShardedLru`) of materialized bitmaps, one
 //!   membership-signature table per `(proto, trial)` that answers every
 //!   multi-origin count, and memoized responses keyed by the canonical
 //!   plan hash. Point lookups (`rank`,
 //!   `member`) touch only the chunk directory plus the one chunk that
 //!   holds the address.
-//! * **Server** ([`http::Server`]) — a hand-rolled HTTP/1.1 front end on
+//! * **Server** ([`Server`]) — a hand-rolled HTTP/1.1 front end on
 //!   `std::net::TcpListener`: bounded worker pool, per-connection
 //!   read/write timeouts, request-size limits, backpressure (503 +
 //!   `Retry-After` when the accept queue is full), and graceful shutdown
@@ -44,16 +44,16 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod cache;
-pub mod engine;
-pub mod error;
-pub mod http;
+// `query` stays `pub mod` because the repository benchmark names it by
+// path; the rest is private and its API is re-exported below.
+mod cache;
+mod engine;
+mod error;
+mod http;
 pub mod query;
-pub mod trace;
+mod trace;
 
-pub use cache::ShardedLru;
-pub use engine::{EngineStats, QueryEngine};
-pub use error::QueryError;
+pub use engine::{error_body, QueryEngine};
 pub use http::{Server, ServerConfig};
 pub use query::Query;
-pub use trace::{StoredTrace, TraceRing, WallTime};
+pub use trace::WallTime;

@@ -16,8 +16,8 @@
 //! Parsing produces a [`Query`] value; [`Query::canonical`] renders it
 //! back in a normalized spelling (fixed field order, origin lists sorted
 //! and de-duplicated), so two textual spellings of the same plan share
-//! one cache slot. [`Query::plan_hash`] is an FNV-1a 64 hash of the
-//! canonical form — the memoization and cache-shard key.
+//! one cache slot. The engine keys memoization and cache shards on
+//! [`fnv1a64`] of the canonical form.
 
 use crate::error::QueryError;
 use std::fmt::Write as _;
@@ -318,7 +318,7 @@ impl Query {
     }
 
     /// The stable query-kind name (also the JSON `kind` field).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Query::Coverage { .. } => "coverage",
             Query::Union { .. } => "union",
@@ -333,7 +333,7 @@ impl Query {
 
     /// The protocol label this query targets — a probe-module name,
     /// checked against the registry before any store lookup.
-    pub fn proto(&self) -> &str {
+    pub(crate) fn proto(&self) -> &str {
         match self {
             Query::Coverage { proto, .. }
             | Query::Union { proto, .. }
@@ -424,13 +424,6 @@ impl Query {
         }
         s
     }
-
-    /// FNV-1a 64 hash of the canonical form — the plan-cache key and the
-    /// cache-shard selector. Deterministic across runs and platforms by
-    /// construction (no per-process hash seeding).
-    pub fn plan_hash(&self) -> u64 {
-        fnv1a64(self.canonical().as_bytes())
-    }
 }
 
 /// FNV-1a 64-bit over `bytes`.
@@ -441,6 +434,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+impl Query {
+    /// FNV-1a 64 hash of the canonical form, as the engine keys it.
+    pub(crate) fn plan_hash(&self) -> u64 {
+        fnv1a64(self.canonical().as_bytes())
+    }
 }
 
 #[cfg(test)]

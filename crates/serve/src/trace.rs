@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// How many finished request traces the server retains.
-pub const TRACE_RING_CAPACITY: usize = 256;
+pub(crate) const TRACE_RING_CAPACITY: usize = 256;
 
 /// A monotonic wall-clock [`TimeSource`] anchored at construction time.
 #[derive(Debug)]
@@ -51,22 +51,22 @@ impl TimeSource for WallTime {
 
 /// One finished request trace in the ring.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoredTrace {
+pub(crate) struct StoredTrace {
     /// Monotonic per-server trace ID (accept order is concurrent, so
     /// these are *not* deterministic — structure comparisons only).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Query kind ("coverage", "best-k", ...; "invalid" on parse
     /// failure, the route name for non-query endpoints).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// HTTP status the request was answered with.
-    pub status: u16,
+    pub(crate) status: u16,
     /// The span tree.
-    pub trace: Trace,
+    pub(crate) trace: Trace,
 }
 
 impl StoredTrace {
     /// The trace as one JSON object (`spans` as a nested array).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{");
         let mut head = JsonObj::new();
         head.field_u64("trace", self.id);
@@ -97,7 +97,7 @@ struct RingInner {
 
 /// A bounded, thread-safe ring of the most recent request traces.
 #[derive(Debug)]
-pub struct TraceRing {
+pub(crate) struct TraceRing {
     capacity: usize,
     inner: Mutex<RingInner>,
 }
@@ -110,7 +110,7 @@ impl Default for TraceRing {
 
 impl TraceRing {
     /// An empty ring retaining at most `capacity` traces.
-    pub fn new(capacity: usize) -> TraceRing {
+    pub(crate) fn new(capacity: usize) -> TraceRing {
         TraceRing {
             capacity: capacity.max(1),
             inner: Mutex::new(RingInner::default()),
@@ -128,7 +128,7 @@ impl TraceRing {
 
     /// Append a finished trace, evicting the oldest past capacity.
     /// Returns the assigned trace ID.
-    pub fn push(&self, kind: &'static str, status: u16, trace: Trace) -> u64 {
+    pub(crate) fn push(&self, kind: &'static str, status: u16, trace: Trace) -> u64 {
         let mut inner = self.guard();
         let id = inner.next_id;
         inner.next_id += 1;
@@ -145,25 +145,20 @@ impl TraceRing {
     }
 
     /// The last `n` traces, oldest first.
-    pub fn last(&self, n: usize) -> Vec<StoredTrace> {
+    pub(crate) fn last(&self, n: usize) -> Vec<StoredTrace> {
         let inner = self.guard();
         let skip = inner.buf.len().saturating_sub(n);
         inner.buf.iter().skip(skip).cloned().collect()
     }
 
     /// Traces currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.guard().buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.guard().buf.is_empty()
     }
 
     /// The `GET /trace` response body: `{"count":N,"traces":[...]}` with
     /// the last `n` traces, oldest first.
-    pub fn to_json(&self, n: usize) -> String {
+    pub(crate) fn to_json(&self, n: usize) -> String {
         let traces = self.last(n);
         let mut out = format!("{{\"count\":{},\"traces\":[", traces.len());
         for (i, t) in traces.iter().enumerate() {

@@ -9,7 +9,7 @@
 //! ```
 
 use originscan_plan::{PlanEntry, TargetPlan};
-use originscan_serve::engine::error_body;
+use originscan_serve::error_body;
 use originscan_serve::QueryEngine;
 use originscan_store::{ScanSet, ScanSetStore, StoreKey, StoreReader};
 use std::path::Path;
