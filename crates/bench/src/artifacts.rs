@@ -13,34 +13,34 @@
 
 use crate::{header_text, paper_says_text, timed};
 use originscan_core::adversarial::{AdversarialConfig, AdversarialSweep};
-use originscan_core::asdist::{longterm_by_as, lost_as_counts, top_k_concentration};
-use originscan_core::bursts::burst_share;
+use originscan_core::burst_share;
 use originscan_core::classify::{class_counts, host_network_split, trial_breakdown, Class};
-use originscan_core::country::{
-    countries_above, country_stats, host_count_vs_inaccessible, tiered_table, CountryStats,
-};
 use originscan_core::coverage::{coverage_table, mcnemar_all_pairs, mean_coverage};
-use originscan_core::exclusivity::{
-    exclusive_by_as, exclusive_by_country, exclusive_counts, miss_overlap_histogram,
-    within_country_exclusive_fraction,
-};
 use originscan_core::experiment::{Experiment, ExperimentConfig};
 use originscan_core::multiorigin::{
     combo_sweep, named_combo_coverage, single_ip_roster, ProbePolicy,
 };
-use originscan_core::packetloss::{
+use originscan_core::ExperimentResults;
+use originscan_core::{
     both_lost_fraction, drop_vs_transient_correlation, global_drop_estimate, loss_points_for_as,
 };
-use originscan_core::report::{count, pct, pct2, Table};
-use originscan_core::results::ExperimentResults;
-use originscan_core::ssh::{
-    explicit_close_fraction, hourly_rst_fraction, retry_sweep, ssh_miss_breakdown,
-    top_transient_ssh_ases,
-};
-use originscan_core::transient::{
+use originscan_core::{
     consistent_worst_countries, largest_spread_ases, origin_stability, rate_spread_distribution,
     transient_by_as,
 };
+use originscan_core::{count, pct, pct2, Table};
+use originscan_core::{
+    countries_above, country_stats, host_count_vs_inaccessible, tiered_table, CountryStats,
+};
+use originscan_core::{
+    exclusive_by_as, exclusive_by_country, exclusive_counts, miss_overlap_histogram,
+    within_country_exclusive_fraction,
+};
+use originscan_core::{
+    explicit_close_fraction, hourly_rst_fraction, retry_sweep, ssh_miss_breakdown,
+    top_transient_ssh_ases,
+};
+use originscan_core::{longterm_by_as, lost_as_counts, top_k_concentration};
 use originscan_netmodel::{FaultPlan, OriginId, Protocol, World, WorldConfig};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
 use originscan_stats::descriptive::{std_dev, Ecdf, FiveNumber};

@@ -11,7 +11,7 @@
 
 use originscan_bench::Scale;
 use originscan_core::experiment::{Experiment, ExperimentConfig, TRIAL_DURATION_S};
-use originscan_core::report::Table;
+use originscan_core::Table;
 use originscan_netmodel::policy::{self, Block};
 use originscan_netmodel::{
     host_flaky, host_persistent_unreachable, in_burst, l7_flaky, probe_drops, OriginId, SimNet,

@@ -56,10 +56,10 @@ pub const TRIAL_SPAN_MULT: f64 = 8.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolitenessProfile {
     /// Profile name used in matrices and reports.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Multiplier on the rate that would finish the scan exactly in the
     /// configured trial duration.
-    pub rate_mult: f64,
+    pub(crate) rate_mult: f64,
     /// Source-IP pool size (adaptive scanners rotate through it).
     pub source_ips: u16,
     /// Adaptive resilience controller (`None`: open-loop, paper style).
@@ -68,7 +68,7 @@ pub struct PolitenessProfile {
 
 impl PolitenessProfile {
     /// Fast and oblivious: 4× the polite rate, one source, no feedback.
-    pub fn aggressive() -> Self {
+    pub(crate) fn aggressive() -> Self {
         Self {
             name: "aggressive",
             rate_mult: 4.0,
@@ -105,7 +105,7 @@ impl PolitenessProfile {
 
     /// Slow and careful: half rate, a small pool, a hair-trigger
     /// controller that backs off hard and recovers reluctantly.
-    pub fn stealth() -> Self {
+    pub(crate) fn stealth() -> Self {
         Self {
             name: "stealth",
             rate_mult: 0.5,
@@ -120,7 +120,7 @@ impl PolitenessProfile {
     }
 
     /// The sweep roster, rudest first.
-    pub fn roster() -> Vec<Self> {
+    pub(crate) fn roster() -> Vec<Self> {
         vec![
             Self::aggressive(),
             Self::baseline(),
@@ -239,17 +239,17 @@ pub struct CellOutcome {
     /// Aggression column name.
     pub aggression: &'static str,
     /// Per-trial coverage relative to the same scanner undefended.
-    pub coverage: Vec<f64>,
+    pub(crate) coverage: Vec<f64>,
     /// Per-trial L7-success host counts.
-    pub l7_successes: Vec<u64>,
+    pub(crate) l7_successes: Vec<u64>,
     /// Defender-side counters accumulated over the cell's trials.
     pub defense: DefenseStats,
     /// Did the reputation store list this cell's origin?
-    pub listed: bool,
+    pub(crate) listed: bool,
     /// Scanner backoff transitions (adaptive cells only).
     pub backoffs: u64,
     /// Scanner backoff releases.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Scanner source rotations.
     pub rotations: u64,
     /// Addresses parked for the tail pass.
@@ -275,17 +275,10 @@ pub struct AdversarialResults {
     cfg: AdversarialConfig,
     /// Row-major: `cells[pi * aggression.len() + ai]`.
     cells: Vec<CellOutcome>,
-    /// Per-(politeness, trial) undefended L7-success counts.
-    reference: Vec<Vec<u64>>,
     telemetry: TelemetrySnapshot,
 }
 
 impl AdversarialResults {
-    /// The sweep's configuration.
-    pub fn config(&self) -> &AdversarialConfig {
-        &self.cfg
-    }
-
     /// All cells, row-major over (politeness, aggression).
     pub fn cells(&self) -> &[CellOutcome] {
         &self.cells
@@ -301,19 +294,6 @@ impl AdversarialResults {
     )]
     pub fn cell(&self, pi: usize, ai: usize) -> &CellOutcome {
         &self.cells[pi * self.cfg.aggression.len() + ai]
-    }
-
-    /// Undefended reference L7-success count for `(politeness, trial)`.
-    ///
-    /// # Panics
-    /// When `pi` is not a politeness row or `trial` not one of the
-    /// sweep's trials.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "one row per politeness profile, one count per trial; else a caller bug"
-    )]
-    pub fn reference_l7(&self, pi: usize, trial: usize) -> u64 {
-        self.reference[pi][trial]
     }
 
     /// The sweep's telemetry snapshot: per-cell scan timelines with the
@@ -521,7 +501,6 @@ impl<'w> AdversarialSweep<'w> {
         Ok(AdversarialResults {
             cfg: cfg.clone(),
             cells,
-            reference,
             telemetry: snapshot,
         })
     }
@@ -588,11 +567,11 @@ mod tests {
         // Defense off is the reference scanner's own world: coverage 1.
         for pi in 0..2 {
             assert_eq!(r.cell(pi, 0).coverage, vec![1.0], "row {pi}");
-            assert_eq!(r.cell(pi, 0).l7_successes[0], r.reference_l7(pi, 0));
             assert_eq!(r.cell(pi, 0).status, CellStatus::Unchallenged);
         }
-        // The reference found something, so the 1.0 is not vacuous.
-        assert!(r.reference_l7(0, 0) > 0);
+        // The cell found something, so its 1.0 (successes over the
+        // reference's) is not vacuous.
+        assert!(r.cell(0, 0).l7_successes[0] > 0);
     }
 
     #[test]

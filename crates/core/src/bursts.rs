@@ -15,13 +15,13 @@ use originscan_stats::{burst_mass_fraction, detect_bursts, Burst};
 use std::collections::BTreeMap;
 
 /// Rolling window (hours) used for smoothing, per the paper.
-pub const WINDOW_HOURS: usize = 4;
+pub(crate) const WINDOW_HOURS: usize = 4;
 
 /// Outlier threshold in standard deviations, per the paper.
-pub const SIGMAS: f64 = 2.0;
+pub(crate) const SIGMAS: f64 = 2.0;
 
 /// Hourly series of transiently-missed hosts for one (origin, AS, trial).
-pub fn hourly_missing_series(
+pub(crate) fn hourly_missing_series(
     world: &World,
     panel: &Panel,
     matrix: &TrialMatrix,
@@ -51,13 +51,13 @@ pub fn hourly_missing_series(
 #[derive(Debug, Clone, Default)]
 pub struct BurstShare {
     /// Transiently missed hosts in this trial for this origin.
-    pub transient_total: usize,
+    pub(crate) transient_total: usize,
     /// Of those, hosts lost in hours flagged as bursts.
-    pub in_bursts: usize,
+    pub(crate) in_bursts: usize,
     /// ASes with ≥ 1 detected burst.
-    pub ases_with_bursts: usize,
+    pub(crate) ases_with_bursts: usize,
     /// ASes examined (≥ `min_hosts` ground truth hosts).
-    pub ases_examined: usize,
+    pub(crate) ases_examined: usize,
 }
 
 impl BurstShare {

@@ -31,7 +31,7 @@ pub enum Class {
 }
 
 /// Classify one (origin, union-host) pair.
-pub fn classify(panel: &Panel, origin_idx: usize, u: usize) -> Class {
+pub(crate) fn classify(panel: &Panel, origin_idx: usize, u: usize) -> Class {
     let present = panel.present_trials(u);
     let seen = panel.seen_trials(origin_idx, u);
     debug_assert!(present > 0);
@@ -50,7 +50,7 @@ pub fn classify(panel: &Panel, origin_idx: usize, u: usize) -> Class {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     /// Fully accessible hosts.
-    pub accessible: usize,
+    pub(crate) accessible: usize,
     /// Transiently missed hosts.
     pub transient: usize,
     /// Long-term inaccessible hosts.
@@ -59,15 +59,11 @@ pub struct ClassCounts {
     pub unknown: usize,
 }
 
+#[cfg(test)]
 impl ClassCounts {
     /// Total union hosts.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.accessible + self.transient + self.long_term + self.unknown
-    }
-
-    /// Total missing (non-accessible) hosts.
-    pub fn missing(&self) -> usize {
-        self.transient + self.long_term + self.unknown
     }
 }
 

@@ -8,8 +8,6 @@ use originscan_stats::mcnemar::{mcnemar_test, McNemarResult, PairedCounts};
 /// One row of the Appendix-A ground-truth coverage table.
 #[derive(Debug, Clone)]
 pub struct CoverageRow {
-    /// Protocol.
-    pub protocol: Protocol,
     /// Trial (or `None` for the mean row).
     pub trial: Option<u8>,
     /// Per-origin coverage fractions, roster order.
@@ -41,7 +39,6 @@ pub fn coverage_table(results: &ExperimentResults<'_>, proto: Protocol) -> Vec<C
                 .cardinality() as usize,
         };
         rows.push(CoverageRow {
-            protocol: proto,
             trial: Some(trial),
             fractions,
             intersection: all_seen as f64 / n as f64,
@@ -54,7 +51,6 @@ pub fn coverage_table(results: &ExperimentResults<'_>, proto: Protocol) -> Vec<C
         .map(|oi| rows.iter().map(|r| r.fractions[oi]).sum::<f64>() / k)
         .collect();
     rows.push(CoverageRow {
-        protocol: proto,
         trial: None,
         fractions: mean_frac,
         intersection: rows.iter().map(|r| r.intersection).sum::<f64>() / k,

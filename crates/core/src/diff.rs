@@ -17,23 +17,23 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct ScanDiff {
     /// Hosts completing L7 in both scans.
-    pub both: usize,
+    pub(crate) both: usize,
     /// Hosts only the first scan completed.
     pub only_a: Vec<u32>,
     /// Hosts only the second scan completed.
     pub only_b: Vec<u32>,
     /// McNemar's test over the paired outcomes.
-    pub mcnemar: McNemarResult,
+    pub(crate) mcnemar: McNemarResult,
 }
 
 impl ScanDiff {
     /// Size of the shared universe (union of successes).
-    pub fn universe(&self) -> usize {
+    pub(crate) fn universe(&self) -> usize {
         self.both + self.only_a.len() + self.only_b.len()
     }
 
     /// Coverage of the universe by side A (resp. B).
-    pub fn coverage(&self) -> (f64, f64) {
+    pub(crate) fn coverage(&self) -> (f64, f64) {
         let n = self.universe().max(1) as f64;
         (
             (self.both + self.only_a.len()) as f64 / n,
@@ -77,7 +77,7 @@ pub fn diff_records(a: &[HostScanRecord], b: &[HostScanRecord]) -> ScanDiff {
 }
 
 /// Attribute a host list to ASes: `(as_name, count)`, descending.
-pub fn by_as(world: &World, hosts: &[u32]) -> Vec<(String, usize)> {
+pub(crate) fn by_as(world: &World, hosts: &[u32]) -> Vec<(String, usize)> {
     let mut m: BTreeMap<u32, usize> = BTreeMap::new();
     for &h in hosts {
         *m.entry(world.as_index_of(h)).or_default() += 1;
@@ -91,7 +91,7 @@ pub fn by_as(world: &World, hosts: &[u32]) -> Vec<(String, usize)> {
 }
 
 /// Render a human-readable diff report.
-pub fn render(diff: &ScanDiff, label_a: &str, label_b: &str, world: Option<&World>) -> String {
+pub fn render_diff(diff: &ScanDiff, label_a: &str, label_b: &str, world: Option<&World>) -> String {
     use crate::report::{count, pct, Table};
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -211,7 +211,7 @@ mod tests {
             "top ASes: {top:?}"
         );
         // Rendering mentions both the universe and the attribution.
-        let text = render(&d, "JP", "CEN", Some(&world));
+        let text = render_diff(&d, "JP", "CEN", Some(&world));
         assert!(text.contains("universe"));
         assert!(text.contains("only JP reached"));
     }

@@ -25,7 +25,7 @@
 //!   [`SupervisorPolicy::checkpoint_every`] addresses, so a retry
 //!   resumes mid-permutation instead of rescanning from zero;
 //! * every origin's fate is recorded as a [`RunStatus`] that flows into
-//!   [`TrialMatrix::statuses`] and the report, and origins that exhaust
+//!   `TrialMatrix::statuses` and the report, and origins that exhaust
 //!   their retries are *excluded from ground truth* rather than
 //!   invalidating the trial.
 
@@ -160,7 +160,7 @@ pub struct OriginRun {
     /// How the run ended.
     pub status: RunStatus,
     /// Attempts performed (1 = clean first run).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Simulated seconds spent in retry backoff. Pure bookkeeping: probe
     /// timestamps are *never* shifted by backoff, so a resumed scan stays
     /// bit-identical to an uninterrupted one.

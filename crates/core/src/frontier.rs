@@ -121,17 +121,17 @@ pub struct FrontierPoint {
     /// The strategy's plan label (row key).
     pub strategy: String,
     /// /24s the plan admits.
-    pub planned_s24s: usize,
+    pub(crate) planned_s24s: usize,
     /// SYN probes the evaluation scans sent (summed over origins).
-    pub probes_sent: u64,
+    pub(crate) probes_sent: u64,
     /// `probes_sent` as a fraction of the full-sweep baseline's.
     pub probes_frac: f64,
     /// Distinct responsive addresses the evaluation scans found (union
     /// over origins).
-    pub found: u64,
+    pub(crate) found: u64,
     /// Fraction of the baseline's responsive population the planned
     /// scans still found.
-    pub recall: f64,
+    pub(crate) recall: f64,
 }
 
 /// The measured frontier: the full-sweep baseline plus one point per
@@ -139,13 +139,13 @@ pub struct FrontierPoint {
 #[derive(Debug, Clone)]
 pub struct FrontierSweep {
     /// Probes the plan-free baseline sent (summed over origins).
-    pub baseline_probes: u64,
+    pub(crate) baseline_probes: u64,
     /// Responsive addresses the baseline found (union over origins).
-    pub baseline_found: u64,
+    pub(crate) baseline_found: u64,
     /// Announced /24s in the world (the full sweep's plan size).
-    pub announced_s24s: usize,
+    pub(crate) announced_s24s: usize,
     /// One point per configured strategy, configuration order.
-    pub points: Vec<FrontierPoint>,
+    pub(crate) points: Vec<FrontierPoint>,
 }
 
 /// The world's announced-prefix/AS structure in the planner's neutral

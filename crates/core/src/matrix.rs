@@ -9,11 +9,10 @@
 use crate::experiment::{OriginRun, RunStatus};
 use crate::outcome::HostOutcome;
 use originscan_netmodel::{OriginId, Protocol, World};
-use originscan_scanner::engine::ScanOutput;
 use originscan_store::ScanSet;
 
 /// Hour grid of the paper's burst analysis (21-hour trials).
-pub const SCAN_HOURS: u8 = 21;
+pub(crate) const SCAN_HOURS: u8 = 21;
 
 /// Condensed results of one (protocol, trial) across all origins.
 #[derive(Debug, Clone)]
@@ -33,39 +32,18 @@ pub struct TrialMatrix {
     /// origins contribute nothing to ground truth and read all-MISSED.
     pub statuses: Vec<RunStatus>,
     /// Ground truth as a compressed bitmap (same members as `addrs`).
-    pub gt_set: ScanSet,
+    pub(crate) gt_set: ScanSet,
     /// Per-origin L7-success sets, aligned with the roster.
     pub seen_sets: Vec<ScanSet>,
     /// Per-origin single-probe success sets, aligned with the roster.
-    pub one_probe_sets: Vec<ScanSet>,
+    pub(crate) one_probe_sets: Vec<ScanSet>,
 }
 
 impl TrialMatrix {
-    /// Condense raw scan outputs into a matrix (every origin completed).
-    pub fn build(
-        world: &World,
-        protocol: Protocol,
-        trial: u8,
-        origins: &[OriginId],
-        outputs: &[ScanOutput],
-        duration_s: f64,
-    ) -> TrialMatrix {
-        let runs: Vec<OriginRun> = outputs
-            .iter()
-            .map(|out| OriginRun {
-                status: RunStatus::Completed,
-                attempts: 1,
-                sim_backoff_s: 0.0,
-                output: Some(out.clone()),
-            })
-            .collect();
-        Self::build_supervised(world, protocol, trial, origins, &runs, duration_s)
-    }
-
     /// Condense supervised runs into a matrix, tolerating partial origin
     /// sets: a run without output (terminal failure) is excluded from the
     /// ground-truth union and its outcome row stays all-MISSED.
-    pub fn build_supervised(
+    pub(crate) fn build_supervised(
         _world: &World,
         protocol: Protocol,
         trial: u8,
@@ -197,7 +175,7 @@ impl TrialMatrix {
     }
 
     /// Hosts an origin would have seen with a single-probe scan.
-    pub fn seen_count_one_probe(&self, origin_idx: usize) -> usize {
+    pub(crate) fn seen_count_one_probe(&self, origin_idx: usize) -> usize {
         self.one_probe_sets[origin_idx].cardinality() as usize
     }
 
@@ -214,10 +192,34 @@ impl TrialMatrix {
 }
 
 #[cfg(test)]
+impl TrialMatrix {
+    /// Condense raw scan outputs into a matrix (every origin completed).
+    pub(crate) fn build(
+        world: &World,
+        protocol: Protocol,
+        trial: u8,
+        origins: &[OriginId],
+        outputs: &[originscan_scanner::engine::ScanOutput],
+        duration_s: f64,
+    ) -> TrialMatrix {
+        let runs: Vec<OriginRun> = outputs
+            .iter()
+            .map(|out| OriginRun {
+                status: RunStatus::Completed,
+                attempts: 1,
+                sim_backoff_s: 0.0,
+                output: Some(out.clone()),
+            })
+            .collect();
+        Self::build_supervised(world, protocol, trial, origins, &runs, duration_s)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use originscan_netmodel::WorldConfig;
-    use originscan_scanner::engine::{HostScanRecord, ScanSummary};
+    use originscan_scanner::engine::{HostScanRecord, ScanOutput, ScanSummary};
     use originscan_scanner::zgrab::{L7Detail, L7Outcome};
 
     fn rec(addr: u32, mask: u8, ok: bool, t: f64) -> HostScanRecord {

@@ -10,7 +10,6 @@
 //! this file by one row automatically.
 
 use crate::coverage::coverage_table;
-use crate::exclusivity::exclusive_counts;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError};
 use crate::multiorigin::best_k_union;
 use crate::report::{count, pct, Table};
@@ -38,7 +37,7 @@ impl ModuleRun<'_> {
 
     /// Union of addresses any origin saw in `trial` (the module's view
     /// of its population).
-    pub fn union_set(&self, trial: u8) -> ScanSet {
+    pub(crate) fn union_set(&self, trial: u8) -> ScanSet {
         let m = self.results.matrix(self.module.protocol(), trial);
         let mut union = ScanSet::new();
         for set in &m.seen_sets {
@@ -70,26 +69,26 @@ pub struct ModuleCoverage {
 #[derive(Debug, Clone)]
 pub struct ModuleDiff {
     /// First module name.
-    pub a: &'static str,
+    pub(crate) a: &'static str,
     /// Second module name.
     pub b: &'static str,
     /// Addresses both modules found.
     pub both: u64,
     /// Addresses only the first module found.
-    pub only_a: u64,
+    pub(crate) only_a: u64,
     /// Addresses only the second module found.
-    pub only_b: u64,
+    pub(crate) only_b: u64,
 }
 
 /// The best `k`-origin combination for one module.
 #[derive(Debug, Clone)]
-pub struct ModuleBestK {
+pub(crate) struct ModuleBestK {
     /// Module name (row key).
-    pub module: &'static str,
+    pub(crate) module: &'static str,
     /// Winning origin labels, roster order.
-    pub origins: Vec<String>,
+    pub(crate) origins: Vec<String>,
     /// Addresses covered by the winning union.
-    pub covered: u64,
+    pub(crate) covered: u64,
 }
 
 /// Run every registered probe module through `base` (its `protocols`
@@ -143,22 +142,9 @@ impl<'w> ModuleSweep<'w> {
             .collect()
     }
 
-    /// Per-module exclusive-accessibility percentages (share of ground
-    /// truth only one origin could reach), keyed by module name.
-    pub fn exclusivity(&self) -> Vec<(&'static str, Vec<f64>)> {
-        self.runs
-            .iter()
-            .map(|run| {
-                let panel = run.results.panel(run.module.protocol());
-                let (accessible, _inaccessible) = exclusive_counts(&panel).percentages();
-                (run.name(), accessible)
-            })
-            .collect()
-    }
-
     /// The best `k`-origin combination per module over trial-0 scan
     /// sets, keyed by module name. Skips `k` larger than the roster.
-    pub fn best_k(&self, k: usize) -> Vec<ModuleBestK> {
+    pub(crate) fn best_k(&self, k: usize) -> Vec<ModuleBestK> {
         self.runs
             .iter()
             .filter_map(|run| {
@@ -269,6 +255,23 @@ impl<'w> ModuleSweep<'w> {
             t.render()
         );
         out
+    }
+}
+
+#[cfg(test)]
+impl ModuleSweep<'_> {
+    /// Per-module exclusive-accessibility percentages (share of ground
+    /// truth only one origin could reach), keyed by module name.
+    pub(crate) fn exclusivity(&self) -> Vec<(&'static str, Vec<f64>)> {
+        self.runs
+            .iter()
+            .map(|run| {
+                let panel = run.results.panel(run.module.protocol());
+                let (accessible, _inaccessible) =
+                    crate::exclusivity::exclusive_counts(&panel).percentages();
+                (run.name(), accessible)
+            })
+            .collect()
     }
 }
 

@@ -27,7 +27,7 @@ pub enum ProbePolicy {
 /// Union coverage of an origin subset in one trial: a multi-set union
 /// popcount over the matrix's per-origin bitmaps — no per-host loop, so
 /// the §7 sweep over every k-subset stays cheap at full scale.
-pub fn combo_coverage(matrix: &TrialMatrix, combo: &[usize], policy: ProbePolicy) -> f64 {
+pub(crate) fn combo_coverage(matrix: &TrialMatrix, combo: &[usize], policy: ProbePolicy) -> f64 {
     let n = matrix.len();
     if n == 0 {
         return 1.0;
@@ -45,12 +45,8 @@ pub fn combo_coverage(matrix: &TrialMatrix, combo: &[usize], policy: ProbePolicy
 /// origin roster — one box of Fig 15/17.
 #[derive(Debug, Clone)]
 pub struct ComboDistribution {
-    /// Subset size.
-    pub k: usize,
-    /// Probe policy.
-    pub policy: ProbePolicy,
     /// Coverage samples: one per (subset, trial).
-    pub samples: Vec<f64>,
+    pub(crate) samples: Vec<f64>,
     /// The best-covering subset (origin labels) and its mean coverage.
     pub best: (Vec<OriginId>, f64),
     /// The worst-covering subset and its mean coverage.
@@ -100,8 +96,6 @@ pub fn combo_sweep(
         }
     }
     ComboDistribution {
-        k,
-        policy,
         samples,
         best: best.expect("at least one subset"),
         worst: worst.expect("at least one subset"),
@@ -143,11 +137,11 @@ pub fn named_combo_coverage(
 ///
 /// `None` when `k` is zero, exceeds `sets.len()`, or there are more
 /// than 64 sets.
-pub fn best_k_union(sets: &[&ScanSet], k: usize) -> Option<(Vec<usize>, u64)> {
+pub(crate) fn best_k_union(sets: &[&ScanSet], k: usize) -> Option<(Vec<usize>, u64)> {
     best_k_of(&ScanSet::signature_counts(sets)?, sets.len(), k)
 }
 
-/// [`best_k_union`] over the signature table of `n` sets (the serve
+/// `best_k_union` over the signature table of `n` sets (the serve
 /// engine caches the table per `(proto, trial)`): every k-subset's union
 /// is a sum over the table's rows, no bitmap is walked.
 ///

@@ -9,7 +9,7 @@ use originscan_scanner::HostScanRecord;
 
 /// How an attempt to reach a ground-truth host failed (if it did).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailKind {
+pub(crate) enum FailKind {
     /// It didn't — the L7 handshake completed.
     None,
     /// No validated response to any probe (dropped/filtered).
@@ -31,10 +31,10 @@ pub struct HostOutcome(pub u8);
 
 impl HostOutcome {
     /// The outcome recorded when an origin saw nothing at all.
-    pub const MISSED: HostOutcome = HostOutcome(1 << 3); // FailKind::Silent
+    pub(crate) const MISSED: HostOutcome = HostOutcome(1 << 3); // FailKind::Silent
 
     /// Build from a scan record.
-    pub fn from_record(r: &HostScanRecord) -> Self {
+    pub(crate) fn from_record(r: &HostScanRecord) -> Self {
         let mut bits = r.synack_mask & 0b11;
         let kind = match &r.l7 {
             L7Outcome::Success(_) => {
@@ -56,13 +56,8 @@ impl HostOutcome {
     }
 
     /// Did probe `i` (0 or 1) receive a validated SYN-ACK?
-    pub fn probe_answered(self, i: u8) -> bool {
+    pub(crate) fn probe_answered(self, i: u8) -> bool {
         self.0 & (1 << i) != 0
-    }
-
-    /// Any validated SYN-ACK?
-    pub fn l4_responsive(self) -> bool {
-        self.0 & 0b11 != 0
     }
 
     /// Did the application handshake complete?
@@ -72,18 +67,18 @@ impl HostOutcome {
 
     /// Covered in a simulated *single-probe* scan: the first probe must
     /// have been answered and the handshake completed.
-    pub fn one_probe_success(self) -> bool {
+    pub(crate) fn one_probe_success(self) -> bool {
         self.probe_answered(0) && self.l7_success()
     }
 
     /// Exactly one of the two probes answered (the §5.2 packet-drop
     /// estimator counts these hosts).
-    pub fn exactly_one_probe(self) -> bool {
+    pub(crate) fn exactly_one_probe(self) -> bool {
         (self.0 & 0b11).count_ones() == 1
     }
 
     /// The failure kind.
-    pub fn fail_kind(self) -> FailKind {
+    pub(crate) fn fail_kind(self) -> FailKind {
         match (self.0 >> 3) & 0b111 {
             0 => FailKind::None,
             1 => FailKind::Silent,
@@ -95,8 +90,16 @@ impl HostOutcome {
     }
 
     /// TCP established but the peer explicitly closed (RST or FIN).
-    pub fn explicit_close(self) -> bool {
+    pub(crate) fn explicit_close(self) -> bool {
         matches!(self.fail_kind(), FailKind::ClosedRst | FailKind::ClosedFin)
+    }
+}
+
+#[cfg(test)]
+impl HostOutcome {
+    /// Any validated SYN-ACK?
+    pub(crate) fn l4_responsive(self) -> bool {
+        self.0 & 0b11 != 0
     }
 }
 

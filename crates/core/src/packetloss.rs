@@ -31,7 +31,7 @@ pub fn global_drop_estimate(matrix: &TrialMatrix, origin_idx: usize) -> f64 {
 
 /// Per-AS drop estimates for one origin in one trial:
 /// `as_index → (single_probe_hosts, ground_truth_hosts)`.
-pub fn drop_by_as(
+pub(crate) fn drop_by_as(
     world: &World,
     matrix: &TrialMatrix,
     origin_idx: usize,

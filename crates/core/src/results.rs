@@ -19,9 +19,9 @@ pub struct ExperimentResults<'w> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coverage {
     /// Ground-truth hosts the origin completed L7 with.
-    pub seen: usize,
+    pub(crate) seen: usize,
     /// Size of the trial's ground truth.
-    pub ground_truth: usize,
+    pub(crate) ground_truth: usize,
 }
 
 impl Coverage {
@@ -51,12 +51,12 @@ impl<'w> ExperimentResults<'w> {
     }
 
     /// The world scanned.
-    pub fn world(&self) -> &'w World {
+    pub(crate) fn world(&self) -> &'w World {
         self.world
     }
 
     /// The configuration used.
-    pub fn config(&self) -> &ExperimentConfig {
+    pub(crate) fn config(&self) -> &ExperimentConfig {
         &self.cfg
     }
 
@@ -73,7 +73,7 @@ impl<'w> ExperimentResults<'w> {
     }
 
     /// The matrix for one (protocol, trial), if it was scanned.
-    pub fn try_matrix(&self, proto: Protocol, trial: u8) -> Option<&TrialMatrix> {
+    pub(crate) fn try_matrix(&self, proto: Protocol, trial: u8) -> Option<&TrialMatrix> {
         self.matrices
             .iter()
             .find(|m| m.protocol == proto && m.trial == trial)
@@ -83,7 +83,7 @@ impl<'w> ExperimentResults<'w> {
     ///
     /// # Panics
     /// If that (protocol, trial) was not part of the experiment; use
-    /// [`Self::try_matrix`] when the pair is not known to exist.
+    /// `Self::try_matrix` when the pair is not known to exist.
     pub fn matrix(&self, proto: Protocol, trial: u8) -> &TrialMatrix {
         match self.try_matrix(proto, trial) {
             Some(m) => m,
@@ -92,7 +92,7 @@ impl<'w> ExperimentResults<'w> {
     }
 
     /// Index of an origin in the roster, if it took part.
-    pub fn try_origin_index(&self, origin: OriginId) -> Option<usize> {
+    pub(crate) fn try_origin_index(&self, origin: OriginId) -> Option<usize> {
         self.cfg.origins.iter().position(|&o| o == origin)
     }
 
@@ -100,7 +100,7 @@ impl<'w> ExperimentResults<'w> {
     ///
     /// # Panics
     /// If the origin was not part of the experiment; use
-    /// [`Self::try_origin_index`] when membership is uncertain.
+    /// `Self::try_origin_index` when membership is uncertain.
     pub fn origin_index(&self, origin: OriginId) -> usize {
         match self.try_origin_index(origin) {
             Some(i) => i,
@@ -176,26 +176,24 @@ impl<'w> ExperimentResults<'w> {
 #[derive(Debug)]
 pub struct Panel {
     /// Protocol.
-    pub protocol: Protocol,
+    pub(crate) protocol: Protocol,
     /// Origin roster (same order as the experiment).
     pub origins: Vec<OriginId>,
     /// Number of trials.
-    pub trials: u8,
+    pub(crate) trials: u8,
     /// Union of ground-truth addresses across trials, sorted.
-    pub addrs: Vec<u32>,
+    pub(crate) addrs: Vec<u32>,
     /// Bit `t` set ⇔ host was in trial `t`'s ground truth.
-    pub present: Vec<u8>,
+    pub(crate) present: Vec<u8>,
     /// `seen[origin][host]`: bit `t` set ⇔ origin completed L7 in trial t.
-    pub seen: Vec<Vec<u8>>,
+    pub(crate) seen: Vec<Vec<u8>>,
     /// `ever_seen_sets[origin]`: addresses the origin completed L7 with in
     /// at least one trial (compressed bitmap).
-    pub ever_seen_sets: Vec<ScanSet>,
-    /// Addresses present in ≥ 2 trials' ground truth.
-    pub multi_present_set: ScanSet,
+    pub(crate) ever_seen_sets: Vec<ScanSet>,
     /// `longterm_sets[origin]`: addresses long-term inaccessible from the
     /// origin — present in ≥ 2 trials, never seen by it
-    /// (`multi_present_set ∖ ever_seen_sets[origin]`).
-    pub longterm_sets: Vec<ScanSet>,
+    /// (present in ≥ 2 trials ∖ `ever_seen_sets[origin]`).
+    pub(crate) longterm_sets: Vec<ScanSet>,
 }
 
 impl Panel {
@@ -252,7 +250,6 @@ impl Panel {
             present,
             seen,
             ever_seen_sets,
-            multi_present_set,
             longterm_sets,
         }
     }
@@ -262,18 +259,13 @@ impl Panel {
         self.addrs.len()
     }
 
-    /// True when no host was ever seen.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
     /// Trials in which host `u` was present (bit count).
-    pub fn present_trials(&self, u: usize) -> u32 {
+    pub(crate) fn present_trials(&self, u: usize) -> u32 {
         u32::from(self.present[u]).count_ones()
     }
 
     /// Trials in which `origin` saw host `u` while it was present.
-    pub fn seen_trials(&self, origin_idx: usize, u: usize) -> u32 {
+    pub(crate) fn seen_trials(&self, origin_idx: usize, u: usize) -> u32 {
         u32::from(self.seen[origin_idx][u] & self.present[u]).count_ones()
     }
 }

@@ -13,11 +13,11 @@ pub struct AsTransientLoss {
     /// AS display name.
     pub as_name: String,
     /// Ground-truth hosts in the AS (union across trials).
-    pub hosts: usize,
+    pub(crate) hosts: usize,
     /// Per-origin transient loss rate in `[0, 1]`.
-    pub rate: Vec<f64>,
+    pub(crate) rate: Vec<f64>,
     /// Per-origin count of transiently missed hosts.
-    pub missed: Vec<usize>,
+    pub(crate) missed: Vec<usize>,
 }
 
 impl AsTransientLoss {

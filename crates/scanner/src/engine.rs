@@ -283,23 +283,9 @@ pub struct FaultCtx {
     /// once and then clear (the supervisor's retry succeeds).
     pub attempt: u32,
     /// Permutation group steps consumed so far.
-    #[cfg_attr(
-        not(test),
-        expect(
-            dead_code,
-            reason = "no shipped hook kills on progress; the engine's tests do"
-        )
-    )]
-    pub(crate) steps: u64,
+    pub steps: u64,
     /// Addresses fully probed so far.
-    #[cfg_attr(
-        not(test),
-        expect(
-            dead_code,
-            reason = "no shipped hook kills on progress; the engine's tests do"
-        )
-    )]
-    pub(crate) addresses_probed: u64,
+    pub addresses_probed: u64,
     /// Send-clock time of the next probe, including accumulated stalls.
     pub time_s: f64,
     /// Stall seconds already accumulated.

@@ -9,8 +9,8 @@
 //! cargo run --release --example country_bias_audit [http|https|ssh]
 //! ```
 
-use originscan::core::country::{countries_above, country_stats, host_count_vs_inaccessible};
-use originscan::core::report::{count, Table};
+use originscan::core::{count, Table};
+use originscan::core::{countries_above, country_stats, host_count_vs_inaccessible};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example probe_modules -- small   # the bench scale
 //! ```
 
-use originscan::core::modules::sweep_modules;
+use originscan::core::sweep_modules;
 use originscan::core::ExperimentConfig;
 use originscan::netmodel::{OriginId, WorldConfig};
 use originscan::scanner::probe::modules;

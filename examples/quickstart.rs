@@ -7,7 +7,7 @@
 
 use originscan::core::classify::{class_counts, trial_breakdown};
 use originscan::core::coverage::{coverage_table, mcnemar_all_pairs};
-use originscan::core::report::{count, pct, Table};
+use originscan::core::{count, pct, Table};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

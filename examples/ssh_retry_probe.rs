@@ -10,8 +10,8 @@
 //! cargo run --release --example ssh_retry_probe
 //! ```
 
-use originscan::core::report::Table;
-use originscan::core::ssh::{hourly_rst_fraction, retry_sweep, ssh_miss_breakdown};
+use originscan::core::Table;
+use originscan::core::{hourly_rst_fraction, retry_sweep, ssh_miss_breakdown};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

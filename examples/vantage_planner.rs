@@ -13,7 +13,7 @@
 use originscan::core::multiorigin::{
     combo_sweep, single_ip_roster, ComboDistribution, ProbePolicy,
 };
-use originscan::core::report::{pct2, Table};
+use originscan::core::{pct2, Table};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

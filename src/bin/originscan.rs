@@ -2,9 +2,9 @@
 //! or inspect the simulated Internet. See `originscan help`.
 
 use originscan::cli::{parse, Command, RunArgs, USAGE};
-use originscan::core::diff::{diff_records, render};
 use originscan::core::experiment::{Experiment, ExperimentConfig};
 use originscan::core::summary::full_report;
+use originscan::core::{diff_records, render_diff};
 use originscan::netmodel::{SimNet, World};
 use originscan::plan::TargetPlan;
 use originscan::scanner::engine::{run_scan, ScanConfig};
@@ -71,7 +71,7 @@ fn main() -> ExitCode {
             };
             let world = scale.config(seed).build();
             let d = diff_records(&ra, &rb);
-            print!("{}", render(&d, &a, &b, Some(&world)));
+            print!("{}", render_diff(&d, &a, &b, Some(&world)));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -7,7 +7,7 @@
 //! instead of extra probes. The `WorldConfig::uniform_loss` flag swaps the
 //! loss model so both regimes can be measured with identical pipelines.
 
-use originscan::core::packetloss::both_lost_fraction;
+use originscan::core::both_lost_fraction;
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

@@ -157,7 +157,8 @@ fn overlapping_outage_windows_behave_as_their_union() {
 
     // The union actually silenced something (vs. fault-free).
     let clean = supervise_scan(&net, &sc, None, &SupervisorPolicy::default(), None);
-    let count = |r: &originscan::core::OriginRun| r.output.as_ref().unwrap().records.len();
+    let count =
+        |r: &originscan::core::experiment::OriginRun| r.output.as_ref().unwrap().records.len();
     assert!(count(&a) < count(&clean), "the outage cost nothing");
 }
 

@@ -5,7 +5,7 @@
 //! ICMP echo and DNS-over-UDP must reproduce byte-identically through
 //! the same permutation core the TCP trio uses.
 
-use originscan::core::modules::sweep_modules;
+use originscan::core::sweep_modules;
 use originscan::core::ExperimentConfig;
 use originscan::netmodel::{OriginId, WorldConfig};
 use originscan::scanner::probe::modules;

@@ -6,10 +6,10 @@
 
 use originscan::core::classify::{class_counts, host_network_split, Class};
 use originscan::core::coverage::{mcnemar_all_pairs, mean_coverage};
-use originscan::core::exclusivity::{exclusive_counts, miss_overlap_histogram};
 use originscan::core::multiorigin::{combo_sweep, single_ip_roster, ProbePolicy};
-use originscan::core::packetloss::{both_lost_fraction, global_drop_estimate};
-use originscan::core::ssh::ssh_miss_breakdown;
+use originscan::core::ssh_miss_breakdown;
+use originscan::core::{both_lost_fraction, global_drop_estimate};
+use originscan::core::{exclusive_counts, miss_overlap_histogram};
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

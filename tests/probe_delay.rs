@@ -1,7 +1,7 @@
 //! The §7 delayed-probe mitigation: separating the two probes in time
 //! recovers hosts that correlated loss would otherwise hide.
 
-use originscan::core::packetloss::both_lost_fraction;
+use originscan::core::both_lost_fraction;
 use originscan::core::{Experiment, ExperimentConfig};
 use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 

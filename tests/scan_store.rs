@@ -129,8 +129,8 @@ fn corrupted_store_files_surface_typed_errors() {
 /// can never depend on an incidental memory layout.
 #[test]
 fn analysis_host_orders_are_sorted() {
-    use originscan::core::diff::diff_records;
-    use originscan::core::exclusivity::exclusive_hosts;
+    use originscan::core::diff_records;
+    use originscan::core::exclusive_hosts;
 
     let world = WorldConfig::tiny(41).build();
     let r = run(&world);
