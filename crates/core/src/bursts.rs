@@ -3,9 +3,9 @@
 //! The paper detects bursts purely from measurements: per
 //! (origin, destination AS) hourly counts of transiently missing hosts,
 //! smoothed with a 4-hour rolling window, with > 2σ residuals flagged.
-//! We run the identical detector over our matrices — the model's injected
-//! bursts (`netmodel::burst`) are recovered by this analysis, closing the
-//! loop.
+//! This module runs the same detector over the trial matrices: it sees
+//! only what the origins observed, never the model's injected bursts.
+//! How many of those it recovers is not measured here (ROADMAP item 3).
 
 use crate::classify::{classify, Class};
 use crate::matrix::{TrialMatrix, SCAN_HOURS};

@@ -126,15 +126,16 @@ impl fmt::Display for RunStatus {
     }
 }
 
+/// The first retry waits this long in *simulated* time; each further
+/// retry doubles it (up to [`SupervisorPolicy::backoff_cap_s`]).
+const BACKOFF_BASE_S: f64 = 60.0;
+
 /// Retry, backoff, and checkpoint policy of the supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorPolicy {
     /// Retry attempts after the first failure (so `max_retries + 1`
     /// attempts total).
     pub max_retries: u32,
-    /// First retry waits this long in *simulated* time; each further
-    /// retry doubles it.
-    pub backoff_base_s: f64,
     /// Ceiling on a single backoff step.
     pub backoff_cap_s: f64,
     /// Engine checkpoint cadence in addresses (0 disables resume; a
@@ -146,7 +147,6 @@ impl Default for SupervisorPolicy {
     fn default() -> Self {
         Self {
             max_retries: 2,
-            backoff_base_s: 60.0,
             backoff_cap_s: 900.0,
             checkpoint_every: 1024,
         }
@@ -224,9 +224,6 @@ pub struct ExperimentConfig {
     pub base_seed: u64,
     /// Simulated scan duration per trial.
     pub duration_s: f64,
-    /// Round-trip packets through byte encodings (slower; exercises the
-    /// wire codecs end to end).
-    pub wire_check: bool,
     /// Injected fault schedule (`None`: fault-free run).
     pub faults: Option<FaultPlan>,
     /// Supervisor retry/backoff/checkpoint policy.
@@ -244,7 +241,6 @@ impl Default for ExperimentConfig {
             probe_delay_s: 0.0,
             base_seed: 0xC0FFEE,
             duration_s: TRIAL_DURATION_S,
-            wire_check: false,
             faults: None,
             policy: SupervisorPolicy::default(),
         }
@@ -359,7 +355,7 @@ pub fn supervise_scan(
         }
         // Capped exponential backoff, in simulated time only.
         let exp = (attempts - 1).min(30) as i32;
-        let step = (policy.backoff_base_s * 2f64.powi(exp)).min(policy.backoff_cap_s);
+        let step = (BACKOFF_BASE_S * 2f64.powi(exp)).min(policy.backoff_cap_s);
         sim_backoff_s += step;
         tele.record_span("backoff", sim_backoff_s - step, sim_backoff_s);
         tele.set_time(sim_backoff_s);
@@ -517,7 +513,6 @@ impl<'w> Experiment<'w> {
         c.l7_retries = cfg.l7_retries;
         c.probe_delay_s = cfg.probe_delay_s;
         c.concurrent_origins = cfg.origins.len() as u8;
-        c.wire_check = cfg.wire_check;
         // US₆₄: a contiguous block of source addresses.
         c.source_ips = (0..cfg.origins[origin].spec().source_ips)
             .map(|i| 0x0a00_0100u32 + u32::from(i))
