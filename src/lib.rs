@@ -44,9 +44,7 @@
 //!
 //! ```
 //! use originscan::core::experiment::{Experiment, ExperimentConfig};
-//! use originscan::netmodel::WorldConfig;
-//! use originscan::netmodel::OriginId;
-//! use originscan::netmodel::Protocol;
+//! use originscan::netmodel::{OriginId, Protocol, WorldConfig};
 //!
 //! // A small world: 2^16 addresses, deterministic from the seed.
 //! let world = WorldConfig::tiny(7).build();
