@@ -83,9 +83,9 @@ impl FiveNumber {
     }
 }
 
-/// An empirical CDF over a finite sample, supporting evaluation and
-/// inverse lookup; used for Fig 9 ("distribution of differences in
-/// transient loss rate") and Fig 4 (AS concentration curves).
+/// An empirical CDF over a finite sample; used for Fig 9 ("distribution
+/// of differences in transient loss rate") and Fig 4 (AS concentration
+/// curves).
 #[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,

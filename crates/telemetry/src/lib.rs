@@ -70,8 +70,7 @@ pub use scoped::ScopedTelemetry;
 pub use span::{SpanGuard, Tracer};
 
 use event::Event;
-use metrics::Histogram;
-use metrics::Registry;
+use metrics::{Histogram, Registry};
 use profile::Profile;
 use span::Trace;
 use std::collections::BTreeSet;
