@@ -124,6 +124,12 @@ impl TargetPlan {
         }
     }
 
+    /// The allowlist as a bitset: bit `s24 % 64` of word `s24 / 64` is
+    /// set ⇔ the /24 is planned.
+    pub fn s24_words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of planned /24s.
     pub fn planned_s24s(&self) -> usize {
         self.entries.len()

@@ -4,7 +4,8 @@
 //! combining the IP ranges that previously requested exclusion from any
 //! scan origin"* — 17.8 M addresses (0.5 % of public IPv4) were excluded
 //! from every origin's scan. This module provides the shared blocklist
-//! structure: parse CIDR entries, merge overlaps, O(log n) membership.
+//! structure: parse CIDR entries, merge overlaps, O(log n) membership,
+//! which a scan asks only in the /24s a blocked range touches.
 
 use std::fmt;
 use std::str::FromStr;
@@ -203,6 +204,17 @@ impl Blocklist {
     pub fn contains(&self, addr: u32) -> bool {
         let i = self.ranges.partition_point(|r| r.hi < addr);
         self.ranges.get(i).is_some_and(|r| r.lo <= addr)
+    }
+
+    /// Clear bit `s24 % 64` of `bits[s24 / 64]` for every /24 a blocked
+    /// range touches, in whole or in part (up to the end of `bits`).
+    pub(crate) fn clear_touched_s24s(&self, bits: &mut [u64]) {
+        for s24 in self.ranges.iter().flat_map(|r| r.lo >> 8..=r.hi >> 8) {
+            let Some(word) = bits.get_mut((s24 / 64) as usize) else {
+                return;
+            };
+            *word &= !(1 << (s24 % 64));
+        }
     }
 
     /// Total number of blocked addresses.

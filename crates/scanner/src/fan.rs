@@ -58,6 +58,8 @@ struct Serial {
     /// `iter` is the scan's position, `out.summary` counts the skips, and
     /// `out.records` is the output so far: chunks `0..committed`.
     p: Progress,
+    /// The skip filters' pass bits, built once: only this stage walks.
+    pass: Vec<u64>,
     committed: u64,
     /// Chunks handed out.
     chunks: u64,
@@ -89,9 +91,10 @@ impl Drop for StopOnExit<'_> {
 type Pending = Vec<(u64, usize)>;
 
 impl Shared {
-    fn new(start: Progress) -> Self {
+    fn new(start: Progress, cfg: &ScanConfig) -> Self {
         let serial = Serial {
             p: start,
+            pass: crate::engine::pass_bits(cfg),
             committed: 0,
             chunks: 0,
             addresses: 0,
@@ -137,7 +140,7 @@ impl Shared {
             return None;
         }
         while addrs.len() < chunk {
-            let Ok(addr) = walk(ctx, &mut s.p, u64::MAX, false) else {
+            let Ok(addr) = walk(ctx, &s.pass, &mut s.p, u64::MAX, false) else {
                 break;
             };
             addrs.push(addr);
@@ -195,7 +198,7 @@ pub(crate) fn run<O>(
     probe: impl Fn(&ScanCtx<'_>, &mut Progress, u32) -> Result<O, ScanError> + Sync,
 ) -> Result<ScanOutput, ScanError> {
     let ctx = ScanCtx::new(net, cfg, ScanSession::default());
-    let shared = Shared::new(restore_or_start(&ctx)?);
+    let shared = Shared::new(restore_or_start(&ctx)?, cfg);
     let mut results: Vec<_> = std::thread::scope(|s| {
         let spawned: Vec<_> = (1..threads)
             .map(|_| s.spawn(|| work(&shared, net, cfg, chunk, &probe)))
@@ -539,7 +542,7 @@ mod tests {
         let net = Turning { free: true };
         let cfg = ScanConfig::new(SPACE, Protocol::Http, 11);
         let ctx = ScanCtx::new(&net, &cfg, ScanSession::default());
-        let shared = Shared::new(restore_or_start(&ctx).unwrap());
+        let shared = Shared::new(restore_or_start(&ctx).unwrap(), &cfg);
         let (mut pending, mut records, mut addrs) = (Pending::new(), Vec::new(), Vec::new());
         let mut turn = || shared.turn(&ctx, SMALL, &mut pending, &mut records, &mut addrs);
         assert_eq!(turn(), Some((0, 0)));

@@ -169,18 +169,14 @@ pub trait ProbeModule: Sync + std::fmt::Debug {
     }
 }
 
-/// The codec self-check of a burst's probe, when `shot` asks for it: one
-/// `roundtrip` per probe sent, though every probe of a burst is the same
-/// bytes — the option counts round trips per probe (ROADMAP item 8
-/// deletes it).
-fn check_probe(
-    shot: &ProbeShot<'_>,
-    ctx: &ProbeCtx,
-    times: &[f64],
-    roundtrip: impl Fn() -> bool,
-) -> Result<(), ScanError> {
-    if shot.wire_check && !times.iter().all(|_| roundtrip()) {
-        return Err(ScanError::WireCheck { addr: ctx.dst });
+/// The codec self-check of a burst's probe to `dst`, when `shot` asks for
+/// it: one round trip, `ok`, per burst, every probe of a burst being the
+/// same bytes (ROADMAP item 11 deletes the option).
+fn check_probe(shot: &ProbeShot<'_>, dst: u32, ok: impl Fn() -> bool) -> Result<(), ScanError> {
+    #[cfg(test)]
+    tests::ROUND_TRIPS.with(|n| n.set(n.get() + u64::from(shot.wire_check)));
+    if shot.wire_check && !ok() {
+        return Err(ScanError::WireCheck { addr: dst });
     }
     Ok(())
 }
@@ -189,15 +185,12 @@ fn check_probe(
 /// self-check; `false` means the encoding was lossy.
 pub(crate) fn tcp_wire_roundtrip(h: &TcpHeader, src: u32, dst: u32) -> bool {
     let ip = Ipv4Header::for_tcp(src, dst, h.wire_len());
-    let ip_bytes = ip.emit();
-    let Ok(reparsed_ip) = Ipv4Header::parse(&ip_bytes) else {
-        return false;
-    };
-    if reparsed_ip != ip {
-        return false;
-    }
-    let tcp_bytes = h.emit(&ip);
-    matches!(TcpHeader::parse(&tcp_bytes, &ip), Ok(reparsed) if &reparsed == h)
+    ip_wire_roundtrip(&ip) && matches!(TcpHeader::parse(&h.emit(&ip), &ip), Ok(r) if &r == h)
+}
+
+/// Round-trip an IPv4 header through its byte encoding.
+fn ip_wire_roundtrip(ip: &Ipv4Header) -> bool {
+    Ipv4Header::parse(&ip.emit()).is_ok_and(|reparsed| reparsed == *ip)
 }
 
 /// The TCP SYN module backing the paper's HTTP/HTTPS/SSH scans.
@@ -236,7 +229,7 @@ impl ProbeModule for TcpSynModule {
             .validator
             .probe_seq(ctx.src_ip, ctx.dst, shot.sport, shot.dport);
         let probe = TcpHeader::syn_probe(shot.sport, shot.dport, seq);
-        check_probe(shot, ctx, times, || {
+        check_probe(shot, ctx.dst, || {
             tcp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst)
         })?;
         let mut replies = [SynReply::Silent; MAX_PROBES];
@@ -301,7 +294,7 @@ impl ProbeModule for IcmpEchoModule {
         let mac = shot.validator.probe_seq(ctx.src_ip, ctx.dst, 0, 0);
         let (ident, seq) = ((mac >> 16) as u16, mac as u16);
         let probe = IcmpEcho::request(ident, seq);
-        check_probe(shot, ctx, times, || {
+        check_probe(shot, ctx.dst, || {
             icmp_wire_roundtrip(&probe, ctx.src_ip, ctx.dst)
         })?;
         let mut replies = [IcmpReply::Silent; MAX_PROBES];
@@ -327,13 +320,7 @@ impl ProbeModule for IcmpEchoModule {
 fn icmp_wire_roundtrip(probe: &IcmpEcho, src: u32, dst: u32) -> bool {
     let bytes = probe.emit();
     let ip = Ipv4Header::for_proto(PROTO_ICMP, src, dst, bytes.len());
-    let Ok(reparsed_ip) = Ipv4Header::parse(&ip.emit()) else {
-        return false;
-    };
-    if reparsed_ip != ip {
-        return false;
-    }
-    matches!(IcmpEcho::parse(&bytes), Ok(reparsed) if &reparsed == probe)
+    ip_wire_roundtrip(&ip) && matches!(IcmpEcho::parse(&bytes), Ok(r) if &r == probe)
 }
 
 /// Upper bound on the encoded probe query (41 bytes for
@@ -394,7 +381,7 @@ impl ProbeModule for DnsUdpModule {
             // any other codec self-check violation.
             return Err(ScanError::WireCheck { addr: ctx.dst });
         };
-        check_probe(shot, ctx, times, || udp_wire_roundtrip(query, shot, ctx))?;
+        check_probe(shot, ctx.dst, || udp_wire_roundtrip(query, shot, ctx))?;
         let mut replies = [const { UdpReply::Silent }; MAX_PROBES];
         net.udp_burst(ctx, query, times, &mut replies);
         BurstVerdict::fold(&replies, times.len(), |reply| {
@@ -415,23 +402,12 @@ impl ProbeModule for DnsUdpModule {
 
 /// Round-trip a UDP-encapsulated payload through the wire codecs.
 fn udp_wire_roundtrip(payload: &[u8], shot: &ProbeShot<'_>, ctx: &ProbeCtx) -> bool {
-    let ip = Ipv4Header::for_proto(
-        PROTO_UDP,
-        ctx.src_ip,
-        ctx.dst,
-        udp::HEADER_LEN + payload.len(),
-    );
-    let Ok(reparsed_ip) = Ipv4Header::parse(&ip.emit()) else {
-        return false;
-    };
-    if reparsed_ip != ip {
-        return false;
-    }
+    let len = udp::HEADER_LEN + payload.len();
+    let ip = Ipv4Header::for_proto(PROTO_UDP, ctx.src_ip, ctx.dst, len);
     let datagram = udp::emit_datagram(shot.sport, shot.dport, payload, &ip);
-    match udp::parse_datagram(&datagram, &ip) {
-        Ok((h, body)) => (h.src_port, h.dst_port) == (shot.sport, shot.dport) && body == payload,
-        Err(_) => false,
-    }
+    ip_wire_roundtrip(&ip)
+        && matches!(udp::parse_datagram(&datagram, &ip), Ok((h, body))
+            if (h.src_port, h.dst_port) == (shot.sport, shot.dport) && body == payload)
 }
 
 static HTTP_MODULE: TcpSynModule = TcpSynModule {
@@ -483,8 +459,13 @@ pub fn by_name(name: &str) -> Option<&'static dyn ProbeModule> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Probe round trips `check_probe` made on this thread.
+        pub(crate) static ROUND_TRIPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn registry_is_consistent() {

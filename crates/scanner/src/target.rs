@@ -207,9 +207,9 @@ pub trait Network: Sync {
     /// Is a burst to `dst` certain to go unanswered? `true` promises that
     /// every probe of any burst to `dst` from `origin` over `protocol` in
     /// `trial` gets `Silent`, whatever its source, bytes and send times,
-    /// and that the call leaves no trace; the engine then neither builds
-    /// nor delivers the burst, and asks before any other work on the
-    /// address. The default `false` suits a network that must see every
+    /// and that the call leaves no trace; the engine then delivers no
+    /// burst to `dst` (nor, but under `wire_check`, builds one), and asks
+    /// before any other work on the address. The default `false` suits a network that must see every
     /// probe (a defender, a fault layer that logs).
     fn silent(&self, _origin: u16, _protocol: Protocol, _trial: u8, _dst: u32) -> bool {
         false

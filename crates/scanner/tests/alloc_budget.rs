@@ -1,12 +1,15 @@
 //! The probe path allocates O(1) per scan: scanning sixteen times the
 //! addresses may not cost sixteen times the heap allocations, on the
 //! engine's step loop or fanned out over the cores. A ZGrab handshake
-//! allocates its request and nothing but the net's reply besides.
+//! allocates its request and nothing but the net's reply besides. Nor do
+//! a plan, a blocklist or `wire_check` add an allocation per address.
 //!
 //! A counting allocator needs to be the process's `#[global_allocator]`,
 //! so this is one `#[test]` in a binary of its own; the `unsafe` it takes
 //! to wrap `System` stays out of the library crates.
 
+use originscan_plan::{PlanEntry, TargetPlan};
+use originscan_scanner::blocklist::{Blocklist, Cidr};
 use originscan_scanner::engine::{run_scan, ScanConfig, ScanOutput};
 use originscan_scanner::probe::{modules, PAPER_PROTOCOLS};
 use originscan_scanner::target::{
@@ -162,6 +165,41 @@ fn probe_path_allocates_a_constant_per_scan() {
                 "{} (order-free: {order_free}): {few} allocations for {small} addresses, \
                  {many} for sixteen times as many",
                 module.name()
+            );
+        }
+    }
+
+    // A wire-checked scan behind a plan and a three-prefix blocklist:
+    // the skip filters' pass bits are built once per scan, not per chunk,
+    // and a probe's round trip encodes on the stack.
+    for order_free in [false, true] {
+        let net = SilentNet { order_free };
+        let slack = if order_free { extra_chunks / 2 } else { SLACK };
+        for protocol in PAPER_PROTOCOLS {
+            let spent = |space: u64| {
+                let mut cfg = ScanConfig::new(space, protocol, 2020);
+                cfg.wire_check = true;
+                let third = u32::try_from(space / 3).expect("a small space");
+                let cidrs = [(third, 24), (2 * third, 23), (third + 4100, 30)];
+                cfg.blocklist =
+                    Blocklist::from_cidrs(cidrs.map(|(base, len)| Cidr::new(base, len)));
+                let odd = (1..space.div_ceil(256)).step_by(2);
+                let entries = odd.map(|s24| PlanEntry {
+                    s24: u32::try_from(s24).expect("a small space"),
+                    score: 1,
+                });
+                let plan = TargetPlan::from_entries(space, 1, "odd", entries.collect());
+                cfg.plan = Some(plan.expect("a valid plan"));
+                let (spent, out) = allocations(&net, &cfg);
+                let s = out.summary;
+                assert!(s.addresses_probed > 0 && s.blocked > 0 && s.plan_skipped > 0);
+                spent
+            };
+            let (few, many) = (spent(small), spent(16 * small));
+            assert!(
+                many.abs_diff(few) <= slack,
+                "{protocol} wire-checked (order-free: {order_free}): {few} allocations for \
+                 {small} addresses, {many} for sixteen times as many"
             );
         }
     }

@@ -21,6 +21,7 @@ use originscan_telemetry::{EventKind, Telemetry};
 use originscan_wire::tcp::TcpHeader;
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// Silent at addresses whose hash falls under `quiet` of 256; the rest
 /// SYN-ACK, RST or drop by the address and the send time, so a probe
@@ -52,6 +53,30 @@ impl Network for Patchy {
     }
     fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
         L7Reply::Data(b"HTTP/1.1 200 OK\r\n\r\n".to_vec())
+    }
+}
+
+/// Records every address it is asked `silent` about, from any thread;
+/// silent at two in three, and the rest refuse. `order_free` is what the
+/// net says of itself: `true` fans a bare scan out, `false` steps it.
+struct Recorder {
+    order_free: bool,
+    asked: Mutex<Vec<u32>>,
+}
+
+impl Network for Recorder {
+    fn order_free(&self) -> bool {
+        self.order_free
+    }
+    fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
+        self.asked.lock().expect("no test thread panics").push(dst);
+        !dst.is_multiple_of(3)
+    }
+    fn syn(&self, _: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+        SynReply::Rst(TcpHeader::rst_reply(probe))
+    }
+    fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
+        L7Reply::Timeout
     }
 }
 
@@ -199,6 +224,59 @@ proptest! {
         // The walk's last checkpoint is still in its store: a resume.
         let session = ScanSession { store: Some(&walked_store), ..ScanSession::default() };
         prop_assert_eq!(run_scan_session(&net, &cfg, session).expect("resume runs"), uninterrupted);
+    }
+
+    /// A scan's skip filters, tested a /24 at a time, are the per-address
+    /// checks: fanned or stepped, with or without `wire_check`, it asks
+    /// `silent` about exactly the addresses of its shard that the plan
+    /// allows and the blocklist spares, and counts the rest alike. Spaces
+    /// need not be whole /24s (nor one chunk: wide ones fan out over the
+    /// cores), and /8–/32 entries block some /24s in part.
+    #[test]
+    fn pass_bits_are_the_exact_filters(
+        space in 1u64..12_000,
+        seed: u64,
+        s24s in proptest::collection::vec(any::<bool>(), 47),
+        planned: bool,
+        cidrs in proptest::collection::vec((0u32..24_000, 8u8..=32), 0..5),
+        total in 1u64..4,
+        how in 0usize..4,
+    ) {
+        let mut cfg = ScanConfig::new(space, Protocol::Http, seed);
+        cfg.shard = (seed % total, total);
+        (cfg.wire_check, cfg.probes) = (how >= 2, 1 + (how % 2) as u8);
+        if planned {
+            let entries = (0..space.div_ceil(256) as u32)
+                .filter(|&s24| s24s[s24 as usize])
+                .map(|s24| PlanEntry { s24, score: 1 })
+                .collect();
+            cfg.plan = Some(TargetPlan::from_entries(space, 0, "prop", entries).expect("valid plan"));
+        }
+        cfg.blocklist = Blocklist::from_cidrs(cidrs.iter().map(|&(base, len)| Cidr::new(base, len)));
+        let (mut want, mut plan_skipped, mut blocked) = (Vec::new(), 0, 0);
+        for addr in Cycle::new(space, seed).iter_shard(cfg.shard.0, total) {
+            let addr = addr as u32;
+            if cfg.plan.as_ref().is_some_and(|plan| !plan.allows(addr)) {
+                plan_skipped += 1;
+            } else if cfg.blocklist.contains(addr) {
+                blocked += 1;
+            } else {
+                want.push(addr);
+            }
+        }
+        want.sort_unstable();
+        let mut outputs = Vec::new();
+        for order_free in [true, false] {
+            let net = Recorder { order_free, asked: Mutex::default() };
+            let out = run_scan(&net, &cfg).expect("scan runs");
+            let s = out.summary;
+            let mut asked = net.asked.into_inner().expect("no test thread panics");
+            asked.sort_unstable();
+            prop_assert!(asked == want, "order-free {}: asked about other addresses", order_free);
+            prop_assert_eq!((s.plan_skipped, s.blocked, s.addresses_probed), (plan_skipped, blocked, want.len() as u64));
+            outputs.push(out);
+        }
+        prop_assert_eq!(&outputs[0], &outputs[1]);
     }
 
     /// Shards partition the space: disjoint, and their union is complete.

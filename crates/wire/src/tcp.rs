@@ -59,6 +59,20 @@ impl TcpFlags {
     }
 }
 
+/// An emitted TCP header: [`TcpHeader::wire_len`] bytes on the stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpSegment {
+    bytes: [u8; HEADER_LEN + MSS_OPTION_LEN],
+    len: usize,
+}
+
+impl std::ops::Deref for TcpSegment {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.bytes.get(..self.len).unwrap_or_default()
+    }
+}
+
 /// A TCP header (options restricted to the probe MSS option).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
@@ -131,30 +145,27 @@ impl TcpHeader {
 
     /// Serialize, computing the checksum over `ip`'s pseudo-header.
     #[expect(clippy::cast_possible_truncation, reason = "`wire_len()` is 20 or 24")]
-    pub fn emit(&self, ip: &Ipv4Header) -> Vec<u8> {
+    pub fn emit(&self, ip: &Ipv4Header) -> TcpSegment {
         let len = self.wire_len();
-        let mut b = Vec::with_capacity(len);
-        b.extend_from_slice(&self.src_port.to_be_bytes());
-        b.extend_from_slice(&self.dst_port.to_be_bytes());
-        b.extend_from_slice(&self.seq.to_be_bytes());
-        b.extend_from_slice(&self.ack.to_be_bytes());
-        b.push(((len / 4) as u8) << 4);
-        b.push(self.flags.0);
-        b.extend_from_slice(&self.window.to_be_bytes());
-        b.extend_from_slice(&[0, 0]); // checksum, patched below
-        b.extend_from_slice(&[0, 0]); // urgent pointer
-        if let Some(mss) = self.mss {
-            b.push(2); // kind: MSS
-            b.push(4); // length
-            b.extend_from_slice(&mss.to_be_bytes());
+        // The header's 32-bit rows, as RFC 9293 draws them.
+        let rows = [
+            u32::from(self.src_port) << 16 | u32::from(self.dst_port),
+            self.seq,
+            self.ack,
+            ((len / 4) as u32) << 28 | u32::from(self.flags.0) << 16 | u32::from(self.window),
+            0, // checksum (patched below), urgent pointer
+            self.mss.map_or(0, |mss| 0x0204_0000 | u32::from(mss)), // kind 2 (MSS), length 4
+        ];
+        let mut bytes = [0; HEADER_LEN + MSS_OPTION_LEN];
+        for (chunk, row) in bytes.chunks_exact_mut(4).zip(rows) {
+            chunk.copy_from_slice(&row.to_be_bytes());
         }
         let mut acc = ip.pseudo_header_sum(len as u16);
-        acc.add_bytes(&b);
-        let csum = acc.finish();
-        if let Some(field) = b.get_mut(16..18) {
-            field.copy_from_slice(&csum.to_be_bytes());
+        acc.add_bytes(bytes.get(..len).unwrap_or_default());
+        if let Some(field) = bytes.get_mut(16..18) {
+            field.copy_from_slice(&acc.finish().to_be_bytes());
         }
-        b
+        TcpSegment { bytes, len }
     }
 
     /// Parse and checksum-verify a segment received under `ip`.
@@ -250,7 +261,7 @@ mod tests {
     #[test]
     fn checksum_corruption_detected() {
         let probe = TcpHeader::syn_probe(1, 2, 3);
-        let mut bytes = probe.emit(&ip());
+        let mut bytes = probe.emit(&ip()).to_vec();
         bytes[5] ^= 0x40;
         assert_eq!(
             TcpHeader::parse(&bytes, &ip()),
@@ -261,7 +272,7 @@ mod tests {
     #[test]
     fn bad_data_offset_rejected() {
         let probe = TcpHeader::syn_probe(1, 2, 3);
-        let mut bytes = probe.emit(&ip());
+        let mut bytes = probe.emit(&ip()).to_vec();
         bytes[12] = 0x10; // data offset 4 words < minimum 5
         assert!(TcpHeader::parse(&bytes, &ip()).is_err());
     }

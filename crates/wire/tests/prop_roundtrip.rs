@@ -61,7 +61,7 @@ proptest! {
     fn tcp_corruption_detected(seq: u32, bit in 0usize..(24 * 8)) {
         let probe = TcpHeader::syn_probe(40000, 443, seq);
         let ip = Ipv4Header::for_tcp(1, 2, probe.wire_len());
-        let mut bytes = probe.emit(&ip);
+        let mut bytes = probe.emit(&ip).to_vec();
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(TcpHeader::parse(&bytes, &ip).is_err());
     }
