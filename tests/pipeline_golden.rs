@@ -359,6 +359,88 @@ fn policy_decisions(out: &mut String) {
     digest_lines(out, "policy_decisions", &[("replies", &kinds)]);
 }
 
+/// The replies `policy_decisions` does not reach, over the same world,
+/// origins, trials and send times: one byte per ICMP echo and per DNS
+/// query sent to each host of every module (so closed ports and routers
+/// answer too), and per SSH host, after a SYN-ACK, the reply kind of
+/// application attempts 1 and 2, where `MaxStartups` draws again.
+fn reply_projections(out: &mut String) {
+    let world = WorldConfig::tiny(8).build();
+    let follow_up = OriginId::FOLLOW_UP
+        .into_iter()
+        .filter(|o| !OriginId::MAIN.contains(o));
+    let origins: Vec<OriginId> = OriginId::MAIN.into_iter().chain(follow_up).collect();
+    let sim = SimNet::new(&world, &origins, DUR_S);
+    let net: &dyn Network = &sim;
+    let hosts: Vec<u32> = modules()
+        .iter()
+        .flat_map(|m| world.hosts(m.protocol()).iter().copied())
+        .collect();
+    let mut kinds = Vec::new();
+    let ctx = |origin, dst, protocol, trial, time_s| ProbeCtx {
+        origin,
+        src_ip: 0x0a00_0001,
+        dst,
+        protocol,
+        time_s,
+        probe_idx: 0,
+        trial,
+    };
+    let syn = TcpHeader::syn_probe(40_000, 22, 1);
+    let echo = IcmpEcho::request(7, 1);
+    let query = originscan::wire::dns::a_query(7, "origin-scan.example.com").unwrap();
+    for origin in 0..origins.len() as u16 {
+        for trial in 0..3 {
+            for frac in [0.05, 0.5, 0.95] {
+                let time_s = frac * DUR_S;
+                for &dst in &hosts {
+                    kinds.push(
+                        match net.icmp(&ctx(origin, dst, Protocol::Icmp, trial, time_s), &echo) {
+                            IcmpReply::Silent => 0,
+                            IcmpReply::Unreachable { .. } => 1,
+                            IcmpReply::EchoReply { .. } => 2,
+                        },
+                    );
+                    kinds.push(
+                        match net.udp(&ctx(origin, dst, Protocol::Dns, trial, time_s), &query) {
+                            UdpReply::Silent => 0,
+                            UdpReply::PortUnreachable => 1,
+                            // 2 + the response's RCODE.
+                            UdpReply::Data(resp) => 2 + resp.get(3).map_or(0x0f, |b| b & 0x0f),
+                        },
+                    );
+                }
+                for &dst in world.hosts(Protocol::Ssh) {
+                    let probe = ctx(origin, dst, Protocol::Ssh, trial, time_s);
+                    if !matches!(net.syn(&probe, &syn), SynReply::SynAck(_)) {
+                        kinds.push(0);
+                        continue;
+                    }
+                    for attempt in [1, 2] {
+                        let l7 = L7Ctx {
+                            origin,
+                            src_ip: probe.src_ip,
+                            dst,
+                            protocol: Protocol::Ssh,
+                            time_s,
+                            trial,
+                            attempt,
+                            concurrent_origins: OriginId::MAIN.len() as u8,
+                        };
+                        kinds.push(match net.l7(&l7, &[]) {
+                            L7Reply::Data(_) => 2,
+                            L7Reply::ConnClosed(CloseKind::Rst) => 3,
+                            L7Reply::ConnClosed(CloseKind::FinAck) => 4,
+                            L7Reply::Timeout => 5,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    digest_lines(out, "reply_projections", &[("replies", &kinds)]);
+}
+
 /// Supervised and adaptive scans step through the net itself, where the
 /// engine skips every burst `SimNet` calls silent, and through
 /// [`Stepped`], where it delivers them all: the records, summary and
@@ -412,6 +494,7 @@ fn pipeline_bytes_match_golden_digests() {
     every_module_single_origin(&mut actual);
     planner_frontier(&mut actual);
     policy_decisions(&mut actual);
+    reply_projections(&mut actual);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &actual).expect("write golden");
         return;
