@@ -70,6 +70,7 @@ pub use exclusivity::{
     miss_overlap_histogram, within_country_exclusive_fraction,
 };
 pub use experiment::{Experiment, ExperimentConfig};
+pub use matrix::TrialMatrix;
 pub use modules::sweep_modules;
 pub use packetloss::{
     both_lost_fraction, drop_vs_transient_correlation, global_drop_estimate, loss_points_for_as,

@@ -93,12 +93,9 @@ impl HostOutcome {
     pub(crate) fn explicit_close(self) -> bool {
         matches!(self.fail_kind(), FailKind::ClosedRst | FailKind::ClosedFin)
     }
-}
 
-#[cfg(test)]
-impl HostOutcome {
     /// Any validated SYN-ACK?
-    pub(crate) fn l4_responsive(self) -> bool {
+    pub fn l4_responsive(self) -> bool {
         self.0 & 0b11 != 0
     }
 }

@@ -134,7 +134,7 @@ fn draw_origin_mask(det: &Det, [a, p, t, slot]: [u64; 4]) -> u16 {
 /// the AS's [`events_for`] this (protocol, trial) — and is this
 /// particular host part of the affected fraction?
 #[expect(clippy::too_many_arguments, reason = "mirrors the probe context")]
-pub fn in_burst(
+pub(crate) fn in_burst(
     world: &World,
     events: &[BurstEvent],
     origin: OriginId,

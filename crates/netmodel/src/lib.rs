@@ -21,9 +21,12 @@
 //! * [`policy`] — one plain function per destination-side mechanism
 //!   (§4, §6): reputation blocking, geographic restrictions,
 //!   rate-triggered IDS, Alibaba's temporal SSH RST, and OpenSSH
-//!   `MaxStartups` refusals, consulted by `netimpl` in a fixed order.
+//!   `MaxStartups` refusals.
 //! * `netimpl` — ties it all together behind the scanner's
-//!   [`originscan_scanner::Network`] trait.
+//!   [`originscan_scanner::Network`] trait. [`SimNet::cause`] and
+//!   [`SimNet::l7_cause`] consult every mechanism in one fixed order and
+//!   name the one that decides a host's fate as a [`Cause`]; each reply
+//!   is a projection of it.
 //! * `fault` — deterministic fault injection (vantage outages, crashes,
 //!   pipeline stalls, reply corruption/duplication) layered over any
 //!   network, for proving the methodology degrades gracefully.
@@ -60,15 +63,13 @@ mod rng;
 mod world;
 
 pub use asn::AsTags;
-pub use burst::{events_for, in_burst};
+pub use burst::events_for;
 pub use defend::{AggressionProfile, DefenderNet, DefenseStats};
 pub use fault::{FaultPlan, FaultyNet, InjectedFault};
 pub use geo::Country;
 pub use host::{proto_key, Protocol};
-pub use netimpl::SimNet;
+pub use netimpl::{Cause, SimNet};
 pub use origin::OriginId;
-pub use path::{
-    flaky_half, host_flaky, host_persistent_unreachable, l7_flaky, path_params, probe_drops,
-};
+pub use path::{flaky_half, path_params};
 pub use rng::Tag;
 pub use world::{World, WorldConfig};

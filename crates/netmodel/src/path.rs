@@ -218,7 +218,7 @@ pub(crate) fn path_state(
 /// endorses, works precisely because of this structure.
 pub(crate) const FLAKY_WINDOW_S: f64 = 2.0 * 3600.0;
 
-/// The rate each of [`host_flaky`]'s two components draws against so
+/// The rate each of `host_flaky`'s two components draws against so
 /// that their union has rate `q`: `1 − (1 − half)² = q`.
 pub fn flaky_half(q: f64) -> f64 {
     1.0 - (1.0 - q.min(1.0)).sqrt()
@@ -235,7 +235,7 @@ pub fn flaky_half(q: f64) -> f64 {
 /// drawn per `FLAKY_WINDOW_S` window so consecutive probes share a
 /// fate while time-separated probes redraw (the delayed-probe
 /// mitigation).
-pub fn host_flaky(
+pub(crate) fn host_flaky(
     world: &World,
     origin: OriginId,
     addr: u32,
@@ -265,14 +265,19 @@ pub fn host_flaky(
 /// Keyed without the trial, so the same hosts are invisible every time —
 /// the long-term inaccessibility §4.2 attributes to connectivity rather
 /// than blocking.
-pub fn host_persistent_unreachable(world: &World, origin: OriginId, addr: u32, f: f64) -> bool {
+pub(crate) fn host_persistent_unreachable(
+    world: &World,
+    origin: OriginId,
+    addr: u32,
+    f: f64,
+) -> bool {
     world
         .det()
         .bernoulli(Tag::Persistent, &[2, origin.key(), u64::from(addr)], f)
 }
 
 /// Does this individual probe drop (independent randomness)?
-pub fn probe_drops(
+pub(crate) fn probe_drops(
     world: &World,
     origin: OriginId,
     addr: u32,
@@ -332,7 +337,7 @@ pub(crate) fn stateless_reply_drops(
 /// SSH hosts close explicitly; the explicit closes for SSH come from
 /// MaxStartups/Alibaba, and this smaller channel supplies the L7-stage
 /// losses for HTTP(S).
-pub fn l7_flaky(
+pub(crate) fn l7_flaky(
     world: &World,
     origin: OriginId,
     addr: u32,

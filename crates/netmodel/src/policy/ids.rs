@@ -80,7 +80,8 @@ pub fn detection(
 }
 
 /// Is `origin` blocked by this AS's IDS at scan time `time_s` of `trial`?
-pub fn blocked(
+#[cfg(test)]
+fn blocked(
     world: &World,
     origin: OriginId,
     asr: &AsRecord,
