@@ -349,12 +349,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        let world = WorldConfig::tiny(74).build();
-        let a = sweep(&world).render();
-        let b = sweep(&world).render();
-        assert_eq!(a, b);
-    }
 }
