@@ -455,8 +455,8 @@ fn tab00_mcnemar(study: &Study, out: &mut String) {
     let mut t = Table::new(["protocol", "tests", "significant", "corrected α", "max p"]);
     for &proto in &PAPER_PROTOCOLS {
         let (tests, alpha) = mcnemar_all_pairs(results, proto, 0.001);
-        let sig = tests.iter().filter(|x| x.result.p_value < alpha).count();
-        let max_p = tests.iter().map(|x| x.result.p_value).fold(0.0, f64::max);
+        let sig = tests.iter().filter(|x| x.p_value < alpha).count();
+        let max_p = tests.iter().map(|x| x.p_value).fold(0.0, f64::max);
         t.row([
             proto.to_string(),
             tests.len().to_string(),

@@ -68,26 +68,15 @@ pub fn mean_coverage(results: &ExperimentResults<'_>, proto: Protocol, origin: O
         / f64::from(trials)
 }
 
-/// One pairwise McNemar comparison.
-#[derive(Debug, Clone)]
-pub struct PairwiseTest {
-    /// First origin.
-    pub a: OriginId,
-    /// Second origin.
-    pub b: OriginId,
-    /// Trial.
-    pub trial: u8,
-    /// Test result.
-    pub result: McNemarResult,
-}
-
 /// Run McNemar's test between every origin pair for every trial of one
 /// protocol (§3), returning the tests plus the Bonferroni-corrected alpha.
+/// The tests run trial by trial, and within a trial over the roster's
+/// pairs `(i, j)`, `i < j`, in order.
 pub fn mcnemar_all_pairs(
     results: &ExperimentResults<'_>,
     proto: Protocol,
     alpha: f64,
-) -> (Vec<PairwiseTest>, f64) {
+) -> (Vec<McNemarResult>, f64) {
     let cfg = results.config();
     let mut tests = Vec::new();
     for trial in 0..cfg.trials {
@@ -106,12 +95,7 @@ pub fn mcnemar_all_pairs(
                     only_b,
                     neither: m.len() as u64 - both - only_a - only_b,
                 };
-                tests.push(PairwiseTest {
-                    a: cfg.origins[i],
-                    b: cfg.origins[j],
-                    trial,
-                    result: mcnemar_test(&counts),
-                });
+                tests.push(mcnemar_test(&counts));
             }
         }
     }
@@ -169,19 +153,16 @@ mod tests {
         let (tests, corrected) = mcnemar_all_pairs(&r, Protocol::Http, 0.001);
         assert_eq!(tests.len(), 3 * 2); // 3 pairs × 2 trials
         assert!(corrected < 0.001);
-        // Censys differs from everyone overwhelmingly.
-        let cen_tests = tests
-            .iter()
-            .filter(|t| t.a == OriginId::Censys || t.b == OriginId::Censys);
-        for t in cen_tests {
-            assert!(
-                t.result.p_value < corrected,
-                "{} vs {} trial {}: p = {}",
-                t.a,
-                t.b,
-                t.trial,
-                t.result.p_value
-            );
+        // Censys differs from everyone overwhelmingly. Per trial, the
+        // roster's pairs in order: (JP, US64), (JP, CEN), (US64, CEN).
+        let origins = &r.config().origins;
+        let pairs = [(0, 1), (0, 2), (1, 2)];
+        for (n, t) in tests.iter().enumerate() {
+            let (a, b) = (origins[pairs[n % 3].0], origins[pairs[n % 3].1]);
+            if a == OriginId::Censys || b == OriginId::Censys {
+                let trial = n / 3;
+                assert!(t.p_value < corrected, "{a} vs {b} trial {trial}: {t:?}");
+            }
         }
     }
 }

@@ -207,7 +207,6 @@ impl TrialMatrix {
             .map(|out| OriginRun {
                 status: RunStatus::Completed,
                 attempts: 1,
-                sim_backoff_s: 0.0,
                 output: Some(out.clone()),
             })
             .collect();
@@ -290,7 +289,6 @@ mod tests {
         let ok = OriginRun {
             status: RunStatus::Completed,
             attempts: 1,
-            sim_backoff_s: 0.0,
             output: Some(output(vec![rec(10, 0b11, true, 100.0)])),
         };
         let dead = OriginRun {
@@ -298,7 +296,6 @@ mod tests {
                 cause: FailCause::Killed,
             },
             attempts: 3,
-            sim_backoff_s: 180.0,
             output: None,
         };
         let m = TrialMatrix::build_supervised(

@@ -150,7 +150,7 @@ pub fn full_report(results: &ExperimentResults<'_>) -> String {
 
         // Significance.
         let (tests, alpha) = mcnemar_all_pairs(results, proto, 0.001);
-        let sig = tests.iter().filter(|t| t.result.p_value < alpha).count();
+        let sig = tests.iter().filter(|t| t.p_value < alpha).count();
         let _ = writeln!(
             out,
             "McNemar: {sig}/{} origin-pair comparisons significant at corrected α = {alpha:.2e}\n",

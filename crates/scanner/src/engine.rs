@@ -284,10 +284,6 @@ pub struct FaultCtx {
     /// every retry/resume. Hooks use this to model faults that strike
     /// once and then clear (the supervisor's retry succeeds).
     pub attempt: u32,
-    /// Permutation group steps consumed so far.
-    pub steps: u64,
-    /// Addresses fully probed so far.
-    pub addresses_probed: u64,
     /// Send-clock time of the next probe, including accumulated stalls.
     pub time_s: f64,
     /// Stall seconds already accumulated.
@@ -535,13 +531,11 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
     let Some(hook) = ctx.session.hook else {
         return Ok(());
     };
-    let (time_s, addresses_probed) = (p.now(), p.out.summary.addresses_probed);
+    let time_s = p.now();
     let fault_ctx = FaultCtx {
         origin: ctx.cfg.origin,
         trial: ctx.cfg.trial,
         attempt: ctx.session.attempt,
-        steps: p.iter.steps_taken(),
-        addresses_probed,
         time_s,
         stall_s: p.stall_s,
     };
@@ -560,6 +554,7 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
             Ok(())
         }
         FaultAction::Kill => {
+            let addresses_probed = p.out.summary.addresses_probed;
             ctx.tele
                 .emit(time_s, EventKind::ScanKilled { addresses_probed });
             ctx.tele.add(names::FAULT_KILLS, 1);
@@ -1343,15 +1338,37 @@ mod tests {
         }
     }
 
-    /// Kills the scan whenever the predicate holds.
-    struct KillWhen<F>(F);
+    /// Addresses the consulting attempt has walked: a hooked scan consults
+    /// its hook once per address, so a hook counts its consultations (a
+    /// resumed attempt from its checkpoint).
+    #[derive(Default)]
+    struct Walked(Mutex<(u32, u64)>);
 
-    impl<F: Fn(&FaultCtx) -> bool + Sync> FaultHook for KillWhen<F> {
+    impl Walked {
+        fn count(&self, ctx: &FaultCtx) -> u64 {
+            let mut seen = self.0.lock().unwrap();
+            if seen.0 != ctx.attempt {
+                *seen = (ctx.attempt, 0);
+            }
+            seen.1 += 1;
+            seen.1 - 1
+        }
+    }
+
+    /// Kills attempt `i` once it has walked `kills[i]` addresses; attempts
+    /// past the list run to the end.
+    struct KillAt<'a>(&'a [u64], Walked);
+
+    fn kill_at(kills: &[u64]) -> KillAt<'_> {
+        KillAt(kills, Walked::default())
+    }
+
+    impl FaultHook for KillAt<'_> {
         fn before_address(&self, ctx: &FaultCtx) -> FaultAction {
-            if (self.0)(ctx) {
-                FaultAction::Kill
-            } else {
-                FaultAction::Continue
+            let walked = self.1.count(ctx);
+            match self.0.get(ctx.attempt as usize) {
+                Some(&k) if walked >= k => FaultAction::Kill,
+                _ => FaultAction::Continue,
             }
         }
     }
@@ -1376,7 +1393,7 @@ mod tests {
             closed_mod: 3,
         };
         let store = CheckpointStore::new(128);
-        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 500);
+        let hook = kill_at(&[500]);
         let err = run_scan_session(&net, &cfg(1000), supervised(&hook, &store, 0)).unwrap_err();
         assert!(
             matches!(
@@ -1395,10 +1412,10 @@ mod tests {
         assert_eq!(cp.ctrl, None, "open-loop scans carry no controller state");
     }
 
-    /// Run `cfg` with attempt `i` killed once `kills[i]` permutation steps
-    /// are consumed, every attempt sharing one store, and assert that the
-    /// attempt after the last kill returns exactly the uninterrupted
-    /// output.
+    /// Run `cfg` with attempt `i` killed once it has walked `kills[i]`
+    /// addresses (a resumed attempt counts from its checkpoint), every
+    /// attempt sharing one store, and assert that the attempt after the
+    /// last kill returns exactly the uninterrupted output.
     fn assert_resumes_bit_identically(
         net: &dyn Network,
         cfg: &ScanConfig,
@@ -1407,8 +1424,7 @@ mod tests {
     ) {
         let uninterrupted = run_scan(net, cfg).unwrap();
         let store = CheckpointStore::new(every);
-        let hook =
-            KillWhen(|c: &FaultCtx| kills.get(c.attempt as usize).is_some_and(|&k| c.steps >= k));
+        let hook = kill_at(kills);
         for attempt in 0..kills.len() as u32 {
             let died = run_scan_session(net, cfg, supervised(&hook, &store, attempt));
             assert!(
@@ -1421,12 +1437,10 @@ mod tests {
         assert_eq!(resumed, uninterrupted, "every {every}, kills {kills:?}");
     }
 
-    /// Permutation steps `cfg`'s shard consumes end to end.
-    fn total_steps(cfg: &ScanConfig) -> u64 {
+    /// Addresses `cfg`'s shard walks end to end.
+    fn total_addresses(cfg: &ScanConfig) -> u64 {
         let cycle = Cycle::new(cfg.space, cfg.seed);
-        let mut iter = cycle.iter_shard(cfg.shard.0, cfg.shard.1);
-        while iter.next().is_some() {}
-        iter.steps_taken()
+        cycle.iter_shard(cfg.shard.0, cfg.shard.1).count() as u64
     }
 
     /// An adaptive scan the toy network keeps on its toes: half the
@@ -1460,14 +1474,16 @@ mod tests {
             live_mod: 7,
             closed_mod: 5,
         };
-        // Killed once mid-scan, resumed from the last periodic checkpoint.
+        // Killed once mid-scan, resumed from the last periodic checkpoint
+        // (at 1024 addresses, where the resumed attempt starts counting).
         assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100]);
-        // Killed again well after the first resume: the second resume
-        // starts from a checkpoint the resumed attempt appended to.
-        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 2000]);
-        // Killed again before the resumed attempt saved anything: the
-        // store is empty by then, so the third attempt starts over.
-        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 1100]);
+        // Killed again well after the first resume, at 2000 addresses: the
+        // second resume starts from a checkpoint the resumed attempt
+        // appended to.
+        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 2000 - 1024]);
+        // Killed again at 1100, before the resumed attempt saved anything:
+        // the store is empty by then, so the third attempt starts over.
+        assert_resumes_bit_identically(&net, &cfg(3000), 256, &[1100, 1100 - 1024]);
         // Killed before the first checkpoint, and with checkpoints off.
         assert_resumes_bit_identically(&net, &cfg(600), 100, &[50]);
         assert_resumes_bit_identically(&net, &cfg(600), 0, &[300]);
@@ -1485,7 +1501,7 @@ mod tests {
             adaptive_cfg(1024),
             planned_sharded_blocklisted_cfg(),
         ] {
-            for boundary in 1..=total_steps(&cfg) / every {
+            for boundary in 1..=total_addresses(&cfg) / every {
                 assert_resumes_bit_identically(&busy, &cfg, every, &[boundary * every]);
             }
         }
@@ -1512,7 +1528,7 @@ mod tests {
             closed_mod: 9,
         };
         let store = CheckpointStore::new(100);
-        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 50);
+        let hook = kill_at(&[50]);
         let first = run_scan_session(&net, &cfg(600), supervised(&hook, &store, 0));
         assert!(matches!(first, Err(ScanError::Killed { .. })));
         assert!(store.take().is_none(), "killed before the first checkpoint");
@@ -1583,11 +1599,7 @@ mod tests {
         every: u64,
         stepwise: bool,
     ) -> Supervised {
-        let (hub, store, never) = (
-            Telemetry::new(),
-            CheckpointStore::new(every),
-            KillWhen(|_: &FaultCtx| false),
-        );
+        let (hub, store, never) = (Telemetry::new(), CheckpointStore::new(every), kill_at(&[]));
         let session = ScanSession {
             hook: stepwise.then_some(&never as &dyn FaultHook),
             store: Some(&store),
@@ -1797,17 +1809,18 @@ mod tests {
         assert!(partial > 0 && skipped > 0, "{partial} {skipped}");
     }
 
-    /// Stalls the pipeline once, by `delay_s`, at `at` probed addresses.
+    /// Stalls the pipeline once, by `delay_s`, at `at` walked addresses.
     struct StallAt {
         at: u64,
         delay_s: f64,
+        walked: Walked,
     }
 
     impl FaultHook for StallAt {
         fn before_address(&self, ctx: &FaultCtx) -> FaultAction {
             // Idempotent across calls: request only the delay not yet
             // applied (ctx.stall_s is what the engine already absorbed).
-            if ctx.addresses_probed >= self.at && ctx.stall_s < self.delay_s {
+            if self.walked.count(ctx) >= self.at && ctx.stall_s < self.delay_s {
                 FaultAction::Stall {
                     delay_s: self.delay_s - ctx.stall_s,
                 }
@@ -1881,7 +1894,7 @@ mod tests {
             closed_mod: 3,
         };
         let hub = Telemetry::new();
-        let hook = KillWhen(|c: &FaultCtx| c.addresses_probed >= 100);
+        let hook = kill_at(&[100]);
         let err = run_scan_session(
             &net,
             &cfg(1000),
@@ -1905,6 +1918,7 @@ mod tests {
         let hook = StallAt {
             at: 50,
             delay_s: 5.0,
+            walked: Walked::default(),
         };
         run_scan_session(
             &net,
@@ -1938,6 +1952,7 @@ mod tests {
         let hook = StallAt {
             at: 50,
             delay_s: 5.0,
+            walked: Walked::default(),
         };
         let stalled = run_scan_session(
             &net,

@@ -80,7 +80,7 @@ fn main() {
 
     // Are the origins statistically different? (§3)
     let (tests, alpha) = mcnemar_all_pairs(&results, Protocol::Http, 0.001);
-    let significant = tests.iter().filter(|t| t.result.p_value < alpha).count();
+    let significant = tests.iter().filter(|t| t.p_value < alpha).count();
     println!(
         "\nMcNemar: {significant}/{} origin-pair comparisons significant at Bonferroni-corrected α = {alpha:.2e}",
         tests.len()

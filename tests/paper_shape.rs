@@ -58,7 +58,7 @@ fn headline_results_reproduce() {
 
     // --- §3: all origin pairs statistically different ------------------
     let (tests, alpha) = mcnemar_all_pairs(&results, Protocol::Http, 0.001);
-    let significant = tests.iter().filter(|t| t.result.p_value < alpha).count();
+    let significant = tests.iter().filter(|t| t.p_value < alpha).count();
     // At full scale every pair is significant (58M paired hosts); at our
     // reduced scale a few near-identical academic pairs fall below the
     // Bonferroni bar, so require a strong majority.
