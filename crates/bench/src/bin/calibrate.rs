@@ -6,8 +6,10 @@
 //! geographic walls, `_l4` silencing the SYN and `_l7` stalling the
 //! connection (`rep_l4`, `rep_l7`, `geo_l4`, `geo_l7`); the rate IDS
 //! (`ids`), a persistent path (`persist`), an outage (`burst`), a flaky
-//! host (`flaky`); `reached`, a host the net answers then (without a
-//! SYN-ACK: its probes dropped); and after a recorded SYN-ACK, L7
+//! host (`flaky`); `reached`, a host the net answers then (its probes,
+//! sent later in that hour, met a cause this hour-start ask cannot see,
+//! or were dropped; each table's legend line says so); and after a
+//! recorded SYN-ACK, L7
 //! flakiness (`l7flaky`), Alibaba's reset (`alibaba`) and `MaxStartups`
 //! (`maxstart`). Compare the mix against the paper's §3–§6 narrative when
 //! tuning model parameters.
@@ -16,7 +18,7 @@
 //! cargo run -p originscan-bench --bin calibrate --release [tiny|small|medium|full]
 //! ```
 
-use originscan_bench::{miss_counts, Scale, MISS_COLUMNS};
+use originscan_bench::{miss_counts, Scale, MISS_COLUMNS, REACHED_LEGEND};
 use originscan_core::experiment::{Experiment, ExperimentConfig, TRIAL_DURATION_S};
 use originscan_core::Table;
 use originscan_netmodel::{OriginId, SimNet};
@@ -50,6 +52,6 @@ fn main() {
             let counts = row.map(|n| n.to_string());
             t.row([origin.to_string()].into_iter().chain(counts));
         }
-        println!("{}", t.render());
+        println!("{}{REACHED_LEGEND}", t.render());
     }
 }

@@ -23,7 +23,7 @@ use originscan_telemetry::{emit_progress, FieldValue};
 use std::str::FromStr;
 use std::time::Instant;
 
-pub use misses::{miss_counts, MISS_COLUMNS};
+pub use misses::{miss_counts, MISS_COLUMNS, REACHED_LEGEND};
 
 /// The fixed world seed used by all reproduction benches.
 pub const WORLD_SEED: u64 = 2020;
