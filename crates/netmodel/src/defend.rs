@@ -32,7 +32,7 @@
 
 use crate::world::World;
 use originscan_scanner::target::{
-    burst_of, CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    burst_of, Audible, CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
 };
 use originscan_scanner::{Protocol, MAX_PROBES};
 use originscan_telemetry::metrics::names;
@@ -209,10 +209,11 @@ impl SwarmState {
 ///
 /// Interior mutability keeps the [`Network`] trait's `&self` contract;
 /// the mutex is uncontended in the deterministic single-threaded scans
-/// the co-simulation runs per sweep cell. A defended net is never
-/// [`Network::silent`]: the detectors count probes to unused addresses
-/// too. With the `off` profile every call goes straight to the inner net,
-/// which then also answers `silent` and [`Network::order_free`].
+/// the co-simulation runs per sweep cell. A defended net lends no
+/// [`Network::audible`] set: the detectors count probes to unused
+/// addresses too. With the `off` profile every call goes straight to the
+/// inner net, which then also lends its set and answers
+/// [`Network::order_free`].
 #[derive(Debug)]
 pub struct DefenderNet<'a, N: Network + ?Sized> {
     inner: &'a N,
@@ -478,8 +479,12 @@ impl<N: Network + ?Sized> Network for DefenderNet<'_, N> {
         self.off() && self.inner.order_free()
     }
 
-    fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
-        self.off() && self.inner.silent(origin, protocol, trial, dst)
+    fn audible(&self, origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
+        if self.off() {
+            self.inner.audible(origin, protocol, trial)
+        } else {
+            None
+        }
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {

@@ -34,7 +34,7 @@
 use crate::rng::{Det, Tag};
 use originscan_scanner::engine::{FaultAction, FaultCtx, FaultHook};
 use originscan_scanner::target::{
-    burst_of, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,
+    burst_of, Audible, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply, UdpReply,
 };
 use originscan_telemetry::metrics::names;
 use originscan_telemetry::{EventKind, Scope, Telemetry};
@@ -457,10 +457,14 @@ fn tamper_key(ctx: &ProbeCtx) -> [u64; 4] {
 }
 
 impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
-    /// The inner net's answer in an untouched scope: an outage scope counts
+    /// The inner net's view in an untouched scope: an outage scope counts
     /// the probes it silences and a tampered one draws per probe.
-    fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
-        self.untouched(origin, trial) && self.inner.silent(origin, protocol, trial, dst)
+    fn audible(&self, origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
+        if self.untouched(origin, trial) {
+            self.inner.audible(origin, protocol, trial)
+        } else {
+            None
+        }
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {

@@ -24,9 +24,12 @@
 //! * per (protocol, trial), the **answer set**: one bit per address of
 //!   the world, set where a live host of the protocol stands or where a
 //!   live machine of another trio protocol answers the closed port with a
-//!   RST. Every other address is `Absent` at every send time, which is
-//!   what [`Network::silent`] reads, and a host's cause starts from its
-//!   bit;
+//!   RST. Every other address is `Absent` at every send time, and a
+//!   host's cause starts from its bit. [`Network::audible`] lends it to a
+//!   scan, but for ICMP: an echo to an absent address can still meet the
+//!   last-hop router's unreachable ([`router_answers`]), so ICMP lends a
+//!   second set, the answer set plus those addresses. It stays apart
+//!   because [`SimNet::cause`] reads the answer set to decide `Absent`;
 //! * per (origin, destination AS, protocol, trial), the [`PathState`]
 //!   ([`path::path_state`]): loss parameters, burst events, and the
 //!   AS-level halves of the reputation wall and the IDS.
@@ -50,7 +53,7 @@ use crate::rng::Tag;
 use crate::world::{proto_slot, World, PROTO_SLOTS};
 use originscan_scanner::probe::PAPER_PROTOCOLS;
 use originscan_scanner::target::{
-    CloseKind, IcmpReply, L7Ctx, L7Reply, Network, ProbeCtx, SynReply, UdpReply,
+    Audible, CloseKind, IcmpReply, L7Ctx, L7Reply, Line, Network, ProbeCtx, SynReply, UdpReply,
 };
 use originscan_wire::dns;
 use originscan_wire::icmp::IcmpEcho;
@@ -82,19 +85,13 @@ impl<T> Slots<T> {
     }
 }
 
-/// 1 024 addresses of an answer set, one bit each. A set is stored in
-/// whole 128-byte-aligned lines so that it shares no cache line with
-/// another allocation: every scan thread reads it at every address. (As a
-/// plain `u64` slice, a two-core `scan_single` ran ~15 % slower.)
-#[derive(Debug, Clone, Copy)]
-#[repr(align(128))]
-struct Line([u64; 16]);
-
 /// What a `SimNet` stores for one trial.
 #[derive(Debug)]
 struct TrialTable {
     /// The answer set by protocol slot ([`answer_set`]).
     answers: Slots<Box<[Line]>>,
+    /// ICMP's audible set ([`icmp_audible`]).
+    icmp: OnceLock<Box<[Line]>>,
     /// [`PathState`] by (origin index, protocol), then AS index.
     paths: Slots<Slots<PathState>>,
 }
@@ -158,13 +155,8 @@ fn router_answers(w: &World, dst: u32) -> bool {
 /// ([`closes_port`]). Built from the host lists, so it costs the world's
 /// trio machines, not its space.
 fn answer_set(w: &World, proto: Protocol, trial: u8) -> Box<[Line]> {
-    let mut lines = vec![Line([0; 16]); w.space().div_ceil(1024) as usize];
-    let mut set = |addr: u32| {
-        let line = lines.get_mut((addr / 1024) as usize);
-        if let Some(word) = line.and_then(|l| l.0.get_mut((addr / 64 % 16) as usize)) {
-            *word |= 1 << (addr % 64);
-        }
-    };
+    let mut lines = Line::zeroed(w.space());
+    let mut set = |addr: u32| Line::set(&mut lines, addr);
     for &addr in w.hosts(proto) {
         if w.alive(proto, addr, trial) {
             set(addr);
@@ -176,6 +168,24 @@ fn answer_set(w: &World, proto: Protocol, trial: u8) -> Box<[Line]> {
             if !w.is_host(proto, addr) && closes_port(w, addr, proto) && w.alive(other, addr, trial)
             {
                 set(addr);
+            }
+        }
+    }
+    lines.into_boxed_slice()
+}
+
+/// ICMP's audible set: its answer set, plus every address of the set's
+/// lines outside it whose last-hop router answers ([`router_answers`]).
+/// One pass over the lines, a router draw per absent address.
+fn icmp_audible(w: &World, answers: &[Line]) -> Box<[Line]> {
+    let mut lines = answers.to_vec();
+    for (line, base) in lines.iter_mut().zip((0u32..).step_by(1024)) {
+        for (word, at) in line.0.iter_mut().zip((base..).step_by(64)) {
+            let absent = !*word;
+            for bit in (0..64).filter(|bit| absent >> bit & 1 != 0) {
+                if router_answers(w, at + bit) {
+                    *word |= 1 << bit;
+                }
             }
         }
     }
@@ -206,17 +216,23 @@ impl<'w> SimNet<'w> {
     fn trial(&self, trial: u8) -> &TrialTable {
         self.trials.get_or_fill(usize::from(trial), || TrialTable {
             answers: Slots::new(PROTO_SLOTS),
+            icmp: OnceLock::new(),
             paths: Slots::new(self.origins.len() * PROTO_SLOTS),
         })
     }
 
-    /// Can `addr` answer `proto` at all in `trial`: is its bit in the
-    /// answer set ([`answer_set`], built on first use)? An address outside
-    /// the world cannot.
-    fn answers(&self, proto: Protocol, trial: u8, addr: u32) -> bool {
+    /// The (protocol, trial) answer set ([`answer_set`]), built on first
+    /// use.
+    fn answer_set(&self, proto: Protocol, trial: u8) -> &[Line] {
         self.trial(trial)
             .answers
             .get_or_fill(proto_slot(proto), || answer_set(self.world, proto, trial))
+    }
+
+    /// Can `addr` answer `proto` at all in `trial`: is its bit in the
+    /// answer set? An address outside the world cannot.
+    fn answers(&self, proto: Protocol, trial: u8, addr: u32) -> bool {
+        self.answer_set(proto, trial)
             .get((addr / 1024) as usize)
             .and_then(|line| line.0.get((addr / 64 % 16) as usize))
             .is_some_and(|word| word & (1 << (addr % 64)) != 0)
@@ -554,12 +570,21 @@ impl Network for SimNet<'_> {
         true
     }
 
-    /// `dst` is not in the (protocol, trial) answer set: [`Cause::Absent`]
-    /// at every send time, which SYN and UDP probes meet with silence. An
-    /// ICMP echo also needs the last-hop router to stay quiet.
-    fn silent(&self, _origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
-        !self.answers(protocol, trial, dst)
-            && (protocol != Protocol::Icmp || !router_answers(self.world, dst))
+    /// The (protocol, trial) answer set: outside it every address is
+    /// [`Cause::Absent`] at every send time, which SYN and UDP probes
+    /// meet with silence. For ICMP, the set that adds the absent
+    /// addresses whose last-hop router answers. Past the world's lines
+    /// the view promises nothing: a burst there meets `Absent` (and an
+    /// echo, perhaps the router).
+    fn audible(&self, _origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
+        let answers = self.answer_set(protocol, trial);
+        Some(Audible::new(if protocol == Protocol::Icmp {
+            self.trial(trial)
+                .icmp
+                .get_or_init(|| icmp_audible(self.world, answers))
+        } else {
+            answers
+        }))
     }
 
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
@@ -1167,9 +1192,9 @@ mod tests {
 
     /// Every reply is its cause's projection, every L7-stage cause occurs
     /// (the geographic wall and Alibaba's reset through `named_asks`),
-    /// and `silent` holds exactly where the cause is `Absent` at the
-    /// start, middle and end of the scan (for ICMP, with the router
-    /// quiet too).
+    /// and an address's audible bit is clear exactly where the cause is
+    /// `Absent` at the start, middle and end of the scan (for ICMP, with
+    /// the router quiet too).
     #[test]
     fn each_reply_is_its_causes_projection() {
         // As small as the private state it replaced: one tag, two rates.
@@ -1272,8 +1297,8 @@ mod tests {
                 .iter()
                 .all(|&t| cause(q.proto, t) == Cause::Absent);
             let router = q.proto == Protocol::Icmp && router_answers(&w, q.addr);
-            let silent = net.silent(q.origin, q.proto, q.trial, q.addr);
-            assert_eq!(silent, absent && !router, "{what}");
+            let view = net.audible(q.origin, q.proto, q.trial).unwrap();
+            assert_eq!(!view.contains(q.addr), absent && !router, "{what}");
         }
         let l7_stage = arm(Cause::L7Flaky) | arm(Cause::AlibabaRst) | arm(Cause::MaxStartups);
         assert_eq!(
@@ -1299,13 +1324,14 @@ mod tests {
         !live && !closed && !router
     }
 
-    /// Every address, protocol, origin and trial of a tiny world: `silent`
-    /// is the reference definition, every module has silent and audible
-    /// addresses, and where `silent` holds the protocol's burst, sent at
-    /// the start, middle and end of the scan, gets no reply. It holds for
-    /// most of the HTTP space, so the engine's short-cut fires.
+    /// Every address, protocol, origin and trial of a tiny world: a clear
+    /// audible bit is the reference definition of silence, every module
+    /// has silent and audible addresses, and where the bit is clear the
+    /// protocol's burst, sent at the start, middle and end of the scan,
+    /// gets no reply. It is clear for most of the HTTP space, so the
+    /// engine's short-cut fires.
     #[test]
-    fn silent_addresses_answer_no_burst() {
+    fn inaudible_addresses_answer_no_burst() {
         const N: usize = 3;
         let w = WorldConfig::tiny(7).build();
         let roster: Vec<OriginId> = OriginId::MAIN
@@ -1335,7 +1361,8 @@ mod tests {
                             probe_idx: 0,
                             trial,
                         };
-                        let silent = net.silent(origin, ctx.protocol, trial, dst);
+                        let view = net.audible(origin, ctx.protocol, trial).unwrap();
+                        let silent = !view.contains(dst);
                         assert_eq!(silent, want, "{ctx:?}");
                         if !silent {
                             seen.1 += 1;
@@ -1374,6 +1401,111 @@ mod tests {
         let (silent_http, _) = seen[0];
         assert_eq!(modules[0].protocol(), Protocol::Http);
         assert!(silent_http * 10 >= asks * 8, "{silent_http} of {asks}");
+    }
+
+    /// An absent address whose last-hop router answers ICMP reads audible
+    /// in ICMP's set, and its echo burst meets the router's unreachable,
+    /// while its cause stays `Absent`: the answer set `cause` reads is not
+    /// the set the scan borrows.
+    #[test]
+    fn icmp_router_answers_read_audible_while_absent() {
+        let w = world();
+        let net = SimNet::new(&w, MAIN, 75_600.0);
+        let ctx = |dst, trial| ProbeCtx {
+            origin: 0,
+            src_ip: 0x0a00_0001,
+            dst,
+            protocol: Protocol::Icmp,
+            time_s: f64::NAN,
+            probe_idx: 0,
+            trial,
+        };
+        let mut routed = 0;
+        for trial in 0..3 {
+            let view = net.audible(0, Protocol::Icmp, trial).unwrap();
+            for dst in 0..w.space() as u32 {
+                if net.cause(0, Protocol::Icmp, trial, dst, 0.0) != Cause::Absent {
+                    assert!(view.contains(dst), "{dst} trial {trial}");
+                    continue;
+                }
+                assert_eq!(view.contains(dst), router_answers(&w, dst), "{dst}");
+                if view.contains(dst) {
+                    routed += 1;
+                    let echo = IcmpEcho::request(7, dst as u16);
+                    let mut got = [IcmpReply::Silent; 2];
+                    net.icmp_burst(&ctx(dst, trial), &echo, &[0.0, 37_800.0], &mut got);
+                    let unreachable = IcmpReply::Unreachable {
+                        code: CODE_HOST_UNREACHABLE,
+                    };
+                    assert_eq!(got, [unreachable; 2], "{dst} trial {trial}");
+                }
+            }
+        }
+        assert!(routed > 0, "no router answered for an absent address");
+    }
+
+    /// `SimNet`, counting the bursts it is delivered past `end`; lends its
+    /// audible set and says it is order-free when `free`.
+    struct PastEnd<'a>(&'a SimNet<'a>, u32, bool, std::sync::atomic::AtomicU64);
+
+    impl PastEnd<'_> {
+        fn count(&self, ctx: &ProbeCtx) {
+            if ctx.dst >= self.1 {
+                self.3.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl Network for PastEnd<'_> {
+        fn order_free(&self) -> bool {
+            self.2
+        }
+        fn audible(&self, origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
+            self.0.audible(origin, protocol, trial)
+        }
+        fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+            self.0.syn(ctx, probe)
+        }
+        fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+            self.0.l7(ctx, request)
+        }
+        fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, t: &[f64], out: &mut [SynReply]) {
+            self.count(ctx);
+            self.0.syn_burst(ctx, probe, t, out);
+        }
+        fn icmp_burst(&self, ctx: &ProbeCtx, probe: &IcmpEcho, t: &[f64], out: &mut [IcmpReply]) {
+            self.count(ctx);
+            self.0.icmp_burst(ctx, probe, t, out);
+        }
+        fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], t: &[f64], out: &mut [UdpReply]) {
+            self.count(ctx);
+            self.0.udp_burst(ctx, payload, t, out);
+        }
+    }
+
+    /// A scan wider than the world, fanned and stepped, delivers a burst
+    /// to every address past the audible set's last line (its bits promise
+    /// nothing), and an ICMP scan meets routers answering there.
+    #[test]
+    fn a_scan_wider_than_the_world_delivers_its_past_end_bursts() {
+        let w = world();
+        let net = SimNet::new(&w, MAIN, 75_600.0);
+        let end = (w.space().div_ceil(1024) * 1024) as u32;
+        for m in originscan_scanner::probe::modules() {
+            let cfg = ScanConfig::new(2 * w.space(), m.protocol(), 1000);
+            for free in [true, false] {
+                let wide = PastEnd(&net, end, free, 0.into());
+                let out = run_scan(&wide, &cfg).unwrap();
+                let past = wide.3.into_inner();
+                assert_eq!(past, 2 * w.space() - u64::from(end), "{} {free}", m.name());
+                let beyond = out.records.iter().filter(|r| r.addr >= end).count();
+                if m.protocol() == Protocol::Icmp {
+                    assert!(beyond > 0, "no router answered past the end");
+                } else {
+                    assert_eq!(beyond, 0, "{}", m.name());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1488,7 +1620,9 @@ mod tests {
                         1 => (cfg.probes, cfg.batch, cfg.shard) = (1, 1, (1, 4)),
                         2 => (cfg.probes, cfg.batch, cfg.probe_delay_s) = (8, 7, 900.0),
                         3 => (cfg.shard, cfg.l7_retries, cfg.trial) = ((2, 3), 2, 1),
-                        // Wider than the world: the far half is silent.
+                        // Wider than the world: past the audible set's
+                        // last line every burst is delivered, and only
+                        // ICMP's routers answer there.
                         _ => (cfg.space, cfg.probe_delay_s) = (2 * world.space(), 900.0),
                     }
                     if setting >= 2 {

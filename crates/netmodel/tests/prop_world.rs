@@ -254,10 +254,10 @@ proptest! {
         }
     }
 
-    /// In any world, a burst of the probed protocol to an address
-    /// `silent` names gets no reply, at any send times.
+    /// In any world, a burst of the probed protocol to an address whose
+    /// audible bit is clear gets no reply, at any send times.
     #[test]
-    fn silent_addresses_answer_no_burst(
+    fn inaudible_addresses_answer_no_burst(
         seed: u64,
         density in 0.05f64..2.0,
         asks in proptest::collection::vec(
@@ -287,7 +287,7 @@ proptest! {
                 probe_idx: 0,
                 trial: TRIALS[trial],
             };
-            if !net.silent(origin, protocol, ctx.trial, dst) {
+            if net.audible(origin, protocol, ctx.trial).unwrap().contains(dst) {
                 continue;
             }
             match protocol {
@@ -313,13 +313,13 @@ proptest! {
         }
     }
 
-    /// In any world, `silent` is the model's definition of an address
-    /// nothing answers: no live host of the protocol this trial, no
+    /// In any world, a clear audible bit is the model's definition of an
+    /// address nothing answers: no live host of the protocol this trial, no
     /// closed-port RST (20 %) from a live machine of another trio
     /// protocol, and for ICMP no host-unreachable from the last-hop
     /// router (15 %).
     #[test]
-    fn silent_is_the_reference_definition(
+    fn audible_is_the_reference_definition(
         seed: u64,
         asks in proptest::collection::vec((0usize..5, 0usize..6, any::<u32>()), 512..2048),
     ) {
@@ -345,7 +345,7 @@ proptest! {
                 && draw(&[u64::from(dst), proto_key(protocol)], 0.20);
             let router = protocol == Protocol::Icmp && draw(&[2, u64::from(dst), 1], 0.15);
             prop_assert_eq!(
-                net.silent(0, protocol, trial, dst),
+                !net.audible(0, protocol, trial).unwrap().contains(dst),
                 !live && !closed && !router,
                 "{} trial {} at {}", protocol, trial, dst
             );

@@ -452,8 +452,9 @@ fn faulted_bursts_are_the_provided_loop_over_scalar_probes() {
     }
 }
 
-/// `FaultyNet` passes `SimNet`'s `silent` through only where it forwards
-/// every probe verbatim; outage and tamper scopes see every probe.
+/// `FaultyNet` lends `SimNet`'s audible set only where it forwards every
+/// probe verbatim; outage and tamper scopes lend none, and see every
+/// probe.
 #[test]
 fn faulty_net_is_silent_only_where_the_plan_is_absent() {
     let world = WorldConfig::tiny(7).build();
@@ -472,28 +473,24 @@ fn faulty_net_is_silent_only_where_the_plan_is_absent() {
         .stall(0, 1, 0.3, 45.0);
     let faulty = FaultyNet::new(&net, &plan, DUR_S);
     let mut silent = 0;
-    for dst in 0..world.space() as u32 {
-        for m in modules() {
-            for (origin, trial) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
-                let ctx = ProbeCtx {
-                    origin,
-                    trial,
-                    ..burst_ctx(dst, 1, m.protocol())
-                };
-                // Crashes and stalls act through the hook, not the net.
-                let untouched = trial == 1 || origin == 0;
-                let ask = |n: &dyn Network| n.silent(origin, ctx.protocol, trial, dst);
-                let want = untouched && ask(&net);
-                assert_eq!(ask(&faulty), want, "{ctx:?}");
-                silent += u32::from(ask(&net) && !untouched);
-            }
+    for m in modules() {
+        for (origin, trial) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
+            // Crashes and stalls act through the hook, not the net.
+            let untouched = trial == 1 || origin == 0;
+            let lent = faulty.audible(origin, m.protocol(), trial);
+            let inner = net.audible(origin, m.protocol(), trial).unwrap();
+            let scope = format!("{} origin {origin} trial {trial}", m.name());
+            assert_eq!(lent, untouched.then_some(inner), "{scope}");
+            let dark = (0..world.space() as u32).filter(|&dst| !inner.contains(dst));
+            silent += if untouched { 0 } else { dark.count() };
         }
     }
-    assert!(silent > 0, "no touched scope asked about a silent address");
+    assert!(silent > 0, "no touched scope covers a silent address");
 }
 
-/// An undefended `DefenderNet` is its inner net: at every address, module,
-/// origin and trial it answers `silent` and `order_free` as `SimNet` does.
+/// An undefended `DefenderNet` is its inner net: at every module, origin
+/// and trial it lends `SimNet`'s audible set, and it answers `order_free`
+/// as `SimNet` does. A defended one lends none.
 #[test]
 fn an_undefended_net_is_silent_and_order_free_as_its_inner_net() {
     let world = WorldConfig::tiny(7).build();
@@ -502,26 +499,28 @@ fn an_undefended_net_is_silent_and_order_free_as_its_inner_net() {
     let defender = DefenderNet::new(&net, &world, AggressionProfile::off(), SPAN_S);
     assert!(net.order_free());
     assert_eq!(defender.order_free(), net.order_free());
-    let mut silent = 0u32;
-    for dst in 0..world.space() as u32 {
-        for m in modules() {
-            for origin in 0..origins.len() as u16 {
-                for trial in 0..3 {
-                    let ask = |n: &dyn Network| n.silent(origin, m.protocol(), trial, dst);
-                    assert_eq!(ask(&defender), ask(&net), "{dst} {origin} {trial}");
-                    silent += u32::from(ask(&net));
-                }
+    let guarded = DefenderNet::new(&net, &world, AggressionProfile::lenient(), SPAN_S);
+    let mut silent = 0;
+    for m in modules() {
+        for origin in 0..origins.len() as u16 {
+            for trial in 0..3 {
+                let p = m.protocol();
+                let inner = net.audible(origin, p, trial).unwrap();
+                let what = format!("{p} {origin} {trial}");
+                assert_eq!(defender.audible(origin, p, trial), Some(inner), "{what}");
+                assert_eq!(guarded.audible(origin, p, trial), None, "{what}");
+                let space = 0..world.space() as u32;
+                silent += space.filter(|&dst| !inner.contains(dst)).count();
             }
         }
     }
     assert!(silent > 0, "no address was silent");
-    let guarded = DefenderNet::new(&net, &world, AggressionProfile::lenient(), SPAN_S);
     assert!(!guarded.order_free());
 }
 
-/// A defender counts probes to unused addresses: through it, no address
-/// is silent, and a source that probed only addresses `SimNet` calls
-/// silent is still detected and listed.
+/// A defender counts probes to unused addresses: it lends no audible set,
+/// and a source that probed only addresses outside `SimNet`'s is still
+/// detected and listed.
 #[test]
 fn a_defender_sees_and_lists_probes_to_silent_addresses() {
     let world = WorldConfig::tiny(41).build();
@@ -529,9 +528,10 @@ fn a_defender_sees_and_lists_probes_to_silent_addresses() {
     let profile = AggressionProfile::aggressive();
     let defender = DefenderNet::new(&net, &world, profile, SPAN_S);
     let space = world.space() as u32;
-    let is_silent = |dst| net.silent(0, Protocol::Http, 0, dst);
-    let dst = (0..space).find(|&dst| is_silent(dst)).unwrap();
-    assert!(!defender.silent(0, Protocol::Http, 0, dst));
+    let lit = net.audible(0, Protocol::Http, 0).unwrap();
+    let is_silent = |dst| !lit.contains(dst);
+    assert!((0..space).any(is_silent));
+    assert_eq!(defender.audible(0, Protocol::Http, 0), None);
     // Blocklist every address that could answer: the scan probes only
     // silent ones.
     let axis = Axis {

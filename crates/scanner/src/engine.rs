@@ -30,8 +30,9 @@
 //! run once per *window*: a walk through the skip filters to the next
 //! address to probe or checkpoint, silent addresses counted in bulk (one
 //! step with a hook, a controller or `wire_check`), its filters one bit per
-//! /24 (`pass_bits`). An open-loop scan of a [`Network::order_free`]
-//! network runs `probe` on every core (`fan.rs`).
+//! /24 (`pass_bits`) and its silence one bit per address: the
+//! [`Audible`] set the network lends once per scan. An open-loop scan of
+//! a [`Network::order_free`] network runs `probe` on every core (`fan.rs`).
 
 use crate::blocklist::Blocklist;
 use crate::cyclic::{Cycle, ShardIter};
@@ -40,7 +41,7 @@ use crate::fan;
 use crate::probe::{module_for, ProbeModule, ProbeShot};
 use crate::rate::Pacer;
 use crate::resilience::{AdaptivePolicy, Controller, ControllerState};
-use crate::target::{L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply};
+use crate::target::{Audible, L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply};
 use crate::zgrab::{self, L7Outcome};
 use originscan_plan::TargetPlan;
 use originscan_telemetry::metrics::{self, names};
@@ -412,6 +413,9 @@ pub fn run_scan(net: &dyn Network, cfg: &ScanConfig) -> Result<ScanOutput, ScanE
 pub(crate) struct ScanCtx<'a> {
     net: &'a dyn Network,
     pub(crate) cfg: &'a ScanConfig,
+    /// What `net` lends for the scan's (origin, protocol, trial), borrowed
+    /// once: a clear bit is an address no burst need reach.
+    pub(crate) audible: Audible<'a>,
     session: ScanSession<'a>,
     module: &'static dyn ProbeModule,
     validator: Validator,
@@ -426,6 +430,9 @@ impl<'a> ScanCtx<'a> {
         Self {
             net,
             cfg,
+            audible: net
+                .audible(cfg.origin, cfg.protocol, cfg.trial)
+                .unwrap_or(Audible::ALL),
             module,
             validator: Validator::from_seed(cfg.seed),
             tele: ScopedTelemetry::new(session.telemetry, scope),
@@ -573,8 +580,9 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
 /// counting plan and blocklist skips (asked only where the /24's bit in
 /// `pass`, the [`pass_bits`], is clear) and parking what a controller defers.
 /// With `silence` (never with a controller, which sees every outcome), a
-/// run of [`Network::silent`] addresses is counted, and the pacer moved,
-/// once. Short of an address it returns its steps: `Err(0)`, none left.
+/// run of addresses outside the scan's [`Audible`] set is counted, and the
+/// pacer moved, once. Short of an address it returns its steps: `Err(0)`,
+/// none left.
 #[expect(clippy::cast_possible_truncation, reason = "addresses are < 2^32")]
 pub(crate) fn walk(
     ctx: &ScanCtx<'_>,
@@ -598,19 +606,25 @@ pub(crate) fn walk(
             p.out.summary.plan_skipped += 1;
         } else if !whole && cfg.blocklist.contains(addr) {
             p.out.summary.blocked += 1;
-        } else if silence && ctx.net.silent(cfg.origin, cfg.protocol, cfg.trial, addr) {
+        } else if silence && !ctx.audible.contains(addr) {
             silent += 1;
         } else if !p.ctrl.as_mut().is_some_and(|c| c.should_defer(addr, now)) {
             break Ok(addr);
         }
     };
     p.since_checkpoint += steps;
+    skip_silent(cfg, p, silent);
+    stop
+}
+
+/// Count `silent` addresses outside the [`Audible`] set as probed, their
+/// bursts sent, and move the pacer past them at once.
+pub(crate) fn skip_silent(cfg: &ScanConfig, p: &mut Progress, silent: u64) {
     if silent > 0 {
         p.out.summary.addresses_probed += silent;
         p.out.summary.probes_sent += silent * u64::from(cfg.probes);
         p.pacer.skip_probes(silent * u64::from(cfg.probes));
     }
-    stop
 }
 
 /// What the adaptive controller observes of one probed address.
@@ -623,7 +637,7 @@ pub(crate) struct AddrOutcome {
     last_t: f64,
 }
 
-/// The replies [`Network::silent`] promises: `Silent` to every probe.
+/// The replies a clear [`Audible`] bit promises: `Silent` to every probe.
 struct Quiet;
 
 impl Network for Quiet {
@@ -637,11 +651,11 @@ impl Network for Quiet {
 
 /// Probe one address end to end: stamp the burst's send times, deliver
 /// it through the scan's [`ProbeModule`], fold the verdict masks into a
-/// record, and run the ZGrab follow-up for stateful modules. A burst the
-/// network calls [`Network::silent`] costs its counters and the pacer's
-/// advance; under `wire_check` its probe is also built and round-tripped,
-/// and delivered to [`Quiet`]. The step loop's stepped addresses, its tail
-/// pass and the fanned scan's workers all use it.
+/// record, and run the ZGrab follow-up for stateful modules. A burst to an
+/// address outside the scan's [`Audible`] set costs its counters and the
+/// pacer's advance; under `wire_check` its probe is also built and
+/// round-tripped, and delivered to [`Quiet`]. The step loop, its tail pass
+/// and the fanned scan's workers all use it.
 #[inline] // a copy per codegen unit: the step loop's stays private to it
 pub(crate) fn probe(
     ctx: &ScanCtx<'_>,
@@ -649,7 +663,7 @@ pub(crate) fn probe(
     addr: u32,
 ) -> Result<AddrOutcome, ScanError> {
     let cfg = ctx.cfg;
-    let silent = ctx.net.silent(cfg.origin, cfg.protocol, cfg.trial, addr);
+    let silent = !ctx.audible.contains(addr);
     if !silent || cfg.wire_check {
         return probe_audible(ctx, if silent { &Quiet } else { ctx.net }, p, addr);
     }
@@ -663,8 +677,8 @@ pub(crate) fn probe(
     })
 }
 
-/// [`probe`] for an address [`Network::silent`] has been asked about (a
-/// walk that counted silent runs asks), sending its burst to `net`.
+/// [`probe`] for an address whose [`Audible`] bit has been read, sending
+/// its burst to `net`.
 #[inline(never)] // out of line: `probe`'s silent path stays short
 fn probe_audible(
     ctx: &ScanCtx<'_>,
@@ -923,12 +937,7 @@ pub fn run_scan_session(
             Err(0) => break,
             Err(_) => continue,
         };
-        // A walk that counts silent runs has asked `silent` already.
-        let outcome = if stepwise {
-            probe(&ctx, &mut p, addr)?
-        } else {
-            probe_audible(&ctx, net, &mut p, addr)?
-        };
+        let outcome = probe(&ctx, &mut p, addr)?;
         react(&ctx, &mut p, addr, &outcome);
     }
     tele.set_time(p.now());
@@ -1020,12 +1029,13 @@ mod tests {
             .all(|r| r.synack_mask == 0b11));
     }
 
-    /// Calls every burst silent, and counts the bursts it gets anyway.
-    struct SilentNet(std::sync::atomic::AtomicU64);
+    /// Lends an audible set with every bit clear over its space, and
+    /// counts the bursts it gets anyway.
+    struct SilentNet(std::sync::atomic::AtomicU64, Vec<crate::target::Line>);
 
     impl Network for SilentNet {
-        fn silent(&self, _: u16, _: Protocol, _: u8, _: u32) -> bool {
-            true
+        fn audible(&self, _: u16, _: Protocol, _: u8) -> Option<Audible<'_>> {
+            Some(Audible::new(&self.1))
         }
         fn syn(&self, _ctx: &ProbeCtx, _probe: &TcpHeader) -> SynReply {
             SynReply::Silent
@@ -1038,14 +1048,15 @@ mod tests {
         }
     }
 
-    /// A burst the net calls silent never reaches it; under `wire_check`
-    /// its probe is still round-tripped, once per burst. (`SilentNet` is
-    /// not `order_free`: the scan runs on this thread, where the count is.)
+    /// A burst to an address whose audible bit is clear never reaches the
+    /// net; under `wire_check` its probe is still round-tripped, once per
+    /// burst. (`SilentNet` is not `order_free`: the scan runs on this
+    /// thread, where the count is.)
     #[test]
     fn wire_check_round_trips_bursts_the_net_calls_silent() {
         use crate::probe::tests::ROUND_TRIPS;
         for wire_check in [true, false] {
-            let net = SilentNet(0.into());
+            let net = SilentNet(0.into(), crate::target::Line::zeroed(1000));
             let mut c = cfg(1000);
             c.wire_check = wire_check;
             ROUND_TRIPS.with(|n| n.set(0));
@@ -1555,23 +1566,36 @@ mod tests {
         assert_eq!(err, ScanError::BadCheckpoint { steps: 5000 });
     }
 
-    /// Silent at three addresses in four, by a hash of the address; the
-    /// rest SYN-ACK, RST or drop by the address and the send time, so a
-    /// probe stamped on the wrong clock gets another answer.
-    struct Patchy(u32);
+    /// Silent at three addresses in four, by a hash of the address, and
+    /// lends those of the first 4 096 as clear bits; the rest SYN-ACK, RST
+    /// or drop by the address and the send time, so a probe stamped on the
+    /// wrong clock gets another answer.
+    struct Patchy(u32, Vec<crate::target::Line>);
+
+    fn patchy(key: u32) -> Patchy {
+        let mut net = Patchy(key, crate::target::Line::zeroed(4096));
+        let audible: Vec<u32> = (0..4096).filter(|&addr| !net.dark(addr)).collect();
+        for addr in audible {
+            crate::target::Line::set(&mut net.1, addr);
+        }
+        net
+    }
 
     impl Patchy {
         fn hash(&self, dst: u32) -> u32 {
             (dst ^ self.0).wrapping_mul(0x9E37_79B9) >> 16
         }
+        fn dark(&self, dst: u32) -> bool {
+            !self.hash(dst).is_multiple_of(4)
+        }
     }
 
     impl Network for Patchy {
-        fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
-            !self.hash(dst).is_multiple_of(4)
+        fn audible(&self, _: u16, _: Protocol, _: u8) -> Option<Audible<'_>> {
+            Some(Audible::new(&self.1))
         }
         fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-            if self.silent(0, ctx.protocol, 0, ctx.dst) {
+            if self.dark(ctx.dst) {
                 return SynReply::Silent;
             }
             match (self.hash(ctx.dst) / 4).wrapping_add(ctx.time_s as u32) % 3 {
@@ -1626,7 +1650,7 @@ mod tests {
     /// walk saved resumes to the uninterrupted output.
     #[test]
     fn walking_to_the_next_checkpoint_equals_stepping_every_address() {
-        let net = Patchy(0x5eed);
+        let net = patchy(0x5eed);
         let entries = [0, 2, 3, 7, 11, 12].map(|s24| originscan_plan::PlanEntry { s24, score: 1 });
         let plan = TargetPlan::from_entries(4096, 99, "observed", entries.to_vec()).unwrap();
         for axes in 0..8u8 {
@@ -1669,30 +1693,36 @@ mod tests {
         }
     }
 
-    /// [`Patchy`], order-free, counting the `silent` questions it gets.
-    struct CountsSilent(Patchy, std::sync::atomic::AtomicU64);
+    /// [`Patchy`], order-free, counting the times its audible set is
+    /// borrowed and recording every burst it is delivered, from any thread.
+    struct CountsBursts(Patchy, std::sync::atomic::AtomicU64, Mutex<Vec<u32>>);
 
-    impl Network for CountsSilent {
+    impl Network for CountsBursts {
         fn order_free(&self) -> bool {
             true
         }
-        fn silent(&self, origin: u16, protocol: Protocol, trial: u8, dst: u32) -> bool {
+        fn audible(&self, origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
             self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.0.silent(origin, protocol, trial, dst)
+            self.0.audible(origin, protocol, trial)
         }
         fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
             self.0.syn(ctx, probe)
+        }
+        fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, t: &[f64], out: &mut [SynReply]) {
+            self.2.lock().unwrap().push(ctx.dst);
+            crate::target::burst_of(ctx, t, out, |c| self.0.syn(c, probe));
         }
         fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
             self.0.l7(ctx, request)
         }
     }
 
-    /// Every address that passes the plan and blocklist is asked about
-    /// once — fanned, walked to the next checkpoint, stepped under a hook,
-    /// adaptive, wire-checked.
+    /// The audible set is borrowed once per scan context, and every
+    /// address that passes the plan and blocklist and whose bit is set
+    /// gets exactly one burst — fanned, walked to the next checkpoint,
+    /// stepped under a hook, adaptive, wire-checked.
     #[test]
-    fn each_unfiltered_address_is_asked_silent_once() {
+    fn each_unfiltered_audible_address_gets_one_burst() {
         let entries = [0, 2, 3, 7, 11, 12].map(|s24| originscan_plan::PlanEntry { s24, score: 1 });
         let plan = TargetPlan::from_entries(4096, 99, "observed", entries.to_vec()).unwrap();
         let mut plain = ScanConfig::new(4096, Protocol::Http, 99);
@@ -1703,6 +1733,19 @@ mod tests {
         let mut wire = plain.clone();
         wire.wire_check = true;
         for c in [plain, planned, adaptive, wire] {
+            let key = patchy(0x5eed);
+            let unfiltered: Vec<u32> = Cycle::new(c.space, c.seed)
+                .iter_shard(c.shard.0, c.shard.1)
+                .map(|addr| addr as u32)
+                .filter(|&addr| c.plan.as_ref().is_none_or(|plan| plan.allows(addr)))
+                .filter(|&addr| !c.blocklist.contains(addr))
+                .collect();
+            let mut want: Vec<u32> = unfiltered
+                .iter()
+                .copied()
+                .filter(|&a| !key.dark(a))
+                .collect();
+            want.sort_unstable();
             type Run = fn(&dyn Network, &ScanConfig) -> ScanOutput;
             let runs: [(&str, Run); 3] = [
                 ("bare", |net, c| run_scan(net, c).unwrap()),
@@ -1710,41 +1753,53 @@ mod tests {
                 ("stepped", |net, c| run_supervised(net, c, 1024, true).0),
             ];
             for (how, run) in runs {
-                let net = CountsSilent(Patchy(0x5eed), 0.into());
+                let net = CountsBursts(patchy(0x5eed), 0.into(), Mutex::default());
                 let out = run(&net, &c);
-                let asked = net.1.into_inner();
-                assert_eq!(asked, out.summary.addresses_probed, "{how} {c:?}");
-                assert!(out.summary.addresses_probed > 0 && !out.records.is_empty());
+                let bare = fan::open_loop(&net, &c, &ScanSession::default());
+                // A fanned scan's serial stage and each of its workers
+                // hold a context of their own.
+                let contexts = if how == "bare" && bare {
+                    1 + fan::threads(&c) as u64
+                } else {
+                    1
+                };
+                assert_eq!(net.1.into_inner(), contexts, "{how} {c:?}");
+                let mut delivered = net.2.into_inner().unwrap();
+                delivered.sort_unstable();
+                assert!(delivered == want, "{how} {c:?}");
+                assert_eq!(out.summary.addresses_probed, unfiltered.len() as u64);
+                assert!(want.len() < unfiltered.len() && !out.records.is_empty());
             }
         }
     }
 
-    /// Records every address it is asked `silent` about; silent at two in
-    /// three, and the rest refuse.
+    /// Records every burst it is delivered, from any thread, and refuses
+    /// each; lends no audible set, so every address is audible.
     struct Recorder(bool, Mutex<Vec<u32>>);
 
     impl Network for Recorder {
         fn order_free(&self) -> bool {
             self.0
         }
-        fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
-            self.1.lock().unwrap().push(dst);
-            !dst.is_multiple_of(3)
-        }
         fn syn(&self, _: &ProbeCtx, probe: &TcpHeader) -> SynReply {
             SynReply::Rst(TcpHeader::rst_reply(probe))
+        }
+        fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, t: &[f64], out: &mut [SynReply]) {
+            self.1.lock().unwrap().push(ctx.dst);
+            crate::target::burst_of(ctx, t, out, |c| self.syn(c, probe));
         }
         fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
             L7Reply::Timeout
         }
     }
 
-    /// The pass bits change no question and no count: fanned or stepped,
-    /// a scan asks `silent` about exactly the addresses of its shard that
-    /// the plan allows and the blocklist spares, and counts the rest as
-    /// the per-address checks do — over spaces that are and are not whole
-    /// /24s, random plans and shards, and /8–/32 blocklist entries, so that
-    /// some /24s are blocked in part and some entries lie past the space.
+    /// The pass bits change no burst and no count: fanned or stepped, a
+    /// scan of a net that lends no audible set delivers a burst to exactly
+    /// the addresses of its shard that the plan allows and the blocklist
+    /// spares, and counts the rest as the per-address checks do — over
+    /// spaces that are and are not whole /24s, random plans and shards,
+    /// and /8–/32 blocklist entries, so that some /24s are blocked in part
+    /// and some entries lie past the space.
     #[test]
     fn pass_bits_are_the_exact_filters() {
         let mut state = 0x5eed_u64;
@@ -1796,9 +1851,9 @@ mod tests {
                     run_scan(&net, &c).unwrap()
                 };
                 let s = out.summary;
-                let mut asked = net.1.into_inner().unwrap();
-                asked.sort_unstable();
-                assert!(asked == want, "{how} {c:?}");
+                let mut delivered = net.1.into_inner().unwrap();
+                delivered.sort_unstable();
+                assert!(delivered == want, "{how} {c:?}");
                 assert_eq!(
                     (s.plan_skipped, s.blocked, s.addresses_probed),
                     counts,

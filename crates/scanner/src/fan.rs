@@ -11,7 +11,8 @@
 //!   the plan and blocklist filters and hands out chunks of surviving
 //!   addresses, each with the probe offset it starts at;
 //! * **workers**, the calling thread among them, seat a pacer at that
-//!   offset and run the engine's own per-address probe over the chunk;
+//!   offset and run the engine's own per-address probe over the chunk's
+//!   audible addresses, counting each run of silent ones at once;
 //! * an **in-order commit** appends a finished chunk's records to the one
 //!   output when every earlier chunk is in, and otherwise leaves them with
 //!   the worker, which moves on; what is left at the join is merged by
@@ -20,7 +21,8 @@
 //! The output is the step loop's, bit for bit, at any worker count.
 
 use crate::engine::{
-    restore_or_start, walk, HostScanRecord, Progress, ScanConfig, ScanCtx, ScanOutput, ScanSession,
+    restore_or_start, skip_silent, walk, HostScanRecord, Progress, ScanConfig, ScanCtx, ScanOutput,
+    ScanSession,
 };
 use crate::error::ScanError;
 use crate::rate::Pacer;
@@ -155,8 +157,10 @@ impl Shared {
     }
 }
 
-/// One worker: take a chunk, probe it on the clock its offset fixes, hand
-/// it in, repeat. Returns its `out` — its counters, and the records of
+/// One worker: take a chunk, probe it on the clock its offset fixes (a
+/// run of addresses outside the [`crate::target::Audible`] set moves the
+/// clock once, but under `wire_check`, which builds every probe), hand it
+/// in, repeat. Returns its `out` — its counters, and the records of
 /// the chunks it finished before their turn — and those chunks; an error
 /// carries its chunk, so the caller can tell which of several the step
 /// loop would have met first.
@@ -178,9 +182,17 @@ fn work<O>(
     {
         p.pacer = Pacer::at(cfg.rate_pps, cfg.batch, offset);
         let before = p.out.records.len();
+        let mut silent = 0;
         for &addr in &addrs {
+            if !cfg.wire_check && !ctx.audible.contains(addr) {
+                silent += 1;
+                continue;
+            }
+            skip_silent(cfg, &mut p, silent);
+            silent = 0;
             probe(&ctx, &mut p, addr).map_err(|e| (index, e))?;
         }
+        skip_silent(cfg, &mut p, silent);
         pending.push((index, p.out.records.len() - before));
     }
     Ok((p.out, pending))
@@ -252,7 +264,7 @@ mod tests {
     use crate::engine::{probe, run_scan};
     use crate::probe::modules;
     use crate::target::{
-        CloseKind, IcmpReply, L7Ctx, L7Reply, ProbeCtx, Protocol, SynReply, UdpReply,
+        Audible, CloseKind, IcmpReply, L7Ctx, L7Reply, Line, ProbeCtx, Protocol, SynReply, UdpReply,
     };
     use originscan_plan::{PlanEntry, TargetPlan};
     use originscan_wire::icmp::IcmpEcho;
@@ -266,13 +278,36 @@ mod tests {
 
     /// Every module is answered, and every answer is a function of the
     /// probe's address, index and send time alone — a wrong pacer offset
-    /// changes replies, not only timestamps. `free` is what the net says
-    /// of itself: `false` keeps `run_scan` on the step loop.
+    /// changes replies, not only timestamps — but at the [`dark`]
+    /// addresses, which answer nothing. `free` is what the net says of
+    /// itself: `false` keeps `run_scan` on the step loop. With `lend`, it
+    /// lends the dark addresses below 2¹⁴ as clear [`Audible`] bits.
     struct Turning {
         free: bool,
+        lend: bool,
+    }
+
+    /// One address in three: nothing there answers.
+    fn dark(dst: u32) -> bool {
+        (dst >> 3 ^ dst >> 7).is_multiple_of(3)
+    }
+
+    /// The audible set `Turning` lends.
+    fn lit() -> &'static [Line] {
+        static LIT: std::sync::OnceLock<Vec<Line>> = std::sync::OnceLock::new();
+        LIT.get_or_init(|| {
+            let mut lines = Line::zeroed(1 << 14);
+            for dst in (0..1 << 14).filter(|&dst| !dark(dst)) {
+                Line::set(&mut lines, dst);
+            }
+            lines
+        })
     }
 
     fn turn(c: &ProbeCtx) -> u32 {
+        if dark(c.dst) {
+            return 6;
+        }
         (c.dst ^ c.dst >> 5)
             .wrapping_add(u32::from(c.probe_idx))
             .wrapping_add(c.time_s as u32)
@@ -282,6 +317,9 @@ mod tests {
     impl Network for Turning {
         fn order_free(&self) -> bool {
             self.free
+        }
+        fn audible(&self, _: u16, _: Protocol, _: u8) -> Option<Audible<'_>> {
+            self.lend.then(|| Audible::new(lit()))
         }
         fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
             let mut h = TcpHeader::syn_ack_reply(probe, ctx.dst);
@@ -376,9 +414,20 @@ mod tests {
     /// The step loop's output for `cfg`, and the fanned path's at every
     /// worker count, which must equal it; returns it.
     fn assert_fans_out(cfg: &ScanConfig, chunk: usize) -> ScanOutput {
-        let step = run_scan(&Turning { free: false }, cfg).unwrap();
+        let step = run_scan(
+            &Turning {
+                free: false,
+                lend: false,
+            },
+            cfg,
+        )
+        .unwrap();
         for threads in THREADS {
-            let fanned = run(&Turning { free: true }, cfg, threads, chunk, probe).unwrap();
+            let net = Turning {
+                free: true,
+                lend: true,
+            };
+            let fanned = run(&net, cfg, threads, chunk, probe).unwrap();
             assert_same(&fanned, &step, &format!("{threads} workers, {cfg:?}"));
         }
         step
@@ -412,7 +461,14 @@ mod tests {
 
     #[test]
     fn a_net_that_says_order_free_is_fanned_by_run_scan() {
-        let (free, ordered) = (Turning { free: true }, Turning { free: false });
+        let free = Turning {
+            free: true,
+            lend: true,
+        };
+        let ordered = Turning {
+            free: false,
+            lend: false,
+        };
         // Several chunks wide, so `threads` asks for every core there is.
         let cfg = filtered(ScanConfig::new(1 << 14, Protocol::Ssh, 7), true, false);
         let session = ScanSession::default;
@@ -528,7 +584,11 @@ mod tests {
                 }
                 probe(ctx, p, addr)
             };
-            let got = run(&Turning { free: true }, &cfg, threads, SMALL, failing);
+            let net = Turning {
+                free: true,
+                lend: false,
+            };
+            let got = run(&net, &cfg, threads, SMALL, failing);
             assert_eq!(
                 got,
                 Err(ScanError::WireCheck { addr: early }),
@@ -539,7 +599,10 @@ mod tests {
 
     #[test]
     fn nothing_is_handed_out_once_a_worker_has_left() {
-        let net = Turning { free: true };
+        let net = Turning {
+            free: true,
+            lend: false,
+        };
         let cfg = ScanConfig::new(SPACE, Protocol::Http, 11);
         let ctx = ScanCtx::new(&net, &cfg, ScanSession::default());
         let shared = Shared::new(restore_or_start(&ctx).unwrap(), &cfg);

@@ -150,6 +150,60 @@ pub enum UdpReply {
     Silent,
 }
 
+/// 1 024 addresses of an [`Audible`] set, one bit each. A set is stored
+/// in whole 128-byte-aligned lines so that it shares no cache line with
+/// another allocation: every scan thread reads it at every address. (As a
+/// plain `u64` slice, a two-core `scan_single` ran ~15 % slower.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(128))]
+pub struct Line(pub [u64; 16]);
+
+impl Line {
+    /// Lines enough for addresses `0..space`, every bit clear.
+    pub fn zeroed(space: u64) -> Vec<Line> {
+        vec![Line([0; 16]); usize::try_from(space.div_ceil(1024)).unwrap_or(0)]
+    }
+
+    /// Set `addr`'s bit, where `lines` reach it.
+    pub fn set(lines: &mut [Line], addr: u32) {
+        let line = lines.get_mut((addr / 1024) as usize);
+        if let Some(word) = line.and_then(|l| l.0.get_mut((addr / 64 % 16) as usize)) {
+            *word |= 1 << (addr % 64);
+        }
+    }
+}
+
+/// The addresses a network may answer in one (origin, protocol, trial),
+/// lent for a whole scan by [`Network::audible`]. A clear bit promises
+/// that every probe of any burst to its address gets `Silent`, whatever
+/// its source, bytes and send times, and that asking leaves no trace; a
+/// set bit, and any address past the last line, promises nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Audible<'a> {
+    lines: &'a [Line],
+}
+
+impl<'a> Audible<'a> {
+    /// No promise at all: every address is audible.
+    pub const ALL: Audible<'static> = Audible { lines: &[] };
+
+    /// The set whose bits `lines` hold.
+    pub fn new(lines: &'a [Line]) -> Self {
+        Self { lines }
+    }
+
+    /// May `addr` answer: is its bit set, or does it lie past the set?
+    #[inline(always)]
+    pub fn contains(self, addr: u32) -> bool {
+        let Some(line) = self.lines.get((addr / 1024) as usize) else {
+            return true;
+        };
+        line.0
+            .get((addr / 64 % 16) as usize)
+            .is_some_and(|word| word >> (addr % 64) & 1 != 0)
+    }
+}
+
 /// The provided burst loop: write `one`'s answer to each probe of the
 /// burst into `replies`, probe `i` sent at `times[i]` as
 /// `ctx.probe_idx + i`. Public so that an override which must fall back
@@ -204,15 +258,14 @@ pub trait Network: Sync {
         false
     }
 
-    /// Is a burst to `dst` certain to go unanswered? `true` promises that
-    /// every probe of any burst to `dst` from `origin` over `protocol` in
-    /// `trial` gets `Silent`, whatever its source, bytes and send times,
-    /// and that the call leaves no trace; the engine then delivers no
-    /// burst to `dst` (nor, but under `wire_check`, builds one), and asks
-    /// before any other work on the address. The default `false` suits a network that must see every
+    /// The addresses that may answer `protocol` from `origin` in `trial`,
+    /// lent once per scan: the engine delivers no burst to an address
+    /// whose bit is clear (nor, but under `wire_check`, builds one), and
+    /// reads the bit before any other work on the address. The default
+    /// `None` promises nothing, which suits a network that must see every
     /// probe (a defender, a fault layer that logs).
-    fn silent(&self, _origin: u16, _protocol: Protocol, _trial: u8, _dst: u32) -> bool {
-        false
+    fn audible(&self, _origin: u16, _protocol: Protocol, _trial: u8) -> Option<Audible<'_>> {
+        None
     }
 
     /// Deliver an ICMP echo request and return the reply.

@@ -14,7 +14,9 @@ use originscan_scanner::engine::{
     run_scan, run_scan_session, CheckpointStore, FaultAction, FaultCtx, FaultHook, ScanConfig,
     ScanOutput, ScanSession,
 };
-use originscan_scanner::target::{L7Ctx, L7Reply, Network, ProbeCtx, Protocol, SynReply};
+use originscan_scanner::target::{
+    burst_of, Audible, L7Ctx, L7Reply, Line, Network, ProbeCtx, Protocol, SynReply,
+};
 use originscan_scanner::Pacer;
 use originscan_scanner::MAX_PROBES;
 use originscan_telemetry::{EventKind, Telemetry};
@@ -23,26 +25,43 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-/// Silent at addresses whose hash falls under `quiet` of 256; the rest
-/// SYN-ACK, RST or drop by the address and the send time, so a probe
-/// stamped on the wrong clock gets another answer.
+/// Silent at addresses whose hash falls under `quiet` of 256, which it
+/// lends as clear [`Audible`] bits over `0..space`; the rest SYN-ACK, RST
+/// or drop by the address and the send time, so a probe stamped on the
+/// wrong clock gets another answer.
 struct Patchy {
     key: u32,
     quiet: u32,
+    lit: Vec<Line>,
 }
 
 impl Patchy {
+    fn new(key: u32, quiet: u32, space: u64) -> Self {
+        let mut net = Self {
+            key,
+            quiet,
+            lit: Line::zeroed(space),
+        };
+        let lit: Vec<u32> = (0..space as u32).filter(|&a| !net.dark(a)).collect();
+        for addr in lit {
+            Line::set(&mut net.lit, addr);
+        }
+        net
+    }
     fn hash(&self, dst: u32) -> u32 {
         (dst ^ self.key).wrapping_mul(0x9E37_79B9) >> 16
+    }
+    fn dark(&self, dst: u32) -> bool {
+        self.hash(dst) % 256 < self.quiet
     }
 }
 
 impl Network for Patchy {
-    fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
-        self.hash(dst) % 256 < self.quiet
+    fn audible(&self, _: u16, _: Protocol, _: u8) -> Option<Audible<'_>> {
+        Some(Audible::new(&self.lit))
     }
     fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
-        if self.silent(0, ctx.protocol, 0, ctx.dst) {
+        if self.dark(ctx.dst) {
             return SynReply::Silent;
         }
         match (self.hash(ctx.dst) / 256).wrapping_add(ctx.time_s as u32) % 3 {
@@ -56,24 +75,28 @@ impl Network for Patchy {
     }
 }
 
-/// Records every address it is asked `silent` about, from any thread;
-/// silent at two in three, and the rest refuse. `order_free` is what the
-/// net says of itself: `true` fans a bare scan out, `false` steps it.
+/// Records every burst it is delivered, from any thread, and refuses
+/// each; it lends no audible set, so every address is audible.
+/// `order_free` is what the net says of itself: `true` fans a bare scan
+/// out, `false` steps it.
 struct Recorder {
     order_free: bool,
-    asked: Mutex<Vec<u32>>,
+    delivered: Mutex<Vec<u32>>,
 }
 
 impl Network for Recorder {
     fn order_free(&self) -> bool {
         self.order_free
     }
-    fn silent(&self, _: u16, _: Protocol, _: u8, dst: u32) -> bool {
-        self.asked.lock().expect("no test thread panics").push(dst);
-        !dst.is_multiple_of(3)
-    }
     fn syn(&self, _: &ProbeCtx, probe: &TcpHeader) -> SynReply {
         SynReply::Rst(TcpHeader::rst_reply(probe))
+    }
+    fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, t: &[f64], out: &mut [SynReply]) {
+        self.delivered
+            .lock()
+            .expect("no test thread panics")
+            .push(ctx.dst);
+        burst_of(ctx, t, out, |c| self.syn(c, probe));
     }
     fn l7(&self, _: &L7Ctx, _: &[u8]) -> L7Reply {
         L7Reply::Timeout
@@ -193,7 +216,7 @@ proptest! {
         batch in 1u32..=64,
         cadence in 0usize..5,
     ) {
-        let net = Patchy { key, quiet };
+        let net = Patchy::new(key, quiet, space);
         let mut cfg = ScanConfig::new(space, Protocol::Http, seed);
         cfg.probes = probes;
         cfg.batch = batch;
@@ -227,9 +250,10 @@ proptest! {
     }
 
     /// A scan's skip filters, tested a /24 at a time, are the per-address
-    /// checks: fanned or stepped, with or without `wire_check`, it asks
-    /// `silent` about exactly the addresses of its shard that the plan
-    /// allows and the blocklist spares, and counts the rest alike. Spaces
+    /// checks: fanned or stepped, with or without `wire_check`, a net that
+    /// lends no audible set is delivered a burst to exactly the addresses
+    /// of its shard that the plan allows and the blocklist spares, and the
+    /// rest are counted alike. Spaces
     /// need not be whole /24s (nor one chunk: wide ones fan out over the
     /// cores), and /8–/32 entries block some /24s in part.
     #[test]
@@ -267,12 +291,12 @@ proptest! {
         want.sort_unstable();
         let mut outputs = Vec::new();
         for order_free in [true, false] {
-            let net = Recorder { order_free, asked: Mutex::default() };
+            let net = Recorder { order_free, delivered: Mutex::default() };
             let out = run_scan(&net, &cfg).expect("scan runs");
             let s = out.summary;
-            let mut asked = net.asked.into_inner().expect("no test thread panics");
-            asked.sort_unstable();
-            prop_assert!(asked == want, "order-free {}: asked about other addresses", order_free);
+            let mut delivered = net.delivered.into_inner().expect("no test thread panics");
+            delivered.sort_unstable();
+            prop_assert!(delivered == want, "order-free {}: bursts to other addresses", order_free);
             prop_assert_eq!((s.plan_skipped, s.blocked, s.addresses_probed), (plan_skipped, blocked, want.len() as u64));
             outputs.push(out);
         }

@@ -332,9 +332,9 @@ fn planned_sharded_blocklisted(out: &mut String) {
 /// A `SimNet` behind a wrapper that forwards every probe and leaves
 /// `Network::order_free` at its default: a bare `run_scan` spreads over
 /// the cores against the net itself and steps through this, one address
-/// after another on one thread. It deliberately leaves `Network::silent`
+/// after another on one thread. It deliberately leaves `Network::audible`
 /// at its default too, so every burst is built and delivered through it:
-/// against the net itself, the engine skips the silent ones.
+/// against the net itself, the engine skips those outside the set.
 struct Stepped<'a>(&'a SimNet<'a>);
 
 impl Network for Stepped<'_> {
@@ -572,8 +572,7 @@ fn reply_projections(out: &mut String) {
 
 /// Every probe module's experiment through the module sweep: each
 /// module's store, events, metrics and spans, and the rendered sweep
-/// report. The ICMP and DNS modules' coverage is checked on a second
-/// world.
+/// report; and the ICMP and DNS modules' coverage.
 fn module_sweep(out: &mut String) {
     let world = WorldConfig::tiny(91).build();
     let sweep = sweep_modules(&world, &module_cfg()).unwrap();
@@ -592,22 +591,8 @@ fn module_sweep(out: &mut String) {
     }
     let render = sweep.render();
     digest_lines(out, "module_sweep", &[("render", render.as_bytes())]);
-    stateless_modules_are_plausible();
-}
-
-fn module_cfg() -> ExperimentConfig {
-    ExperimentConfig {
-        origins: vec![OriginId::Us1, OriginId::Germany, OriginId::Japan],
-        trials: 2,
-        ..ExperimentConfig::default()
-    }
-}
-
-/// ICMP and DNS run end to end through the sweep: every origin sees most
-/// of the union, and the cross-module diffs name both modules.
-fn stateless_modules_are_plausible() {
-    let world = WorldConfig::tiny(92).build();
-    let sweep = sweep_modules(&world, &module_cfg()).unwrap();
+    // ICMP and DNS run end to end through the sweep: every origin sees
+    // most of the union, and the cross-module diffs name both modules.
     for name in ["ICMP", "DNS"] {
         let run = sweep.get(name).unwrap();
         let cov = sweep
@@ -627,6 +612,14 @@ fn stateless_modules_are_plausible() {
     let diffs = sweep.diffs();
     assert!(diffs.iter().any(|d| d.b == "ICMP" && d.both > 0));
     assert!(diffs.iter().any(|d| d.b == "DNS"));
+}
+
+fn module_cfg() -> ExperimentConfig {
+    ExperimentConfig {
+        origins: vec![OriginId::Us1, OriginId::Germany, OriginId::Japan],
+        trials: 2,
+        ..ExperimentConfig::default()
+    }
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -870,7 +863,7 @@ fn served_queries(out: &mut String, store: &[u8]) {
 }
 
 /// Supervised and adaptive scans step through the net itself, where the
-/// engine skips every burst `SimNet` calls silent, and through
+/// engine skips every burst outside `SimNet`'s audible set, and through
 /// [`Stepped`], where it delivers them all: the records, summary and
 /// telemetry must not tell the two apart.
 #[test]
