@@ -261,11 +261,18 @@ pub struct PlanHook<'p> {
     duration_s: f64,
 }
 
+impl PlanHook<'_> {
+    /// The scan fraction `ctx` stands at. Plan times refer to the
+    /// *unstalled* pacer clock, so stalls do not shift later fault
+    /// trigger points.
+    fn frac(&self, ctx: &FaultCtx) -> f64 {
+        (ctx.time_s - ctx.stall_s) / self.duration_s
+    }
+}
+
 impl FaultHook for PlanHook<'_> {
     fn before_address(&self, ctx: &FaultCtx) -> FaultAction {
-        // Plan times refer to the *unstalled* pacer clock, so stalls do
-        // not shift later fault trigger points.
-        let frac = (ctx.time_s - ctx.stall_s) / self.duration_s;
+        let frac = self.frac(ctx);
         for c in &self.plan.crashes {
             if c.origin == ctx.origin
                 && c.trial == ctx.trial
@@ -292,6 +299,42 @@ impl FaultHook for PlanHook<'_> {
             };
         }
         FaultAction::Continue
+    }
+
+    /// The scope's next crash or stall still ahead, as a send-clock time:
+    /// `at_frac · duration + stall_s`, taken down (by an ulp at a time)
+    /// until every earlier time's fraction falls short of `at_frac`;
+    /// `+∞` when none is ahead. Until then the crashes this attempt
+    /// suffers lie ahead and the stalls due are the ones already absorbed.
+    fn quiet_until(&self, ctx: &FaultCtx) -> f64 {
+        let frac = self.frac(ctx);
+        // An action due now, or a clock that runs backwards or not at
+        // all, promises nothing.
+        let due = self.before_address(ctx) != FaultAction::Continue;
+        if due || frac.is_nan() || self.duration_s <= 0.0 {
+            return ctx.time_s;
+        }
+        let scope = |origin, trial| origin == ctx.origin && trial == ctx.trial;
+        let crashes = self.plan.crashes.iter();
+        let crashes = crashes.filter(|c| scope(c.origin, c.trial) && ctx.attempt < c.fail_attempts);
+        let stalls = self.plan.stalls.iter().filter(|s| scope(s.origin, s.trial));
+        let ahead = (crashes.map(|c| c.at_frac))
+            .chain(stalls.map(|s| s.at_frac))
+            .filter(|&at| at > frac)
+            .reduce(f64::min);
+        let Some(next) = ahead else {
+            return f64::INFINITY;
+        };
+        let struck = |time_s| self.frac(&FaultCtx { time_s, ..*ctx }) >= next;
+        let mut until = next * self.duration_s + ctx.stall_s;
+        for _ in 0..8 {
+            let below = until.next_down();
+            if !struck(below) {
+                return until;
+            }
+            until = below;
+        }
+        ctx.time_s
     }
 }
 
@@ -457,10 +500,17 @@ fn tamper_key(ctx: &ProbeCtx) -> [u64; 4] {
 }
 
 impl<N: Network + ?Sized> Network for FaultyNet<'_, N> {
-    /// The inner net's view in an untouched scope: an outage scope counts
-    /// the probes it silences and a tampered one draws per probe.
+    /// The inner net's view wherever silence leaves no trace: in an
+    /// untouched scope, and in one whose only fault is reply corruption
+    /// (an address the inner view calls silent gets `Silent`, corrupting
+    /// silence is a no-op that records nothing, and the corruption draw is
+    /// a pure keyed hash). An outage scope lends none, since it counts
+    /// every probe it silences, and neither does a duplication scope,
+    /// whose draw records a `ReplyDuplicated` for a silent probe too.
     fn audible(&self, origin: u16, protocol: Protocol, trial: u8) -> Option<Audible<'_>> {
-        if self.untouched(origin, trial) {
+        let tamper = self.plan.tamper_for(origin, trial);
+        let duplicates = tamper.is_some_and(|t| t.duplicate_p > 0.0);
+        if !self.plan.has_outage(origin, trial) && !duplicates {
             self.inner.audible(origin, protocol, trial)
         } else {
             None
@@ -718,6 +768,48 @@ mod tests {
             survived, clean,
             "a pure crash (no outage window) loses no data"
         );
+    }
+
+    /// `quiet_until` keeps its promise at the last time before the one it
+    /// names, where rounding bites: over random fractions, durations and
+    /// stall clocks the hook continues there, and where the naive
+    /// `at_frac · duration + stall_s` would promise one time too many it
+    /// is taken down. An action due now promises nothing; none ahead, all.
+    #[test]
+    fn plan_hook_is_quiet_until_the_time_it_names() {
+        let det = Det::new(17);
+        let (mut taken_down, mut tight) = (0, 0);
+        for case in 0..20_000u64 {
+            let u = |i: u64| det.uniform(Tag::FaultCorrupt, &[case, i]);
+            let (at, duration_s) = (u(0), 1.0 + u(1) * 1e6);
+            let stall_s = if case % 2 == 0 { 0.0 } else { u(2) * 1e3 };
+            let plan = if case % 3 == 0 {
+                FaultPlan::new(0).stall(0, 0, at, stall_s + 1.0)
+            } else {
+                FaultPlan::new(0).crash(0, 0, at, 1)
+            };
+            let hook = plan.hook(duration_s);
+            let at_time = |time_s| FaultCtx {
+                origin: 0,
+                trial: 0,
+                attempt: 0,
+                time_s,
+                stall_s,
+            };
+            let until = hook.quiet_until(&at_time(stall_s));
+            let below = hook.before_address(&at_time(until.next_down()));
+            assert_eq!(below, FaultAction::Continue, "case {case}");
+            taken_down += usize::from(until != at * duration_s + stall_s);
+            tight += usize::from(hook.before_address(&at_time(until)) != FaultAction::Continue);
+            assert_eq!(hook.quiet_until(&at_time(until)), until, "due now");
+            let spared = FaultCtx {
+                attempt: 1,
+                ..at_time(stall_s)
+            };
+            let none_ahead = case % 3 != 0;
+            assert_eq!(hook.quiet_until(&spared) == f64::INFINITY, none_ahead);
+        }
+        assert!(taken_down > 0 && tight > 10_000, "{taken_down} {tight}");
     }
 
     #[test]

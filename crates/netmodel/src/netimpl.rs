@@ -140,11 +140,11 @@ fn closes_port(w: &World, addr: u32, proto: Protocol) -> bool {
 }
 
 /// Does the last-hop router answer an ICMP echo to `dst` when no live
-/// machine does? Keyed by the address alone.
+/// machine does? Keyed by the address alone, on the world's
+/// [`router_key`](World::router_key) stream.
 fn router_answers(w: &World, dst: u32) -> bool {
-    w.det().bernoulli(
-        Tag::ClosedPort,
-        &[2, u64::from(dst), host::proto_key(Protocol::Icmp)],
+    w.router_key().bernoulli(
+        &[u64::from(dst), host::proto_key(Protocol::Icmp)],
         ROUTER_UNREACHABLE_P,
     )
 }

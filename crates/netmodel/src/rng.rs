@@ -105,6 +105,21 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One `splitmix` round per key word, from state `h`.
+#[inline]
+fn chain(mut h: u64, words: &[u64]) -> u64 {
+    for &w in words {
+        h = splitmix(h ^ w.wrapping_mul(0xe703_7ed1_a0b4_28db));
+    }
+    h
+}
+
+/// A hash's top 53 bits as a uniform draw in `[0, 1)`.
+#[inline]
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A keyed deterministic hash stream.
 ///
 /// A hash starts from its tag's state, `splitmix(seed ^ tag·C)`, which
@@ -134,18 +149,19 @@ impl Det {
         reason = "the table has an entry for every discriminant"
     )]
     pub(crate) fn hash(&self, tag: Tag, words: &[u64]) -> u64 {
-        let mut h = self.tags[tag as usize];
-        for &w in words {
-            h = splitmix(h ^ w.wrapping_mul(0xe703_7ed1_a0b4_28db));
-        }
-        h
+        chain(self.tags[tag as usize], words)
+    }
+
+    /// The stream of `tag` with the key words `prefix` chained in:
+    /// `keyed(tag, a).hash(b)` is `hash(tag, a ++ b)`.
+    pub(crate) fn keyed(&self, tag: Tag, prefix: &[u64]) -> Keyed {
+        Keyed(self.hash(tag, prefix))
     }
 
     /// Uniform in `[0, 1)`.
     #[inline]
     pub(crate) fn uniform(&self, tag: Tag, words: &[u64]) -> f64 {
-        // 53 random mantissa bits.
-        (self.hash(tag, words) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.hash(tag, words))
     }
 
     /// Bernoulli draw with probability `p`.
@@ -182,6 +198,26 @@ impl Det {
     #[inline]
     pub(crate) fn lognormal(&self, tag: Tag, words: &[u64], mu_ln: f64, sigma_ln: f64) -> f64 {
         (mu_ln + sigma_ln * self.normal(tag, words)).exp()
+    }
+}
+
+/// A [`Det`] stream with constant leading key words chained in once
+/// ([`Det::keyed`]): a family of draws that shares the prefix skips its
+/// rounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Keyed(u64);
+
+impl Keyed {
+    /// [`Det::hash`] of the prefix followed by `words`.
+    #[inline]
+    pub(crate) fn hash(self, words: &[u64]) -> u64 {
+        chain(self.0, words)
+    }
+
+    /// [`Det::bernoulli`] of the prefix followed by `words`.
+    #[inline]
+    pub(crate) fn bernoulli(self, words: &[u64], p: f64) -> bool {
+        unit(self.hash(words)) < p
     }
 }
 
@@ -257,11 +293,16 @@ mod tests {
             let det = Det::new(seed);
             for tag in Tag::ALL {
                 for w in words {
-                    assert_eq!(
-                        det.hash(tag, w),
-                        reference(seed, tag, w),
-                        "{seed} {tag:?} {w:?}"
-                    );
+                    let want = reference(seed, tag, w);
+                    assert_eq!(det.hash(tag, w), want, "{seed} {tag:?} {w:?}");
+                    // Any leading words hoisted into a keyed stream.
+                    for split in 0..=w.len() {
+                        let (prefix, rest) = w.split_at(split);
+                        let keyed = det.keyed(tag, prefix);
+                        assert_eq!(keyed.hash(rest), want, "{seed} {tag:?} {w:?} at {split}");
+                        let p = [0.0, 0.15, 0.5, 1.0][split % 4];
+                        assert_eq!(keyed.bernoulli(rest, p), det.bernoulli(tag, w, p));
+                    }
                 }
             }
         }

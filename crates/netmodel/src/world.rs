@@ -13,7 +13,7 @@
 use crate::asn::{named_ases, AsRecord, AsTags, Category};
 use crate::geo::{self, Country};
 use crate::host::{self, Protocol};
-use crate::rng::{Det, Tag};
+use crate::rng::{Det, Keyed, Tag};
 
 /// World generation parameters.
 #[derive(Debug, Clone)]
@@ -99,6 +99,8 @@ pub struct World {
     bitmaps: [Vec<u64>; PROTO_SLOTS],
     /// The deterministic hash stream.
     det: Det,
+    /// [`router_key`](World::router_key), chained once per build.
+    router: Keyed,
 }
 
 /// Number of per-protocol slots ([`proto_slot`]'s range).
@@ -267,6 +269,9 @@ impl World {
             slash24_country,
             hosts,
             bitmaps,
+            // The leading word 2 keeps router draws apart from the
+            // closed-port draws of the same tag.
+            router: det.keyed(Tag::ClosedPort, &[2]),
             det,
         }
     }
@@ -279,6 +284,13 @@ impl World {
     /// The deterministic hash stream rooted at the world seed.
     pub fn det(&self) -> &Det {
         &self.det
+    }
+
+    /// The stream of last-hop router draws (ICMP echoes to missing
+    /// machines): [`Tag::ClosedPort`] with its constant leading key word
+    /// chained in, so each draw chains only the address and protocol.
+    pub(crate) fn router_key(&self) -> Keyed {
+        self.router
     }
 
     /// /24 index of an address.

@@ -452,9 +452,9 @@ fn faulted_bursts_are_the_provided_loop_over_scalar_probes() {
     }
 }
 
-/// `FaultyNet` lends `SimNet`'s audible set only where it forwards every
-/// probe verbatim; outage and tamper scopes lend none, and see every
-/// probe.
+/// `FaultyNet` lends `SimNet`'s audible set wherever silence leaves no
+/// trace: in untouched scopes and in a corruption-only one. Outage and
+/// duplication scopes lend none, and see every probe.
 #[test]
 fn faulty_net_is_silent_only_where_the_plan_is_absent() {
     let world = WorldConfig::tiny(7).build();
@@ -477,15 +477,92 @@ fn faulty_net_is_silent_only_where_the_plan_is_absent() {
         for (origin, trial) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
             // Crashes and stalls act through the hook, not the net.
             let untouched = trial == 1 || origin == 0;
+            let corrupt_only = (origin, trial) == (2, 0);
             let lent = faulty.audible(origin, m.protocol(), trial);
             let inner = net.audible(origin, m.protocol(), trial).unwrap();
             let scope = format!("{} origin {origin} trial {trial}", m.name());
-            assert_eq!(lent, untouched.then_some(inner), "{scope}");
+            let lends = untouched || corrupt_only;
+            assert_eq!(lent, lends.then_some(inner), "{scope}");
             let dark = (0..world.space() as u32).filter(|&dst| !inner.contains(dst));
-            silent += if untouched { 0 } else { dark.count() };
+            silent += if lends { 0 } else { dark.count() };
         }
     }
     assert!(silent > 0, "no touched scope covers a silent address");
+}
+
+/// Forwards every call to the net it wraps, bursts whole, but lends no
+/// audible set: a scan through it sends a burst to every address.
+struct Unlent<'a, N: Network + ?Sized>(&'a N);
+
+impl<N: Network + ?Sized> Network for Unlent<'_, N> {
+    fn order_free(&self) -> bool {
+        self.0.order_free()
+    }
+    fn syn(&self, ctx: &ProbeCtx, probe: &TcpHeader) -> SynReply {
+        self.0.syn(ctx, probe)
+    }
+    fn l7(&self, ctx: &L7Ctx, request: &[u8]) -> L7Reply {
+        self.0.l7(ctx, request)
+    }
+    fn icmp(&self, ctx: &ProbeCtx, probe: &IcmpEcho) -> IcmpReply {
+        self.0.icmp(ctx, probe)
+    }
+    fn udp(&self, ctx: &ProbeCtx, payload: &[u8]) -> UdpReply {
+        self.0.udp(ctx, payload)
+    }
+    fn syn_burst(&self, ctx: &ProbeCtx, probe: &TcpHeader, times: &[f64], out: &mut [SynReply]) {
+        self.0.syn_burst(ctx, probe, times, out);
+    }
+    fn icmp_burst(&self, ctx: &ProbeCtx, probe: &IcmpEcho, times: &[f64], out: &mut [IcmpReply]) {
+        self.0.icmp_burst(ctx, probe, times, out);
+    }
+    fn udp_burst(&self, ctx: &ProbeCtx, payload: &[u8], times: &[f64], out: &mut [UdpReply]) {
+        self.0.udp_burst(ctx, payload, times, out);
+    }
+}
+
+/// A corruption-only scope's scan writes the same records and the same
+/// hub JSONL whether it walks past the silence `FaultyNet` lends or sends
+/// every silent address a burst: every module, one, two and eight probes
+/// an address, with corruptions recorded along the way.
+#[test]
+fn a_corruption_only_scope_lends_silence_that_leaves_no_trace() {
+    let world = WorldConfig::tiny(7).build();
+    let origins = [OriginId::Us1, OriginId::Germany];
+    let net = SimNet::new(&world, &origins, DUR_S);
+    let plan = FaultPlan::new(9).corrupt_replies(1, 0, 0.3);
+    let mut corrupted = 0;
+    for m in modules() {
+        for probes in [1u8, 2, 8] {
+            let run = |lent: bool| {
+                let hub = Telemetry::new();
+                let faulty = FaultyNet::new(&net, &plan, DUR_S).with_telemetry(&hub);
+                let unlent = Unlent(&faulty);
+                let through: &dyn Network = if lent { &faulty } else { &unlent };
+                assert_eq!(through.audible(1, m.protocol(), 0).is_some(), lent);
+                let space = world.space();
+                let mut cfg = ScanConfig::new(space, m.protocol(), 11);
+                cfg.origin = 1;
+                cfg.probes = probes;
+                cfg.concurrent_origins = origins.len() as u8;
+                cfg.rate_pps = rate_for_duration(space * u64::from(probes), DUR_S);
+                let session = ScanSession {
+                    telemetry: Some(&hub),
+                    ..ScanSession::default()
+                };
+                let out = run_scan_session(through, &cfg, session).unwrap();
+                (out, jsonl(&hub))
+            };
+            let (lent, unlent) = (run(true), run(false));
+            assert!(
+                lent == unlent,
+                "{} × {probes}: lending changed the scan",
+                m.name()
+            );
+            corrupted += lent.0.summary.validation_failures;
+        }
+    }
+    assert!(corrupted > 0, "no reply was corrupted");
 }
 
 /// An undefended `DefenderNet` is its inner net: at every module, origin

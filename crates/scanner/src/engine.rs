@@ -13,8 +13,10 @@
 //! stay valid. The engine therefore supports *supervised* execution via
 //! [`run_scan_session`]:
 //!
-//! * a [`FaultHook`] is consulted before every address and may stall the
-//!   probe pipeline or kill the scan (simulating the origin dying);
+//! * a [`FaultHook`] is consulted before every window of the step loop
+//!   and may stall the probe pipeline or kill the scan (simulating the
+//!   origin dying); a window runs on only while the hook's
+//!   [`FaultHook::quiet_until`] promises it would have answered `Continue`;
 //! * periodic `ScanCheckpoint`s — permutation position, the pacer
 //!   itself, stall clock, controller state, and all partial records — are
 //!   written to a [`CheckpointStore`] that outlives the scan (and any
@@ -28,8 +30,9 @@
 //! next target → probe module → record — over a `ScanCtx` (what stays
 //! fixed) and a `Progress` (what moves). Clock, checkpoint and fault hook
 //! run once per *window*: a walk through the skip filters to the next
-//! address to probe or checkpoint, silent addresses counted in bulk (one
-//! step with a hook, a controller or `wire_check`), its filters one bit per
+//! address to probe, checkpoint or the hook's next fault, silent addresses
+//! counted in bulk (one step with a controller or `wire_check`, whose
+//! replies steer the scan), its filters one bit per
 //! /24 (`pass_bits`) and its silence one bit per address: the
 //! [`Audible`] set the network lends once per scan. An open-loop scan of
 //! a [`Network::order_free`] network runs `probe` on every core (`fan.rs`).
@@ -291,7 +294,14 @@ pub struct FaultCtx {
     pub stall_s: f64,
 }
 
-/// A fault-injection hook consulted before every address.
+/// A fault-injection hook consulted before every window of the step loop.
+///
+/// Before an address that no earlier answer covers, the engine asks
+/// [`FaultHook::before_address`] what happens, and after a `Continue`,
+/// [`FaultHook::quiet_until`] how far that answer reaches: every address
+/// whose sends all leave before that time is walked without asking again.
+/// A hook that keeps the default promises nothing and is asked before
+/// every address.
 ///
 /// Implementations must be deterministic in `FaultCtx` (plus their own
 /// construction-time state): the integration suite asserts that a faulted
@@ -300,6 +310,14 @@ pub struct FaultCtx {
 pub trait FaultHook: Sync {
     /// Decide what happens before the next address is probed.
     fn before_address(&self, ctx: &FaultCtx) -> FaultAction;
+
+    /// The send-clock time before which [`FaultHook::before_address`]
+    /// answers [`FaultAction::Continue`] to every context that differs
+    /// from `ctx` only in its `time_s`; asked after `ctx` was answered
+    /// `Continue`. The default, `ctx.time_s`, promises nothing.
+    fn quiet_until(&self, ctx: &FaultCtx) -> f64 {
+        ctx.time_s
+    }
 }
 
 /// Resumable scan state: everything needed to continue a scan from the
@@ -377,7 +395,7 @@ impl CheckpointStore {
 /// Supervision options for [`run_scan_session`].
 #[derive(Default)]
 pub struct ScanSession<'a> {
-    /// Fault hook consulted before each address (None: no faults).
+    /// Fault hook consulted before each window (None: no faults).
     pub hook: Option<&'a dyn FaultHook>,
     /// Where periodic checkpoints go, at the store's cadence. A store that
     /// already holds one makes this session a resume from it.
@@ -461,8 +479,9 @@ pub(crate) struct Progress {
     pub(crate) pacer: Pacer,
     stall_s: f64,
     pub(crate) out: ScanOutput,
-    /// The adaptive controller (None: classic open-loop scan).
-    ctrl: Option<Controller>,
+    /// The adaptive controller (None: classic open-loop scan), boxed so
+    /// that its size does not move the fields every scan's walk reads.
+    ctrl: Option<Box<Controller>>,
     /// Permutation steps since the last checkpoint (or since resume).
     since_checkpoint: u64,
     /// Checkpoints written by this attempt.
@@ -504,7 +523,7 @@ pub(crate) fn restore_or_start(ctx: &ScanCtx<'_>) -> Result<Progress, ScanError>
     p.ctrl = cfg
         .adapt
         .clone()
-        .map(|policy| Controller::from_state(policy, n_sources, ctrl_state));
+        .map(|policy| Box::new(Controller::from_state(policy, n_sources, ctrl_state)));
     ctx.tele.emit(p.now(), event);
     Ok(p)
 }
@@ -533,11 +552,21 @@ fn checkpoint_if_due(ctx: &ScanCtx<'_>, p: &mut Progress) -> u64 {
 }
 
 /// Ask the fault hook what happens before the next address: nothing, a
-/// stall absorbed into the send clock, or this attempt's death.
-fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
+/// stall absorbed into the send clock, or this attempt's death. Returns
+/// the steps it leaves alone (unbounded without a hook): after a
+/// `Continue`, every step whose sends all leave before its
+/// [`FaultHook::quiet_until`], and at least this one. `quiet_to` keeps
+/// that promise as a count of probes sent, so a step it covers is not
+/// asked again; not with a controller, whose re-rates move later sends.
+fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress, quiet_to: &mut u64) -> Result<u64, ScanError> {
     let Some(hook) = ctx.session.hook else {
-        return Ok(());
+        return Ok(u64::MAX);
     };
+    let (probes, sent) = (u64::from(ctx.cfg.probes), p.out.summary.probes_sent);
+    let promised = quiet_to.saturating_sub(sent) / probes;
+    if promised > 0 {
+        return Ok(promised);
+    }
     let time_s = p.now();
     let fault_ctx = FaultCtx {
         origin: ctx.cfg.origin,
@@ -547,9 +576,17 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
         stall_s: p.stall_s,
     };
     match hook.before_address(&fault_ctx) {
-        FaultAction::Continue => Ok(()),
+        FaultAction::Continue => {
+            let until = hook.quiet_until(&fault_ctx);
+            let sends = p.pacer.probes_before(until, p.stall_s);
+            if p.ctrl.is_none() {
+                *quiet_to = sent.saturating_add(sends);
+            }
+            Ok((sends / probes).max(1))
+        }
         FaultAction::Stall { delay_s } => {
             p.stall_s += delay_s;
+            *quiet_to = 0;
             ctx.tele.emit(time_s, EventKind::PipelineStall { delay_s });
             ctx.tele.record_span("stall", time_s, time_s + delay_s);
             ctx.tele.flush_with(|| {
@@ -558,7 +595,7 @@ fn consult_hook(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
                 b.observe(names::FAULT_STALL_SECONDS, metrics::STALL_BOUNDS, delay_s);
                 b
             });
-            Ok(())
+            Ok(1)
         }
         FaultAction::Kill => {
             let addresses_probed = p.out.summary.addresses_probed;
@@ -815,10 +852,7 @@ fn react(ctx: &ScanCtx<'_>, p: &mut Progress, addr: u32, o: &AddrOutcome) {
 /// windows have had the rest of the scan to lapse. Bounded by the policy's
 /// deferral cap; unsupervised (no hook or checkpoints), at the backed-off rate.
 fn tail_pass(ctx: &ScanCtx<'_>, p: &mut Progress) -> Result<(), ScanError> {
-    let deferred = p
-        .ctrl
-        .as_mut()
-        .map_or_else(Vec::new, Controller::take_deferred);
+    let deferred = p.ctrl.as_mut().map_or_else(Vec::new, |c| c.take_deferred());
     if deferred.is_empty() {
         return Ok(());
     }
@@ -896,7 +930,7 @@ fn completion_metrics(ctx: &ScanCtx<'_>, p: &Progress) -> MetricBatch {
 }
 
 /// Execute one scan against `net` under supervision: consult the fault
-/// hook before every address, periodically checkpoint resumable state,
+/// hook before every window, periodically checkpoint resumable state,
 /// and resume from the session store's checkpoint when it holds one. A
 /// session with none of that may not step at all (see the module docs).
 pub fn run_scan_session(
@@ -923,15 +957,16 @@ pub fn run_scan_session(
         tele.record_span("plan", start_s, start_s);
     }
     let probe_span = tele.span("probe");
-    // A hook, a controller and `wire_check` see every address, one step
-    // at a time; otherwise a walk runs to the next checkpoint.
-    let stepwise = ctx.session.hook.is_some() || cfg.adapt.is_some() || cfg.wire_check;
-    let pass = pass_bits(cfg);
+    // A controller and `wire_check` see every address, one step at a
+    // time; otherwise a walk runs to the next checkpoint or to the last
+    // step the fault hook leaves alone, whichever comes first.
+    let stepwise = cfg.adapt.is_some() || cfg.wire_check;
+    let (pass, mut quiet_to) = (pass_bits(cfg), 0);
     loop {
         tele.set_time(p.now());
         let due = checkpoint_if_due(&ctx, &mut p);
-        consult_hook(&ctx, &mut p)?;
-        let window = if stepwise { 1 } else { due };
+        let quiet = consult_hook(&ctx, &mut p, &mut quiet_to)?;
+        let window = if stepwise { 1 } else { due.min(quiet) };
         let addr = match walk(&ctx, &pass, &mut p, window, !stepwise) {
             Ok(addr) => addr,
             Err(0) => break,
@@ -1349,9 +1384,9 @@ mod tests {
         }
     }
 
-    /// Addresses the consulting attempt has walked: a hooked scan consults
-    /// its hook once per address, so a hook counts its consultations (a
-    /// resumed attempt from its checkpoint).
+    /// Addresses the consulting attempt has walked: a hook that keeps the
+    /// default `quiet_until` is consulted once per address, so it counts
+    /// its consultations (a resumed attempt from its checkpoint).
     #[derive(Default)]
     struct Walked(Mutex<(u32, u64)>);
 

@@ -110,6 +110,46 @@ impl Pacer {
         }
     }
 
+    /// A lower bound on the probes released before send-clock time `t` on
+    /// a clock `offset` seconds ahead of the pacer's (a scan's stalls):
+    /// each of the next `probes_before(t, offset)` calls of
+    /// [`Pacer::next_send_time`] returns an `x` with `x + offset < t`.
+    /// Batch starts grow with the batch index, so the last batch to start
+    /// before `t` is found from an estimate and a few exact comparisons;
+    /// a bound the comparisons cannot settle stays short.
+    #[expect(clippy::cast_possible_truncation, reason = "a saturating guess")]
+    pub(crate) fn probes_before(&self, t: f64, offset: f64) -> u64 {
+        let before = |start: f64| start + offset < t;
+        let open = u64::from(self.batch - self.sent_in_batch);
+        if open > 0 && !before(self.batch_start_time) {
+            return 0;
+        }
+        let first = self.batches_sent + 1;
+        if !before(self.batch_start(first)) {
+            return open;
+        }
+        // Saturating, and 0 for NaN: the comparisons below take over.
+        let guess = ((t - offset - self.anchor_time) * self.rate / f64::from(self.batch)) as u64;
+        let mut last = self.anchor_batches.saturating_add(guess).max(first);
+        for _ in 0..4 {
+            if before(self.batch_start(last)) {
+                break;
+            }
+            last = (last - 1).max(first);
+        }
+        if !before(self.batch_start(last)) {
+            last = first;
+        }
+        for _ in 0..4 {
+            match last.checked_add(1) {
+                Some(next) if before(self.batch_start(next)) => last = next,
+                _ => break,
+            }
+        }
+        let full = (last - first + 1).saturating_mul(u64::from(self.batch));
+        open.saturating_add(full)
+    }
+
     /// Send-clock seconds consumed by every probe released so far, valid
     /// across any number of rate changes. For a pacer whose rate never
     /// changed this is exactly `probes / rate`.
@@ -291,6 +331,51 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every probe `probes_before` counts leaves before the time, and the
+    /// next one does not: from a fresh pacer, mid-batch, on a full batch
+    /// and after a rate change, on the pacer's clock and one running ahead
+    /// of it, at times on, between and past batch starts.
+    #[test]
+    fn probes_before_counts_exactly_the_sends_before_the_time() {
+        for batch in [1u32, 3, 16] {
+            for prefix in [0u64, 1, u64::from(batch), u64::from(batch) + 2] {
+                for rerate in [false, true] {
+                    let mut start = Pacer::new(640.0, batch);
+                    for _ in 0..prefix {
+                        start.next_send_time();
+                    }
+                    if rerate {
+                        start.set_rate(96.0);
+                    }
+                    for offset in [0.0, 0.1, 45.3] {
+                        let mut probe = start.clone();
+                        let sends: Vec<f64> = (0..800).map(|_| probe.next_send_time()).collect();
+                        let ends = sends.iter().take(400).map(|&x| x + offset);
+                        let times = ends.flat_map(|t| [t, t + 1e-9, t - 1e-9, next_up(t)]);
+                        for t in times.chain([offset, 0.0, -1.0, f64::NAN]) {
+                            let n = start.probes_before(t, offset);
+                            let at = (batch, prefix, rerate, offset, t, n);
+                            let counted = sends.get(..n as usize).expect("within the sends");
+                            assert!(counted.iter().all(|&x| x + offset < t), "{at:?}");
+                            if let Some(&next) = sends.get(n as usize) {
+                                assert!(t.is_nan() || next + offset >= t, "{at:?}: short");
+                            }
+                        }
+                    }
+                    assert!(start.probes_before(f64::INFINITY, 0.0) > u64::MAX / 2);
+                }
+            }
+        }
+    }
+
+    fn next_up(t: f64) -> f64 {
+        if t >= 0.0 {
+            f64::from_bits(t.to_bits() + 1)
+        } else {
+            t
         }
     }
 

@@ -135,6 +135,12 @@ pub(crate) struct Controller {
     policy: AdaptivePolicy,
     n_sources: u32,
     state: ControllerState,
+    /// `state.suspects` as a dense table, one release time per /24 up to
+    /// the highest suspect (`-∞`: never quarantined), for
+    /// [`Controller::should_defer`], which runs for every address. The
+    /// sparse map stays the checkpointed form, so a checkpoint costs the
+    /// suspects, not the space.
+    release: Vec<f64>,
 }
 
 impl Controller {
@@ -150,6 +156,7 @@ impl Controller {
             policy,
             n_sources,
             state: ControllerState::default(),
+            release: Vec::new(),
         }
     }
 
@@ -160,6 +167,9 @@ impl Controller {
         state: ControllerState,
     ) -> Self {
         let mut c = Self::new(policy, n_sources);
+        for (&prefix, &release_at) in &state.suspects {
+            set_release(&mut c.release, prefix, release_at);
+        }
         c.state = state;
         c
     }
@@ -183,11 +193,8 @@ impl Controller {
     /// Quarantine applies while the /24's cooloff runs; parked addresses
     /// come back via [`Controller::take_deferred`].
     pub(crate) fn should_defer(&mut self, addr: u32, time_s: f64) -> bool {
-        let released = match self.state.suspects.get(&(addr >> 8)) {
-            None => return false,
-            Some(&release_at) => time_s >= release_at,
-        };
-        if released {
+        let release_at = self.release.get((addr >> 8) as usize);
+        if release_at.is_none_or(|&release_at| time_s >= release_at) {
             return false;
         }
         if self.state.deferred.len() >= self.policy.max_deferred {
@@ -229,6 +236,7 @@ impl Controller {
             if st.level > 0 {
                 let prefix = addr >> 8;
                 let release_at = time_s + SUSPECT_COOLOFF_S;
+                set_release(&mut self.release, prefix, release_at);
                 if st.suspects.insert(prefix, release_at).is_none() {
                     reaction.suspect = Some((prefix, release_at));
                 }
@@ -271,6 +279,18 @@ impl Controller {
             }
         }
         reaction
+    }
+}
+
+/// Quarantine `prefix` until `release_at` in the dense table, growing it
+/// to reach the prefix.
+fn set_release(release: &mut Vec<f64>, prefix: u32, release_at: f64) {
+    let at = prefix as usize;
+    if release.len() <= at {
+        release.resize(at + 1, f64::NEG_INFINITY);
+    }
+    if let Some(slot) = release.get_mut(at) {
+        *slot = release_at;
     }
 }
 
@@ -402,6 +422,66 @@ mod tests {
             }
         }
         assert_eq!(parked, 3);
+    }
+
+    /// The dense quarantine table answers as the sparse suspects map it
+    /// mirrors: over random observations (RSTs quarantine and re-quarantine
+    /// /24s while backed off), deferral questions before, at and past
+    /// release times, and rebuilds from checkpointed state midway.
+    #[test]
+    fn quarantine_table_is_the_suspects_map() {
+        let mut state = 0x5eed_u64;
+        let mut next = |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        let policy = AdaptivePolicy {
+            max_deferred: 300,
+            ..quick_policy()
+        };
+        let mut c = Controller::new(policy.clone(), 3);
+        let (mut deferred, mut released, mut rebuilt) = (0, 0, 0);
+        let mut t = 0.0;
+        for step in 0..20_000u32 {
+            // Addresses over 64 /24s, the higher ones rarer, so the
+            // table grows mid-run.
+            let bits = 8 + next(7);
+            let addr = next(1 << bits) as u32;
+            t += next(8) as f64;
+            if next(3) == 0 {
+                let (responsive, rst) = (next(9) == 0, next(2) == 0);
+                c.observe(addr, responsive, rst, t);
+            } else {
+                let at = match next(4) {
+                    0 => t,
+                    1 => t + SUSPECT_COOLOFF_S,
+                    _ => c
+                        .state
+                        .suspects
+                        .get(&(addr >> 8))
+                        .map_or(t, |&r| r - 1.0 + next(3) as f64),
+                };
+                let want = c.state.suspects.get(&(addr >> 8)).is_some_and(|&r| at < r)
+                    && c.state.deferred.len() < policy.max_deferred;
+                let got = c.should_defer(addr, at);
+                assert_eq!(got, want, "step {step}: {addr:#x} at {at}");
+                deferred += usize::from(got);
+                released += usize::from(!got && c.state.suspects.contains_key(&(addr >> 8)));
+            }
+            if next(500) == 0 {
+                let resumed = Controller::from_state(policy.clone(), 3, c.state.clone());
+                assert_eq!(resumed.release, c.release, "step {step}");
+                c = resumed;
+                rebuilt += 1;
+            }
+        }
+        let suspects = c.state.suspects.len();
+        assert!(
+            deferred > 0 && released > 0 && rebuilt > 0 && suspects > 8,
+            "{suspects}"
+        );
     }
 
     #[test]

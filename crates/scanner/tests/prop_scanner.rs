@@ -7,6 +7,7 @@
     reason = "tests assert membership/counts only; hash iteration order never escapes"
 )]
 
+use originscan_netmodel::FaultPlan;
 use originscan_plan::{PlanEntry, TargetPlan};
 use originscan_scanner::blocklist::{Blocklist, Cidr};
 use originscan_scanner::cyclic::{is_prime, mod_mul, next_prime, Cycle, FixedMul};
@@ -18,7 +19,7 @@ use originscan_scanner::target::{
     burst_of, Audible, L7Ctx, L7Reply, Line, Network, ProbeCtx, Protocol, SynReply,
 };
 use originscan_scanner::Pacer;
-use originscan_scanner::MAX_PROBES;
+use originscan_scanner::{ScanError, MAX_PROBES};
 use originscan_telemetry::{EventKind, Telemetry};
 use originscan_wire::tcp::TcpHeader;
 use proptest::prelude::*;
@@ -141,6 +142,54 @@ fn run_supervised(
     (out, saved.collect(), snap.to_jsonl())
 }
 
+/// Forwards `before_address` to the hook it wraps and keeps the default
+/// `quiet_until`, so a scan under it asks before every address.
+struct Stepped<'a>(&'a dyn FaultHook);
+
+impl FaultHook for Stepped<'_> {
+    fn before_address(&self, ctx: &FaultCtx) -> FaultAction {
+        self.0.before_address(ctx)
+    }
+}
+
+/// Each attempt's result, the checkpoints announced (steps, addresses
+/// probed, time bits) and the hub JSONL.
+type Attempts = (
+    Vec<Result<ScanOutput, ScanError>>,
+    Vec<(u64, u64, u64)>,
+    String,
+);
+
+/// Attempts of `cfg` under `hook`, sharing a store saving every `every`
+/// steps and one hub, until one completes (at most three).
+fn run_attempts(net: &Patchy, cfg: &ScanConfig, hook: &dyn FaultHook, every: u64) -> Attempts {
+    let (hub, store) = (Telemetry::new(), CheckpointStore::new(every));
+    let mut results = Vec::new();
+    for attempt in 0..3 {
+        let session = ScanSession {
+            hook: Some(hook),
+            store: Some(&store),
+            attempt,
+            telemetry: Some(&hub),
+        };
+        let result = run_scan_session(net, cfg, session);
+        let done = result.is_ok();
+        results.push(result);
+        if done {
+            break;
+        }
+    }
+    let snap = hub.snapshot();
+    let saved = snap.events.iter().filter_map(|e| match e.kind {
+        EventKind::CheckpointSaved {
+            steps,
+            addresses_probed,
+        } => Some((steps, addresses_probed, e.time_s.to_bits())),
+        _ => None,
+    });
+    (results, saved.collect(), snap.to_jsonl())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -247,6 +296,65 @@ proptest! {
         // The walk's last checkpoint is still in its store: a resume.
         let session = ScanSession { store: Some(&walked_store), ..ScanSession::default() };
         prop_assert_eq!(run_scan_session(&net, &cfg, session).expect("resume runs"), uninterrupted);
+    }
+
+    /// A fault plan's hook, asked per window up to its scope's next crash
+    /// or stall, is the same hook asked before every address: the same
+    /// kills, checkpoints, output and hub JSONL, through crashes that spare
+    /// later attempts, a stall and resumes from the checkpoint.
+    #[test]
+    fn hook_windows_equal_stepping_every_address(
+        space in 256u64..4096,
+        seed: u64,
+        key: u32,
+        quiet in 0u32..=256,
+        s24s in proptest::collection::vec(0u32..16, 0..12),
+        planned: bool,
+        block in proptest::option::of((0u32..4096, 20u8..=32)),
+        total in 1u64..4,
+        probes in 1u8..=MAX_PROBES as u8,
+        batch in 1u32..=64,
+        cadence in 0usize..3,
+        crash_at in 0.0f64..1.1,
+        fail_attempts in 0u32..3,
+        stall_at in 0.0f64..1.0,
+        delay_s in 0.0f64..600.0,
+        stretch in 0.5f64..2.0,
+    ) {
+        let net = Patchy::new(key, quiet, space);
+        let mut cfg = ScanConfig::new(space, Protocol::Http, seed);
+        cfg.probes = probes;
+        cfg.batch = batch;
+        cfg.shard = (seed % total, total);
+        if planned {
+            let mut s24s: Vec<u32> = s24s.into_iter().filter(|&s| u64::from(s) * 256 < space).collect();
+            s24s.sort_unstable();
+            s24s.dedup();
+            let entries = s24s.into_iter().map(|s24| PlanEntry { s24, score: 1 }).collect();
+            cfg.plan = Some(TargetPlan::from_entries(space, 0, "prop", entries).expect("valid plan"));
+        }
+        if let Some((base, len)) = block {
+            cfg.blocklist = Blocklist::from_cidrs([Cidr::new(base, len)]);
+        }
+        // The plan's clock: near the scan's own, a little short or long.
+        let duration_s = run_scan(&net, &cfg).expect("scan runs").summary.duration_s * stretch;
+        let faults = FaultPlan::new(seed)
+            .crash(0, 0, crash_at, fail_attempts)
+            .stall(0, 0, stall_at, delay_s);
+        let hook = faults.hook(duration_s);
+        let every = [0, 1, 1024][cadence];
+        let walked = run_attempts(&net, &cfg, &hook, every);
+        let stepped = run_attempts(&net, &cfg, &Stepped(&hook), every);
+        prop_assert_eq!(&walked.0, &stepped.0);
+        let bits = |r: &[Result<ScanOutput, ScanError>]| -> Vec<u64> {
+            r.iter().filter_map(|r| match r {
+                Err(ScanError::Killed { time_s, .. }) => Some(time_s.to_bits()),
+                _ => None,
+            }).collect()
+        };
+        prop_assert_eq!(bits(&walked.0), bits(&stepped.0));
+        prop_assert_eq!(&walked.1, &stepped.1);
+        prop_assert!(walked.2 == stepped.2, "the hub JSONL differs");
     }
 
     /// A scan's skip filters, tested a /24 at a time, are the per-address
